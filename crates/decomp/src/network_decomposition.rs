@@ -55,11 +55,8 @@ impl NetworkDecomposition {
 
     /// Maximum weak diameter over clusters.
     pub fn max_weak_diameter(&self, g: &Graph) -> u32 {
-        self.clusters
-            .iter()
-            .map(|(_, c)| traversal::weak_diameter(g, c).expect("clusters connected"))
-            .max()
-            .unwrap_or(0)
+        traversal::max_weak_diameter(g, self.clusters.iter().map(|(_, c)| c.as_slice()))
+            .expect("clusters connected")
     }
 }
 

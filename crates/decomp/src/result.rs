@@ -100,20 +100,14 @@ impl Decomposition {
     /// Panics if some cluster is disconnected in `g` (weak diameter is then
     /// undefined — decompositions never produce such clusters).
     pub fn max_weak_diameter(&self, g: &Graph) -> u32 {
-        self.clusters
-            .iter()
-            .map(|c| traversal::weak_diameter(g, c).expect("cluster must be connected in G"))
-            .max()
-            .unwrap_or(0)
+        traversal::max_weak_diameter(g, self.clusters.iter().map(Vec::as_slice))
+            .expect("cluster must be connected in G")
     }
 
-    /// Maximum strong diameter over clusters.
+    /// Maximum strong diameter over clusters (`Some(0)` when there are
+    /// none); `None` if some cluster's induced subgraph is disconnected.
     pub fn max_strong_diameter(&self, g: &Graph) -> Option<u32> {
-        let mut best = 0;
-        for c in &self.clusters {
-            best = best.max(traversal::strong_diameter(g, c)?);
-        }
-        Some(best)
+        traversal::max_strong_diameter(g, self.clusters.iter().map(Vec::as_slice))
     }
 
     /// Full Definition 1.4 validation: separation plus partition sanity.

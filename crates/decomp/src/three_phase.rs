@@ -485,17 +485,11 @@ pub fn improve_diameter(
     let en_params = EnParams::new(lambda, params.n_tilde);
     let mut labels: Vec<Option<Vertex>> = vec![None; n];
     let mut ledger = outcome.decomposition.ledger.clone();
-    let mut max_old_diameter = 0usize;
+    let mut mask = vec![false; n];
     for cluster in &outcome.decomposition.clusters {
-        let mask = {
-            let mut m = vec![false; n];
-            for &v in cluster {
-                m[v as usize] = true;
-            }
-            m
-        };
-        max_old_diameter =
-            max_old_diameter.max(traversal::weak_diameter(g, cluster).unwrap_or(0) as usize);
+        for &v in cluster {
+            mask[v as usize] = true;
+        }
         // Retry until the deleted fraction is within budget (Markov: each
         // attempt succeeds with probability ≥ 1/2; cap attempts for
         // robustness and keep the best).
@@ -521,8 +515,12 @@ pub fn improve_diameter(
                 // avoid collisions across parent clusters.
                 labels[*v as usize] = Some(d.clusters[cid as usize][0]);
             }
+            mask[*v as usize] = false;
         }
     }
+    let max_old_diameter =
+        traversal::max_weak_diameter(g, outcome.decomposition.clusters.iter().map(Vec::as_slice))
+            .unwrap_or(0) as usize;
     ledger.begin_phase("diameter improvement (local re-decomposition)");
     ledger.charge_gather(max_old_diameter);
     ledger.end_phase();

@@ -7,7 +7,7 @@ use dapc_decomp::mpx::mpx;
 use dapc_decomp::network_decomposition::network_decomposition;
 use dapc_decomp::sparse_cover::sparse_cover;
 use dapc_decomp::three_phase::{three_phase_ldd, LddParams};
-use dapc_graph::{gen, Graph, Hypergraph, Vertex};
+use dapc_graph::{gen, traversal, Graph, Hypergraph, Vertex};
 use proptest::prelude::*;
 
 fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
@@ -17,8 +17,74 @@ fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
     })
 }
 
+/// Reference weak diameter: a full BFS from every member, every pair read.
+fn reference_weak(g: &Graph, s: &[Vertex]) -> Option<u32> {
+    let mut best = 0u32;
+    for &u in s {
+        let dist = traversal::bfs_distances(g, u);
+        for &v in s {
+            let d = dist[v as usize];
+            if d == traversal::UNREACHABLE {
+                return None;
+            }
+            best = best.max(d);
+        }
+    }
+    Some(best)
+}
+
+/// Reference strong diameter: the same double loop on the induced subgraph.
+fn reference_strong(g: &Graph, s: &[Vertex]) -> Option<u32> {
+    let (sub, _) = g.induced_subgraph(s);
+    let mut best = 0u32;
+    for v in sub.vertices() {
+        for d in traversal::bfs_distances(&sub, v) {
+            if d == traversal::UNREACHABLE {
+                return None;
+            }
+            best = best.max(d);
+        }
+    }
+    Some(best)
+}
+
+/// The reference maximum over clusters: `None` as soon as one cluster is.
+fn reference_max(
+    g: &Graph,
+    clusters: &[Vec<Vertex>],
+    one: fn(&Graph, &[Vertex]) -> Option<u32>,
+) -> Option<u32> {
+    clusters
+        .iter()
+        .try_fold(0, |best, c| Some(best.max(one(g, c)?)))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// The diameter checks of real three-phase, Elkin–Neiman and network
+    /// decompositions equal the all-pairs reference over their clusters.
+    #[test]
+    fn diameter_checks_match_the_reference(n in 20usize..150, seed in 0u64..1000, eps in 1usize..5, family in 0usize..4) {
+        let mut rng = gen::seeded_rng(seed);
+        let g = match family {
+            0 => gen::gnp(n, 4.0 / n as f64, &mut rng),
+            1 => gen::grid(n / 10 + 1, 10),
+            2 => gen::random_tree(n, &mut rng),
+            _ => gen::random_regular(n - n % 2, 3, &mut rng),
+        };
+        let eps = eps as f64 / 10.0;
+        let three_phase = three_phase_ldd(&g, &LddParams::scaled(eps, g.n() as f64, 0.05), &mut rng, None)
+            .decomposition;
+        let en = elkin_neiman(&g, &EnParams::new(eps, g.n() as f64), &mut rng, None);
+        for d in [three_phase, en] {
+            prop_assert_eq!(Some(d.max_weak_diameter(&g)), reference_max(&g, &d.clusters, reference_weak));
+            prop_assert_eq!(d.max_strong_diameter(&g), reference_max(&g, &d.clusters, reference_strong));
+        }
+        let nd = network_decomposition(&g, g.n() as f64, &mut rng);
+        let clusters: Vec<Vec<Vertex>> = nd.clusters.iter().map(|(_, c)| c.clone()).collect();
+        prop_assert_eq!(Some(nd.max_weak_diameter(&g)), reference_max(&g, &clusters, reference_weak));
+    }
 
     /// Elkin–Neiman always emits a valid Definition 1.4 decomposition with
     /// clusters within the diameter bound.

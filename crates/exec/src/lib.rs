@@ -1001,8 +1001,10 @@ mod tests {
         let exec = Executor::new(1);
         let log: Arc<Mutex<Vec<&'static str>>> = Arc::default();
         let outer = Arc::clone(&log);
+        let (started_tx, started) = std::sync::mpsc::channel();
         exec.scope(|s| {
             s.spawn(move || {
+                started_tx.send(()).unwrap();
                 let body_log = Arc::clone(&outer);
                 scope(|inner| {
                     let sibling = Arc::clone(&body_log);
@@ -1014,6 +1016,11 @@ mod tests {
                     assert!(!yield_once(), "nothing left to yield to");
                 });
             });
+            // Hold the body open until the pool worker has taken the outer
+            // task. The owner (this test thread, no pool worker) help-runs
+            // only once the body returns, and `yield_once` is a no-op in a
+            // task it help-runs.
+            started.recv().unwrap();
         });
         assert_eq!(*log.lock().unwrap(), vec!["sibling", "after-yield"]);
     }

@@ -11,7 +11,168 @@ fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
     })
 }
 
+/// The vertices with label `l < k`, grouped by label into `k` disjoint
+/// sets; label `k` puts a vertex in none.
+fn split(label: &[usize], k: usize) -> Vec<Vec<Vertex>> {
+    let mut sets = vec![Vec::new(); k];
+    for (v, &l) in label.iter().enumerate() {
+        if l < k {
+            sets[l].push(v as Vertex);
+        }
+    }
+    sets
+}
+
+/// Strategy: a random graph on up to `max_n` vertices with up to `3n`
+/// edges, its vertices split at random into `k ≤ 4` sets.
+fn arb_sets(max_n: usize) -> impl Strategy<Value = (Graph, Vec<Vec<Vertex>>)> {
+    (2usize..max_n, 1usize..5, 1usize..4).prop_flat_map(|(n, k, density)| {
+        (
+            proptest::collection::vec((0..n as Vertex, 0..n as Vertex), 0..(density * n)),
+            proptest::collection::vec(0..=k, n..n + 1),
+        )
+            .prop_map(move |(edges, label)| (Graph::from_edges(n, &edges), split(&label, k)))
+    })
+}
+
+/// Strategy: a random cubic graph on 70–258 vertices, whole (`k = 0`) or
+/// split at random into `k ≤ 2` sets. Cubic graphs are expanders, on which
+/// the two sweeps from `S[0]` and its farthest member rarely find the
+/// diameter, so the lane batches decide the answer, often several of them.
+fn arb_cubic_sets() -> impl Strategy<Value = (Graph, Vec<Vec<Vertex>>)> {
+    (35usize..130, 0u64..1_000, 0usize..3).prop_flat_map(|(half, seed, k)| {
+        proptest::collection::vec(0..=k, 2 * half..2 * half + 1).prop_map(move |label| {
+            let g = gen::random_regular(2 * half, 3, &mut gen::seeded_rng(seed));
+            (g, split(&label, k.max(1)))
+        })
+    })
+}
+
+/// Reference weak diameter: a full BFS from every member, every pair read.
+fn reference_weak(g: &Graph, s: &[Vertex]) -> Option<u32> {
+    let mut best = 0u32;
+    for &u in s {
+        let dist = traversal::bfs_distances(g, u);
+        for &v in s {
+            let d = dist[v as usize];
+            if d == traversal::UNREACHABLE {
+                return None;
+            }
+            best = best.max(d);
+        }
+    }
+    Some(best)
+}
+
+/// Reference strong diameter: the same double loop on the induced subgraph.
+fn reference_strong(g: &Graph, s: &[Vertex]) -> Option<u32> {
+    let (sub, _) = g.induced_subgraph(s);
+    let mut best = 0u32;
+    for v in sub.vertices() {
+        for d in traversal::bfs_distances(&sub, v) {
+            if d == traversal::UNREACHABLE {
+                return None;
+            }
+            best = best.max(d);
+        }
+    }
+    Some(best)
+}
+
+/// Both entries equal the reference on every set alone and on the whole
+/// sequence, where the reference's maximum is `None` as soon as one set's is.
+fn assert_matches_reference(g: &Graph, sets: &[Vec<Vertex>]) {
+    for s in sets {
+        let one = [s.as_slice()];
+        assert_eq!(
+            traversal::max_weak_diameter(g, one),
+            reference_weak(g, s),
+            "weak, {s:?}"
+        );
+        assert_eq!(
+            traversal::max_strong_diameter(g, one),
+            reference_strong(g, s),
+            "strong, {s:?}"
+        );
+    }
+    let slices = || sets.iter().map(Vec::as_slice);
+    let max = |one: fn(&Graph, &[Vertex]) -> Option<u32>| {
+        sets.iter()
+            .try_fold(0, |best, s| Some(best.max(one(g, s)?)))
+    };
+    assert_eq!(
+        traversal::max_weak_diameter(g, slices()),
+        max(reference_weak)
+    );
+    assert_eq!(
+        traversal::max_strong_diameter(g, slices()),
+        max(reference_strong)
+    );
+}
+
+#[test]
+fn set_diameters_on_fixed_cases() {
+    let c6 = gen::cycle(6);
+    // Alternate vertices of C6: every member pair is 2 apart through a
+    // vertex outside S, and every midpoint is 3 from the opposite member,
+    // so a pivot outside S must neither count as found nor raise the max.
+    assert_eq!(traversal::max_weak_diameter(&c6, [&[0, 2, 4][..]]), Some(2));
+    assert_eq!(traversal::max_strong_diameter(&c6, [&[0, 2, 4][..]]), None);
+    // Empty sequence, empty and singleton sets.
+    let none: [&[Vertex]; 0] = [];
+    assert_eq!(traversal::max_weak_diameter(&c6, none), Some(0));
+    assert_eq!(traversal::max_strong_diameter(&c6, none), Some(0));
+    assert_matches_reference(&c6, &[vec![], vec![3], vec![5]]);
+    // Disconnected in G: `None` from both, wherever the set sits.
+    let parted = Graph::from_edges(5, &[(0, 1), (1, 2), (3, 4)]);
+    assert_matches_reference(&parted, &[vec![0, 1], vec![2, 3]]);
+    assert_matches_reference(&parted, &[vec![2, 3], vec![0, 1]]);
+    assert_eq!(traversal::max_weak_diameter(&parted, [&[2, 3][..]]), None);
+    // More than 64 members: several lane batches.
+    assert_matches_reference(&gen::cycle(150), &[(0..150).collect()]);
+    assert_matches_reference(&gen::cycle(300), &[(0..300).step_by(2).collect()]);
+    assert_matches_reference(&gen::grid(12, 12), &[(0..144).collect()]);
+    assert_matches_reference(
+        &gen::path(200),
+        &[(0..200).filter(|v| v % 3 != 1).collect()],
+    );
+    // Cubic graphs on which the two sweeps miss the diameter, so the lane
+    // batches decide it. Each of these kernel faults fails on one of them:
+    // lanes leaving the set under the strong metric, stopping after the
+    // first batch, and loosening the bound `lb ≥ 2·d(u, ·)` by one.
+    for (n, seed, every) in [(70, 1, 4), (130, 3, 4), (136, 5, 0), (180, 6, 0)] {
+        let g = gen::random_regular(n, 3, &mut gen::seeded_rng(seed));
+        let s = g.vertices().filter(|v| every == 0 || v % every != 0);
+        assert_matches_reference(&g, &[s.collect()]);
+    }
+}
+
 proptest! {
+    #[test]
+    fn set_diameters_match_the_all_pairs_reference(case in arb_sets(150)) {
+        assert_matches_reference(&case.0, &case.1);
+    }
+
+    #[test]
+    fn set_diameters_on_cubic_graphs_match_the_reference(case in arb_cubic_sets()) {
+        assert_matches_reference(&case.0, &case.1);
+    }
+
+    #[test]
+    fn set_diameters_of_connected_pieces_match_the_reference(g in arb_graph(150), r in 1usize..8) {
+        // Components and BFS balls: sets with `Some` strong diameters, most
+        // of them large, which random labels rarely give.
+        let (comp, k) = g.connected_components();
+        let label: Vec<usize> = comp.iter().map(|&c| c as usize).collect();
+        let pieces = split(&label, k);
+        assert_matches_reference(&g, &pieces);
+        let balls: Vec<Vec<Vertex>> = pieces
+            .iter()
+            .map(|p| traversal::ball(&g, &p[..1], r, None).iter().collect())
+            .collect();
+        assert_matches_reference(&g, &balls);
+    }
+
     #[test]
     fn csr_degree_sum_is_twice_m(g in arb_graph(60)) {
         prop_assert_eq!(g.degree_sum(), 2 * g.m());
