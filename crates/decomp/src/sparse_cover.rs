@@ -228,7 +228,7 @@ pub fn sparse_cover(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dapc_graph::{gen, Hypergraph};
+    use dapc_graph::{gen, traversal, Hypergraph};
 
     #[test]
     fn every_edge_is_covered() {
@@ -309,8 +309,10 @@ mod tests {
         let lambda = 0.5;
         let cover = sparse_cover(&h, lambda, 150.0, &mut gen::seeded_rng(26), None, None);
         let bound = 8.0 * 150f64.ln() / lambda;
+        let primal = h.primal_graph();
         for c in &cover.clusters {
-            let d = h.weak_diameter(c).expect("cluster connected in H");
+            let d = traversal::max_weak_diameter(&primal, [c.as_slice()])
+                .expect("cluster connected in H");
             assert!(
                 f64::from(d) <= bound,
                 "cluster diameter {d} > bound {bound}"

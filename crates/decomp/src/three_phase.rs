@@ -20,7 +20,7 @@
 use crate::elkin_neiman::{elkin_neiman, EnParams};
 use crate::result::Decomposition;
 use dapc_conc::dist::bernoulli;
-use dapc_graph::{traversal, Graph, Vertex};
+use dapc_graph::{traversal, BallScratch, Graph, Vertex};
 use dapc_local::RoundLedger;
 use rand::rngs::StdRng;
 
@@ -226,14 +226,18 @@ fn run_three_phase(
         .map(|&a| if a { 0 } else { 3 })
         .collect();
 
-    // n_v = |N^{4tR}(v)| (Algorithm 2, line 1). Radii this large almost
-    // always cover whole components; certify with one eccentricity check
-    // per component and only fall back to per-vertex truncated BFS when
-    // the certificate fails.
+    // n_v = |N^{4tR}(v)| (Algorithm 2, line 1), certified per component.
     ledger.begin_phase("estimate n_v (radius 4tR)");
     ledger.charge_gather(params.estimate_radius());
     ledger.end_phase();
-    let n_v = estimate_ball_mass(g, params.estimate_radius(), &initial_alive, weights);
+    let mut scratch = BallScratch::new();
+    let n_v = estimate_ball_mass(
+        g,
+        params.estimate_radius(),
+        &initial_alive,
+        weights,
+        &mut scratch,
+    );
 
     // Phases 1 and 2.
     for i in 1..=params.t + 1 {
@@ -270,7 +274,7 @@ fn run_three_phase(
         let mut to_delete = vec![false; n];
         let mut to_remove = vec![false; n];
         for &c in &centers {
-            let ball = traversal::ball(g, &[c], b_i, Some(&active));
+            let ball = traversal::ball_with_scratch(g, &[c], b_i, Some(&active), &mut scratch);
             let j_star = match weights {
                 None => sparsest_level(&ball, a_i, b_i),
                 Some(w) => lightest_level(&ball, a_i, b_i, w),
@@ -385,33 +389,48 @@ fn lightest_level(ball: &traversal::Ball, a: usize, b: usize, weights: &[u64]) -
 }
 
 /// Mass of `N^r(v)` for every alive vertex (vertex count when `weights`
-/// is `None`), with a per-component shortcut when the radius provably
-/// covers the component.
-fn estimate_ball_mass(g: &Graph, r: usize, alive: &[bool], weights: Option<&[u64]>) -> Vec<u64> {
+/// is `None`).
+///
+/// Certificate: if a component `C` of the alive subgraph has diameter at
+/// most `r`, every `v ∈ C` has `N^r(v) = C`, so each gets `C`'s mass. The
+/// diameter is bounded first by `2·ecc(v₀)` for one vertex `v₀` (one BFS),
+/// and when that exceeds `r`, computed exactly by
+/// [`traversal::max_strong_diameter`] (`C` is a component of `G[alive]`,
+/// so its strong diameter is its diameter there). Only a component of
+/// diameter above `r` falls back to one truncated BFS per vertex. The
+/// radius `4tR` is large, so most components pass, but the cheap bound can
+/// fail on long ones: on a 45×45 grid at `r = 144` it reads 176 against a
+/// diameter of 88.
+fn estimate_ball_mass(
+    g: &Graph,
+    r: usize,
+    alive: &[bool],
+    weights: Option<&[u64]>,
+    scratch: &mut BallScratch,
+) -> Vec<u64> {
     let mass = |v: usize| weights.map_or(1u64, |w| w[v]);
     let n = g.n();
     let (comp, k) = g.connected_components_masked(alive);
     let mut comp_mass = vec![0u64; k];
-    let mut comp_seen_vertex: Vec<Option<Vertex>> = vec![None; k];
+    let mut comp_vertices: Vec<Vec<Vertex>> = vec![Vec::new(); k];
     for v in 0..n {
         if alive[v] {
             comp_mass[comp[v] as usize] += mass(v);
-            comp_seen_vertex[comp[v] as usize].get_or_insert(v as Vertex);
+            comp_vertices[comp[v] as usize].push(v as Vertex);
         }
     }
-    let mut covered = vec![false; k];
-    for c in 0..k {
-        if let Some(v) = comp_seen_vertex[c] {
-            let dist = traversal::bfs_distances_masked(g, &[v], alive);
-            let ecc = dist
-                .iter()
-                .filter(|&&d| d != traversal::UNREACHABLE)
-                .max()
-                .copied()
-                .unwrap_or(0);
-            covered[c] = 2 * ecc as usize <= r;
-        }
-    }
+    // `2·ecc(v₀) ≤ r` iff the component lies within `⌊r/2⌋` of `v₀`.
+    let half = r / 2;
+    let covered: Vec<bool> = comp_vertices
+        .iter()
+        .map(|c| {
+            let near = traversal::ball_with_scratch(g, &c[..1], half + 1, Some(alive), scratch);
+            near.radius() <= half || {
+                let diam = traversal::max_strong_diameter(g, [c.as_slice()]);
+                diam.expect("a component is connected") as usize <= r
+            }
+        })
+        .collect();
     (0..n)
         .map(|v| {
             if !alive[v] {
@@ -419,51 +438,10 @@ fn estimate_ball_mass(g: &Graph, r: usize, alive: &[bool], weights: Option<&[u64
             } else if covered[comp[v] as usize] {
                 comp_mass[comp[v] as usize]
             } else {
-                traversal::ball(g, &[v as Vertex], r, Some(alive))
+                traversal::ball_with_scratch(g, &[v as Vertex], r, Some(alive), scratch)
                     .iter()
                     .map(|u| mass(u as usize))
                     .sum()
-            }
-        })
-        .collect()
-}
-
-/// `|N^r(v)|` for every alive vertex, with a per-component shortcut when
-/// the radius provably covers the component.
-#[allow(dead_code)]
-fn estimate_ball_sizes(g: &Graph, r: usize, alive: &[bool]) -> Vec<usize> {
-    let n = g.n();
-    let (comp, k) = g.connected_components_masked(alive);
-    let mut comp_size = vec![0usize; k];
-    let mut comp_seen_vertex: Vec<Option<Vertex>> = vec![None; k];
-    for v in 0..n {
-        if alive[v] {
-            comp_size[comp[v] as usize] += 1;
-            comp_seen_vertex[comp[v] as usize].get_or_insert(v as Vertex);
-        }
-    }
-    // Certificate: diameter(component) <= 2·ecc(any vertex).
-    let mut covered = vec![false; k];
-    for c in 0..k {
-        if let Some(v) = comp_seen_vertex[c] {
-            let dist = traversal::bfs_distances_masked(g, &[v], alive);
-            let ecc = dist
-                .iter()
-                .filter(|&&d| d != traversal::UNREACHABLE)
-                .max()
-                .copied()
-                .unwrap_or(0);
-            covered[c] = 2 * ecc as usize <= r;
-        }
-    }
-    (0..n)
-        .map(|v| {
-            if !alive[v] {
-                0
-            } else if covered[comp[v] as usize] {
-                comp_size[comp[v] as usize]
-            } else {
-                traversal::ball(g, &[v as Vertex], r, Some(alive)).len()
             }
         })
         .collect()
@@ -693,6 +671,48 @@ mod tests {
         // Diameter is within the Lemma C.1 bound for λ = ε/4.
         let bound = 8.0 * params.n_tilde.ln() / (params.eps / 4.0);
         assert!(f64::from(improved.max_weak_diameter(&g)) <= bound);
+    }
+
+    /// [`estimate_ball_mass`] by definition: one truncated BFS per vertex.
+    fn reference_ball_mass(
+        g: &Graph,
+        r: usize,
+        alive: &[bool],
+        weights: Option<&[u64]>,
+    ) -> Vec<u64> {
+        (0..g.n())
+            .map(|v| {
+                let ball = traversal::ball(g, &[v as Vertex], r, Some(alive));
+                ball.iter()
+                    .map(|u| weights.map_or(1, |w| w[u as usize]))
+                    .sum()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn ball_mass_matches_one_truncated_bfs_per_vertex() {
+        // The 45×45 grid at its `4tR = 144` for ε = 0.4: the cheap bound
+        // `2·ecc(0) = 176` misses, and the diameter 88 certifies the grid.
+        let g = gen::grid(45, 45);
+        assert_eq!(traversal::eccentricity(&g, 0), 88);
+        let all = vec![true; g.n()];
+        // Column 30 dead: at r = 64 the 45×30 side (diameter 73) falls back
+        // and the 45×14 side (diameter 57) is certified.
+        let split: Vec<bool> = (0..g.n()).map(|v| v % 45 != 30).collect();
+        let weights: Vec<u64> = (0..g.n() as u64).map(|v| 1 + v % 5).collect();
+        let mut scratch = BallScratch::new();
+        for (r, alive, w) in [
+            (144, &all, None),
+            (60, &all, Some(&weights[..])),
+            (64, &split, None),
+        ] {
+            assert_eq!(
+                estimate_ball_mass(&g, r, alive, w, &mut scratch),
+                reference_ball_mass(&g, r, alive, w),
+                "r = {r}"
+            );
+        }
     }
 
     #[test]

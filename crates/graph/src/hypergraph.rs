@@ -298,23 +298,6 @@ impl Hypergraph {
             .map(|(i, _)| i)
             .collect()
     }
-
-    /// Weak diameter of a vertex set in the primal metric of the *whole*
-    /// hypergraph; `None` if some pair is disconnected.
-    pub fn weak_diameter(&self, s: &[Vertex]) -> Option<u32> {
-        let mut best = 0u32;
-        for &u in s {
-            let dist = self.distances(&[u], None, None);
-            for &v in s {
-                let d = dist[v as usize];
-                if d == crate::traversal::UNREACHABLE {
-                    return None;
-                }
-                best = best.max(d);
-            }
-        }
-        Some(best)
-    }
 }
 
 impl std::fmt::Display for Hypergraph {
@@ -428,10 +411,11 @@ mod tests {
     }
 
     #[test]
-    fn weak_diameter_of_chain() {
-        let h = triangle_chain();
-        assert_eq!(h.weak_diameter(&[0, 6]), Some(3));
-        assert_eq!(h.weak_diameter(&[1, 2]), Some(1));
+    fn weak_diameter_of_chain_in_the_primal_graph() {
+        let g = triangle_chain().primal_graph();
+        let weak = |s: &[Vertex]| crate::traversal::max_weak_diameter(&g, [s]);
+        assert_eq!(weak(&[0, 6]), Some(3));
+        assert_eq!(weak(&[1, 2]), Some(1));
     }
 
     #[test]

@@ -16,32 +16,77 @@
 //! without building the subgraph), while the weak one walks all of `G`.
 //! Per set `S`, with `d` the metric and `ecc(v) = max_{w ∈ S} d(v, w)`:
 //!
-//! 1. A BFS from `S[0]` checks that `S` is connected and finds its farthest
-//!    member `a`; a BFS from `a` finds the farthest member `b`; `u` is the
-//!    midpoint of the BFS path from `a` to `b`. Each BFS stops as soon as
-//!    every member is labelled: BFS labels vertices in distance order, so
-//!    every member distance is final by then.
-//! 2. A BFS from `u` gives `d(u, v)` for every member, and the members are
-//!    sorted by decreasing `d(u, ·)`.
-//! 3. In that order, a word-parallel BFS computes the exact `ecc` of 64
-//!    members at once: bit `i` of every vertex's `u64` words carries
-//!    source `i`, and the BFS stops once every member holds all lanes.
+//! 1. **Lane batches.** A word-parallel BFS computes the exact `ecc` of up
+//!    to 64 members at once: bit `i` (*lane* `i`) of every vertex's `u64`
+//!    words carries source `i`, and the BFS stops once every member holds
+//!    all lanes. A set of at most 64 members is a single batch, whose
+//!    largest `ecc` is the diameter, and needs no pivot; a batch that runs
+//!    dry first proves the set disconnected.
+//! 2. **Sweeps.** A larger set first gets early-stopping BFSes: from `S[0]`
+//!    (which checks that `S` is connected and finds its farthest member
+//!    `a`), from `a` (its farthest member `b`), from `b`, from the vertex
+//!    `m` halfway back along the BFS path from `b` to `a`, and from `c`,
+//!    the member farthest from `m`. Each stops as soon as every member is
+//!    labelled: BFS labels vertices in distance order, so every member
+//!    distance is final by then.
+//! 3. **Central pivot.** The pivot `u` is the vertex that the BFSes from
+//!    the four landmarks `a`, `b`, `m` and `c` all label and whose largest
+//!    distance to them is smallest (ties: smallest id), an estimate of the
+//!    set's centre. A path midpoint alone is not central: on a grid the
+//!    BFS path between opposite corners runs along the boundary, so `m` is
+//!    a third corner and `c` the fourth, and only the centre is within half
+//!    the diameter of all four.
+//! 4. **Stop.** A BFS from `u` sorts the members by decreasing `d(u, ·)`,
+//!    and they go through lane batches in that order until the running
+//!    maximum `lb ≥ 2·d(u, x)` for the next unprocessed member `x`.
 //!
-//! The running maximum `lb` (over this set and the ones before it) only
-//! ever holds exact eccentricities of members, so it never exceeds the
-//! answer. A set is done as soon as `lb ≥ 2·d(u, x)` for the next
-//! unprocessed member `x`: two unprocessed members `y, z` have
+//! `lb` (over this set and the ones before it) only ever holds exact
+//! eccentricities of members, so it never exceeds the answer. The stop is
+//! exact for *any* pivot `u`: two unprocessed members `y, z` have
 //! `d(y, z) ≤ d(y, u) + d(u, z) ≤ 2·d(u, x) ≤ lb` by the triangle
 //! inequality, and a pair with a processed member is bounded by that
 //! member's exact `ecc`, which `lb` already covers. So the answer is
-//! exact, with no sampling and no tolerance.
+//! exact, with no sampling and no tolerance; the pivot decides only how
+//! many batches run.
 //!
-//! Under the weak metric the path from `a` to `b` may leave `S`, and so may
-//! its midpoint `u`. Such a `u` is a pivot only: it does not count as a
-//! labelled member when the BFS from it stops, and its own eccentricity
-//! never enters `lb`, because a vertex outside `S` can lie farther from a
-//! member than any two members lie from each other (on a 6-cycle with
-//! `S = {0, 2, 4}`, the diameter is 2 and every midpoint has `ecc` 3).
+//! Under the weak metric the BFS path from `a` to `b` may leave `S`, and so
+//! may `m` and `u`. Such a vertex does not count as a labelled member when
+//! a BFS from it stops, and its own eccentricity never enters `lb`, because
+//! a vertex outside `S` can lie farther from a member than any two members
+//! lie from each other (on a 6-cycle with `S = {0, 2, 4}`, the diameter is
+//! 2 and every vertex outside `S` has `ecc` 3).
+//!
+//! ## Push and pull levels
+//!
+//! A lane BFS keeps, per vertex, the lanes it has `seen`, its `frontier`
+//! word (the lanes that reached it at the current level, zero off the
+//! frontier) and its `next` word. A level gives every vertex `y` the
+//! traversal may enter
+//! `next(y) = (⋁_{x ~ y} frontier(x)) ∧ ¬seen(y)`, in one of two
+//! directions:
+//!
+//! - *push* walks the frontier and ORs each frontier word into its
+//!   neighbours' `next` words;
+//! - *pull* walks the vertices still missing lanes, and each ORs its
+//!   neighbours' frontier words.
+//!
+//! Both are the same OR over the same edges, grouped by the other endpoint,
+//! so a pull level yields exactly the push level's lanes, given two
+//! conditions. Pull visits every vertex the traversal may enter that misses
+//! a lane: all of them under the weak metric, the members under the strong
+//! one, whose non-member neighbours never hold lanes. It skips only full
+//! vertices, whose `next` would be zero. And off the frontier every word is
+//! zero: push clears each frontier word as it reads it, pull clears the
+//! frontier's words after its scan, and then the arrays swap, so every
+//! level starts with an all-zero `next`.
+//!
+//! Each level takes the pull direction when the frontier holds at least a
+//! quarter as many vertices as still miss lanes (all vertices under the
+//! weak metric, the members under the strong one). A dense frontier is the
+//! common case on expanders, where the `2·d(u, ·)` stop saves little and
+//! nearly every lane batch runs; pull then scans each vertex's
+//! neighbourhood once per level instead of updating it once per frontier
+//! neighbour.
 
 use crate::graph::{Graph, Vertex};
 use std::collections::VecDeque;
@@ -339,21 +384,39 @@ pub fn max_strong_diameter<'a>(
 /// Sources per word-parallel BFS: one per bit of a `u64`.
 const LANES: usize = 64;
 
+/// A lane-BFS level runs in the pull direction when its frontier holds at
+/// least `1 / PULL` of the vertices still missing lanes.
+const PULL: usize = 4;
+
+/// Slots of [`DiameterKernel::sweeps`]: the BFSes from the landmarks `a`,
+/// `b`, `m` and `c` of the [module docs](self). Slot `A` also serves the
+/// BFSes from `S[0]` and from the pivot.
+const A: usize = 0;
+const B: usize = 1;
+const M: usize = 2;
+const C: usize = 3;
+
+/// One early-stopping BFS and the distances it labelled.
+struct Sweep {
+    dist: Vec<u32>,
+    /// The BFS queue, which lists the vertices `dist` labels.
+    queue: Vec<Vertex>,
+}
+
 /// The exact set-diameter kernel of the [module docs](self).
 ///
 /// The buffers are sized to `g` once and clean up after every set: between
-/// sets `member` is all-false, `dist` all-[`UNREACHABLE`], the lane words
-/// all zero, and the lists empty.
+/// sets `member` is all-false, every `dist` all-[`UNREACHABLE`], the lane
+/// words all zero, and the lists empty.
 struct DiameterKernel<'g> {
     g: &'g Graph,
     /// Traversals stay inside the set (strong metric).
     confined: bool,
     /// Membership mask of the set in progress.
     member: Vec<bool>,
-    /// Single-source BFS distances.
-    dist: Vec<u32>,
-    /// Single-source BFS queue; also lists the vertices `dist` labels.
-    queue: Vec<Vertex>,
+    sweeps: [Sweep; 4],
+    /// The members by decreasing distance from the pivot.
+    order: Vec<Vertex>,
     /// Per vertex: the lanes that reached it, that reached it at the
     /// current level, and that reach it at the next.
     seen: Vec<u64>,
@@ -364,6 +427,9 @@ struct DiameterKernel<'g> {
     /// Vertices with a nonzero `frontier` / `next` word.
     cur: Vec<Vertex>,
     nxt: Vec<Vertex>,
+    /// Pull levels' scan list: a superset of the vertices the batch may
+    /// enter that still miss lanes, built at the batch's first pull level.
+    missing: Vec<Vertex>,
 }
 
 impl<'g> DiameterKernel<'g> {
@@ -373,14 +439,18 @@ impl<'g> DiameterKernel<'g> {
             g,
             confined,
             member: vec![false; n],
-            dist: vec![UNREACHABLE; n],
-            queue: Vec::new(),
+            sweeps: std::array::from_fn(|_| Sweep {
+                dist: vec![UNREACHABLE; n],
+                queue: Vec::new(),
+            }),
+            order: Vec::new(),
             seen: vec![0; n],
             frontier: vec![0; n],
             next: vec![0; n],
             touched: Vec::new(),
             cur: Vec::new(),
             nxt: Vec::new(),
+            missing: Vec::new(),
         }
     }
 
@@ -403,60 +473,102 @@ impl<'g> DiameterKernel<'g> {
 
     /// `max(lb, diam(S))` for the marked set `s`, or `None` if it is
     /// disconnected.
-    fn raise(&mut self, s: &[Vertex], mut lb: u32) -> Option<u32> {
+    fn raise(&mut self, s: &[Vertex], lb: u32) -> Option<u32> {
         let Some(&first) = s.first() else {
             return Some(lb);
         };
-        // Connectivity, and the farthest member `a` from `S[0]`.
-        let far = self.bfs(first, s.len());
-        self.clear_dist();
-        let (a, ecc_first) = far?;
-        lb = lb.max(ecc_first);
-        // The farthest member `b` from `a`, and the pivot `u` halfway back.
-        let (b, ecc_a) = self
-            .bfs(a, s.len())
-            .expect("a set connected from S[0] is connected from a");
-        lb = lb.max(ecc_a);
-        let u = self.step_back(b, ecc_a / 2);
-        self.clear_dist();
-        // Members by decreasing distance from `u` (which need not be one).
-        self.bfs(u, s.len())
-            .expect("the pivot lies on a path between members");
-        let mut order: Vec<(u32, Vertex)> = s.iter().map(|&v| (self.dist[v as usize], v)).collect();
-        self.clear_dist();
-        order.sort_unstable_by(|x, y| y.cmp(x));
+        if s.len() <= LANES {
+            return Some(lb.max(self.max_eccentricity(s, s)?));
+        }
+        let (swept, u) = self.pivot(first, s.len())?;
+        let mut lb = lb.max(swept);
+        self.sweep(A, u, s.len())
+            .expect("the pivot lies in the members' component");
+        let mut order = std::mem::take(&mut self.order);
+        order.extend_from_slice(s);
+        let dist = &self.sweeps[A].dist;
+        order.sort_unstable_by_key(|&v| std::cmp::Reverse(dist[v as usize]));
         for batch in order.chunks(LANES) {
             // `lb ≥ 2·d(u, batch[0])`, written so it cannot overflow.
-            if batch[0].0 <= lb / 2 {
+            if self.sweeps[A].dist[batch[0] as usize] <= lb / 2 {
                 break;
             }
-            lb = lb.max(self.max_eccentricity(batch, s.len()));
+            let ecc = self.max_eccentricity(batch, s);
+            lb = lb.max(ecc.expect("the set is connected"));
         }
+        self.clear(A);
+        order.clear();
+        self.order = order;
         Some(lb)
     }
 
-    /// BFS from `src`, stopped once all `members` marked vertices are
-    /// labelled; `src` itself counts only if it is marked. Returns the
-    /// member labelled last — the farthest one — with its distance, or
-    /// `None` if the traversal runs dry first. Leaves `dist` labelled for
-    /// [`Self::step_back`]; [`Self::clear_dist`] resets it.
-    fn bfs(&mut self, src: Vertex, members: usize) -> Option<(Vertex, u32)> {
-        let g = self.g;
-        self.dist[src as usize] = 0;
-        self.queue.push(src);
-        let mut found = usize::from(self.member[src as usize]);
+    /// The sweeps of the [module docs](self) from `first`, a member of the
+    /// marked set: the largest member eccentricity they find, and the
+    /// central pivot. `None` if the set is disconnected.
+    fn pivot(&mut self, first: Vertex, members: usize) -> Option<(u32, Vertex)> {
+        // Connectivity, and the farthest member `a` from `S[0]`.
+        let far = self.sweep(A, first, members);
+        self.clear(A);
+        let (a, ecc_first) = far?;
+        let connected = "a set connected from S[0] is connected from any of its vertices";
+        let (b, ecc_a) = self.sweep(A, a, members).expect(connected);
+        let m = self.step_back(A, b, ecc_a / 2);
+        let (_, ecc_b) = self.sweep(B, b, members).expect(connected);
+        let (c, ecc_m) = self
+            .sweep(M, m, members)
+            .expect("m lies on a path between members");
+        let (_, ecc_c) = self.sweep(C, c, members).expect(connected);
+        let mut lb = ecc_first.max(ecc_a).max(ecc_b).max(ecc_c);
+        if self.member[m as usize] {
+            lb = lb.max(ecc_m);
+        }
+        // The vertex all four BFSes label whose largest distance to the
+        // landmarks is smallest (ties: smallest id). `m` labels itself,
+        // and an unlabelled distance reads as `UNREACHABLE`, the largest
+        // `u32`.
+        let [da, db, dm, dc] = self.sweeps.each_ref().map(|sweep| &sweep.dist);
+        let farthest = |x: usize| da[x].max(db[x]).max(dm[x]).max(dc[x]);
+        let u = self.sweeps[M]
+            .queue
+            .iter()
+            .copied()
+            .min_by_key(|&x| (farthest(x as usize), x))
+            .expect("a BFS labels its source");
+        for slot in [A, B, M, C] {
+            self.clear(slot);
+        }
+        Some((lb, u))
+    }
+
+    /// BFS from `src` into `sweeps[slot]`, stopped once all `members`
+    /// marked vertices are labelled; `src` itself counts only if it is
+    /// marked. Returns the member labelled last — the farthest one — with
+    /// its distance, or `None` if the traversal runs dry first. Leaves the
+    /// slot labelled; [`Self::clear`] resets it.
+    fn sweep(&mut self, slot: usize, src: Vertex, members: usize) -> Option<(Vertex, u32)> {
+        let Self {
+            g,
+            confined,
+            member,
+            sweeps,
+            ..
+        } = self;
+        let Sweep { dist, queue } = &mut sweeps[slot];
+        dist[src as usize] = 0;
+        queue.push(src);
+        let mut found = usize::from(member[src as usize]);
         let mut far = (src, 0);
         let mut head = 0;
         while found < members {
-            let &x = self.queue.get(head)?;
+            let &x = queue.get(head)?;
             head += 1;
-            let dy = self.dist[x as usize] + 1;
+            let dy = dist[x as usize] + 1;
             for &y in g.neighbors(x) {
                 let yi = y as usize;
-                if self.dist[yi] == UNREACHABLE && (!self.confined || self.member[yi]) {
-                    self.dist[yi] = dy;
-                    self.queue.push(y);
-                    if self.member[yi] {
+                if dist[yi] == UNREACHABLE && (!*confined || member[yi]) {
+                    dist[yi] = dy;
+                    queue.push(y);
+                    if member[yi] {
                         found += 1;
                         far = (y, dy);
                     }
@@ -466,34 +578,38 @@ impl<'g> DiameterKernel<'g> {
         Some(far)
     }
 
-    /// The vertex `k` levels closer to the last BFS's source on a shortest
-    /// path from `v`.
-    fn step_back(&self, mut v: Vertex, k: u32) -> Vertex {
+    /// The vertex `k` levels closer to the source of `sweeps[slot]` on a
+    /// shortest path from `v`.
+    fn step_back(&self, slot: usize, mut v: Vertex, k: u32) -> Vertex {
+        let dist = &self.sweeps[slot].dist;
         for _ in 0..k {
-            let up = self.dist[v as usize] - 1;
+            let up = dist[v as usize] - 1;
             v = *self
                 .g
                 .neighbors(v)
                 .iter()
-                .find(|&&w| self.dist[w as usize] == up)
+                .find(|&&w| dist[w as usize] == up)
                 .expect("a labelled vertex has a neighbour one level up");
         }
         v
     }
 
-    fn clear_dist(&mut self) {
-        for &v in &self.queue {
-            self.dist[v as usize] = UNREACHABLE;
+    fn clear(&mut self, slot: usize) {
+        let Sweep { dist, queue } = &mut self.sweeps[slot];
+        for &v in queue.iter() {
+            dist[v as usize] = UNREACHABLE;
         }
-        self.queue.clear();
+        queue.clear();
     }
 
-    /// The largest exact eccentricity among up to [`LANES`] members: one
-    /// BFS whose lane `i` carries `batch[i]`, run level by level until
-    /// every member holds every lane. A lane's eccentricity is the level
-    /// at which its last member is reached, so the level at which the
-    /// last (member, lane) pair fills is the batch's maximum.
-    fn max_eccentricity(&mut self, batch: &[(u32, Vertex)], members: usize) -> u32 {
+    /// The largest exact eccentricity among up to [`LANES`] members of the
+    /// set `s`: one BFS whose lane `i` carries `batch[i]`, run level by
+    /// level until every member holds every lane. A lane's eccentricity is
+    /// the level at which its last member is reached, so the level at which
+    /// the last (member, lane) pair fills is the batch's maximum. `None` if
+    /// the BFS runs dry first: then some member misses some lane, so `s` is
+    /// disconnected.
+    fn max_eccentricity(&mut self, batch: &[Vertex], s: &[Vertex]) -> Option<u32> {
         let Self {
             g,
             confined,
@@ -504,57 +620,102 @@ impl<'g> DiameterKernel<'g> {
             touched,
             cur,
             nxt,
+            missing,
             ..
         } = self;
         let all = u64::MAX >> (LANES - batch.len());
-        let mut filled = 0;
-        for (i, &(_, v)) in batch.iter().enumerate() {
+        // Vertices the BFS may enter, and how many of them (and of the
+        // members) hold every lane.
+        let domain = if *confined { s.len() } else { g.n() };
+        let (mut full, mut filled) = (0, 0);
+        for (i, &v) in batch.iter().enumerate() {
             let v = v as usize;
             seen[v] = 1 << i;
             frontier[v] = 1 << i;
-            filled += usize::from(seen[v] == all);
+            let is_full = usize::from(seen[v] == all);
+            full += is_full;
+            filled += is_full;
             cur.push(v as Vertex);
             touched.push(v as Vertex);
         }
         let mut level = 0;
-        while filled < members && !cur.is_empty() {
+        let mut pulled = false;
+        while filled < s.len() && !cur.is_empty() {
             level += 1;
-            for &x in cur.iter() {
-                let lanes = std::mem::take(&mut frontier[x as usize]);
-                for &y in g.neighbors(x) {
+            if cur.len() * PULL >= domain - full {
+                if !pulled {
+                    pulled = true;
+                    if *confined {
+                        missing.extend(s.iter().filter(|&&v| seen[v as usize] != all));
+                    } else {
+                        missing.extend((0..g.n() as Vertex).filter(|&v| seen[v as usize] != all));
+                    }
+                }
+                missing.retain(|&y| {
                     let y = y as usize;
                     let had = seen[y];
+                    let lanes = g
+                        .neighbors(y as Vertex)
+                        .iter()
+                        .fold(0, |acc, &x| acc | frontier[x as usize]);
                     let new = lanes & !had;
-                    if new == 0 || (*confined && !member[y]) {
-                        continue;
-                    }
-                    seen[y] = had | new;
-                    if had == 0 {
-                        touched.push(y as Vertex);
-                    }
-                    let pending = next[y];
-                    if pending == 0 {
+                    if new != 0 {
+                        seen[y] = had | new;
+                        if had == 0 {
+                            touched.push(y as Vertex);
+                        }
+                        next[y] = new;
                         nxt.push(y as Vertex);
                     }
-                    next[y] = pending | new;
+                    seen[y] != all
+                });
+                for &x in cur.iter() {
+                    frontier[x as usize] = 0;
+                }
+            } else {
+                for &x in cur.iter() {
+                    let lanes = std::mem::take(&mut frontier[x as usize]);
+                    for &y in g.neighbors(x) {
+                        let y = y as usize;
+                        let had = seen[y];
+                        let new = lanes & !had;
+                        if new == 0 || (*confined && !member[y]) {
+                            continue;
+                        }
+                        seen[y] = had | new;
+                        if had == 0 {
+                            touched.push(y as Vertex);
+                        }
+                        let pending = next[y];
+                        if pending == 0 {
+                            nxt.push(y as Vertex);
+                        }
+                        next[y] = pending | new;
+                    }
                 }
             }
+            // Both directions zeroed the old frontier's words, so the swap
+            // moves the new level's words in and leaves `next` all zero.
+            std::mem::swap(frontier, next);
             cur.clear();
             std::mem::swap(cur, nxt);
             for &y in cur.iter() {
-                let y = y as usize;
-                frontier[y] = std::mem::take(&mut next[y]);
                 // `y` gained lanes at this level, so it was not full before.
-                filled += usize::from(member[y] && seen[y] == all);
+                if seen[y as usize] == all {
+                    full += 1;
+                    filled += usize::from(member[y as usize]);
+                }
             }
         }
+        let done = filled == s.len();
         for &v in touched.iter() {
             seen[v as usize] = 0;
             frontier[v as usize] = 0;
         }
         touched.clear();
         cur.clear();
-        level
+        missing.clear();
+        done.then_some(level)
     }
 }
 
@@ -653,6 +814,41 @@ mod tests {
         assert_eq!(max_strong_diameter(&g, [&[0, 2][..]]), None);
         // S = {0, 1, 2}: path inside the cycle.
         assert_eq!(max_strong_diameter(&g, [&[0, 1, 2][..]]), Some(2));
+    }
+
+    /// The sweeps' result on `s`, marked as the set in progress.
+    fn pivot_of(g: &Graph, s: &[Vertex], confined: bool) -> Option<(u32, Vertex)> {
+        let mut kernel = DiameterKernel::new(g, confined);
+        for &v in s {
+            kernel.member[v as usize] = true;
+        }
+        kernel.pivot(s[0], s.len())
+    }
+
+    #[test]
+    fn grid_pivot_is_the_centre() {
+        // The BFS path between opposite corners runs along the boundary, so
+        // `m` is a third corner; only the centre is 44 from all four.
+        let g = gen::grid(45, 45);
+        let all: Vec<Vertex> = g.vertices().collect();
+        for confined in [false, true] {
+            assert_eq!(pivot_of(&g, &all, confined), Some((88, 22 * 45 + 22)));
+        }
+    }
+
+    #[test]
+    fn weak_pivot_may_lie_outside_the_set() {
+        // A 15×15 grid without its central 5×5 block: the landmarks are
+        // corners again, and the centre, 14 from each, lies in the hole.
+        let g = gen::grid(15, 15);
+        let hole = |v: Vertex| (5..10).contains(&(v / 15)) && (5..10).contains(&(v % 15));
+        let ring: Vec<Vertex> = g.vertices().filter(|&v| !hole(v)).collect();
+        assert_eq!(pivot_of(&g, &ring, false), Some((28, 7 * 15 + 7)));
+        let (lb, u) = pivot_of(&g, &ring, true).unwrap();
+        assert_eq!(lb, 28);
+        assert!(!hole(u));
+        assert_eq!(max_weak_diameter(&g, [ring.as_slice()]), Some(28));
+        assert_eq!(max_strong_diameter(&g, [ring.as_slice()]), Some(28));
     }
 
     #[test]

@@ -35,14 +35,19 @@ fn arb_sets(max_n: usize) -> impl Strategy<Value = (Graph, Vec<Vec<Vertex>>)> {
     })
 }
 
-/// Strategy: a random cubic graph on 70–258 vertices, whole (`k = 0`) or
-/// split at random into `k ≤ 2` sets. Cubic graphs are expanders, on which
-/// the two sweeps from `S[0]` and its farthest member rarely find the
-/// diameter, so the lane batches decide the answer, often several of them.
-fn arb_cubic_sets() -> impl Strategy<Value = (Graph, Vec<Vec<Vertex>>)> {
-    (35usize..130, 0u64..1_000, 0usize..3).prop_flat_map(|(half, seed, k)| {
+/// Strategy: a random `d`-regular graph on `2·half` vertices, whole
+/// (`k = 0`) or split at random into `k ≤ 2` sets. Regular graphs of degree
+/// 3 and up are expanders, on which the two sweeps from `S[0]` and its
+/// farthest member rarely find the diameter, so the lane batches decide the
+/// answer, often several of them, and their dense levels run in the pull
+/// direction.
+fn arb_regular_sets(
+    d: usize,
+    half: std::ops::Range<usize>,
+) -> impl Strategy<Value = (Graph, Vec<Vec<Vertex>>)> {
+    (half, 0u64..1_000, 0usize..3).prop_flat_map(move |(half, seed, k)| {
         proptest::collection::vec(0..=k, 2 * half..2 * half + 1).prop_map(move |label| {
-            let g = gen::random_regular(2 * half, 3, &mut gen::seeded_rng(seed));
+            let g = gen::random_regular(2 * half, d, &mut gen::seeded_rng(seed));
             (g, split(&label, k.max(1)))
         })
     })
@@ -82,40 +87,28 @@ fn reference_strong(g: &Graph, s: &[Vertex]) -> Option<u32> {
 /// Both entries equal the reference on every set alone and on the whole
 /// sequence, where the reference's maximum is `None` as soon as one set's is.
 fn assert_matches_reference(g: &Graph, sets: &[Vec<Vertex>]) {
-    for s in sets {
+    let weak: Vec<Option<u32>> = sets.iter().map(|s| reference_weak(g, s)).collect();
+    let strong: Vec<Option<u32>> = sets.iter().map(|s| reference_strong(g, s)).collect();
+    for (i, s) in sets.iter().enumerate() {
         let one = [s.as_slice()];
-        assert_eq!(
-            traversal::max_weak_diameter(g, one),
-            reference_weak(g, s),
-            "weak, {s:?}"
-        );
+        assert_eq!(traversal::max_weak_diameter(g, one), weak[i], "weak, {s:?}");
         assert_eq!(
             traversal::max_strong_diameter(g, one),
-            reference_strong(g, s),
+            strong[i],
             "strong, {s:?}"
         );
     }
     let slices = || sets.iter().map(Vec::as_slice);
-    let max = |one: fn(&Graph, &[Vertex]) -> Option<u32>| {
-        sets.iter()
-            .try_fold(0, |best, s| Some(best.max(one(g, s)?)))
-    };
-    assert_eq!(
-        traversal::max_weak_diameter(g, slices()),
-        max(reference_weak)
-    );
-    assert_eq!(
-        traversal::max_strong_diameter(g, slices()),
-        max(reference_strong)
-    );
+    let max = |each: &[Option<u32>]| each.iter().try_fold(0, |best, &d| Some(best.max(d?)));
+    assert_eq!(traversal::max_weak_diameter(g, slices()), max(&weak));
+    assert_eq!(traversal::max_strong_diameter(g, slices()), max(&strong));
 }
 
 #[test]
 fn set_diameters_on_fixed_cases() {
     let c6 = gen::cycle(6);
     // Alternate vertices of C6: every member pair is 2 apart through a
-    // vertex outside S, and every midpoint is 3 from the opposite member,
-    // so a pivot outside S must neither count as found nor raise the max.
+    // vertex outside S, which is 3 from the opposite member.
     assert_eq!(traversal::max_weak_diameter(&c6, [&[0, 2, 4][..]]), Some(2));
     assert_eq!(traversal::max_strong_diameter(&c6, [&[0, 2, 4][..]]), None);
     // Empty sequence, empty and singleton sets.
@@ -136,15 +129,52 @@ fn set_diameters_on_fixed_cases() {
         &gen::path(200),
         &[(0..200).filter(|v| v % 3 != 1).collect()],
     );
-    // Cubic graphs on which the two sweeps miss the diameter, so the lane
-    // batches decide it. Each of these kernel faults fails on one of them:
-    // lanes leaving the set under the strong metric, stopping after the
-    // first batch, and loosening the bound `lb ≥ 2·d(u, ·)` by one.
-    for (n, seed, every) in [(70, 1, 4), (130, 3, 4), (136, 5, 0), (180, 6, 0)] {
-        let g = gen::random_regular(n, 3, &mut gen::seeded_rng(seed));
+    // Regular graphs on which the sweeps miss the diameter, so the lane
+    // batches decide it. On the last two the running maximum reaches one
+    // below the diameter while a pair at half the diameter from the pivot
+    // is unprocessed, so loosening the stop `lb ≥ 2·d(u, ·)` to
+    // `lb + 1 ≥ 2·d(u, ·)` misses the diameter under both metrics.
+    for (n, d, seed, every) in [
+        (70, 3, 1, 4),
+        (130, 3, 3, 4),
+        (136, 3, 5, 0),
+        (180, 3, 6, 0),
+        (192, 3, 9, 0),
+        (302, 4, 5, 0),
+    ] {
+        let g = gen::random_regular(n, d, &mut gen::seeded_rng(seed));
         let s = g.vertices().filter(|v| every == 0 || v % every != 0);
         assert_matches_reference(&g, &[s.collect()]);
     }
+}
+
+#[test]
+fn set_diameters_on_pull_levels_and_central_pivots() {
+    // Random 4-regular graphs, whole and with every 9th vertex left out
+    // (the strong diameter then exceeds the weak one): most lane-BFS
+    // levels are dense enough to run in the pull direction.
+    for (n, seed) in [(256, 1), (512, 2), (768, 3), (1024, 4)] {
+        let g = gen::random_regular(n, 4, &mut gen::seeded_rng(seed));
+        assert_matches_reference(&g, &[g.vertices().collect()]);
+        assert_matches_reference(&g, &[g.vertices().filter(|v| v % 9 != 0).collect()]);
+    }
+    // Whole grids and long cycles and paths, where a path midpoint is a
+    // poor pivot and the central one decides how many batches run.
+    for g in [
+        gen::grid(45, 45),
+        gen::grid(30, 7),
+        gen::cycle(1000),
+        gen::cycle(1001),
+        gen::path(700),
+    ] {
+        assert_matches_reference(&g, &[g.vertices().collect()]);
+    }
+    // A weak set whose pivot, the grid's centre, lies in the set's hole.
+    let g = gen::grid(15, 15);
+    let ring = g
+        .vertices()
+        .filter(|v| !((5..10).contains(&(v / 15)) && (5..10).contains(&(v % 15))));
+    assert_matches_reference(&g, &[ring.collect()]);
 }
 
 proptest! {
@@ -154,7 +184,7 @@ proptest! {
     }
 
     #[test]
-    fn set_diameters_on_cubic_graphs_match_the_reference(case in arb_cubic_sets()) {
+    fn set_diameters_on_cubic_graphs_match_the_reference(case in arb_regular_sets(3, 35..130)) {
         assert_matches_reference(&case.0, &case.1);
     }
 
@@ -306,5 +336,14 @@ proptest! {
         let (_, k) = t.connected_components();
         prop_assert_eq!(k, 1);
         prop_assert_eq!(girth::girth(&t), None);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn set_diameters_on_4_regular_graphs_match_the_reference(case in arb_regular_sets(4, 128..512)) {
+        assert_matches_reference(&case.0, &case.1);
     }
 }
