@@ -120,10 +120,13 @@ pub fn gnp(n: usize, p: f64, rng: &mut StdRng) -> Graph {
     if p <= 0.0 || n < 2 {
         return b.build();
     }
-    // Geometric skipping over the (n choose 2) pair sequence.
+    // Geometric skipping over the pair sequence `(0,1), (0,2), …, (0,n−1),
+    // (1,2), …` of the complete graph. The index only grows, so the row
+    // `a` it falls in (pairs `(a, a+1..n)`, from index `start`) advances
+    // with it, and all rows cost O(n) in total rather than per edge.
     let log1p = (1.0 - p).ln();
     let total = n * (n - 1) / 2;
-    let mut idx = 0usize;
+    let (mut idx, mut a, mut start) = (0usize, 0usize, 0usize);
     loop {
         let u: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
         let skip = (u.ln() / log1p).floor() as usize;
@@ -134,24 +137,14 @@ pub fn gnp(n: usize, p: f64, rng: &mut StdRng) -> Graph {
         if idx >= total {
             break;
         }
-        let (a, bb) = pair_from_index(idx, n);
-        b.add_edge(a as Vertex, bb as Vertex);
+        while idx - start >= n - 1 - a {
+            start += n - 1 - a;
+            a += 1;
+        }
+        b.add_edge(a as Vertex, (a + 1 + idx - start) as Vertex);
         idx += 1;
     }
     b.build()
-}
-
-/// Maps a linear index into the canonical pair sequence
-/// `(0,1), (0,2), …, (0,n−1), (1,2), …` of an `n`-vertex complete graph.
-fn pair_from_index(mut idx: usize, n: usize) -> (usize, usize) {
-    let mut a = 0usize;
-    let mut row = n - 1;
-    while idx >= row {
-        idx -= row;
-        a += 1;
-        row -= 1;
-    }
-    (a, a + 1 + idx)
 }
 
 /// A uniformly random labelled tree on `n` vertices (Prüfer sequence).
@@ -415,6 +408,19 @@ mod tests {
         );
     }
 
+    /// Maps a linear index into the canonical pair sequence
+    /// `(0,1), (0,2), …, (0,n−1), (1,2), …` of an `n`-vertex complete graph.
+    fn pair_from_index(mut idx: usize, n: usize) -> (usize, usize) {
+        let mut a = 0usize;
+        let mut row = n - 1;
+        while idx >= row {
+            idx -= row;
+            a += 1;
+            row -= 1;
+        }
+        (a, a + 1 + idx)
+    }
+
     #[test]
     fn pair_from_index_roundtrip() {
         let n = 7;
@@ -424,6 +430,40 @@ mod tests {
                 assert_eq!(pair_from_index(idx, n), (a, b));
                 idx += 1;
             }
+        }
+    }
+
+    #[test]
+    fn gnp_rows_match_pairs_recomputed_from_each_index() {
+        // The same geometric skips, each pair recomputed from its index.
+        let reference = |n: usize, p: f64, seed: u64| {
+            let mut rng = seeded_rng(seed);
+            let log1p = (1.0 - p).ln();
+            let (total, mut idx) = (n * (n - 1) / 2, 0usize);
+            let mut b = GraphBuilder::new(n);
+            loop {
+                let u: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
+                idx += (u.ln() / log1p).floor() as usize;
+                if idx >= total {
+                    return b.build();
+                }
+                let (a, bb) = pair_from_index(idx, n);
+                b.add_edge(a as Vertex, bb as Vertex);
+                idx += 1;
+            }
+        };
+        for (n, p, seed) in [
+            (2, 0.5, 1),
+            (7, 0.3, 2),
+            (100, 0.05, 3),
+            (300, 0.6, 4),
+            (2048, 0.003, 5),
+        ] {
+            assert_eq!(
+                gnp(n, p, &mut seeded_rng(seed)),
+                reference(n, p, seed),
+                "n = {n}"
+            );
         }
     }
 
