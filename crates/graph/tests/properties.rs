@@ -37,10 +37,9 @@ fn arb_sets(max_n: usize) -> impl Strategy<Value = (Graph, Vec<Vec<Vertex>>)> {
 
 /// Strategy: a random `d`-regular graph on `2·half` vertices, whole
 /// (`k = 0`) or split at random into `k ≤ 2` sets. Regular graphs of degree
-/// 3 and up are expanders, on which the two sweeps from `S[0]` and its
-/// farthest member rarely find the diameter, so the lane batches decide the
-/// answer, often several of them, and their dense levels run in the pull
-/// direction.
+/// 3 and up are expanders, on which the sweeps rarely find the diameter, so
+/// the lane batches decide the answer, often several of them, and their
+/// dense levels run in the pull direction.
 fn arb_regular_sets(
     d: usize,
     half: std::ops::Range<usize>,
