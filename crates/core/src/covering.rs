@@ -17,7 +17,7 @@
 use crate::params::PcParams;
 use crate::prep::{prepare, Preparation, SharedSubsetCache, SubsetSolver};
 use dapc_conc::dist::bernoulli;
-use dapc_graph::{BallScratch, Hypergraph, Vertex};
+use dapc_graph::{BallScratch, Vertex};
 use dapc_ilp::instance::{IlpInstance, Sense};
 use dapc_local::RoundLedger;
 use rand::rngs::StdRng;
@@ -239,7 +239,7 @@ pub fn approximate_covering_cached(
     // removed vertex set under the still-alive hyperedges.
     let removed: Vec<bool> = alive_v.iter().map(|&a| !a).collect();
     let mut assignment = fixed_one.clone();
-    let (comp, k) = component_split(h, &removed, &alive_e);
+    let (comp, k) = h.connected_components_masked(&removed, Some(&alive_e));
     stats.removed_regions = k;
     ledger.begin_phase("removed-region local solves");
     ledger.charge_gather(2 * (params.t + 1) * 2 * params.r);
@@ -302,31 +302,6 @@ pub fn approximate_covering_cached(
         ledger,
         stats,
     }
-}
-
-/// Connected components of the `mask` vertices under alive hyperedges.
-fn component_split(h: &Hypergraph, mask: &[bool], alive_e: &[bool]) -> (Vec<u32>, usize) {
-    let n = h.n();
-    let mut comp = vec![u32::MAX; n];
-    let mut next = 0u32;
-    let mut scratch = BallScratch::new();
-    for s in 0..n {
-        if !mask[s] || comp[s] != u32::MAX {
-            continue;
-        }
-        let ball = h.ball_with_scratch(
-            &[s as Vertex],
-            usize::MAX,
-            Some(mask),
-            Some(alive_e),
-            &mut scratch,
-        );
-        for v in ball.iter() {
-            comp[v as usize] = next;
-        }
-        next += 1;
-    }
-    (comp, next as usize)
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@
 use crate::params::PcParams;
 use crate::prep::{prepare, Preparation, SharedSubsetCache, SubsetSolver};
 use dapc_conc::dist::bernoulli;
-use dapc_graph::{BallScratch, Hypergraph, Vertex};
+use dapc_graph::{BallScratch, Vertex};
 use dapc_ilp::instance::{IlpInstance, Sense};
 use dapc_local::RoundLedger;
 use rand::rngs::StdRng;
@@ -232,7 +232,7 @@ pub fn approximate_packing_cached(
 
     // Final components of H[V ∖ D] solve their local packing problems.
     let survivors: Vec<bool> = (0..n).map(|v| !deleted[v]).collect();
-    let (comp, k) = component_split(h, &survivors);
+    let (comp, k) = h.connected_components_masked(&survivors, None);
     stats.components = k;
     ledger.begin_phase("final local solves (gather component)");
     ledger.charge_gather(2 * (params.t + 2) * 3 * (params.r + 1));
@@ -262,25 +262,6 @@ pub fn approximate_packing_cached(
         ledger,
         stats,
     }
-}
-
-/// Connected components of the alive part of `h` in the primal metric.
-fn component_split(h: &Hypergraph, alive: &[bool]) -> (Vec<u32>, usize) {
-    let n = h.n();
-    let mut comp = vec![u32::MAX; n];
-    let mut next = 0u32;
-    let mut scratch = BallScratch::new();
-    for s in 0..n {
-        if !alive[s] || comp[s] != u32::MAX {
-            continue;
-        }
-        let ball = h.ball_with_scratch(&[s as Vertex], usize::MAX, Some(alive), None, &mut scratch);
-        for v in ball.iter() {
-            comp[v as usize] = next;
-        }
-        next += 1;
-    }
-    (comp, next as usize)
 }
 
 #[cfg(test)]

@@ -11,18 +11,43 @@
 //! * Elkin–Neiman: the top **2** labels (delete if they are within 1);
 //! * sparse cover: **all** labels within 1 of the maximum (join all).
 //!
-//! All three reduce to a best-first (max-heap) multi-source propagation in
-//! which values decrease by exactly 1 per hop; the heap therefore pops in
-//! globally non-increasing value order, so the first pop of a
-//! `(vertex, source)` pair is that source's true `m` value at that vertex,
-//! and per-vertex pruning is safe (a label dominated at `v` stays dominated
-//! downstream of `v`).
+//! All three reduce to a best-first multi-source propagation in which
+//! values decrease by exactly 1 per hop. Labels leave in globally
+//! non-increasing `(value, source)` order (larger value first, then the
+//! smaller source), so the first time a `(vertex, source)` pair comes up it
+//! carries that source's true `m` value at that vertex, and per-vertex
+//! pruning is safe (a label dominated at `v` stays dominated downstream of
+//! `v`).
+//!
+//! # A queue, not a heap
+//!
+//! The order needs no priority queue. The seeds (every alive vertex's own
+//! label) are sorted once. A kept label is relayed with its value minus
+//! one, and kept labels never rise in the order, so the relays are produced
+//! in the order they must leave in: they wait in a FIFO ring buffer, and
+//! each step takes whichever of the two heads comes first. For `R` relays
+//! this costs `O(n log n + R)`, where a max-heap over all labels cost
+//! `O(R log R)`.
+//!
+//! The output is bit for bit the one a max-heap over all labels, ordered
+//! by `(value, source, vertex)`, gives (the tests keep that heap as the
+//! reference). Labels leave in the heap's order, except that entries with
+//! equal `(value, source)` at different vertices may swap. What a vertex
+//! keeps depends only on the labels arriving at it, in their order, and
+//! entries with equal `(value, source)` at one vertex are identical, so no
+//! kept label moves.
+//!
+//! One caveat is floating point: `v − 1` is exact for `v ≥ 0.5`, but below
+//! that two distinct values can round to the same relay value, and the
+//! later relay may then come first by its smaller source. Such a relay goes
+//! to its sorted place in the queue. It needs two labels whose values
+//! differ by less than a rounding unit, which drawn shifts essentially
+//! never give.
 
 use dapc_conc::dist::Exponential;
 use dapc_graph::{Graph, Vertex};
 use rand::rngs::StdRng;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 /// A label: source `u` reaching some vertex with value `m_u = T_u − dist`.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -33,30 +58,18 @@ pub struct Label {
     pub value: f64,
 }
 
-#[derive(Clone, Copy, Debug, PartialEq)]
-struct HeapEntry {
+/// A label in flight: `value` of `source`, arriving at `vertex`.
+#[derive(Clone, Copy, Debug)]
+struct Entry {
     value: f64,
     source: Vertex,
     vertex: Vertex,
 }
 
-impl Eq for HeapEntry {}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Max-heap on value; tie-break on (source, vertex) for determinism.
-        self.value
-            .partial_cmp(&other.value)
-            .expect("shift values are finite")
-            .then_with(|| other.source.cmp(&self.source))
-            .then_with(|| other.vertex.cmp(&self.vertex))
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+/// Whether `a` leaves before `b`: the larger value first, then the smaller
+/// source.
+fn ahead(a: &Entry, b: &Entry) -> bool {
+    a.value > b.value || (a.value == b.value && a.source < b.source)
 }
 
 /// How many labels each vertex retains.
@@ -100,24 +113,55 @@ pub fn draw_shifts(
 pub fn propagate(g: &Graph, shifts: &[f64], keep: Keep, alive: Option<&[bool]>) -> Vec<Vec<Label>> {
     assert_eq!(shifts.len(), g.n());
     let is_alive = |v: Vertex| alive.is_none_or(|a| a[v as usize]);
-    let n = g.n();
+    propagate_by(shifts, keep, alive, |v| {
+        g.neighbors(v).iter().copied().filter(move |&w| is_alive(w))
+    })
+}
+
+/// The propagation loop of [`propagate`] with the hop given by `relay`:
+/// `relay(v)` lists the alive vertices a label kept at `v` moves to. Every
+/// vertex that `alive` admits seeds its own label.
+pub(crate) fn propagate_by<I: Iterator<Item = Vertex>>(
+    shifts: &[f64],
+    keep: Keep,
+    alive: Option<&[bool]>,
+    relay: impl Fn(Vertex) -> I,
+) -> Vec<Vec<Label>> {
+    let n = shifts.len();
+    let mut seeds: Vec<Entry> = (0..n as Vertex)
+        .filter(|&v| alive.is_none_or(|a| a[v as usize]))
+        .map(|v| Entry {
+            value: shifts[v as usize],
+            source: v,
+            vertex: v,
+        })
+        .collect();
+    seeds.sort_unstable_by(|a, b| {
+        b.value
+            .partial_cmp(&a.value)
+            .expect("shift values are finite")
+            .then(a.source.cmp(&b.source))
+    });
+    let mut seeds = seeds.into_iter().peekable();
+    let mut relays: VecDeque<Entry> = VecDeque::new();
     let mut labels: Vec<Vec<Label>> = vec![Vec::new(); n];
-    let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
-    for v in 0..n as Vertex {
-        if is_alive(v) {
-            heap.push(HeapEntry {
-                value: shifts[v as usize],
-                source: v,
-                vertex: v,
-            });
-        }
-    }
-    while let Some(HeapEntry {
-        value,
-        source,
-        vertex,
-    }) = heap.pop()
-    {
+    loop {
+        let relay_first = relays
+            .front()
+            .is_some_and(|r| seeds.peek().is_none_or(|s| ahead(r, s)));
+        let next = if relay_first {
+            relays.pop_front()
+        } else {
+            seeds.next()
+        };
+        let Some(Entry {
+            value,
+            source,
+            vertex,
+        }) = next
+        else {
+            break;
+        };
         let kept = &mut labels[vertex as usize];
         // Drop when the policy is already saturated or the source known.
         let admissible = match keep {
@@ -133,8 +177,94 @@ pub fn propagate(g: &Graph, shifts: &[f64], keep: Keep, alive: Option<&[bool]>) 
         // Relay. Values below any plausible future threshold could be
         // pruned here; one extra hop of dead labels is cheap and keeps the
         // code obviously correct.
-        for &w in g.neighbors(vertex) {
-            if is_alive(w) {
+        let tail = relays.len();
+        relays.extend(relay(vertex).map(|w| Entry {
+            value: value - 1.0,
+            source,
+            vertex: w,
+        }));
+        // Rounding below 0.5 (module docs): move the batch to its place.
+        if tail > 0 && relays.len() > tail && ahead(&relays[tail], &relays[tail - 1]) {
+            let queue = relays.make_contiguous();
+            let first = queue[tail];
+            let at = queue[..tail].partition_point(|e| !ahead(&first, e));
+            let batch = queue.len() - tail;
+            queue[at..].rotate_right(batch);
+        }
+    }
+    labels
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use dapc_graph::gen;
+    use rand::RngExt;
+    use std::cmp::Ordering;
+    use std::collections::BinaryHeap;
+
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    struct HeapEntry {
+        value: f64,
+        source: Vertex,
+        vertex: Vertex,
+    }
+
+    impl Eq for HeapEntry {}
+
+    impl Ord for HeapEntry {
+        fn cmp(&self, other: &Self) -> Ordering {
+            // Max-heap on value; tie-break on (source, vertex) for determinism.
+            self.value
+                .partial_cmp(&other.value)
+                .expect("shift values are finite")
+                .then_with(|| other.source.cmp(&self.source))
+                .then_with(|| other.vertex.cmp(&self.vertex))
+        }
+    }
+
+    impl PartialOrd for HeapEntry {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    /// The max-heap propagation that [`propagate_by`] replaced, kept as its
+    /// reference: every seed and relay goes through one `BinaryHeap`.
+    pub(crate) fn heap_propagate<I: Iterator<Item = Vertex>>(
+        shifts: &[f64],
+        keep: Keep,
+        alive: Option<&[bool]>,
+        relay: impl Fn(Vertex) -> I,
+    ) -> Vec<Vec<Label>> {
+        let n = shifts.len();
+        let mut labels: Vec<Vec<Label>> = vec![Vec::new(); n];
+        let mut heap: BinaryHeap<HeapEntry> = (0..n as Vertex)
+            .filter(|&v| alive.is_none_or(|a| a[v as usize]))
+            .map(|v| HeapEntry {
+                value: shifts[v as usize],
+                source: v,
+                vertex: v,
+            })
+            .collect();
+        while let Some(HeapEntry {
+            value,
+            source,
+            vertex,
+        }) = heap.pop()
+        {
+            let kept = &mut labels[vertex as usize];
+            let admissible = match keep {
+                Keep::Top(k) => kept.len() < k,
+                Keep::WithinSlackOfBest(slack) => {
+                    kept.first().is_none_or(|best| value >= best.value - slack)
+                }
+            };
+            if !admissible || kept.iter().any(|l| l.source == source) {
+                continue;
+            }
+            kept.push(Label { source, value });
+            for w in relay(vertex) {
                 heap.push(HeapEntry {
                     value: value - 1.0,
                     source,
@@ -142,14 +272,82 @@ pub fn propagate(g: &Graph, shifts: &[f64], keep: Keep, alive: Option<&[bool]>) 
                 });
             }
         }
+        labels
     }
-    labels
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dapc_graph::gen;
+    /// Labels as `(source, value bits)`: equal means bit-identical.
+    pub(crate) fn bits(labels: &[Vec<Label>]) -> Vec<Vec<(Vertex, u64)>> {
+        labels
+            .iter()
+            .map(|ls| ls.iter().map(|l| (l.source, l.value.to_bits())).collect())
+            .collect()
+    }
+
+    /// Shifts in `{0, 1, 2, 3}`, so sources often tie exactly and the
+    /// source tie-break decides.
+    pub(crate) fn integer_shifts(n: usize, rng: &mut StdRng) -> Vec<f64> {
+        (0..n)
+            .map(|_| f64::from(rng.random_range(0u32..4)))
+            .collect()
+    }
+
+    #[test]
+    fn propagation_matches_the_heap_reference() {
+        let mut rng = gen::seeded_rng(41);
+        for round in 0..9 {
+            let n = 20 + 20 * round;
+            let lambda = [0.3, 1.0, 3.0][round % 3];
+            let graphs = [
+                gen::gnp(n, 3.0 / n as f64, &mut rng),
+                gen::random_regular(n, 4, &mut rng),
+                gen::complete(n / 4),
+            ];
+            for g in &graphs {
+                let mask: Vec<bool> = (0..g.n()).map(|_| rng.random_bool(0.8)).collect();
+                for alive in [None, Some(mask.as_slice())] {
+                    let continuous = draw_shifts(g.n(), lambda, g.n() as f64, &mut rng, alive);
+                    let integer = integer_shifts(g.n(), &mut rng);
+                    for (kind, shifts) in [("continuous", continuous), ("integer", integer)] {
+                        for keep in [Keep::Top(1), Keep::Top(2), Keep::WithinSlackOfBest(1.0)] {
+                            let relay = |v: Vertex| {
+                                g.neighbors(v)
+                                    .iter()
+                                    .copied()
+                                    .filter(move |&w| alive.is_none_or(|a| a[w as usize]))
+                            };
+                            assert_eq!(
+                                bits(&propagate(g, &shifts, keep, alive)),
+                                bits(&heap_propagate(&shifts, keep, alive, relay)),
+                                "n={} {kind} shifts, {keep:?}, masked={}",
+                                g.n(),
+                                alive.is_some()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn relays_that_round_together_leave_in_heap_order() {
+        // Star: centre 0 keeps its own label first, then hears the leaves.
+        // `next_up(b) − 1` and `b − 1` round to one value, so the relay of
+        // leaf 1 (smaller value, smaller source) is produced second but must
+        // leave first.
+        let b = 0.1f64;
+        let a = b.next_up();
+        assert_eq!(a - 1.0, b - 1.0, "the two relays must round together");
+        let g = gen::star(3);
+        let shifts = vec![5.0, b, a];
+        let labels = propagate(&g, &shifts, Keep::Top(2), None);
+        let relay = |v: Vertex| g.neighbors(v).iter().copied();
+        assert_eq!(
+            bits(&labels),
+            bits(&heap_propagate(&shifts, Keep::Top(2), None, relay))
+        );
+        assert_eq!(labels[0][1].source, 1);
+    }
 
     /// Labels on a path with hand-picked shifts.
     #[test]

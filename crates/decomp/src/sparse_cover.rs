@@ -13,11 +13,10 @@
 //! solutions on the clusters are OR-combined (Lemma C.3), and the
 //! multiplicity bound caps the overcounting.
 
+use crate::shift::{draw_shifts, propagate_by, Keep, Label};
 use dapc_graph::{EdgeId, Hypergraph, Vertex};
 use dapc_local::RoundLedger;
 use rand::rngs::StdRng;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// A sparse cover: overlapping clusters covering every hyperedge.
 #[derive(Clone, Debug)]
@@ -107,31 +106,6 @@ impl SparseCover {
     }
 }
 
-#[derive(Clone, Copy, Debug, PartialEq)]
-struct HeapEntry {
-    value: f64,
-    source: Vertex,
-    vertex: Vertex,
-}
-
-impl Eq for HeapEntry {}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.value
-            .partial_cmp(&other.value)
-            .expect("finite values")
-            .then_with(|| other.source.cmp(&self.source))
-            .then_with(|| other.vertex.cmp(&self.vertex))
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// Computes a sparse cover of the alive part of `h` (Lemma C.2) with rate
 /// `lambda` and size hint `n_tilde`.
 ///
@@ -155,55 +129,15 @@ pub fn sparse_cover(
     alive_edges: Option<&[bool]>,
 ) -> SparseCover {
     let n = h.n();
-    let v_ok = |v: Vertex| alive_vertices.is_none_or(|a| a[v as usize]);
-    let e_ok = |e: EdgeId| alive_edges.is_none_or(|a| a[e as usize]);
-    let shifts = crate::shift::draw_shifts(n, lambda, n_tilde, rng, alive_vertices);
-    // Threshold-pruned multi-label propagation in the primal metric.
-    let mut labels: Vec<Vec<(Vertex, f64)>> = vec![Vec::new(); n];
-    let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
-    for v in 0..n as Vertex {
-        if v_ok(v) {
-            heap.push(HeapEntry {
-                value: shifts[v as usize],
-                source: v,
-                vertex: v,
-            });
-        }
-    }
-    while let Some(HeapEntry {
-        value,
-        source,
-        vertex,
-    }) = heap.pop()
-    {
-        let kept = &mut labels[vertex as usize];
-        let admissible = kept.first().is_none_or(|&(_, best)| value >= best - 1.0);
-        if !admissible || kept.iter().any(|&(s, _)| s == source) {
-            continue;
-        }
-        kept.push((source, value));
-        for &e in h.incident_edges(vertex) {
-            if !e_ok(e) {
-                continue;
-            }
-            for &w in h.edge(e) {
-                if w != vertex && v_ok(w) {
-                    heap.push(HeapEntry {
-                        value: value - 1.0,
-                        source,
-                        vertex: w,
-                    });
-                }
-            }
-        }
-    }
+    let shifts = draw_shifts(n, lambda, n_tilde, rng, alive_vertices);
+    let labels = cover_labels(h, &shifts, alive_vertices, alive_edges);
     // Group into clusters by source.
     let mut cluster_id: std::collections::BTreeMap<Vertex, u32> = Default::default();
     let mut clusters: Vec<Vec<Vertex>> = Vec::new();
     let mut membership: Vec<Vec<u32>> = vec![Vec::new(); n];
     for v in 0..n {
-        for &(s, _) in &labels[v] {
-            let id = *cluster_id.entry(s).or_insert_with(|| {
+        for label in &labels[v] {
+            let id = *cluster_id.entry(label.source).or_insert_with(|| {
                 clusters.push(Vec::new());
                 (clusters.len() - 1) as u32
             });
@@ -223,6 +157,30 @@ pub fn sparse_cover(
         membership,
         ledger,
     }
+}
+
+/// The labels of Lemma C.2's propagation in the primal metric: every label
+/// within 1 of its vertex's best, relayed across alive hyperedges to their
+/// alive vertices.
+fn cover_labels(
+    h: &Hypergraph,
+    shifts: &[f64],
+    alive_vertices: Option<&[bool]>,
+    alive_edges: Option<&[bool]>,
+) -> Vec<Vec<Label>> {
+    let v_ok = move |v: Vertex| alive_vertices.is_none_or(|a| a[v as usize]);
+    let e_ok = move |e: EdgeId| alive_edges.is_none_or(|a| a[e as usize]);
+    propagate_by(shifts, Keep::WithinSlackOfBest(1.0), alive_vertices, |v| {
+        h.incident_edges(v)
+            .iter()
+            .filter(move |&&e| e_ok(e))
+            .flat_map(move |&e| {
+                h.edge(e)
+                    .iter()
+                    .copied()
+                    .filter(move |&w| w != v && v_ok(w))
+            })
+    })
 }
 
 #[cfg(test)]
@@ -317,6 +275,58 @@ mod tests {
                 f64::from(d) <= bound,
                 "cluster diameter {d} > bound {bound}"
             );
+        }
+    }
+
+    #[test]
+    fn cover_labels_match_the_heap_reference() {
+        use crate::shift::tests::{bits, heap_propagate, integer_shifts};
+        use rand::RngExt;
+        let mut rng = gen::seeded_rng(43);
+        for round in 0..9 {
+            let n = 30 + 15 * round;
+            let lambda = [0.3, 1.0, 3.0][round % 3];
+            let edges: Vec<Vec<Vertex>> = (0..n)
+                .map(|_| {
+                    let size = rng.random_range(1..5);
+                    (0..size)
+                        .map(|_| rng.random_range(0..n) as Vertex)
+                        .collect()
+                })
+                .collect();
+            let h = Hypergraph::new(n, edges);
+            let mask_v: Vec<bool> = (0..n).map(|_| rng.random_bool(0.8)).collect();
+            let mask_e: Vec<bool> = (0..h.m()).map(|_| rng.random_bool(0.7)).collect();
+            let (v, e) = (Some(mask_v.as_slice()), Some(mask_e.as_slice()));
+            for (alive_v, alive_e) in [(None, None), (v, None), (None, e), (v, e)] {
+                let continuous = draw_shifts(n, lambda, n as f64, &mut rng, alive_v);
+                let integer = integer_shifts(n, &mut rng);
+                for (kind, shifts) in [("continuous", continuous), ("integer", integer)] {
+                    let relay = |u: Vertex| {
+                        let mut out = Vec::new();
+                        for &e in h.incident_edges(u) {
+                            if alive_e.is_some_and(|a| !a[e as usize]) {
+                                continue;
+                            }
+                            for &w in h.edge(e) {
+                                if w != u && alive_v.is_none_or(|a| a[w as usize]) {
+                                    out.push(w);
+                                }
+                            }
+                        }
+                        out.into_iter()
+                    };
+                    let reference =
+                        heap_propagate(&shifts, Keep::WithinSlackOfBest(1.0), alive_v, relay);
+                    assert_eq!(
+                        bits(&cover_labels(&h, &shifts, alive_v, alive_e)),
+                        bits(&reference),
+                        "n={n} {kind} shifts, vertex mask={}, edge mask={}",
+                        alive_v.is_some(),
+                        alive_e.is_some()
+                    );
+                }
+            }
         }
     }
 

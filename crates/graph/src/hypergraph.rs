@@ -131,12 +131,8 @@ impl Hypergraph {
     /// primal metric), or `None` if disconnected.
     pub fn distance(&self, u: Vertex, v: Vertex) -> Option<u32> {
         let b = self.ball(&[u], usize::MAX, None, None);
-        for (d, level) in b.levels.iter().enumerate() {
-            if level.contains(&v) {
-                return Some(d as u32);
-            }
-        }
-        None
+        let d = b.levels().position(|level| level.contains(&v))?;
+        Some(d as u32)
     }
 
     /// Radius-`r` ball in the primal metric, grouped by exact distance,
@@ -190,23 +186,22 @@ impl Hypergraph {
         let seen_v = &mut scratch.seen_v;
         let seen_e = &mut scratch.seen_e;
         let touched_e = &mut scratch.touched_e;
-        let mut levels: Vec<Vec<Vertex>> = Vec::new();
-        let mut frontier: Vec<Vertex> = Vec::new();
+        let mut ball = Ball::default();
         for &s in sources {
             if v_ok(s) && !seen_v[s as usize] {
                 seen_v[s as usize] = true;
-                frontier.push(s);
+                ball.vertices.push(s);
             }
         }
-        if frontier.is_empty() {
-            return Ball { levels };
+        if ball.is_empty() {
+            return ball;
         }
-        levels.push(frontier);
-        let mut depth = 0usize;
-        while depth < r {
-            let mut next: Vec<Vertex> = Vec::new();
-            for &u in levels.last().expect("frontier level pushed above") {
-                for &e in self.incident_edges(u) {
+        ball.ends.push(ball.len());
+        let mut start = 0;
+        for _depth in 0..r {
+            let end = ball.len();
+            for i in start..end {
+                for &e in self.incident_edges(ball.vertices[i]) {
                     if seen_e[e as usize] || !e_ok(e) {
                         continue;
                     }
@@ -215,27 +210,25 @@ impl Hypergraph {
                     for &w in self.edge(e) {
                         if v_ok(w) && !seen_v[w as usize] {
                             seen_v[w as usize] = true;
-                            next.push(w);
+                            ball.vertices.push(w);
                         }
                     }
                 }
             }
-            if next.is_empty() {
+            if ball.len() == end {
                 break;
             }
-            levels.push(next);
-            depth += 1;
+            ball.ends.push(ball.len());
+            start = end;
         }
         // Restore the scratch invariant: clear exactly the marks we set.
-        for level in &levels {
-            for &v in level {
-                seen_v[v as usize] = false;
-            }
+        for &v in &ball.vertices {
+            seen_v[v as usize] = false;
         }
         for e in touched_e.drain(..) {
             seen_e[e as usize] = false;
         }
-        Ball { levels }
+        ball
     }
 
     /// Multi-source BFS distances in the primal metric (masked).
@@ -273,6 +266,60 @@ impl Hypergraph {
             }
         }
         dist
+    }
+
+    /// Connected components of the alive vertices in the primal metric,
+    /// where only alive hyperedges (`None`: all) connect; returns
+    /// `(component_id_per_vertex, count)`, like
+    /// [`Graph::connected_components_masked`].
+    ///
+    /// Component ids are dense, assigned in order of the smallest vertex of
+    /// each component. Dead vertices get component id `u32::MAX`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a mask has the wrong length.
+    pub fn connected_components_masked(
+        &self,
+        alive_vertices: &[bool],
+        alive_edges: Option<&[bool]>,
+    ) -> (Vec<u32>, usize) {
+        assert_eq!(alive_vertices.len(), self.n, "vertex mask length mismatch");
+        if let Some(a) = alive_edges {
+            assert_eq!(a.len(), self.edges.len(), "edge mask length mismatch");
+        }
+        // An alive hyperedge's alive vertices share one component, so each
+        // hyperedge is expanded at most once over the whole labelling.
+        let mut open_e: Vec<bool> = match alive_edges {
+            Some(a) => a.to_vec(),
+            None => vec![true; self.edges.len()],
+        };
+        let mut comp = vec![u32::MAX; self.n];
+        let mut next = 0u32;
+        let mut stack = Vec::new();
+        for s in 0..self.n {
+            if !alive_vertices[s] || comp[s] != u32::MAX {
+                continue;
+            }
+            comp[s] = next;
+            stack.push(s as Vertex);
+            while let Some(u) = stack.pop() {
+                for &e in self.incident_edges(u) {
+                    if !open_e[e as usize] {
+                        continue;
+                    }
+                    open_e[e as usize] = false;
+                    for &w in self.edge(e) {
+                        if alive_vertices[w as usize] && comp[w as usize] == u32::MAX {
+                            comp[w as usize] = next;
+                            stack.push(w);
+                        }
+                    }
+                }
+            }
+            next += 1;
+        }
+        (comp, next as usize)
     }
 
     /// Ids of hyperedges entirely contained in `subset` (given as a

@@ -96,46 +96,64 @@ pub const UNREACHABLE: u32 = u32::MAX;
 
 /// A radius-`r` ball around a set of sources, grouped by exact distance.
 ///
-/// `levels[j]` is the set `S_j` of vertices at distance exactly `j` from the
-/// source set (so `levels[0]` is the source set itself, intersected with the
-/// alive mask). The flattened ball `N^r(S)` is the concatenation of all
-/// levels.
+/// [`Ball::level`]`(j)` is the set `S_j` of vertices at distance exactly `j`
+/// from the source set (so level 0 is the source set itself, intersected
+/// with the alive mask), and the ball `N^r(S)` is all levels in order.
+///
+/// The layout is flat: one vertex array in BFS order, which is the levels
+/// concatenated, plus each level's end offset into it. A traversal grows
+/// the array in place and reads its frontier as the previous level's slice,
+/// so a ball costs two vectors, not one per level. No level is empty: the
+/// traversal stops at the first empty one, and a ball with no alive source
+/// has no levels at all.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct Ball {
-    /// Vertices grouped by exact distance from the source set.
-    pub levels: Vec<Vec<Vertex>>,
+    /// Every vertex of the ball, level by level.
+    pub(crate) vertices: Vec<Vertex>,
+    /// `ends[j]` is the end of level `j` in `vertices`.
+    pub(crate) ends: Vec<usize>,
 }
 
 impl Ball {
     /// Total number of vertices in the ball.
     pub fn len(&self) -> usize {
-        self.levels.iter().map(Vec::len).sum()
+        self.vertices.len()
     }
 
     /// Whether the ball contains no vertices.
     pub fn is_empty(&self) -> bool {
-        self.levels.iter().all(Vec::is_empty)
+        self.vertices.is_empty()
     }
 
     /// Radius actually reached (may be smaller than requested if the
     /// component was exhausted).
     pub fn radius(&self) -> usize {
-        self.levels.len().saturating_sub(1)
+        self.ends.len().saturating_sub(1)
     }
 
     /// Iterates over every vertex in the ball.
     pub fn iter(&self) -> impl Iterator<Item = Vertex> + '_ {
-        self.levels.iter().flatten().copied()
+        self.vertices.iter().copied()
     }
 
     /// All vertices with distance `<= r` from the sources.
     pub fn within(&self, r: usize) -> impl Iterator<Item = Vertex> + '_ {
-        self.levels.iter().take(r + 1).flatten().copied()
+        let end = self.ends.get(r).or(self.ends.last()).copied().unwrap_or(0);
+        self.vertices[..end].iter().copied()
     }
 
     /// The level set `S_j` (empty slice if `j` exceeds the reached radius).
     pub fn level(&self, j: usize) -> &[Vertex] {
-        self.levels.get(j).map(Vec::as_slice).unwrap_or(&[])
+        let Some(&end) = self.ends.get(j) else {
+            return &[];
+        };
+        let start = if j == 0 { 0 } else { self.ends[j - 1] };
+        &self.vertices[start..end]
+    }
+
+    /// The level sets `S_0, S_1, …` up to the reached radius.
+    pub fn levels(&self) -> impl Iterator<Item = &[Vertex]> + '_ {
+        (0..self.ends.len()).map(|j| self.level(j))
     }
 }
 
@@ -270,40 +288,39 @@ pub fn ball_with_scratch(
     let is_alive = |v: Vertex| alive.is_none_or(|a| a[v as usize]);
     scratch.ensure_vertices(g.n());
     let seen = &mut scratch.seen_v;
-    let mut levels: Vec<Vec<Vertex>> = Vec::new();
-    let mut frontier: Vec<Vertex> = Vec::new();
+    let mut ball = Ball::default();
     for &s in sources {
         if is_alive(s) && !seen[s as usize] {
             seen[s as usize] = true;
-            frontier.push(s);
+            ball.vertices.push(s);
         }
     }
-    if frontier.is_empty() {
-        return Ball { levels };
+    if ball.is_empty() {
+        return ball;
     }
-    levels.push(frontier);
+    ball.ends.push(ball.len());
+    let mut start = 0;
     for _depth in 1..=r {
-        let mut next: Vec<Vertex> = Vec::new();
-        for &u in levels.last().expect("frontier level pushed above") {
-            for &w in g.neighbors(u) {
+        let end = ball.len();
+        for i in start..end {
+            for &w in g.neighbors(ball.vertices[i]) {
                 if is_alive(w) && !seen[w as usize] {
                     seen[w as usize] = true;
-                    next.push(w);
+                    ball.vertices.push(w);
                 }
             }
         }
-        if next.is_empty() {
+        if ball.len() == end {
             break;
         }
-        levels.push(next);
+        ball.ends.push(ball.len());
+        start = end;
     }
     // Restore the scratch invariant: clear exactly the marks we set.
-    for level in &levels {
-        for &v in level {
-            seen[v as usize] = false;
-        }
+    for &v in &ball.vertices {
+        seen[v as usize] = false;
     }
-    Ball { levels }
+    ball
 }
 
 /// Size of `N^r(v)` in the residual graph, without materialising the ball.

@@ -1,6 +1,8 @@
 //! Property-based tests for the graph substrate.
 
-use dapc_graph::{gen, girth, power, subdivide, traversal, Graph, Hypergraph, Vertex};
+use dapc_graph::{
+    gen, girth, power, subdivide, traversal, Ball, BallScratch, Graph, Hypergraph, Vertex,
+};
 use proptest::prelude::*;
 
 /// Strategy: a random edge list over `n` vertices.
@@ -176,6 +178,145 @@ fn set_diameters_on_pull_levels_and_central_pivots() {
     assert_matches_reference(&g, &[ring.collect()]);
 }
 
+/// Strategy: a random graph on up to `max_n` vertices with a vertex mask
+/// that kills about one vertex in five.
+fn arb_masked_graph(max_n: usize) -> impl Strategy<Value = (Graph, Vec<bool>)> {
+    (2usize..max_n).prop_flat_map(|n| {
+        (
+            proptest::collection::vec((0..n as Vertex, 0..n as Vertex), 0..(3 * n)),
+            proptest::collection::vec(0u8..5, n..n + 1),
+        )
+            .prop_map(move |(edges, mask)| {
+                let alive = mask.iter().map(|&x| x > 0).collect();
+                (Graph::from_edges(n, &edges), alive)
+            })
+    })
+}
+
+/// Strategy: a random hypergraph of 1–4-vertex hyperedges with a vertex
+/// mask (about one vertex in five dead) and a hyperedge mask (one in four).
+fn arb_masked_hypergraph(
+    max_n: usize,
+) -> impl Strategy<Value = (Hypergraph, Vec<bool>, Vec<bool>)> {
+    (2usize..max_n, 1usize..3).prop_flat_map(|(n, density)| {
+        (
+            proptest::collection::vec(
+                (proptest::collection::vec(0..n as Vertex, 1..5), 0u8..4),
+                0..density * n,
+            ),
+            proptest::collection::vec(0u8..5, n..n + 1),
+        )
+            .prop_map(move |(edges, mask)| {
+                let alive_e = edges.iter().map(|&(_, x)| x > 0).collect();
+                let h = Hypergraph::new(n, edges.into_iter().map(|(e, _)| e).collect());
+                (h, mask.iter().map(|&x| x > 0).collect(), alive_e)
+            })
+    })
+}
+
+/// Reference ball in the nested layout, one `Vec` per level: a BFS from
+/// `sources` through `alive` vertices to radius `r`, where `hop(u)` lists
+/// the vertices one step from `u` in traversal order.
+fn nested_ball(
+    sources: &[Vertex],
+    r: usize,
+    alive: &[bool],
+    hop: impl Fn(Vertex) -> Vec<Vertex>,
+) -> Vec<Vec<Vertex>> {
+    let mut seen = vec![false; alive.len()];
+    let mut level = Vec::new();
+    for &s in sources {
+        if alive[s as usize] && !seen[s as usize] {
+            seen[s as usize] = true;
+            level.push(s);
+        }
+    }
+    let mut levels = Vec::new();
+    while !level.is_empty() && levels.len() <= r {
+        let mut next = Vec::new();
+        for &u in &level {
+            for w in hop(u) {
+                if alive[w as usize] && !seen[w as usize] {
+                    seen[w as usize] = true;
+                    next.push(w);
+                }
+            }
+        }
+        levels.push(level);
+        level = next;
+    }
+    levels
+}
+
+/// Every accessor of `ball` agrees with the nested reference `levels`.
+fn assert_ball_is(ball: &Ball, levels: &[Vec<Vertex>]) {
+    let flat: Vec<Vec<Vertex>> = ball.levels().map(<[Vertex]>::to_vec).collect();
+    assert_eq!(flat, levels);
+    let all = levels.concat();
+    assert_eq!(ball.iter().collect::<Vec<_>>(), all);
+    assert_eq!(ball.len(), all.len());
+    assert_eq!(ball.is_empty(), all.is_empty());
+    assert_eq!(ball.radius(), levels.len().saturating_sub(1));
+    for j in 0..levels.len() + 2 {
+        let level = levels.get(j).map_or(&[][..], Vec::as_slice);
+        assert_eq!(ball.level(j), level, "level {j}");
+        let within = levels[..levels.len().min(j + 1)].concat();
+        assert_eq!(ball.within(j).collect::<Vec<_>>(), within, "within {j}");
+    }
+    assert_eq!(ball.within(usize::MAX).collect::<Vec<_>>(), all);
+}
+
+/// Sources for a ball test: a single vertex, a repeated pair and three
+/// spread vertices.
+fn source_sets(n: usize) -> [Vec<Vertex>; 3] {
+    let last = n as Vertex - 1;
+    [vec![0], vec![last, 0, last], vec![last / 2, 0, last]]
+}
+
+/// The alive vertices one hop from `u` across alive hyperedges, in the
+/// order a hypergraph ball visits them.
+fn hyper_hop<'a>(h: &'a Hypergraph, alive_e: &'a [bool]) -> impl Fn(Vertex) -> Vec<Vertex> + 'a {
+    move |u| {
+        h.incident_edges(u)
+            .iter()
+            .filter(|&&e| alive_e[e as usize])
+            .flat_map(|&e| h.edge(e).iter().copied())
+            .collect()
+    }
+}
+
+#[test]
+fn ball_edge_cases() {
+    let g = gen::path(6);
+    let h = Hypergraph::from_graph(&g);
+    let all = vec![true; 6];
+    // Past the reached radius every level is empty and `within` is the
+    // whole ball, on a ball cut by `r` and on one that ran out.
+    for (r, reached) in [(2, 2), (9, 3)] {
+        let b = traversal::ball(&g, &[2], r, None);
+        assert_eq!(b.radius(), reached);
+        assert_ball_is(&b, &nested_ball(&[2], r, &all, |u| g.neighbors(u).to_vec()));
+        assert!(b.level(reached + 1).is_empty());
+        assert_eq!(b.within(reached).count(), b.len());
+        assert_eq!(h.ball(&[2], r, None, None), b);
+    }
+    // No source, or only dead ones: an empty ball of radius 0.
+    let dead = [false, true, true, true, true, false];
+    for (sources, alive) in [(&[][..], None), (&[0, 5, 0][..], Some(&dead[..]))] {
+        for b in [
+            traversal::ball(&g, sources, 3, alive),
+            h.ball(sources, 3, alive, None),
+            h.ball(sources, usize::MAX, alive, Some(&[false; 5])),
+        ] {
+            assert_ball_is(&b, &[]);
+            assert_eq!(b, Ball::default());
+        }
+    }
+    // A live source whose hyperedges are all dead is a one-vertex ball.
+    let b = h.ball(&[3], 4, None, Some(&[false; 5]));
+    assert_ball_is(&b, &[vec![3]]);
+}
+
 proptest! {
     #[test]
     fn set_diameters_match_the_all_pairs_reference(case in arb_sets(150)) {
@@ -235,7 +376,7 @@ proptest! {
     fn ball_levels_match_bfs_distances(g in arb_graph(40), r in 0usize..6) {
         let b = traversal::ball(&g, &[0], r, None);
         let d = traversal::bfs_distances(&g, 0);
-        for (lvl, vs) in b.levels.iter().enumerate() {
+        for (lvl, vs) in b.levels().enumerate() {
             for &v in vs {
                 prop_assert_eq!(d[v as usize] as usize, lvl);
             }
@@ -335,6 +476,65 @@ proptest! {
         let (_, k) = t.connected_components();
         prop_assert_eq!(k, 1);
         prop_assert_eq!(girth::girth(&t), None);
+    }
+}
+
+proptest! {
+    #[test]
+    fn flat_graph_balls_match_nested_levels(case in arb_masked_graph(60), r in 0usize..8) {
+        let (g, mask) = case;
+        let all = vec![true; g.n()];
+        let mut scratch = BallScratch::new();
+        for sources in source_sets(g.n()) {
+            for alive in [None, Some(mask.as_slice())] {
+                let reference = nested_ball(&sources, r, alive.unwrap_or(&all), |u| g.neighbors(u).to_vec());
+                assert_ball_is(&traversal::ball(&g, &sources, r, alive), &reference);
+                let reused = traversal::ball_with_scratch(&g, &sources, r, alive, &mut scratch);
+                assert_ball_is(&reused, &reference);
+            }
+        }
+    }
+
+    #[test]
+    fn flat_hypergraph_balls_match_nested_levels(case in arb_masked_hypergraph(50), r in 0usize..8) {
+        let (h, alive_v, alive_e) = case;
+        let all_v = vec![true; h.n()];
+        let all_e = vec![true; h.m()];
+        let mut scratch = BallScratch::new();
+        for sources in source_sets(h.n()) {
+            for (v, e) in [(None, None), (Some(&alive_v[..]), None), (None, Some(&alive_e[..])), (Some(&alive_v[..]), Some(&alive_e[..]))] {
+                let reference = nested_ball(&sources, r, v.unwrap_or(&all_v), hyper_hop(&h, e.unwrap_or(&all_e)));
+                assert_ball_is(&h.ball(&sources, r, v, e), &reference);
+                assert_ball_is(&h.ball_with_scratch(&sources, r, v, e, &mut scratch), &reference);
+            }
+        }
+    }
+
+    #[test]
+    fn hypergraph_components_match_ball_labelling(case in arb_masked_hypergraph(60)) {
+        let (h, alive_v, alive_e) = case;
+        // Reference: label each unlabelled alive vertex's whole ball, in
+        // vertex order.
+        let mut comp = vec![u32::MAX; h.n()];
+        let mut k = 0u32;
+        for s in 0..h.n() {
+            if alive_v[s] && comp[s] == u32::MAX {
+                for v in h.ball(&[s as Vertex], usize::MAX, Some(&alive_v), Some(&alive_e)).iter() {
+                    comp[v as usize] = k;
+                }
+                k += 1;
+            }
+        }
+        prop_assert_eq!(h.connected_components_masked(&alive_v, Some(&alive_e)), (comp, k as usize));
+    }
+
+    #[test]
+    fn hypergraph_components_of_a_graph_match_the_graph(g in arb_graph(50), modulus in 2usize..6) {
+        let alive: Vec<bool> = (0..g.n()).map(|v| v % modulus != 1).collect();
+        prop_assert_eq!(
+            Hypergraph::from_graph(&g).connected_components_masked(&alive, None),
+            g.connected_components_masked(&alive)
+        );
     }
 }
 
