@@ -13,6 +13,12 @@ fn bench_mwis(c: &mut Criterion) {
     c.bench_function("mwis_bnb/gnp60x0.15", |b| {
         b.iter(|| mis::max_weight_independent_set(&g, &w, &solvers::SolverBudget::unlimited()))
     });
+    // The MIS/gnp44 instance of the `ilp_cold` benchmark workload, whose
+    // whole-instance solve is its largest MWIS search.
+    let g = gen::gnp(44, 0.07, &mut gen::seeded_rng(0x9e37_79ba));
+    c.bench_function("mwis_bnb/gnp44_unit", |b| {
+        b.iter(|| mis::max_weight_independent_set(&g, &[1; 44], &SolverBudget::unlimited()))
+    });
 }
 
 fn bench_blossom(c: &mut Criterion) {
@@ -26,6 +32,12 @@ fn bench_covering_bnb(c: &mut Criterion) {
     let sub = covering_restriction(&ilp, &[true; 24]);
     c.bench_function("covering_bnb/ds_grid4x6", |b| {
         b.iter(|| solvers::bnb::solve_covering(&sub, &solvers::SolverBudget::unlimited()))
+    });
+    // The DS/cycle33 instance of the `ilp_cold` benchmark workload.
+    let ilp = problems::min_dominating_set_unweighted(&gen::cycle(33));
+    let sub = covering_restriction(&ilp, &[true; 33]);
+    c.bench_function("covering_bnb/ds_cycle33", |b| {
+        b.iter(|| solvers::bnb::solve_covering(&sub, &SolverBudget::unlimited()))
     });
 }
 

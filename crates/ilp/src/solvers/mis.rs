@@ -4,6 +4,35 @@
 //! presents the whole packing machinery through MIS), and every carve /
 //! cluster step needs optimal local independent sets. This solver handles
 //! the conflict-graph form: pairwise constraints only.
+//!
+//! # The search and its bounds
+//!
+//! Each search node holds the candidates `cand` still free to join the
+//! set and branches on the *last* heaviest candidate (the tie rule of
+//! `max_by_key`): first include it, then exclude it. The incumbent is
+//! replaced only on strict improvement, so the answer is the first node
+//! in DFS preorder that reaches the optimum. The branching rule is
+//! therefore part of the output contract: on ties, another rule returns
+//! another optimal set.
+//!
+//! Two bounds on what a node's subtree can still add prune it when they
+//! do not exceed `best − current`:
+//! - the remaining weight `Σ_{v ∈ cand} w(v)`;
+//! - a greedy clique cover of `cand`: each clique is seeded at the lowest
+//!   remaining candidate and grown by intersecting closed neighbourhoods.
+//!   An independent set holds at most one vertex per clique, so the sum
+//!   of the cliques' heaviest weights bounds the gain. The cover stops as
+//!   soon as the sum exceeds `best − current`, runs on two scratch bitsets
+//!   of the search, and is only evaluated when `current ≤ best` (a node
+//!   with `current > best` must update the incumbent).
+//!
+//! Why no output moves: a valid bound prunes a subtree only when no node
+//! in it can strictly beat the incumbent held at its root, so removing
+//! the subtree changes no later incumbent. The bounded search visits the
+//! unbounded tree minus those subtrees, with the same updates, and
+//! returns the same `(weight, set)` in at most as many nodes. The caveat
+//! is `node_limit`: a solve that exhausts it without the clique bound may
+//! finish with it, or stop at a different (never worse) incumbent.
 
 use crate::solvers::{SolverBudget, YieldClock};
 use dapc_graph::{Graph, Vertex};
@@ -90,9 +119,10 @@ pub struct MisResult {
 
 /// Maximum-weight independent set of `g` with the given weights.
 ///
-/// Branch & bound over candidate bitsets: branch on the heaviest candidate
-/// vertex, prune with the remaining-weight bound. `budget.node_limit` caps
-/// the search tree (`u64::MAX` means "run to optimality") and
+/// Branch & bound over candidate bitsets: branch on the last heaviest
+/// candidate vertex, prune with the remaining-weight and clique-cover
+/// bounds (see the [module docs](self)). `budget.node_limit` caps the
+/// search tree (`u64::MAX` means "run to optimality") and
 /// `budget.yield_every` sets the cooperative-yield period of long solves.
 ///
 /// # Panics
@@ -136,6 +166,8 @@ pub fn max_weight_independent_set(g: &Graph, weights: &[u64], budget: &SolverBud
         nodes_left: budget.node_limit,
         exact: true,
         yield_clock: YieldClock::new(budget.yield_every),
+        rest: Bits::empty(n),
+        grow: Bits::empty(n),
     };
     // Greedy incumbent (weight-descending) to tighten pruning early.
     let mut order: Vec<usize> = (0..n).collect();
@@ -156,7 +188,7 @@ pub fn max_weight_independent_set(g: &Graph, weights: &[u64], budget: &SolverBud
     ctx.best_set = greedy;
     let mut chosen = Bits::empty(n);
     let cand = Bits::full(n);
-    ctx.search(&cand, &mut chosen, 0);
+    ctx.root(&cand, &mut chosen);
     MisResult {
         in_set: (0..n).map(|v| ctx.best_set.get(v)).collect(),
         weight: ctx.best_weight,
@@ -172,9 +204,21 @@ struct SearchCtx<'a> {
     nodes_left: u64,
     exact: bool,
     yield_clock: YieldClock,
+    /// Scratch of the clique cover: candidates not yet in a clique.
+    rest: Bits,
+    /// Scratch of the clique cover: candidates adjacent to the whole
+    /// clique being grown.
+    grow: Bits,
 }
 
 impl SearchCtx<'_> {
+    /// Runs the search from the root. (Tests swap in the reference search
+    /// here and count its nodes.)
+    #[cfg(not(test))]
+    fn root(&mut self, cand: &Bits, chosen: &mut Bits) {
+        self.search(cand, chosen, 0);
+    }
+
     fn search(&mut self, cand: &Bits, chosen: &mut Bits, current: u64) {
         if self.nodes_left == 0 {
             self.exact = false;
@@ -190,8 +234,10 @@ impl SearchCtx<'_> {
         if current > self.best_weight {
             self.best_weight = current;
             self.best_set = chosen.clone();
+        } else if self.clique_cover_fits(cand, self.best_weight - current) {
+            return;
         }
-        // Branch vertex: heaviest candidate.
+        // Branch vertex: the last heaviest candidate.
         let Some(v) = cand.iter_ones().max_by_key(|&v| self.weights[v]) else {
             return;
         };
@@ -206,6 +252,55 @@ impl SearchCtx<'_> {
         let mut without = cand.clone();
         without.clear(v);
         self.search(&without, chosen, current);
+    }
+
+    /// Whether a greedy clique cover of `cand` bounds the weight of its
+    /// independent sets by at most `limit`. Each clique starts at the
+    /// lowest candidate left and takes the lowest candidate adjacent to
+    /// all its members until none is; the cliques' heaviest weights are
+    /// summed until the sum exceeds `limit`.
+    fn clique_cover_fits(&mut self, cand: &Bits, limit: u64) -> bool {
+        let (rest, grow) = (&mut self.rest.words, &mut self.grow.words);
+        rest.copy_from_slice(&cand.words);
+        let mut total = 0u64;
+        // Every clique member is at or above its seed, so the words below
+        // the seed's are already empty in `rest` and never read in `grow`.
+        let mut wi = 0;
+        while wi < rest.len() {
+            if rest[wi] == 0 {
+                wi += 1;
+                continue;
+            }
+            let seed = wi * 64 + rest[wi].trailing_zeros() as usize;
+            rest[wi] &= rest[wi] - 1;
+            let mut heaviest = self.weights[seed];
+            for (g, (r, c)) in grow[wi..]
+                .iter_mut()
+                .zip(rest[wi..].iter().zip(&self.closed[seed].words[wi..]))
+            {
+                *g = r & c;
+            }
+            let mut gi = wi;
+            while gi < grow.len() {
+                if grow[gi] == 0 {
+                    gi += 1;
+                    continue;
+                }
+                let low = grow[gi] & grow[gi].wrapping_neg();
+                let u = gi * 64 + low.trailing_zeros() as usize;
+                rest[gi] &= !low;
+                heaviest = heaviest.max(self.weights[u]);
+                for (g, c) in grow[gi..].iter_mut().zip(&self.closed[u].words[gi..]) {
+                    *g &= c;
+                }
+                grow[gi] &= !low;
+            }
+            total += heaviest;
+            if total > limit {
+                return false;
+            }
+        }
+        true
     }
 }
 
@@ -355,10 +450,220 @@ pub fn brute_force_mis(g: &Graph, weights: &[u64]) -> u64 {
     best
 }
 
+/// Test instrumentation of both exact searches, this module's and the
+/// covering search of [`super::bnb`]: run solves with the reference
+/// searches (the unbounded originals) instead of the bounded ones, and
+/// count the search nodes a solve visits (node limit minus nodes left).
+#[cfg(test)]
+pub(crate) mod probe {
+    use crate::restrict::SubInstance;
+    use crate::solvers::{self, Solution, SolverBudget};
+    use std::cell::Cell;
+
+    thread_local! {
+        static REFERENCE: Cell<bool> = const { Cell::new(false) };
+        static NODES: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Whether searches on this thread run the reference.
+    pub(crate) fn reference() -> bool {
+        REFERENCE.get()
+    }
+
+    /// Adds the node count of a search that just finished.
+    pub(crate) fn record(nodes: u64) {
+        NODES.set(NODES.get() + nodes);
+    }
+
+    /// Runs `f` with the bounded searches, or with the reference ones,
+    /// and returns its result with the search nodes it visited.
+    pub(crate) fn run<T>(reference: bool, f: impl FnOnce() -> T) -> (T, u64) {
+        REFERENCE.set(reference);
+        NODES.set(0);
+        let out = f();
+        REFERENCE.set(false);
+        (out, NODES.get())
+    }
+
+    /// Solves `sub` through [`solvers::solve`] with the bounded and the
+    /// reference searches, and checks the bounded solve: feasible, never
+    /// more nodes, and bit-identical whenever the reference finished.
+    /// Returns the bounded solution and both node counts.
+    pub(crate) fn check(sub: &SubInstance, budget: &SolverBudget) -> (Solution, u64, u64) {
+        let (bounded, nodes) = run(false, || solvers::solve(sub, budget));
+        let (reference, reference_nodes) = run(true, || solvers::solve(sub, budget));
+        assert!(
+            sub.is_feasible(&bounded.assignment),
+            "infeasible: {bounded:?}"
+        );
+        assert!(
+            nodes <= reference_nodes,
+            "{nodes} nodes, reference {reference_nodes}"
+        );
+        if reference.exact {
+            assert_eq!(bounded, reference);
+        }
+        (bounded, nodes, reference_nodes)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::problems;
+    use crate::restrict::{covering_restriction, packing_restriction, SubInstance};
+    use crate::solvers::{self, Method};
     use dapc_graph::gen;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::RngExt;
+
+    impl SearchCtx<'_> {
+        pub(super) fn root(&mut self, cand: &Bits, chosen: &mut Bits) {
+            let before = self.nodes_left;
+            if probe::reference() {
+                self.reference_search(cand, chosen, 0);
+            } else {
+                self.search(cand, chosen, 0);
+            }
+            probe::record(before - self.nodes_left);
+        }
+
+        /// The search without the clique-cover bound: the reference the
+        /// bounded search must reproduce.
+        fn reference_search(&mut self, cand: &Bits, chosen: &mut Bits, current: u64) {
+            if self.nodes_left == 0 {
+                self.exact = false;
+                return;
+            }
+            self.nodes_left -= 1;
+            self.yield_clock.tick();
+            let potential: u64 = cand.iter_ones().map(|v| self.weights[v]).sum();
+            if current + potential <= self.best_weight {
+                return;
+            }
+            if current > self.best_weight {
+                self.best_weight = current;
+                self.best_set = chosen.clone();
+            }
+            let Some(v) = cand.iter_ones().max_by_key(|&v| self.weights[v]) else {
+                return;
+            };
+            if self.weights[v] > 0 {
+                let next = cand.and_not(&self.closed[v]);
+                chosen.set(v);
+                self.reference_search(&next, chosen, current + self.weights[v]);
+                chosen.clear(v);
+            }
+            let mut without = cand.clone();
+            without.clear(v);
+            self.reference_search(&without, chosen, current);
+        }
+    }
+
+    fn whole(ilp: &crate::instance::IlpInstance) -> SubInstance {
+        match ilp.sense() {
+            crate::instance::Sense::Packing => packing_restriction(ilp, &vec![true; ilp.n()]),
+            crate::instance::Sense::Covering => covering_restriction(ilp, &vec![true; ilp.n()]),
+        }
+    }
+
+    /// A gnp, grid, 4-regular or complete-bipartite graph.
+    fn reference_graph(family: usize, rng: &mut StdRng) -> Graph {
+        match family {
+            0 => {
+                let n = rng.random_range(8..30);
+                gen::gnp(n, rng.random_range(0.08..0.4), rng)
+            }
+            1 => gen::grid(rng.random_range(2..6), rng.random_range(3..7)),
+            2 => gen::random_regular(2 * rng.random_range(3..12), 4, rng),
+            _ => gen::complete_bipartite(rng.random_range(1..6), rng.random_range(2..8)),
+        }
+    }
+
+    /// Unit, tied (two values), zero-heavy and random weights.
+    fn weight_patterns(n: usize, rng: &mut StdRng) -> [Vec<u64>; 4] {
+        [
+            vec![1; n],
+            (0..n).map(|_| rng.random_range(2..4)).collect(),
+            (0..n).map(|_| rng.random_range(0..3)).collect(),
+            (0..n).map(|_| rng.random_range(1..21)).collect(),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn bounded_mwis_reproduces_the_reference(family in 0usize..4, seed in 0u64..1 << 32) {
+            // Through `solvers::solve`: MIS takes `try_conflict_mis`, VC
+            // `try_vertex_cover`, and both end in this module's search.
+            let mut rng = gen::seeded_rng(seed);
+            let g = reference_graph(family, &mut rng);
+            for w in weight_patterns(g.n(), &mut rng) {
+                let mis = whole(&problems::max_independent_set(&g, w.clone()));
+                let (sol, ..) = probe::check(&mis, &SolverBudget::unlimited());
+                prop_assert!(sol.exact && sol.method == Method::ConflictMis);
+                let vc = whole(&problems::min_vertex_cover(&g, w));
+                let (sol, ..) = probe::check(&vc, &SolverBudget::unlimited());
+                prop_assert!(sol.exact && sol.method == Method::VertexCover);
+            }
+        }
+    }
+
+    #[test]
+    fn the_clique_cover_prunes_on_every_family() {
+        // On each family the bounded search visits strictly fewer nodes
+        // than the reference, for unit and for random weights.
+        let mut rng = gen::seeded_rng(5);
+        for family in 0..4 {
+            let g = match family {
+                0 => gen::gnp(26, 0.2, &mut rng),
+                1 => gen::grid(5, 6),
+                2 => gen::random_regular(24, 4, &mut rng),
+                _ => gen::complete_bipartite(5, 7),
+            };
+            for w in [vec![1; g.n()], weight_patterns(g.n(), &mut rng)[3].clone()] {
+                let mis = whole(&problems::max_independent_set(&g, w));
+                let (_, nodes, reference_nodes) = probe::check(&mis, &SolverBudget::unlimited());
+                assert!(
+                    nodes < reference_nodes,
+                    "family {family}: {nodes} vs {reference_nodes}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_exhausted_node_limit_leaves_a_feasible_inexact_set() {
+        let g = gen::gnp(44, 0.07, &mut gen::seeded_rng(0x9e37_79ba));
+        let sub = whole(&problems::max_independent_set_unweighted(&g));
+        let budget = SolverBudget {
+            node_limit: 20,
+            ..Default::default()
+        };
+        for reference in [false, true] {
+            let (sol, nodes) = probe::run(reference, || solvers::solve(&sub, &budget));
+            assert!(!sol.exact, "reference: {reference}");
+            assert_eq!(nodes, 20);
+            assert!(sub.is_feasible(&sol.assignment));
+            assert_eq!(sol.value, sub.value(&sol.assignment));
+        }
+    }
+
+    #[test]
+    fn benchmark_mis_solves_visit_pinned_node_counts() {
+        // The dominant whole-instance MWIS solves of the `ilp_cold`
+        // benchmark. A change to the search or its bounds that moves a
+        // count updates the pin and says why.
+        let gnp = gen::gnp(44, 0.07, &mut gen::seeded_rng(0x9e37_79ba));
+        for (g, pinned) in [(gnp, 3347), (gen::grid(6, 7), 1)] {
+            let sub = whole(&problems::max_independent_set_unweighted(&g));
+            let (sol, nodes) = probe::run(false, || solvers::solve(&sub, &SolverBudget::default()));
+            assert!(sol.exact);
+            assert_eq!(nodes, pinned, "{g}");
+        }
+    }
 
     #[test]
     fn bits_basics() {
