@@ -15,10 +15,11 @@
 //! solutions of the Lemma C.2 cover of the residual (Lemma C.3).
 
 use crate::params::PcParams;
-use crate::prep::{prepare, Preparation, SharedSubsetCache, SubsetSolver};
+use crate::prep::{prepare, Buckets, Preparation, SharedSubsetCache, SubsetSolver};
 use dapc_conc::dist::bernoulli;
 use dapc_graph::{BallScratch, Vertex};
 use dapc_ilp::instance::{IlpInstance, Sense};
+use dapc_ilp::restrict::IdBits;
 use dapc_local::RoundLedger;
 use rand::rngs::StdRng;
 
@@ -125,7 +126,11 @@ pub fn approximate_covering_cached(
     let mut alive_e = vec![true; m];
     let mut fixed_one = vec![false; n];
     let mut scratch = BallScratch::new();
-    let mut ball_mask = vec![false; n];
+    let mut bits = IdBits::default();
+    let mut ball_list = Vec::new();
+    // Which of the two fixed layers a vertex is in (`u8::MAX`: neither);
+    // each carve resets the entries it set.
+    let mut layer_of = vec![u8::MAX; n];
 
     // Phase 1: t carving iterations.
     for i in 1..=params.t {
@@ -158,13 +163,8 @@ pub fn approximate_covering_cached(
             }
             let ball =
                 h.ball_with_scratch(&sources, b_i, Some(&alive_v), Some(&alive_e), &mut scratch);
-            for v in ball.iter() {
-                ball_mask[v as usize] = true;
-            }
-            let (_, local_sol, _) = solver.solve_mask(&ball_mask, Some(&fixed_one));
-            for v in ball.iter() {
-                ball_mask[v as usize] = false;
-            }
+            bits.sort_into(ball.iter(), &mut ball_list);
+            let (_, local_sol, _) = solver.solve(&ball_list, Some(&fixed_one));
             // Pick the odd j* in [a_i, b_i] minimising the solution weight
             // on layers j*, j*+1.
             let layer_weight = |j: usize| -> u64 {
@@ -198,7 +198,6 @@ pub fn approximate_covering_cached(
                 }
             }
             // Delete the now-satisfied hyperedges crossing the two layers.
-            let mut layer_of = vec![u8::MAX; n];
             for &v in ball.level(j_star) {
                 layer_of[v as usize] = 0;
             }
@@ -224,6 +223,10 @@ pub fn approximate_covering_cached(
                     }
                 }
             }
+            for &v in ball.level(j_star).iter().chain(ball.level(j_star + 1)) {
+                layer_of[v as usize] = u8::MAX;
+            }
+            debug_assert!(layer_of.iter().all(|&l| l == u8::MAX));
             // Remove the inner region.
             for v in ball.within(j_star) {
                 if alive_v[v as usize] {
@@ -244,16 +247,10 @@ pub fn approximate_covering_cached(
     ledger.begin_phase("removed-region local solves");
     ledger.charge_gather(2 * (params.t + 1) * 2 * params.r);
     ledger.end_phase();
-    let mut mask = vec![false; n];
-    for c in 0..k {
-        for v in 0..n {
-            mask[v] = removed[v] && comp[v] == c as u32;
-        }
-        let (_, local, _) = solver.solve_mask(&mask, Some(&fixed_one));
-        for v in 0..n {
-            if mask[v] && local[v] {
-                assignment[v] = true;
-            }
+    for region in Buckets::by_label(&comp, k).iter() {
+        let (_, local, _) = solver.solve(region, Some(&fixed_one));
+        for &v in region {
+            assignment[v as usize] |= local[v as usize];
         }
     }
 
@@ -273,20 +270,13 @@ pub fn approximate_covering_cached(
     ledger.charge_gather(2 * (params.t + 1) * 2 * params.r);
     ledger.end_phase();
     for cluster in &cover.clusters {
-        mask.iter_mut().for_each(|b| *b = false);
-        for &v in cluster {
-            mask[v as usize] = true;
-        }
-        // Only constraints fully inside the cluster AND still alive matter;
-        // masked restriction keeps exactly those.
+        // Only constraints fully inside the cluster AND still alive matter.
         // Deleted hyperedges are satisfied by `fixed_one` (checked at
         // deletion time), so the fixed-aware restriction drops them
         // automatically and the cluster solves only live constraints.
-        let (_, local, _) = solver.solve_mask(&mask, Some(&fixed_one));
-        for v in 0..n {
-            if mask[v] && local[v] {
-                assignment[v] = true;
-            }
+        let (_, local, _) = solver.solve(cluster, Some(&fixed_one));
+        for &v in cluster {
+            assignment[v as usize] |= local[v as usize];
         }
     }
 
@@ -329,6 +319,19 @@ mod tests {
                 v.ratio
             );
         }
+    }
+
+    #[test]
+    fn carving_fixes_layers_on_a_long_cycle() {
+        // Radii far below the cycle's length: Phase 1 fixes real layers
+        // and deletes the hyperedges between them, and every carve
+        // restores the layer marks it set (debug-asserted per carve).
+        let ilp = problems::min_vertex_cover_unweighted(&gen::cycle(400));
+        let params = scaled(0.3, 400);
+        let out = approximate_covering(&ilp, &params, &mut gen::seeded_rng(1));
+        assert!(out.stats.deleted_edges > 0, "{:?}", out.stats);
+        assert!(ilp.is_feasible(&out.assignment));
+        assert!(out.value as f64 <= 1.3 * 200.0, "value {}", out.value);
     }
 
     #[test]

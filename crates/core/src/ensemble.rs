@@ -109,27 +109,18 @@ pub fn packing_ensemble_cached(
     ledger.charge_gather((en.diameter_bound()).ceil() as usize);
     ledger.end_phase();
 
-    // Candidates: one feasible solution per decomposition. One mask
-    // buffer serves every cluster solve of every run.
+    // Candidates: one feasible solution per decomposition. Clusters come
+    // sorted, so each is solved as its own vertex list.
     let mut selection_count = vec![0u64; n];
     let mut best_candidate: Option<(u64, Vec<bool>)> = None;
     let mut candidate_values = Vec::with_capacity(t_runs);
-    let mut mask = vec![false; n];
     for _ in 0..t_runs {
         let d = elkin_neiman(&primal, &en, rng, None);
         let mut assignment = vec![false; n];
         for cluster in &d.clusters {
+            let (_, local, _) = solver.solve(cluster, None);
             for &v in cluster {
-                mask[v as usize] = true;
-            }
-            let (_, local, _) = solver.solve_mask(&mask, None);
-            for v in 0..n {
-                if mask[v] && local[v] {
-                    assignment[v] = true;
-                }
-            }
-            for &v in cluster {
-                mask[v as usize] = false;
+                assignment[v as usize] |= local[v as usize];
             }
         }
         debug_assert!(ilp.is_feasible(&assignment));
@@ -159,17 +150,9 @@ pub fn packing_ensemble_cached(
     ledger.end_phase();
     let mut reweighted = vec![false; n];
     for cluster in &d.clusters {
+        let (_, local, _) = solver.solve(cluster, None);
         for &v in cluster {
-            mask[v as usize] = true;
-        }
-        let (_, local, _) = solver.solve_mask(&mask, None);
-        for v in 0..n {
-            if mask[v] && local[v] {
-                reweighted[v] = true;
-            }
-        }
-        for &v in cluster {
-            mask[v as usize] = false;
+            reweighted[v as usize] |= local[v as usize];
         }
     }
     debug_assert!(ilp.is_feasible(&reweighted));

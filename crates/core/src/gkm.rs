@@ -197,13 +197,11 @@ fn carve_cluster(
     let n = h.n();
     let alive_snapshot: Vec<bool> = alive_v.to_vec();
     let ball = h.ball(sources, params.k, Some(&alive_snapshot), Some(alive_e));
-    let mut ball_mask = vec![false; n];
-    for v in ball.iter() {
-        ball_mask[v as usize] = true;
-    }
+    let mut ball_list: Vec<Vertex> = ball.iter().collect();
+    ball_list.sort_unstable();
     match ilp.sense() {
         Sense::Packing => {
-            let (_, local, _) = solver.solve_mask(&ball_mask, None);
+            let (_, local, _) = solver.solve(&ball_list, None);
             // Windows [j, j+2] with j ≡ j0 (mod 3) inside [2, k−1].
             let lo = 2usize.min(params.k.saturating_sub(1));
             let mut j_star = lo;
@@ -236,7 +234,7 @@ fn carve_cluster(
             }
         }
         Sense::Covering => {
-            let (_, local, _) = solver.solve_mask(&ball_mask, Some(fixed_one));
+            let (_, local, _) = solver.solve(&ball_list, Some(fixed_one));
             // The window {j*, j*+1} must fit inside the ball (j*+1 ≤ k),
             // otherwise the default j* would sit on the ball boundary and
             // `within(j*)` would kill vertices whose outward constraints
@@ -286,16 +284,14 @@ fn carve_cluster(
                 }
             }
             // Inner region: solve with fixed variables honoured.
-            let mut inner = vec![false; n];
-            for v in ball.within(j_star) {
-                inner[v as usize] = true;
+            let mut inner: Vec<Vertex> = ball.within(j_star).collect();
+            inner.sort_unstable();
+            for &v in &inner {
                 alive_v[v as usize] = false;
             }
-            let (_, inner_sol, _) = solver.solve_mask(&inner, Some(fixed_one));
-            for v in 0..n {
-                if inner[v] && inner_sol[v] {
-                    assignment[v] = true;
-                }
+            let (_, inner_sol, _) = solver.solve(&inner, Some(fixed_one));
+            for &v in &inner {
+                assignment[v as usize] |= inner_sol[v as usize];
             }
         }
     }

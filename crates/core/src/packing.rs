@@ -19,10 +19,11 @@
 //! optima is a (1 − ε)-approximation.
 
 use crate::params::PcParams;
-use crate::prep::{prepare, Preparation, SharedSubsetCache, SubsetSolver};
+use crate::prep::{prepare, Buckets, Preparation, SharedSubsetCache, SubsetSolver};
 use dapc_conc::dist::bernoulli;
 use dapc_graph::{BallScratch, Vertex};
 use dapc_ilp::instance::{IlpInstance, Sense};
+use dapc_ilp::restrict::IdBits;
 use dapc_local::RoundLedger;
 use rand::rngs::StdRng;
 
@@ -124,11 +125,13 @@ pub fn approximate_packing_cached(
 
     // Phases 1 and 2: cluster-driven carving. `alive[v]` = still in the
     // residual hypergraph (not removed, not deleted). The ball scratch and
-    // mask buffer are shared across every carve of every iteration.
+    // the sorted-list buffers are shared across every carve of every
+    // iteration.
     let mut alive = vec![true; n];
     let mut deleted = vec![false; n];
     let mut scratch = BallScratch::new();
-    let mut ball_mask = vec![false; n];
+    let mut bits = IdBits::default();
+    let mut ball_list = Vec::new();
     for i in 1..=params.t + 1 {
         let is_phase2 = i == params.t + 1;
         let (a_i, b_i) = params.packing_interval(i);
@@ -163,13 +166,8 @@ pub fn approximate_packing_cached(
                 .filter(|&v| alive[v as usize])
                 .collect();
             let ball = h.ball_with_scratch(&sources, b_i - 1, Some(&alive), None, &mut scratch);
-            for v in ball.iter() {
-                ball_mask[v as usize] = true;
-            }
-            let (_, local_solution, _) = solver.solve_mask(&ball_mask, None);
-            for v in ball.iter() {
-                ball_mask[v as usize] = false;
-            }
+            bits.sort_into(ball.iter(), &mut ball_list);
+            let (_, local_solution, _) = solver.solve(&ball_list, None);
             // Window weights: W(P^local, S_j ∪ S_{j+1} ∪ S_{j+2}) for
             // j ≡ a_i (mod 3).
             let window_weight = |j: usize| -> u64 {
@@ -238,16 +236,10 @@ pub fn approximate_packing_cached(
     ledger.charge_gather(2 * (params.t + 2) * 3 * (params.r + 1));
     ledger.end_phase();
     let mut assignment = vec![false; n];
-    let mut mask = vec![false; n];
-    for c in 0..k {
-        for v in 0..n {
-            mask[v] = survivors[v] && comp[v] == c as u32;
-        }
-        let (_, local, _) = solver.solve_mask(&mask, None);
-        for v in 0..n {
-            if mask[v] && local[v] {
-                assignment[v] = true;
-            }
+    for component in Buckets::by_label(&comp, k).iter() {
+        let (_, local, _) = solver.solve(component, None);
+        for &v in component {
+            assignment[v as usize] |= local[v as usize];
         }
     }
     stats.all_solves_exact = solver.all_exact;

@@ -16,12 +16,27 @@
 //! byte-identical to sequential execution: subset solves are
 //! deterministic functions of their key, the RNG is consumed only by the
 //! decomposition pass, and clusters are re-emitted in canonical order.
+//!
+//! **Per-subset cost.** A subset is a sorted, duplicate-free vertex list.
+//! Its key folds the list, and its restriction visits only the
+//! constraints incident to it (see [`dapc_ilp::restrict`]), so one solve
+//! costs `O(|S| + Σ_{v∈S} deg v)` around the exact search (plus `m/64`
+//! bitset words), not `O(n + m)`.
+//! [`prepare`] labels the primal graph's connected components once per
+//! call, in `O(n + m)`, by a BFS from each component's smallest vertex
+//! `v0` that also measures `ecc(v0)`. **Certificate:** if `r ≥ 2·ecc(v0)`
+//! for the component `K` holding a cluster `C`, then `r ≥ diam(K)`
+//! (any two vertices of `K` meet through `v0`), so `N^r(C) = K`; that
+//! `S_C` is `K`'s precomputed sorted list and key. Every other `S_C` is a
+//! BFS on the primal CSR graph into a bitset, read back in ascending
+//! order in `O(|S_C| + n/64)`; a BFS that reaches all of `K` takes `K`'s
+//! list and key too, so it folds no key of its own.
 
 use crate::params::PcParams;
-use dapc_graph::{BallScratch, Hypergraph, Vertex};
+use dapc_graph::{Graph, Hypergraph, Vertex};
 use dapc_ilp::hash::{fnv1a_128_u32, FNV128_OFFSET};
 use dapc_ilp::instance::{IlpInstance, Sense};
-use dapc_ilp::restrict::packing_restriction;
+use dapc_ilp::restrict::{self, IdBits, RestrictScratch};
 use dapc_ilp::solvers::{self, SolverBudget};
 use rand::rngs::StdRng;
 // dapc-allow(hash-iter): digest-keyed lookup caches and dedup sets only; every
@@ -77,29 +92,29 @@ type ShardSlot = Option<(SubsetEntry, bool)>;
 /// The identity of one subset solve: a 128-bit FNV-1a digest of the
 /// subset (plus the fixed-variable overlay for covering sub-instances).
 ///
-/// Replaces the former `Vec<Vertex>` keys — a lookup now costs one fold
-/// over the mask and no allocation, and the digest is stable across runs
-/// and platforms (persisted warm-start formats can rely on it). At 128
-/// bits, a collision within one `(instance, budget)` family is out of
-/// reach for any realisable workload.
+/// The digest folds the subset's sorted vertex list, so a lookup costs
+/// `O(|S|)` and no allocation, and it is stable across runs and platforms
+/// (persisted warm-start formats rely on it). The list fold equals the
+/// fold of the earlier `n`-length mask keys, which visited the same
+/// vertices in the same ascending order, so warm snapshots written by
+/// mask-keyed builds still hit. At 128 bits, a collision within one
+/// `(instance, budget)` family is out of reach for any realisable
+/// workload.
 pub type SubsetKey = u128;
 
-/// Folds a subset mask (and optional fixed-ones overlay) into its
-/// [`SubsetKey`]. The separator distinguishes "no overlay" from "empty
-/// overlay", mirroring the restriction functions' semantics.
-fn subset_key(mask: &[bool], fixed_ones: Option<&[bool]>) -> SubsetKey {
+/// Folds a sorted, duplicate-free vertex list (and optional fixed-ones
+/// overlay, read only at the listed vertices) into its [`SubsetKey`]. The
+/// separator distinguishes "no overlay" from "empty overlay", mirroring
+/// the restriction functions' semantics.
+fn subset_key(vars: &[Vertex], fixed_ones: Option<&[bool]>) -> SubsetKey {
     let mut h = FNV128_OFFSET;
-    for (v, &m) in mask.iter().enumerate() {
-        if m {
-            h = fnv1a_128_u32(h, v as u32);
-        }
+    for &v in vars {
+        h = fnv1a_128_u32(h, v);
     }
     if let Some(f) = fixed_ones {
         h = fnv1a_128_u32(h, u32::MAX); // separator
-        for (v, (&fv, &m)) in f.iter().zip(mask.iter()).enumerate() {
-            if fv && m {
-                h = fnv1a_128_u32(h, v as u32);
-            }
+        for &v in vars.iter().filter(|&&v| f[v as usize]) {
+            h = fnv1a_128_u32(h, v);
         }
     }
     h
@@ -546,14 +561,17 @@ pub struct Preparation {
 /// A memoising exact solver over vertex subsets of one instance — many
 /// clusters share their `S_C` (often the whole component), so the paper's
 /// "free local computation" stays affordable in simulation.
+///
+/// Subsets are sorted, duplicate-free vertex lists ([`SubsetSolver::solve`]);
+/// [`SubsetSolver::solve_mask`] lists a mask first.
 pub struct SubsetSolver<'a> {
     ilp: &'a IlpInstance,
     budget: SolverBudget,
     // dapc-allow(hash-iter): hot digest-keyed memo, lookup-only — never iterated
     cache: HashMap<SubsetKey, SubsetEntry>,
     shared: Option<SharedSubsetCache>,
-    /// Reusable mask buffer for [`SubsetSolver::value_of`].
-    mask_buf: Vec<bool>,
+    /// Restriction buffers shared by every solve of this solver.
+    scratch: RestrictScratch,
     /// Whether every solve so far was exact.
     pub all_exact: bool,
 }
@@ -567,7 +585,7 @@ impl<'a> SubsetSolver<'a> {
             // dapc-allow(hash-iter): lookup-only memo (see field)
             cache: HashMap::new(),
             shared: None,
-            mask_buf: Vec::new(),
+            scratch: RestrictScratch::new(),
             all_exact: true,
         }
     }
@@ -582,13 +600,8 @@ impl<'a> SubsetSolver<'a> {
         shared: SharedSubsetCache,
     ) -> Self {
         SubsetSolver {
-            ilp,
-            budget,
-            // dapc-allow(hash-iter): lookup-only memo (see field)
-            cache: HashMap::new(),
             shared: Some(shared),
-            mask_buf: Vec::new(),
-            all_exact: true,
+            ..Self::new(ilp, budget)
         }
     }
 
@@ -602,79 +615,99 @@ impl<'a> SubsetSolver<'a> {
         self.cache.insert(key, entry);
     }
 
-    /// Value of a solve [`SubsetSolver::preload`]ed earlier — the sharded
-    /// re-emit path reads cluster weights with this instead of rebuilding
-    /// masks and keys.
+    /// Value of a solve this run already looked up or preloaded — the
+    /// annotation pass reads repeated and sharded weights with this
+    /// instead of rebuilding lists and keys.
     ///
     /// # Panics
     ///
     /// Panics if `key` was never preloaded or solved in this run.
-    fn preloaded_value(&self, key: SubsetKey) -> u64 {
+    fn memo_value(&self, key: SubsetKey) -> u64 {
         self.cache
             .get(&key)
-            .expect("sharded annotation preloaded every cluster key")
+            .expect("annotation looked up every cluster key before")
             .0
     }
 
-    /// Optimal local value and assignment on the subset (mask form). For
-    /// packing this is `P^local` (all constraints, zeros outside); for
-    /// covering `Q^local` (inside constraints only), honouring `fixed_ones`
-    /// at zero cost.
+    /// Optimal local value and assignment on the subset `vars` (sorted,
+    /// duplicate-free). For packing this is `P^local` (all constraints,
+    /// zeros outside); for covering `Q^local` (inside constraints only),
+    /// honouring `fixed_ones` at zero cost.
+    pub fn solve(
+        &mut self,
+        vars: &[Vertex],
+        fixed_ones: Option<&[bool]>,
+    ) -> (u64, Vec<bool>, bool) {
+        let key = subset_key(vars, fixed_ones);
+        self.entry(key, vars, fixed_ones).clone()
+    }
+
+    /// [`SubsetSolver::solve`] on a membership mask, listed in `O(n)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mask's length is not the instance's `n`.
     pub fn solve_mask(
         &mut self,
         mask: &[bool],
         fixed_ones: Option<&[bool]>,
     ) -> (u64, Vec<bool>, bool) {
-        let key = subset_key(mask, fixed_ones);
-        if let Some(hit) = self.cache.get(&key) {
-            return hit.clone();
-        }
-        // Per-run miss: try the cross-run family cache before solving.
-        // Shared hits must still feed `all_exact` — the inexact miss that
-        // populated the entry may have happened in a different run.
-        if let Some(hit) = self.shared.as_ref().and_then(|s| s.get(key)) {
-            if !hit.2 {
-                self.all_exact = false;
-            }
-            self.cache.insert(key, hit.clone());
-            return hit;
-        }
-        let out = solve_subset(self.ilp, &self.budget, mask, fixed_ones);
-        if !out.2 {
-            self.all_exact = false;
-        }
-        if let Some(shared) = &self.shared {
-            shared.insert(key, out.clone());
-        }
-        self.cache.insert(key, out.clone());
-        out
+        assert_eq!(mask.len(), self.ilp.n(), "subset mask length mismatch");
+        self.solve(&restrict::list_of(mask), fixed_ones)
     }
 
-    /// Convenience: optimal local value on a vertex list. Reuses an
-    /// internal mask buffer, so repeated calls allocate nothing.
-    pub fn value_of(&mut self, vertices: &[Vertex]) -> u64 {
-        let mut mask = std::mem::take(&mut self.mask_buf);
-        mask.clear();
-        mask.resize(self.ilp.n(), false);
-        for &v in vertices {
-            mask[v as usize] = true;
-        }
-        let value = self.solve_mask(&mask, None).0;
-        self.mask_buf = mask;
-        value
+    /// Optimal local value on `vars`, whose key the caller already holds.
+    fn value(&mut self, key: SubsetKey, vars: &[Vertex]) -> u64 {
+        self.entry(key, vars, None).0
+    }
+
+    /// The memoised entry of `key`: the per-run memo, else the family
+    /// cache, else a fresh solve of `vars` deposited in both.
+    fn entry(
+        &mut self,
+        key: SubsetKey,
+        vars: &[Vertex],
+        fixed_ones: Option<&[bool]>,
+    ) -> &SubsetEntry {
+        let SubsetSolver {
+            ilp,
+            budget,
+            cache,
+            shared,
+            scratch,
+            all_exact,
+        } = self;
+        cache.entry(key).or_insert_with(|| {
+            // Per-run miss: try the cross-run family cache before solving.
+            // Shared hits must still feed `all_exact` — the inexact miss
+            // that populated the entry may have happened in a different run.
+            let entry = match shared.as_ref().and_then(|s| s.get(key)) {
+                Some(hit) => hit,
+                None => {
+                    let out = solve_subset(ilp, budget, vars, fixed_ones, scratch);
+                    if let Some(shared) = shared {
+                        shared.insert(key, out.clone());
+                    }
+                    out
+                }
+            };
+            *all_exact &= entry.2;
+            entry
+        })
     }
 }
 
 /// The memo-free core of one exact subset solve: restrict, dispatch to
 /// the exact solvers, lift back to a global assignment. A pure function
-/// of its arguments (the exact solvers draw no randomness) — both the
-/// memoising [`SubsetSolver::solve_mask`] and the sharded annotation
-/// workers bottom out here.
+/// of its arguments (the exact solvers draw no randomness; the scratch
+/// only lends buffers) — both the memoising [`SubsetSolver`] and the
+/// sharded annotation workers bottom out here.
 fn solve_subset(
     ilp: &IlpInstance,
     budget: &SolverBudget,
-    mask: &[bool],
+    vars: &[Vertex],
     fixed_ones: Option<&[bool]>,
+    scratch: &mut RestrictScratch,
 ) -> SubsetEntry {
     // Every memoising caller bottoms out here, so this one span covers
     // exact subset solves wherever they run. On a sharded annotation
@@ -682,15 +715,214 @@ fn solve_subset(
     // root `span.subset_solve`; sequentially it nests under the solve.
     let _span = dapc_obs::span("subset_solve");
     let sub = match ilp.sense() {
-        Sense::Packing => packing_restriction(ilp, mask),
-        Sense::Covering => {
-            dapc_ilp::restrict::covering_restriction_with_fixed(ilp, mask, fixed_ones)
-        }
+        Sense::Packing => restrict::packing_restriction_list(ilp, vars, scratch),
+        Sense::Covering => restrict::covering_restriction_list(ilp, vars, fixed_ones, scratch),
     };
     let sol = solvers::solve(&sub, budget);
     let mut global = vec![false; ilp.n()];
     sub.lift_into(&sol.assignment, &mut global);
     (sol.value, global, sol.exact)
+}
+
+/// Vertices bucketed by a dense label in one `O(n + k)` pass, each bucket
+/// ascending: bucket `b` is `vertices[starts[b]..starts[b + 1]]`.
+pub(crate) struct Buckets {
+    starts: Vec<usize>,
+    vertices: Vec<Vertex>,
+}
+
+impl Buckets {
+    /// Buckets every vertex `v` by `label[v] < k`; a `u32::MAX` label
+    /// leaves `v` out (the convention of the component labellings).
+    pub(crate) fn by_label(label: &[u32], k: usize) -> Self {
+        let mut starts = vec![0usize; k + 1];
+        for &l in label.iter().filter(|&&l| l != u32::MAX) {
+            starts[l as usize + 1] += 1;
+        }
+        for b in 0..k {
+            starts[b + 1] += starts[b];
+        }
+        let mut next = starts.clone();
+        let mut vertices = vec![0; starts[k]];
+        for (v, &l) in label.iter().enumerate().filter(|&(_, &l)| l != u32::MAX) {
+            vertices[next[l as usize]] = v as Vertex;
+            next[l as usize] += 1;
+        }
+        Buckets { starts, vertices }
+    }
+
+    /// Bucket `b`'s vertices, ascending.
+    pub(crate) fn get(&self, b: usize) -> &[Vertex] {
+        &self.vertices[self.starts[b]..self.starts[b + 1]]
+    }
+
+    /// Every bucket in label order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &[Vertex]> + '_ {
+        (0..self.starts.len() - 1).map(|b| self.get(b))
+    }
+}
+
+/// The `S_C = N^r(C)` lookups of one [`prepare`] call: each `S_C` as a
+/// sorted vertex list with its key (see the module docs for the
+/// certificate that skips most BFS runs).
+struct ScBalls<'g> {
+    primal: &'g Graph,
+    radius: usize,
+    /// Component id of every vertex.
+    component: Vec<u32>,
+    /// Every component's vertices.
+    components: Buckets,
+    /// Whether each component is certified whole (`r ≥ 2·ecc(v0)`).
+    certified: Vec<bool>,
+    /// Each component's key, folded on first use.
+    keys: Vec<Option<SubsetKey>>,
+    /// `S_C`'s key by `C`'s key, for every cluster seen so far.
+    // dapc-allow(hash-iter): digest-keyed lookups only — never iterated
+    seen: HashMap<SubsetKey, SubsetKey>,
+    bits: IdBits,
+    /// The BFS queue; it holds the ball in BFS order.
+    queue: Vec<Vertex>,
+    /// The last BFS ball, ascending.
+    ball: Vec<Vertex>,
+}
+
+impl<'g> ScBalls<'g> {
+    /// Labels `primal`'s components and certifies them, in `O(n + m)`.
+    fn new(primal: &'g Graph, radius: usize) -> Self {
+        let n = primal.n();
+        let mut component = vec![u32::MAX; n];
+        let mut certified = Vec::new();
+        let mut queue = Vec::new();
+        for v0 in 0..n as Vertex {
+            if component[v0 as usize] != u32::MAX {
+                continue;
+            }
+            let c = certified.len() as u32;
+            component[v0 as usize] = c;
+            queue.clear();
+            queue.push(v0);
+            // Level by level, so `ecc` ends as v0's eccentricity.
+            let (mut start, mut ecc) = (0, 0usize);
+            loop {
+                let end = queue.len();
+                for i in start..end {
+                    for &w in primal.neighbors(queue[i]) {
+                        if component[w as usize] == u32::MAX {
+                            component[w as usize] = c;
+                            queue.push(w);
+                        }
+                    }
+                }
+                if queue.len() == end {
+                    break;
+                }
+                (start, ecc) = (end, ecc + 1);
+            }
+            certified.push(2 * ecc <= radius);
+        }
+        let components = Buckets::by_label(&component, certified.len());
+        ScBalls {
+            primal,
+            radius,
+            component,
+            components,
+            keys: vec![None; certified.len()],
+            certified,
+            // dapc-allow(hash-iter): lookup-only map (see field)
+            seen: HashMap::new(),
+            bits: IdBits::default(),
+            queue,
+            ball: Vec::new(),
+        }
+    }
+
+    /// `S_C`'s key for the cluster `members` (sorted, non-empty) with key
+    /// `members_key`, and its sorted list — unless a cluster with the same
+    /// members asked before, whose `S_C` the caller already looked up.
+    fn get(
+        &mut self,
+        members_key: SubsetKey,
+        members: &[Vertex],
+    ) -> (SubsetKey, Option<&[Vertex]>) {
+        if let Some(&key) = self.seen.get(&members_key) {
+            return (key, None);
+        }
+        let c = self.component[members[0] as usize] as usize;
+        let inside = members
+            .iter()
+            .all(|&v| self.component[v as usize] as usize == c);
+        // `S_C` is C's whole component when the certificate says so, or
+        // when the BFS reached all of it; either way its list and key are
+        // the component's.
+        let mut whole = inside && self.certified[c];
+        if !whole {
+            self.bfs(members);
+            whole = inside && self.ball.len() == self.components.get(c).len();
+        }
+        let key = if whole {
+            *self.keys[c].get_or_insert_with(|| subset_key(self.components.get(c), None))
+        } else {
+            subset_key(&self.ball, None)
+        };
+        self.seen.insert(members_key, key);
+        let list = if whole {
+            self.components.get(c)
+        } else {
+            &self.ball
+        };
+        (key, Some(list))
+    }
+
+    /// `N^r(members)` on the primal graph into [`ScBalls::ball`].
+    fn bfs(&mut self, members: &[Vertex]) {
+        #[cfg(test)]
+        probe::count_bfs();
+        self.queue.clear();
+        for &s in members {
+            if self.bits.insert(s) {
+                self.queue.push(s);
+            }
+        }
+        let mut start = 0;
+        for _ in 0..self.radius {
+            let end = self.queue.len();
+            for i in start..end {
+                for &w in self.primal.neighbors(self.queue[i]) {
+                    if self.bits.insert(w) {
+                        self.queue.push(w);
+                    }
+                }
+            }
+            if self.queue.len() == end {
+                break;
+            }
+            start = end;
+        }
+        self.ball.clear();
+        self.bits.drain_into(&mut self.ball);
+    }
+}
+
+/// Counts the `S_C` balls [`prepare`] builds by BFS on this thread, for
+/// the tests that pin the certificate's reach.
+#[cfg(test)]
+mod probe {
+    use std::cell::Cell;
+
+    thread_local! {
+        static BFS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    pub(super) fn count_bfs() {
+        BFS.set(BFS.get() + 1);
+    }
+
+    /// Runs `f` and returns its result with the BFS balls it built.
+    pub(super) fn run<T>(f: impl FnOnce() -> T) -> (T, u64) {
+        BFS.set(0);
+        let out = f();
+        (out, BFS.get())
+    }
 }
 
 /// Runs the preparation step: `prep_count` independent decompositions
@@ -700,9 +932,10 @@ fn solve_subset(
 ///
 /// The step runs in two passes. Pass 1 consumes the RNG: it runs the
 /// decompositions sequentially and records the non-empty clusters in
-/// canonical order (run by run, cluster by cluster) together with their
-/// `S_C = N^{8tR}(C)` balls. Pass 2 is RNG-free: it annotates every
-/// cluster with its two exact subset solves. With
+/// canonical order (run by run, cluster by cluster). Pass 2 is RNG-free:
+/// it annotates every cluster with its two exact subset solves, on `C`
+/// and on `S_C = N^{8tR}(C)`, whose lists come from one component
+/// labelling per call (see the module docs). With
 /// `params.prep_workers > 1` the *distinct* subset solves of pass 2 —
 /// exactly the set the sequential memo would compute — are fanned out
 /// over the ambient `dapc_exec` pool (at most `prep_workers` at a time)
@@ -713,13 +946,13 @@ fn solve_subset(
 pub fn prepare(
     ilp: &IlpInstance,
     h: &Hypergraph,
-    primal: &dapc_graph::Graph,
+    primal: &Graph,
     params: &PcParams,
     rng: &mut StdRng,
     solver: &mut SubsetSolver<'_>,
 ) -> Preparation {
     // Pass 1 (sequential, RNG-driven): decompositions → canonical
-    // (cluster, S_C) work items.
+    // clusters.
     let decompose_span = dapc_obs::span("decompose");
     let mut members_list: Vec<Vec<Vertex>> = Vec::new();
     for _run in 0..params.prep_count {
@@ -753,33 +986,29 @@ pub fn prepare(
     // Pass 2 (deterministic): annotate. Sharded, the fan-out seeds the
     // solver's memo and hands back each cluster's two subset keys, so the
     // canonical re-emit is pure memo reads — no ball is recomputed.
-    // Sequential, the annotation streams: each `S_C` ball is computed,
-    // masked, solved and dropped, so peak memory stays one ball.
+    // Sequential, the annotation streams: each BFS-built `S_C` is
+    // extracted, solved and overwritten by the next, so peak memory stays
+    // one ball.
     let _annotate_span = dapc_obs::span("annotate");
+    let mut balls = ScBalls::new(primal, params.sc_radius);
     let mut clusters: Vec<PrepCluster> = Vec::with_capacity(members_list.len());
     if params.prep_workers > 1 {
-        let cluster_keys = shard_subset_solves(ilp, h, params, solver, &members_list);
+        let cluster_keys = shard_subset_solves(ilp, params, solver, &members_list, &mut balls);
         for (members, (local_key, sc_key)) in members_list.into_iter().zip(cluster_keys) {
             clusters.push(PrepCluster {
                 members,
-                w_local: solver.preloaded_value(local_key),
-                w_neighborhood: solver.preloaded_value(sc_key),
+                w_local: solver.memo_value(local_key),
+                w_neighborhood: solver.memo_value(sc_key),
             });
         }
     } else {
-        let n = h.n();
-        let mut scratch = BallScratch::new();
-        let mut mask = vec![false; n];
         for members in members_list {
-            let w_local = solver.value_of(&members);
-            let sc = h.ball_with_scratch(&members, params.sc_radius, None, None, &mut scratch);
-            for v in sc.iter() {
-                mask[v as usize] = true;
-            }
-            let (w_neighborhood, _, _) = solver.solve_mask(&mask, None);
-            for v in sc.iter() {
-                mask[v as usize] = false;
-            }
+            let local_key = subset_key(&members, None);
+            let w_local = solver.value(local_key, &members);
+            let w_neighborhood = match balls.get(local_key, &members) {
+                (sc_key, Some(sc)) => solver.value(sc_key, sc),
+                (sc_key, None) => solver.memo_value(sc_key),
+            };
             clusters.push(PrepCluster {
                 members,
                 w_local,
@@ -804,9 +1033,9 @@ pub fn prepare(
 /// pass performs exactly the set of exact solves the sequential memo
 /// would — parallelism changes wall-clock time, never the work done. The
 /// worklist stores vertex lists (ball-sized), not `n`-length masks, so
-/// fan-out memory is proportional to the balls themselves; each worker
-/// expands into its own transient mask. Solves run under the solver's
-/// own budget — the one every sequential lookup would use.
+/// fan-out memory is proportional to the balls themselves. Each pump
+/// keeps one restriction scratch for all its solves, which run under the
+/// solver's own budget — the one every sequential lookup would use.
 ///
 /// If a family cache is attached, workers probe it *uncounted* for warm
 /// entries and the hand-over loop records exactly one hit or miss per
@@ -819,40 +1048,24 @@ pub fn prepare(
 /// extra is allocated or retained.
 fn shard_subset_solves(
     ilp: &IlpInstance,
-    h: &Hypergraph,
     params: &PcParams,
     solver: &mut SubsetSolver<'_>,
     members_list: &[Vec<Vertex>],
+    balls: &mut ScBalls<'_>,
 ) -> Vec<(SubsetKey, SubsetKey)> {
-    let n = ilp.n();
     // dapc-allow(hash-iter): membership-test dedup only; the output order
     // dapc-allow(hash-iter): follows the deterministic worklist, not the set
     let mut seen: HashSet<SubsetKey> = HashSet::new();
     let mut worklist: Vec<(SubsetKey, Vec<Vertex>)> = Vec::new();
     let mut cluster_keys: Vec<(SubsetKey, SubsetKey)> = Vec::with_capacity(members_list.len());
-    let mut scratch = BallScratch::new();
-    let mut mask = vec![false; n];
     for members in members_list {
-        for &v in members {
-            mask[v as usize] = true;
-        }
-        let local_key = subset_key(&mask, None);
+        let local_key = subset_key(members, None);
         if seen.insert(local_key) {
             worklist.push((local_key, members.clone()));
         }
-        for &v in members {
-            mask[v as usize] = false;
-        }
-        let ball = h.ball_with_scratch(members, params.sc_radius, None, None, &mut scratch);
-        for v in ball.iter() {
-            mask[v as usize] = true;
-        }
-        let sc_key = subset_key(&mask, None);
-        if seen.insert(sc_key) {
-            worklist.push((sc_key, ball.iter().collect()));
-        }
-        for v in ball.iter() {
-            mask[v as usize] = false;
+        let (sc_key, sc) = balls.get(local_key, members);
+        if let Some(sc) = sc.filter(|_| seen.insert(sc_key)) {
+            worklist.push((sc_key, sc.to_vec()));
         }
         cluster_keys.push((local_key, sc_key));
     }
@@ -878,7 +1091,7 @@ fn shard_subset_solves(
             let slots = Arc::clone(&slots);
             let next = Arc::clone(&next);
             s.spawn(move || {
-                let mut mask: Vec<bool> = Vec::new();
+                let mut scratch = RestrictScratch::new();
                 loop {
                     // ordering: Relaxed — fetch_add only claims unique worklist indices; no data rides on it
                     let index = next.fetch_add(1, Ordering::Relaxed);
@@ -887,14 +1100,10 @@ fn shard_subset_solves(
                     };
                     let result = match shared.as_ref().and_then(|c| c.get_uncounted(*key)) {
                         Some(entry) => (entry, true),
-                        None => {
-                            mask.clear();
-                            mask.resize(owned.n(), false);
-                            for &v in vertices {
-                                mask[v as usize] = true;
-                            }
-                            (solve_subset(&owned, &budget, &mask, None), false)
-                        }
+                        None => (
+                            solve_subset(&owned, &budget, vertices, None, &mut scratch),
+                            false,
+                        ),
                     };
                     slots.lock().expect("prep result slots")[index] = Some(result);
                 }
@@ -927,8 +1136,242 @@ fn shard_subset_solves(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::ScaleKnobs;
     use dapc_graph::gen;
     use dapc_ilp::problems;
+    use proptest::prelude::*;
+    use rand::RngExt;
+    use std::collections::BTreeSet;
+
+    /// The `n`-length mask fold the list keys replaced: the reference
+    /// they must equal, so warm snapshots keyed by it still hit.
+    fn mask_key(mask: &[bool], fixed_ones: Option<&[bool]>) -> SubsetKey {
+        let mut h = FNV128_OFFSET;
+        for (v, &m) in mask.iter().enumerate() {
+            if m {
+                h = fnv1a_128_u32(h, v as u32);
+            }
+        }
+        if let Some(f) = fixed_ones {
+            h = fnv1a_128_u32(h, u32::MAX); // separator
+            for (v, (&fv, &m)) in f.iter().zip(mask.iter()).enumerate() {
+                if fv && m {
+                    h = fnv1a_128_u32(h, v as u32);
+                }
+            }
+        }
+        h
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn list_keys_equal_mask_keys(seed in 0u64..1 << 32) {
+            let mut rng = gen::seeded_rng(seed);
+            let n = rng.random_range(0..300);
+            for density in [0.0, 0.1, 0.5, 1.0] {
+                let mask: Vec<bool> = (0..n).map(|_| rng.random::<f64>() < density).collect();
+                let fixed: Vec<bool> = (0..n).map(|_| rng.random_bool(0.3)).collect();
+                let list = restrict::list_of(&mask);
+                prop_assert_eq!(subset_key(&list, None), mask_key(&mask, None));
+                for overlay in [&fixed, &mask, &vec![false; n]] {
+                    prop_assert_eq!(
+                        subset_key(&list, Some(overlay)),
+                        mask_key(&mask, Some(overlay))
+                    );
+                }
+            }
+        }
+    }
+
+    /// A hypergraph of several components: a long path, a cycle, a
+    /// sparse random graph, random hyperedges inside two blocks, and
+    /// isolated vertices, with its vertex ids shuffled so components
+    /// interleave.
+    fn several_components(seed: u64) -> Hypergraph {
+        let mut rng = gen::seeded_rng(seed);
+        let mut edges: Vec<Vec<Vertex>> = Vec::new();
+        let path = rng.random_range(2..30) as Vertex;
+        edges.extend((1..path).map(|v| vec![v - 1, v]));
+        let cycle = rng.random_range(3..25) as Vertex;
+        edges.extend((0..cycle).map(|i| vec![path + i, path + (i + 1) % cycle]));
+        let mut next = path + cycle;
+        let g = gen::gnp(rng.random_range(2..30), 0.1, &mut rng);
+        edges.extend(g.edges().map(|(u, v)| vec![next + u, next + v]));
+        next += g.n() as Vertex;
+        for _ in 0..2 {
+            let size = rng.random_range(1..20) as Vertex;
+            for _ in 0..rng.random_range(0..2 * size) {
+                let rank = rng.random_range(1..5);
+                edges.push(
+                    (0..rank)
+                        .map(|_| next + rng.random_range(0..size))
+                        .collect(),
+                );
+            }
+            next += size;
+        }
+        let n = next as usize + rng.random_range(0..4);
+        let mut relabel: Vec<Vertex> = (0..n as Vertex).collect();
+        for i in (1..n).rev() {
+            relabel.swap(i, rng.random_range(0..=i));
+        }
+        for e in &mut edges {
+            for v in e.iter_mut() {
+                *v = relabel[*v as usize];
+            }
+        }
+        Hypergraph::new(n, edges)
+    }
+
+    #[test]
+    fn sc_lists_equal_sorted_hypergraph_balls() {
+        let (mut certified, mut searched) = (0u64, 0u64);
+        for seed in 0..24 {
+            let h = several_components(seed);
+            let primal = h.primal_graph();
+            let (comp, k) = primal.connected_components();
+            let groups = Buckets::by_label(&comp, k);
+            let mut rng = gen::seeded_rng(seed + 100);
+            // Clusters: random subsets of each component, each whole
+            // component, and some spanning two components.
+            let mut clusters: BTreeSet<Vec<Vertex>> = BTreeSet::new();
+            for (c, group) in groups.iter().enumerate() {
+                clusters.insert(group.to_vec());
+                for _ in 0..3 {
+                    let sub: Vec<Vertex> = group
+                        .iter()
+                        .copied()
+                        .filter(|_| rng.random_bool(0.3))
+                        .collect();
+                    if !sub.is_empty() {
+                        clusters.insert(sub);
+                    }
+                }
+                let other = groups.get((c + 1) % k);
+                let mut span = vec![group[0], other[other.len() - 1]];
+                span.sort_unstable();
+                span.dedup();
+                clusters.insert(span);
+            }
+            // Radii around 2·ecc(v0) and the true diameter of every
+            // component (v0 is the component's smallest vertex).
+            let mut radii = BTreeSet::from([0usize, 1, 1000]);
+            for group in groups.iter() {
+                let dist = h.distances(&[group[0]], None, None);
+                let ecc = group
+                    .iter()
+                    .map(|&v| dist[v as usize] as usize)
+                    .max()
+                    .unwrap_or(0);
+                let diam = group
+                    .iter()
+                    .map(|&u| {
+                        let d = h.distances(&[u], None, None);
+                        group
+                            .iter()
+                            .map(|&v| d[v as usize] as usize)
+                            .max()
+                            .unwrap_or(0)
+                    })
+                    .max()
+                    .unwrap_or(0);
+                for r in [2 * ecc, diam] {
+                    radii.extend([r.saturating_sub(1), r, r + 1]);
+                }
+            }
+            for &r in &radii {
+                let mut balls = ScBalls::new(&primal, r);
+                for members in &clusters {
+                    let mut expected: Vec<Vertex> = h.ball(members, r, None, None).iter().collect();
+                    expected.sort_unstable();
+                    let ((key, list), bfs) = probe::run(|| {
+                        let (key, list) = balls.get(subset_key(members, None), members);
+                        (key, list.expect("a new cluster gets its list").to_vec())
+                    });
+                    assert_eq!(list, expected, "seed {seed}, r {r}, cluster {members:?}");
+                    assert_eq!(key, subset_key(&expected, None));
+                    // A repeated cluster hands back the same key.
+                    assert_eq!(balls.get(subset_key(members, None), members), (key, None));
+                    searched += bfs;
+                    certified += 1 - bfs;
+                }
+            }
+        }
+        assert!(
+            certified > 0 && searched > 0,
+            "{certified} certified, {searched} searched"
+        );
+    }
+
+    /// The certificate's reach on the benchmark's long cycles: every
+    /// `S_C` of `cycle(800)` at `ilp_cold`'s knobs is a certified whole
+    /// component, while `cycle(300)` at `serve_warm`'s (default) knobs
+    /// has `sc_radius` below `2·ecc(v0) = 300`, so each distinct cluster
+    /// builds its ball by BFS exactly once.
+    #[test]
+    fn bfs_balls_on_the_benchmark_shapes() {
+        let knobs = |r_scale| ScaleKnobs {
+            r_scale,
+            ..ScaleKnobs::default()
+        };
+        let long = [
+            (
+                problems::max_independent_set_unweighted(&gen::cycle(800)),
+                knobs(0.1).packing_params(0.2, 800),
+            ),
+            (
+                problems::min_vertex_cover_unweighted(&gen::cycle(800)),
+                knobs(0.3).covering_params(0.3, 800),
+            ),
+        ];
+        let ring = problems::max_independent_set_unweighted(&gen::cycle(300));
+        let short =
+            [0.2, 0.3].map(|eps| (ring.clone(), ScaleKnobs::default().packing_params(eps, 300)));
+        for (ilp, mut params) in long.into_iter().chain(short) {
+            let h = ilp.hypergraph().clone();
+            let primal = h.primal_graph();
+            for workers in [1, 2] {
+                params.prep_workers = workers;
+                let (prep, bfs) = probe::run(|| {
+                    let mut solver = SubsetSolver::new(&ilp, params.budget);
+                    prepare(
+                        &ilp,
+                        &h,
+                        &primal,
+                        &params,
+                        &mut gen::seeded_rng(1),
+                        &mut solver,
+                    )
+                });
+                let distinct: BTreeSet<&Vec<Vertex>> =
+                    prep.clusters.iter().map(|c| &c.members).collect();
+                let expected = if ilp.n() == 800 {
+                    assert!(params.sc_radius >= 800, "{params:?}");
+                    0
+                } else {
+                    assert!(params.sc_radius < 300, "{params:?}");
+                    distinct.len() as u64
+                };
+                assert_eq!(
+                    bfs,
+                    expected,
+                    "n {}, ε {}, {workers} workers",
+                    ilp.n(),
+                    params.eps
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn buckets_list_ascending() {
+        let label = [2, u32::MAX, 0, 2, 0, 1, u32::MAX];
+        let buckets = Buckets::by_label(&label, 4);
+        let lists: Vec<&[Vertex]> = buckets.iter().collect();
+        assert_eq!(lists, [&[2, 4][..], &[5], &[0, 3], &[]]);
+    }
 
     #[test]
     fn subset_solver_caches() {
@@ -946,11 +1389,11 @@ mod tests {
 
     #[test]
     fn subset_keys_distinguish_fixed_overlays() {
-        let mask = vec![true, true, false, true];
-        let none_fixed = subset_key(&mask, None);
-        let empty_fixed = subset_key(&mask, Some(&[false, false, false, false]));
-        let some_fixed = subset_key(&mask, Some(&[true, false, false, false]));
-        let outside_fixed = subset_key(&mask, Some(&[false, false, true, false]));
+        let list = [0, 1, 3];
+        let none_fixed = subset_key(&list, None);
+        let empty_fixed = subset_key(&list, Some(&[false, false, false, false]));
+        let some_fixed = subset_key(&list, Some(&[true, false, false, false]));
+        let outside_fixed = subset_key(&list, Some(&[false, false, true, false]));
         assert_ne!(none_fixed, empty_fixed, "separator must mark the overlay");
         assert_ne!(empty_fixed, some_fixed);
         // Fixed vertices outside the mask are irrelevant to the

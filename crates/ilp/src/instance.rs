@@ -59,6 +59,16 @@ impl Constraint {
         }
     }
 
+    /// Wraps coefficients that are already canonical (sorted by distinct
+    /// variable, all positive) without [`Constraint::new`]'s sort and merge.
+    /// The restrictions use it for rows filtered out of a canonical row.
+    pub(crate) fn from_canonical(coeffs: Vec<(Vertex, f64)>, bound: f64) -> Self {
+        debug_assert!(coeffs.windows(2).all(|w| w[0].0 < w[1].0));
+        debug_assert!(coeffs.iter().all(|&(_, a)| a > 0.0 && a.is_finite()));
+        debug_assert!(bound >= 0.0 && bound.is_finite());
+        Constraint { coeffs, bound }
+    }
+
     /// The sorted non-zero `(variable, coefficient)` pairs.
     pub fn coeffs(&self) -> &[(Vertex, f64)] {
         &self.coeffs

@@ -10,9 +10,24 @@
 //! whose support lies **entirely inside** `S` — inter-cluster constraints
 //! are someone else's responsibility (the sparse cover guarantees each is
 //! fully inside at least one cluster).
+//!
+//! **Cost.** [`packing_restriction_list`] and [`covering_restriction_list`]
+//! take `S` as a sorted, duplicate-free vertex list and visit only the
+//! constraints incident to `S`. Hyperedge `j` of
+//! [`IlpInstance::hypergraph`] is constraint `j`'s support, so
+//! [`dapc_graph::Hypergraph::incident_edges`] names them. One call costs
+//! `O(|S| + Σ_{v∈S} deg v + m/64)`, the last term a bitset that puts the
+//! incident constraints in ascending order without a sort, plus one pass
+//! over each incident row, against the `O(n + nnz)` of a scan over every
+//! constraint. A [`RestrictScratch`] carries the `n`-length id map and
+//! the bitset from call to call, so a kept constraint costs one
+//! allocation and nothing else does. The mask forms
+//! ([`packing_restriction`], [`covering_restriction`],
+//! [`covering_restriction_with_fixed`]) are wrappers that list the mask
+//! first, in `O(n)`.
 
-use crate::instance::{Constraint, IlpInstance, Sense};
-use dapc_graph::Vertex;
+use crate::instance::{Constraint, IlpInstance, Sense, FEASIBILITY_EPS};
+use dapc_graph::{EdgeId, Vertex};
 
 /// A reindexed sub-instance with its mapping back to global variables.
 #[derive(Clone, Debug)]
@@ -76,10 +91,225 @@ impl SubInstance {
     }
 }
 
+/// Local id of a vertex outside `S` in [`RestrictScratch`]'s map.
+const OUTSIDE: u32 = u32::MAX;
+
+/// Local id of a vertex of `S` that is fixed to one (covering only).
+const FIXED: u32 = u32::MAX - 1;
+
+/// A reusable bitset over dense `u32` ids (vertices, constraints) that
+/// hands its members back in ascending order in `O(|set| + max id/64)`,
+/// with no comparison sort. Every word is zero between uses.
+#[derive(Debug, Default)]
+pub struct IdBits {
+    words: Vec<u64>,
+}
+
+impl IdBits {
+    /// Adds `id`; whether it was absent.
+    #[inline]
+    pub fn insert(&mut self, id: u32) -> bool {
+        let word = (id / 64) as usize;
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        let bit = 1u64 << (id % 64);
+        let absent = self.words[word] & bit == 0;
+        self.words[word] |= bit;
+        absent
+    }
+
+    /// Appends the members to `out` in ascending order and empties the set.
+    pub fn drain_into(&mut self, out: &mut Vec<u32>) {
+        for (i, word) in self.words.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                out.push(i as u32 * 64 + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
+    }
+
+    /// Replaces `out` with the distinct `ids`, ascending.
+    pub fn sort_into(&mut self, ids: impl IntoIterator<Item = u32>, out: &mut Vec<u32>) {
+        for id in ids {
+            self.insert(id);
+        }
+        out.clear();
+        self.drain_into(out);
+    }
+}
+
+/// Reusable buffers of the list restrictions: a global-to-local id map,
+/// which every call restores to all-outside before it returns, and the
+/// incident constraint ids of the current call. Keep one per solver or
+/// worker; it grows to the largest instance it has served.
+#[derive(Debug, Default)]
+pub struct RestrictScratch {
+    local_id: Vec<u32>,
+    incident: Vec<EdgeId>,
+    edge_bits: IdBits,
+}
+
+impl RestrictScratch {
+    /// Creates an empty scratch; its buffers grow on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Numbers the free vertices of `vars` (those not fixed to one) in
+    /// order, marks the fixed ones [`FIXED`], and gathers the ascending,
+    /// distinct ids of the constraints incident to `vars` through a
+    /// bitset, in `O(Σ deg v + m/64)`. Returns the free vertices;
+    /// [`RestrictScratch::finish`] undoes the marks.
+    fn begin(
+        &mut self,
+        ilp: &IlpInstance,
+        vars: &[Vertex],
+        fixed_ones: Option<&[bool]>,
+    ) -> Vec<Vertex> {
+        debug_assert!(
+            vars.windows(2).all(|w| w[0] < w[1]),
+            "the vertex list must be sorted and duplicate-free"
+        );
+        if self.local_id.len() < ilp.n() {
+            self.local_id.resize(ilp.n(), OUTSIDE);
+        }
+        let h = ilp.hypergraph();
+        let mut free = Vec::with_capacity(vars.len());
+        for &v in vars {
+            for &e in h.incident_edges(v) {
+                self.edge_bits.insert(e);
+            }
+            self.local_id[v as usize] = if fixed_ones.is_some_and(|f| f[v as usize]) {
+                FIXED
+            } else {
+                free.push(v);
+                (free.len() - 1) as u32
+            };
+        }
+        self.edge_bits.drain_into(&mut self.incident);
+        free
+    }
+
+    /// Restores the all-[`OUTSIDE`] map after a call on `vars`.
+    fn finish(&mut self, vars: &[Vertex]) {
+        for &v in vars {
+            self.local_id[v as usize] = OUTSIDE;
+        }
+        self.incident.clear();
+    }
+
+    /// The entries of `row` whose local id passes `keep`, relabelled to
+    /// local ids, in one exactly sized allocation. Local ids grow with the
+    /// global ones, so the result is canonical whenever `row` is.
+    fn local_row(&self, row: &[(Vertex, f64)], keep: impl Fn(u32) -> bool) -> Vec<(Vertex, f64)> {
+        let id = |v: Vertex| self.local_id[v as usize];
+        let len = row.iter().filter(|&&(v, _)| keep(id(v))).count();
+        let mut out = Vec::with_capacity(len);
+        out.extend(
+            row.iter()
+                .filter(|&&(v, _)| keep(id(v)))
+                .map(|&(v, a)| (id(v), a)),
+        );
+        out
+    }
+}
+
 /// Builds `P^local_S` for a packing instance: every constraint touching `S`
 /// is kept, restricted to its `S`-support, bound unchanged (Observation
 /// 2.1). Constraints whose restricted support is empty are dropped (they
 /// are vacuous for variables in `S`).
+///
+/// `vars` must be sorted and duplicate-free; see the module docs for the
+/// cost. The result is identical to [`packing_restriction`] on the mask of
+/// `vars`.
+///
+/// # Panics
+///
+/// Panics if the instance is not packing or a vertex is out of range.
+pub fn packing_restriction_list(
+    ilp: &IlpInstance,
+    vars: &[Vertex],
+    scratch: &mut RestrictScratch,
+) -> SubInstance {
+    assert_eq!(ilp.sense(), Sense::Packing, "expected a packing instance");
+    let vars = scratch.begin(ilp, vars, None);
+    let constraints = scratch
+        .incident
+        .iter()
+        .map(|&j| {
+            let c = &ilp.constraints()[j as usize];
+            Constraint::from_canonical(scratch.local_row(c.coeffs(), |id| id != OUTSIDE), c.bound())
+        })
+        .collect();
+    scratch.finish(&vars);
+    SubInstance {
+        sense: Sense::Packing,
+        weights: vars.iter().map(|&v| ilp.weight(v)).collect(),
+        vars,
+        constraints,
+    }
+}
+
+/// Builds `Q^local_S` for a covering instance, honouring variables already
+/// **fixed to one** by earlier carving steps (§5.1.2 "fixing assignment"):
+/// only constraints fully inside `S` are kept (Observation 2.2), fixed
+/// variables are removed from the sub-instance and their contribution is
+/// subtracted from each bound, so the local solver pays nothing for them.
+/// Constraints the fixed variables already satisfy are dropped.
+///
+/// `vars` must be sorted and duplicate-free; only the entries of
+/// `fixed_ones` at `vars` are read. The result is identical to
+/// [`covering_restriction_with_fixed`] on the mask of `vars`.
+///
+/// # Panics
+///
+/// Panics if the instance is not covering, the overlay's length is not
+/// `n`, or a vertex is out of range.
+pub fn covering_restriction_list(
+    ilp: &IlpInstance,
+    vars: &[Vertex],
+    fixed_ones: Option<&[bool]>,
+    scratch: &mut RestrictScratch,
+) -> SubInstance {
+    assert_eq!(ilp.sense(), Sense::Covering, "expected a covering instance");
+    if let Some(f) = fixed_ones {
+        assert_eq!(f.len(), ilp.n());
+    }
+    let free = scratch.begin(ilp, vars, fixed_ones);
+    let mut constraints = Vec::new();
+    for &j in &scratch.incident {
+        let c = &ilp.constraints()[j as usize];
+        let id = |v: Vertex| scratch.local_id[v as usize];
+        if c.coeffs().iter().any(|&(v, _)| id(v) == OUTSIDE) {
+            continue; // not fully inside S
+        }
+        let fixed_contribution: f64 = c
+            .coeffs()
+            .iter()
+            .filter(|&&(v, _)| id(v) == FIXED)
+            .map(|&(_, a)| a)
+            .sum();
+        let bound = (c.bound() - fixed_contribution).max(0.0);
+        if bound <= FEASIBILITY_EPS {
+            continue; // already satisfied by fixed variables
+        }
+        constraints.push(Constraint::from_canonical(
+            scratch.local_row(c.coeffs(), |id| id < FIXED),
+            bound,
+        ));
+    }
+    scratch.finish(vars);
+    SubInstance {
+        sense: Sense::Covering,
+        weights: free.iter().map(|&v| ilp.weight(v)).collect(),
+        vars: free,
+        constraints,
+    }
+}
+
+/// [`packing_restriction_list`] on a membership mask.
 ///
 /// # Panics
 ///
@@ -87,30 +317,11 @@ impl SubInstance {
 pub fn packing_restriction(ilp: &IlpInstance, subset: &[bool]) -> SubInstance {
     assert_eq!(ilp.sense(), Sense::Packing, "expected a packing instance");
     assert_eq!(subset.len(), ilp.n());
-    let (vars, local_id) = collect_vars(subset);
-    let weights = vars.iter().map(|&v| ilp.weight(v)).collect();
-    let mut constraints = Vec::new();
-    for c in ilp.constraints() {
-        let coeffs: Vec<(Vertex, f64)> = c
-            .coeffs()
-            .iter()
-            .filter(|&&(v, _)| subset[v as usize])
-            .map(|&(v, a)| (local_id[v as usize], a))
-            .collect();
-        if !coeffs.is_empty() {
-            constraints.push(Constraint::new(coeffs, c.bound()));
-        }
-    }
-    SubInstance {
-        sense: Sense::Packing,
-        vars,
-        weights,
-        constraints,
-    }
+    packing_restriction_list(ilp, &list_of(subset), &mut RestrictScratch::new())
 }
 
-/// Builds `Q^local_S` for a covering instance: only constraints fully
-/// inside `S` are kept (Observation 2.2).
+/// [`covering_restriction_list`] on a membership mask, with no fixed
+/// variables.
 ///
 /// # Panics
 ///
@@ -119,10 +330,7 @@ pub fn covering_restriction(ilp: &IlpInstance, subset: &[bool]) -> SubInstance {
     covering_restriction_with_fixed(ilp, subset, None)
 }
 
-/// Builds `Q^local_S` while honouring variables already **fixed to one** by
-/// earlier carving steps (§5.1.2 "fixing assignment"): fixed variables are
-/// removed from the sub-instance and their contribution is subtracted from
-/// each bound, so the local solver pays nothing for them.
+/// [`covering_restriction_list`] on a membership mask.
 ///
 /// # Panics
 ///
@@ -134,57 +342,20 @@ pub fn covering_restriction_with_fixed(
 ) -> SubInstance {
     assert_eq!(ilp.sense(), Sense::Covering, "expected a covering instance");
     assert_eq!(subset.len(), ilp.n());
-    if let Some(f) = fixed_ones {
-        assert_eq!(f.len(), ilp.n());
-    }
-    let is_fixed = |v: Vertex| fixed_ones.is_some_and(|f| f[v as usize]);
-    let free = |v: Vertex| subset[v as usize] && !is_fixed(v);
-    let (vars, local_id) = {
-        let mask: Vec<bool> = (0..ilp.n()).map(|v| free(v as Vertex)).collect();
-        collect_vars(&mask)
-    };
-    let weights = vars.iter().map(|&v| ilp.weight(v)).collect();
-    let mut constraints = Vec::new();
-    for c in ilp.constraints() {
-        if !c.coeffs().iter().all(|&(v, _)| subset[v as usize]) {
-            continue; // not fully inside S
-        }
-        let fixed_contribution: f64 = c
-            .coeffs()
-            .iter()
-            .filter(|&&(v, _)| is_fixed(v))
-            .map(|&(_, a)| a)
-            .sum();
-        let bound = (c.bound() - fixed_contribution).max(0.0);
-        if bound <= crate::instance::FEASIBILITY_EPS {
-            continue; // already satisfied by fixed variables
-        }
-        let coeffs: Vec<(Vertex, f64)> = c
-            .coeffs()
-            .iter()
-            .filter(|&&(v, _)| !is_fixed(v))
-            .map(|&(v, a)| (local_id[v as usize], a))
-            .collect();
-        constraints.push(Constraint::new(coeffs, bound));
-    }
-    SubInstance {
-        sense: Sense::Covering,
-        vars,
-        weights,
-        constraints,
-    }
+    covering_restriction_list(
+        ilp,
+        &list_of(subset),
+        fixed_ones,
+        &mut RestrictScratch::new(),
+    )
 }
 
-fn collect_vars(subset: &[bool]) -> (Vec<Vertex>, Vec<Vertex>) {
-    let mut vars = Vec::new();
-    let mut local_id = vec![u32::MAX; subset.len()];
-    for (v, &inside) in subset.iter().enumerate() {
-        if inside {
-            local_id[v] = vars.len() as Vertex;
-            vars.push(v as Vertex);
-        }
-    }
-    (vars, local_id)
+/// The sorted vertex list of a membership mask (the inverse of
+/// [`mask_of`]).
+pub fn list_of(mask: &[bool]) -> Vec<Vertex> {
+    (0..mask.len() as Vertex)
+        .filter(|&v| mask[v as usize])
+        .collect()
 }
 
 /// Builds a membership mask from a vertex list.
@@ -201,6 +372,196 @@ mod tests {
     use super::*;
     use crate::problems;
     use dapc_graph::gen;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::RngExt;
+
+    /// The full-scan `P^local_S` the list form replaced: the reference it
+    /// must reproduce bit for bit.
+    fn reference_packing(ilp: &IlpInstance, subset: &[bool]) -> SubInstance {
+        let (vars, local_id) = reference_vars(subset);
+        let weights = vars.iter().map(|&v| ilp.weight(v)).collect();
+        let mut constraints = Vec::new();
+        for c in ilp.constraints() {
+            let coeffs: Vec<(Vertex, f64)> = c
+                .coeffs()
+                .iter()
+                .filter(|&&(v, _)| subset[v as usize])
+                .map(|&(v, a)| (local_id[v as usize], a))
+                .collect();
+            if !coeffs.is_empty() {
+                constraints.push(Constraint::new(coeffs, c.bound()));
+            }
+        }
+        SubInstance {
+            sense: Sense::Packing,
+            vars,
+            weights,
+            constraints,
+        }
+    }
+
+    /// The full-scan `Q^local_S` (with fixed ones) the list form replaced.
+    fn reference_covering(
+        ilp: &IlpInstance,
+        subset: &[bool],
+        fixed_ones: Option<&[bool]>,
+    ) -> SubInstance {
+        let is_fixed = |v: Vertex| fixed_ones.is_some_and(|f| f[v as usize]);
+        let free: Vec<bool> = (0..ilp.n())
+            .map(|v| subset[v] && !is_fixed(v as Vertex))
+            .collect();
+        let (vars, local_id) = reference_vars(&free);
+        let weights = vars.iter().map(|&v| ilp.weight(v)).collect();
+        let mut constraints = Vec::new();
+        for c in ilp.constraints() {
+            if !c.coeffs().iter().all(|&(v, _)| subset[v as usize]) {
+                continue;
+            }
+            let fixed_contribution: f64 = c
+                .coeffs()
+                .iter()
+                .filter(|&&(v, _)| is_fixed(v))
+                .map(|&(_, a)| a)
+                .sum();
+            let bound = (c.bound() - fixed_contribution).max(0.0);
+            if bound <= FEASIBILITY_EPS {
+                continue;
+            }
+            let coeffs: Vec<(Vertex, f64)> = c
+                .coeffs()
+                .iter()
+                .filter(|&&(v, _)| !is_fixed(v))
+                .map(|&(v, a)| (local_id[v as usize], a))
+                .collect();
+            constraints.push(Constraint::new(coeffs, bound));
+        }
+        SubInstance {
+            sense: Sense::Covering,
+            vars,
+            weights,
+            constraints,
+        }
+    }
+
+    fn reference_vars(subset: &[bool]) -> (Vec<Vertex>, Vec<Vertex>) {
+        let mut vars = Vec::new();
+        let mut local_id = vec![u32::MAX; subset.len()];
+        for (v, &inside) in subset.iter().enumerate() {
+            if inside {
+                local_id[v] = vars.len() as Vertex;
+                vars.push(v as Vertex);
+            }
+        }
+        (vars, local_id)
+    }
+
+    /// Bit-for-bit equality: variables, weights, constraint order, and
+    /// every coefficient and bound compared by its bits.
+    fn assert_identical(list: &SubInstance, reference: &SubInstance) {
+        assert_eq!(list.sense, reference.sense);
+        assert_eq!(list.vars, reference.vars);
+        assert_eq!(list.weights, reference.weights);
+        assert_eq!(list.m(), reference.m(), "constraint count");
+        for (j, (a, b)) in list
+            .constraints
+            .iter()
+            .zip(&reference.constraints)
+            .enumerate()
+        {
+            assert_eq!(a.bound().to_bits(), b.bound().to_bits(), "bound of row {j}");
+            let bits = |c: &Constraint| -> Vec<(Vertex, u64)> {
+                c.coeffs().iter().map(|&(v, x)| (v, x.to_bits())).collect()
+            };
+            assert_eq!(bits(a), bits(b), "row {j}");
+        }
+    }
+
+    /// A mask that keeps each vertex with probability `density`.
+    fn random_mask(n: usize, density: f64, rng: &mut StdRng) -> Vec<bool> {
+        (0..n).map(|_| rng.random::<f64>() < density).collect()
+    }
+
+    /// Packing and covering instances of one random shape: fractional
+    /// random rows, and unit rows from a graph (MIS, VC, DS).
+    fn random_pair(seed: u64) -> [IlpInstance; 2] {
+        let mut rng = gen::seeded_rng(seed);
+        let n = rng.random_range(1..28);
+        if seed.is_multiple_of(2) {
+            let m = rng.random_range(0..3 * n);
+            let rank = rng.random_range(1..=n.min(5));
+            [
+                problems::random_packing(n, m, rank, &mut rng),
+                problems::random_covering(n, m, rank, &mut rng),
+            ]
+        } else {
+            let g = gen::gnp(n, rng.random_range(0.05..0.4), &mut rng);
+            let cover = if seed % 4 == 1 {
+                problems::min_vertex_cover_unweighted(&g)
+            } else {
+                problems::min_dominating_set_unweighted(&g)
+            };
+            [problems::max_independent_set_unweighted(&g), cover]
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn list_restrictions_reproduce_the_full_scan(seed in 0u64..1 << 32) {
+            let [pack, cover] = random_pair(seed);
+            let n = pack.n();
+            let mut rng = gen::seeded_rng(seed ^ 0x5eed);
+            // One scratch serves every call, as in a solver.
+            let mut scratch = RestrictScratch::new();
+            for density in [0.0, 0.3, 0.7, 1.0] {
+                let subset = random_mask(n, density, &mut rng);
+                let list = list_of(&subset);
+                assert_identical(
+                    &packing_restriction_list(&pack, &list, &mut scratch),
+                    &reference_packing(&pack, &subset),
+                );
+                let fixed = random_mask(n, 0.3, &mut rng);
+                for overlay in [None, Some(&fixed[..]), Some(&vec![true; n][..])] {
+                    assert_identical(
+                        &covering_restriction_list(&cover, &list, overlay, &mut scratch),
+                        &reference_covering(&cover, &subset, overlay),
+                    );
+                }
+                prop_assert!(scratch.local_id.iter().all(|&id| id == OUTSIDE));
+                prop_assert!(scratch.incident.is_empty());
+                prop_assert!(scratch.edge_bits.words.iter().all(|&w| w == 0));
+            }
+        }
+    }
+
+    #[test]
+    fn id_bits_list_ascending_and_empty_after_use() {
+        let mut bits = IdBits::default();
+        let mut out = vec![99];
+        bits.sort_into([130, 3, 64, 3, 0, 129], &mut out);
+        assert_eq!(out, [0, 3, 64, 129, 130]);
+        bits.sort_into([7], &mut out);
+        assert_eq!(out, [7]);
+    }
+
+    #[test]
+    fn fixed_ones_drop_satisfied_rows_and_ignore_outside_vertices() {
+        // P5 vertex cover; S = {1, 2, 3}, so only edges (1,2) and (2,3)
+        // lie inside. Fixing 2 satisfies both; fixing 0 and 4 (outside S)
+        // changes nothing.
+        let ilp = problems::min_vertex_cover_unweighted(&gen::path(5));
+        let mut scratch = RestrictScratch::new();
+        let list = [1, 2, 3];
+        let inside = covering_restriction_list(&ilp, &list, Some(&mask_of(5, &[2])), &mut scratch);
+        assert_eq!((inside.vars.as_slice(), inside.m()), (&[1, 3][..], 0));
+        let none = covering_restriction_list(&ilp, &list, None, &mut scratch);
+        let outside =
+            covering_restriction_list(&ilp, &list, Some(&mask_of(5, &[0, 4])), &mut scratch);
+        assert_identical(&outside, &none);
+        assert_eq!(none.m(), 2);
+    }
 
     #[test]
     fn packing_restriction_keeps_cross_constraints() {
