@@ -1,5 +1,5 @@
 //! Wall-clock benches for every decomposition algorithm (substrate of
-//! experiments E1/E2/E8/E9).
+//! experiments E1/E2/E8/E9) and for the exact diameter checks.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use dapc_decomp::blackbox::{blackbox_ldd, BlackboxParams};
@@ -8,7 +8,7 @@ use dapc_decomp::mpx::mpx;
 use dapc_decomp::network_decomposition::network_decomposition;
 use dapc_decomp::sparse_cover::sparse_cover;
 use dapc_decomp::three_phase::{three_phase_ldd, LddParams};
-use dapc_graph::{gen, Hypergraph};
+use dapc_graph::{gen, traversal, Graph, Hypergraph, Vertex};
 
 fn bench_elkin_neiman(c: &mut Criterion) {
     let g = gen::gnp(2000, 0.003, &mut gen::seeded_rng(1));
@@ -85,6 +85,49 @@ fn bench_network_decomposition(c: &mut Criterion) {
     });
 }
 
+/// The exact diameter checks on the `ldd_verify` benchmark's three graphs:
+/// each check runs on the graph whole (its connected components) and on
+/// one Elkin–Neiman decomposition at ε = 0.2.
+fn bench_checks(c: &mut Criterion) {
+    type Check = fn(&Graph, &[Vec<Vertex>]) -> Option<u32>;
+    let checks: [(&str, Check); 2] = [
+        ("weak", |g, sets| {
+            traversal::max_weak_diameter(g, sets.iter().map(Vec::as_slice))
+        }),
+        ("strong", |g, sets| {
+            traversal::max_strong_diameter(g, sets.iter().map(Vec::as_slice))
+        }),
+    ];
+    let n = 2048;
+    let graphs = [
+        (
+            "gnp",
+            gen::gnp(n, 6.0 / n as f64, &mut gen::seeded_rng(0x9e37_79b9)),
+        ),
+        (
+            "reg4",
+            gen::random_regular(n, 4, &mut gen::seeded_rng(0x9e37_79ba)),
+        ),
+        ("grid", gen::grid(45, 45)),
+    ];
+    let mut group = c.benchmark_group("check");
+    for (name, g) in &graphs {
+        let (comp, k) = g.connected_components();
+        let mut whole = vec![Vec::new(); k];
+        for (v, &c) in comp.iter().enumerate() {
+            whole[c as usize].push(v as Vertex);
+        }
+        let params = EnParams::new(0.2, n as f64);
+        let clusters = elkin_neiman(g, &params, &mut gen::seeded_rng(13), None).clusters;
+        for (metric, check) in checks {
+            group.bench_function(format!("{metric}_{name}2048"), |b| {
+                b.iter(|| (check(g, &whole), check(g, &clusters)))
+            });
+        }
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_elkin_neiman,
@@ -92,6 +135,7 @@ criterion_group!(
     bench_three_phase,
     bench_blackbox,
     bench_sparse_cover,
-    bench_network_decomposition
+    bench_network_decomposition,
+    bench_checks
 );
 criterion_main!(benches);

@@ -110,9 +110,23 @@ impl Decomposition {
         traversal::max_strong_diameter(g, self.clusters.iter().map(Vec::as_slice))
     }
 
-    /// Full Definition 1.4 validation: separation plus partition sanity.
+    /// Full Definition 1.4 validation in O(n + m): separation plus
+    /// partition sanity.
+    ///
+    /// Every alive vertex is exactly one of clustered and deleted, and no
+    /// dead vertex is either; no edge joins two clusters; and the cluster
+    /// lists agree with the labels in `cluster_of`: each list is strictly
+    /// increasing, each listed vertex is labelled with its list's id, and
+    /// the lists hold exactly the labelled vertices. So a labelled vertex
+    /// missing from its list, or a label that names no cluster, is an
+    /// error, as is a list out of order.
     pub fn validate(&self, g: &Graph, alive: Option<&[bool]>) -> Result<(), String> {
         let n = g.n();
+        if self.cluster_of.len() != n || self.deleted.len() != n {
+            return Err(format!(
+                "labels and deletion mask must cover all {n} vertices"
+            ));
+        }
         let is_alive = |v: usize| alive.is_none_or(|a| a[v]);
         for v in 0..n {
             let in_cluster = self.cluster_of[v].is_some();
@@ -130,11 +144,24 @@ impl Decomposition {
         if !self.clusters_are_separated(g) {
             return Err("adjacent clusters detected".into());
         }
+        let mut listed = vec![false; n];
         for (i, c) in self.clusters.iter().enumerate() {
+            if let Some(w) = c.windows(2).find(|w| w[0] >= w[1]) {
+                return Err(format!(
+                    "cluster {i} is not strictly increasing at vertex {}",
+                    w[1]
+                ));
+            }
             for &v in c {
-                if self.cluster_of[v as usize] != Some(i as u32) {
+                if self.cluster_of.get(v as usize) != Some(&Some(i as u32)) {
                     return Err(format!("cluster list/id mismatch at vertex {v}"));
                 }
+                listed[v as usize] = true;
+            }
+        }
+        for (v, id) in self.cluster_of.iter().enumerate() {
+            if let (Some(id), false) = (id, listed[v]) {
+                return Err(format!("vertex {v} is labelled {id} but not listed there"));
             }
         }
         Ok(())
@@ -185,6 +212,56 @@ mod tests {
         assert_eq!(d.alive_count(), 2);
         assert_eq!(d.deleted_count(), 0);
         d.validate(&g, Some(&alive)).unwrap();
+    }
+
+    /// A decomposition with the given labels and lists, nothing deleted.
+    fn labelled(cluster_of: Vec<Option<u32>>, clusters: Vec<Vec<Vertex>>) -> Decomposition {
+        Decomposition {
+            deleted: vec![false; cluster_of.len()],
+            cluster_of,
+            clusters,
+            ledger: RoundLedger::new(),
+        }
+    }
+
+    #[test]
+    fn labelled_vertex_missing_from_its_list_is_rejected() {
+        // Vertex 2 is labelled 0 but missing from list 0, which would make
+        // the weak diameter read 1 instead of 2.
+        let g = gen::path(3);
+        let d = labelled(vec![Some(0); 3], vec![vec![0, 1]]);
+        let err = d.validate(&g, None).unwrap_err();
+        assert_eq!(err, "vertex 2 is labelled 0 but not listed there");
+        let whole = labelled(vec![Some(0); 3], vec![vec![0, 1, 2]]);
+        whole.validate(&g, None).unwrap();
+        assert_eq!(whole.max_weak_diameter(&g), 2);
+    }
+
+    #[test]
+    fn label_naming_no_cluster_is_rejected() {
+        let g = Graph::from_edges(1, &[]);
+        let d = labelled(vec![Some(5)], Vec::new());
+        let err = d.validate(&g, None).unwrap_err();
+        assert_eq!(err, "vertex 0 is labelled 5 but not listed there");
+    }
+
+    #[test]
+    fn unsorted_repeating_or_out_of_range_lists_are_rejected() {
+        let g = gen::path(3);
+        let check = |cluster_of: Vec<Option<u32>>, list: Vec<Vertex>| {
+            let mut d = labelled(cluster_of, vec![list]);
+            for (del, c) in d.deleted.iter_mut().zip(&d.cluster_of) {
+                *del = c.is_none();
+            }
+            d.validate(&g, None).unwrap_err()
+        };
+        let err = check(vec![Some(0), Some(0), None], vec![1, 0]);
+        assert_eq!(err, "cluster 0 is not strictly increasing at vertex 0");
+        let err = check(vec![Some(0), Some(0), None], vec![0, 0, 1]);
+        assert_eq!(err, "cluster 0 is not strictly increasing at vertex 0");
+        // A listed vertex out of range is a mismatch, not a panic.
+        let err = check(vec![Some(0), None, None], vec![0, 7]);
+        assert_eq!(err, "cluster list/id mismatch at vertex 7");
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! Per set `S`, with `d` the metric and `ecc(v) = max_{w ∈ S} d(v, w)`:
 //!
 //! 1. **Lane batches.** A word-parallel BFS computes the exact `ecc` of up
-//!    to 64 members at once: bit `i` (*lane* `i`) of every vertex's `u64`
-//!    words carries source `i`, and the BFS stops once every member holds
+//!    to 256 members at once: bit `i` (*lane* `i`) of every vertex's lane
+//!    words carries source `x_i`, and the BFS stops once every member holds
 //!    all lanes. A set of at most 64 members is a single batch, whose
 //!    largest `ecc` is the diameter, and needs no pivot; a batch that runs
 //!    dry first proves the set disconnected.
@@ -36,31 +36,72 @@
 //!    BFS path between opposite corners runs along the boundary, so `m` is
 //!    a third corner and `c` the fourth, and only the centre is within half
 //!    the diameter of all four.
-//! 4. **Stop.** A BFS from `u` sorts the members by decreasing `d(u, ·)`,
-//!    and they go through lane batches in that order until the running
-//!    maximum `lb ≥ 2·d(u, x)` for the next unprocessed member `x`.
+//! 4. **Stop.** A BFS from `u` sorts the members by decreasing `d(u, ·)`.
+//!    Lane batches take the next unsettled members in that order until
+//!    the running maximum `lb ≥ 2·d(u, x)` for the next unsettled member
+//!    `x`.
+//! 5. **Settling.** Before the next batch, a truncated lane BFS from the
+//!    last batch's sources *settles* every member `w` with
+//!    `d(w, x_i) ≤ lb − ecc(x_i)` for some source `x_i`. By the triangle
+//!    inequality `ecc(w) ≤ d(w, x_i) + ecc(x_i) ≤ lb`, and `lb` only
+//!    grows, so `w` never needs a batch of its own. This is the
+//!    upper-bound rule of Takes and Kosters' BoundingDiameters. Level `j`
+//!    of that BFS advances only the lanes whose radius `lb − ecc(x_i)` is
+//!    at least `j`.
 //!
 //! `lb` (over this set and the ones before it) only ever holds exact
 //! eccentricities of members, so it never exceeds the answer. The stop is
-//! exact for *any* pivot `u`: two unprocessed members `y, z` have
+//! exact for *any* pivot `u`. Two members `y, z` that no batch took come
+//! at or after `x` in the order, so they have
 //! `d(y, z) ≤ d(y, u) + d(u, z) ≤ 2·d(u, x) ≤ lb` by the triangle
-//! inequality, and a pair with a processed member is bounded by that
-//! member's exact `ecc`, which `lb` already covers. So the answer is
-//! exact, with no sampling and no tolerance; the pivot decides only how
-//! many batches run.
+//! inequality. A pair with a processed or settled member is bounded by
+//! that member's `ecc`, which is at most `lb`. So the answer is exact,
+//! with no sampling and no tolerance; the pivot and settling decide only
+//! how many batches run.
 //!
 //! Under the weak metric the BFS path from `a` to `b` may leave `S`, and so
 //! may `m` and `u`. Such a vertex does not count as a labelled member when
 //! a BFS from it stops, and its own eccentricity never enters `lb`, because
 //! a vertex outside `S` can lie farther from a member than any two members
 //! lie from each other (on a 6-cycle with `S = {0, 2, 4}`, the diameter is
-//! 2 and every vertex outside `S` has `ecc` 3).
+//! 2 and every vertex outside `S` has `ecc` 3). A settling BFS walks all of
+//! `G` under the weak metric too, so it settles a member whose shortest
+//! path to a source leaves `S`.
+//!
+//! ## Eccentricities from completion levels
+//!
+//! A lane BFS runs level by level, and lane `i` first reaches a vertex `w`
+//! at level `d(x_i, w)`. So lane `i` holds at every member after level
+//! `ecc(x_i)` and not before: the level at which a lane *completes* is its
+//! source's eccentricity. After every level the kernel ANDs the `seen`
+//! words of the members that still missed lanes before it; a lane set in
+//! that AND for the first time completes at this level. Members that hold
+//! every lane leave the AND for good, since they would add nothing to it.
+//! The AND never falls below the lanes already complete, so the scan stops
+//! as soon as it reaches them: then no lane completes at this level, and on
+//! most levels a few members show that. The batch stops at its last
+//! completion level, so the one BFS that gives the batch's largest `ecc`
+//! gives every source's `ecc` for settling.
+//!
+//! ## Lane width
+//!
+//! A batch of at most 64 sources runs one `u64` word per vertex, and a
+//! larger one `WIDE` = 4 words, 256 lanes. A level costs per word, not
+//! per lane in use. So a set of at most 64 members keeps its single
+//! one-word batch, and the last batch of a larger set runs one word when
+//! it has at most 64 sources. Running the sets of at most 64 members at
+//! four words instead took about 15% longer on the `ldd_verify` grid rows,
+//! which have many such clusters, and eight words (512 lanes) took about
+//! 35% longer over all its rows. Both were measured as the summed
+//! per-decomposition minimum of both checks over 18 decompositions per
+//! family, on a 2-vCPU host. The lane words grow to four words per vertex
+//! at the first wide batch of a call, and one-word batches share them.
 //!
 //! ## Push and pull levels
 //!
 //! A lane BFS keeps, per vertex, the lanes it has `seen`, its `frontier`
-//! word (the lanes that reached it at the current level, zero off the
-//! frontier) and its `next` word. A level gives every vertex `y` the
+//! words (the lanes that reached it at the current level, zero off the
+//! frontier) and its `next` words. A level gives every vertex `y` the
 //! traversal may enter
 //! `next(y) = (⋁_{x ~ y} frontier(x)) ∧ ¬seen(y)`, in one of two
 //! directions:
@@ -192,35 +233,6 @@ pub fn bfs_distances_multi(g: &Graph, sources: &[Vertex]) -> Vec<u32> {
     dist
 }
 
-/// Masked multi-source BFS distances: traversal only passes through vertices
-/// with `alive[v] == true`; dead vertices keep [`UNREACHABLE`]. Sources that
-/// are dead are ignored.
-///
-/// # Panics
-///
-/// Panics if `alive.len() != g.n()`.
-pub fn bfs_distances_masked(g: &Graph, sources: &[Vertex], alive: &[bool]) -> Vec<u32> {
-    assert_eq!(alive.len(), g.n(), "alive mask length mismatch");
-    let mut dist = vec![UNREACHABLE; g.n()];
-    let mut queue = VecDeque::new();
-    for &s in sources {
-        if alive[s as usize] && dist[s as usize] == UNREACHABLE {
-            dist[s as usize] = 0;
-            queue.push_back(s);
-        }
-    }
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u as usize];
-        for &w in g.neighbors(u) {
-            if alive[w as usize] && dist[w as usize] == UNREACHABLE {
-                dist[w as usize] = du + 1;
-                queue.push_back(w);
-            }
-        }
-    }
-    dist
-}
-
 /// Reusable BFS scratch for [`ball`]-family traversals (graph and
 /// hypergraph alike).
 ///
@@ -323,11 +335,6 @@ pub fn ball_with_scratch(
     ball
 }
 
-/// Size of `N^r(v)` in the residual graph, without materialising the ball.
-pub fn ball_size(g: &Graph, source: Vertex, r: usize, alive: Option<&[bool]>) -> usize {
-    ball(g, &[source], r, alive).len()
-}
-
 /// Eccentricity of `v` within its connected component.
 pub fn eccentricity(g: &Graph, v: Vertex) -> u32 {
     bfs_distances(g, v)
@@ -355,10 +362,12 @@ pub fn diameter(g: &Graph) -> u32 {
 /// Exact, in a few BFS per set rather than one per member (the
 /// [module docs](self) give the full argument): every BFS stops only once
 /// all members are labelled, so member distances are final; the running
-/// maximum `lb` holds only exact eccentricities of members; and a set is
-/// done once `lb ≥ 2·d(u, x)` for the pivot `u` and the next unprocessed
-/// member `x`, which bounds every unchecked pair through `u`. A pivot
-/// outside the set never counts as a member and never raises `lb`.
+/// maximum `lb` holds only exact eccentricities of members; a member
+/// within `lb − ecc(x)` of a processed member `x` is settled, as its own
+/// eccentricity is at most `lb`; and a set is done once `lb ≥ 2·d(u, x)`
+/// for the pivot `u` and the next unsettled member `x`, which bounds every
+/// unchecked pair through `u`. A pivot outside the set never counts as a
+/// member and never raises `lb`.
 ///
 /// # Panics
 ///
@@ -398,8 +407,12 @@ pub fn max_strong_diameter<'a>(
     DiameterKernel::new(g, true).max_diameter(sets)
 }
 
-/// Sources per word-parallel BFS: one per bit of a `u64`.
+/// Sources per lane word: one per bit of a `u64`.
 const LANES: usize = 64;
+
+/// Words per vertex in a wide lane batch, which carries up to
+/// `WIDE · LANES` = 256 sources.
+const WIDE: usize = 4;
 
 /// A lane-BFS level runs in the pull direction when its frontier holds at
 /// least `1 / PULL` of the vertices still missing lanes.
@@ -422,31 +435,42 @@ struct Sweep {
 
 /// The exact set-diameter kernel of the [module docs](self).
 ///
-/// The buffers are sized to `g` once and clean up after every set: between
-/// sets `member` is all-false, every `dist` all-[`UNREACHABLE`], the lane
-/// words all zero, and the lists empty.
+/// The buffers are sized to `g` once, the lane words at the first batch of
+/// each width (both widths then share them), and clean up after every set:
+/// between sets `member` and `settled` are all-false, every `dist`
+/// all-[`UNREACHABLE`], the lane words all zero, and the lists empty.
 struct DiameterKernel<'g> {
     g: &'g Graph,
     /// Traversals stay inside the set (strong metric).
     confined: bool,
     /// Membership mask of the set in progress.
     member: Vec<bool>,
+    /// Members whose eccentricity is known to be at most `lb`.
+    settled: Vec<bool>,
     sweeps: [Sweep; 4],
     /// The members by decreasing distance from the pivot.
     order: Vec<Vertex>,
-    /// Per vertex: the lanes that reached it, that reached it at the
-    /// current level, and that reach it at the next.
+    /// The sources of the lane batch in progress, and the eccentricity of
+    /// each once the batch has run.
+    batch: Vec<Vertex>,
+    ecc: Vec<u32>,
+    /// Per vertex, `W` words in a batch of `W`-word lanes: the lanes that
+    /// reached it, that reached it at the current level, and that reach it
+    /// at the next.
     seen: Vec<u64>,
     frontier: Vec<u64>,
     next: Vec<u64>,
-    /// Vertices with a nonzero `seen` word.
+    /// Vertices with nonzero `seen` words.
     touched: Vec<Vertex>,
-    /// Vertices with a nonzero `frontier` / `next` word.
+    /// Vertices with nonzero `frontier` / `next` words.
     cur: Vec<Vertex>,
     nxt: Vec<Vertex>,
     /// Pull levels' scan list: a superset of the vertices the batch may
     /// enter that still miss lanes, built at the batch's first pull level.
     missing: Vec<Vertex>,
+    /// A superset of the members that still miss lanes: the completion
+    /// scan drops the full members it meets.
+    pending: Vec<Vertex>,
 }
 
 impl<'g> DiameterKernel<'g> {
@@ -456,18 +480,22 @@ impl<'g> DiameterKernel<'g> {
             g,
             confined,
             member: vec![false; n],
+            settled: vec![false; n],
             sweeps: std::array::from_fn(|_| Sweep {
                 dist: vec![UNREACHABLE; n],
                 queue: Vec::new(),
             }),
             order: Vec::new(),
-            seen: vec![0; n],
-            frontier: vec![0; n],
-            next: vec![0; n],
+            batch: Vec::new(),
+            ecc: Vec::new(),
+            seen: Vec::new(),
+            frontier: Vec::new(),
+            next: Vec::new(),
             touched: Vec::new(),
             cur: Vec::new(),
             nxt: Vec::new(),
             missing: Vec::new(),
+            pending: Vec::new(),
         }
     }
 
@@ -482,6 +510,7 @@ impl<'g> DiameterKernel<'g> {
             let raised = self.raise(s, lb);
             for &v in s {
                 self.member[v as usize] = false;
+                self.settled[v as usize] = false;
             }
             lb = raised?;
         }
@@ -495,28 +524,65 @@ impl<'g> DiameterKernel<'g> {
             return Some(lb);
         };
         if s.len() <= LANES {
-            return Some(lb.max(self.max_eccentricity(s, s)?));
+            return Some(lb.max(self.lane_batch::<1>(s, s)?));
         }
         let (swept, u) = self.pivot(first, s.len())?;
         let mut lb = lb.max(swept);
         self.sweep(A, u, s.len())
             .expect("the pivot lies in the members' component");
         let mut order = std::mem::take(&mut self.order);
+        let mut batch = std::mem::take(&mut self.batch);
         order.extend_from_slice(s);
         let dist = &self.sweeps[A].dist;
         order.sort_unstable_by_key(|&v| std::cmp::Reverse(dist[v as usize]));
-        for batch in order.chunks(LANES) {
-            // `lb ≥ 2·d(u, batch[0])`, written so it cannot overflow.
-            if self.sweeps[A].dist[batch[0] as usize] <= lb / 2 {
+        let mut at = 0;
+        loop {
+            // The next unsettled members that the stop does not cover.
+            batch.clear();
+            while let Some(&x) = order.get(at) {
+                if batch.len() == WIDE * LANES || self.covered(x, lb) {
+                    break;
+                }
+                at += 1;
+                if !self.settled[x as usize] {
+                    batch.push(x);
+                }
+            }
+            if batch.is_empty() {
                 break;
             }
-            let ecc = self.max_eccentricity(batch, s);
+            let wide = batch.len() > LANES;
+            let ecc = if wide {
+                self.lane_batch::<WIDE>(&batch, s)
+            } else {
+                self.lane_batch::<1>(&batch, s)
+            };
             lb = lb.max(ecc.expect("the set is connected"));
+            // Settling pays only ahead of another batch.
+            let rest = order[at..].iter().find(|&&x| !self.settled[x as usize]);
+            if rest.is_none_or(|&x| self.covered(x, lb)) {
+                break;
+            }
+            if wide {
+                self.settle::<WIDE>(&batch, lb);
+            } else {
+                self.settle::<1>(&batch, lb);
+            }
         }
         self.clear(A);
         order.clear();
+        batch.clear();
         self.order = order;
+        self.batch = batch;
         Some(lb)
+    }
+
+    /// Whether the stop covers member `x`: `lb ≥ 2·d(u, x)` for the pivot
+    /// `u` of `sweeps[A]`, written so it cannot overflow. The members go
+    /// through batches by decreasing `d(u, ·)`, so every member after a
+    /// covered one is covered too.
+    fn covered(&self, x: Vertex, lb: u32) -> bool {
+        self.sweeps[A].dist[x as usize] <= lb / 2
     }
 
     /// The sweeps of the [module docs](self) from `first`, a member of the
@@ -619,18 +685,22 @@ impl<'g> DiameterKernel<'g> {
         queue.clear();
     }
 
-    /// The largest exact eccentricity among up to [`LANES`] members of the
-    /// set `s`: one BFS whose lane `i` carries `batch[i]`, run level by
-    /// level until every member holds every lane. A lane's eccentricity is
-    /// the level at which its last member is reached, so the level at which
-    /// the last (member, lane) pair fills is the batch's maximum. `None` if
+    /// The exact eccentricities of up to `W · LANES` members of the set
+    /// `s`: one BFS whose lane `i` carries `batch[i]`, run level by level
+    /// until every member holds every lane. Lane `i` reaches its last
+    /// member at level `ecc(batch[i])`, which goes to `self.ecc[i]`;
+    /// returns the largest, the level at which the BFS stops. `None` if
     /// the BFS runs dry first: then some member misses some lane, so `s` is
     /// disconnected.
-    fn max_eccentricity(&mut self, batch: &[Vertex], s: &[Vertex]) -> Option<u32> {
+    fn lane_batch<const W: usize>(&mut self, batch: &[Vertex], s: &[Vertex]) -> Option<u32> {
+        #[cfg(test)]
+        probe::count(W, batch.len());
+        let n = self.g.n();
         let Self {
             g,
             confined,
             member,
+            ecc,
             seen,
             frontier,
             next,
@@ -638,23 +708,30 @@ impl<'g> DiameterKernel<'g> {
             cur,
             nxt,
             missing,
+            pending,
             ..
         } = self;
-        let all = u64::MAX >> (LANES - batch.len());
+        let [seen, mut frontier, mut next] = [seen, frontier, next].map(|w| lane_words::<W>(w, n));
+        let all = first_lanes::<W>(batch.len());
+        ecc.clear();
+        ecc.resize(batch.len(), 0);
         // Vertices the BFS may enter, and how many of them (and of the
         // members) hold every lane.
-        let domain = if *confined { s.len() } else { g.n() };
+        let domain = if *confined { s.len() } else { n };
         let (mut full, mut filled) = (0, 0);
         for (i, &v) in batch.iter().enumerate() {
             let v = v as usize;
-            seen[v] = 1 << i;
-            frontier[v] = 1 << i;
+            seen[v] = lane(i);
+            frontier[v] = seen[v];
             let is_full = usize::from(seen[v] == all);
             full += is_full;
             filled += is_full;
             cur.push(v as Vertex);
             touched.push(v as Vertex);
         }
+        pending.extend(s.iter().filter(|&&v| seen[v as usize] != all));
+        // The lanes that have reached every member.
+        let mut reached = [0; W];
         let mut level = 0;
         let mut pulled = false;
         while filled < s.len() && !cur.is_empty() {
@@ -665,7 +742,7 @@ impl<'g> DiameterKernel<'g> {
                     if *confined {
                         missing.extend(s.iter().filter(|&&v| seen[v as usize] != all));
                     } else {
-                        missing.extend((0..g.n() as Vertex).filter(|&v| seen[v as usize] != all));
+                        missing.extend((0..n as Vertex).filter(|&v| seen[v as usize] != all));
                     }
                 }
                 missing.retain(|&y| {
@@ -674,11 +751,11 @@ impl<'g> DiameterKernel<'g> {
                     let lanes = g
                         .neighbors(y as Vertex)
                         .iter()
-                        .fold(0, |acc, &x| acc | frontier[x as usize]);
-                    let new = lanes & !had;
-                    if new != 0 {
-                        seen[y] = had | new;
-                        if had == 0 {
+                        .fold([0; W], |acc, &x| or(acc, frontier[x as usize]));
+                    let new = and_not(lanes, had);
+                    if new != [0; W] {
+                        seen[y] = or(had, new);
+                        if had == [0; W] {
                             touched.push(y as Vertex);
                         }
                         next[y] = new;
@@ -687,33 +764,33 @@ impl<'g> DiameterKernel<'g> {
                     seen[y] != all
                 });
                 for &x in cur.iter() {
-                    frontier[x as usize] = 0;
+                    frontier[x as usize] = [0; W];
                 }
             } else {
                 for &x in cur.iter() {
-                    let lanes = std::mem::take(&mut frontier[x as usize]);
+                    let lanes = std::mem::replace(&mut frontier[x as usize], [0; W]);
                     for &y in g.neighbors(x) {
                         let y = y as usize;
                         let had = seen[y];
-                        let new = lanes & !had;
-                        if new == 0 || (*confined && !member[y]) {
+                        let new = and_not(lanes, had);
+                        if new == [0; W] || (*confined && !member[y]) {
                             continue;
                         }
-                        seen[y] = had | new;
-                        if had == 0 {
+                        seen[y] = or(had, new);
+                        if had == [0; W] {
                             touched.push(y as Vertex);
                         }
-                        let pending = next[y];
-                        if pending == 0 {
+                        let queued = next[y];
+                        if queued == [0; W] {
                             nxt.push(y as Vertex);
                         }
-                        next[y] = pending | new;
+                        next[y] = or(queued, new);
                     }
                 }
             }
             // Both directions zeroed the old frontier's words, so the swap
             // moves the new level's words in and leaves `next` all zero.
-            std::mem::swap(frontier, next);
+            std::mem::swap(&mut frontier, &mut next);
             cur.clear();
             std::mem::swap(cur, nxt);
             for &y in cur.iter() {
@@ -723,30 +800,189 @@ impl<'g> DiameterKernel<'g> {
                     filled += usize::from(member[y as usize]);
                 }
             }
+            // The lanes every member holds: the AND over the members still
+            // missing lanes, dropping full ones as the scan meets them. It
+            // never falls below `reached`, so once it gets there no lane
+            // completes at this level and the scan stops.
+            let mut common = all;
+            let mut k = 0;
+            while k < pending.len() && common != reached {
+                let words = seen[pending[k] as usize];
+                if words == all {
+                    pending.swap_remove(k);
+                } else {
+                    common = and(common, words);
+                    k += 1;
+                }
+            }
+            for (k, mut fresh) in and_not(common, reached).into_iter().enumerate() {
+                while fresh != 0 {
+                    ecc[k * LANES + fresh.trailing_zeros() as usize] = level;
+                    fresh &= fresh - 1;
+                }
+            }
+            reached = common;
         }
         let done = filled == s.len();
         for &v in touched.iter() {
-            seen[v as usize] = 0;
-            frontier[v as usize] = 0;
+            seen[v as usize] = [0; W];
+            frontier[v as usize] = [0; W];
         }
         touched.clear();
         cur.clear();
         missing.clear();
+        pending.clear();
         done.then_some(level)
+    }
+
+    /// Settles every member within `lb − ecc(x_i)` of some source `x_i` of
+    /// the batch [`Self::lane_batch`] has just run, which leaves the
+    /// eccentricities in `self.ecc`; `lb` is at least each of them. One
+    /// BFS from the batch's sources in push levels, whose level `j`
+    /// advances only the lanes with `lb − ecc(x_i) ≥ j`.
+    fn settle<const W: usize>(&mut self, batch: &[Vertex], lb: u32) {
+        let n = self.g.n();
+        let Self {
+            g,
+            confined,
+            member,
+            settled,
+            ecc,
+            seen,
+            frontier,
+            next,
+            touched,
+            cur,
+            nxt,
+            ..
+        } = self;
+        let [seen, mut frontier, mut next] = [seen, frontier, next].map(|w| lane_words::<W>(w, n));
+        for (i, &x) in batch.iter().enumerate() {
+            let x = x as usize;
+            settled[x] = true;
+            if ecc[i] < lb {
+                seen[x] = lane(i);
+                frontier[x] = seen[x];
+                cur.push(x as Vertex);
+                touched.push(x as Vertex);
+            }
+        }
+        let mut level = 0;
+        while !cur.is_empty() {
+            level += 1;
+            let mut reach = [0; W];
+            for (i, &e) in ecc.iter().enumerate() {
+                if lb - e >= level {
+                    reach = or(reach, lane(i));
+                }
+            }
+            for &x in cur.iter() {
+                let lanes = and(std::mem::replace(&mut frontier[x as usize], [0; W]), reach);
+                if lanes == [0; W] {
+                    continue;
+                }
+                for &y in g.neighbors(x) {
+                    let y = y as usize;
+                    let had = seen[y];
+                    let new = and_not(lanes, had);
+                    if new == [0; W] || (*confined && !member[y]) {
+                        continue;
+                    }
+                    seen[y] = or(had, new);
+                    if had == [0; W] {
+                        touched.push(y as Vertex);
+                    }
+                    if next[y] == [0; W] {
+                        nxt.push(y as Vertex);
+                    }
+                    next[y] = or(next[y], new);
+                    settled[y] |= member[y];
+                }
+            }
+            std::mem::swap(&mut frontier, &mut next);
+            cur.clear();
+            std::mem::swap(cur, nxt);
+        }
+        for &v in touched.iter() {
+            seen[v as usize] = [0; W];
+        }
+        touched.clear();
     }
 }
 
-/// Distance between two vertex sets: `min_{u ∈ a, v ∈ b} dist(u, v)`, or
-/// `None` if unreachable.
-pub fn set_distance(g: &Graph, a: &[Vertex], b: &[Vertex]) -> Option<u32> {
-    if a.is_empty() || b.is_empty() {
-        return None;
+/// `words` as `W` lane words per vertex of an `n`-vertex graph, grown with
+/// zeros the first time a batch runs at that width.
+fn lane_words<const W: usize>(words: &mut Vec<u64>, n: usize) -> &mut [[u64; W]] {
+    if words.len() < W * n {
+        words.resize(W * n, 0);
     }
-    let dist = bfs_distances_multi(g, a);
-    b.iter()
-        .map(|&v| dist[v as usize])
-        .min()
-        .filter(|&d| d != UNREACHABLE)
+    &mut words.as_chunks_mut::<W>().0[..n]
+}
+
+/// Lane `i` alone: bit `i % LANES` of word `i / LANES`.
+fn lane<const W: usize>(i: usize) -> [u64; W] {
+    std::array::from_fn(|k| u64::from(k == i / LANES) << (i % LANES))
+}
+
+/// Lanes `0..k`.
+fn first_lanes<const W: usize>(k: usize) -> [u64; W] {
+    std::array::from_fn(|j| match k.saturating_sub(j * LANES).min(LANES) {
+        0 => 0,
+        r => u64::MAX >> (LANES - r),
+    })
+}
+
+fn or<const W: usize>(a: [u64; W], b: [u64; W]) -> [u64; W] {
+    std::array::from_fn(|k| a[k] | b[k])
+}
+
+fn and<const W: usize>(a: [u64; W], b: [u64; W]) -> [u64; W] {
+    std::array::from_fn(|k| a[k] & b[k])
+}
+
+/// The lanes of `a` missing from `b`.
+fn and_not<const W: usize>(a: [u64; W], b: [u64; W]) -> [u64; W] {
+    std::array::from_fn(|k| a[k] & !b[k])
+}
+
+/// Counts the lane batches the kernel runs on this thread, for the tests
+/// that pin them.
+#[cfg(test)]
+mod probe {
+    use std::cell::Cell;
+
+    /// Lane batches of one word and of [`super::WIDE`] words per vertex,
+    /// and the sources they carried.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub(super) struct Work {
+        pub narrow: u64,
+        pub wide: u64,
+        pub sources: u64,
+    }
+
+    thread_local! {
+        static WORK: Cell<Work> = const {
+            Cell::new(Work { narrow: 0, wide: 0, sources: 0 })
+        };
+    }
+
+    pub(super) fn count(words: usize, sources: usize) {
+        let mut work = WORK.get();
+        if words == 1 {
+            work.narrow += 1;
+        } else {
+            work.wide += 1;
+        }
+        work.sources += sources as u64;
+        WORK.set(work);
+    }
+
+    /// Runs `f` and returns its result with the lane batches it ran.
+    pub(super) fn run<T>(f: impl FnOnce() -> T) -> (T, Work) {
+        WORK.set(Work::default());
+        let out = f();
+        (out, WORK.get())
+    }
 }
 
 #[cfg(test)]
@@ -766,16 +1002,6 @@ mod tests {
         let g = gen::path(5);
         let d = bfs_distances_multi(&g, &[0, 4]);
         assert_eq!(d, vec![0, 1, 2, 1, 0]);
-    }
-
-    #[test]
-    fn masked_bfs_respects_mask() {
-        let g = gen::path(5);
-        let alive = vec![true, true, false, true, true];
-        let d = bfs_distances_masked(&g, &[0], &alive);
-        assert_eq!(d[1], 1);
-        assert_eq!(d[2], UNREACHABLE);
-        assert_eq!(d[3], UNREACHABLE);
     }
 
     #[test]
@@ -835,11 +1061,7 @@ mod tests {
 
     /// The sweeps' result on `s`, marked as the set in progress.
     fn pivot_of(g: &Graph, s: &[Vertex], confined: bool) -> Option<(u32, Vertex)> {
-        let mut kernel = DiameterKernel::new(g, confined);
-        for &v in s {
-            kernel.member[v as usize] = true;
-        }
-        kernel.pivot(s[0], s.len())
+        marked(g, s, confined).pivot(s[0], s.len())
     }
 
     #[test]
@@ -868,6 +1090,152 @@ mod tests {
         assert_eq!(max_strong_diameter(&g, [ring.as_slice()]), Some(28));
     }
 
+    /// Reference distances from `x` under the metric: in `g`, or in `G[s]`
+    /// when `confined` (then [`UNREACHABLE`] off `s`).
+    fn metric_distances(g: &Graph, s: &[Vertex], x: Vertex, confined: bool) -> Vec<u32> {
+        if !confined {
+            return bfs_distances(g, x);
+        }
+        let (sub, back) = g.induced_subgraph(s);
+        let at = s.iter().position(|&v| v == x).expect("x is a member") as Vertex;
+        let mut dist = vec![UNREACHABLE; g.n()];
+        for (i, d) in bfs_distances(&sub, at).into_iter().enumerate() {
+            dist[back[i] as usize] = d;
+        }
+        dist
+    }
+
+    /// Sets that exercise the lane batches, each with its member order: a
+    /// weak path between members of the holed grid runs through the hole.
+    fn lane_cases() -> Vec<(Graph, Vec<Vertex>)> {
+        let grid = gen::grid(15, 15);
+        let hole = |v: &Vertex| (4..11).contains(&(v / 15)) && (4..11).contains(&(v % 15));
+        let ring: Vec<Vertex> = grid.vertices().filter(|v| !hole(v)).collect();
+        let reg = gen::random_regular(300, 4, &mut gen::seeded_rng(7));
+        let sparse: Vec<Vertex> = reg.vertices().filter(|v| v % 9 != 0).collect();
+        let mut shuffled: Vec<Vertex> = reg.vertices().collect();
+        shuffled.sort_by_key(|&v| (v * 7919) % 300);
+        vec![
+            (gen::cycle(6), vec![0, 2, 4]),
+            (grid, ring),
+            (reg.clone(), sparse),
+            (reg, shuffled),
+        ]
+    }
+
+    /// A kernel with `s` marked as the set in progress.
+    fn marked<'g>(g: &'g Graph, s: &[Vertex], confined: bool) -> DiameterKernel<'g> {
+        let mut kernel = DiameterKernel::new(g, confined);
+        for &v in s {
+            kernel.member[v as usize] = true;
+        }
+        kernel
+    }
+
+    /// Every lane word and list of `kernel` is back to its idle state.
+    fn assert_idle(kernel: &DiameterKernel) {
+        let words = [&kernel.seen, &kernel.frontier, &kernel.next];
+        assert!(words.iter().all(|w| w.iter().all(|&x| x == 0)));
+        let lists = [&kernel.touched, &kernel.cur, &kernel.nxt];
+        assert!(lists.iter().all(|l| l.is_empty()));
+        assert!(kernel.missing.is_empty() && kernel.pending.is_empty());
+    }
+
+    /// Runs `batch` on `s` at `W` words per vertex, checks each lane's
+    /// eccentricity against single-source BFS, then settles at `lb` = the
+    /// batch's maximum plus 0, 1 and 3 and checks the settled members
+    /// against `d(w, x_i) ≤ lb − ecc(x_i)`.
+    fn check_lanes<const W: usize>(g: &Graph, s: &[Vertex], batch: &[Vertex], confined: bool) {
+        let dist: Vec<Vec<u32>> = batch
+            .iter()
+            .map(|&x| metric_distances(g, s, x, confined))
+            .collect();
+        let ecc: Vec<u32> = dist
+            .iter()
+            .map(|d| s.iter().map(|&v| d[v as usize]).max().unwrap())
+            .collect();
+        let mut kernel = marked(g, s, confined);
+        let top = kernel.lane_batch::<W>(batch, s);
+        assert_idle(&kernel);
+        let what = format!("{W} words, confined {confined}, {} lanes", batch.len());
+        if ecc.contains(&UNREACHABLE) {
+            assert_eq!(top, None, "{what}");
+            return;
+        }
+        assert_eq!(kernel.ecc, ecc, "{what}");
+        assert_eq!(top, ecc.iter().max().copied(), "{what}");
+        for extra in [0, 1, 3] {
+            let lb = top.unwrap() + extra;
+            kernel.settle::<W>(batch, lb);
+            assert_idle(&kernel);
+            let expected: Vec<bool> = g
+                .vertices()
+                .map(|w| {
+                    kernel.member[w as usize]
+                        && (0..batch.len()).any(|i| dist[i][w as usize] <= lb - ecc[i])
+                })
+                .collect();
+            assert_eq!(kernel.settled, expected, "{what}, lb {lb}");
+            kernel.settled.fill(false);
+        }
+    }
+
+    #[test]
+    fn lane_batches_give_exact_eccentricities_and_settle_exactly() {
+        for (g, s) in lane_cases() {
+            for confined in [false, true] {
+                for k in [1, 5, LANES, LANES + 1, 200, WIDE * LANES] {
+                    let batch = &s[..k.min(s.len())];
+                    if batch.len() <= LANES {
+                        check_lanes::<1>(&g, &s, batch, confined);
+                    }
+                    check_lanes::<WIDE>(&g, &s, batch, confined);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_batches_on_the_benchmark_graphs_are_pinned() {
+        // The `ldd_verify` benchmark's graphs, each as its connected
+        // components, under both metrics (which agree on components).
+        let n = 2048;
+        let gnp = gen::gnp(n, 6.0 / n as f64, &mut gen::seeded_rng(0x9e37_79b9));
+        let reg4 = gen::random_regular(n, 4, &mut gen::seeded_rng(0x9e37_79ba));
+        let grid = gen::grid(45, 45);
+        let work = |narrow, wide, sources| probe::Work {
+            narrow,
+            wide,
+            sources,
+        };
+        // gnp: one batch per small component, and a wide batch plus a
+        // narrow one on the giant component, whose first batch settles most
+        // of the rest. reg4: 1,862 of its vertices have eccentricity 9, the
+        // diameter, so settling does little and wide batches do the work.
+        // grid: the sweeps find the diameter, and the stop covers every
+        // member of the whole grid.
+        for (name, g, diameter, expected) in [
+            ("gnp", gnp, 9, work(5, 1, 290)),
+            ("reg4", reg4, 9, work(0, 7, 1683)),
+            ("grid", grid, 88, work(0, 0, 0)),
+        ] {
+            let (comp, k) = g.connected_components();
+            let mut pieces = vec![Vec::new(); k];
+            for (v, &c) in comp.iter().enumerate() {
+                pieces[c as usize].push(v as Vertex);
+            }
+            for confined in [false, true] {
+                let mut kernel = DiameterKernel::new(&g, confined);
+                let run = probe::run(|| kernel.max_diameter(pieces.iter().map(Vec::as_slice)));
+                assert_eq!(
+                    run,
+                    (Some(diameter), expected),
+                    "{name}, confined {confined}"
+                );
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "vertex 1 repeats in a set")]
     fn set_diameters_reject_a_repeated_vertex() {
@@ -882,13 +1250,6 @@ mod tests {
             vec![1, 0, 1, 0, 1]
         );
         assert_eq!(bfs_distances_multi(&g, &[2, 2]), bfs_distances(&g, 2));
-    }
-
-    #[test]
-    fn set_distance_basic() {
-        let g = gen::path(6);
-        assert_eq!(set_distance(&g, &[0, 1], &[4, 5]), Some(3));
-        assert_eq!(set_distance(&g, &[], &[1]), None);
     }
 
     #[test]
@@ -915,13 +1276,5 @@ mod tests {
         }
         // Self-cleaning invariant: no marks survive a traversal.
         assert!(scratch.seen_v.iter().all(|&s| !s));
-    }
-
-    #[test]
-    fn ball_size_matches_ball() {
-        let g = gen::grid(5, 5);
-        for r in 0..5 {
-            assert_eq!(ball_size(&g, 12, r, None), ball(&g, &[12], r, None).len());
-        }
     }
 }

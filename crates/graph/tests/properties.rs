@@ -178,6 +178,76 @@ fn set_diameters_on_pull_levels_and_central_pivots() {
     assert_matches_reference(&g, &[ring.collect()]);
 }
 
+/// The connected components of `G[S]` for the vertices `keep` marks, or of
+/// `g` itself when it marks them all.
+fn pieces(g: &Graph, keep: &[bool]) -> Vec<Vec<Vertex>> {
+    let (comp, k) = g.connected_components_masked(keep);
+    split(&comp.iter().map(|&c| c as usize).collect::<Vec<_>>(), k)
+}
+
+/// The cells of a multi-source BFS from `centres`: each vertex joins the
+/// cell of the centre that reaches it first, so every cell is connected.
+fn cells(g: &Graph, centres: &[Vertex]) -> Vec<Vec<Vertex>> {
+    let mut cell = vec![usize::MAX; g.n()];
+    let mut queue = std::collections::VecDeque::new();
+    for (i, &c) in centres.iter().enumerate() {
+        cell[c as usize] = i;
+        queue.push_back(c);
+    }
+    while let Some(x) = queue.pop_front() {
+        for &y in g.neighbors(x) {
+            if cell[y as usize] == usize::MAX {
+                cell[y as usize] = cell[x as usize];
+                queue.push_back(y);
+            }
+        }
+    }
+    split(&cell, centres.len())
+}
+
+#[test]
+fn set_diameters_on_sets_of_several_wide_batches() {
+    // Random 4-regular graphs, whole and cut into connected BFS cells:
+    // nearly every member's eccentricity is the diameter, so neither the
+    // stop nor settling spares many members, and a set of more than 256
+    // members takes several wide lane batches.
+    for (n, seed) in [(300, 11), (600, 12), (900, 13), (1200, 14)] {
+        let g = gen::random_regular(n, 4, &mut gen::seeded_rng(seed));
+        assert_matches_reference(&g, &[g.vertices().collect()]);
+        for k in [2, 3] {
+            let centres: Vec<Vertex> = (0..k).map(|i| (i * n / k) as Vertex).collect();
+            assert_matches_reference(&g, &cells(&g, &centres));
+        }
+    }
+    // gnp giant components (and their small neighbours), where settling
+    // after the first wide batch spares most members.
+    for (n, seed) in [(700, 21), (1500, 22)] {
+        let g = gen::gnp(n, 3.0 / n as f64, &mut gen::seeded_rng(seed));
+        assert_matches_reference(&g, &pieces(&g, &vec![true; n]));
+    }
+    // Grids with rectangular holes: weak paths between members run through
+    // the holes, strong ones around them. Under the strong metric a ring
+    // around one large hole has every eccentricity near its diameter.
+    for (rows, cols, holes) in [
+        (30, 30, vec![(5, 5, 10, 10), (18, 12, 26, 20)]),
+        (20, 60, vec![(0, 20, 16, 22), (4, 40, 20, 42)]),
+        (40, 40, vec![(3, 3, 37, 37)]),
+        (50, 50, vec![(8, 8, 42, 42)]),
+    ] {
+        let g = gen::grid(rows, cols);
+        let keep: Vec<bool> = g
+            .vertices()
+            .map(|v| {
+                let (r, c) = (v as usize / cols, v as usize % cols);
+                !holes
+                    .iter()
+                    .any(|&(r0, c0, r1, c1)| (r0..r1).contains(&r) && (c0..c1).contains(&c))
+            })
+            .collect();
+        assert_matches_reference(&g, &pieces(&g, &keep));
+    }
+}
+
 /// Strategy: a random graph on up to `max_n` vertices with a vertex mask
 /// that kills about one vertex in five.
 fn arb_masked_graph(max_n: usize) -> impl Strategy<Value = (Graph, Vec<bool>)> {
