@@ -14,10 +14,15 @@
 //! runner the trajectory is flat by construction; the speedup assertions
 //! therefore only arm when the host actually has ≥ 4 cores).
 //!
+//! The `prep/sc_cycle300_eps*` rows time `prepare` alone on a warm
+//! `cycle(300)` job (see [`bench_sc_cycle300`]).
+//!
 //! Run quick (CI smoke): `cargo bench -p dapc-bench --bench bench_prep -- --quick`
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use dapc_core::engine::{self, SolveConfig, SolveReport};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use dapc_core::engine::{self, SharedSubsetCache, SolveConfig, SolveReport};
+use dapc_core::prep::{self, SubsetSolver};
+use dapc_core::ScaleKnobs;
 use dapc_graph::{gen, GraphBuilder};
 use dapc_ilp::problems;
 use dapc_ilp::IlpInstance;
@@ -131,5 +136,52 @@ fn bench_prep_workers(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_prep_workers, report_prep_sharding);
+/// `prepare` alone on `cycle(300)` at `serve_warm`'s default knobs, at
+/// ε 0.2 and 0.3, with a warm family cache: what is left of a warm job's
+/// preparation is its decompositions, its `S_C` lookups and cache reads.
+/// Every `8tR` there lies between `ecc(v0) = 150` and `2·ecc(v0)`, so
+/// every `S_C` is the whole cycle, certified by eccentricity bounds and
+/// landmark BFS runs. Prints µs per call with one call's `S_C` balls and
+/// landmark BFS runs (`core.sc.*`).
+fn bench_sc_cycle300(_c: &mut Criterion) {
+    let ilp = problems::max_independent_set_unweighted(&gen::cycle(300));
+    let h = ilp.hypergraph().clone();
+    let primal = h.primal_graph();
+    let calls = if quick_mode() { 100 } else { 1000 };
+    for eps in [0.2, 0.3] {
+        let params = ScaleKnobs::default().packing_params(eps, 300);
+        let cache = SharedSubsetCache::new();
+        let call = || {
+            let mut solver = SubsetSolver::with_shared(&ilp, params.budget, cache.clone());
+            let mut rng = gen::seeded_rng(1);
+            prep::prepare(&ilp, &h, &primal, &params, &mut rng, &mut solver)
+        };
+        call(); // warms the family cache
+        let counts =
+            || ["core.sc.balls", "core.sc.landmarks"].map(|name| dapc_obs::counter(name).get());
+        let before = counts();
+        dapc_obs::set_enabled(true);
+        call();
+        dapc_obs::set_enabled(false);
+        let [balls, landmarks] = counts();
+        let start = Instant::now();
+        for _ in 0..calls {
+            black_box(call());
+        }
+        let micros = start.elapsed().as_secs_f64() * 1e6 / calls as f64;
+        println!(
+            "{:<40} {micros:>9.1} µs per call  ({calls} calls; {} S_C balls, {} landmark BFS per call)",
+            format!("prep/sc_cycle300_eps{eps}"),
+            balls - before[0],
+            landmarks - before[1],
+        );
+    }
+}
+
+criterion_group!(
+    benches,
+    bench_prep_workers,
+    report_prep_sharding,
+    bench_sc_cycle300
+);
 criterion_main!(benches);

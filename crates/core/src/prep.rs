@@ -23,14 +23,36 @@
 //! costs `O(|S| + Σ_{v∈S} deg v)` around the exact search (plus `m/64`
 //! bitset words), not `O(n + m)`.
 //! [`prepare`] labels the primal graph's connected components once per
-//! call, in `O(n + m)`, by a BFS from each component's smallest vertex
-//! `v0` that also measures `ecc(v0)`. **Certificate:** if `r ≥ 2·ecc(v0)`
-//! for the component `K` holding a cluster `C`, then `r ≥ diam(K)`
-//! (any two vertices of `K` meet through `v0`), so `N^r(C) = K`; that
-//! `S_C` is `K`'s precomputed sorted list and key. Every other `S_C` is a
-//! BFS on the primal CSR graph into a bitset, read back in ascending
-//! order in `O(|S_C| + n/64)`; a BFS that reaches all of `K` takes `K`'s
-//! list and key too, so it folds no key of its own.
+//! call, in `O(n + m)`, by a level-by-level BFS from each component's
+//! smallest vertex `v0`, which gives every vertex's distance `d0(v)` and
+//! `ecc(v0)`.
+//!
+//! **Certificate.** A cluster `C` inside a component `K` has
+//! `S_C = N^r(C) = K` as soon as one member `c` has `ecc(c) ≤ r`, since
+//! `K = N^r(c) ⊆ N^r(C) ⊆ K`; that `S_C` is `K`'s precomputed sorted list
+//! and key. By the triangle inequality `ecc(v) ≤ d(v, s) + ecc(s)` for
+//! any BFS source `s` in `K`, so the labelling gives every vertex the
+//! upper bound `ub(v) = d0(v) + ecc(v0)` (Takes and Kosters' upper-bound
+//! rule), and `radius(K) ≥ ecc(v0)/2`. Per component:
+//! - `2·ecc(v0) ≤ r`: every `ub ≤ r`, so every `S_C` is `K`, and no
+//!   bound is stored;
+//! - `ecc(v0) > 2r`: `radius(K) > r`, so no member qualifies, and no
+//!   bound is stored;
+//! - otherwise `ub` is kept, and `C` is whole when some member has
+//!   `ub ≤ r`. If none has, one full BFS of `K` from the member `L` with
+//!   the smallest `ub` (a landmark) gives `ecc(L)` exactly and tightens
+//!   every `ub(v)` to `d(v, L) + ecc(L)` where that is smaller. `C` is
+//!   certified whole iff `ecc(L) ≤ r`; after the first `ecc(L) > r`, `K`
+//!   takes no more landmarks.
+//!
+//! **Cost.** A landmark that succeeds costs about what the BFS ball it
+//! replaces would have cost, since that ball would have reached all of
+//! `K`. A component takes at most one landmark that fails, so the
+//! certificate adds at most one full BFS per component and call to the
+//! labelling's `O(n + m)`. Every `S_C` still uncertified is a BFS on the
+//! primal CSR graph into a bitset, truncated at `r` levels and read back
+//! in ascending order in `O(|S_C| + n/64)`; a BFS that reaches all of
+//! `K` takes `K`'s list and key too, so it folds no key of its own.
 
 use crate::params::PcParams;
 use dapc_graph::{Graph, Hypergraph, Vertex};
@@ -46,12 +68,12 @@ use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Cached registry handles for the cache's process-wide totals. The
-/// per-family breakdown stays on [`SharedSubsetCache`]'s own counters
-/// (and `CacheStats` in `dapc-runtime`); the registry carries the
-/// unified sums across every family so one snapshot shows cache health
-/// without unbounded metric cardinality. Each site gates on
-/// [`dapc_obs::enabled`].
+/// Cached registry handles for the process-wide totals of the cache and
+/// of the `S_C` lookups. The per-family breakdown stays on
+/// [`SharedSubsetCache`]'s own counters (and `CacheStats` in
+/// `dapc-runtime`); the registry carries the unified sums across every
+/// family so one snapshot shows cache health without unbounded metric
+/// cardinality. Each site gates on [`dapc_obs::enabled`].
 mod metrics {
     use dapc_obs::{Counter, Gauge};
     use std::sync::OnceLock;
@@ -79,6 +101,18 @@ mod metrics {
     pub fn bytes() -> &'static Gauge {
         static G: OnceLock<Gauge> = OnceLock::new();
         G.get_or_init(|| dapc_obs::gauge("core.subset_cache.bytes"))
+    }
+
+    /// `S_C` lists built by a truncated BFS ball.
+    pub fn sc_balls() -> &'static Counter {
+        static C: OnceLock<Counter> = OnceLock::new();
+        C.get_or_init(|| dapc_obs::counter("core.sc.balls"))
+    }
+
+    /// Full landmark BFS runs of the `S_C` certificate.
+    pub fn sc_landmarks() -> &'static Counter {
+        static C: OnceLock<Counter> = OnceLock::new();
+        C.get_or_init(|| dapc_obs::counter("core.sc.landmarks"))
     }
 }
 
@@ -762,6 +796,18 @@ impl Buckets {
     }
 }
 
+/// How one component's `S_C` lookups are certified (see the module docs).
+#[derive(Clone, Copy)]
+enum Cert {
+    /// `2·ecc(v0) ≤ r`: every `S_C` is the whole component.
+    Whole,
+    /// `ScBalls::ub` bounds the members' eccentricities; `landmarks` is
+    /// false once a landmark has failed.
+    Bounded { landmarks: bool },
+    /// `ecc(v0) > 2r`: the component's radius exceeds `r`.
+    Never,
+}
+
 /// The `S_C = N^r(C)` lookups of one [`prepare`] call: each `S_C` as a
 /// sorted vertex list with its key (see the module docs for the
 /// certificate that skips most BFS runs).
@@ -772,17 +818,22 @@ struct ScBalls<'g> {
     component: Vec<u32>,
     /// Every component's vertices.
     components: Buckets,
-    /// Whether each component is certified whole (`r ≥ 2·ecc(v0)`).
-    certified: Vec<bool>,
+    /// Every component's certificate.
+    certs: Vec<Cert>,
+    /// An upper bound on every vertex's eccentricity, valid in the
+    /// [`Cert::Bounded`] components; empty while there is none.
+    ub: Vec<u32>,
     /// Each component's key, folded on first use.
     keys: Vec<Option<SubsetKey>>,
     /// `S_C`'s key by `C`'s key, for every cluster seen so far.
     // dapc-allow(hash-iter): digest-keyed lookups only — never iterated
     seen: HashMap<SubsetKey, SubsetKey>,
     bits: IdBits,
-    /// The BFS queue; it holds the ball in BFS order.
+    /// The last BFS's vertices in BFS order.
     queue: Vec<Vertex>,
-    /// The last BFS ball, ascending.
+    /// Where each level of the last BFS starts in `queue`, then its end.
+    levels: Vec<usize>,
+    /// The last bitset BFS's vertices, ascending.
     ball: Vec<Vertex>,
 }
 
@@ -791,47 +842,46 @@ impl<'g> ScBalls<'g> {
     fn new(primal: &'g Graph, radius: usize) -> Self {
         let n = primal.n();
         let mut component = vec![u32::MAX; n];
-        let mut certified = Vec::new();
-        let mut queue = Vec::new();
+        let (mut certs, mut ub) = (Vec::new(), Vec::new());
+        let (mut queue, mut levels) = (Vec::new(), Vec::new());
         for v0 in 0..n as Vertex {
             if component[v0 as usize] != u32::MAX {
                 continue;
             }
-            let c = certified.len() as u32;
-            component[v0 as usize] = c;
-            queue.clear();
-            queue.push(v0);
-            // Level by level, so `ecc` ends as v0's eccentricity.
-            let (mut start, mut ecc) = (0, 0usize);
-            loop {
-                let end = queue.len();
-                for i in start..end {
-                    for &w in primal.neighbors(queue[i]) {
-                        if component[w as usize] == u32::MAX {
-                            component[w as usize] = c;
-                            queue.push(w);
-                        }
-                    }
+            let c = certs.len() as u32;
+            let ecc = bfs(primal, &[v0], usize::MAX, &mut queue, &mut levels, |w| {
+                let new = component[w as usize] == u32::MAX;
+                if new {
+                    component[w as usize] = c;
                 }
-                if queue.len() == end {
-                    break;
+                new
+            });
+            certs.push(if 2 * ecc <= radius {
+                Cert::Whole
+            } else if ecc > radius.saturating_mul(2) {
+                Cert::Never
+            } else {
+                if ub.is_empty() {
+                    ub = vec![u32::MAX; n];
                 }
-                (start, ecc) = (end, ecc + 1);
-            }
-            certified.push(2 * ecc <= radius);
+                tighten(&mut ub, &queue, &levels, ecc);
+                Cert::Bounded { landmarks: true }
+            });
         }
-        let components = Buckets::by_label(&component, certified.len());
+        let components = Buckets::by_label(&component, certs.len());
         ScBalls {
             primal,
             radius,
             component,
             components,
-            keys: vec![None; certified.len()],
-            certified,
+            keys: vec![None; certs.len()],
+            certs,
+            ub,
             // dapc-allow(hash-iter): lookup-only map (see field)
             seen: HashMap::new(),
             bits: IdBits::default(),
             queue,
+            levels,
             ball: Vec::new(),
         }
     }
@@ -854,9 +904,14 @@ impl<'g> ScBalls<'g> {
         // `S_C` is C's whole component when the certificate says so, or
         // when the BFS reached all of it; either way its list and key are
         // the component's.
-        let mut whole = inside && self.certified[c];
+        let mut whole = inside && self.certified(c, members);
         if !whole {
-            self.bfs(members);
+            #[cfg(test)]
+            probe::count(probe::Route::Ball);
+            if dapc_obs::enabled() {
+                metrics::sc_balls().inc();
+            }
+            self.ball_bfs(members, self.radius);
             whole = inside && self.ball.len() == self.components.get(c).len();
         }
         let key = if whole {
@@ -873,55 +928,168 @@ impl<'g> ScBalls<'g> {
         (key, Some(list))
     }
 
-    /// `N^r(members)` on the primal graph into [`ScBalls::ball`].
-    fn bfs(&mut self, members: &[Vertex]) {
+    /// Whether some member of the cluster `members`, all in component
+    /// `c`, provably has eccentricity at most `r`, by the component's
+    /// certificate, a bound or a landmark BFS.
+    fn certified(&mut self, c: usize, members: &[Vertex]) -> bool {
+        let landmarks = match self.certs[c] {
+            Cert::Whole => {
+                #[cfg(test)]
+                probe::count(probe::Route::Whole);
+                return true;
+            }
+            Cert::Never => return false,
+            Cert::Bounded { landmarks } => landmarks,
+        };
+        // The members ascend, so a tie goes to the smallest id.
+        let best = *members
+            .iter()
+            .min_by_key(|&&v| self.ub[v as usize])
+            .expect("clusters are non-empty");
+        if self.ub[best as usize] as usize <= self.radius {
+            #[cfg(test)]
+            probe::count(probe::Route::Bound);
+            return true;
+        }
+        if !landmarks {
+            return false;
+        }
+        if dapc_obs::enabled() {
+            metrics::sc_landmarks().inc();
+        }
+        let ecc = self.ball_bfs(&[best], usize::MAX);
+        tighten(&mut self.ub, &self.queue, &self.levels, ecc);
+        let hit = ecc <= self.radius;
         #[cfg(test)]
-        probe::count_bfs();
-        self.queue.clear();
-        for &s in members {
-            if self.bits.insert(s) {
-                self.queue.push(s);
-            }
-        }
-        let mut start = 0;
-        for _ in 0..self.radius {
-            let end = self.queue.len();
-            for i in start..end {
-                for &w in self.primal.neighbors(self.queue[i]) {
-                    if self.bits.insert(w) {
-                        self.queue.push(w);
-                    }
-                }
-            }
-            if self.queue.len() == end {
-                break;
-            }
-            start = end;
-        }
+        probe::count(if hit {
+            probe::Route::Landmark
+        } else {
+            probe::Route::FailedLandmark
+        });
+        self.certs[c] = Cert::Bounded { landmarks: hit };
+        hit
+    }
+
+    /// [`bfs`] from `sources` through [`ScBalls::bits`], leaving what it
+    /// reached, ascending, in [`ScBalls::ball`] and `bits` empty.
+    fn ball_bfs(&mut self, sources: &[Vertex], limit: usize) -> usize {
+        let bits = &mut self.bits;
+        let depth = bfs(
+            self.primal,
+            sources,
+            limit,
+            &mut self.queue,
+            &mut self.levels,
+            |w| bits.insert(w),
+        );
         self.ball.clear();
         self.bits.drain_into(&mut self.ball);
+        depth
     }
 }
 
-/// Counts the `S_C` balls [`prepare`] builds by BFS on this thread, for
+/// A BFS on `g` from `sources` that stops after `limit` levels or at the
+/// first empty one; `visit(v)` marks `v` and says whether it was new.
+/// Leaves the vertices reached in `queue` in BFS order, and where each
+/// level starts in `levels`, then the end. Returns the last level's
+/// distance: the sources' eccentricity when the BFS ran out.
+fn bfs(
+    g: &Graph,
+    sources: &[Vertex],
+    limit: usize,
+    queue: &mut Vec<Vertex>,
+    levels: &mut Vec<usize>,
+    mut visit: impl FnMut(Vertex) -> bool,
+) -> usize {
+    queue.clear();
+    queue.extend(sources.iter().copied().filter(|&s| visit(s)));
+    levels.clear();
+    levels.push(0);
+    let mut start = 0;
+    for _ in 0..limit {
+        let end = queue.len();
+        for i in start..end {
+            for &w in g.neighbors(queue[i]) {
+                if visit(w) {
+                    queue.push(w);
+                }
+            }
+        }
+        if queue.len() == end {
+            break;
+        }
+        levels.push(end);
+        start = end;
+    }
+    levels.push(queue.len());
+    levels.len() - 2
+}
+
+/// Lowers `ub(v)` to `d(v) + ecc` for every vertex of the BFS that left
+/// `queue` and `levels`, `ecc` being its source's eccentricity.
+fn tighten(ub: &mut [u32], queue: &[Vertex], levels: &[usize], ecc: usize) {
+    for (d, level) in levels.windows(2).enumerate() {
+        let bound = (d + ecc) as u32;
+        for &v in &queue[level[0]..level[1]] {
+            ub[v as usize] = ub[v as usize].min(bound);
+        }
+    }
+}
+
+/// Counts how [`prepare`] answers its `S_C` lookups on this thread, for
 /// the tests that pin the certificate's reach.
 #[cfg(test)]
 mod probe {
     use std::cell::Cell;
 
+    /// The ways a lookup of a new cluster can go; a failed landmark is
+    /// followed by a ball.
+    pub(super) enum Route {
+        Whole,
+        Bound,
+        Landmark,
+        FailedLandmark,
+        Ball,
+    }
+
+    /// How many lookups went each way.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub(super) struct Routes {
+        pub whole: u64,
+        pub bound: u64,
+        pub landmark: u64,
+        pub failed_landmark: u64,
+        pub ball: u64,
+    }
+
+    impl Routes {
+        /// Every landmark BFS, successful or not.
+        pub fn landmarks(&self) -> u64 {
+            self.landmark + self.failed_landmark
+        }
+    }
+
     thread_local! {
-        static BFS: Cell<u64> = const { Cell::new(0) };
+        static ROUTES: Cell<Routes> = Cell::default();
     }
 
-    pub(super) fn count_bfs() {
-        BFS.set(BFS.get() + 1);
+    pub(super) fn count(route: Route) {
+        let mut routes = ROUTES.get();
+        *match route {
+            Route::Whole => &mut routes.whole,
+            Route::Bound => &mut routes.bound,
+            Route::Landmark => &mut routes.landmark,
+            Route::FailedLandmark => &mut routes.failed_landmark,
+            Route::Ball => &mut routes.ball,
+        } += 1;
+        ROUTES.set(routes);
     }
 
-    /// Runs `f` and returns its result with the BFS balls it built.
-    pub(super) fn run<T>(f: impl FnOnce() -> T) -> (T, u64) {
-        BFS.set(0);
+    /// Runs `f` and returns its result with the routes its lookups took.
+    pub(super) fn run<T>(f: impl FnOnce() -> T) -> (T, Routes) {
+        ROUTES.set(Routes::default());
         let out = f();
-        (out, BFS.get())
+        (out, ROUTES.get())
     }
 }
 
@@ -1227,89 +1395,108 @@ mod tests {
 
     #[test]
     fn sc_lists_equal_sorted_hypergraph_balls() {
-        let (mut certified, mut searched) = (0u64, 0u64);
-        for seed in 0..24 {
-            let h = several_components(seed);
-            let primal = h.primal_graph();
-            let (comp, k) = primal.connected_components();
-            let groups = Buckets::by_label(&comp, k);
-            let mut rng = gen::seeded_rng(seed + 100);
-            // Clusters: random subsets of each component, each whole
-            // component, and some spanning two components.
-            let mut clusters: BTreeSet<Vec<Vertex>> = BTreeSet::new();
-            for (c, group) in groups.iter().enumerate() {
-                clusters.insert(group.to_vec());
-                for _ in 0..3 {
-                    let sub: Vec<Vertex> = group
+        // Shuffled multi-component hypergraphs, then paths and grids with
+        // their ids in order, where `v0` is an end or a corner: there
+        // `ub(v0) = ecc(v0)` exactly, and a radius between a component's
+        // radius and its diameter makes the landmarks at its ends fail.
+        let in_order = [gen::path(2), gen::path(9), gen::path(30)]
+            .into_iter()
+            .chain([gen::grid(3, 7), gen::grid(6, 6)])
+            .map(|g| {
+                problems::max_independent_set_unweighted(&g)
+                    .hypergraph()
+                    .clone()
+            });
+        let shapes: Vec<Hypergraph> = (0..24).map(several_components).chain(in_order).collect();
+        let ((), routes) = probe::run(|| {
+            for (i, h) in shapes.iter().enumerate() {
+                let primal = h.primal_graph();
+                let (comp, k) = primal.connected_components();
+                let groups = Buckets::by_label(&comp, k);
+                let mut rng = gen::seeded_rng(i as u64 + 100);
+                // Clusters, looked up in this order: the middle and the
+                // ends of each component, both ends together, random
+                // subsets, each whole component, and some spanning two.
+                let mut clusters: Vec<Vec<Vertex>> = Vec::new();
+                for (c, group) in groups.iter().enumerate() {
+                    let (first, last) = (group[0], group[group.len() - 1]);
+                    clusters.extend([group[group.len() / 2], first, last].map(|v| vec![v]));
+                    let mut ends = vec![first, last];
+                    ends.dedup();
+                    clusters.push(ends);
+                    for _ in 0..3 {
+                        clusters.push(
+                            group
+                                .iter()
+                                .copied()
+                                .filter(|_| rng.random_bool(0.3))
+                                .collect(),
+                        );
+                    }
+                    clusters.push(group.to_vec());
+                    let other = groups.get((c + 1) % k);
+                    let mut span = vec![first, other[other.len() - 1]];
+                    span.sort_unstable();
+                    span.dedup();
+                    clusters.push(span);
+                }
+                let mut fresh = BTreeSet::new();
+                clusters.retain(|members| !members.is_empty() && fresh.insert(members.clone()));
+                // Radii around every component's radius, `ecc(v0)`,
+                // diameter and `2·ecc(v0)` (`v0` is its smallest vertex).
+                let mut radii = BTreeSet::from([0usize, 1, 1000]);
+                for group in groups.iter() {
+                    let eccs: Vec<usize> = group
                         .iter()
-                        .copied()
-                        .filter(|_| rng.random_bool(0.3))
+                        .map(|&u| {
+                            let d = h.distances(&[u], None, None);
+                            group
+                                .iter()
+                                .map(|&v| d[v as usize] as usize)
+                                .max()
+                                .unwrap_or(0)
+                        })
                         .collect();
-                    if !sub.is_empty() {
-                        clusters.insert(sub);
+                    let radius = eccs.iter().copied().min().unwrap_or(0);
+                    let diam = eccs.iter().copied().max().unwrap_or(0);
+                    for r in [radius, eccs[0], diam, 2 * eccs[0]] {
+                        radii.extend([r.saturating_sub(1), r, r + 1]);
                     }
                 }
-                let other = groups.get((c + 1) % k);
-                let mut span = vec![group[0], other[other.len() - 1]];
-                span.sort_unstable();
-                span.dedup();
-                clusters.insert(span);
-            }
-            // Radii around 2·ecc(v0) and the true diameter of every
-            // component (v0 is the component's smallest vertex).
-            let mut radii = BTreeSet::from([0usize, 1, 1000]);
-            for group in groups.iter() {
-                let dist = h.distances(&[group[0]], None, None);
-                let ecc = group
-                    .iter()
-                    .map(|&v| dist[v as usize] as usize)
-                    .max()
-                    .unwrap_or(0);
-                let diam = group
-                    .iter()
-                    .map(|&u| {
-                        let d = h.distances(&[u], None, None);
-                        group
-                            .iter()
-                            .map(|&v| d[v as usize] as usize)
-                            .max()
-                            .unwrap_or(0)
-                    })
-                    .max()
-                    .unwrap_or(0);
-                for r in [2 * ecc, diam] {
-                    radii.extend([r.saturating_sub(1), r, r + 1]);
-                }
-            }
-            for &r in &radii {
-                let mut balls = ScBalls::new(&primal, r);
-                for members in &clusters {
-                    let mut expected: Vec<Vertex> = h.ball(members, r, None, None).iter().collect();
-                    expected.sort_unstable();
-                    let ((key, list), bfs) = probe::run(|| {
+                for &r in &radii {
+                    let mut balls = ScBalls::new(&primal, r);
+                    for members in &clusters {
+                        let mut expected: Vec<Vertex> =
+                            h.ball(members, r, None, None).iter().collect();
+                        expected.sort_unstable();
                         let (key, list) = balls.get(subset_key(members, None), members);
-                        (key, list.expect("a new cluster gets its list").to_vec())
-                    });
-                    assert_eq!(list, expected, "seed {seed}, r {r}, cluster {members:?}");
-                    assert_eq!(key, subset_key(&expected, None));
-                    // A repeated cluster hands back the same key.
-                    assert_eq!(balls.get(subset_key(members, None), members), (key, None));
-                    searched += bfs;
-                    certified += 1 - bfs;
+                        let list = list.expect("a new cluster gets its list").to_vec();
+                        assert_eq!(list, expected, "shape {i}, r {r}, cluster {members:?}");
+                        assert_eq!(key, subset_key(&expected, None));
+                        // A repeated cluster hands back the same key.
+                        assert_eq!(balls.get(subset_key(members, None), members), (key, None));
+                    }
                 }
             }
-        }
+        });
         assert!(
-            certified > 0 && searched > 0,
-            "{certified} certified, {searched} searched"
+            routes.whole > 0
+                && routes.bound > 0
+                && routes.landmark > 0
+                && routes.failed_landmark > 0
+                && routes.ball > 0,
+            "some route was never taken: {routes:?}"
         );
     }
 
-    /// The certificate's reach on the benchmark's long cycles: every
-    /// `S_C` of `cycle(800)` at `ilp_cold`'s knobs is a certified whole
-    /// component, while `cycle(300)` at `serve_warm`'s (default) knobs
-    /// has `sc_radius` below `2·ecc(v0) = 300`, so each distinct cluster
-    /// builds its ball by BFS exactly once.
+    /// The `S_C` work on the benchmark's long cycles. Every `S_C` of
+    /// `cycle(800)` at `ilp_cold`'s knobs takes the `2·ecc(v0) ≤ r` fast
+    /// path. `cycle(300)` at `serve_warm`'s (default) knobs has
+    /// `ecc(v0) = 150 < sc_radius < 300 = 2·ecc(v0)`. Every vertex of a
+    /// cycle has eccentricity 150, so every `S_C` is the whole cycle and
+    /// no ball is built: the bounds from `v0` answer the clusters that
+    /// reach within `r − 150` of it, and each landmark those within
+    /// `r − 150` of itself, so the smaller radius takes more landmarks.
     #[test]
     fn bfs_balls_on_the_benchmark_shapes() {
         let knobs = |r_scale| ScaleKnobs {
@@ -1320,21 +1507,30 @@ mod tests {
             (
                 problems::max_independent_set_unweighted(&gen::cycle(800)),
                 knobs(0.1).packing_params(0.2, 800),
+                0,
             ),
             (
                 problems::min_vertex_cover_unweighted(&gen::cycle(800)),
                 knobs(0.3).covering_params(0.3, 800),
+                0,
             ),
         ];
         let ring = problems::max_independent_set_unweighted(&gen::cycle(300));
-        let short =
-            [0.2, 0.3].map(|eps| (ring.clone(), ScaleKnobs::default().packing_params(eps, 300)));
-        for (ilp, mut params) in long.into_iter().chain(short) {
+        let short = [(0.2, 2), (0.3, 11)].map(|(eps, landmarks)| {
+            let params = ScaleKnobs::default().packing_params(eps, 300);
+            (ring.clone(), params, landmarks)
+        });
+        for (ilp, mut params, landmarks) in long.into_iter().chain(short) {
             let h = ilp.hypergraph().clone();
             let primal = h.primal_graph();
+            if ilp.n() == 800 {
+                assert!(params.sc_radius >= 800, "{params:?}");
+            } else {
+                assert!((151..300).contains(&params.sc_radius), "{params:?}");
+            }
             for workers in [1, 2] {
                 params.prep_workers = workers;
-                let (prep, bfs) = probe::run(|| {
+                let (_, routes) = probe::run(|| {
                     let mut solver = SubsetSolver::new(&ilp, params.budget);
                     prepare(
                         &ilp,
@@ -1345,23 +1541,49 @@ mod tests {
                         &mut solver,
                     )
                 });
-                let distinct: BTreeSet<&Vec<Vertex>> =
-                    prep.clusters.iter().map(|c| &c.members).collect();
-                let expected = if ilp.n() == 800 {
-                    assert!(params.sc_radius >= 800, "{params:?}");
-                    0
-                } else {
-                    assert!(params.sc_radius < 300, "{params:?}");
-                    distinct.len() as u64
-                };
                 assert_eq!(
-                    bfs,
-                    expected,
-                    "n {}, ε {}, {workers} workers",
+                    (routes.ball, routes.landmarks(), routes.failed_landmark),
+                    (0, landmarks, 0),
+                    "n {}, ε {}, {workers} workers: {routes:?}",
                     ilp.n(),
                     params.eps
                 );
             }
+        }
+    }
+
+    /// Landmarks per component: none where `ecc(v0) > 2r`, since the
+    /// radius then exceeds `r`, and no more after the first that fails.
+    #[test]
+    fn a_component_stops_taking_landmarks_after_a_failure() {
+        // v0 = 0 is an end: ecc(v0) = 40 is the diameter, the radius 20.
+        let path = gen::path(41);
+        let clusters = [vec![0], vec![40], vec![20], vec![10, 11], vec![39, 40]];
+        let lookups = |r| {
+            let mut balls = ScBalls::new(&path, r);
+            probe::run(|| {
+                for members in &clusters {
+                    balls.get(subset_key(members, None), members);
+                }
+            })
+            .1
+        };
+        let balls_only = probe::Routes {
+            ball: 5,
+            ..Default::default()
+        };
+        assert_eq!(lookups(19), balls_only, "2r = 38 < ecc(v0)");
+        // At r = 20, ecc(v0) = 2r and the middle vertex's eccentricity is
+        // r, so the component keeps its bounds.
+        for r in [20, 25] {
+            assert_eq!(
+                lookups(r),
+                probe::Routes {
+                    failed_landmark: 1,
+                    ..balls_only
+                },
+                "r {r}: the landmark at the end fails, and no other runs"
+            );
         }
     }
 

@@ -8,6 +8,7 @@
 //! distance computations in the distributed algorithms.
 
 use dapc_graph::{Hypergraph, Vertex};
+use std::sync::OnceLock;
 
 /// Whether an instance packs (maximise, `Ax ≤ b`) or covers (minimise,
 /// `Ax ≥ b`).
@@ -128,6 +129,8 @@ pub struct IlpInstance {
     weights: Vec<u64>,
     constraints: Vec<Constraint>,
     hypergraph: Hypergraph,
+    /// [`IlpInstance::fingerprint`], filled by its first call.
+    fingerprint: OnceLock<u64>,
 }
 
 impl IlpInstance {
@@ -155,6 +158,7 @@ impl IlpInstance {
             weights,
             constraints,
             hypergraph,
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -223,7 +227,17 @@ impl IlpInstance {
     /// fingerprints are, with overwhelming probability, the same ILP —
     /// batch runtimes use this to key per-instance-family caches without
     /// holding onto the instances themselves.
+    ///
+    /// It is folded on the first call and kept, so later calls, and
+    /// clones taken after it, cost nothing. The value is persisted:
+    /// `dapc-runtime`'s warm-start snapshots (`DAPCPPC`) key their
+    /// families by it, so the bytes it folds must never change.
     pub fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| self.fold_fingerprint())
+    }
+
+    /// The fold behind [`IlpInstance::fingerprint`].
+    fn fold_fingerprint(&self) -> u64 {
         let mut h = crate::hash::FNV_OFFSET;
         let mut eat = |v: u64| h = crate::hash::fnv1a_u64(h, v);
         eat(match self.sense {
@@ -432,5 +446,40 @@ mod tests {
             vec![Constraint::new(vec![(0, 1.0), (1, 1.0), (2, 1.0)], 1.0)],
         );
         assert_ne!(a.fingerprint(), cover.fingerprint());
+    }
+
+    /// Warm-start snapshots key their families by the fingerprint, so
+    /// these values must never move: a change orphans every saved
+    /// snapshot. Clones and fresh builds share them, whether they were
+    /// taken before or after the first call.
+    #[test]
+    fn fingerprints_are_pinned() {
+        use crate::problems;
+        use dapc_graph::gen;
+        let build = [
+            || problems::max_independent_set_unweighted(&gen::cycle(6)),
+            || problems::min_dominating_set_unweighted(&gen::grid(2, 3)),
+        ];
+        for (build, pinned) in build
+            .into_iter()
+            .zip([0x23d3_6bc6_6c64_a238, 0x0329_4ea8_a7a2_cf1b])
+        {
+            let ilp = build();
+            let before = ilp.clone();
+            assert_eq!(ilp.fingerprint(), pinned);
+            let after = ilp.clone();
+            assert_eq!(ilp.fingerprint(), pinned, "a second call");
+            assert_eq!(
+                before.fingerprint(),
+                pinned,
+                "a clone taken before the first call"
+            );
+            assert_eq!(after.fingerprint(), pinned, "a clone taken after it");
+            assert_eq!(
+                build().fingerprint(),
+                pinned,
+                "an equal instance built afresh"
+            );
+        }
     }
 }
