@@ -4,18 +4,13 @@
 //! 1. sequential-vs-batch: the same corpus solved the PR-1 way (one job
 //!    at a time, no shared prep) and through `solve_many` at 4 concurrent
 //!    jobs with the per-instance-family prep cache;
-//! 2. streaming smoke: `solve_many_streaming` delivers the identical
+//! 2. streaming smoke: `solve_many_streaming_with_cache` delivers the identical
 //!    results in canonical order with a bounded reorder buffer;
 //! 3. executor-vs-per-solve-pool: on a corpus of many *small* preps, the
 //!    shared-executor batch wall clock beside the per-solve pool
 //!    spawn/teardown tax the former architecture paid (measured
 //!    standalone — the removed cost, not a rerun of the old code). The
-//!    measured line is committed as `BENCH_exec.json` at the repo root;
-//! 4. shard-merge: the same sweep as a 2-shard split — per-shard walls,
-//!    snapshot sizes, serialise+merge overhead (asserted identical to
-//!    the single-process aggregation), and the warm-start shipping win
-//!    when shard 0's prep snapshot seeds shard 1's cache. The measured
-//!    line is committed as `BENCH_shard.json` at the repo root.
+//!    measured line is committed as `BENCH_exec.json` at the repo root.
 //!
 //! Run quick (CI smoke): `cargo bench -p dapc-bench --bench bench_batch -- --quick`
 
@@ -24,8 +19,7 @@ use dapc_core::engine::SolveConfig;
 use dapc_graph::gen;
 use dapc_ilp::problems;
 use dapc_runtime::{
-    solve_many, solve_many_streaming, solve_shard, solve_shard_with_cache, Corpus, JobResult,
-    PrepCache, RuntimeConfig, ShardReport,
+    solve_many, solve_many_streaming_with_cache, Corpus, JobResult, PrepCache, RuntimeConfig,
 };
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -149,7 +143,7 @@ fn report_speedup(_c: &mut Criterion) {
     );
 }
 
-/// Streaming smoke: `solve_many_streaming` hands over the identical
+/// Streaming smoke: `solve_many_streaming_with_cache` hands over the identical
 /// `(key, report)` sequence in canonical order, with the reorder buffer
 /// staying inside its bound — the CI `--quick` step runs this.
 fn report_streaming_smoke(_c: &mut Criterion) {
@@ -157,9 +151,10 @@ fn report_streaming_smoke(_c: &mut Criterion) {
     let batch = solve_many(&corpus, &batch_config());
     let sink: Arc<Mutex<Vec<JobResult>>> = Arc::default();
     let hook = Arc::clone(&sink);
-    let stream = solve_many_streaming(&corpus, &batch_config(), move |r| {
-        hook.lock().expect("stream sink").push(r);
-    });
+    let stream =
+        solve_many_streaming_with_cache(&corpus, &batch_config(), &PrepCache::new(), move |r| {
+            hook.lock().expect("stream sink").push(r);
+        });
     let streamed = Arc::try_unwrap(sink)
         .expect("hook dropped")
         .into_inner()
@@ -197,7 +192,7 @@ fn report_executor_vs_per_solve_pool(_c: &mut Criterion) {
     let (mut shared_exec, mut pool_tax) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..samples {
         let start = Instant::now();
-        let stream = solve_many_streaming(&corpus, &rt, |_r| {});
+        let stream = solve_many_streaming_with_cache(&corpus, &rt, &PrepCache::new(), |_r| {});
         shared_exec = shared_exec.min(start.elapsed().as_secs_f64());
         assert_eq!(stream.jobs, corpus.len());
 
@@ -226,7 +221,7 @@ fn report_executor_vs_per_solve_pool(_c: &mut Criterion) {
         dapc_obs::set_enabled(false);
         let start = Instant::now();
         for _ in 0..reps {
-            let stream = solve_many_streaming(&corpus, &rt, |_r| {});
+            let stream = solve_many_streaming_with_cache(&corpus, &rt, &PrepCache::new(), |_r| {});
             assert_eq!(stream.jobs, corpus.len());
         }
         plain_wall = plain_wall.min(start.elapsed().as_secs_f64() / reps as f64);
@@ -234,7 +229,7 @@ fn report_executor_vs_per_solve_pool(_c: &mut Criterion) {
         dapc_obs::set_enabled(true);
         let start = Instant::now();
         for _ in 0..reps {
-            let stream = solve_many_streaming(&corpus, &rt, |_r| {});
+            let stream = solve_many_streaming_with_cache(&corpus, &rt, &PrepCache::new(), |_r| {});
             assert_eq!(stream.jobs, corpus.len());
         }
         obs_wall = obs_wall.min(start.elapsed().as_secs_f64() / reps as f64);
@@ -257,106 +252,11 @@ fn report_executor_vs_per_solve_pool(_c: &mut Criterion) {
     );
 }
 
-/// The shard-merge measurement: the E3-style sweep as a 2-shard split.
-/// Prints one `BENCH_shard` JSON line recording (a) the per-shard walls
-/// and the serialise → load → merge → finish overhead beside the
-/// single-process streaming wall, with the merged aggregation asserted
-/// identical (timings aside); and (b) the warm-start shipping win — a
-/// single-family seed sweep split in two, shard 1 solved cold vs seeded
-/// from shard 0's bundled prep snapshot.
-fn report_shard_merge(_c: &mut Criterion) {
-    let corpus = sweep_corpus();
-    let rt = batch_config();
-    let single = solve_many_streaming(&corpus, &rt, |_r| {});
-
-    let start = Instant::now();
-    let shard0 = solve_shard(&corpus, 0, 2, &rt);
-    let shard1 = solve_shard(&corpus, 1, 2, &rt);
-    let shard_wall = [shard0.wall.as_secs_f64(), shard1.wall.as_secs_f64()];
-    let solve_wall = start.elapsed().as_secs_f64();
-
-    // The merge protocol through bytes, as cooperating processes run it.
-    let start = Instant::now();
-    let mut shipped = Vec::new();
-    for report in [shard0, shard1] {
-        let mut bytes = Vec::new();
-        report.save_to(&mut bytes).expect("write to a Vec");
-        shipped.push(bytes);
-    }
-    let snapshot_bytes: usize = shipped.iter().map(Vec::len).sum();
-    let mut merged = ShardReport::load_from(shipped[0].as_slice()).expect("shard 0");
-    merged.merge(ShardReport::load_from(shipped[1].as_slice()).expect("shard 1"));
-    let stream = merged.finish();
-    let merge_wall = start.elapsed().as_secs_f64();
-    assert_eq!(stream.jobs, single.jobs);
-    for (a, b) in stream.groups.iter().zip(&single.groups) {
-        let (mut a, mut b) = (a.clone(), b.clone());
-        a.micros = 0;
-        b.micros = 0;
-        assert_eq!(a, b, "shard merge moved an aggregate");
-    }
-
-    // Warm-start shipping: one instance family swept over seeds, split
-    // in two — every subset solve shard 1 needs, shard 0 already did.
-    let seeds = if quick_mode() { 0..6 } else { 0..12 };
-    let family = Corpus::builder()
-        .instance(
-            "MIS/gnp40",
-            problems::max_independent_set_unweighted(&gen::gnp(40, 0.08, &mut gen::seeded_rng(1))),
-        )
-        .backend("three-phase")
-        .eps(0.3)
-        .seeds(seeds)
-        .base_config(SolveConfig::new())
-        .build();
-    // Reference optima on: the whole-instance exact solve both shards
-    // need is the single most expensive shareable entry.
-    let srt = RuntimeConfig::new();
-    let cold_cache = PrepCache::new();
-    let first = solve_shard_with_cache(&family, 0, 2, &srt, &cold_cache).with_prep(&cold_cache);
-
-    let start = Instant::now();
-    let cold = solve_shard(&family, 1, 2, &srt);
-    let cold_wall = start.elapsed().as_secs_f64();
-
-    let warm_cache = PrepCache::new();
-    let start = Instant::now();
-    let seeded = first.warm_start(&warm_cache).expect("load the snapshot");
-    let warm = solve_shard_with_cache(&family, 1, 2, &srt, &warm_cache);
-    let warm_wall = start.elapsed().as_secs_f64();
-    assert!(
-        warm.cache.misses <= cold.cache.misses,
-        "a warm start cannot add misses"
-    );
-
-    println!(
-        "BENCH_shard {{\"corpus\":{{\"jobs\":{},\"shape\":\"E3-style sweep\"}},\"quick\":{},\
-         \"shards\":2,\"wall_seconds\":{{\"single_process\":{:.4},\"shard_solves\":{solve_wall:.4},\
-         \"per_shard\":[{:.4},{:.4}],\"serialise_load_merge_finish\":{merge_wall:.4}}},\
-         \"snapshot_bytes\":{snapshot_bytes},\
-         \"merge_overhead_over_single\":{:.5},\
-         \"warm_start_shipping\":{{\"family_jobs\":{},\"shipped_entries\":{seeded},\
-         \"shard1_misses\":{{\"cold\":{},\"warm\":{}}},\
-         \"shard1_wall_seconds\":{{\"cold\":{cold_wall:.4},\"warm\":{warm_wall:.4}}}}},\
-         \"identity\":\"merged groups asserted equal to single-process (timings aside)\"}}",
-        corpus.len(),
-        quick_mode(),
-        single.wall.as_secs_f64(),
-        shard_wall[0],
-        shard_wall[1],
-        merge_wall / single.wall.as_secs_f64(),
-        family.len(),
-        cold.cache.misses,
-        warm.cache.misses,
-    );
-}
-
 criterion_group!(
     benches,
     bench_batch_paths,
     report_speedup,
     report_streaming_smoke,
-    report_executor_vs_per_solve_pool,
-    report_shard_merge
+    report_executor_vs_per_solve_pool
 );
 criterion_main!(benches);

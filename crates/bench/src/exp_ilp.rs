@@ -1,25 +1,29 @@
 //! Experiments E3–E6 and E10 — the packing/covering solvers, the GKM17
 //! round-complexity comparison, and the ablations.
 //!
-//! Since PR 2 every table is produced by `dapc-runtime`: each experiment
-//! builds a [`Corpus`] (instances × backends × ε grid × seed range), runs
-//! it through the shard-aware [`Runner`], and renders rows from the
+//! Every table is produced by `dapc-runtime`: each experiment builds a
+//! [`Corpus`] (instances × backends × ε grid × seed range), streams it
+//! through [`solve_many_streaming_with_cache`], and renders rows from the
 //! returned [`GroupSummary`] aggregation — including the worst-seed phase
 //! counters ([`dapc_runtime::GroupStats`]), so no table needs the per-job
-//! result vector and every table can equally be produced by N cooperating
-//! shard processes (`tables --shard i/n` / `--merge-shards`).
-//!
-//! Structural rule for shard alignment: every experiment issues **all**
-//! of its `Runner::solve` calls first and renders after — in emit mode
-//! the calls record shard reports and rendering is skipped.
+//! result vector.
 
-use crate::shard::Runner;
 use crate::table::{f3, Table};
 use dapc_core::engine::SolveConfig;
 use dapc_core::params::ScaleKnobs;
 use dapc_graph::{gen, Graph};
 use dapc_ilp::problems;
-use dapc_runtime::{Corpus, GroupSummary, PrepCache, StreamReport};
+use dapc_runtime::{
+    solve_many_streaming_with_cache, Corpus, GroupSummary, PrepCache, RuntimeConfig, StreamReport,
+};
+
+/// Streams `corpus` through a fresh prep cache. `optima` off skips the
+/// per-instance reference solves — for corpora whose optimum is known
+/// analytically (the experiment computes those ratio columns itself).
+fn solve(corpus: &Corpus, rt: &RuntimeConfig, optima: bool) -> StreamReport {
+    let rt = rt.clone().reference_optima(rt.reference_optima && optima);
+    solve_many_streaming_with_cache(corpus, &rt, &PrepCache::new(), |_r| {})
+}
 
 fn opt_cell(g: &GroupSummary) -> String {
     match g.opt {
@@ -46,7 +50,7 @@ fn packing_row(t: &mut Table, g: &GroupSummary) {
 }
 
 /// E3 (Theorem 1.2): (1 − ε)-approximate MIS across families and ε.
-pub fn e3(seeds: u64, run: &Runner) -> String {
+pub fn e3(seeds: u64, rt: &RuntimeConfig) -> String {
     let families: Vec<(&str, Graph)> = vec![
         ("cycle", gen::cycle(40)),
         ("grid", gen::grid(6, 7)),
@@ -61,7 +65,7 @@ pub fn e3(seeds: u64, run: &Runner) -> String {
     for (name, g) in &families {
         b = b.instance(*name, problems::max_independent_set_unweighted(g));
     }
-    let main = run.solve(&b.build());
+    let main = solve(&b.build(), rt, true);
     // A weighted and a general instance.
     let g = gen::gnp(36, 0.08, &mut gen::seeded_rng(4));
     let w: Vec<u64> = (0..36).map(|i| 1 + (i as u64 % 5)).collect();
@@ -75,11 +79,8 @@ pub fn e3(seeds: u64, run: &Runner) -> String {
         .eps(0.2)
         .seeds(0..seeds)
         .build();
-    let extra = run.solve(&corpus);
-    let large = run.solve_without_optima(&e3_large_corpus(seeds.min(5)));
-    let (Some(main), Some(extra), Some(large)) = (main, extra, large) else {
-        return String::new();
-    };
+    let extra = solve(&corpus, rt, true);
+    let large = solve(&e3_large_corpus(seeds.min(5)), rt, false);
 
     let mut t = Table::new(
         "E3 — Theorem 1.2: (1 − ε)-approximate maximum independent set",
@@ -157,7 +158,7 @@ fn e3_large_render(report: &StreamReport) -> String {
 }
 
 /// E4 (Theorem 1.2): (1 − ε)-approximate maximum matching vs blossom.
-pub fn e4(seeds: u64, run: &Runner) -> String {
+pub fn e4(seeds: u64, rt: &RuntimeConfig) -> String {
     let families: Vec<(&str, Graph)> = vec![
         ("cycle", gen::cycle(36)),
         ("path", gen::path(40)),
@@ -181,9 +182,7 @@ pub fn e4(seeds: u64, run: &Runner) -> String {
         ));
         b = b.instance(*name, problems::max_matching(g).ilp);
     }
-    let Some(report) = run.solve(&b.build()) else {
-        return String::new();
-    };
+    let report = solve(&b.build(), rt, true);
 
     let mut t = Table::new(
         "E4 — Theorem 1.2: (1 − ε)-approximate maximum matching (OPT by blossom)",
@@ -224,7 +223,7 @@ pub fn e4(seeds: u64, run: &Runner) -> String {
 
 /// E5 (Theorem 1.3): (1 + ε)-approximate covering (VC, DS, k-DS, set
 /// cover).
-pub fn e5(seeds: u64, run: &Runner) -> String {
+pub fn e5(seeds: u64, rt: &RuntimeConfig) -> String {
     let corpus = Corpus::builder()
         .instance(
             "VC/cycle",
@@ -255,7 +254,7 @@ pub fn e5(seeds: u64, run: &Runner) -> String {
         .into_iter()
         .map(str::to_string)
         .collect();
-    let main = run.solve(&corpus);
+    let main = solve(&corpus, rt, true);
     // Weighted VC and a general covering ILP.
     let g = gen::gnp(28, 0.11, &mut gen::seeded_rng(9));
     let w: Vec<u64> = (0..28).map(|i| 1 + (i as u64 % 4) * 2).collect();
@@ -269,11 +268,8 @@ pub fn e5(seeds: u64, run: &Runner) -> String {
         .eps(0.3)
         .seeds(0..seeds)
         .build();
-    let extra = run.solve(&corpus);
-    let large = run.solve_without_optima(&e5_large_corpus(seeds.min(5)));
-    let (Some(main), Some(extra), Some(large)) = (main, extra, large) else {
-        return String::new();
-    };
+    let extra = solve(&corpus, rt, true);
+    let large = solve(&e5_large_corpus(seeds.min(5)), rt, false);
 
     let mut t = Table::new(
         "E5 — Theorem 1.3: (1 + ε)-approximate covering problems",
@@ -379,7 +375,7 @@ fn e5_large_render(report: &StreamReport) -> String {
 /// it *shrinks* — ours pays the extra `log³(1/ε)` factor while both share
 /// the `1/ε`, exactly the trade Theorem 1.2 makes to win the `log² n`.
 /// Both backends' round bills are averaged over the same three seeds.
-pub fn e6(run: &Runner) -> String {
+pub fn e6(rt: &RuntimeConfig) -> String {
     let mut b = Corpus::builder()
         .backend("three-phase")
         .backend("gkm")
@@ -392,7 +388,7 @@ pub fn e6(run: &Runner) -> String {
             problems::max_independent_set_unweighted(&gen::cycle(n)),
         );
     }
-    let n_sweep = run.solve_without_optima(&b.build());
+    let n_sweep = solve(&b.build(), rt, false);
     let corpus = Corpus::builder()
         .instance(
             "cycle64",
@@ -403,10 +399,7 @@ pub fn e6(run: &Runner) -> String {
         .eps_grid([0.4, 0.2, 0.1, 0.05])
         .seeds(0..3)
         .build();
-    let eps_sweep = run.solve_without_optima(&corpus);
-    let (Some(n_sweep), Some(eps_sweep)) = (n_sweep, eps_sweep) else {
-        return String::new();
-    };
+    let eps_sweep = solve(&corpus, rt, false);
 
     let mut t = Table::new(
         "E6 — round complexity: Theorem 1.2 (Õ(log n/ε)) vs GKM17 (O(log³ n/ε))",
@@ -435,9 +428,11 @@ pub fn e6(run: &Runner) -> String {
     t.render()
 }
 
-/// E10 — ablations called out in DESIGN.md: preparation count, covering
-/// iteration budget, and the LDD Phase 2 toggle.
-pub fn e10(seeds: u64, run: &Runner) -> String {
+/// E10 — ablations: the packing preparation count, the covering
+/// iteration budget `t` and the LDD Phase 2 toggle, one row per setting
+/// with the worst and mean ratio (deleted fraction for the LDD rows) and
+/// the round count of the last seed.
+pub fn e10(seeds: u64, rt: &RuntimeConfig) -> String {
     // (a) Packing preparation count, via the engine's prep_count override.
     // The ablation rows all sweep the same (instance, budget) family, so
     // one warm PrepCache serves every row.
@@ -454,7 +449,8 @@ pub fn e10(seeds: u64, run: &Runner) -> String {
             .seeds(0..seeds)
             .base_config(SolveConfig::new().prep_count(prep))
             .build();
-        prep_reports.push(run.solve_with_cache(&corpus, &cache));
+        let report = solve_many_streaming_with_cache(&corpus, rt, &cache, |_r| {});
+        prep_reports.push(report);
     }
     // (b) Covering iteration budget t (the §1.4.3 "skip Phase 2" design).
     let t_settings = [0.0f64, 1.0, 3.0];
@@ -475,18 +471,9 @@ pub fn e10(seeds: u64, run: &Runner) -> String {
             .seeds(0..seeds)
             .base_config(cfg)
             .build();
-        t_reports.push((t_value, run.solve_with_cache(&corpus, &cache)));
+        let report = solve_many_streaming_with_cache(&corpus, rt, &cache, |_r| {});
+        t_reports.push((t_value, report));
     }
-    let Some(prep_reports) = prep_reports.into_iter().collect::<Option<Vec<_>>>() else {
-        return String::new();
-    };
-    let Some(t_reports) = t_reports
-        .into_iter()
-        .map(|(t, r)| r.map(|r| (t, r)))
-        .collect::<Option<Vec<_>>>()
-    else {
-        return String::new();
-    };
 
     let mut t = Table::new(
         "E10 — ablations (prep count, covering t, LDD Phase 2)",
@@ -522,8 +509,7 @@ pub fn e10(seeds: u64, run: &Runner) -> String {
         ]);
     }
     // (c) LDD Phase 2 on/off — a decomposition-level ablation below the
-    // ILP engine, so it keeps driving the LDD directly (and runs inline
-    // in every Runner mode that renders).
+    // ILP engine, so it keeps driving the LDD directly.
     use dapc_decomp::three_phase::{three_phase_ldd, LddParams};
     use dapc_local::RoundCost;
     let g = gen::gnp(600, 0.01, &mut gen::seeded_rng(12));

@@ -1,8 +1,12 @@
 //! # dapc-bench
 //!
-//! The experiment harness regenerating every table in `EXPERIMENTS.md`:
-//! one function per experiment id (E1–E10, see DESIGN.md §3), each
-//! returning a rendered markdown table. The `tables` binary drives them:
+//! The experiment harness behind the `tables` binary: one function per
+//! experiment id, each returning its rendered markdown table(s). E1, E2,
+//! E8 and E9 measure the decompositions (Theorem 1.1, the Appendix C
+//! failure modes, sparse-cover multiplicities, the §1.6 blackbox); E3–E6
+//! and E10 the packing and covering solvers (Theorems 1.2–1.3, the GKM17
+//! round comparison, ablations); E7 the Appendix B lower bound.
+//! `crates/bench/golden/tables_quick.txt` is what `tables --quick` prints.
 //!
 //! ```sh
 //! cargo run -p dapc-bench --release --bin tables             # all
@@ -16,15 +20,8 @@
 //! `--jobs N` runs up to `N` of their jobs concurrently (shared prep
 //! caching included) and `--prep-workers M` additionally shards each
 //! job's preparation step — both on the one process-wide executor, in
-//! `--quick` mode and `--full` mode alike.
-//!
-//! Since the shard-merge refactor the same tables can be produced by N
-//! cooperating **processes**: each runs `tables --shard i/n --emit-shard
-//! PATH` (solving only its contiguous slice of every corpus and
-//! recording mergeable aggregator snapshots), then one invocation of
-//! `tables --merge-shards PATH..` reassembles them — byte-identical to
-//! the single-process output. Criterion wall-clock benches for the
-//! substrate live in `benches/`.
+//! `--quick` mode and `--full` mode alike. Criterion wall-clock benches
+//! for the substrate live in `benches/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,17 +29,16 @@
 pub mod exp_ilp;
 pub mod exp_ldd;
 pub mod exp_lower;
-pub mod shard;
 pub mod table;
 
-use shard::Runner;
+use dapc_runtime::RuntimeConfig;
 
 /// Trial-count profile for the experiments.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Profile {
     /// Reduced trial counts (~seconds per experiment).
     Quick,
-    /// Full trial counts (the EXPERIMENTS.md numbers).
+    /// Full trial counts (the default of `tables`).
     Full,
 }
 
@@ -82,28 +78,23 @@ impl Profile {
 
 /// Runs one experiment by id (`"e1"`…`"e10"`), returning its table(s).
 ///
-/// `run` executes the experiments that batch through `dapc-runtime`
-/// (E3–E6, E10, the [`BATCH_EXPERIMENTS`]): its [`RuntimeConfig`] caps
-/// across-corpus concurrency (`jobs`) and intra-solve prep sharding
-/// (`prep_workers`) on the shared executor, and its mode decides whether
-/// the sweeps run whole ([`Runner::single`]), as one shard of a
-/// multi-process split ([`Runner::emit`] — the experiment then returns
-/// an empty string, its shard reports are collected on the runner), or
-/// from pre-recorded shard files ([`Runner::merge`]). The remaining
-/// experiments run inline. No runner choice changes a rendered table —
-/// batching *and sharding* are byte-identical to sequential execution.
+/// `rt` drives the experiments that batch through `dapc-runtime` (E3–E6,
+/// E10): it caps across-corpus concurrency (`jobs`) and intra-solve prep
+/// sharding (`prep_workers`) on the shared executor. The remaining
+/// experiments run inline. No `rt` choice changes a rendered table —
+/// batching is byte-identical to sequential execution.
 ///
 /// # Panics
 ///
 /// Panics on an unknown id.
-pub fn run_experiment(id: &str, profile: Profile, run: &Runner) -> String {
+pub fn run_experiment(id: &str, profile: Profile, rt: &RuntimeConfig) -> String {
     match id {
         "e1" => exp_ldd::e1(profile.quality_trials()),
         "e2" => exp_ldd::e2(profile.tail_trials()),
-        "e3" => exp_ilp::e3(profile.solver_seeds(), run),
-        "e4" => exp_ilp::e4(profile.solver_seeds(), run),
-        "e5" => exp_ilp::e5(profile.solver_seeds(), run),
-        "e6" => exp_ilp::e6(run),
+        "e3" => exp_ilp::e3(profile.solver_seeds(), rt),
+        "e4" => exp_ilp::e4(profile.solver_seeds(), rt),
+        "e5" => exp_ilp::e5(profile.solver_seeds(), rt),
+        "e6" => exp_ilp::e6(rt),
         "e7" => {
             let mut s = exp_lower::e7_lps_structure();
             s.push_str(&exp_lower::e7_indistinguishability(
@@ -117,7 +108,7 @@ pub fn run_experiment(id: &str, profile: Profile, run: &Runner) -> String {
         }
         "e8" => exp_ldd::e8(profile.quality_trials()),
         "e9" => exp_ldd::e9(profile.quality_trials()),
-        "e10" => exp_ilp::e10(profile.solver_seeds(), run),
+        "e10" => exp_ilp::e10(profile.solver_seeds(), rt),
         other => panic!("unknown experiment id {other:?} (expected e1..e10)"),
     }
 }
@@ -125,7 +116,3 @@ pub fn run_experiment(id: &str, profile: Profile, run: &Runner) -> String {
 /// All experiment ids in order.
 pub const ALL_EXPERIMENTS: [&str; 10] =
     ["e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10"];
-
-/// The experiments that batch through `dapc-runtime` and therefore shard
-/// across processes; the rest run inline at merge (or single) time.
-pub const BATCH_EXPERIMENTS: [&str; 5] = ["e3", "e4", "e5", "e6", "e10"];

@@ -25,8 +25,8 @@
 //!
 //! The plan is process-global and armed at most once — from the
 //! `DAPC_CHAOS` environment variable (a decimal `u64` seed) on first
-//! consultation, or programmatically via [`arm`]. Unarmed, every site
-//! check is one relaxed atomic load and injects nothing.
+//! consultation. Unarmed, every site check is one relaxed atomic load
+//! and injects nothing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -56,8 +56,6 @@ const fn site_policy(site: &str) -> (u64, u64) {
     match site.as_bytes() {
         b"part.write" => (6, 2),
         b"part.load" => (10, 2),
-        b"shard.load" => (8, 2),
-        b"shard.write" => (4, 2),
         b"manifest.load" => (16, 1),
         b"worker.stall" => (4, 4),
         b"worker.abort" => (10, 1),
@@ -118,8 +116,7 @@ impl Roll {
     }
 }
 
-/// The armed plan, or `None`. Arm-once: the first writer wins, whether
-/// that's [`arm`] or the lazy environment read below.
+/// The armed plan, or `None`, resolved once from the environment.
 static PLAN: OnceLock<Option<FaultPlan>> = OnceLock::new();
 
 fn plan() -> Option<&'static FaultPlan> {
@@ -139,21 +136,6 @@ fn plan() -> Option<&'static FaultPlan> {
 fn counters() -> &'static Mutex<BTreeMap<String, (u64, u64)>> {
     static C: OnceLock<Mutex<BTreeMap<String, (u64, u64)>>> = OnceLock::new();
     C.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
-/// Arms the process-global plan programmatically (e.g. from a
-/// `--chaos-seed` flag). Also exports the seed and salt into this
-/// process's environment so spawned children inherit the plan. Returns
-/// `false` when the arm lost — a plan was consulted (and armed, or
-/// resolved to "unarmed") before this call; the first resolution wins.
-pub fn arm(seed: u64, salt: u64) -> bool {
-    if std::env::var(CHAOS_ENV).is_err() {
-        std::env::set_var(CHAOS_ENV, seed.to_string());
-    }
-    if std::env::var(SALT_ENV).is_err() {
-        std::env::set_var(SALT_ENV, salt.to_string());
-    }
-    PLAN.set(Some(FaultPlan::new(seed, salt))).is_ok()
 }
 
 /// Whether a fault plan is armed in this process. One lazy lookup, then
@@ -307,10 +289,10 @@ mod tests {
     fn rolls_replay_their_picks() {
         let plan = FaultPlan::new(99, 3);
         let hit = (0..500)
-            .find(|&h| plan.decide("shard.write", h).is_some())
+            .find(|&h| plan.decide("part.write", h).is_some())
             .expect("some hit fires");
-        let mut a = plan.decide("shard.write", hit).unwrap();
-        let mut b = plan.decide("shard.write", hit).unwrap();
+        let mut a = plan.decide("part.write", hit).unwrap();
+        let mut b = plan.decide("part.write", hit).unwrap();
         for n in [2usize, 3, 4096, 8, 17] {
             assert_eq!(a.pick(n), b.pick(n));
         }

@@ -61,10 +61,9 @@ use dapc_ilp::instance::{IlpInstance, Sense};
 use dapc_ilp::restrict::{self, IdBits, RestrictScratch};
 use dapc_ilp::solvers::{self, SolverBudget};
 use rand::rngs::StdRng;
-// dapc-allow(hash-iter): digest-keyed lookup caches and dedup sets only; every
-// dapc-allow(hash-iter): snapshot path sorts keys before writing bytes
+// dapc-allow(hash-iter): digest-keyed lookup caches and dedup sets only; no
+// dapc-allow(hash-iter): map is iterated into an output or a persisted byte
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -127,11 +126,10 @@ type ShardSlot = Option<(SubsetEntry, bool)>;
 /// subset (plus the fixed-variable overlay for covering sub-instances).
 ///
 /// The digest folds the subset's sorted vertex list, so a lookup costs
-/// `O(|S|)` and no allocation, and it is stable across runs and platforms
-/// (persisted warm-start formats rely on it). The list fold equals the
-/// fold of the earlier `n`-length mask keys, which visited the same
-/// vertices in the same ascending order, so warm snapshots written by
-/// mask-keyed builds still hit. At 128 bits, a collision within one
+/// `O(|S|)` and no allocation, and it is stable across runs and
+/// platforms. The list fold equals the fold of the earlier `n`-length
+/// mask keys, which visited the same vertices in the same ascending
+/// order. At 128 bits, a collision within one
 /// `(instance, budget)` family is out of reach for any realisable
 /// workload.
 pub type SubsetKey = u128;
@@ -209,8 +207,8 @@ impl Default for CacheInner {
 
 #[derive(Default)]
 struct Stripe {
-    // dapc-allow(hash-iter): hot digest-keyed lookups; the save path iterates
-    // dapc-allow(hash-iter): the BTreeMap recency index, never this map
+    // dapc-allow(hash-iter): hot digest-keyed lookups; eviction walks the
+    // dapc-allow(hash-iter): BTreeMap recency index, never this map
     map: HashMap<SubsetKey, Slot>,
     /// Recency index: `last_used tick → key`. Ticks are unique within a
     /// stripe, so the first entry is always the LRU victim — eviction is
@@ -402,155 +400,6 @@ impl SharedSubsetCache {
             }
         }
     }
-
-    /// Writes a snapshot of every memoised entry to `w` in the versioned
-    /// binary warm-start format (see the module docs of
-    /// [`SNAPSHOT_MAGIC`]): entries sorted by [`SubsetKey`], each as
-    /// `key · value · exact · assignment` with the assignment bit-packed.
-    /// The keys are stable 128-bit FNV-1a digests, so a snapshot is valid
-    /// across runs and platforms for the same `(instance, budget)`
-    /// family.
-    ///
-    /// Counters and capacity are *not* persisted — they describe a run,
-    /// not the memo.
-    pub fn save_to<W: Write>(&self, mut w: W) -> io::Result<()> {
-        let mut entries: Vec<(SubsetKey, SubsetEntry)> = Vec::with_capacity(self.len());
-        for stripe in &self.inner.stripes {
-            let stripe = stripe.lock().expect("cache stripe lock");
-            entries.extend(stripe.map.iter().map(|(k, s)| (*k, s.entry.clone())));
-        }
-        // Canonical byte stream: identical caches serialise identically
-        // regardless of insertion order or stripe iteration order.
-        entries.sort_unstable_by_key(|(k, _)| *k);
-        w.write_all(SNAPSHOT_MAGIC)?;
-        w.write_all(&(entries.len() as u64).to_le_bytes())?;
-        for (key, (value, assignment, exact)) in &entries {
-            w.write_all(&key.to_le_bytes())?;
-            w.write_all(&value.to_le_bytes())?;
-            w.write_all(&[u8::from(*exact)])?;
-            w.write_all(&(assignment.len() as u64).to_le_bytes())?;
-            for chunk in assignment.chunks(8) {
-                let mut byte = 0u8;
-                for (bit, &set) in chunk.iter().enumerate() {
-                    byte |= u8::from(set) << bit;
-                }
-                w.write_all(&[byte])?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Merges a warm-start snapshot written by
-    /// [`SharedSubsetCache::save_to`] into this cache, returning the
-    /// number of entries read. Loading only seeds the memo: it touches no
-    /// hit/miss counter, and a capacity-bounded cache applies its normal
-    /// transparent LRU policy to the loaded entries — so a warm start can
-    /// change counters and work done, but never a solver report.
-    ///
-    /// Loading is **all-or-nothing**: the stream is fully parsed and
-    /// validated before the first entry is inserted, so a snapshot that
-    /// turns out to be truncated or corrupt partway through leaves the
-    /// cache exactly as it was — an `Err` never half-loads.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`io::ErrorKind::InvalidData`] on a bad magic, an
-    /// unsupported format version or a corrupt field, and with
-    /// [`io::ErrorKind::UnexpectedEof`] on a stream truncated at any
-    /// field boundary, besides propagating reader errors.
-    pub fn load_into<R: Read>(&self, mut r: R) -> io::Result<usize> {
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic)?;
-        if magic[..7] != SNAPSHOT_MAGIC[..7] {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "not a dapc subset-cache snapshot (bad magic)",
-            ));
-        }
-        if magic[7] != SNAPSHOT_MAGIC[7] {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "unsupported subset-cache snapshot version {} (expected {})",
-                    magic[7], SNAPSHOT_MAGIC[7]
-                ),
-            ));
-        }
-        let count = read_u64(&mut r)? as usize;
-        // Parse everything before touching the cache, so a stream that
-        // dies at entry k of n cannot leave entries 0..k silently loaded
-        // behind the returned error.
-        let mut entries: Vec<(SubsetKey, SubsetEntry)> = Vec::new();
-        for _ in 0..count {
-            let mut key = [0u8; 16];
-            r.read_exact(&mut key)?;
-            let key = SubsetKey::from_le_bytes(key);
-            let value = read_u64(&mut r)?;
-            let mut exact = [0u8; 1];
-            r.read_exact(&mut exact)?;
-            let exact = match exact[0] {
-                0 => false,
-                1 => true,
-                b => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("bad exactness flag {b}"),
-                    ))
-                }
-            };
-            let bits = read_u64(&mut r)? as usize;
-            // Never trust a length field with an up-front allocation: a
-            // corrupt header would otherwise drive a huge `Vec` request
-            // (aborting the process) before the read could fail. Reading
-            // to-end under `take` grows with the bytes actually present,
-            // so truncation surfaces as the documented error instead.
-            let byte_len = bits.div_ceil(8) as u64;
-            let mut packed = Vec::new();
-            r.by_ref().take(byte_len).read_to_end(&mut packed)?;
-            if packed.len() as u64 != byte_len {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    format!("truncated assignment: {} of {byte_len} bytes", packed.len()),
-                ));
-            }
-            // `bits <= 8 * packed.len()` now, so this allocation is
-            // bounded by the snapshot's real size.
-            let mut assignment = Vec::with_capacity(bits);
-            for bit in 0..bits {
-                assignment.push(packed[bit / 8] >> (bit % 8) & 1 == 1);
-            }
-            entries.push((key, (value, assignment, exact)));
-        }
-        for (key, entry) in entries {
-            self.insert(key, entry);
-        }
-        Ok(count)
-    }
-
-    /// Reads a snapshot written by [`SharedSubsetCache::save_to`] into a
-    /// fresh unbounded cache.
-    ///
-    /// # Errors
-    ///
-    /// See [`SharedSubsetCache::load_into`].
-    pub fn load_from<R: Read>(r: R) -> io::Result<Self> {
-        let cache = SharedSubsetCache::new();
-        cache.load_into(r)?;
-        Ok(cache)
-    }
-}
-
-/// Magic + version prefix of the persisted warm-start format: seven
-/// identifying bytes and a format version byte. The body is
-/// `entry count: u64` followed by sorted entries of
-/// `key: u128 · value: u64 · exact: u8 · assignment bits: u64 · packed
-/// assignment bytes (LSB-first)`, all integers little-endian.
-pub const SNAPSHOT_MAGIC: &[u8; 8] = crate::snapmagic::SUBSET_CACHE.bytes;
-
-fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(u64::from_le_bytes(buf))
 }
 
 impl PartialEq for SharedSubsetCache {
@@ -1312,7 +1161,7 @@ mod tests {
     use std::collections::BTreeSet;
 
     /// The `n`-length mask fold the list keys replaced: the reference
-    /// they must equal, so warm snapshots keyed by it still hit.
+    /// they must equal bit for bit.
     fn mask_key(mask: &[bool], fixed_ones: Option<&[bool]>) -> SubsetKey {
         let mut h = FNV128_OFFSET;
         for (v, &m) in mask.iter().enumerate() {
@@ -1688,34 +1537,9 @@ mod tests {
         assert!(cache.bytes() > 0);
     }
 
-    #[test]
-    fn snapshot_round_trips_byte_for_byte() {
-        let g = gen::gnp(18, 0.15, &mut gen::seeded_rng(44));
-        let ilp = problems::max_independent_set_unweighted(&g);
-        let cache = SharedSubsetCache::new();
-        for k in 1..=18usize {
-            let mask: Vec<bool> = (0..18).map(|v| v < k).collect();
-            let mut s = SubsetSolver::with_shared(&ilp, SolverBudget::default(), cache.clone());
-            s.solve_mask(&mask, None);
-        }
-        let mut bytes = Vec::new();
-        cache.save_to(&mut bytes).expect("write to a Vec");
-        let loaded = SharedSubsetCache::load_from(bytes.as_slice()).expect("read back");
-        assert_eq!(loaded.len(), cache.len());
-        assert_eq!(
-            (loaded.hits(), loaded.misses()),
-            (0, 0),
-            "loading counts nothing"
-        );
-        // Entry-for-entry equality, via the canonical serialisation.
-        let mut reserialised = Vec::new();
-        loaded.save_to(&mut reserialised).expect("write to a Vec");
-        assert_eq!(bytes, reserialised);
-    }
-
-    /// The satellite contract: warm-loading a persisted cache changes the
-    /// counters (cold misses become warm hits) but never a report — here
-    /// at the preparation level, where every weight comes from the cache.
+    /// A warm family cache changes the counters (cold misses become warm
+    /// hits) but never an output — here at the preparation level, where
+    /// every weight comes from the cache.
     #[test]
     fn warm_loaded_cache_changes_counters_never_outputs() {
         let ilp =
@@ -1732,140 +1556,16 @@ mod tests {
                 .map(|c| (c.members.clone(), c.w_local, c.w_neighborhood))
                 .collect::<Vec<_>>()
         };
-        let cold = SharedSubsetCache::new();
-        let cold_clusters = run(&cold);
-        assert!(cold.misses() > 0);
-        assert_eq!(cold.hits(), 0);
-
-        let mut snapshot = Vec::new();
-        cold.save_to(&mut snapshot).expect("write to a Vec");
-        let warm = SharedSubsetCache::load_from(snapshot.as_slice()).expect("read back");
-        let warm_clusters = run(&warm);
-        assert_eq!(warm_clusters, cold_clusters, "warm start moved an output");
-        assert_eq!(warm.misses(), 0, "every lookup is answered warm");
-        assert_eq!(warm.hits(), cold.misses(), "one hit per former miss");
-    }
-
-    #[test]
-    fn loading_garbage_is_an_invalid_data_error() {
-        let err = SharedSubsetCache::load_from(&b"not a snapshot!!"[..])
-            .expect_err("bad magic must fail");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        // A truncated but well-prefixed stream fails too (UnexpectedEof).
-        let mut bytes = Vec::new();
         let cache = SharedSubsetCache::new();
-        let g = gen::cycle(6);
-        let ilp = problems::max_independent_set_unweighted(&g);
-        let mut s = SubsetSolver::with_shared(&ilp, SolverBudget::default(), cache.clone());
-        s.solve_mask(&[true; 6], None);
-        cache.save_to(&mut bytes).expect("write to a Vec");
-        bytes.truncate(bytes.len() - 3);
-        assert!(SharedSubsetCache::load_from(bytes.as_slice()).is_err());
-    }
+        let cold_clusters = run(&cache);
+        let cold_misses = cache.misses();
+        assert!(cold_misses > 0);
+        assert_eq!(cache.hits(), 0);
 
-    /// A snapshot with ≥ 2 entries, plus the byte offset of every field
-    /// boundary in its layout (`magic · count · (key · value · exact ·
-    /// bits · packed)*`), for the truncation sweep below.
-    fn two_entry_snapshot() -> (Vec<u8>, Vec<usize>, usize) {
-        let cache = SharedSubsetCache::new();
-        let g = gen::cycle(6);
-        let ilp = problems::max_independent_set_unweighted(&g);
-        let mut s = SubsetSolver::with_shared(&ilp, SolverBudget::default(), cache.clone());
-        s.solve_mask(&[true; 6], None);
-        s.solve_mask(&[true, true, true, false, false, false], None);
-        assert!(cache.len() >= 2, "need at least two entries");
-        let mut bytes = Vec::new();
-        cache.save_to(&mut bytes).expect("write to a Vec");
-        let mut boundaries = vec![8, 16]; // after magic, after count
-        let mut at = 16;
-        for _ in 0..cache.len() {
-            for field in [16usize, 8, 1, 8] {
-                at += field;
-                boundaries.push(at);
-            }
-            at += 1; // one packed byte per 6-bit assignment
-            boundaries.push(at);
-        }
-        assert_eq!(at, bytes.len(), "layout walk must cover the snapshot");
-        let count = cache.len();
-        (bytes, boundaries, count)
-    }
-
-    /// Hardened loading: truncating the stream at (and inside) every
-    /// field boundary is an `Err`, and — the half-load guard — a failed
-    /// `load_into` leaves the target cache untouched, even when the
-    /// stream dies *between* two well-formed entries.
-    #[test]
-    fn truncation_at_every_field_boundary_errors_without_half_loading() {
-        let (bytes, boundaries, count) = two_entry_snapshot();
-        for cut in boundaries.into_iter().filter(|&c| c < bytes.len()) {
-            for cut in [cut.saturating_sub(1), cut] {
-                let target = SharedSubsetCache::new();
-                let err = target
-                    .load_into(&bytes[..cut])
-                    .expect_err("truncated snapshot must fail");
-                assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "cut {cut}");
-                assert_eq!(
-                    target.len(),
-                    0,
-                    "a failed load at byte {cut} half-loaded entries"
-                );
-            }
-        }
-        // The untruncated stream still loads in full.
-        let target = SharedSubsetCache::new();
-        assert_eq!(target.load_into(bytes.as_slice()).expect("intact"), count);
-        assert_eq!(target.len(), count);
-    }
-
-    /// A wrong version byte after the right magic prefix is rejected
-    /// with a version-specific message, and a corrupt exactness flag is
-    /// `InvalidData` — in both cases without half-loading.
-    #[test]
-    fn wrong_version_and_corrupt_flags_are_rejected_atomically() {
-        let (bytes, _, _) = two_entry_snapshot();
-        let mut wrong_version = bytes.clone();
-        wrong_version[7] = 0x7f;
-        let target = SharedSubsetCache::new();
-        let err = target
-            .load_into(wrong_version.as_slice())
-            .expect_err("future version must fail");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("version"), "{err}");
-        assert_eq!(target.len(), 0);
-
-        // Corrupt the *second* entry's exactness flag: the first entry is
-        // perfectly well-formed, and must still not be loaded.
-        let mut bad_flag = bytes;
-        let second_exact_at = 16 + (16 + 8) + 1 + 8 + 1 + (16 + 8);
-        assert!(matches!(bad_flag[second_exact_at], 0 | 1));
-        bad_flag[second_exact_at] = 9;
-        let target = SharedSubsetCache::new();
-        let err = target
-            .load_into(bad_flag.as_slice())
-            .expect_err("corrupt flag must fail");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert_eq!(target.len(), 0, "the well-formed first entry leaked in");
-    }
-
-    /// A corrupt length field must surface as a read error, not as a
-    /// multi-exabyte allocation request: the loader only allocates in
-    /// proportion to bytes actually present in the stream.
-    #[test]
-    fn loading_rejects_absurd_length_fields() {
-        let cache = SharedSubsetCache::new();
-        let g = gen::cycle(6);
-        let ilp = problems::max_independent_set_unweighted(&g);
-        let mut s = SubsetSolver::with_shared(&ilp, SolverBudget::default(), cache.clone());
-        s.solve_mask(&[true; 6], None);
-        let mut bytes = Vec::new();
-        cache.save_to(&mut bytes).expect("write to a Vec");
-        // The assignment bit count of the single entry sits after
-        // magic(8) + count(8) + key(16) + value(8) + exact(1).
-        let bits_at = 8 + 8 + 16 + 8 + 1;
-        bytes[bits_at..bits_at + 8].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
-        let err = SharedSubsetCache::load_from(bytes.as_slice()).expect_err("must not allocate");
-        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        let warm_clusters = run(&cache);
+        assert_eq!(warm_clusters, cold_clusters, "a warm cache moved an output");
+        assert_eq!(cache.misses(), cold_misses, "every lookup is answered warm");
+        assert_eq!(cache.hits(), cold_misses, "one hit per former miss");
     }
 
     #[test]

@@ -45,32 +45,11 @@ impl Magic {
     }
 }
 
-/// `dapc_core::prep::SharedSubsetCache` warm-start snapshot.
-pub const SUBSET_CACHE: Magic = Magic {
-    bytes: b"DAPCSSC\x01",
-    sealed: false,
-    name: "subset-cache warm-start snapshot",
-};
-
-/// `dapc_runtime::PrepCache` whole-cache (per-family) snapshot.
-pub const PREP_CACHE: Magic = Magic {
-    bytes: b"DAPCPPC\x01",
-    sealed: false,
-    name: "prep-cache family snapshot",
-};
-
 /// `dapc_runtime::BatchAggregator` canonical binary snapshot.
 pub const AGGREGATOR: Magic = Magic {
     bytes: b"DAPCAGG\x01",
     sealed: false,
     name: "batch-aggregator snapshot",
-};
-
-/// `dapc_runtime::ShardReport` snapshot (whole-shard results).
-pub const SHARD: Magic = Magic {
-    bytes: b"DAPCSHD\x02",
-    sealed: true,
-    name: "shard report snapshot",
 };
 
 /// `dapc_runtime::PartReport` checkpoint (contiguous job range).
@@ -94,25 +73,9 @@ pub const MANIFEST: Magic = Magic {
     name: "sweep manifest",
 };
 
-/// `dapc_bench::shard` shard *file* (header + recorded shard reports).
-pub const SHARD_FILE: Magic = Magic {
-    bytes: b"DAPCSHF\x02",
-    sealed: true,
-    name: "bench shard file",
-};
-
 /// Every registered format, for the consistency test and for tooling
 /// that wants to recognise any workspace snapshot.
-pub const ALL: [&Magic; 8] = [
-    &SUBSET_CACHE,
-    &PREP_CACHE,
-    &AGGREGATOR,
-    &SHARD,
-    &PART,
-    &SPEC,
-    &MANIFEST,
-    &SHARD_FILE,
-];
+pub const ALL: [&Magic; 4] = [&AGGREGATOR, &PART, &SPEC, &MANIFEST];
 
 #[cfg(test)]
 mod tests {
@@ -157,6 +120,6 @@ mod tests {
                 m.name
             );
         }
-        assert_eq!(ALL.len(), 8, "keep the table in sync with the formats");
+        assert_eq!(ALL.len(), 4, "keep the table in sync with the formats");
     }
 }

@@ -1,11 +1,9 @@
 //! The cross-job preparation cache: one [`SharedSubsetCache`] per
 //! instance family.
 
-use crate::snap;
 use dapc_core::engine::SharedSubsetCache;
 use dapc_ilp::{IlpInstance, SolverBudget};
 use std::collections::BTreeMap;
-use std::io;
 use std::sync::{Arc, Mutex};
 
 /// Registry gauge for the resident family count, resolved once.
@@ -13,13 +11,6 @@ fn metrics_families() -> &'static dapc_obs::Gauge {
     static G: std::sync::OnceLock<dapc_obs::Gauge> = std::sync::OnceLock::new();
     G.get_or_init(|| dapc_obs::gauge("runtime.prep_cache.families"))
 }
-
-/// Magic + version prefix of the whole-cache warm-start format: seven
-/// identifying bytes and a format version byte. The body is
-/// `family count: u64` followed by families sorted by key, each as
-/// `instance fingerprint: u64 · budget: u64 · length-prefixed
-/// SharedSubsetCache snapshot`, all integers little-endian.
-pub const PREP_CACHE_MAGIC: &[u8; 8] = dapc_core::snapmagic::PREP_CACHE.bytes;
 
 /// Hoists the `dapc_core::prep` subset-solve memoisation from per-run to
 /// per-instance-family: families are keyed by
@@ -29,8 +20,8 @@ pub const PREP_CACHE_MAGIC: &[u8; 8] = dapc_core::snapmagic::PREP_CACHE.bytes;
 /// Cached entries are deterministic functions of their key, so attaching
 /// a cache never changes any job's report — only how much exact local
 /// computation is repeated. Handles are cheap to clone (shallow); a cache
-/// can outlive a single [`crate::solve_many`] call to keep its memo warm
-/// across batches of the same family.
+/// can outlive a single [`crate::solve_many_streaming_with_cache`] call to
+/// keep its memo warm across batches of the same family.
 ///
 /// By default families are unbounded; [`PrepCache::with_family_capacity`]
 /// puts every family under a byte budget with least-recently-used
@@ -83,139 +74,6 @@ impl PrepCache {
         family
     }
 
-    /// Persists one family's memoised subset solves in the
-    /// `SharedSubsetCache` warm-start format (stable 128-bit subset
-    /// digests, so snapshots are valid across runs and platforms).
-    ///
-    /// # Errors
-    ///
-    /// Propagates writer errors.
-    pub fn save_family<W: io::Write>(
-        &self,
-        ilp: &IlpInstance,
-        budget: &SolverBudget,
-        w: W,
-    ) -> io::Result<()> {
-        self.family(ilp, budget).save_to(w)
-    }
-
-    /// Warm-starts one family from a snapshot written by
-    /// [`PrepCache::save_family`] (or `SharedSubsetCache::save_to`),
-    /// returning the number of entries loaded. Warm entries turn the
-    /// family's cold misses into hits — counters and work change, reports
-    /// never do.
-    ///
-    /// # Errors
-    ///
-    /// Fails like `SharedSubsetCache::load_into` on a bad or truncated
-    /// snapshot.
-    pub fn warm_family<R: io::Read>(
-        &self,
-        ilp: &IlpInstance,
-        budget: &SolverBudget,
-        r: R,
-    ) -> io::Result<usize> {
-        self.family(ilp, budget).load_into(r)
-    }
-
-    /// Persists **every** family's memoised subset solves in one
-    /// versioned snapshot (see [`PREP_CACHE_MAGIC`]) — the whole-cache
-    /// form of [`PrepCache::save_family`], used to ship prep work between
-    /// shard processes ([`crate::ShardReport::with_prep`]). The byte
-    /// stream is canonical: families are written sorted by key, each in
-    /// the `SharedSubsetCache` canonical entry order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates writer errors.
-    pub fn save_to<W: io::Write>(&self, mut w: W) -> io::Result<()> {
-        // dapc-allow(panic): poisoned only if a sibling worker already panicked; propagate that crash
-        let families = self.families.lock().expect("prep cache lock");
-        let mut keys: Vec<(u64, u64)> = families.keys().copied().collect();
-        keys.sort_unstable();
-        w.write_all(PREP_CACHE_MAGIC)?;
-        snap::write_u64(&mut w, keys.len() as u64)?;
-        for key in keys {
-            snap::write_u64(&mut w, key.0)?;
-            snap::write_u64(&mut w, key.1)?;
-            let mut blob = Vec::new();
-            families[&key].save_to(&mut blob)?;
-            snap::write_bytes(&mut w, &blob)?;
-        }
-        Ok(())
-    }
-
-    /// Warm-starts every family found in a snapshot written by
-    /// [`PrepCache::save_to`], returning the total number of memoised
-    /// subset solves loaded. Families are created on demand (under this
-    /// cache's capacity policy) and merged into when they already exist.
-    /// Like every warm start, loading moves counters and work, never a
-    /// report.
-    ///
-    /// Loading is all-or-nothing: the snapshot is fully parsed and every
-    /// family blob validated before anything is inserted, so a truncated
-    /// or corrupt stream leaves the cache untouched.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`io::ErrorKind::InvalidData`] on a bad magic, an
-    /// unsupported version, a duplicated family, a corrupt family blob,
-    /// or trailing bytes after the last family, and with
-    /// [`io::ErrorKind::UnexpectedEof`] on truncation at any field
-    /// boundary.
-    pub fn load_into<R: io::Read>(&self, mut r: R) -> io::Result<usize> {
-        snap::check_magic(&mut r, PREP_CACHE_MAGIC, "prep-cache")?;
-        let count = snap::read_u64(&mut r)?;
-        // Parse every family once, into caches built under this
-        // PrepCache's capacity policy, before any real family is
-        // touched — the single-parse fast path hands the parsed cache
-        // over wholesale when the family does not exist yet.
-        // (family key, policy-built cache, entry count, raw blob).
-        type ParsedFamily = ((u64, u64), SharedSubsetCache, usize, Vec<u8>);
-        let mut parsed: Vec<ParsedFamily> = Vec::new();
-        for _ in 0..count {
-            let fingerprint = snap::read_u64(&mut r)?;
-            let budget = snap::read_u64(&mut r)?;
-            let key = (fingerprint, budget);
-            let blob = snap::read_bytes(&mut r, "family snapshot")?;
-            let family = match self.family_capacity {
-                Some(bytes) => SharedSubsetCache::with_capacity(bytes),
-                None => SharedSubsetCache::new(),
-            };
-            let entries = family.load_into(blob.as_slice())?;
-            if parsed.iter().any(|(k, ..)| *k == key) {
-                return Err(snap::invalid(format!(
-                    "family {key:?} appears twice in the snapshot"
-                )));
-            }
-            parsed.push((key, family, entries, blob));
-        }
-        // Self-delimiting like every snapshot format here: bytes after
-        // the last family are corruption, not padding — rejecting them
-        // (before any insertion) keeps the all-or-nothing contract.
-        let mut trailing = [0u8; 1];
-        if r.read(&mut trailing)? != 0 {
-            return Err(snap::invalid("trailing bytes after the last family"));
-        }
-        let mut loaded = 0;
-        // dapc-allow(panic): poisoned only if a sibling worker already panicked; propagate that crash
-        let mut families = self.families.lock().expect("prep cache lock");
-        for (key, fresh, entries, blob) in parsed {
-            match families.entry(key) {
-                std::collections::btree_map::Entry::Vacant(slot) => {
-                    slot.insert(fresh);
-                    loaded += entries;
-                }
-                // A family that already exists is merged into (the rare
-                // warm-on-warm path): replay the validated blob.
-                std::collections::btree_map::Entry::Occupied(slot) => {
-                    loaded += slot.get().load_into(blob.as_slice())?;
-                }
-            }
-        }
-        Ok(loaded)
-    }
-
     /// Aggregate counters across every family.
     pub fn stats(&self) -> CacheStats {
         // dapc-allow(panic): poisoned only if a sibling worker already panicked; propagate that crash
@@ -262,10 +120,10 @@ pub struct CacheStats {
 
 impl CacheStats {
     /// Fieldwise sum with another process's counters, used when merging
-    /// [`crate::ShardReport`]s: the work counters (`hits`, `misses`,
+    /// [`crate::PartReport`]s: the work counters (`hits`, `misses`,
     /// `evictions`) add exactly; `families`/`entries`/`bytes` become
     /// totals *across per-process caches*, which may double-count a
-    /// family two shards both materialised.
+    /// family two parts both materialised.
     pub fn absorb(&mut self, other: &CacheStats) {
         self.families += other.families;
         self.entries += other.entries;

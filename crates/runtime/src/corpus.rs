@@ -103,46 +103,13 @@ impl Corpus {
         self.instances.iter().map(|i| i.name.as_str()).collect()
     }
 
-    /// The canonical index range shard `shard` of `shards` owns: the
-    /// balanced contiguous partition `[shard·len/shards,
-    /// (shard+1)·len/shards)`, so shard sizes differ by at most one and
-    /// the union over all shards covers every job exactly once. Shards
-    /// beyond the corpus length come back empty.
-    ///
-    /// The partition is a pure function of `(len, shard, shards)` —
-    /// **jobs keep their global [`JobKey`] (and with it their derived RNG
-    /// stream)**, so a job's `(key, report)` outcome is byte-identical
-    /// whether it runs in the unsharded sweep or in any shard of any
-    /// split.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shards` is 0 or `shard >= shards`.
-    pub fn shard_range(&self, shard: usize, shards: usize) -> Range<usize> {
-        assert!(shards > 0, "a corpus splits into at least one shard");
-        assert!(
-            shard < shards,
-            "shard index {shard} out of range for {shards} shards"
-        );
-        let len = self.len();
-        (shard * len / shards)..((shard + 1) * len / shards)
-    }
-
-    /// Materialises the jobs of one shard (see
-    /// [`Corpus::shard_range`]), in canonical order, with their global
-    /// indices and keys intact. Builds only the shard's slice — a shard
-    /// process never pays for the whole corpus.
-    pub fn shard_jobs(&self, shard: usize, shards: usize) -> Vec<Job> {
-        self.range_jobs(self.shard_range(shard, shards))
-    }
-
-    /// Materialises the jobs of an **arbitrary** contiguous slice of the
-    /// canonical order — the work unit of partial-shard scheduling: a
+    /// Materialises the jobs of an arbitrary contiguous slice of the
+    /// canonical order — the work unit of every range solve: a
     /// coordinator that reassigns a crashed worker's remaining jobs hands
     /// the replacement exactly this range. Jobs keep their global indices
     /// and [`JobKey`]s (and with them their derived RNG streams), so a
     /// range job's `(key, report)` outcome is byte-identical to the same
-    /// job in the unsharded sweep.
+    /// job in the whole-corpus sweep.
     ///
     /// # Panics
     ///
@@ -372,7 +339,7 @@ mod tests {
     }
 
     #[test]
-    fn shards_partition_the_canonical_order() {
+    fn range_jobs_keep_global_indices_and_keys() {
         let corpus = Corpus::builder()
             .instance("a", mis(6))
             .instance("b", mis(8))
@@ -381,39 +348,16 @@ mod tests {
             .seeds(0..2)
             .build();
         let all = corpus.jobs();
-        for shards in 1..=all.len() + 2 {
-            let mut seen = Vec::new();
-            for shard in 0..shards {
-                let range = corpus.shard_range(shard, shards);
-                let jobs = corpus.shard_jobs(shard, shards);
-                assert_eq!(jobs.len(), range.len());
-                for (job, index) in jobs.iter().zip(range.clone()) {
-                    assert_eq!(job.index, index, "shards must keep global indices");
-                    assert_eq!(job.key, all[index].key, "shards must keep global keys");
+        for start in 0..=all.len() {
+            for end in start..=all.len() {
+                let jobs = corpus.range_jobs(start..end);
+                assert_eq!(jobs.len(), end - start);
+                for (job, index) in jobs.iter().zip(start..end) {
+                    assert_eq!(job.index, index, "ranges must keep global indices");
+                    assert_eq!(job.key, all[index].key, "ranges must keep global keys");
                 }
-                seen.extend(range);
             }
-            assert_eq!(
-                seen,
-                (0..all.len()).collect::<Vec<_>>(),
-                "{shards} shards must partition the corpus"
-            );
         }
-        // Balanced: sizes differ by at most one.
-        for shards in 1..=4 {
-            let sizes: Vec<usize> = (0..shards)
-                .map(|s| corpus.shard_range(s, shards).len())
-                .collect();
-            let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-            assert!(max - min <= 1, "unbalanced split {sizes:?}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn shard_index_must_be_in_range() {
-        let corpus = Corpus::builder().instance("a", mis(6)).build();
-        let _ = corpus.shard_range(2, 2);
     }
 
     #[test]

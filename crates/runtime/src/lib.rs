@@ -1,14 +1,21 @@
 //! # dapc-runtime
 //!
-//! The parallel batch-solve subsystem: stream whole corpora of
+//! The parallel batch-solve subsystem: stream corpora of
 //! `(instance × backend × ε × seed)` jobs across the process-wide
 //! `dapc_exec` executor with per-instance-family prep caching, and get
-//! back the aggregation the experiment tables need — either with the full
-//! per-job result vector ([`solve_many`] → [`BatchReport`]), purely
-//! online ([`solve_many_streaming`] → [`StreamReport`] plus an
-//! `on_result` hook) for corpora that do not fit one process's memory, or
-//! **sharded across processes** ([`solve_shard`] → mergeable
-//! [`ShardReport`] snapshots) for corpora that do not fit one machine.
+//! back the aggregation the experiment tables need. One pipeline does the
+//! work, behind three entry points:
+//!
+//! - [`solve_range_streaming_with_cache`] solves any contiguous range of
+//!   the canonical job order into a mergeable, snapshotable
+//!   [`PartReport`] — the unit `dapc-serve` checkpoints and merges across
+//!   worker processes, for corpora that do not fit one machine;
+//! - [`solve_many_streaming_with_cache`] runs that pipeline over the
+//!   whole corpus and finishes it into a [`StreamReport`], handing each
+//!   job to an `on_result` hook, for corpora that do not fit one
+//!   process's memory;
+//! - [`solve_many`] also collects the per-job result vector into a
+//!   [`BatchReport`].
 //!
 //! Four guarantees shape the design:
 //!
@@ -61,6 +68,42 @@
 //! let g = report.group("MIS/cycle18", "three-phase", 0.3).unwrap();
 //! assert!(g.meets_guarantee());
 //! ```
+//!
+//! Two ranges solved apart — in real use by two processes, with the
+//! parts shipped as bytes via `save_to`/`load_from` — merge into the
+//! aggregation of the whole:
+//!
+//! ```
+//! use dapc_graph::gen;
+//! use dapc_ilp::problems;
+//! use dapc_runtime::{
+//!     solve_many, solve_range_streaming_with_cache, Corpus, PrepCache, RuntimeConfig,
+//! };
+//!
+//! let corpus = Corpus::builder()
+//!     .instance(
+//!         "MIS/cycle14",
+//!         problems::max_independent_set_unweighted(&gen::cycle(14)),
+//!     )
+//!     .backend("greedy")
+//!     .backend("bnb")
+//!     .eps(0.3)
+//!     .seeds(0..3)
+//!     .build();
+//! let rt = RuntimeConfig::new();
+//! let half = corpus.len() / 2;
+//! let part = |range| {
+//!     solve_range_streaming_with_cache(&corpus, range, &rt, &PrepCache::new(), |_r| {})
+//! };
+//! let mut merged = part(half..corpus.len());
+//! merged.merge(part(0..half));
+//! let merged = merged.finish();
+//! let single = solve_many(&corpus, &rt);
+//! assert_eq!(merged.jobs, single.results.len());
+//! for (a, b) in merged.groups.iter().zip(&single.groups) {
+//!     assert_eq!((a.min_value, a.mean_value, a.opt), (b.min_value, b.mean_value, b.opt));
+//! }
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -70,20 +113,13 @@ mod corpus;
 mod part;
 mod report;
 mod run;
-mod shard;
 pub mod snap;
 
-pub use cache::{CacheStats, PrepCache, PREP_CACHE_MAGIC};
+pub use cache::{CacheStats, PrepCache};
 pub use corpus::{Corpus, CorpusBuilder, Job, JobKey};
-pub use part::{
-    solve_range, solve_range_streaming_with_cache, solve_range_with_cache, PartReport, PART_MAGIC,
-};
+pub use part::{solve_range_streaming_with_cache, PartReport, PART_MAGIC};
 pub use report::{
     BackendSummary, BatchAggregator, BatchReport, GroupStats, GroupSummary, JobResult,
     StreamReport, AGGREGATOR_MAGIC,
 };
-pub use run::{
-    solve_many, solve_many_streaming, solve_many_streaming_with_cache, solve_many_with_cache,
-    RuntimeConfig,
-};
-pub use shard::{solve_shard, solve_shard_with_cache, ShardReport, SHARD_MAGIC};
+pub use run::{solve_many, solve_many_streaming_with_cache, RuntimeConfig};

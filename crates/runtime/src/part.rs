@@ -1,25 +1,27 @@
-//! Partial-sweep results over **arbitrary** contiguous job ranges — the
-//! checkpoint and work-stealing unit underneath `dapc-serve`'s
-//! fault-tolerant orchestration.
+//! Results over contiguous job ranges: the one pipeline every solve runs
+//! through, and the checkpoint unit of `dapc-serve`'s fault-tolerant
+//! orchestration.
 //!
-//! [`crate::solve_shard`] fixes the unit of distribution at "one shard of
-//! a static i-of-n split". A fault-tolerant coordinator needs something
-//! finer: when a worker dies halfway through its slice, the *remaining*
-//! job range must be reassignable to any other worker, and the completed
-//! prefix must be salvageable from checkpoints. [`solve_range`] and
-//! [`PartReport`] provide exactly that: solve any contiguous canonical
-//! range, get back a snapshotable aggregation that merges with any other
-//! disjoint range of the same corpus — merging is associative and
-//! commutative (the mergeable-span [`BatchAggregator`] does the heavy
-//! lifting), so *any* disjoint cover of the corpus, however it was carved
-//! up by crashes and retries, finishes into the identical
-//! [`StreamReport`] the single-process run produces, timings aside.
+//! [`solve_range_streaming_with_cache`] solves any contiguous canonical
+//! range of a corpus and returns a [`PartReport`]: a snapshotable
+//! aggregation that merges with the part of any other disjoint range of
+//! the same corpus. When a worker dies halfway through its range, the
+//! remaining jobs can go to any other worker and the completed prefix is
+//! salvaged from checkpoints. Merging is associative and commutative (the
+//! mergeable-span [`BatchAggregator`] does the heavy lifting), so *any*
+//! disjoint cover of the corpus, however crashes and retries carved it
+//! up, finishes into the identical [`StreamReport`] the whole-corpus run
+//! produces, timings aside. This is the aggregate-by-compact-summaries
+//! shape of distributed covering/packing (Koufogiannakis & Young,
+//! Distributed Computing 2011) applied to the experiment sweep itself.
+//! The whole-corpus entry points run this pipeline over `0..len`.
 
 use crate::cache::{CacheStats, PrepCache};
 use crate::corpus::Corpus;
 use crate::report::{BatchAggregator, StreamReport};
-use crate::run::{reference_optima, stream_jobs, RuntimeConfig};
+use crate::run::{stream_jobs, RuntimeConfig};
 use crate::snap;
+use dapc_core::prep::SubsetSolver;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{self, Read};
 use std::ops::Range;
@@ -39,13 +41,12 @@ pub const PART_MAGIC: &[u8; 8] = dapc_core::snapmagic::PART.bytes;
 /// The aggregation of one contiguous job range of a corpus (or, after
 /// merging, of any disjoint union of ranges): what a checkpoint file
 /// holds and what a coordinator stitches back together. Produced by
-/// [`solve_range`], shipped with [`PartReport::save_to`] /
-/// [`PartReport::load_from`], recombined with [`PartReport::merge`] and
-/// closed out with [`PartReport::finish`].
+/// [`solve_range_streaming_with_cache`], shipped with
+/// [`PartReport::save_to`] / [`PartReport::load_from`], recombined with
+/// [`PartReport::merge`] and closed out with [`PartReport::finish`].
 ///
-/// Unlike [`crate::ShardReport`] a part carries no `i`-of-`n` shard
-/// coordinates — its identity is the canonical ranges its aggregator
-/// covers ([`PartReport::covered`]), which is what makes crash-driven
+/// A part's identity is the canonical ranges its aggregator covers
+/// ([`PartReport::covered`]), which is what makes crash-driven
 /// repartitions mergeable at all.
 #[derive(Debug)]
 pub struct PartReport {
@@ -68,15 +69,15 @@ pub struct PartReport {
     /// Reorder-buffer high-water mark (after merging: the maximum).
     pub peak_buffered: usize,
     /// Wall-clock time spent producing the part. Merging takes the
-    /// per-part **maximum**, like shard merging: cooperating processes
-    /// run concurrently.
+    /// per-part **maximum**, not the sum: cooperating processes run
+    /// concurrently, so the merged wall models the slowest part.
     pub wall: Duration,
 }
 
 impl PartReport {
     /// The canonical job ranges this part covers, in normal form
     /// (sorted, disjoint, adjacent runs coalesced) — one entry straight
-    /// from [`solve_range`], possibly several after merging
+    /// from a range solve, possibly several after merging
     /// non-adjacent parts.
     pub fn covered(&self) -> Vec<Range<usize>> {
         self.aggregator.covered()
@@ -108,7 +109,7 @@ impl PartReport {
     }
 
     /// Finalises a fully merged part into the [`StreamReport`] the
-    /// single-process streaming path would have returned (timings and
+    /// whole-corpus run would have returned (timings and
     /// per-process cache counters aside — groups and backends are equal
     /// bit for bit).
     ///
@@ -200,11 +201,7 @@ impl PartReport {
             evictions: snap::read_u64(&mut r)?,
         };
         let aggregator_bytes = snap::read_bytes(&mut r, "aggregator snapshot")?;
-        let mut aggregator_slice = aggregator_bytes.as_slice();
-        let aggregator = BatchAggregator::load_from(&mut aggregator_slice)?;
-        if !aggregator_slice.is_empty() {
-            return Err(snap::invalid("trailing bytes after the aggregator block"));
-        }
+        let aggregator = BatchAggregator::load_from(aggregator_bytes.as_slice())?;
         if aggregator.jobs() != jobs {
             return Err(snap::invalid(format!(
                 "part header claims {jobs} jobs but its aggregator folded {}",
@@ -248,11 +245,15 @@ impl PartReport {
     }
 }
 
-/// Solves the contiguous canonical job range `range` of `corpus` with a
-/// fresh [`PrepCache`], returning the mergeable [`PartReport`].
+/// Solves the contiguous canonical job range `range` of `corpus` against
+/// `cache` and returns the mergeable [`PartReport`]. Every
+/// [`crate::JobResult`] of the range is handed to `on_result` by value
+/// exactly once, in canonical order, before being dropped — how the
+/// daemon streams per-job results to a client while the aggregation
+/// accrues.
 ///
 /// Every `(key, report)` outcome inside the range is byte-identical to
-/// the same job in the unsharded sweep, at any `jobs`/`prep_workers`
+/// the same job in the whole-corpus sweep, at any `jobs`/`prep_workers`
 /// setting — jobs keep their global keys and key-derived RNG streams.
 /// Reference optima are solved only for the instances the range actually
 /// touches; ranges sharing an instance compute the same (deterministic)
@@ -262,12 +263,15 @@ impl PartReport {
 ///
 /// A corpus carved into three uneven ranges — the shape a crashed
 /// worker's reassigned remainder produces — merges back to the
-/// single-process aggregation:
+/// whole-corpus aggregation:
 ///
 /// ```
 /// use dapc_graph::gen;
 /// use dapc_ilp::problems;
-/// use dapc_runtime::{solve_many_streaming, solve_range, Corpus, RuntimeConfig};
+/// use dapc_runtime::{
+///     solve_many_streaming_with_cache, solve_range_streaming_with_cache, Corpus, PrepCache,
+///     RuntimeConfig,
+/// };
 ///
 /// let corpus = Corpus::builder()
 ///     .instance(
@@ -280,14 +284,17 @@ impl PartReport {
 ///     .seeds(0..3)
 ///     .build();
 /// let rt = RuntimeConfig::new();
+/// let part = |range| {
+///     solve_range_streaming_with_cache(&corpus, range, &rt, &PrepCache::new(), |_r| {})
+/// };
 ///
 /// // Ranges may merge in any order and any grouping.
-/// let mut merged = solve_range(&corpus, 4..5, &rt);
-/// merged.merge(solve_range(&corpus, 0..4, &rt));
-/// merged.merge(solve_range(&corpus, 5..corpus.len(), &rt));
+/// let mut merged = part(4..5);
+/// merged.merge(part(0..4));
+/// merged.merge(part(5..corpus.len()));
 /// let stitched = merged.finish();
 ///
-/// let single = solve_many_streaming(&corpus, &rt, |_r| {});
+/// let single = solve_many_streaming_with_cache(&corpus, &rt, &PrepCache::new(), |_r| {});
 /// assert_eq!(stitched.jobs, single.jobs);
 /// for (a, b) in stitched.groups.iter().zip(&single.groups) {
 ///     let (mut a, mut b) = (a.clone(), b.clone());
@@ -300,28 +307,6 @@ impl PartReport {
 /// # Panics
 ///
 /// Panics when `range` reaches beyond the corpus.
-pub fn solve_range(corpus: &Corpus, range: Range<usize>, rt: &RuntimeConfig) -> PartReport {
-    solve_range_with_cache(corpus, range, rt, &PrepCache::new())
-}
-
-/// [`solve_range`] against a caller-owned [`PrepCache`] — warm it first
-/// (e.g. from an earlier worker's prep snapshot) to ship memoised prep
-/// work between cooperating processes.
-pub fn solve_range_with_cache(
-    corpus: &Corpus,
-    range: Range<usize>,
-    rt: &RuntimeConfig,
-    cache: &PrepCache,
-) -> PartReport {
-    solve_range_streaming_with_cache(corpus, range, rt, cache, |_r| {})
-}
-
-/// [`solve_range_with_cache`] with an `on_result` hook: every
-/// [`crate::JobResult`] of the range is handed over by value exactly
-/// once, in canonical order, before being dropped — the range-scoped
-/// sibling of [`crate::solve_many_streaming`], and what a solve service
-/// uses to stream per-job results to a client while the mergeable
-/// aggregation accrues.
 pub fn solve_range_streaming_with_cache<F>(
     corpus: &Corpus,
     range: Range<usize>,
@@ -335,9 +320,12 @@ where
     // dapc-allow(wall-clock): wall-time report field; timings are excluded from report identity
     let start = Instant::now();
     let jobs = corpus.range_jobs(range.clone());
-    let optima = if rt.reference_optima && !jobs.is_empty() {
+    // Reference optima come first: the online aggregator folds each
+    // job's ratio as it is delivered, which needs the cell's optimum up
+    // front.
+    let optima = if rt.reference_optima {
         let touched: BTreeSet<&str> = jobs.iter().map(|j| j.key.instance.as_str()).collect();
-        reference_optima(corpus, Some(&touched), rt.prep_cache, cache)
+        reference_optima(corpus, &touched, rt.prep_cache, cache)
     } else {
         BTreeMap::new()
     };
@@ -352,5 +340,80 @@ where
         workers: pumps,
         peak_buffered,
         wall: start.elapsed(),
+    }
+}
+
+/// Reference optima, one exact solve per `touched` instance in corpus
+/// order, routed through the family cache so a batch that already ran
+/// `bnb` gets them for free.
+fn reference_optima(
+    corpus: &Corpus,
+    touched: &BTreeSet<&str>,
+    use_cache: bool,
+    cache: &PrepCache,
+) -> BTreeMap<String, (u64, bool)> {
+    let mut optima = BTreeMap::new();
+    for inst in &corpus.instances {
+        if !touched.contains(inst.name.as_str()) {
+            continue;
+        }
+        let full = vec![true; inst.ilp.n()];
+        let budget = corpus.base.budget;
+        let mut solver = if use_cache {
+            SubsetSolver::with_shared(&inst.ilp, budget, cache.family(&inst.ilp, &budget))
+        } else {
+            SubsetSolver::new(&inst.ilp, budget)
+        };
+        let (opt, _, exact) = solver.solve_mask(&full, None);
+        optima.insert(inst.name.clone(), (opt, exact));
+    }
+    optima
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn bare_part(start: usize, wall: Duration, workers: usize) -> PartReport {
+        PartReport {
+            corpus_jobs: 8,
+            start,
+            jobs: 0,
+            aggregator: BatchAggregator::with_optima_at(BTreeMap::new(), start),
+            cache: CacheStats {
+                families: 1,
+                entries: 2,
+                bytes: 100,
+                hits: 10,
+                misses: 5,
+                evictions: 1,
+            },
+            workers,
+            peak_buffered: workers,
+            wall,
+        }
+    }
+
+    /// Pins the documented merge semantics: wall time and concurrency
+    /// telemetry take per-part **maxima** (parts run concurrently, so
+    /// the merged wall is the critical path, never the sum), while cache
+    /// counters sum fieldwise.
+    #[test]
+    fn merge_takes_per_part_wall_maximum() {
+        let mut merged = bare_part(4, Duration::from_micros(300), 2);
+        merged.merge(bare_part(2, Duration::from_micros(700), 5));
+        merged.merge(bare_part(6, Duration::from_micros(400), 3));
+
+        assert_eq!(
+            merged.wall,
+            Duration::from_micros(700),
+            "merged wall is the slowest part, not the 1400µs sum"
+        );
+        assert_eq!(merged.workers, 5, "workers take the maximum");
+        assert_eq!(merged.peak_buffered, 5, "peak_buffered takes the maximum");
+        assert_eq!(merged.start, 2, "merged start is the smallest");
+        assert_eq!(merged.cache.hits, 30, "cache counters sum");
+        assert_eq!(merged.cache.misses, 15);
+        assert_eq!(merged.cache.evictions, 3);
     }
 }

@@ -5,22 +5,22 @@
 //! [`BatchAggregator`] consumes [`JobResult`]s one at a time in the
 //! corpus's canonical order and folds the per-`(instance, backend, ε)`
 //! and per-backend summaries incrementally, so
-//! [`crate::solve_many_streaming`] never has to hold the full result
-//! vector — [`crate::solve_many`] is a thin wrapper that still collects
-//! one.
+//! [`crate::solve_many_streaming_with_cache`] never has to hold the full
+//! result vector — [`crate::solve_many`] is a thin wrapper that still
+//! collects one.
 //!
-//! Since the shard-merge refactor the aggregator is also *mergeable*:
-//! every per-cell accumulator is kept in an exactly-mergeable form —
-//! integer `(sum, count)` pairs for the means, min/max for the extrema,
-//! per-shard maxima for the worst-seed phase counters — grouped into
-//! **spans** of consecutive canonical job indices. N cooperating
-//! processes each fold their contiguous slice of the corpus (see
-//! [`crate::solve_shard`]), ship a versioned binary snapshot
-//! ([`BatchAggregator::save_to`] / [`BatchAggregator::load_from`]), and
-//! [`BatchAggregator::merge`] reassembles them into the *identical*
-//! aggregation a single process would have produced: sums and extrema are
-//! associative over the integers (no float fold depends on the shard
-//! split — ratios and means are derived from the integer accumulators
+//! The aggregator is also *mergeable*: every per-cell accumulator is kept
+//! in an exactly-mergeable form — integer `(sum, count)` pairs for the
+//! means, min/max for the extrema, maxima for the worst-seed phase
+//! counters — grouped into **spans** of consecutive canonical job
+//! indices. N cooperating processes each fold a contiguous range of the
+//! corpus (see [`crate::solve_range_streaming_with_cache`]), ship a
+//! versioned binary snapshot ([`BatchAggregator::save_to`] /
+//! [`BatchAggregator::load_from`]), and [`BatchAggregator::merge`]
+//! reassembles them into the *identical* aggregation a single process
+//! would have produced: sums and extrema are associative over the
+//! integers (no float fold depends on the range split — ratios and
+//! means are derived from the integer accumulators
 //! only at [`BatchAggregator::finish`] time), and the one order-sensitive
 //! column (`rounds_last`) follows the span with the later canonical
 //! index. Merging is associative and commutative over disjoint job sets.
@@ -58,7 +58,7 @@ pub struct JobResult {
 /// [`BackendStats`] counter (packing and covering fill disjoint fields;
 /// the reference backends touch none).
 ///
-/// Maxima are associative and commutative, so shard merging reproduces
+/// Maxima are associative and commutative, so merging ranges reproduces
 /// the single-process values exactly.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GroupStats {
@@ -255,7 +255,7 @@ impl BatchReport {
     }
 }
 
-/// Everything [`crate::solve_many_streaming`] returns: the aggregation of
+/// Everything [`crate::solve_many_streaming_with_cache`] returns: the aggregation of
 /// a batch *without* its per-job result vector — jobs were handed to the
 /// `on_result` hook in canonical order and dropped, so a corpus no longer
 /// has to fit its full report vector in memory.
@@ -378,7 +378,7 @@ impl GroupAcc {
         assert_eq!(
             (self.sense, self.vars, self.opt, self.opt_exact),
             (later.sense, later.vars, later.opt, later.opt_exact),
-            "shards disagree on cell {}/{}/eps{}",
+            "parts disagree on cell {}/{}/eps{}",
             self.instance,
             self.backend,
             self.eps,
@@ -398,7 +398,7 @@ impl GroupAcc {
         let jobs = self.jobs as f64;
         let (min_ratio, max_ratio, mean_ratio) = match self.opt {
             // Ratios derive from the integer accumulators only here, so
-            // they are independent of how the seed run was sharded.
+            // they are independent of how the seed run was split.
             // `min(vᵢ)/opt = min(vᵢ/opt)` exactly: correctly-rounded
             // division by a positive constant is monotone.
             Some(opt) => {
@@ -458,13 +458,13 @@ impl Span {
 
 /// Online aggregation of [`JobResult`]s in canonical corpus order: the
 /// incremental form of the summary tables [`BatchReport`] carries — and
-/// the unit that multi-process sharding snapshots, ships, and merges.
+/// the unit that range parts snapshot, ship between processes, and merge.
 ///
 /// Feed every result exactly once via [`BatchAggregator::push`] —
 /// **in canonical order** (the order [`crate::Corpus::jobs`] defines;
-/// [`crate::solve_many_streaming`]'s reorder buffer guarantees it) — then
-/// call [`BatchAggregator::finish`]. A shard aggregator starts at its
-/// slice's first canonical index ([`BatchAggregator::with_optima_at`])
+/// the runtime's reorder buffer guarantees it) — then call
+/// [`BatchAggregator::finish`]. A range aggregator starts at its
+/// range's first canonical index ([`BatchAggregator::with_optima_at`])
 /// and is recombined with [`BatchAggregator::merge`]; because every
 /// accumulator is integer-exact and order-insensitive (see the module
 /// docs), the merged aggregation equals the single-process one bit for
@@ -487,7 +487,7 @@ pub struct BatchAggregator {
 /// identifying bytes and a format version byte. The body is the optima
 /// table (`count · (name · optimum · exact)*`, names sorted), the
 /// `start: u64` canonical index the aggregation begins at (meaningful
-/// for still-empty shard aggregators, whose offset must survive a
+/// for still-empty range aggregators, whose offset must survive a
 /// checkpoint), and the spans (`count · (start · len · group count ·
 /// groups)*`) in **normal form** — sorted by start, empty spans
 /// omitted, adjacent spans coalesced — every integer little-endian and
@@ -510,16 +510,10 @@ impl BatchAggregator {
     }
 
     /// An aggregator with per-instance reference optima
-    /// (`name → (optimum, proven exact)`), enabling the ratio columns;
-    /// starts at canonical index 0.
-    pub fn with_optima(optima: BTreeMap<String, (u64, bool)>) -> Self {
-        Self::with_optima_at(optima, 0)
-    }
-
-    /// A **shard** aggregator: like [`BatchAggregator::with_optima`], but
-    /// the first pushed result is declared to be the job at canonical
+    /// (`name → (optimum, proven exact)`), enabling the ratio columns,
+    /// whose first pushed result is declared to be the job at canonical
     /// index `start` — the information [`BatchAggregator::merge`] needs
-    /// to stitch shards back together in corpus order.
+    /// to stitch ranges back together in corpus order.
     pub fn with_optima_at(optima: BTreeMap<String, (u64, bool)>, start: usize) -> Self {
         BatchAggregator {
             optima,
@@ -586,11 +580,11 @@ impl BatchAggregator {
         span.groups.last_mut().expect("group just ensured").fold(r);
     }
 
-    /// Merges another aggregator — typically a shard's, loaded with
-    /// [`BatchAggregator::load_from`] — into this one.
+    /// Merges another aggregator — typically another range's, loaded
+    /// with [`BatchAggregator::load_from`] — into this one.
     ///
     /// Merging is **associative and commutative over disjoint job
-    /// sets**: shards may arrive in any order and any grouping, and the
+    /// sets**: ranges may arrive in any order and any grouping, and the
     /// finished aggregation equals what one process pushing the whole
     /// corpus would produce (timing columns aside), because every
     /// accumulator is integer-exact and spans are reassembled in
@@ -599,7 +593,9 @@ impl BatchAggregator {
     /// ```
     /// use dapc_graph::gen;
     /// use dapc_ilp::problems;
-    /// use dapc_runtime::{solve_many, solve_shard, Corpus, RuntimeConfig};
+    /// use dapc_runtime::{
+    ///     solve_many, solve_range_streaming_with_cache, Corpus, PrepCache, RuntimeConfig,
+    /// };
     ///
     /// let corpus = Corpus::builder()
     ///     .instance(
@@ -611,10 +607,13 @@ impl BatchAggregator {
     ///     .seeds(0..6)
     ///     .build();
     /// let rt = RuntimeConfig::new();
-    /// // Two cooperating processes, one shard each — merged in reverse
-    /// // order, merge is commutative.
-    /// let first = solve_shard(&corpus, 0, 2, &rt);
-    /// let second = solve_shard(&corpus, 1, 2, &rt);
+    /// let part = |range| {
+    ///     solve_range_streaming_with_cache(&corpus, range, &rt, &PrepCache::new(), |_r| {})
+    /// };
+    /// // Two cooperating processes, one range each, split inside the
+    /// // cell's seed run — merged in reverse order, merge is commutative.
+    /// let first = part(0..3);
+    /// let second = part(3..6);
     /// let mut merged = second.aggregator;
     /// merged.merge(first.aggregator);
     /// let (groups, _) = merged.finish();
@@ -628,7 +627,7 @@ impl BatchAggregator {
     /// # Panics
     ///
     /// Panics if the two aggregators cover overlapping canonical job
-    /// ranges (the same shard merged twice) or disagree on an instance's
+    /// ranges (the same range merged twice) or disagree on an instance's
     /// reference optimum.
     pub fn merge(&mut self, other: BatchAggregator) {
         use std::collections::btree_map::Entry;
@@ -637,7 +636,7 @@ impl BatchAggregator {
                 Entry::Occupied(e) => assert_eq!(
                     *e.get(),
                     val,
-                    "shards disagree on the reference optimum of {:?}",
+                    "parts disagree on the reference optimum of {:?}",
                     e.key()
                 ),
                 Entry::Vacant(e) => {
@@ -652,7 +651,7 @@ impl BatchAggregator {
             for own in &self.spans {
                 assert!(
                     !own.overlaps(&span),
-                    "shard job ranges overlap: [{}, {}) vs [{}, {}) — was a shard merged twice?",
+                    "job ranges overlap: [{}, {}) vs [{}, {}) — was a range merged twice?",
                     own.start,
                     own.end(),
                     span.start,
@@ -665,7 +664,7 @@ impl BatchAggregator {
 
     /// Sorts spans into canonical order and folds every *adjacent* pair
     /// into one (absorbing the boundary fragments of a cell split across
-    /// two shards) — the normal form both [`BatchAggregator::finish`]
+    /// two ranges) — the normal form both [`BatchAggregator::finish`]
     /// and [`BatchAggregator::save_to`] work on. Any set of spans
     /// covering the same jobs coalesces to the same normal form,
     /// whatever the push/merge history; gaps survive as separate spans.
@@ -699,18 +698,18 @@ impl BatchAggregator {
     /// # Panics
     ///
     /// Panics if the merged spans leave an **interior** gap of canonical
-    /// indices — a middle shard of the corpus was never merged in. The
+    /// indices — a middle range of the corpus was never merged in. The
     /// aggregator does not know the corpus size, so a missing *first or
-    /// last* shard cannot be detected here; merge at the
-    /// [`crate::ShardReport`] level, whose
-    /// [`crate::ShardReport::finish`] checks full coverage against the
+    /// last* range cannot be detected here; merge at the
+    /// [`crate::PartReport`] level, whose
+    /// [`crate::PartReport::finish`] checks full coverage against the
     /// corpus job count.
     pub fn finish(self) -> (Vec<GroupSummary>, Vec<BackendSummary>) {
         let spans = Self::coalesced(self.spans);
         if let [first, second, ..] = &spans[..] {
             // dapc-allow(panic): the documented merge-gap contract of finish (see # Panics)
             panic!(
-                "merged shards leave a gap: jobs [{}, {}) are missing",
+                "merged ranges leave a gap: jobs [{}, {}) are missing",
                 first.end(),
                 second.start,
             );
@@ -768,7 +767,7 @@ impl BatchAggregator {
     /// (see [`AGGREGATOR_MAGIC`]). The byte stream is canonical: spans
     /// are written in their coalesced normal form, so two aggregators
     /// holding the same aggregation — one that pushed the whole run,
-    /// one merged from shard fragments — serialise identically.
+    /// one merged from range fragments — serialise identically.
     ///
     /// # Errors
     ///
@@ -785,7 +784,7 @@ impl BatchAggregator {
         }
         let spans = Self::coalesced(self.spans.clone());
         // The canonical index the aggregation begins at: for an empty
-        // (still unconsumed) shard aggregator this is the live span's
+        // (still unconsumed) range aggregator this is the live span's
         // offset, which a checkpoint must preserve for the resumed
         // pushes to land at the right indices.
         let start = spans
@@ -836,7 +835,8 @@ impl BatchAggregator {
     /// Fails with [`io::ErrorKind::InvalidData`] on a bad magic, an
     /// unsupported version, or any inconsistent field (an unknown sense
     /// byte, a non-boolean flag, a span whose group job counts do not sum
-    /// to its length, overlapping or duplicated spans/cells), and with
+    /// to its length, overlapping or duplicated spans/cells, trailing
+    /// bytes after the last span), and with
     /// [`io::ErrorKind::UnexpectedEof`] on truncation at any field
     /// boundary, besides propagating reader errors. It never panics on
     /// untrusted input.
@@ -953,6 +953,14 @@ impl BatchAggregator {
             return Err(snap::invalid(format!(
                 "snapshot start {start} disagrees with its earliest span"
             )));
+        }
+        // Self-delimiting like every snapshot format here: anything after
+        // the last span is corruption, not padding.
+        let mut trailing = [0u8; 1];
+        if r.read(&mut trailing)? != 0 {
+            return Err(snap::invalid(
+                "trailing bytes after the aggregator snapshot",
+            ));
         }
         Ok(BatchAggregator {
             optima,

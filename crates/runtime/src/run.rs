@@ -1,13 +1,15 @@
-//! The batch driver: stream a corpus through the process-wide executor.
+//! The batch driver: stream a job range through the process-wide
+//! executor.
 //!
-//! [`solve_many_streaming`] is the core pipeline: `min(jobs, |corpus|)`
-//! pump tasks on the shared `dapc_exec` pool claim jobs from an atomic
-//! cursor, and finished results flow through a **bounded reorder buffer**
-//! that restores the corpus's canonical order before feeding an online
+//! The pump pipeline behind every range solve: `min(jobs, |range|)` pump
+//! tasks on the shared `dapc_exec` pool claim jobs from an atomic cursor,
+//! and finished results flow through a **bounded reorder buffer** that
+//! restores the corpus's canonical order before feeding an online
 //! [`BatchAggregator`] and the caller's `on_result` hook — so a corpus
 //! never has to fit its full report vector in one process.
-//! [`solve_many`] is a thin wrapper that collects the per-job results
-//! into the familiar [`BatchReport`].
+//! [`solve_many_streaming_with_cache`] runs it over the whole corpus, and
+//! [`solve_many`] also collects the per-job results into the familiar
+//! [`BatchReport`].
 //!
 //! When a job's own preparation step shards (`prep_workers > 1`), its
 //! subset solves are submitted to the *same* executor pool the job runs
@@ -17,9 +19,9 @@
 
 use crate::cache::PrepCache;
 use crate::corpus::{Corpus, Job};
+use crate::part::solve_range_streaming_with_cache;
 use crate::report::{BatchAggregator, BatchReport, JobResult, StreamReport};
 use dapc_core::engine;
-use dapc_core::prep::SubsetSolver;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -138,33 +140,21 @@ impl RuntimeConfig {
     }
 }
 
-/// Solves every job of `corpus` under `rt` with a fresh [`PrepCache`].
+/// Solves every job of `corpus` under `rt` with a fresh [`PrepCache`],
+/// collecting the per-job results into the returned [`BatchReport`].
 ///
 /// Results come back in the corpus's canonical order and are
 /// byte-identical to sequential execution (`jobs = 1`) at any worker
 /// count: each job draws its randomness from an RNG derived from its own
 /// key, and cached subset solves are deterministic.
 pub fn solve_many(corpus: &Corpus, rt: &RuntimeConfig) -> BatchReport {
-    solve_many_with_cache(corpus, rt, &PrepCache::new())
-}
-
-/// [`solve_many`] against a caller-owned [`PrepCache`], so the memo stays
-/// warm across successive batches over the same instance families.
-///
-/// A thin wrapper over [`solve_many_streaming_with_cache`] whose
-/// `on_result` hook collects every job into the returned
-/// [`BatchReport`]'s result vector.
-pub fn solve_many_with_cache(
-    corpus: &Corpus,
-    rt: &RuntimeConfig,
-    cache: &PrepCache,
-) -> BatchReport {
     let results = Arc::new(Mutex::new(Vec::with_capacity(corpus.len())));
     let sink = Arc::clone(&results);
-    let stream = solve_many_streaming_with_cache(corpus, rt, cache, move |r: JobResult| {
-        // dapc-allow(panic): poisoned only if a sibling worker already panicked; propagate that crash
-        sink.lock().expect("batch result sink").push(r);
-    });
+    let stream =
+        solve_many_streaming_with_cache(corpus, rt, &PrepCache::new(), move |r: JobResult| {
+            // dapc-allow(panic): poisoned only if a sibling worker already panicked; propagate that crash
+            sink.lock().expect("batch result sink").push(r);
+        });
     let results = Arc::try_unwrap(results)
         // dapc-allow(panic): the streaming call returned, so the hook (the only other holder) is dropped
         .expect("streaming returned, the hook was dropped")
@@ -181,8 +171,11 @@ pub fn solve_many_with_cache(
     }
 }
 
-/// Streams every job of `corpus` through `on_result` with a fresh
-/// [`PrepCache`], keeping only the online aggregation in memory.
+/// Streams every job of `corpus` through `on_result` against a
+/// caller-owned [`PrepCache`] (so the memo stays warm across successive
+/// batches over the same instance families), keeping only the online
+/// aggregation in memory: the range pipeline over `0..corpus.len()`,
+/// finished.
 ///
 /// The hook receives each [`JobResult`] by value exactly once, **in the
 /// corpus's canonical order** (a bounded reorder buffer restores it
@@ -200,7 +193,7 @@ pub fn solve_many_with_cache(
 /// ```
 /// use dapc_graph::gen;
 /// use dapc_ilp::problems;
-/// use dapc_runtime::{solve_many_streaming, Corpus, RuntimeConfig};
+/// use dapc_runtime::{solve_many_streaming_with_cache, Corpus, PrepCache, RuntimeConfig};
 /// use std::sync::atomic::{AtomicUsize, Ordering};
 /// use std::sync::Arc;
 ///
@@ -217,7 +210,8 @@ pub fn solve_many_with_cache(
 /// // holding the per-job reports.
 /// let feasible = Arc::new(AtomicUsize::new(0));
 /// let seen = Arc::clone(&feasible);
-/// let stream = solve_many_streaming(&corpus, &RuntimeConfig::new().jobs(4), move |r| {
+/// let rt = RuntimeConfig::new().jobs(4);
+/// let stream = solve_many_streaming_with_cache(&corpus, &rt, &PrepCache::new(), move |r| {
 ///     if r.report.feasible() {
 ///         seen.fetch_add(1, Ordering::Relaxed);
 ///     }
@@ -228,14 +222,6 @@ pub fn solve_many_with_cache(
 /// assert_eq!(stream.groups.len(), 1);
 /// assert!(stream.groups[0].meets_guarantee());
 /// ```
-pub fn solve_many_streaming<F>(corpus: &Corpus, rt: &RuntimeConfig, on_result: F) -> StreamReport
-where
-    F: FnMut(JobResult) + Send + 'static,
-{
-    solve_many_streaming_with_cache(corpus, rt, &PrepCache::new(), on_result)
-}
-
-/// [`solve_many_streaming`] against a caller-owned [`PrepCache`].
 pub fn solve_many_streaming_with_cache<F>(
     corpus: &Corpus,
     rt: &RuntimeConfig,
@@ -245,40 +231,12 @@ pub fn solve_many_streaming_with_cache<F>(
 where
     F: FnMut(JobResult) + Send + 'static,
 {
-    // dapc-allow(wall-clock): wall-time report field; timings are excluded from report identity
-    let start = Instant::now();
-    let jobs = corpus.jobs();
-    let n = jobs.len();
-
-    // Reference optima come first: the online aggregator folds each
-    // job's ratio as it is delivered, which needs the cell's optimum up
-    // front. The lookups route through the family cache exactly like job
-    // lookups, so for an unbounded cache the hit/miss totals match the
-    // legacy collect-then-aggregate path (which solved them last) — only
-    // the order of the counter events moves.
-    let optima = if rt.reference_optima {
-        reference_optima(corpus, None, rt.prep_cache, cache)
-    } else {
-        BTreeMap::new()
-    };
-    let aggregator = BatchAggregator::with_optima(optima);
-    let (aggregator, pumps, peak_buffered) = stream_jobs(jobs, aggregator, rt, cache, on_result);
-
-    let (groups, backends) = aggregator.finish();
-    StreamReport {
-        jobs: n,
-        groups,
-        backends,
-        cache: cache.stats(),
-        workers: pumps,
-        peak_buffered,
-        wall: start.elapsed(),
-    }
+    solve_range_streaming_with_cache(corpus, 0..corpus.len(), rt, cache, on_result).finish()
 }
 
-/// The shared pump pipeline behind [`solve_many_streaming_with_cache`]
-/// and [`crate::solve_shard`]: runs `jobs` (any contiguous slice of a
-/// corpus, in canonical order) through `min(rt.jobs, |jobs|)` pump tasks
+/// The pump pipeline behind [`solve_range_streaming_with_cache`]: runs
+/// `jobs` (any contiguous slice of a corpus, in canonical order) through
+/// `min(rt.jobs, |jobs|)` pump tasks
 /// and the reorder buffer, feeding `aggregator` and `on_result` in
 /// order. Returns the fed aggregator, the pump count, and the reorder
 /// buffer's high-water mark.
@@ -368,34 +326,6 @@ where
         .expect("scope joined, no pump holds the delivery")
         .into_parts();
     finish((aggregator, pumps, peak))
-}
-
-/// Reference optima, one exact solve per instance, routed through the
-/// family cache so a batch that already ran `bnb` gets them for free.
-/// `only` restricts the solves to a subset of instance names (the
-/// instances a shard actually touches); `None` covers the whole corpus.
-pub(crate) fn reference_optima(
-    corpus: &Corpus,
-    only: Option<&std::collections::BTreeSet<&str>>,
-    use_cache: bool,
-    cache: &PrepCache,
-) -> BTreeMap<String, (u64, bool)> {
-    let mut optima = BTreeMap::new();
-    for inst in &corpus.instances {
-        if only.is_some_and(|names| !names.contains(inst.name.as_str())) {
-            continue;
-        }
-        let full = vec![true; inst.ilp.n()];
-        let budget = corpus.base.budget;
-        let mut solver = if use_cache {
-            SubsetSolver::with_shared(&inst.ilp, budget, cache.family(&inst.ilp, &budget))
-        } else {
-            SubsetSolver::new(&inst.ilp, budget)
-        };
-        let (opt, _, exact) = solver.solve_mask(&full, None);
-        optima.insert(inst.name.clone(), (opt, exact));
-    }
-    optima
 }
 
 /// How many out-of-order results may be parked at once: enough that the

@@ -1,11 +1,10 @@
-//! Primitive readers/writers shared by the runtime's versioned binary
-//! snapshot formats ([`crate::BatchAggregator`], [`crate::ShardReport`],
-//! [`crate::PrepCache`]): little-endian integers, length-prefixed UTF-8
-//! strings, and the magic/version check split so corrupt and
-//! future-versioned streams fail with distinct errors.
+//! Primitive readers/writers shared by the workspace's versioned binary
+//! snapshot formats ([`crate::BatchAggregator`], [`crate::PartReport`],
+//! and `dapc-serve`'s spec and manifest): little-endian integers,
+//! length-prefixed UTF-8 strings, and the magic/version check split so
+//! corrupt and future-versioned streams fail with distinct errors.
 //!
-//! Two rules every reader here obeys (the same hardening contract as
-//! `dapc_core`'s subset-cache snapshot loader):
+//! Two rules every reader here obeys:
 //!
 //! 1. **No length field is trusted with an allocation.** Variable-length
 //!    payloads are read through `Read::take`, so memory grows with the

@@ -4,7 +4,11 @@
 use dapc_core::engine::SolveConfig;
 use dapc_graph::gen;
 use dapc_ilp::{problems, IlpInstance};
-use dapc_runtime::{solve_many, solve_many_with_cache, Corpus, PrepCache, RuntimeConfig};
+use dapc_runtime::{
+    solve_many, solve_many_streaming_with_cache, BatchReport, Corpus, JobResult, PrepCache,
+    RuntimeConfig,
+};
+use std::sync::{Arc, Mutex};
 
 /// A mixed packing/covering corpus of `n` small instances.
 fn instances(n: usize) -> Vec<(String, IlpInstance)> {
@@ -58,7 +62,28 @@ fn corpus(n_instances: usize, backends: &[&str], seeds: u64) -> Corpus {
     b.build()
 }
 
-fn assert_identical(a: &dapc_runtime::BatchReport, b: &dapc_runtime::BatchReport) {
+/// [`solve_many`] against a caller-owned cache: the streaming entry
+/// point with a hook that collects every job.
+fn solve_with_cache(corpus: &Corpus, rt: &RuntimeConfig, cache: &PrepCache) -> BatchReport {
+    let sink: Arc<Mutex<Vec<JobResult>>> = Arc::default();
+    let hook = Arc::clone(&sink);
+    let stream = solve_many_streaming_with_cache(corpus, rt, cache, move |r| {
+        hook.lock().expect("sink").push(r);
+    });
+    BatchReport {
+        results: Arc::try_unwrap(sink)
+            .expect("hook dropped")
+            .into_inner()
+            .expect("sink"),
+        groups: stream.groups,
+        backends: stream.backends,
+        cache: stream.cache,
+        workers: stream.workers,
+        wall: stream.wall,
+    }
+}
+
+fn assert_identical(a: &BatchReport, b: &BatchReport) {
     assert_eq!(a.results.len(), b.results.len());
     for (x, y) in a.outcomes().iter().zip(b.outcomes()) {
         assert_eq!(*x.0, *y.0, "job keys diverge");
@@ -112,7 +137,7 @@ fn cache_on_and_off_yield_identical_reports() {
 fn cache_counters_are_monotone_across_batches() {
     let corpus = corpus(2, &["three-phase"], 2);
     let cache = PrepCache::new();
-    let first = solve_many_with_cache(&corpus, &RuntimeConfig::new(), &cache);
+    let first = solve_with_cache(&corpus, &RuntimeConfig::new(), &cache);
     let after_first = cache.stats();
     assert!(
         after_first.misses > 0,
@@ -120,7 +145,7 @@ fn cache_counters_are_monotone_across_batches() {
     );
     assert_eq!(first.cache, after_first);
 
-    let second = solve_many_with_cache(&corpus, &RuntimeConfig::new(), &cache);
+    let second = solve_with_cache(&corpus, &RuntimeConfig::new(), &cache);
     let after_second = cache.stats();
     assert_identical(&first, &second);
     assert!(after_second.hits >= after_first.hits);
@@ -159,7 +184,7 @@ fn bounded_prep_cache_is_report_transparent() {
     let corpus = corpus(5, &["three-phase"], 3);
     let reference = solve_many(&corpus, &RuntimeConfig::new());
     let bounded = PrepCache::with_family_capacity(256);
-    let run = solve_many_with_cache(&corpus, &RuntimeConfig::new().jobs(2), &bounded);
+    let run = solve_with_cache(&corpus, &RuntimeConfig::new().jobs(2), &bounded);
     assert_identical(&reference, &run);
     let stats = bounded.stats();
     assert!(

@@ -4,7 +4,7 @@
 //! The one thing metrics *are* allowed to perturb is timing — `micros`
 //! fields and `wall` durations differ between any two runs, metrics or
 //! not — so the byte-level comparison zeroes timing the same way the
-//! shard-merge doctest does, and the structural comparisons use the
+//! range-merge doctests do, and the structural comparisons use the
 //! deterministic `(key, report)` payload that `BatchReport::outcomes`
 //! documents as worker- and cache-invariant.
 
@@ -14,8 +14,8 @@ use std::time::Duration;
 use dapc_graph::gen;
 use dapc_ilp::problems;
 use dapc_runtime::{
-    solve_many, solve_many_streaming, BatchAggregator, Corpus, GroupSummary, JobResult,
-    RuntimeConfig, ShardReport,
+    solve_many, solve_range_streaming_with_cache, BatchAggregator, Corpus, GroupSummary, JobResult,
+    PartReport, PrepCache, RuntimeConfig,
 };
 
 /// `dapc_obs::set_enabled` flips process-global state, so the tests in
@@ -80,50 +80,50 @@ fn metrics_do_not_change_job_outcomes_or_groups() {
     assert_eq!(off_groups, on_groups, "metrics changed a group summary");
 }
 
-/// Streams the corpus sequentially (`jobs = 1`, so cache counters are
-/// deterministic), zeroes per-job timing, and serialises the resulting
-/// shard snapshot. Everything timing-shaped is forced to a fixed value
-/// *identically in both configurations*, so any remaining byte
-/// difference is a real metrics side effect.
-fn shard_snapshot_bytes(enabled: bool) -> Vec<u8> {
+/// Solves the corpus as one range sequentially (`jobs = 1`, so cache
+/// counters are deterministic), zeroes per-job timing, and serialises
+/// the resulting part snapshot. Everything timing-shaped is forced to a
+/// fixed value *identically in both configurations*, so any remaining
+/// byte difference is a real metrics side effect.
+fn part_snapshot_bytes(enabled: bool) -> Vec<u8> {
     dapc_obs::set_enabled(enabled);
     let corpus = corpus();
     let collected: Arc<Mutex<Vec<JobResult>>> = Arc::default();
     let sink = Arc::clone(&collected);
-    let stream = solve_many_streaming(&corpus, &RuntimeConfig::new().jobs(1), move |mut r| {
-        r.micros = 0;
-        sink.lock().expect("result sink").push(r);
-    });
+    let rt = RuntimeConfig::new().jobs(1);
+    let part = solve_range_streaming_with_cache(
+        &corpus,
+        0..corpus.len(),
+        &rt,
+        &PrepCache::new(),
+        move |mut r| {
+            r.micros = 0;
+            sink.lock().expect("result sink").push(r);
+        },
+    );
     dapc_obs::set_enabled(false);
 
     let mut aggregator = BatchAggregator::new();
     for r in collected.lock().expect("result sink").iter() {
         aggregator.push(r);
     }
-    let report = ShardReport {
-        shard: 0,
-        shards: 1,
-        corpus_jobs: stream.jobs,
-        jobs: stream.jobs,
+    let report = PartReport {
         aggregator,
-        cache: stream.cache,
-        workers: stream.workers,
-        peak_buffered: stream.peak_buffered,
         wall: Duration::ZERO,
-        prep: None,
+        ..part
     };
     let mut bytes = Vec::new();
-    report.save_to(&mut bytes).expect("serialise shard report");
+    report.save_to(&mut bytes).expect("serialise part report");
     bytes
 }
 
 #[test]
-fn metrics_do_not_change_shard_snapshot_bytes() {
+fn metrics_do_not_change_part_snapshot_bytes() {
     let _guard = obs_lock();
-    let off = shard_snapshot_bytes(false);
-    let on = shard_snapshot_bytes(true);
+    let off = part_snapshot_bytes(false);
+    let on = part_snapshot_bytes(true);
     assert!(!off.is_empty());
-    assert_eq!(off, on, "metrics changed serialised shard-report bytes");
+    assert_eq!(off, on, "metrics changed serialised part-report bytes");
 }
 
 /// The work-stealing executor's headline invariant: the deterministic

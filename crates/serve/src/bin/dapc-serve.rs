@@ -1,11 +1,11 @@
-//! The `dapc-serve` binary: orchestrated sweeps, shard workers, and the
+//! The `dapc-serve` binary: orchestrated sweeps, their workers, and the
 //! persistent solve daemon.
 //!
 //! ```text
 //! dapc-serve sweep  --dir DIR [--workers N] [--unit N] [--jobs N]
 //!                   [--max-attempts N] [--timeout-secs S]
 //!                   [--inject-kill K] [--out PATH] SPEC...
-//! dapc-serve worker --dir DIR --range A..B [--jobs N] [--warm PATH]
+//! dapc-serve worker --dir DIR --range A..B [--jobs N]
 //!                   [--self-destruct-after K]
 //! dapc-serve daemon --socket PATH [--metrics PATH] [--threads N]
 //!                   [--queue N] [--deadline-ms MS]
@@ -217,7 +217,6 @@ fn cmd_worker(args: &[String]) -> Result<(), CliError> {
             "--dir" => dir = Some(PathBuf::from(flags.value(flag)?)),
             "--range" => range = Some(parse_range(flags.value(flag)?)?),
             "--jobs" => opts.jobs = parse_num(flag, flags.value(flag)?)?,
-            "--warm" => opts.warm = Some(PathBuf::from(flags.value(flag)?)),
             "--self-destruct-after" => {
                 opts.self_destruct_after = Some(parse_num(flag, flags.value(flag)?)?)
             }
@@ -235,12 +234,11 @@ fn cmd_worker(args: &[String]) -> Result<(), CliError> {
     match outcome {
         Ok(Ok(summary)) => {
             println!(
-                "worker done: {} units solved ({} jobs), {} units resumed ({} jobs), {} prep entries warmed",
+                "worker done: {} units solved ({} jobs), {} units resumed ({} jobs)",
                 summary.solved_units,
                 summary.solved_jobs,
                 summary.skipped_units,
                 summary.resumed_jobs,
-                summary.warmed_entries,
             );
             Ok(())
         }

@@ -198,7 +198,8 @@ fn parse_part_file_name(name: &str) -> Option<Range<usize>> {
 
 /// Atomically persists one completed checkpoint unit into `dir` and
 /// returns its final path. The part must cover exactly one contiguous
-/// range (the normal [`dapc_runtime::solve_range`] product).
+/// range (what [`dapc_runtime::solve_range_streaming_with_cache`]
+/// returns).
 ///
 /// # Errors
 ///

@@ -1,13 +1,12 @@
 //! Process supervision and the fault-tolerant sweep coordinator.
 //!
-//! The [`Supervisor`] is the generic layer: a queue of tasks, a cap of
+//! The `Supervisor` is the generic layer: a queue of tasks, a cap of
 //! concurrently running worker processes, a straggler timeout, and a
 //! judge that inspects each worker's exit and decides — finished,
 //! requeue (possibly as *different*, smaller tasks: the salvage), or
-//! abort the whole run. It knows nothing about sweeps; the `tables`
-//! orchestrator reuses it with whole shards as tasks.
+//! abort the whole run. It knows nothing about sweeps.
 //!
-//! [`orchestrate_sweep`] is the sweep-shaped instantiation: tasks are
+//! [`orchestrate_sweep`] is its one instantiation: tasks are
 //! contiguous job ranges of a [`CorpusSpec`]'s corpus, workers checkpoint
 //! unit-aligned [`dapc_runtime::PartReport`] files into the sweep
 //! directory, and the judge rescans those files after every exit — a
@@ -68,15 +67,15 @@ mod metrics {
 
 /// How a supervised worker process ended.
 #[derive(Clone, Copy, Debug)]
-pub struct Exit {
+pub(crate) struct Exit {
     /// The exit code, `None` on signal death (crash, kill, abort).
-    pub code: Option<i32>,
+    pub(crate) code: Option<i32>,
     /// Whether the supervisor killed it as a straggler.
-    pub timed_out: bool,
+    pub(crate) timed_out: bool,
 }
 
 /// The judge's ruling on one finished worker.
-pub enum Verdict<T> {
+pub(crate) enum Verdict<T> {
     /// The task is complete; free the slot.
     Done,
     /// The task is not complete: requeue `tasks` in its place (typically
@@ -95,7 +94,7 @@ pub enum Verdict<T> {
     Fatal(String),
 }
 
-/// Counters of one [`Supervisor::run`].
+/// Counters of one supervised run (see [`SweepOutcome::stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SuperviseStats {
     /// Worker processes spawned (first attempts and retries).
@@ -109,15 +108,15 @@ pub struct SuperviseStats {
 /// A bounded pool of supervised worker processes with retry and
 /// straggler-kill policy. See the module docs.
 #[derive(Clone, Copy, Debug)]
-pub struct Supervisor {
+pub(crate) struct Supervisor {
     /// Maximum concurrently running workers.
-    pub slots: usize,
+    pub(crate) slots: usize,
     /// Attempts a task may consume without progress before the run
     /// aborts.
-    pub max_attempts: u32,
+    pub(crate) max_attempts: u32,
     /// Wall-clock budget per worker; exceeding it gets the worker killed
     /// and judged with `timed_out` (no timeout when `None`).
-    pub timeout: Option<Duration>,
+    pub(crate) timeout: Option<Duration>,
 }
 
 impl Supervisor {
@@ -131,7 +130,7 @@ impl Supervisor {
     /// Fails when `spawn` or `judge` does, when a judge rules
     /// [`Verdict::Fatal`], or when a task exhausts
     /// [`Supervisor::max_attempts`] attempts without progress.
-    pub fn run<T, S, J>(
+    pub(crate) fn run<T, S, J>(
         &self,
         tasks: Vec<T>,
         mut spawn: S,

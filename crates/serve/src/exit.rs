@@ -4,8 +4,7 @@
 //! status, so the status has to carry the triage: *retry this worker*
 //! (transient I/O, a crash, a straggler we killed) versus *stop the
 //! sweep* (the input itself is bad and every retry would fail the same
-//! way). Both `dapc-serve worker` and the `tables` shard runner speak
-//! this vocabulary.
+//! way). `dapc-serve` and `tables` exit with these codes.
 
 use std::io;
 

@@ -12,10 +12,11 @@
 //!    rebuild bit-identical corpora in any process — the unit of
 //!    agreement between coordinator, workers, checkpoint directories and
 //!    daemon clients.
-//! 2. **Fault-tolerant orchestration** ([`orchestrate_sweep`] over
-//!    [`Supervisor`]): a coordinator partitions the corpus across worker
-//!    processes, workers checkpoint unit-aligned [`dapc_runtime::PartReport`]
-//!    files atomically, and every worker death — crash, kill, straggler
+//! 2. **Fault-tolerant orchestration** ([`orchestrate_sweep`]): a
+//!    coordinator partitions the corpus across supervised worker
+//!    processes, workers checkpoint unit-aligned
+//!    [`dapc_runtime::PartReport`] files atomically, and every worker
+//!    death — crash, kill, straggler
 //!    timeout — forfeits only the unfinished remainder of its range,
 //!    which is requeued to the next free slot. Because job results are
 //!    pure functions of their [`dapc_runtime::JobKey`], the merged sweep
@@ -58,9 +59,7 @@ pub use checkpoint::{
     gc_stale_tmp, part_file_name, scan_parts, uncovered, unit_grid, write_part, Scan,
     SweepManifest, MANIFEST_FILE, MANIFEST_MAGIC, QUARANTINE_DIR,
 };
-pub use coordinator::{
-    orchestrate_sweep, Exit, SuperviseStats, Supervisor, SweepConfig, SweepOutcome, Verdict,
-};
+pub use coordinator::{orchestrate_sweep, SuperviseStats, SweepConfig, SweepOutcome};
 pub use daemon::{client, Daemon, DaemonConfig, MAX_REQUEST_JOBS};
 pub use spec::{CorpusSpec, GraphSpec, InstanceSpec, Problem, SpecLimits, SPEC_LIMITS, SPEC_MAGIC};
 pub use worker::{run_worker, WorkerOptions, WorkerSummary};

@@ -1,5 +1,5 @@
-//! The shard-worker side of an orchestrated sweep: solve an assigned
-//! job range, checkpoint unit by unit, die loudly.
+//! The worker side of an orchestrated sweep: solve an assigned job
+//! range, checkpoint unit by unit, die loudly.
 //!
 //! [`run_worker`] is the whole life of one `dapc-serve worker` process.
 //! It reads the sweep manifest of its directory (the coordinator wrote
@@ -11,11 +11,11 @@
 //! therefore forfeits at most one unit of work.
 
 use crate::checkpoint::{self, SweepManifest};
-use dapc_runtime::{snap, solve_range_streaming_with_cache, PrepCache, RuntimeConfig, ShardReport};
+use dapc_runtime::{snap, solve_range_streaming_with_cache, PrepCache, RuntimeConfig};
 use std::fs;
 use std::io;
 use std::ops::Range;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -24,11 +24,6 @@ use std::sync::Arc;
 pub struct WorkerOptions {
     /// Intra-process job parallelism (`RuntimeConfig::jobs`).
     pub jobs: usize,
-    /// Warm the prep cache from a [`ShardReport`] snapshot file before
-    /// solving. A corrupt snapshot is a hard error — the all-or-nothing
-    /// loader surfaces it to the caller instead of silently solving
-    /// cold.
-    pub warm: Option<PathBuf>,
     /// Fault injection: `process::abort()` after this many jobs have
     /// been solved (counted across units). Exercises the coordinator's
     /// salvage path in tests and CI.
@@ -46,8 +41,6 @@ pub struct WorkerSummary {
     pub solved_jobs: usize,
     /// Jobs covered by the skipped checkpoints.
     pub resumed_jobs: usize,
-    /// Prep-cache entries absorbed from the warm-start snapshot.
-    pub warmed_entries: usize,
 }
 
 /// Solves `range` of the sweep checkpointed in `dir`. See the module
@@ -56,9 +49,8 @@ pub struct WorkerSummary {
 /// # Errors
 ///
 /// Fails with [`io::ErrorKind::InvalidData`] when `dir` has no (or a
-/// corrupt) manifest, when `range` reaches beyond the manifest's corpus,
-/// or when the warm-start snapshot fails to load; propagates filesystem
-/// errors from checkpointing.
+/// corrupt) manifest or when `range` reaches beyond the manifest's
+/// corpus; propagates filesystem errors from checkpointing.
 ///
 /// # Panics
 ///
@@ -80,10 +72,6 @@ pub fn run_worker(
     let corpus = manifest.spec.build();
     let cache = PrepCache::new();
     let mut summary = WorkerSummary::default();
-    if let Some(warm) = &opts.warm {
-        let report = ShardReport::load_from(io::BufReader::new(fs::File::open(warm)?))?;
-        summary.warmed_entries = report.warm_start(&cache)?;
-    }
     let rt = RuntimeConfig::new().jobs(opts.jobs.max(1));
     let solved = Arc::new(AtomicUsize::new(0));
     for unit in checkpoint::unit_grid(range, manifest.unit) {

@@ -1,8 +1,8 @@
 //! End-to-end guarantees of the orchestrated sweep: the merged result is
 //! byte-identical to the single-process run at any worker count, under
 //! injected worker kills, and across checkpoint/resume boundaries; a
-//! corrupt warm-start snapshot surfaces as [`exit::EXIT_BAD_SNAPSHOT`]
-//! end-to-end; and a sweep directory refuses a different sweep.
+//! worker without a manifest exits with [`exit::EXIT_BAD_SNAPSHOT`]; and
+//! a sweep directory refuses a different sweep.
 //!
 //! Workers here are the real `dapc-serve worker` subcommand, spawned as
 //! separate processes via `CARGO_BIN_EXE_dapc-serve`.
@@ -269,46 +269,6 @@ fn cli_sweep_with_an_injected_kill_renders_byte_identical_tables() {
         "rendered tables must be byte-identical across worker counts and kills"
     );
     std::fs::remove_dir_all(&base).ok();
-}
-
-#[test]
-fn a_corrupt_warm_snapshot_exits_with_bad_snapshot() {
-    let dir = scratch("warm");
-    let spec = demo_spec();
-    SweepManifest::new(spec.clone(), 2).store(&dir).unwrap();
-    let warm = dir.join("warm.bin");
-    std::fs::write(&warm, b"DAPCSHD\x01 definitely not a shard snapshot").unwrap();
-
-    // The library path surfaces the loader error …
-    let err = run_worker(
-        &dir,
-        0..2,
-        &WorkerOptions {
-            warm: Some(warm.clone()),
-            ..WorkerOptions::default()
-        },
-    )
-    .expect_err("corrupt warm snapshot must fail the worker");
-    assert_eq!(exit::classify(&err), exit::EXIT_BAD_SNAPSHOT, "{err}");
-
-    // … and the binary maps it to the distinct exit code the
-    // coordinator's triage relies on (corrupt input: don't retry).
-    let status = Command::new(EXE)
-        .arg("worker")
-        .arg("--dir")
-        .arg(&dir)
-        .args(["--range", "0..2", "--warm"])
-        .arg(&warm)
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .status()
-        .expect("run worker with corrupt warm snapshot");
-    assert_eq!(status.code(), Some(exit::EXIT_BAD_SNAPSHOT), "{status:?}");
-
-    // No checkpoint may have been written before the failure.
-    let scan = scan_parts(&dir, spec.grid_len()).unwrap();
-    assert_eq!(scan.jobs_done, 0);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -105,14 +105,15 @@ pub use dapc_serve as serve;
 /// Sweeps go through `dapc-runtime`: build a [`prelude::Corpus`] of
 /// `(instance × backend × ε × seed)` jobs and fan it out with
 /// [`prelude::solve_many`] — or stream arbitrarily large corpora through
-/// [`prelude::solve_many_streaming`]'s `on_result` hook without holding
-/// the result vector, or split them across cooperating processes with
-/// [`prelude::solve_shard`] and merge the compact [`prelude::ShardReport`]
-/// snapshots back into the identical aggregation. Across-job and
-/// intra-prep parallelism share one process-wide executor ([`exec`]);
-/// results are byte-identical to sequential execution at any worker
-/// count — and to any shard split — and seeds of one instance family
-/// share their preparation work through the prep cache:
+/// [`prelude::solve_many_streaming_with_cache`]'s `on_result` hook
+/// without holding the result vector, or split them into contiguous job
+/// ranges with [`prelude::solve_range_streaming_with_cache`] and merge
+/// the compact [`prelude::PartReport`]s back into the identical
+/// aggregation. Across-job and intra-prep parallelism share one
+/// process-wide executor ([`exec`]); results are byte-identical to
+/// sequential execution at any worker count — and to any range split —
+/// and seeds of one instance family share their preparation work through
+/// the prep cache:
 ///
 /// ```
 /// use dapc::prelude::*;
@@ -133,6 +134,17 @@ pub use dapc_serve as serve;
 /// assert!(report.cache.hits > 0, "seeds share prep work");
 /// let worst = report.group("MIS/cycle20", "three-phase", 0.3).unwrap();
 /// assert!(worst.meets_guarantee()); // min ratio ≥ 1 − ε
+///
+/// // Two halves solved apart (in real use, by two processes) merge back.
+/// let rt = RuntimeConfig::new();
+/// let part = |range| {
+///     solve_range_streaming_with_cache(&corpus, range, &rt, &PrepCache::new(), |_r| {})
+/// };
+/// let mut merged = part(4..8);
+/// merged.merge(part(0..4));
+/// let merged = merged.finish();
+/// let merged_worst = merged.group("MIS/cycle20", "three-phase", 0.3).unwrap();
+/// assert_eq!(merged_worst.min_value, worst.min_value);
 /// ```
 pub mod prelude {
     pub use dapc_core::adapters::{GraphProblem, GraphSolveResult};
@@ -147,8 +159,8 @@ pub mod prelude {
     pub use dapc_ilp::{problems, verify, IlpInstance, Sense, SolverBudget};
     pub use dapc_local::{RoundCost, RoundLedger};
     pub use dapc_runtime::{
-        solve_many, solve_many_streaming, solve_many_streaming_with_cache, solve_many_with_cache,
-        solve_shard, solve_shard_with_cache, BatchAggregator, BatchReport, Corpus, GroupStats,
-        GroupSummary, JobKey, JobResult, PrepCache, RuntimeConfig, ShardReport, StreamReport,
+        solve_many, solve_many_streaming_with_cache, solve_range_streaming_with_cache,
+        BatchAggregator, BatchReport, Corpus, GroupStats, GroupSummary, JobKey, JobResult,
+        PartReport, PrepCache, RuntimeConfig, StreamReport,
     };
 }
