@@ -1,16 +1,11 @@
-//! Wall-clock benches for the `dapc-runtime` batch path, plus three
-//! explicit acceptance measurements:
+//! Wall-clock benches for the `dapc-runtime` batch path, plus two
+//! explicit checks:
 //!
 //! 1. sequential-vs-batch: the same corpus solved the PR-1 way (one job
 //!    at a time, no shared prep) and through `solve_many` at 4 concurrent
 //!    jobs with the per-instance-family prep cache;
 //! 2. streaming smoke: `solve_many_streaming_with_cache` delivers the identical
-//!    results in canonical order with a bounded reorder buffer;
-//! 3. executor-vs-per-solve-pool: on a corpus of many *small* preps, the
-//!    shared-executor batch wall clock beside the per-solve pool
-//!    spawn/teardown tax the former architecture paid (measured
-//!    standalone — the removed cost, not a rerun of the old code). The
-//!    measured line is committed as `BENCH_exec.json` at the repo root.
+//!    results in canonical order with a bounded reorder buffer.
 //!
 //! Run quick (CI smoke): `cargo bench -p dapc-bench --bench bench_batch -- --quick`
 
@@ -22,7 +17,6 @@ use dapc_runtime::{
     solve_many, solve_many_streaming_with_cache, Corpus, JobResult, PrepCache, RuntimeConfig,
 };
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick")
@@ -62,31 +56,6 @@ fn sweep_corpus() -> Corpus {
         .build()
 }
 
-/// Many small instances, one seed sweep: every solve's preparation is
-/// tiny, so under the former architecture the per-solve
-/// `ThreadPool::new(prep_workers)` spawn/teardown was a visible fraction
-/// of the job — the workload the shared executor targets.
-fn small_prep_corpus() -> Corpus {
-    let (count, seeds) = if quick_mode() { (6, 0..2) } else { (10, 0..4) };
-    let mut b = Corpus::builder()
-        .backend("three-phase")
-        .eps(0.3)
-        .seeds(seeds)
-        .base_config(SolveConfig::new());
-    for i in 0..count {
-        let n = 14 + 2 * i;
-        b = b.instance(
-            format!("MIS/gnp{n}-{i}"),
-            problems::max_independent_set_unweighted(&gen::gnp(
-                n,
-                0.12,
-                &mut gen::seeded_rng(100 + i as u64),
-            )),
-        );
-    }
-    b.build()
-}
-
 fn sequential_config() -> RuntimeConfig {
     RuntimeConfig::new()
         .jobs(1)
@@ -114,9 +83,9 @@ fn bench_batch_paths(c: &mut Criterion) {
     group.finish();
 }
 
-/// One timed head-to-head run, printing the numbers the ISSUE acceptance
-/// criteria name: ≥ 2× wall-clock at 4 workers with a positive prep-cache
-/// hit rate, and bit-identical results either way.
+/// One timed head-to-head run: prints the sequential and the 4-job cached
+/// walls with the prep-cache hit rate, and asserts that both paths give
+/// bit-identical outcomes and that the cache hits at least once.
 fn report_speedup(_c: &mut Criterion) {
     let corpus = sweep_corpus();
     let sequential = solve_many(&corpus, &sequential_config());
@@ -170,93 +139,10 @@ fn report_streaming_smoke(_c: &mut Criterion) {
     );
 }
 
-/// The tentpole measurement: the shared-executor batch wall clock beside
-/// the *per-solve pool tax* the former architecture paid on the same
-/// corpus — one vendored `ThreadPool::new(4)` spawn + teardown per solve,
-/// measured standalone (it cannot be re-inserted into `prepare` itself,
-/// which no longer spawns pools, so this is an emulation of the removed
-/// cost, not a rerun of the old code; the old tax was partially
-/// overlapped across jobs, so the standalone figure is an upper bound on
-/// wall clock and an exact count of spawned threads). Prints one
-/// `BENCH_exec` JSON line; the committed `BENCH_exec.json` records it
-/// with the host's core count.
-fn report_executor_vs_per_solve_pool(_c: &mut Criterion) {
-    let corpus = small_prep_corpus();
-    let rt = RuntimeConfig::new()
-        .jobs(2)
-        .prep_workers(4)
-        .reference_optima(false);
-    let quick = quick_mode();
-    let samples = if quick { 1 } else { 3 };
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    let (mut shared_exec, mut pool_tax) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..samples {
-        let start = Instant::now();
-        let stream = solve_many_streaming_with_cache(&corpus, &rt, &PrepCache::new(), |_r| {});
-        shared_exec = shared_exec.min(start.elapsed().as_secs_f64());
-        assert_eq!(stream.jobs, corpus.len());
-
-        // The removed cost, measured alone: the former architecture span
-        // (and tore down) one prep pool per solve.
-        let start = Instant::now();
-        for _ in 0..corpus.len() {
-            let pool = threadpool::ThreadPool::new(4);
-            pool.join();
-        }
-        pool_tax = pool_tax.min(start.elapsed().as_secs_f64());
-    }
-
-    // Observability tax: the identical batch with the dapc-obs registry
-    // armed, so every executor/cache/runtime instrumentation site takes its
-    // hot path (clock reads + atomic bumps) instead of the single relaxed
-    // gate load. The batch is ms-scale, so a single on/off pair is all
-    // scheduler noise: the comparison interleaves off/on pairs and takes
-    // the min of each side, which cancels machine-wide drift. The gate is
-    // restored to off before returning so later report fns stay unmetered.
-    // One batch is ~ms-scale, too short to time against scheduler jitter,
-    // so each timed sample is `reps` back-to-back batches.
-    let (pairs, reps) = if quick { (3, 2) } else { (10, 8) };
-    let (mut plain_wall, mut obs_wall) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..pairs {
-        dapc_obs::set_enabled(false);
-        let start = Instant::now();
-        for _ in 0..reps {
-            let stream = solve_many_streaming_with_cache(&corpus, &rt, &PrepCache::new(), |_r| {});
-            assert_eq!(stream.jobs, corpus.len());
-        }
-        plain_wall = plain_wall.min(start.elapsed().as_secs_f64() / reps as f64);
-
-        dapc_obs::set_enabled(true);
-        let start = Instant::now();
-        for _ in 0..reps {
-            let stream = solve_many_streaming_with_cache(&corpus, &rt, &PrepCache::new(), |_r| {});
-            assert_eq!(stream.jobs, corpus.len());
-        }
-        obs_wall = obs_wall.min(start.elapsed().as_secs_f64() / reps as f64);
-    }
-    dapc_obs::set_enabled(false);
-    let obs_overhead = obs_wall / plain_wall - 1.0;
-
-    let tax_fraction = pool_tax / shared_exec;
-    println!(
-        "BENCH_exec {{\"corpus\":{{\"jobs\":{},\"shape\":\"small-prep\"}},\"quick\":{quick},\
-         \"cores\":{cores},\"rt\":{{\"jobs\":2,\"prep_workers\":4}},\
-         \"wall_seconds\":{{\"shared_executor_batch\":{shared_exec:.4},\"per_solve_pool_tax\":{pool_tax:.4},\
-         \"obs_baseline_batch\":{plain_wall:.4},\"obs_enabled_batch\":{obs_wall:.4}}},\
-         \"tax_over_batch\":{tax_fraction:.3},\
-         \"obs_overhead\":{obs_overhead:.3},\
-         \"threads_not_spawned\":{},\
-         \"emulation\":\"tax measured standalone: one ThreadPool::new(4)+join per solve of the same corpus\"}}",
-        corpus.len(),
-        4 * corpus.len(),
-    );
-}
-
 criterion_group!(
     benches,
     bench_batch_paths,
     report_speedup,
-    report_streaming_smoke,
-    report_executor_vs_per_solve_pool
+    report_streaming_smoke
 );
 criterion_main!(benches);

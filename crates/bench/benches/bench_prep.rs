@@ -8,11 +8,10 @@
 //! reports must be byte-identical at every worker count; only wall-clock
 //! time may change.
 //!
-//! Prints one `BENCH_prep` JSON line with the 1/2/4-worker trajectory —
-//! the committed `BENCH_prep.json` baseline at the repo root records one
-//! such line together with the host's core count (on a single-core
-//! runner the trajectory is flat by construction; the speedup assertions
-//! therefore only arm when the host actually has ≥ 4 cores).
+//! Prints one `BENCH_prep` JSON line with the 1/2/4-worker trajectory and
+//! the host's core count (on a single-core runner the trajectory is flat
+//! by construction; the speedup assertions therefore only arm when the
+//! host actually has ≥ 4 cores).
 //!
 //! The `prep/sc_cycle300_eps*` rows time `prepare` alone on a warm
 //! `cycle(300)` job (see [`bench_sc_cycle300`]).

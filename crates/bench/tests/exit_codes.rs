@@ -1,11 +1,31 @@
-//! The `tables` binary's one failure exit: a metrics snapshot that
-//! cannot be written is filesystem trouble, so the run dies with the
-//! transient-I/O code of `dapc_serve::exit` instead of a panic status.
+//! The `tables` binary's failure exits: a bad command line is a usage
+//! error, found before any experiment prints, and a metrics snapshot
+//! that cannot be written is filesystem trouble. Both die with the code
+//! of `dapc_serve::exit` instead of a panic status.
 
 use dapc_serve::exit;
 use std::process::{Command, Stdio};
 
 const TABLES: &str = env!("CARGO_BIN_EXE_tables");
+
+#[test]
+fn a_bad_command_line_exits_with_the_usage_code_before_any_table() {
+    for args in [
+        &["--bogus"][..],
+        &["--jobs", "x", "e4"],
+        &["--jobs"],
+        &["--quick", "e4", "e11"],
+        &["quick", "e4"],
+    ] {
+        let out = Command::new(TABLES)
+            .args(args)
+            .stderr(Stdio::null())
+            .output()
+            .expect("run tables");
+        assert_eq!(out.status.code(), Some(exit::EXIT_USAGE), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a table");
+    }
+}
 
 #[test]
 fn an_unwritable_metrics_path_exits_with_the_io_code() {

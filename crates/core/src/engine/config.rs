@@ -140,16 +140,6 @@ impl SolveConfig {
         self
     }
 
-    /// Sets the cooperative-yield period of long exact solves: every
-    /// `yield_every` search nodes the solver offers its executor worker
-    /// one of the worker's own queued subtasks (`0` disables the check).
-    /// Purely a scheduling knob — solve results are byte-identical at
-    /// any setting.
-    pub fn yield_every(mut self, yield_every: u64) -> Self {
-        self.budget.yield_every = yield_every;
-        self
-    }
-
     /// Sets the GKM carving-radius scale.
     pub fn gkm_k_scale(mut self, k_scale: f64) -> Self {
         assert!(k_scale > 0.0, "k_scale must be positive");
@@ -260,7 +250,6 @@ mod tests {
             .n_tilde(512.0)
             .paper()
             .node_limit(1234)
-            .yield_every(4096)
             .gkm_k_scale(0.5)
             .ensemble_runs(6)
             .prep_workers(3);
@@ -269,12 +258,10 @@ mod tests {
         assert_eq!(p.eps, 0.2);
         assert_eq!(p.n_tilde, 512.0);
         assert_eq!(p.budget.node_limit, 1234);
-        assert_eq!(p.budget.yield_every, 4096);
         assert_eq!(p.prep_workers, 3);
         assert_eq!(cfg.covering_params(10).prep_workers, 3);
         let g = cfg.gkm_params(10);
         assert_eq!(g.budget.node_limit, 1234);
-        assert_eq!(g.budget.yield_every, 4096);
         assert_eq!(cfg.ensemble_runs, Some(6));
     }
 

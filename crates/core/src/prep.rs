@@ -1620,10 +1620,7 @@ mod tests {
         // A budget tight enough that some whole-component solve is inexact
         // — the divergence a budget mix-up would surface through
         // `all_exact` and the weights.
-        let tight = SolverBudget {
-            node_limit: 4,
-            ..Default::default()
-        };
+        let tight = SolverBudget { node_limit: 4 };
         let run = |params: &PcParams| {
             let mut rng = gen::seeded_rng(8);
             let mut solver = SubsetSolver::new(&ilp, tight);

@@ -13,8 +13,8 @@
 //! thieves and idle-path probes skip empty deques without touching the
 //! lock at all; the mirror is advisory (relaxed), so the only callers
 //! allowed to *conclude* emptiness from it are ones where staleness is
-//! harmless (a skipped steal retries, a skipped yield just keeps
-//! solving). The parking path re-checks under the real locks.
+//! harmless (a skipped steal retries). The parking path re-checks under
+//! the real locks.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -36,11 +36,9 @@
 //!    group bookkeeping is per-scope, so independent scopes sharing the
 //!    pool cannot entangle.
 //!
-//! Long-running tasks can additionally offer the pool a *cooperative
-//! yield point* ([`yield_once`]): a worker mid-way through a giant exact
-//! subset solve runs one of its own queued subtasks inline and then
-//! resumes, so a single long solve no longer pins its worker for the
-//! whole solve.
+//! A task runs to completion on the thread that took it; nothing
+//! preempts it or makes it yield. Termination never needs that, because
+//! of rule 1: the owner of a waiting scope runs its own tasks itself.
 //!
 //! Determinism is untouched by construction: the executor decides only
 //! *where and when* a task runs, never what it computes — every caller in
@@ -75,7 +73,7 @@ mod park;
 use deque::WorkDeque;
 use park::Parking;
 use std::any::Any;
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -140,12 +138,6 @@ mod metrics {
         static C: OnceLock<Counter> = OnceLock::new();
         C.get_or_init(|| dapc_obs::counter("exec.parks"))
     }
-
-    /// Tasks run inline at a cooperative [`crate::yield_once`] point.
-    pub fn yields() -> &'static Counter {
-        static C: OnceLock<Counter> = OnceLock::new();
-        C.get_or_init(|| dapc_obs::counter("exec.yields"))
-    }
 }
 
 /// One queued unit of work, tagged with the scope that owns it.
@@ -207,16 +199,9 @@ thread_local! {
     /// Explicit [`with_executor`] overrides, innermost last.
     static OVERRIDE: RefCell<Vec<Arc<Shared>>> = const { RefCell::new(Vec::new()) };
     /// Set once per worker thread: the pool it belongs to and its deque
-    /// index. Spawn routing and [`yield_once`] key off this.
+    /// index. Spawn routing and the scope owner's help scan key off this.
     static WORKER: RefCell<Option<(Arc<Shared>, usize)>> = const { RefCell::new(None) };
-    /// Nesting depth of [`yield_once`] frames on this thread, capped so
-    /// yielded tasks that themselves yield cannot grow the stack without
-    /// bound.
-    static YIELD_DEPTH: Cell<usize> = const { Cell::new(0) };
 }
-
-/// Deepest [`yield_once`]-inside-[`yield_once`] nesting allowed.
-const MAX_YIELD_DEPTH: usize = 8;
 
 /// RAII pop for the thread-local pool stacks.
 struct StackGuard(&'static std::thread::LocalKey<RefCell<Vec<Arc<Shared>>>>);
@@ -379,18 +364,12 @@ impl Scope<'_> {
         }
         self.shared.parking.wake_one();
     }
-
-    /// Worker threads of the pool this scope submits to.
-    pub fn workers(&self) -> usize {
-        self.shared.workers
-    }
 }
 
 /// Runs one task and settles its group bookkeeping. The pool is pushed
 /// onto the thread's task stack for the duration, so nested [`scope`]
 /// calls from inside the task land on the same pool — whether the task
-/// runs on a pool worker, inline in a helping scope owner, or inline at
-/// a [`yield_once`] point.
+/// runs on a pool worker or inline in a helping scope owner.
 fn run_task(shared: &Arc<Shared>, task: Task) {
     // `enqueued_at` doubles as the gate: it is `Some` exactly when
     // observability was enabled at enqueue, so a disabled run records
@@ -562,47 +541,6 @@ fn scope_on<T>(shared: &Arc<Shared>, f: impl FnOnce(&Scope<'_>) -> T) -> T {
     }
 }
 
-/// Cooperative yield point for long-running tasks (the branch-and-bound
-/// subset solver calls this every `SolverBudget::yield_every` nodes).
-///
-/// If the calling thread is a pool worker with tasks queued in **its own
-/// deque** — subtasks it spawned itself and would otherwise only reach
-/// after the current task finishes — runs exactly one of them inline
-/// (most recent first, the depth-first order) and returns `true`.
-/// Returns `false`, at the cost of one thread-local probe, on non-worker
-/// threads, when the worker's own deque is empty, or when yields are
-/// already nested [`MAX_YIELD_DEPTH`] deep. The injector and other
-/// workers' deques are deliberately *not* drawn from: a yield must stay
-/// a small detour through the worker's own backlog, never adopt a whole
-/// new coarse job mid-solve.
-///
-/// A panic in the yielded task is captured into that task's own scope
-/// (exactly as if a worker had run it) and is never unwound into the
-/// yielding caller. Determinism is unaffected: yielding only reorders
-/// *when* queued tasks run, which every caller in this workspace is
-/// already invariant to.
-pub fn yield_once() -> bool {
-    let Some((shared, idx)) = WORKER.with(|w| w.borrow().clone()) else {
-        return false;
-    };
-    if YIELD_DEPTH.with(|d| d.get()) >= MAX_YIELD_DEPTH {
-        return false;
-    }
-    if shared.deques[idx].probe_len() == 0 {
-        return false;
-    }
-    let Some(task) = shared.deques[idx].pop_bottom() else {
-        return false;
-    };
-    if dapc_obs::enabled() {
-        metrics::yields().inc();
-    }
-    YIELD_DEPTH.with(|d| d.set(d.get() + 1));
-    run_task(&shared, task);
-    YIELD_DEPTH.with(|d| d.set(d.get() - 1));
-    true
-}
-
 static GLOBAL: OnceLock<Executor> = OnceLock::new();
 
 /// The process-wide executor, created on first use.
@@ -725,34 +663,42 @@ mod tests {
         assert_eq!(sum.load(Ordering::Relaxed), 32);
     }
 
-    /// The ISSUE's nested 4×4 shape — `jobs × prep_workers` — must
-    /// terminate and run every task on stealing pools of 1, 2 and 4
-    /// workers alike.
+    /// Nested fan-outs in the `jobs × prep_workers` shape — 4 parents of
+    /// 4 subtasks, and a contended 16 × 128 — terminate on stealing pools
+    /// of 1, 2 and 4 workers, and every subtask runs exactly once.
     #[test]
-    fn nested_4x4_scopes_terminate_on_1_2_and_4_workers() {
-        for workers in [1usize, 2, 4] {
-            let exec = Executor::new(workers);
-            let sum = Arc::new(AtomicUsize::new(0));
-            exec.scope(|s| {
-                for _ in 0..4 {
-                    let sum = Arc::clone(&sum);
-                    s.spawn(move || {
-                        scope(|inner| {
-                            for _ in 0..4 {
-                                let sum = Arc::clone(&sum);
-                                inner.spawn(move || {
-                                    sum.fetch_add(1, Ordering::Relaxed);
-                                });
-                            }
+    fn nested_4x4_and_16x128_scopes_terminate_on_1_2_and_4_workers() {
+        for (parents, subtasks) in [(4usize, 4usize), (16, 128)] {
+            for workers in [1usize, 2, 4] {
+                let exec = Executor::new(workers);
+                let runs: Arc<Vec<AtomicUsize>> = Arc::new(
+                    (0..parents * subtasks)
+                        .map(|_| AtomicUsize::new(0))
+                        .collect(),
+                );
+                exec.scope(|s| {
+                    for p in 0..parents {
+                        let runs = Arc::clone(&runs);
+                        s.spawn(move || {
+                            scope(|inner| {
+                                for i in 0..subtasks {
+                                    let runs = Arc::clone(&runs);
+                                    inner.spawn(move || {
+                                        runs[p * subtasks + i].fetch_add(1, Ordering::Relaxed);
+                                    });
+                                }
+                            });
                         });
-                    });
+                    }
+                });
+                for (slot, count) in runs.iter().enumerate() {
+                    assert_eq!(
+                        count.load(Ordering::Relaxed),
+                        1,
+                        "{parents}x{subtasks} on {workers} workers: subtask {slot}"
+                    );
                 }
-            });
-            assert_eq!(
-                sum.load(Ordering::Relaxed),
-                16,
-                "lost tasks at {workers} workers"
-            );
+            }
         }
     }
 
@@ -994,42 +940,6 @@ mod tests {
             after > before,
             "forced steal not counted ({before} -> {after})"
         );
-    }
-
-    #[test]
-    fn yield_once_runs_a_locally_queued_subtask() {
-        let exec = Executor::new(1);
-        let log: Arc<Mutex<Vec<&'static str>>> = Arc::default();
-        let outer = Arc::clone(&log);
-        let (started_tx, started) = std::sync::mpsc::channel();
-        exec.scope(|s| {
-            s.spawn(move || {
-                started_tx.send(()).unwrap();
-                let body_log = Arc::clone(&outer);
-                scope(|inner| {
-                    let sibling = Arc::clone(&body_log);
-                    inner.spawn(move || sibling.lock().unwrap().push("sibling"));
-                    // The sibling sits in this worker's own deque; a long
-                    // solve yielding here must run it inline, now.
-                    assert!(yield_once(), "a queued local subtask must be yielded to");
-                    body_log.lock().unwrap().push("after-yield");
-                    assert!(!yield_once(), "nothing left to yield to");
-                });
-            });
-            // Hold the body open until the pool worker has taken the outer
-            // task. The owner (this test thread, no pool worker) help-runs
-            // only once the body returns, and `yield_once` is a no-op in a
-            // task it help-runs.
-            started.recv().unwrap();
-        });
-        assert_eq!(*log.lock().unwrap(), vec!["sibling", "after-yield"]);
-    }
-
-    #[test]
-    fn yield_once_is_a_noop_off_the_pool() {
-        // The calling thread is no pool worker: the hint must come back
-        // false without touching any queue.
-        assert!(!yield_once());
     }
 
     #[test]

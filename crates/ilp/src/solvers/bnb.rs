@@ -39,7 +39,7 @@
 
 use crate::instance::{Sense, FEASIBILITY_EPS};
 use crate::restrict::SubInstance;
-use crate::solvers::{greedy, SolverBudget, YieldClock};
+use crate::solvers::{greedy, SolverBudget};
 
 /// Outcome of a branch & bound run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -86,7 +86,6 @@ pub fn solve_packing(sub: &SubInstance, budget: &SolverBudget) -> BnbResult {
         best: incumbent,
         nodes_left: budget.node_limit,
         exact: true,
-        yield_clock: YieldClock::new(budget.yield_every),
         lhs: vec![0.0; sub.m()],
         x: vec![false; n],
     };
@@ -107,7 +106,6 @@ struct PackState<'a> {
     best_value: u64,
     nodes_left: u64,
     exact: bool,
-    yield_clock: YieldClock,
     lhs: Vec<f64>,
     x: Vec<bool>,
 }
@@ -119,7 +117,6 @@ impl PackState<'_> {
             return;
         }
         self.nodes_left -= 1;
-        self.yield_clock.tick();
         if current + self.suffix_weight[idx] <= self.best_value && idx < self.order.len() {
             return;
         }
@@ -194,7 +191,6 @@ pub fn solve_covering(sub: &SubInstance, budget: &SolverBudget) -> BnbResult {
         best: incumbent,
         nodes_left: budget.node_limit,
         exact: true,
-        yield_clock: YieldClock::new(budget.yield_every),
         residual: sub.constraints.iter().map(|c| c.bound()).collect(),
         possible,
         x: vec![false; n],
@@ -218,7 +214,6 @@ struct CoverState<'a> {
     best_value: u64,
     nodes_left: u64,
     exact: bool,
-    yield_clock: YieldClock,
     /// Remaining demand per constraint (≤ 0 means satisfied).
     residual: Vec<f64>,
     /// Maximum LHS still reachable per constraint.
@@ -246,7 +241,6 @@ impl CoverState<'_> {
             return;
         }
         self.nodes_left -= 1;
-        self.yield_clock.tick();
         if current >= self.best_value {
             return; // can only get more expensive
         }
@@ -361,7 +355,6 @@ mod tests {
                 return;
             }
             self.nodes_left -= 1;
-            self.yield_clock.tick();
             if current >= self.best_value {
                 return;
             }
@@ -473,10 +466,7 @@ mod tests {
         let g = gen::grid(5, 6);
         let sub =
             covering_restriction(&problems::min_dominating_set_unweighted(&g), &full_mask(30));
-        let budget = SolverBudget {
-            node_limit: 12,
-            ..Default::default()
-        };
+        let budget = SolverBudget { node_limit: 12 };
         for reference in [false, true] {
             let (sol, nodes) = probe::run(reference, || solvers::solve(&sub, &budget));
             assert!(!sol.exact, "reference: {reference}");
@@ -601,13 +591,7 @@ mod tests {
         let g = gen::gnp(30, 0.2, &mut rng);
         let ilp = problems::min_vertex_cover_unweighted(&g);
         let sub = covering_restriction(&ilp, &full_mask(30));
-        let r = solve_covering(
-            &sub,
-            &SolverBudget {
-                node_limit: 0,
-                ..Default::default()
-            },
-        );
+        let r = solve_covering(&sub, &SolverBudget { node_limit: 0 });
         assert!(!r.exact);
         assert!(sub.is_feasible(&r.assignment));
     }

@@ -34,7 +34,7 @@
 //! is `node_limit`: a solve that exhausts it without the clique bound may
 //! finish with it, or stop at a different (never worse) incumbent.
 
-use crate::solvers::{SolverBudget, YieldClock};
+use crate::solvers::SolverBudget;
 use dapc_graph::{Graph, Vertex};
 
 /// A dynamic bitset sized for `n` bits.
@@ -122,8 +122,7 @@ pub struct MisResult {
 /// Branch & bound over candidate bitsets: branch on the last heaviest
 /// candidate vertex, prune with the remaining-weight and clique-cover
 /// bounds (see the [module docs](self)). `budget.node_limit` caps the
-/// search tree (`u64::MAX` means "run to optimality") and
-/// `budget.yield_every` sets the cooperative-yield period of long solves.
+/// search tree (`u64::MAX` means "run to optimality").
 ///
 /// # Panics
 ///
@@ -165,7 +164,6 @@ pub fn max_weight_independent_set(g: &Graph, weights: &[u64], budget: &SolverBud
         best_set: Bits::empty(n),
         nodes_left: budget.node_limit,
         exact: true,
-        yield_clock: YieldClock::new(budget.yield_every),
         rest: Bits::empty(n),
         grow: Bits::empty(n),
     };
@@ -203,7 +201,6 @@ struct SearchCtx<'a> {
     best_set: Bits,
     nodes_left: u64,
     exact: bool,
-    yield_clock: YieldClock,
     /// Scratch of the clique cover: candidates not yet in a clique.
     rest: Bits,
     /// Scratch of the clique cover: candidates adjacent to the whole
@@ -225,7 +222,6 @@ impl SearchCtx<'_> {
             return;
         }
         self.nodes_left -= 1;
-        self.yield_clock.tick();
         // Bound: everything still in `cand` could join.
         let potential: u64 = cand.iter_ones().map(|v| self.weights[v]).sum();
         if current + potential <= self.best_weight {
@@ -537,7 +533,6 @@ mod tests {
                 return;
             }
             self.nodes_left -= 1;
-            self.yield_clock.tick();
             let potential: u64 = cand.iter_ones().map(|v| self.weights[v]).sum();
             if current + potential <= self.best_weight {
                 return;
@@ -638,10 +633,7 @@ mod tests {
     fn an_exhausted_node_limit_leaves_a_feasible_inexact_set() {
         let g = gen::gnp(44, 0.07, &mut gen::seeded_rng(0x9e37_79ba));
         let sub = whole(&problems::max_independent_set_unweighted(&g));
-        let budget = SolverBudget {
-            node_limit: 20,
-            ..Default::default()
-        };
+        let budget = SolverBudget { node_limit: 20 };
         for reference in [false, true] {
             let (sol, nodes) = probe::run(reference, || solvers::solve(&sub, &budget));
             assert!(!sol.exact, "reference: {reference}");
@@ -754,14 +746,7 @@ mod tests {
         let mut rng = gen::seeded_rng(31);
         let g = gen::gnp(60, 0.2, &mut rng);
         let w = vec![1u64; 60];
-        let r = max_weight_independent_set(
-            &g,
-            &w,
-            &SolverBudget {
-                node_limit: 50,
-                ..Default::default()
-            },
-        );
+        let r = max_weight_independent_set(&g, &w, &SolverBudget { node_limit: 50 });
         assert!(!r.exact);
         for (u, v) in g.edges() {
             assert!(!(r.in_set[u as usize] && r.in_set[v as usize]));

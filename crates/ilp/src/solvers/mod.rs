@@ -22,66 +22,21 @@ use dapc_graph::GraphBuilder;
 pub struct SolverBudget {
     /// Maximum branch & bound nodes before falling back to the incumbent.
     pub node_limit: u64,
-    /// Cooperative-yield period: every `yield_every` search nodes a long
-    /// exact solve offers its executor worker one of the worker's own
-    /// queued subtasks via [`dapc_exec::yield_once`], so a giant solve
-    /// cannot pin a worker for its whole duration. `0` disables the
-    /// check. Yielding never changes what the solver computes — only
-    /// when other queued tasks get to run — so results stay
-    /// byte-identical at any setting.
-    pub yield_every: u64,
 }
-
-/// Default cooperative-yield period: rare enough that the countdown is
-/// noise next to the per-node bound computation, frequent enough that a
-/// multi-second solve offers its worker to queued subtasks many times.
-pub const DEFAULT_YIELD_EVERY: u64 = 8_192;
 
 impl Default for SolverBudget {
     fn default() -> Self {
         SolverBudget {
             node_limit: 5_000_000,
-            yield_every: DEFAULT_YIELD_EVERY,
         }
     }
 }
 
 impl SolverBudget {
-    /// A budget that always runs to optimality. (Cooperative yielding
-    /// stays on: it affects scheduling, never exactness.)
+    /// A budget with no node limit: every search runs to optimality.
     pub fn unlimited() -> Self {
         SolverBudget {
             node_limit: u64::MAX,
-            yield_every: DEFAULT_YIELD_EVERY,
-        }
-    }
-}
-
-/// Shared cooperative-yield countdown for the exact search loops:
-/// decrements once per search node and, every `yield_every` nodes, offers
-/// the executor worker running this solve one of its own queued subtasks
-/// ([`dapc_exec::yield_once`]). Off the pool (or with `yield_every == 0`)
-/// a tick is a couple of branch-predicted integer ops. Yielding only
-/// reorders *when* other queued tasks run — the solve itself walks
-/// exactly the same tree either way.
-pub(crate) struct YieldClock {
-    every: u64,
-    left: u64,
-}
-
-impl YieldClock {
-    pub(crate) fn new(every: u64) -> Self {
-        YieldClock { every, left: every }
-    }
-
-    #[inline]
-    pub(crate) fn tick(&mut self) {
-        if self.every != 0 {
-            self.left -= 1;
-            if self.left == 0 {
-                self.left = self.every;
-                dapc_exec::yield_once();
-            }
         }
     }
 }

@@ -156,10 +156,7 @@ mod tests {
         let a = problems::max_independent_set_unweighted(&gen::cycle(8));
         let b = problems::max_independent_set_unweighted(&gen::cycle(10));
         let default = SolverBudget::default();
-        let tight = SolverBudget {
-            node_limit: 10,
-            ..Default::default()
-        };
+        let tight = SolverBudget { node_limit: 10 };
         let fa = cache.family(&a, &default);
         assert_eq!(cache.family(&a, &default), fa, "same family, same cache");
         assert_ne!(cache.family(&b, &default), fa);

@@ -128,8 +128,8 @@ fn metrics_do_not_change_part_snapshot_bytes() {
 
 /// The work-stealing executor's headline invariant: the deterministic
 /// `(key, report)` payload is byte-identical at every worker count —
-/// stealing, parking, and cooperative yields reorder only *when* tasks
-/// run, never what they compute.
+/// stealing and parking reorder only *when* tasks run, never what they
+/// compute.
 #[test]
 fn worker_count_does_not_change_outcomes() {
     let _guard = obs_lock();

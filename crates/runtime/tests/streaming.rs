@@ -83,8 +83,8 @@ fn sans_micros_backends(backends: &[BackendSummary]) -> Vec<BackendSummary> {
         .collect()
 }
 
-/// The ISSUE acceptance case: `jobs × prep_workers = 4 × 4` on a pool of
-/// only 2 workers must neither deadlock nor move a byte relative to fully
+/// Oversubscription: `jobs × prep_workers = 4 × 4` on a pool of only 2
+/// workers neither deadlocks nor moves a byte relative to fully
 /// sequential execution.
 #[test]
 fn oversubscription_on_a_two_worker_pool_is_byte_identical() {

@@ -107,20 +107,14 @@ fn zero_solver_budget_still_yields_feasible_output() {
     let g = gen::gnp(28, 0.1, &mut gen::seeded_rng(54));
     let mis = problems::max_independent_set_unweighted(&g);
     let mut params = PcParams::packing_scaled(0.3, 28.0, 0.02, 0.3);
-    params.budget = SolverBudget {
-        node_limit: 0,
-        ..Default::default()
-    };
+    params.budget = SolverBudget { node_limit: 0 };
     let out = approximate_packing(&mis, &params, &mut gen::seeded_rng(1));
     assert!(mis.is_feasible(&out.assignment));
     assert!(!out.stats.all_solves_exact, "must report inexactness");
 
     let vc = problems::min_vertex_cover_unweighted(&g);
     let mut params = PcParams::covering_scaled(0.3, 28.0, 0.02, 0.3, 1.0);
-    params.budget = SolverBudget {
-        node_limit: 0,
-        ..Default::default()
-    };
+    params.budget = SolverBudget { node_limit: 0 };
     let out = approximate_covering(&vc, &params, &mut gen::seeded_rng(2));
     assert!(vc.is_feasible(&out.assignment));
     assert!(!out.stats.all_solves_exact, "must report inexactness");
