@@ -96,13 +96,8 @@ impl Config {
             // The executor owns its worker threads.
             spawn_allow: vec!["crates/exec/".into()],
             // Modules with a documented ordering contract at the top of
-            // the file (deque/park READMEs + module docs; obs is
-            // relaxed-everywhere by design).
-            ordering_allow: vec![
-                "crates/exec/src/deque.rs".into(),
-                "crates/exec/src/park.rs".into(),
-                "crates/obs/src/lib.rs".into(),
-            ],
+            // the file (obs is relaxed-everywhere by design).
+            ordering_allow: vec!["crates/obs/src/lib.rs".into()],
             panic_crates: vec!["runtime".into(), "serve".into()],
             registry_path: "crates/core/src/snapmagic.rs".into(),
         }

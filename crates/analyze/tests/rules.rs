@@ -165,7 +165,7 @@ fn ordering_accepts_same_line_above_line_and_allowlisted_modules() {
     let above = "fn f(a: &AtomicU64) {\n    // ordering: Relaxed — counter, nothing synchronises on it\n    a.load(Ordering::Relaxed);\n}\n";
     assert!(run("crates/core/src/x.rs", "core", FileRole::Module, above).is_empty());
     let bare = "fn f(a: &AtomicU64) { a.load(Ordering::Relaxed); }\n";
-    assert!(run("crates/exec/src/deque.rs", "exec", FileRole::Module, bare).is_empty());
+    assert!(run("crates/obs/src/lib.rs", "obs", FileRole::Module, bare).is_empty());
 }
 
 // ---------------------------------------------------------------- forbid-unsafe

@@ -10,11 +10,11 @@
 //! `≥ (1 − ε)³·W*`, and the re-weighted decomposition concentrates enough
 //! mass on the good variables for its clustered solution to match.
 //!
-//! *Substitution (documented, DESIGN.md §2):* the paper's final step uses a
-//! *weighted* extension of Theorem 1.1; we use the same Lemma C.1
-//! decomposition for the final step (its per-vertex deletion bound is
-//! weight-oblivious) and additionally return the best candidate, so the
-//! output value is a maximum of both mechanisms — never worse than either.
+//! *Substitution:* the paper's final step uses a *weighted* extension of
+//! Theorem 1.1; we use the same Lemma C.1 decomposition for the final
+//! step (its per-vertex deletion bound is weight-oblivious) and
+//! additionally return the best candidate, so the output value is a
+//! maximum of both mechanisms — never worse than either.
 
 use crate::params::PcParams;
 use crate::prep::{SharedSubsetCache, SubsetSolver};

@@ -2,9 +2,8 @@
 
 use dapc_ilp::SolverBudget;
 
-/// The documented scaling knobs for the paper's leading constants
-/// (DESIGN.md §2, item 3): every adapter, example and engine backend
-/// derives its [`PcParams`] through these.
+/// The scaling knobs for the paper's leading constants: every adapter,
+/// example and engine backend derives its [`PcParams`] through these.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ScaleKnobs {
     /// Replaces the `200` in `R = ⌈…·t·ln ñ/ε⌉`.
@@ -74,7 +73,7 @@ impl ScaleKnobs {
 /// the `*_scaled` constructors shrink the two leading constants (the `200`
 /// in `R` and the `16` in the preparation count) while keeping the
 /// *structure* — iteration counts, interval layout, sampling-probability
-/// ratios — untouched (DESIGN.md §2, item 3).
+/// ratios — untouched (see [`ScaleKnobs`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PcParams {
     /// Approximation parameter `ε`.

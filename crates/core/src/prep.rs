@@ -63,7 +63,7 @@ use dapc_ilp::solvers::{self, SolverBudget};
 use rand::rngs::StdRng;
 // dapc-allow(hash-iter): digest-keyed lookup caches and dedup sets only; no
 // dapc-allow(hash-iter): map is iterated into an output or a persisted byte
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -87,12 +87,6 @@ mod metrics {
     pub fn misses() -> &'static Counter {
         static C: OnceLock<Counter> = OnceLock::new();
         C.get_or_init(|| dapc_obs::counter("core.subset_cache.misses"))
-    }
-
-    /// Entries dropped by LRU eviction across all families.
-    pub fn evictions() -> &'static Counter {
-        static C: OnceLock<Counter> = OnceLock::new();
-        C.get_or_init(|| dapc_obs::counter("core.subset_cache.evictions"))
     }
 
     /// Approximate bytes resident across all families (tracked as
@@ -170,11 +164,8 @@ const STRIPE_COUNT: usize = 16;
 /// solves across workers.
 ///
 /// Internally the map is split into [`STRIPE_COUNT`] independently locked
-/// stripes selected by key bits, and each stripe can enforce a byte
-/// budget with least-recently-used eviction (see
-/// [`SharedSubsetCache::with_capacity`]). Eviction is *transparent*: a
-/// victim is simply recomputed on its next lookup, so no capacity choice
-/// can change a [`crate::engine::SolveReport`].
+/// stripes selected by key bits. Entries are never evicted: a family
+/// cache holds every distinct subset solve it has seen.
 ///
 /// Cloning is shallow: clones address the same underlying map and
 /// counters. Equality is identity (two handles are equal iff they share
@@ -184,75 +175,31 @@ pub struct SharedSubsetCache {
     inner: Arc<CacheInner>,
 }
 
+#[derive(Default)]
 struct CacheInner {
-    stripes: Vec<Mutex<Stripe>>,
-    /// Total byte budget across all stripes (`None` = unbounded).
-    capacity: Option<usize>,
+    stripes: [Mutex<Stripe>; STRIPE_COUNT],
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-impl Default for CacheInner {
-    fn default() -> Self {
-        CacheInner {
-            stripes: (0..STRIPE_COUNT).map(|_| Mutex::default()).collect(),
-            capacity: None,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
 }
 
 #[derive(Default)]
 struct Stripe {
-    // dapc-allow(hash-iter): hot digest-keyed lookups; eviction walks the
-    // dapc-allow(hash-iter): BTreeMap recency index, never this map
-    map: HashMap<SubsetKey, Slot>,
-    /// Recency index: `last_used tick → key`. Ticks are unique within a
-    /// stripe, so the first entry is always the LRU victim — eviction is
-    /// `O(log n)` instead of a full scan under the stripe lock.
-    order: BTreeMap<u64, SubsetKey>,
+    // dapc-allow(hash-iter): hot digest-keyed lookups, never iterated
+    map: HashMap<SubsetKey, SubsetEntry>,
     /// Approximate bytes held by this stripe's entries.
     bytes: usize,
-    /// Monotone use counter driving the LRU order.
-    tick: u64,
-}
-
-struct Slot {
-    entry: SubsetEntry,
-    last_used: u64,
 }
 
 /// Approximate heap footprint of one memoised entry: the assignment mask
 /// plus fixed map/key overhead.
 fn entry_bytes(entry: &SubsetEntry) -> usize {
-    entry.1.len() + std::mem::size_of::<SubsetKey>() + std::mem::size_of::<Slot>()
+    entry.1.len() + std::mem::size_of::<SubsetKey>() + std::mem::size_of::<SubsetEntry>()
 }
 
 impl SharedSubsetCache {
-    /// Creates an unbounded cache.
+    /// Creates an empty cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates a cache that holds at most ~`capacity` bytes of memoised
-    /// entries, evicting least-recently-used entries when a stripe
-    /// overflows its share. Eviction never changes any solver output —
-    /// an evicted subset solve is recomputed on its next lookup.
-    pub fn with_capacity(capacity: usize) -> Self {
-        SharedSubsetCache {
-            inner: Arc::new(CacheInner {
-                capacity: Some(capacity),
-                ..CacheInner::default()
-            }),
-        }
-    }
-
-    /// The configured byte budget (`None` = unbounded).
-    pub fn capacity(&self) -> Option<usize> {
-        self.inner.capacity
     }
 
     /// Lookups answered from the shared map (across all attached solvers).
@@ -265,12 +212,6 @@ impl SharedSubsetCache {
     pub fn misses(&self) -> u64 {
         // ordering: Relaxed — monotonic telemetry counter; nothing synchronises on it
         self.inner.misses.load(Ordering::Relaxed)
-    }
-
-    /// Entries dropped by the LRU policy since creation.
-    pub fn evictions(&self) -> u64 {
-        // ordering: Relaxed — monotonic telemetry counter; nothing synchronises on it
-        self.inner.evictions.load(Ordering::Relaxed)
     }
 
     /// Number of memoised subset solves.
@@ -309,24 +250,15 @@ impl SharedSubsetCache {
         hit
     }
 
-    /// [`SharedSubsetCache::get`] without touching the hit/miss counters
-    /// (recency is still updated). The sharded annotation workers probe
-    /// with this so the hit rate keeps measuring genuine cross-run reuse,
-    /// not the sharding handshake; the owning solve records one counted
-    /// event per distinct solve afterwards, matching what a sequential
-    /// run would have recorded.
+    /// [`SharedSubsetCache::get`] without touching the hit/miss counters.
+    /// The sharded annotation workers probe with this so the hit rate
+    /// keeps measuring genuine cross-run reuse, not the sharding
+    /// handshake; the owning solve records one counted event per distinct
+    /// solve afterwards, matching what a sequential run would have
+    /// recorded.
     fn get_uncounted(&self, key: SubsetKey) -> Option<SubsetEntry> {
-        let mut stripe = self.stripe(key).lock().expect("cache stripe lock");
-        stripe.tick += 1;
-        let tick = stripe.tick;
-        let Stripe { map, order, .. } = &mut *stripe;
-        map.get_mut(&key).map(|slot| {
-            // One lookup does it all: bump recency and clone the entry.
-            order.remove(&slot.last_used);
-            slot.last_used = tick;
-            order.insert(tick, key);
-            slot.entry.clone()
-        })
+        let stripe = self.stripe(key).lock().expect("cache stripe lock");
+        stripe.map.get(&key).cloned()
     }
 
     /// Counts one lookup answered from the cache.
@@ -348,56 +280,19 @@ impl SharedSubsetCache {
     }
 
     fn insert(&self, key: SubsetKey, entry: SubsetEntry) {
-        let budget = self.inner.capacity.map(|c| c / STRIPE_COUNT);
-        let mut evicted = 0u64;
-        let mut freed = 0usize;
-        let added;
-        {
+        let added = entry_bytes(&entry);
+        let freed = {
             let mut stripe = self.stripe(key).lock().expect("cache stripe lock");
-            stripe.tick += 1;
-            let tick = stripe.tick;
-            added = entry_bytes(&entry);
-            if let Some(old) = stripe.map.insert(
-                key,
-                Slot {
-                    entry,
-                    last_used: tick,
-                },
-            ) {
-                let old_bytes = entry_bytes(&old.entry);
-                stripe.bytes -= old_bytes;
-                freed += old_bytes;
-                stripe.order.remove(&old.last_used);
-            }
-            stripe.order.insert(tick, key);
-            stripe.bytes += added;
-            // Size-aware LRU: shed the coldest entries until back under
-            // the stripe's share, always keeping the entry just inserted
-            // (it holds the newest tick, so it is last in the index).
-            if let Some(budget) = budget {
-                while stripe.bytes > budget && stripe.map.len() > 1 {
-                    let (_, victim) = stripe
-                        .order
-                        .pop_first()
-                        .expect("non-empty map has a recency index");
-                    let old = stripe.map.remove(&victim).expect("victim present");
-                    let old_bytes = entry_bytes(&old.entry);
-                    stripe.bytes -= old_bytes;
-                    freed += old_bytes;
-                    evicted += 1;
-                }
-            }
-        }
-        if evicted > 0 {
-            // ordering: Relaxed — monotonic telemetry counter; nothing synchronises on it
-            self.inner.evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
+            let freed = stripe
+                .map
+                .insert(key, entry)
+                .map_or(0, |old| entry_bytes(&old));
+            stripe.bytes = stripe.bytes + added - freed;
+            freed
+        };
         if dapc_obs::enabled() {
             metrics::bytes().add(added as u64);
             metrics::bytes().sub(freed as u64);
-            if evicted > 0 {
-                metrics::evictions().add(evicted);
-            }
         }
     }
 }
@@ -413,10 +308,8 @@ impl std::fmt::Debug for SharedSubsetCache {
         f.debug_struct("SharedSubsetCache")
             .field("entries", &self.len())
             .field("bytes", &self.bytes())
-            .field("capacity", &self.capacity())
             .field("hits", &self.hits())
             .field("misses", &self.misses())
-            .field("evictions", &self.evictions())
             .finish()
     }
 }
@@ -1056,13 +949,10 @@ pub fn prepare(
 ///
 /// If a family cache is attached, workers probe it *uncounted* for warm
 /// entries and the hand-over loop records exactly one hit or miss per
-/// distinct solve (and deposits computed entries). For an unbounded cache
-/// this is the same counter trace a sequential run leaves, so hit rates
-/// keep measuring genuine cross-run reuse rather than the sharding
-/// handshake; a capacity-bounded cache under eviction churn can drift by
-/// a few hits/misses (worker probes all precede the deposits), which
-/// affects telemetry only, never a report. Without a family cache nothing
-/// extra is allocated or retained.
+/// distinct solve (and deposits computed entries). That is the same
+/// counter trace a sequential run leaves, so hit rates keep measuring
+/// genuine cross-run reuse rather than the sharding handshake. Without a
+/// family cache nothing extra is allocated or retained.
 fn shard_subset_solves(
     ilp: &IlpInstance,
     params: &PcParams,
@@ -1494,35 +1384,7 @@ mod tests {
     }
 
     #[test]
-    fn lru_eviction_respects_capacity_and_recomputes() {
-        let n = 20usize;
-        let g = gen::cycle(n);
-        let ilp = problems::max_independent_set_unweighted(&g);
-        // A budget of one byte per stripe: every stripe keeps at most the
-        // entry just inserted, and with more prefixes than stripes the
-        // pigeonhole principle forces at least one eviction.
-        let tiny = SharedSubsetCache::with_capacity(16);
-        let mut solver = SubsetSolver::new(&ilp, SolverBudget::default());
-        let mut values = Vec::new();
-        for k in 1..=n {
-            let mask: Vec<bool> = (0..n).map(|v| v < k).collect();
-            let mut s = SubsetSolver::with_shared(&ilp, SolverBudget::default(), tiny.clone());
-            values.push(s.solve_mask(&mask, None));
-        }
-        assert!(
-            tiny.evictions() > 0,
-            "a 16-byte budget must evict: {tiny:?}"
-        );
-        assert!(tiny.len() <= 16, "one entry per stripe at most: {tiny:?}");
-        // Transparency: every value matches the uncached reference solver.
-        for (k, cached) in values.iter().enumerate() {
-            let mask: Vec<bool> = (0..n).map(|v| v <= k).collect();
-            assert_eq!(&solver.solve_mask(&mask, None), cached, "prefix {k}");
-        }
-    }
-
-    #[test]
-    fn unbounded_cache_never_evicts() {
+    fn cache_keeps_every_distinct_solve() {
         let g = gen::path(9);
         let ilp = problems::max_independent_set_unweighted(&g);
         let cache = SharedSubsetCache::new();
@@ -1531,9 +1393,7 @@ mod tests {
             let mut s = SubsetSolver::with_shared(&ilp, SolverBudget::default(), cache.clone());
             s.solve_mask(&mask, None);
         }
-        assert_eq!(cache.evictions(), 0);
         assert_eq!(cache.len(), 9);
-        assert_eq!(cache.capacity(), None);
         assert!(cache.bytes() > 0);
     }
 

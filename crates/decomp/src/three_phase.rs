@@ -55,8 +55,9 @@ impl LddParams {
 
     /// Same structure with the leading constant `200` replaced by
     /// `r_scale` — the knob experiments use to reach the interesting
-    /// regime at simulable sizes (see DESIGN.md §2, item 3). The number of
-    /// iterations, interval layout and sampling ratios are untouched.
+    /// regime at simulable sizes (see `ScaleKnobs::r_scale` in
+    /// `dapc-core`). The number of iterations, interval layout and sampling
+    /// ratios are untouched.
     ///
     /// # Panics
     ///

@@ -1,49 +1,34 @@
 //! # dapc-exec
 //!
 //! The process-wide task executor every parallel path of the workspace
-//! runs on: one lazily-initialised worker pool sized to the host (the
-//! [`global`] executor), a scoped task-group API ([`scope`] /
+//! runs on: one lazily-initialised worker pool sized to the host
+//! ([`global`]), a scoped task-group API ([`scope`] /
 //! [`Executor::scope`]) with panic propagation, and **nested-task
 //! awareness** — a task that opens its own scope (e.g. a batch job whose
-//! preparation step shards its exact subset solves) submits the subtasks
-//! to the *same* pool it runs on instead of spawning a child pool, so
-//! `jobs × prep_workers` degrades gracefully instead of oversubscribing
-//! the machine.
+//! preparation step shards its exact subset solves) submits to the pool
+//! it runs on, never to a child pool, so `jobs × prep_workers` does not
+//! oversubscribe the machine.
 //!
-//! Since the work-stealing rewrite the pool is deque-per-worker in the
-//! Chase–Lev shape rather than one shared locked queue: each worker owns
-//! a deque it pushes and pops at the bottom (LIFO, depth-first), idle
-//! workers steal from the top of other workers' deques (FIFO, coarsest
-//! first), external submissions enter through a global injector queue
-//! with wake-one-on-push, and idle workers park on an eventcount instead
-//! of sleeping inside a shared queue lock. `crates/exec/README.md` walks
-//! through the design and the termination argument.
+//! The pool is one FIFO queue behind a mutex. Every spawn, from any
+//! thread, goes to the back and wakes one idle worker; a worker takes the
+//! front, or sleeps on the queue's condvar while it is empty.
+//! `crates/exec/README.md` walks through the design.
 //!
-//! Three rules make the nesting deadlock-free at any pool size (including
-//! one worker):
+//! Two rules make the nesting deadlock-free at any pool size, one worker
+//! included:
 //!
 //! 1. **Owners help.** After the scope body returns, the scope-owning
-//!    thread drains the scope's still-queued tasks inline while waiting —
-//!    its own deque first, then the injector, then by stealing them out
-//!    of other workers' deques — so a scope completes even when every
-//!    pool worker is busy or blocked in a deeper scope.
-//! 2. **Depth first.** A task spawned from inside a pool task goes to the
-//!    bottom of the spawning worker's own deque (or the top of the
-//!    injector when the enclosing task runs inline on a non-worker
-//!    thread): finer-grained work that a coarser task is waiting on runs
-//!    before queued coarse work.
-//! 3. **No cross-scope waits.** A scope waits only for tasks it spawned;
-//!    group bookkeeping is per-scope, so independent scopes sharing the
-//!    pool cannot entangle.
+//!    thread takes the scope's still-queued tasks out of the queue and
+//!    runs them inline, so a scope completes even when every worker is
+//!    busy or blocked in a deeper scope.
+//! 2. **No cross-scope waits.** A scope waits only for the tasks it
+//!    spawned, and its owner runs only those, so independent scopes
+//!    sharing the pool cannot entangle.
 //!
 //! A task runs to completion on the thread that took it; nothing
-//! preempts it or makes it yield. Termination never needs that, because
-//! of rule 1: the owner of a waiting scope runs its own tasks itself.
-//!
-//! Determinism is untouched by construction: the executor decides only
-//! *where and when* a task runs, never what it computes — every caller in
-//! this workspace keeps its outputs byte-identical at any worker count,
-//! stealing or not.
+//! preempts it, and termination never needs that (rule 1). The executor
+//! decides only *where and when* a task runs, never what it computes, so
+//! every caller's output is byte-identical at any worker count.
 //!
 //! # Examples
 //!
@@ -67,33 +52,25 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod deque;
-mod park;
-
-use deque::WorkDeque;
-use park::Parking;
 use std::any::Any;
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::{JoinHandle, LocalKey};
 use std::time::Instant;
 
-/// Cached handles onto the process-wide metrics registry. Resolved once
-/// per process, then lock-free; every recording site gates on
-/// [`dapc_obs::enabled`] first, so the disabled path costs one relaxed
-/// atomic load and never reads the clock.
+/// Cached handles onto the process-wide metrics registry. Every recording
+/// site gates on [`dapc_obs::enabled`] first, so the disabled path costs
+/// one relaxed atomic load and never reads the clock.
 mod metrics {
     use dapc_obs::{Counter, Histogram};
     use std::sync::OnceLock;
 
-    /// Injector length right after an external or inline-nested enqueue
-    /// (worker-local deque pushes are not observed: they are the
-    /// uncontended fast path). Replaces the old `exec.queue.depth`.
-    pub fn injector_depth() -> &'static Histogram {
+    /// Queue length right after every spawn.
+    pub fn queue_depth() -> &'static Histogram {
         static H: OnceLock<Histogram> = OnceLock::new();
-        H.get_or_init(|| dapc_obs::histogram("exec.injector.depth"))
+        H.get_or_init(|| dapc_obs::histogram("exec.queue.depth"))
     }
 
     /// Microseconds a task sat queued before a thread picked it up.
@@ -120,20 +97,7 @@ mod metrics {
         C.get_or_init(|| dapc_obs::counter("exec.task.panics"))
     }
 
-    /// Tasks taken from another worker's deque.
-    pub fn steals() -> &'static Counter {
-        static C: OnceLock<Counter> = OnceLock::new();
-        C.get_or_init(|| dapc_obs::counter("exec.steals"))
-    }
-
-    /// Steal sweeps that probed an apparently occupied deque but came
-    /// back empty-handed (lost the race to the owner or another thief).
-    pub fn steal_failures() -> &'static Counter {
-        static C: OnceLock<Counter> = OnceLock::new();
-        C.get_or_init(|| dapc_obs::counter("exec.steal_failures"))
-    }
-
-    /// Times an idle worker went to sleep on the eventcount.
+    /// Times an idle worker went to sleep on the queue's condvar.
     pub fn parks() -> &'static Counter {
         static C: OnceLock<Counter> = OnceLock::new();
         C.get_or_init(|| dapc_obs::counter("exec.parks"))
@@ -150,30 +114,34 @@ struct Task {
 }
 
 struct Shared {
-    /// External submissions and inline-nested spawns enter here; workers
-    /// drain it FIFO from the top (nested spawns jump to the top).
-    injector: WorkDeque<Task>,
-    /// One deque per worker: the owner pushes/pops at the bottom,
-    /// thieves (and foreign scope owners hunting their group's tasks)
-    /// take from the top.
-    deques: Vec<WorkDeque<Task>>,
-    /// Eventcount idle workers park on; every push wakes one sleeper.
-    parking: Parking,
-    shutdown: AtomicBool,
+    queue: Mutex<Queue>,
+    /// Signalled once per spawn (one idle worker) and at shutdown (all).
+    ready: Condvar,
     /// Worker threads owned by the pool.
     workers: usize,
 }
 
+/// The pool's one task queue and its shutdown flag, under one lock.
+#[derive(Default)]
+struct Queue {
+    tasks: VecDeque<Task>,
+    shutdown: bool,
+}
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().expect("executor queue lock")
+    }
+}
+
 /// Per-scope bookkeeping: how many of the scope's tasks are still queued
 /// or running, and the first panic payload to re-raise at the scope exit.
+#[derive(Default)]
 struct Group {
     state: Mutex<GroupState>,
-    /// Signalled when `pending` drops to zero. The ordering contract the
-    /// owner's wait path relies on: [`run_task`] decrements `pending`
-    /// under `state` *before* notifying, so a waiter that observed
-    /// `pending > 0` while holding the lock is guaranteed a later
-    /// notification — the owner never needs to re-take any queue lock
-    /// just to re-check.
+    /// Signalled when `pending` drops to zero. [`run_task`] decrements
+    /// `pending` under `state` *before* notifying, so a waiter that saw
+    /// `pending > 0` under the lock is guaranteed a later notification.
     done: Condvar,
 }
 
@@ -183,34 +151,22 @@ struct GroupState {
     payload: Option<Box<dyn Any + Send>>,
 }
 
-impl Group {
-    fn new() -> Self {
-        Group {
-            state: Mutex::new(GroupState::default()),
-            done: Condvar::new(),
-        }
-    }
-}
+/// A thread's stack of pools, innermost last.
+type PoolStack = RefCell<Vec<Arc<Shared>>>;
 
 thread_local! {
     /// Pools whose tasks the current thread is executing, innermost last
     /// (pool workers and inline helpers both push here around a task).
-    static TASK_POOL: RefCell<Vec<Arc<Shared>>> = const { RefCell::new(Vec::new()) };
+    static TASK_POOL: PoolStack = const { RefCell::new(Vec::new()) };
     /// Explicit [`with_executor`] overrides, innermost last.
-    static OVERRIDE: RefCell<Vec<Arc<Shared>>> = const { RefCell::new(Vec::new()) };
-    /// Set once per worker thread: the pool it belongs to and its deque
-    /// index. Spawn routing and the scope owner's help scan key off this.
-    static WORKER: RefCell<Option<(Arc<Shared>, usize)>> = const { RefCell::new(None) };
+    static OVERRIDE: PoolStack = const { RefCell::new(Vec::new()) };
 }
 
 /// RAII pop for the thread-local pool stacks.
-struct StackGuard(&'static std::thread::LocalKey<RefCell<Vec<Arc<Shared>>>>);
+struct StackGuard(&'static LocalKey<PoolStack>);
 
 impl StackGuard {
-    fn push(
-        key: &'static std::thread::LocalKey<RefCell<Vec<Arc<Shared>>>>,
-        s: &Arc<Shared>,
-    ) -> Self {
+    fn push(key: &'static LocalKey<PoolStack>, s: &Arc<Shared>) -> Self {
         key.with(|stack| stack.borrow_mut().push(Arc::clone(s)));
         StackGuard(key)
     }
@@ -218,29 +174,17 @@ impl StackGuard {
 
 impl Drop for StackGuard {
     fn drop(&mut self) {
-        self.0.with(|stack| {
-            stack.borrow_mut().pop();
-        });
+        self.0.with(|stack| stack.borrow_mut().pop());
     }
-}
-
-/// The calling thread's deque index, if it is a worker of `shared`.
-fn worker_index(shared: &Arc<Shared>) -> Option<usize> {
-    WORKER.with(|w| {
-        w.borrow()
-            .as_ref()
-            .and_then(|(pool, idx)| Arc::ptr_eq(pool, shared).then_some(*idx))
-    })
 }
 
 /// A fixed-size worker pool with scoped task groups.
 ///
 /// Most code should not construct one: [`scope`] and [`current_workers`]
-/// resolve to the pool of the enclosing task (nested use), an explicit
-/// [`with_executor`] override, or the process-wide [`global`] pool, in
-/// that order. Building a private executor is for tests pinning a worker
-/// count (e.g. proving byte-identity under oversubscription) and for
-/// embedders that must isolate their pool.
+/// resolve to the pool of the enclosing task, an explicit
+/// [`with_executor`] override, or the [`global`] pool, in that order. A
+/// private executor is for tests pinning a worker count and for embedders
+/// that must isolate their pool.
 pub struct Executor {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
@@ -251,10 +195,8 @@ impl Executor {
     pub fn new(workers: usize) -> Self {
         let workers = workers.max(1);
         let shared = Arc::new(Shared {
-            injector: WorkDeque::new(),
-            deques: (0..workers).map(|_| WorkDeque::new()).collect(),
-            parking: Parking::new(),
-            shutdown: AtomicBool::new(false),
+            queue: Mutex::default(),
+            ready: Condvar::new(),
             workers,
         });
         let handles = (0..workers)
@@ -262,7 +204,7 @@ impl Executor {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("dapc-exec-{i}"))
-                    .spawn(move || worker_loop(&shared, i))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn executor worker")
             })
             .collect();
@@ -290,9 +232,11 @@ impl Executor {
 
 impl Drop for Executor {
     fn drop(&mut self) {
-        // ordering: SeqCst — shutdown flag; keep a total order with the park/wake protocol
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.parking.wake_all();
+        // Setting the flag is valid in any queue state, so a lock poisoned
+        // by a panic elsewhere must not make this drop panic too.
+        let locked = self.shared.queue.lock();
+        locked.unwrap_or_else(PoisonError::into_inner).shutdown = true;
+        self.shared.ready.notify_all();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
@@ -316,24 +260,10 @@ pub struct Scope<'a> {
 }
 
 impl Scope<'_> {
-    /// Queues a task on the scope's pool.
-    ///
-    /// Routing: a spawn from a pool worker goes to the bottom of that
-    /// worker's own deque (uncontended, depth-first); a spawn from a
-    /// non-worker thread that is *inside* a task of this pool (an inline
-    /// help frame) jumps to the top of the injector (still depth-first);
-    /// any other spawn appends to the injector in FIFO order. Every push
-    /// wakes at most one parked worker.
+    /// Queues a task on the scope's pool: it goes to the back of the
+    /// queue, from any thread, and wakes one idle worker.
     pub fn spawn<F: FnOnce() + Send + 'static>(&self, f: F) {
-        {
-            let mut g = self.group.state.lock().expect("scope group lock");
-            g.pending += 1;
-        }
-        assert!(
-            // ordering: SeqCst — shutdown flag; keep a total order with the park/wake protocol
-            !self.shared.shutdown.load(Ordering::SeqCst),
-            "spawn on a shut-down executor"
-        );
+        self.group.state.lock().expect("scope group lock").pending += 1;
         let observed = dapc_obs::enabled();
         let task = Task {
             group: Arc::clone(&self.group),
@@ -341,35 +271,21 @@ impl Scope<'_> {
             // dapc-allow(wall-clock): queue-wait telemetry only, gated on dapc_obs::enabled
             enqueued_at: observed.then(Instant::now),
         };
-        match worker_index(self.shared) {
-            Some(idx) => {
-                self.shared.deques[idx].push_bottom(task);
-            }
-            None => {
-                let nested = TASK_POOL.with(|stack| {
-                    stack
-                        .borrow()
-                        .last()
-                        .is_some_and(|s| Arc::ptr_eq(s, self.shared))
-                });
-                let depth = if nested {
-                    self.shared.injector.push_top(task)
-                } else {
-                    self.shared.injector.push_bottom(task)
-                };
-                if observed {
-                    metrics::injector_depth().observe(depth as u64);
-                }
-            }
+        let depth = {
+            let mut queue = self.shared.lock();
+            queue.tasks.push_back(task);
+            queue.tasks.len()
+        };
+        self.shared.ready.notify_one();
+        if observed {
+            metrics::queue_depth().observe(depth as u64);
         }
-        self.shared.parking.wake_one();
     }
 }
 
-/// Runs one task and settles its group bookkeeping. The pool is pushed
-/// onto the thread's task stack for the duration, so nested [`scope`]
-/// calls from inside the task land on the same pool — whether the task
-/// runs on a pool worker or inline in a helping scope owner.
+/// Runs one task and settles its group bookkeeping. The pool sits on the
+/// thread's task stack meanwhile, so nested [`scope`] calls land on it
+/// whether the task runs on a worker or inline in a helping owner.
 fn run_task(shared: &Arc<Shared>, task: Task) {
     // `enqueued_at` doubles as the gate: it is `Some` exactly when
     // observability was enabled at enqueue, so a disabled run records
@@ -404,126 +320,61 @@ fn run_task(shared: &Arc<Shared>, task: Task) {
     }
 }
 
-/// One steal sweep: probe every other deque (advisory length first, so
-/// empty deques cost no lock) and take the top — the oldest, coarsest
-/// task — of the first occupied one.
-fn steal(shared: &Arc<Shared>, idx: usize) -> Option<Task> {
-    let n = shared.deques.len();
-    if n <= 1 {
-        return None;
-    }
-    let mut attempted = false;
-    for off in 1..n {
-        let victim = (idx + off) % n;
-        if shared.deques[victim].probe_len() == 0 {
-            continue;
-        }
-        attempted = true;
-        if let Some(task) = shared.deques[victim].steal_top() {
-            if dapc_obs::enabled() {
-                metrics::steals().inc();
-            }
-            return Some(task);
-        }
-    }
-    if attempted && dapc_obs::enabled() {
-        metrics::steal_failures().inc();
-    }
-    None
-}
-
-/// Next task for worker `idx`: own deque bottom (LIFO), then the
-/// injector top (FIFO), then a steal sweep.
-fn next_task(shared: &Arc<Shared>, idx: usize) -> Option<Task> {
-    shared.deques[idx]
-        .pop_bottom()
-        .or_else(|| shared.injector.steal_top())
-        .or_else(|| steal(shared, idx))
-}
-
-/// Any work anywhere, checked under the real queue locks — the parking
-/// re-check must not trust the advisory length mirrors (see
-/// `park.rs` for the lost-wakeup argument).
-fn has_work_locked(shared: &Shared) -> bool {
-    !shared.injector.locked_is_empty() || shared.deques.iter().any(|d| !d.locked_is_empty())
-}
-
-fn worker_loop(shared: &Arc<Shared>, idx: usize) {
-    WORKER.with(|w| *w.borrow_mut() = Some((Arc::clone(shared), idx)));
+/// A pool worker: runs the queue's front task, sleeps on `ready` while
+/// the queue is empty, and exits once shut down with nothing queued, so
+/// dropping the executor still drains queued work.
+fn worker_loop(shared: &Arc<Shared>) {
+    let mut queue = shared.lock();
     loop {
-        if let Some(task) = next_task(shared, idx) {
+        if let Some(task) = queue.tasks.pop_front() {
+            drop(queue);
             run_task(shared, task);
-            continue;
-        }
-        let epoch = shared.parking.prepare();
-        if has_work_locked(shared) {
-            shared.parking.cancel();
-            continue;
-        }
-        // ordering: SeqCst — shutdown flag; keep a total order with the park/wake protocol
-        if shared.shutdown.load(Ordering::SeqCst) {
-            shared.parking.cancel();
+            queue = shared.lock();
+        } else if queue.shutdown {
             return;
-        }
-        if dapc_obs::enabled() {
-            metrics::parks().inc();
-        }
-        shared.parking.park(epoch);
-    }
-}
-
-/// Finds one still-queued task of `group`, owner's preference order:
-/// the owner's own deque bottom first (when the owner is a pool worker —
-/// its nested spawns went there), then the injector, then stolen out of
-/// the other workers' deques.
-fn find_group_task(shared: &Arc<Shared>, group: &Arc<Group>) -> Option<Task> {
-    let ours = |t: &Task| Arc::ptr_eq(&t.group, group);
-    if let Some(idx) = worker_index(shared) {
-        if let Some(task) = shared.deques[idx].take_matching_bottom(ours) {
-            return Some(task);
+        } else {
+            if dapc_obs::enabled() {
+                metrics::parks().inc();
+            }
+            queue = shared.ready.wait(queue).expect("executor queue lock");
         }
     }
-    if let Some(task) = shared.injector.take_matching_top(ours) {
-        return Some(task);
-    }
-    shared.deques.iter().find_map(|d| d.take_matching_top(ours))
 }
 
 /// The owner side of a scope: run the scope's own still-queued tasks
-/// inline, then wait for the ones running elsewhere.
+/// inline, oldest first, then wait for the ones running elsewhere. Tasks
+/// of other scopes stay queued for the workers and their own owners.
 ///
 /// Termination argument: the group's task set is fixed once the scope
-/// body returns (spawning needs the borrowed [`Scope`], and any thread
-/// the body lent it to has joined by then), so each loop iteration either
-/// runs one group task inline or — after a scan that held every queue
-/// lock in turn and found none — knows that every remaining task was
-/// already claimed by a worker and is mid-flight. From that point the
-/// owner parks on the *group's own* condvar until `pending` reaches
-/// zero; it never re-takes a queue lock just to re-check, because no new
-/// group task can appear in any queue. The wakeup ordering that makes
-/// the bare wait sound is documented on [`Group::done`].
+/// body returns (spawning needs the borrowed [`Scope`]), so a scan that
+/// finds none of the group's tasks queued means every remaining one is
+/// running elsewhere. The owner then waits on the *group's own* condvar
+/// until `pending` reaches zero, without re-taking the queue lock; the
+/// wakeup ordering that makes that sound is documented on [`Group::done`].
 fn help_until_done(shared: &Arc<Shared>, group: &Arc<Group>) {
     loop {
-        match find_group_task(shared, group) {
-            Some(task) => {
-                if dapc_obs::enabled() {
-                    metrics::help_runs().inc();
-                }
-                run_task(shared, task);
-            }
-            None => {
-                let mut g = group.state.lock().expect("scope group lock");
-                while g.pending > 0 {
-                    g = group.done.wait(g).expect("scope group lock");
-                }
-                return;
-            }
+        let task = {
+            let mut queue = shared.lock();
+            let ours = queue
+                .tasks
+                .iter()
+                .position(|t| Arc::ptr_eq(&t.group, group));
+            ours.and_then(|i| queue.tasks.remove(i))
+        };
+        let Some(task) = task else { break };
+        if dapc_obs::enabled() {
+            metrics::help_runs().inc();
         }
+        run_task(shared, task);
+    }
+    let mut g = group.state.lock().expect("scope group lock");
+    while g.pending > 0 {
+        g = group.done.wait(g).expect("scope group lock");
     }
 }
 
 fn scope_on<T>(shared: &Arc<Shared>, f: impl FnOnce(&Scope<'_>) -> T) -> T {
-    let group = Arc::new(Group::new());
+    let group = Arc::new(Group::default());
     let s = Scope {
         shared,
         group: Arc::clone(&group),
@@ -531,13 +382,11 @@ fn scope_on<T>(shared: &Arc<Shared>, f: impl FnOnce(&Scope<'_>) -> T) -> T {
     let body = catch_unwind(AssertUnwindSafe(|| f(&s)));
     help_until_done(shared, &group);
     let task_payload = group.state.lock().expect("scope group lock").payload.take();
-    match body {
-        // The body's own panic wins; either way every task has finished.
-        Err(payload) => resume_unwind(payload),
-        Ok(value) => match task_payload {
-            Some(payload) => resume_unwind(payload),
-            None => value,
-        },
+    // The body's own panic wins; either way every task has finished.
+    let value = body.unwrap_or_else(|payload| resume_unwind(payload));
+    match task_payload {
+        Some(payload) => resume_unwind(payload),
+        None => value,
     }
 }
 
@@ -566,13 +415,10 @@ fn override_workers(raw: Option<&str>) -> Option<usize> {
 }
 
 fn current_shared() -> Arc<Shared> {
-    // The enclosing task's pool wins over a `with_executor` override:
-    // a nested fan-out must land on the pool its parent runs on, no
-    // matter whether the parent task executes on a pool worker (where no
-    // override is set) or inline in a helping scope owner (whose thread
-    // may hold an override for *entering* work, not for work passing
-    // through) — otherwise the same task would resolve differently
-    // depending on which thread happened to run it.
+    // The enclosing task's pool wins over a `with_executor` override, so
+    // a task resolves the same pool whether it runs on a worker or inline
+    // in a helping owner whose thread holds an override for *entering*
+    // work, not for work passing through.
     if let Some(s) = TASK_POOL.with(|stack| stack.borrow().last().cloned()) {
         return s;
     }
@@ -613,6 +459,51 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
+    /// A one-shot latch: [`Gate::wait`] blocks until [`Gate::open`].
+    #[derive(Default)]
+    struct Gate {
+        open: Mutex<bool>,
+        opened: Condvar,
+    }
+
+    impl Gate {
+        fn open(&self) {
+            *self.open.lock().unwrap() = true;
+            self.opened.notify_all();
+        }
+
+        fn wait(&self) {
+            let mut open = self.open.lock().unwrap();
+            while !*open {
+                open = self.opened.wait(open).unwrap();
+            }
+        }
+    }
+
+    /// Blocks `exec`'s only worker in a task until `release` opens, and
+    /// returns once the worker is provably inside it. The blocker's scope
+    /// is owned by a thread of `threads`, whose body stays open until the
+    /// worker has taken the task, so the owner cannot run it inline.
+    fn block_the_worker<'scope>(
+        threads: &'scope std::thread::Scope<'scope, '_>,
+        exec: &'scope Executor,
+        release: &Arc<Gate>,
+    ) {
+        let entered = Arc::new(Gate::default());
+        let (entered_tx, entered_body) = (Arc::clone(&entered), Arc::clone(&entered));
+        let release = Arc::clone(release);
+        threads.spawn(move || {
+            exec.scope(|s| {
+                s.spawn(move || {
+                    entered_tx.open();
+                    release.wait();
+                });
+                entered_body.wait();
+            });
+        });
+        entered.wait();
+    }
+
     #[test]
     fn scope_runs_every_task() {
         let exec = Executor::new(4);
@@ -641,7 +532,7 @@ mod tests {
     #[test]
     fn nested_scopes_share_the_pool() {
         // Tasks open their own scopes; everything resolves onto the one
-        // 2-worker pool (worker-local deques + owner help).
+        // 2-worker pool (one queue + owner help).
         let exec = Executor::new(2);
         let sum = Arc::new(AtomicUsize::new(0));
         exec.scope(|s| {
@@ -664,8 +555,8 @@ mod tests {
     }
 
     /// Nested fan-outs in the `jobs × prep_workers` shape — 4 parents of
-    /// 4 subtasks, and a contended 16 × 128 — terminate on stealing pools
-    /// of 1, 2 and 4 workers, and every subtask runs exactly once.
+    /// 4 subtasks, and a contended 16 × 128 — terminate on pools of 1, 2
+    /// and 4 workers, and every subtask runs exactly once.
     #[test]
     fn nested_4x4_and_16x128_scopes_terminate_on_1_2_and_4_workers() {
         for (parents, subtasks) in [(4usize, 4usize), (16, 128)] {
@@ -739,36 +630,9 @@ mod tests {
         // Block the only worker, then prove an unrelated scope still
         // completes: the run-inline fallback in action.
         let exec = Executor::new(1);
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let entered = Arc::new((Mutex::new(false), Condvar::new()));
+        let release = Arc::new(Gate::default());
         std::thread::scope(|threads| {
-            let blocker_gate = Arc::clone(&gate);
-            let blocker_entered = Arc::clone(&entered);
-            let exec_ref = &exec;
-            threads.spawn(move || {
-                exec_ref.scope(|s| {
-                    s.spawn(move || {
-                        {
-                            let (lock, cv) = &*blocker_entered;
-                            *lock.lock().unwrap() = true;
-                            cv.notify_all();
-                        }
-                        let (lock, cv) = &*blocker_gate;
-                        let mut open = lock.lock().unwrap();
-                        while !*open {
-                            open = cv.wait(open).unwrap();
-                        }
-                    });
-                });
-            });
-            {
-                // Wait until the worker is provably inside the blocker.
-                let (lock, cv) = &*entered;
-                let mut seen = lock.lock().unwrap();
-                while !*seen {
-                    seen = cv.wait(seen).unwrap();
-                }
-            }
+            block_the_worker(threads, &exec, &release);
             let counter = Arc::new(AtomicUsize::new(0));
             exec.scope(|s| {
                 for _ in 0..5 {
@@ -778,11 +642,52 @@ mod tests {
                     });
                 }
             });
+            release.open();
             assert_eq!(counter.load(Ordering::Relaxed), 5);
-            let (lock, cv) = &*gate;
-            *lock.lock().unwrap() = true;
-            cv.notify_all();
         });
+    }
+
+    /// A helping owner takes only its own group's tasks: a foreign task
+    /// queued ahead of them stays queued for the worker or its own owner.
+    /// If the help scan took any queued task, the foreign task would run
+    /// on this thread before the gate opens, and the test would fail
+    /// rather than hang.
+    #[test]
+    fn owner_helps_only_its_own_group() {
+        let exec = Executor::new(1);
+        let release = Arc::new(Gate::default());
+        let queued = Gate::default();
+        let foreign = Arc::new(Mutex::new(Vec::new()));
+        let counter = Arc::new(AtomicUsize::new(0));
+        let early = std::thread::scope(|threads| {
+            block_the_worker(threads, &exec, &release);
+            threads.spawn(|| {
+                exec.scope(|s| {
+                    let foreign = Arc::clone(&foreign);
+                    s.spawn(move || foreign.lock().unwrap().push(std::thread::current().id()));
+                    queued.open();
+                    // Hold the body open so this owner does not help yet.
+                    release.wait();
+                })
+            });
+            queued.wait();
+            exec.scope(|s| {
+                for _ in 0..5 {
+                    let counter = Arc::clone(&counter);
+                    s.spawn(move || {
+                        counter.fetch_add(1, Ordering::Relaxed);
+                    });
+                }
+            });
+            let early = foreign.lock().unwrap().len();
+            release.open();
+            early
+        });
+        assert_eq!(counter.load(Ordering::Relaxed), 5);
+        assert_eq!(early, 0, "the owner ran another scope's task");
+        let runs = foreign.lock().unwrap();
+        assert_eq!(runs.len(), 1, "the foreign task ran once");
+        assert_ne!(runs[0], std::thread::current().id());
     }
 
     #[test]
@@ -794,35 +699,9 @@ mod tests {
         // wins wherever the task happens to execute.
         let a = Executor::new(3);
         let b = Executor::new(1);
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let entered = Arc::new((Mutex::new(false), Condvar::new()));
+        let release = Arc::new(Gate::default());
         std::thread::scope(|threads| {
-            let blocker_gate = Arc::clone(&gate);
-            let blocker_entered = Arc::clone(&entered);
-            let b_ref = &b;
-            threads.spawn(move || {
-                b_ref.scope(|s| {
-                    s.spawn(move || {
-                        {
-                            let (lock, cv) = &*blocker_entered;
-                            *lock.lock().unwrap() = true;
-                            cv.notify_all();
-                        }
-                        let (lock, cv) = &*blocker_gate;
-                        let mut open = lock.lock().unwrap();
-                        while !*open {
-                            open = cv.wait(open).unwrap();
-                        }
-                    });
-                });
-            });
-            {
-                let (lock, cv) = &*entered;
-                let mut seen = lock.lock().unwrap();
-                while !*seen {
-                    seen = cv.wait(seen).unwrap();
-                }
-            }
+            block_the_worker(threads, &b, &release);
             let observed = Arc::new(AtomicUsize::new(0));
             let report = Arc::clone(&observed);
             with_executor(&a, || {
@@ -832,14 +711,12 @@ mod tests {
                     });
                 });
             });
+            release.open();
             assert_eq!(
                 observed.load(Ordering::Relaxed),
                 1,
                 "the inline-helped task resolved to the override pool"
             );
-            let (lock, cv) = &*gate;
-            *lock.lock().unwrap() = true;
-            cv.notify_all();
         });
     }
 
@@ -876,11 +753,11 @@ mod tests {
         );
     }
 
-    /// Force worker B to steal from worker A's deque: a task running on
-    /// A spawns a subtask into A's own deque and then spins in the scope
-    /// body until someone *else* has claimed it. Returns once the stolen
-    /// task ran. `payload` runs inside the stolen task.
-    fn run_stolen(exec: &Executor, payload: impl FnOnce() + Send + 'static) {
+    /// Runs `payload` in a task that a worker other than its scope's
+    /// owner runs: a task on worker A opens a scope, spawns the subtask
+    /// and spins in the scope body until someone *else* has taken it.
+    /// Returns once the subtask ran.
+    fn run_on_another_worker(exec: &Executor, payload: impl FnOnce() + Send + 'static) {
         let claimed = Arc::new(AtomicBool::new(false));
         let started = Arc::new(AtomicBool::new(false));
         let seen = Arc::clone(&claimed);
@@ -894,9 +771,9 @@ mod tests {
                         claimed.store(true, Ordering::SeqCst);
                         payload();
                     });
-                    // The subtask sits in THIS worker's deque; only a
-                    // thief can claim it while we spin here, because the
-                    // owner does not help until the body returns.
+                    // Only another worker can take the subtask while we
+                    // spin here, because the owner does not help until
+                    // the body returns.
                     while !seen.load(Ordering::SeqCst) {
                         std::thread::yield_now();
                     }
@@ -904,7 +781,7 @@ mod tests {
             });
             // Hold the body open until a worker runs the outer task: the
             // owner only starts help-running after the body returns, so
-            // this pins the task (and therefore the subtask's deque) to a
+            // this pins the task (and therefore the subtask's scope) to a
             // real pool worker instead of racing the owner's inline help.
             while !started.load(Ordering::SeqCst) {
                 std::thread::yield_now();
@@ -913,33 +790,14 @@ mod tests {
     }
 
     #[test]
-    fn panic_from_a_stolen_task_propagates_to_the_owning_scope() {
+    fn panic_from_another_workers_task_propagates_to_the_owning_scope() {
         let exec = Executor::new(2);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            run_stolen(&exec, || panic!("stolen boom"));
+            run_on_another_worker(&exec, || panic!("remote boom"));
         }));
-        let payload = result.expect_err("the stolen task's panic must surface");
+        let payload = result.expect_err("the remote task's panic must surface");
         let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert_eq!(msg, "stolen boom", "wrong payload propagated");
-    }
-
-    #[test]
-    fn steals_are_counted_when_enabled() {
-        dapc_obs::set_enabled(true);
-        let before = match dapc_obs::MetricsSnapshot::capture().get("exec.steals") {
-            Some(dapc_obs::SnapshotEntry::Counter { value, .. }) => *value,
-            _ => 0,
-        };
-        let exec = Executor::new(2);
-        run_stolen(&exec, || {});
-        let after = match dapc_obs::MetricsSnapshot::capture().get("exec.steals") {
-            Some(dapc_obs::SnapshotEntry::Counter { value, .. }) => *value,
-            _ => 0,
-        };
-        assert!(
-            after > before,
-            "forced steal not counted ({before} -> {after})"
-        );
+        assert_eq!(msg, "remote boom", "wrong payload propagated");
     }
 
     #[test]
@@ -972,7 +830,7 @@ mod tests {
     }
 
     #[test]
-    fn metrics_observe_injector_wait_and_run_when_enabled() {
+    fn metrics_observe_queue_depth_wait_and_run_when_enabled() {
         dapc_obs::set_enabled(true);
         let exec = Executor::new(2);
         exec.scope(|s| {
@@ -982,7 +840,7 @@ mod tests {
         });
         let snap = dapc_obs::MetricsSnapshot::capture();
         for name in [
-            "exec.injector.depth",
+            "exec.queue.depth",
             "exec.task.wait_micros",
             "exec.task.run_micros",
         ] {

@@ -1,8 +1,8 @@
 //! Greedy heuristics: warm starts for the exact solvers and documented
-//! fallback oracles for stress-scale experiments (see DESIGN.md §2, item
-//! 2 — the paper assumes free exact local computation; at experiment scale
-//! our clusters are solved exactly, and the greedy path only exists for
-//! oversized ad-hoc runs, always reported as non-exact).
+//! fallback oracles for stress-scale experiments. The paper assumes free
+//! exact local computation; at experiment scale our clusters are solved
+//! exactly, and the greedy path only exists for oversized ad-hoc runs,
+//! always reported as non-exact.
 
 use crate::instance::{Sense, FEASIBILITY_EPS};
 use crate::restrict::SubInstance;

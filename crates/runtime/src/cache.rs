@@ -21,34 +21,17 @@ fn metrics_families() -> &'static dapc_obs::Gauge {
 /// a cache never changes any job's report — only how much exact local
 /// computation is repeated. Handles are cheap to clone (shallow); a cache
 /// can outlive a single [`crate::solve_many_streaming_with_cache`] call to
-/// keep its memo warm across batches of the same family.
-///
-/// By default families are unbounded; [`PrepCache::with_family_capacity`]
-/// puts every family under a byte budget with least-recently-used
-/// eviction, so long-running batch services sweeping many large instance
-/// families hold their memory flat. Eviction is transparent — a victim is
-/// recomputed on its next lookup, never changing a report.
+/// keep its memo warm across batches of the same family. Families are
+/// unbounded: each keeps every distinct subset solve it has seen.
 #[derive(Clone, Default)]
 pub struct PrepCache {
     families: Arc<Mutex<BTreeMap<(u64, u64), SharedSubsetCache>>>,
-    /// Byte budget applied to every family cache (`None` = unbounded).
-    family_capacity: Option<usize>,
 }
 
 impl PrepCache {
-    /// Creates an empty cache with unbounded families.
+    /// Creates an empty cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an empty cache whose families each hold at most
-    /// ~`capacity` bytes of memoised subset solves, evicting
-    /// least-recently-used entries beyond that.
-    pub fn with_family_capacity(capacity: usize) -> Self {
-        PrepCache {
-            families: Arc::default(),
-            family_capacity: Some(capacity),
-        }
     }
 
     /// The family cache for `(ilp, budget)`, created on first use.
@@ -58,10 +41,7 @@ impl PrepCache {
             let mut families = self.families.lock().expect("prep cache lock");
             let family = families
                 .entry((ilp.fingerprint(), budget.node_limit))
-                .or_insert_with(|| match self.family_capacity {
-                    Some(bytes) => SharedSubsetCache::with_capacity(bytes),
-                    None => SharedSubsetCache::new(),
-                })
+                .or_default()
                 .clone();
             (family, families.len())
         };
@@ -87,7 +67,6 @@ impl PrepCache {
             stats.bytes += cache.bytes();
             stats.hits += cache.hits();
             stats.misses += cache.misses();
-            stats.evictions += cache.evictions();
         }
         stats
     }
@@ -113,24 +92,20 @@ pub struct CacheStats {
     pub hits: u64,
     /// Cross-run lookups that ran the exact solver.
     pub misses: u64,
-    /// Entries dropped by the per-family LRU policy (always 0 for
-    /// unbounded caches).
-    pub evictions: u64,
 }
 
 impl CacheStats {
     /// Fieldwise sum with another process's counters, used when merging
-    /// [`crate::PartReport`]s: the work counters (`hits`, `misses`,
-    /// `evictions`) add exactly; `families`/`entries`/`bytes` become
-    /// totals *across per-process caches*, which may double-count a
-    /// family two parts both materialised.
+    /// [`crate::PartReport`]s: the work counters (`hits`, `misses`) add
+    /// exactly; `families`/`entries`/`bytes` become totals *across
+    /// per-process caches*, which may double-count a family two parts
+    /// both materialised.
     pub fn absorb(&mut self, other: &CacheStats) {
         self.families += other.families;
         self.entries += other.entries;
         self.bytes += other.bytes;
         self.hits += other.hits;
         self.misses += other.misses;
-        self.evictions += other.evictions;
     }
 
     /// `hits / (hits + misses)`, or `0` before any lookup.
@@ -162,19 +137,6 @@ mod tests {
         assert_ne!(cache.family(&b, &default), fa);
         assert_ne!(cache.family(&a, &tight), fa);
         assert_eq!(cache.stats().families, 3);
-    }
-
-    #[test]
-    fn family_capacity_propagates() {
-        let bounded = PrepCache::with_family_capacity(4096);
-        let ilp = problems::max_independent_set_unweighted(&gen::cycle(6));
-        let family = bounded.family(&ilp, &SolverBudget::default());
-        assert_eq!(family.capacity(), Some(4096));
-        let unbounded = PrepCache::new();
-        assert_eq!(
-            unbounded.family(&ilp, &SolverBudget::default()).capacity(),
-            None
-        );
     }
 
     #[test]

@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 /// Magic + version prefix of the part-report snapshot format: seven
 /// identifying bytes and a format version byte. The body is the fixed
 /// header (`corpus_jobs · start · jobs · workers · peak_buffered ·
-/// wall_micros`), the six cache counters, and the length-prefixed
+/// wall_micros`), the five cache counters, and the length-prefixed
 /// [`BatchAggregator`] snapshot — all integers little-endian, the stream
 /// self-delimiting (trailing bytes are corruption). Version 2 appends a
 /// 16-byte FNV-1a-128 seal over every preceding byte, so *any* bit flip
@@ -155,7 +155,6 @@ impl PartReport {
         snap::write_u64(&mut buf, self.cache.bytes as u64)?;
         snap::write_u64(&mut buf, self.cache.hits)?;
         snap::write_u64(&mut buf, self.cache.misses)?;
-        snap::write_u64(&mut buf, self.cache.evictions)?;
         let mut aggregator = Vec::new();
         self.aggregator.save_to(&mut aggregator)?;
         snap::write_bytes(&mut buf, &aggregator)?;
@@ -198,7 +197,6 @@ impl PartReport {
             bytes: snap::read_u64(&mut r)? as usize,
             hits: snap::read_u64(&mut r)?,
             misses: snap::read_u64(&mut r)?,
-            evictions: snap::read_u64(&mut r)?,
         };
         let aggregator_bytes = snap::read_bytes(&mut r, "aggregator snapshot")?;
         let aggregator = BatchAggregator::load_from(aggregator_bytes.as_slice())?;
@@ -386,7 +384,6 @@ mod tests {
                 bytes: 100,
                 hits: 10,
                 misses: 5,
-                evictions: 1,
             },
             workers,
             peak_buffered: workers,
@@ -414,6 +411,5 @@ mod tests {
         assert_eq!(merged.start, 2, "merged start is the smallest");
         assert_eq!(merged.cache.hits, 30, "cache counters sum");
         assert_eq!(merged.cache.misses, 15);
-        assert_eq!(merged.cache.evictions, 3);
     }
 }

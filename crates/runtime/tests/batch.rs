@@ -177,24 +177,6 @@ fn prep_workers_compose_with_job_fanout() {
     }
 }
 
-/// A byte-budgeted PrepCache evicts (so memory stays flat) without moving
-/// a single report byte.
-#[test]
-fn bounded_prep_cache_is_report_transparent() {
-    let corpus = corpus(5, &["three-phase"], 3);
-    let reference = solve_many(&corpus, &RuntimeConfig::new());
-    let bounded = PrepCache::with_family_capacity(256);
-    let run = solve_with_cache(&corpus, &RuntimeConfig::new().jobs(2), &bounded);
-    assert_identical(&reference, &run);
-    let stats = bounded.stats();
-    assert!(
-        stats.evictions > 0,
-        "a 256-byte family budget must evict: {stats:?}"
-    );
-    let unbounded = solve_many(&corpus, &RuntimeConfig::new());
-    assert_eq!(unbounded.cache.evictions, 0);
-}
-
 /// The aggregation matches a hand computation over the per-job results.
 #[test]
 fn group_summaries_aggregate_the_results() {

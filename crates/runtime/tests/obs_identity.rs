@@ -126,10 +126,10 @@ fn metrics_do_not_change_part_snapshot_bytes() {
     assert_eq!(off, on, "metrics changed serialised part-report bytes");
 }
 
-/// The work-stealing executor's headline invariant: the deterministic
-/// `(key, report)` payload is byte-identical at every worker count —
-/// stealing and parking reorder only *when* tasks run, never what they
-/// compute.
+/// The executor's headline invariant: the deterministic `(key, report)`
+/// payload is byte-identical at every worker count — the pool size and
+/// which thread takes a task change only *when* tasks run, never what
+/// they compute.
 #[test]
 fn worker_count_does_not_change_outcomes() {
     let _guard = obs_lock();
