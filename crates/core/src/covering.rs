@@ -112,7 +112,7 @@ pub fn approximate_covering_cached(
     };
 
     // Preparation: sparse covers + sampling weights.
-    let primal = h.primal_graph();
+    let primal = ilp.primal_graph();
     let prep_rounds = (4.0 * params.n_tilde.ln() / params.prep_lambda).ceil() as usize;
     ledger.begin_phase("prep: parallel sparse covers");
     ledger.charge_gather(prep_rounds);
@@ -120,7 +120,7 @@ pub fn approximate_covering_cached(
     ledger.begin_phase("prep: estimate W(S_C) at radius 8tR");
     ledger.charge_gather(params.sc_radius);
     ledger.end_phase();
-    let prep: Preparation = prepare(ilp, h, &primal, params, rng, &mut solver);
+    let prep: Preparation = prepare(ilp, h, primal, params, rng, &mut solver);
 
     let mut alive_v = vec![true; n];
     let mut alive_e = vec![true; m];

@@ -92,7 +92,7 @@ pub fn packing_ensemble_cached(
 ) -> EnsembleOutcome {
     assert_eq!(ilp.sense(), Sense::Packing, "expected a packing instance");
     let n = ilp.n();
-    let primal = ilp.hypergraph().primal_graph();
+    let primal = ilp.primal_graph();
     let t_runs = t_runs.unwrap_or_else(|| {
         ((params.n_tilde.ln() / (params.eps * params.eps)).ceil() as usize).clamp(4, 48)
     });
@@ -115,7 +115,7 @@ pub fn packing_ensemble_cached(
     let mut best_candidate: Option<(u64, Vec<bool>)> = None;
     let mut candidate_values = Vec::with_capacity(t_runs);
     for _ in 0..t_runs {
-        let d = elkin_neiman(&primal, &en, rng, None);
+        let d = elkin_neiman(primal, &en, rng, None);
         let mut assignment = vec![false; n];
         for cluster in &d.clusters {
             let (_, local, _) = solver.solve(cluster, None);
@@ -143,7 +143,7 @@ pub fn packing_ensemble_cached(
     // by restricting it to the support of w' (variables never selected by
     // any candidate cannot be in any candidate-restriction anyway).
     let support: Vec<bool> = (0..n).map(|v| selection_count[v] > 0).collect();
-    let d = elkin_neiman(&primal, &en, rng, Some(&support));
+    let d = elkin_neiman(primal, &en, rng, Some(&support));
     ledger.absorb(d.ledger.clone());
     ledger.begin_phase("re-weighted cluster solves");
     ledger.charge_gather((en.diameter_bound()).ceil() as usize);

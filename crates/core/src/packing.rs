@@ -113,7 +113,7 @@ pub fn approximate_packing_cached(
     };
 
     // Preparation: independent decompositions + sampling weights.
-    let primal = h.primal_graph();
+    let primal = ilp.primal_graph();
     let prep_rounds = (4.0 * params.n_tilde.ln() / params.prep_lambda).ceil() as usize;
     ledger.begin_phase("prep: parallel decompositions");
     ledger.charge_gather(prep_rounds);
@@ -121,7 +121,7 @@ pub fn approximate_packing_cached(
     ledger.begin_phase("prep: estimate W(S_C) at radius 8tR");
     ledger.charge_gather(params.sc_radius);
     ledger.end_phase();
-    let prep: Preparation = prepare(ilp, h, &primal, params, rng, &mut solver);
+    let prep: Preparation = prepare(ilp, h, primal, params, rng, &mut solver);
 
     // Phases 1 and 2: cluster-driven carving. `alive[v]` = still in the
     // residual hypergraph (not removed, not deleted). The ball scratch and
@@ -215,7 +215,7 @@ pub fn approximate_packing_cached(
 
     // Phase 3: final decomposition on the residual.
     let en = dapc_decomp::elkin_neiman::elkin_neiman(
-        &primal,
+        primal,
         &dapc_decomp::elkin_neiman::EnParams::new(params.final_lambda, params.n_tilde),
         rng,
         Some(&alive),

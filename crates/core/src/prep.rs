@@ -65,7 +65,7 @@ use rand::rngs::StdRng;
 // dapc-allow(hash-iter): map is iterated into an output or a persisted byte
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// Cached registry handles for the process-wide totals of the cache and
 /// of the `S_C` lookups. The per-family breakdown stays on
@@ -112,8 +112,8 @@ mod metrics {
 /// One memoised exact subset solve: `(value, global assignment, exact)`.
 type SubsetEntry = (u64, Vec<bool>, bool);
 
-/// One sharded annotation result: the entry plus whether a warm family
-/// cache already held it (drives counter parity with sequential runs).
+/// One sharded annotation result: the entry plus whether its own worker
+/// ran the solve (drives counter parity with sequential runs).
 type ShardSlot = Option<(SubsetEntry, bool)>;
 
 /// The identity of one subset solve: a 128-bit FNV-1a digest of the
@@ -167,6 +167,15 @@ const STRIPE_COUNT: usize = 16;
 /// stripes selected by key bits. Entries are never evicted: a family
 /// cache holds every distinct subset solve it has seen.
 ///
+/// Solves are single-flight: the first thread to miss a key claims it
+/// when its solve starts, and later lookups of that key, from any job or
+/// worker, wait for the entry instead of solving it again. So a family
+/// runs each distinct solve once, and its hit and miss counts are the
+/// same at every job and worker count. A claim is held only across one
+/// exact solve, which takes no lock and waits on nothing, so a waiter
+/// always wakes; a claimant that panics releases the key, and one of its
+/// waiters claims it in turn.
+///
 /// Cloning is shallow: clones address the same underlying map and
 /// counters. Equality is identity (two handles are equal iff they share
 /// storage), which keeps `SolveConfig: PartialEq` meaningful.
@@ -177,17 +186,82 @@ pub struct SharedSubsetCache {
 
 #[derive(Default)]
 struct CacheInner {
-    stripes: [Mutex<Stripe>; STRIPE_COUNT],
+    stripes: [Stripe; STRIPE_COUNT],
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
+/// One independently locked shard of the map, with the condvar its
+/// claim waiters sleep on.
 #[derive(Default)]
 struct Stripe {
+    state: Mutex<StripeState>,
+    /// Signalled whenever a claim on this stripe is released.
+    released: Condvar,
+}
+
+#[derive(Default)]
+struct StripeState {
     // dapc-allow(hash-iter): hot digest-keyed lookups, never iterated
     map: HashMap<SubsetKey, SubsetEntry>,
+    /// Keys whose solve is running on some thread.
+    // dapc-allow(hash-iter): membership tests only, never iterated
+    claimed: HashSet<SubsetKey>,
     /// Approximate bytes held by this stripe's entries.
     bytes: usize,
+}
+
+/// What [`SharedSubsetCache::lookup`] found.
+enum Lookup<'c> {
+    /// The memoised entry.
+    Hit(SubsetEntry),
+    /// No entry yet: the caller runs the solve and fills the claim.
+    Claimed(Claim<'c>),
+}
+
+/// The right to solve one key of a [`SharedSubsetCache`]. Dropping it,
+/// filled or not, releases the key and wakes its waiters.
+struct Claim<'c> {
+    cache: &'c SharedSubsetCache,
+    key: SubsetKey,
+}
+
+impl Claim<'_> {
+    /// Deposits the solved entry; the drop that follows wakes the waiters,
+    /// which then find it. Only a claim inserts its key, so the entry is
+    /// new to the map.
+    fn fill(self, entry: SubsetEntry) {
+        let added = entry_bytes(&entry);
+        {
+            let mut state = self
+                .cache
+                .stripe(self.key)
+                .state
+                .lock()
+                .expect("cache stripe lock");
+            let old = state.map.insert(self.key, entry);
+            debug_assert!(old.is_none(), "a claimed key was already filled");
+            state.bytes += added;
+        }
+        if dapc_obs::enabled() {
+            metrics::bytes().add(added as u64);
+        }
+    }
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        let stripe = self.cache.stripe(self.key);
+        // Also runs while a claimant unwinds; no stripe lock is held across
+        // a solve, so a poisoned lock still guards a consistent state.
+        stripe
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .claimed
+            .remove(&self.key);
+        stripe.released.notify_all();
+    }
 }
 
 /// Approximate heap footprint of one memoised entry: the assignment mask
@@ -219,7 +293,7 @@ impl SharedSubsetCache {
         self.inner
             .stripes
             .iter()
-            .map(|s| s.lock().expect("cache stripe lock").map.len())
+            .map(|s| s.state.lock().expect("cache stripe lock").map.len())
             .sum()
     }
 
@@ -228,7 +302,7 @@ impl SharedSubsetCache {
         self.inner
             .stripes
             .iter()
-            .map(|s| s.lock().expect("cache stripe lock").bytes)
+            .map(|s| s.state.lock().expect("cache stripe lock").bytes)
             .sum()
     }
 
@@ -237,28 +311,27 @@ impl SharedSubsetCache {
         self.len() == 0
     }
 
-    fn stripe(&self, key: SubsetKey) -> &Mutex<Stripe> {
+    fn stripe(&self, key: SubsetKey) -> &Stripe {
         &self.inner.stripes[(key as usize) & (STRIPE_COUNT - 1)]
     }
 
-    fn get(&self, key: SubsetKey) -> Option<SubsetEntry> {
-        let hit = self.get_uncounted(key);
-        match hit {
-            Some(_) => self.record_hit(),
-            None => self.record_miss(),
+    /// The entry of `key`, or the claim on its solve. While another thread
+    /// holds that claim this waits, until the entry arrives or the claim
+    /// is released unfilled and this thread claims the key itself. A hit
+    /// is one lookup and one clone under the stripe lock. Counts nothing:
+    /// the caller records one hit or miss per lookup.
+    fn lookup(&self, key: SubsetKey) -> Lookup<'_> {
+        let stripe = self.stripe(key);
+        let mut state = stripe.state.lock().expect("cache stripe lock");
+        loop {
+            if let Some(entry) = state.map.get(&key) {
+                return Lookup::Hit(entry.clone());
+            }
+            if state.claimed.insert(key) {
+                return Lookup::Claimed(Claim { cache: self, key });
+            }
+            state = stripe.released.wait(state).expect("cache stripe lock");
         }
-        hit
-    }
-
-    /// [`SharedSubsetCache::get`] without touching the hit/miss counters.
-    /// The sharded annotation workers probe with this so the hit rate
-    /// keeps measuring genuine cross-run reuse, not the sharding
-    /// handshake; the owning solve records one counted event per distinct
-    /// solve afterwards, matching what a sequential run would have
-    /// recorded.
-    fn get_uncounted(&self, key: SubsetKey) -> Option<SubsetEntry> {
-        let stripe = self.stripe(key).lock().expect("cache stripe lock");
-        stripe.map.get(&key).cloned()
     }
 
     /// Counts one lookup answered from the cache.
@@ -276,23 +349,6 @@ impl SharedSubsetCache {
         self.inner.misses.fetch_add(1, Ordering::Relaxed);
         if dapc_obs::enabled() {
             metrics::misses().inc();
-        }
-    }
-
-    fn insert(&self, key: SubsetKey, entry: SubsetEntry) {
-        let added = entry_bytes(&entry);
-        let freed = {
-            let mut stripe = self.stripe(key).lock().expect("cache stripe lock");
-            let freed = stripe
-                .map
-                .insert(key, entry)
-                .map_or(0, |old| entry_bytes(&old));
-            stripe.bytes = stripe.bytes + added - freed;
-            freed
-        };
-        if dapc_obs::enabled() {
-            metrics::bytes().add(added as u64);
-            metrics::bytes().sub(freed as u64);
         }
     }
 }
@@ -438,7 +494,8 @@ impl<'a> SubsetSolver<'a> {
     }
 
     /// The memoised entry of `key`: the per-run memo, else the family
-    /// cache, else a fresh solve of `vars` deposited in both.
+    /// cache (waiting while another thread solves `key`), else a fresh
+    /// solve of `vars` deposited in both.
     fn entry(
         &mut self,
         key: SubsetKey,
@@ -457,13 +514,16 @@ impl<'a> SubsetSolver<'a> {
             // Per-run miss: try the cross-run family cache before solving.
             // Shared hits must still feed `all_exact` — the inexact miss
             // that populated the entry may have happened in a different run.
-            let entry = match shared.as_ref().and_then(|s| s.get(key)) {
-                Some(hit) => hit,
-                None => {
+            let entry = match shared.as_ref().map(|s| (s, s.lookup(key))) {
+                None => solve_subset(ilp, budget, vars, fixed_ones, scratch),
+                Some((shared, Lookup::Hit(hit))) => {
+                    shared.record_hit();
+                    hit
+                }
+                Some((shared, Lookup::Claimed(claim))) => {
+                    shared.record_miss();
                     let out = solve_subset(ilp, budget, vars, fixed_ones, scratch);
-                    if let Some(shared) = shared {
-                        shared.insert(key, out.clone());
-                    }
+                    claim.fill(out.clone());
                     out
                 }
             };
@@ -947,12 +1007,14 @@ pub fn prepare(
 /// keeps one restriction scratch for all its solves, which run under the
 /// solver's own budget — the one every sequential lookup would use.
 ///
-/// If a family cache is attached, workers probe it *uncounted* for warm
-/// entries and the hand-over loop records exactly one hit or miss per
-/// distinct solve (and deposits computed entries). That is the same
-/// counter trace a sequential run leaves, so hit rates keep measuring
-/// genuine cross-run reuse rather than the sharding handshake. Without a
-/// family cache nothing extra is allocated or retained.
+/// If a family cache is attached, workers look keys up *uncounted*,
+/// claiming and filling the ones no thread has solved (single-flight, as
+/// in [`SubsetSolver`]), and the hand-over loop records exactly one hit or
+/// miss per distinct solve: a miss only where its own worker ran the
+/// solve. That is the same counter trace a sequential run leaves, so hit
+/// rates keep measuring genuine cross-run reuse rather than the sharding
+/// handshake. Without a family cache nothing extra is allocated or
+/// retained.
 fn shard_subset_solves(
     ilp: &IlpInstance,
     params: &PcParams,
@@ -1005,12 +1067,15 @@ fn shard_subset_solves(
                     let Some((key, vertices)) = worklist.get(index) else {
                         break;
                     };
-                    let result = match shared.as_ref().and_then(|c| c.get_uncounted(*key)) {
-                        Some(entry) => (entry, true),
-                        None => (
-                            solve_subset(&owned, &budget, vertices, None, &mut scratch),
-                            false,
-                        ),
+                    let mut solve = || solve_subset(&owned, &budget, vertices, None, &mut scratch);
+                    let result = match shared.as_ref().map(|c| c.lookup(*key)) {
+                        None => (solve(), true),
+                        Some(Lookup::Hit(entry)) => (entry, false),
+                        Some(Lookup::Claimed(claim)) => {
+                            let entry = solve();
+                            claim.fill(entry.clone());
+                            (entry, true)
+                        }
                     };
                     slots.lock().expect("prep result slots")[index] = Some(result);
                 }
@@ -1026,13 +1091,12 @@ fn shard_subset_solves(
         .into_inner()
         .expect("prep result slots");
     for (key, slot) in worklist.zip(slots) {
-        let (entry, was_warm) = slot.expect("every work item filled its slot");
+        let (entry, solved_here) = slot.expect("every work item filled its slot");
         if let Some(shared) = &solver.shared {
-            if was_warm {
-                shared.record_hit();
-            } else {
+            if solved_here {
                 shared.record_miss();
-                shared.insert(key, entry.clone());
+            } else {
+                shared.record_hit();
             }
         }
         solver.preload(key, entry);
@@ -1381,6 +1445,71 @@ mod tests {
         assert_eq!(v2, v3);
         assert_eq!((shared.hits(), shared.misses()), (1, 1));
         assert_eq!(shared.len(), 1);
+    }
+
+    /// Two solvers of one family that miss the same subset at once run
+    /// its exact solve once: one claims the key, the other waits for the
+    /// entry and counts a hit.
+    #[test]
+    fn concurrent_misses_of_one_subset_solve_it_once() {
+        let g = gen::gnp(48, 0.1, &mut gen::seeded_rng(3));
+        let ilp = problems::max_independent_set_unweighted(&g);
+        let all: Vec<Vertex> = g.vertices().collect();
+        let shared = SharedSubsetCache::new();
+        let start = std::sync::Barrier::new(2);
+        let values: Vec<u64> = std::thread::scope(|s| {
+            let solvers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut solver = SubsetSolver::with_shared(
+                            &ilp,
+                            SolverBudget::default(),
+                            shared.clone(),
+                        );
+                        start.wait();
+                        solver.solve(&all, None).0
+                    })
+                })
+                .collect();
+            solvers
+                .into_iter()
+                .map(|h| h.join().expect("solver thread"))
+                .collect()
+        });
+        assert_eq!(values[0], values[1]);
+        assert_eq!(
+            (shared.hits(), shared.misses()),
+            (1, 1),
+            "the subset was solved twice"
+        );
+        assert_eq!(shared.len(), 1);
+    }
+
+    /// A claimant that panics mid-solve releases its key: the thread
+    /// waiting on it claims the key and fills it.
+    #[test]
+    fn a_panicking_claimant_releases_its_waiters() {
+        let cache = SharedSubsetCache::new();
+        let key: SubsetKey = 7;
+        let claimed = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            let claimant = s.spawn(|| {
+                let Lookup::Claimed(_claim) = cache.lookup(key) else {
+                    panic!("the first lookup must claim");
+                };
+                claimed.wait();
+                // Give the waiter time to block on the claim.
+                std::thread::sleep(std::time::Duration::from_millis(50));
+                panic!("the solve failed");
+            });
+            claimed.wait();
+            let Lookup::Claimed(claim) = cache.lookup(key) else {
+                panic!("nothing filled the key");
+            };
+            claim.fill((3, vec![true], true));
+            assert!(claimant.join().is_err(), "the claimant panicked");
+        });
+        assert!(matches!(cache.lookup(key), Lookup::Hit((3, _, true))));
     }
 
     #[test]

@@ -158,7 +158,7 @@ mod tests {
             // Centralised.
             let labels = propagate(&g, &shifts, Keep::Top(2), None);
             let central: Vec<Option<dapc_graph::Vertex>> = (0..g.n())
-                .map(|v| match labels[v].as_slice() {
+                .map(|v| match &labels[v] {
                     [] => None,
                     [l] => Some(l.source),
                     [l1, l2, ..] => {

@@ -21,7 +21,8 @@ pub struct Decomposition {
 impl Decomposition {
     /// Assembles a decomposition from a per-vertex cluster-centre label:
     /// clusters are the groups of equal `Some(centre)`; `None` = deleted.
-    /// Vertices outside `alive` are neither deleted nor clustered.
+    /// Vertices outside `alive` are neither deleted nor clustered. Cluster
+    /// ids follow the first appearance of each centre in vertex order.
     pub fn from_labels(
         n: usize,
         label: &[Option<Vertex>],
@@ -29,30 +30,20 @@ impl Decomposition {
         ledger: RoundLedger,
     ) -> Self {
         assert_eq!(label.len(), n);
-        let is_alive = |v: usize| alive.is_none_or(|a| a[v]);
-        let mut centre_ids: std::collections::BTreeMap<Vertex, u32> =
-            std::collections::BTreeMap::new();
-        let mut clusters: Vec<Vec<Vertex>> = Vec::new();
+        let mut ids = ClusterIds::new(n);
         let mut cluster_of = vec![None; n];
         let mut deleted = vec![false; n];
-        for v in 0..n {
-            if !is_alive(v) {
-                continue;
-            }
+        for v in (0..n).filter(|&v| alive.is_none_or(|a| a[v])) {
             match label[v] {
-                Some(c) => {
-                    let id = *centre_ids.entry(c).or_insert_with(|| {
-                        clusters.push(Vec::new());
-                        (clusters.len() - 1) as u32
-                    });
-                    clusters[id as usize].push(v as Vertex);
-                    cluster_of[v] = Some(id);
-                }
+                Some(centre) => cluster_of[v] = Some(ids.assign(centre)),
                 None => deleted[v] = true,
             }
         }
-        for c in &mut clusters {
-            c.sort_unstable();
+        let mut clusters = ids.clusters();
+        for (v, id) in cluster_of.iter().enumerate() {
+            if let Some(id) = id {
+                clusters[*id as usize].push(v as Vertex);
+            }
         }
         Decomposition {
             cluster_of,
@@ -165,6 +156,52 @@ impl Decomposition {
             }
         }
         Ok(())
+    }
+}
+
+/// Dense cluster ids for cluster centres, in the order of each centre's
+/// first appearance, with the size of every cluster: the counting pass that
+/// groups labelled vertices into clusters without a map or a sort. Scanning
+/// vertices in ascending order, assigning each of its centres, then pushing
+/// every vertex onto its clusters lists each cluster ascending.
+pub(crate) struct ClusterIds {
+    /// Cluster id per centre (`u32::MAX`: not seen yet).
+    id_of: Vec<u32>,
+    /// Vertices assigned to each cluster so far.
+    sizes: Vec<u32>,
+}
+
+impl ClusterIds {
+    /// An empty assignment sized for centres below `n`; larger centres
+    /// grow the map.
+    pub(crate) fn new(n: usize) -> Self {
+        ClusterIds {
+            id_of: vec![u32::MAX; n],
+            sizes: Vec::new(),
+        }
+    }
+
+    /// The cluster id of `centre`, counting one more member for it.
+    pub(crate) fn assign(&mut self, centre: Vertex) -> u32 {
+        let c = centre as usize;
+        if c >= self.id_of.len() {
+            self.id_of.resize(c + 1, u32::MAX);
+        }
+        if self.id_of[c] == u32::MAX {
+            self.id_of[c] = self.sizes.len() as u32;
+            self.sizes.push(0);
+        }
+        let id = self.id_of[c];
+        self.sizes[id as usize] += 1;
+        id
+    }
+
+    /// One empty list per cluster, each with room for all its members.
+    pub(crate) fn clusters(&self) -> Vec<Vec<Vertex>> {
+        self.sizes
+            .iter()
+            .map(|&size| Vec::with_capacity(size as usize))
+            .collect()
     }
 }
 

@@ -19,7 +19,7 @@
 //! pruning is safe (a label dominated at `v` stays dominated downstream of
 //! `v`).
 //!
-//! # A queue, not a heap
+//! # A queue over a flat arena
 //!
 //! The order needs no priority queue. The seeds (every alive vertex's own
 //! label) are sorted once. A kept label is relayed with its value minus
@@ -28,6 +28,34 @@
 //! each step takes whichever of the two heads comes first. For `R` relays
 //! this costs `O(n log n + R)`, where a max-heap over all labels cost
 //! `O(R log R)`.
+//!
+//! **Integer key.** Each seed sorts as one `u128`: the complemented bits of
+//! its shift above its source. Shifts are finite and non-negative, and the
+//! bits of such floats order as their values do, so ascending keys put the
+//! larger shift first and break ties by the smaller source, the order of a
+//! float comparison, with no float compare in the sort. The key normalises
+//! `-0.0` to `0.0` (its sign bit would sort it as the largest shift); the
+//! seed's label still carries the shift's own bits.
+//!
+//! **Flat arena.** A run keeps its labels, in the order it keeps them, in
+//! one arena, and threads each to the previous label of its vertex, so the
+//! duplicate-source check walks only that vertex's labels. A vertex keeps
+//! its labels best first, since they leave in order, so one counting pass
+//! (per-vertex counts, their prefix sums, one scatter of the arena) groups
+//! them into the vertex-indexed [`Labels`] with no per-vertex allocation.
+//!
+//! **Push-time filter.** A relay is dropped when it is pushed if its target
+//! is already full (`Keep::Top`), already holds its source, or lies below
+//! its best label by more than the slack (`Keep::WithinSlackOfBest`). Each
+//! condition only tightens over the run: a vertex's count only grows, its
+//! labels are never removed, and its best label is its first. So the pop
+//! would have rejected that relay too. A relay is also dropped if the
+//! latest relay queued to its target carries the same source: that one
+//! leaves first (same source, no smaller value), and then the target either
+//! keeps it and holds the source, or rejects it for a reason that rejects
+//! the later one too. Hyperedges that share vertices make such repeats
+//! common in the sparse cover. The filter shrinks the queue and moves no
+//! output.
 //!
 //! The output is bit for bit the one a max-heap over all labels, ordered
 //! by `(value, source, vertex)`, gives (the tests keep that heap as the
@@ -49,13 +77,67 @@ use dapc_graph::{Graph, Vertex};
 use rand::rngs::StdRng;
 use std::collections::VecDeque;
 
+/// Work counters of the propagation, recorded only while
+/// [`dapc_obs::enabled`].
+mod metrics {
+    use dapc_obs::Counter;
+    use std::sync::OnceLock;
+
+    /// Relays pushed onto the queue, after the push-time filter.
+    pub fn relays() -> &'static Counter {
+        static C: OnceLock<Counter> = OnceLock::new();
+        C.get_or_init(|| dapc_obs::counter("decomp.shift.relays"))
+    }
+
+    /// Labels kept, over all vertices.
+    pub fn labels() -> &'static Counter {
+        static C: OnceLock<Counter> = OnceLock::new();
+        C.get_or_init(|| dapc_obs::counter("decomp.shift.labels"))
+    }
+}
+
 /// A label: source `u` reaching some vertex with value `m_u = T_u − dist`.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Label {
     /// The originating centre.
     pub source: Vertex,
     /// `T_source − dist(source, here)`.
     pub value: f64,
+}
+
+/// The labels each vertex kept, best first, in one flat array grouped by
+/// vertex: `labels[v]` is vertex `v`'s slice.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Labels {
+    /// Vertex `v`'s labels are `all[starts[v]..starts[v + 1]]`.
+    pub(crate) starts: Vec<u32>,
+    /// Every kept label, grouped by vertex.
+    pub(crate) all: Vec<Label>,
+}
+
+impl Labels {
+    /// Number of vertices.
+    pub fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// Whether there are no vertices.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Every vertex's labels, in vertex order.
+    pub fn iter(&self) -> impl Iterator<Item = &[Label]> + '_ {
+        (0..self.len()).map(|v| &self[v])
+    }
+}
+
+impl std::ops::Index<usize> for Labels {
+    type Output = [Label];
+
+    fn index(&self, v: usize) -> &[Label] {
+        &self.all[self.starts[v] as usize..self.starts[v + 1] as usize]
+    }
 }
 
 /// A label in flight: `value` of `source`, arriving at `vertex`.
@@ -72,6 +154,21 @@ fn ahead(a: &Entry, b: &Entry) -> bool {
     a.value > b.value || (a.value == b.value && a.source < b.source)
 }
 
+/// The seed order as one integer (module docs): ascending keys put the
+/// larger shift first, then the smaller source.
+///
+/// # Panics
+///
+/// Panics unless `shift` is finite and non-negative.
+fn seed_key(shift: f64, source: Vertex) -> u128 {
+    assert!(
+        (0.0..f64::INFINITY).contains(&shift),
+        "shift values are finite and non-negative, got {shift}"
+    );
+    // `+ 0.0` turns `-0.0` into `0.0` and leaves every other value alone.
+    (u128::from(!(shift + 0.0).to_bits()) << 32) | u128::from(source)
+}
+
 /// How many labels each vertex retains.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Keep {
@@ -79,6 +176,136 @@ pub enum Keep {
     Top(usize),
     /// Keep every label within `slack` of the per-vertex maximum.
     WithinSlackOfBest(f64),
+}
+
+/// Marks "no label" in the arena's per-vertex threads.
+const NONE: u32 = u32::MAX;
+
+/// A vertex's state during a run.
+#[derive(Clone, Copy)]
+struct Slot {
+    /// How many labels the vertex kept.
+    count: u32,
+    /// The arena index of its latest label, or `NONE`.
+    last: u32,
+    /// The source of the latest relay queued to the vertex, or `NONE`.
+    queued: Vertex,
+    /// The value of its first label, its best; read only once `count > 0`.
+    best: f64,
+}
+
+/// A kept label in the arena, threaded to the label its vertex kept before.
+#[derive(Clone, Copy)]
+struct Kept {
+    value: f64,
+    source: Vertex,
+    /// The arena index of the vertex's previous label, or `NONE`.
+    prev: u32,
+}
+
+/// The labels one run has kept so far, in keep order, each threaded to the
+/// previous label kept at its vertex (module docs).
+struct Arena {
+    keep: Keep,
+    kept: Vec<Kept>,
+    /// The vertex of each kept label.
+    at: Vec<Vertex>,
+    slots: Vec<Slot>,
+}
+
+impl Arena {
+    fn new(n: usize, keep: Keep) -> Self {
+        // Room for two labels a vertex: exact for Elkin–Neiman's top two.
+        Arena {
+            keep,
+            kept: Vec::with_capacity(2 * n),
+            at: Vec::with_capacity(2 * n),
+            slots: vec![
+                Slot {
+                    count: 0,
+                    last: NONE,
+                    queued: NONE,
+                    best: 0.0
+                };
+                n
+            ],
+        }
+    }
+
+    /// Whether `v` keeps `value` of `source` if it arrives now: the keep
+    /// policy has room and `v` does not hold `source` yet.
+    fn admits(&self, v: Vertex, value: f64, source: Vertex) -> bool {
+        let slot = self.slots[v as usize];
+        let room = match self.keep {
+            Keep::Top(k) => (slot.count as usize) < k,
+            Keep::WithinSlackOfBest(slack) => slot.count == 0 || value >= slot.best - slack,
+        };
+        if !room {
+            return false;
+        }
+        let mut i = slot.last;
+        while i != NONE {
+            let kept = self.kept[i as usize];
+            if kept.source == source {
+                return false;
+            }
+            i = kept.prev;
+        }
+        true
+    }
+
+    /// Whether a relay of `source` at `value` to `v` goes on the queue:
+    /// `v` admits it now and no relay of `source` to `v` is queued yet
+    /// (module docs). Marks it queued.
+    fn queue(&mut self, v: Vertex, value: f64, source: Vertex) -> bool {
+        if self.slots[v as usize].queued == source || !self.admits(v, value, source) {
+            return false;
+        }
+        self.slots[v as usize].queued = source;
+        true
+    }
+
+    /// Keeps `label` at `v`.
+    fn push(&mut self, v: Vertex, label: Label) {
+        let i = u32::try_from(self.kept.len()).expect("fewer than 2^32 kept labels");
+        let slot = &mut self.slots[v as usize];
+        if slot.count == 0 {
+            slot.best = label.value;
+        }
+        slot.count += 1;
+        self.kept.push(Kept {
+            value: label.value,
+            source: label.source,
+            prev: slot.last,
+        });
+        slot.last = i;
+        self.at.push(v);
+    }
+
+    /// Groups the kept labels by vertex in one counting pass; each vertex's
+    /// labels stay in keep order, best first.
+    fn into_labels(self) -> Labels {
+        let n = self.slots.len();
+        let mut starts = Vec::with_capacity(n + 1);
+        let mut next = Vec::with_capacity(n);
+        let mut total = 0u32;
+        starts.push(0);
+        for slot in &self.slots {
+            next.push(total);
+            total += slot.count;
+            starts.push(total);
+        }
+        let mut all = vec![Label::default(); self.kept.len()];
+        for (kept, &v) in self.kept.iter().zip(&self.at) {
+            let at = &mut next[v as usize];
+            all[*at as usize] = Label {
+                source: kept.source,
+                value: kept.value,
+            };
+            *at += 1;
+        }
+        Labels { starts, all }
+    }
 }
 
 /// Draws the capped exponential shifts of Lemma C.1: `T_v ~ Exp(λ)` with
@@ -110,7 +337,12 @@ pub fn draw_shifts(
 /// relayed to neighbours with value − 1; labels that fall outside the keep
 /// policy at a vertex are pruned there (and, by the monotonicity argument
 /// in the module docs, everywhere downstream).
-pub fn propagate(g: &Graph, shifts: &[f64], keep: Keep, alive: Option<&[bool]>) -> Vec<Vec<Label>> {
+///
+/// # Panics
+///
+/// Panics unless `shifts` has one entry per vertex, finite and
+/// non-negative at every alive vertex.
+pub fn propagate(g: &Graph, shifts: &[f64], keep: Keep, alive: Option<&[bool]>) -> Labels {
     assert_eq!(shifts.len(), g.n());
     let is_alive = |v: Vertex| alive.is_none_or(|a| a[v as usize]);
     propagate_by(shifts, keep, alive, |v| {
@@ -126,25 +358,27 @@ pub(crate) fn propagate_by<I: Iterator<Item = Vertex>>(
     keep: Keep,
     alive: Option<&[bool]>,
     relay: impl Fn(Vertex) -> I,
-) -> Vec<Vec<Label>> {
+) -> Labels {
     let n = shifts.len();
-    let mut seeds: Vec<Entry> = (0..n as Vertex)
+    let mut keys: Vec<u128> = (0..n as Vertex)
         .filter(|&v| alive.is_none_or(|a| a[v as usize]))
-        .map(|v| Entry {
-            value: shifts[v as usize],
-            source: v,
-            vertex: v,
-        })
+        .map(|v| seed_key(shifts[v as usize], v))
         .collect();
-    seeds.sort_unstable_by(|a, b| {
-        b.value
-            .partial_cmp(&a.value)
-            .expect("shift values are finite")
-            .then(a.source.cmp(&b.source))
-    });
-    let mut seeds = seeds.into_iter().peekable();
-    let mut relays: VecDeque<Entry> = VecDeque::new();
-    let mut labels: Vec<Vec<Label>> = vec![Vec::new(); n];
+    keys.sort_unstable();
+    let mut seeds = keys
+        .into_iter()
+        .map(|key| {
+            let source = key as Vertex;
+            Entry {
+                value: shifts[source as usize],
+                source,
+                vertex: source,
+            }
+        })
+        .peekable();
+    let mut relays: VecDeque<Entry> = VecDeque::with_capacity(n);
+    let mut arena = Arena::new(n, keep);
+    let mut pushed = 0usize;
     loop {
         let relay_first = relays
             .front()
@@ -162,27 +396,23 @@ pub(crate) fn propagate_by<I: Iterator<Item = Vertex>>(
         else {
             break;
         };
-        let kept = &mut labels[vertex as usize];
-        // Drop when the policy is already saturated or the source known.
-        let admissible = match keep {
-            Keep::Top(k) => kept.len() < k,
-            Keep::WithinSlackOfBest(slack) => {
-                kept.first().is_none_or(|best| value >= best.value - slack)
-            }
-        };
-        if !admissible || kept.iter().any(|l| l.source == source) {
+        if !arena.admits(vertex, value, source) {
             continue;
         }
-        kept.push(Label { source, value });
-        // Relay. Values below any plausible future threshold could be
-        // pruned here; one extra hop of dead labels is cheap and keeps the
-        // code obviously correct.
+        arena.push(vertex, Label { source, value });
+        // Relay, dropping what the target would reject anyway (module docs).
         let tail = relays.len();
-        relays.extend(relay(vertex).map(|w| Entry {
-            value: value - 1.0,
-            source,
-            vertex: w,
-        }));
+        let relayed = value - 1.0;
+        for w in relay(vertex) {
+            if arena.queue(w, relayed, source) {
+                relays.push_back(Entry {
+                    value: relayed,
+                    source,
+                    vertex: w,
+                });
+            }
+        }
+        pushed += relays.len() - tail;
         // Rounding below 0.5 (module docs): move the batch to its place.
         if tail > 0 && relays.len() > tail && ahead(&relays[tail], &relays[tail - 1]) {
             let queue = relays.make_contiguous();
@@ -192,7 +422,11 @@ pub(crate) fn propagate_by<I: Iterator<Item = Vertex>>(
             queue[at..].rotate_right(batch);
         }
     }
-    labels
+    if dapc_obs::enabled() {
+        metrics::relays().add(pushed as u64);
+        metrics::labels().add(arena.kept.len() as u64);
+    }
+    arena.into_labels()
 }
 
 #[cfg(test)]
@@ -275,12 +509,22 @@ pub(crate) mod tests {
         labels
     }
 
-    /// Labels as `(source, value bits)`: equal means bit-identical.
-    pub(crate) fn bits(labels: &[Vec<Label>]) -> Vec<Vec<(Vertex, u64)>> {
+    /// One vertex's labels as `(source, value bits)`.
+    fn label_bits(labels: &[Label]) -> Vec<(Vertex, u64)> {
         labels
             .iter()
-            .map(|ls| ls.iter().map(|l| (l.source, l.value.to_bits())).collect())
+            .map(|l| (l.source, l.value.to_bits()))
             .collect()
+    }
+
+    /// Flat labels as `(source, value bits)`: equal means bit-identical.
+    pub(crate) fn bits(labels: &Labels) -> Vec<Vec<(Vertex, u64)>> {
+        labels.iter().map(label_bits).collect()
+    }
+
+    /// [`bits`] of the heap reference's per-vertex lists.
+    pub(crate) fn heap_bits(labels: &[Vec<Label>]) -> Vec<Vec<(Vertex, u64)>> {
+        labels.iter().map(|ls| label_bits(ls)).collect()
     }
 
     /// Shifts in `{0, 1, 2, 3}`, so sources often tie exactly and the
@@ -317,7 +561,7 @@ pub(crate) mod tests {
                             };
                             assert_eq!(
                                 bits(&propagate(g, &shifts, keep, alive)),
-                                bits(&heap_propagate(&shifts, keep, alive, relay)),
+                                heap_bits(&heap_propagate(&shifts, keep, alive, relay)),
                                 "n={} {kind} shifts, {keep:?}, masked={}",
                                 g.n(),
                                 alive.is_some()
@@ -344,9 +588,59 @@ pub(crate) mod tests {
         let relay = |v: Vertex| g.neighbors(v).iter().copied();
         assert_eq!(
             bits(&labels),
-            bits(&heap_propagate(&shifts, Keep::Top(2), None, relay))
+            heap_bits(&heap_propagate(&shifts, Keep::Top(2), None, relay))
         );
         assert_eq!(labels[0][1].source, 1);
+    }
+
+    /// The integer seed key orders seeds exactly as the float comparison
+    /// it replaced: the larger shift first, then the smaller source.
+    #[test]
+    fn seed_keys_sort_like_the_float_comparison() {
+        let mut rng = gen::seeded_rng(47);
+        for n in [1usize, 2, 17, 300] {
+            let continuous = draw_shifts(n, 0.5, n as f64 + 1.0, &mut rng, None);
+            let integer = integer_shifts(n, &mut rng);
+            let tied = vec![2.5; n];
+            // Zeros of both signs tie with each other.
+            let zeros: Vec<f64> = (0..n)
+                .map(|v| if v % 2 == 0 { 0.0 } else { -0.0 })
+                .collect();
+            for (kind, shifts) in [
+                ("continuous", continuous),
+                ("integer", integer),
+                ("tied", tied),
+                ("signed zeros", zeros),
+            ] {
+                let mut by_key: Vec<u128> = (0..n as Vertex)
+                    .map(|v| seed_key(shifts[v as usize], v))
+                    .collect();
+                by_key.sort_unstable();
+                let by_key: Vec<Vertex> = by_key.into_iter().map(|k| k as Vertex).collect();
+                let mut by_float: Vec<Vertex> = (0..n as Vertex).collect();
+                by_float.sort_unstable_by(|&a, &b| {
+                    shifts[b as usize]
+                        .partial_cmp(&shifts[a as usize])
+                        .expect("shift values are finite")
+                        .then(a.cmp(&b))
+                });
+                assert_eq!(by_key, by_float, "n={n} {kind} shifts");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn negative_shifts_are_refused() {
+        propagate(&gen::path(2), &[1.0, -1.0], Keep::Top(1), None);
+    }
+
+    /// A seed keeps its shift's own bits, `-0.0` included.
+    #[test]
+    fn seeds_keep_their_shift_bits() {
+        let labels = propagate(&gen::path(2), &[-0.0, 0.0], Keep::Top(2), None);
+        assert_eq!(labels[0][0].value.to_bits(), (-0.0f64).to_bits());
+        assert_eq!(labels[1][0].value.to_bits(), 0.0f64.to_bits());
     }
 
     /// Labels on a path with hand-picked shifts.

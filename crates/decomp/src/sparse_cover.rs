@@ -13,7 +13,8 @@
 //! solutions on the clusters are OR-combined (Lemma C.3), and the
 //! multiplicity bound caps the overcounting.
 
-use crate::shift::{draw_shifts, propagate_by, Keep, Label};
+use crate::result::ClusterIds;
+use crate::shift::{draw_shifts, propagate_by, Keep, Labels};
 use dapc_graph::{EdgeId, Hypergraph, Vertex};
 use dapc_local::RoundLedger;
 use rand::rngs::StdRng;
@@ -23,8 +24,10 @@ use rand::rngs::StdRng;
 pub struct SparseCover {
     /// Sorted vertex lists per cluster.
     pub clusters: Vec<Vec<Vertex>>,
-    /// Cluster ids containing each vertex.
-    pub membership: Vec<Vec<u32>>,
+    /// The cluster ids containing each vertex, as a flat CSR array: vertex
+    /// `v`'s are `member_ids[member_starts[v]..member_starts[v + 1]]`.
+    member_starts: Vec<u32>,
+    member_ids: Vec<u32>,
     /// LOCAL round cost.
     pub ledger: RoundLedger,
 }
@@ -46,23 +49,29 @@ impl SparseCover {
         self.clusters.is_empty()
     }
 
+    /// The ids of the clusters containing `v`, in the order of `v`'s
+    /// labels (best first).
+    pub fn clusters_of(&self, v: Vertex) -> &[u32] {
+        let v = v as usize;
+        &self.member_ids[self.member_starts[v] as usize..self.member_starts[v + 1] as usize]
+    }
+
     /// The multiplicity `X_v` (number of clusters containing `v`).
     pub fn multiplicity(&self, v: Vertex) -> usize {
-        self.membership[v as usize].len()
+        self.clusters_of(v).len()
     }
 
     /// Mean multiplicity over vertices with non-zero multiplicity.
     pub fn mean_multiplicity(&self) -> f64 {
-        let covered: Vec<usize> = self
-            .membership
-            .iter()
-            .map(Vec::len)
-            .filter(|&x| x > 0)
-            .collect();
-        if covered.is_empty() {
+        let covered = self
+            .member_starts
+            .windows(2)
+            .filter(|w| w[1] > w[0])
+            .count();
+        if covered == 0 {
             0.0
         } else {
-            covered.iter().sum::<usize>() as f64 / covered.len() as f64
+            self.member_ids.len() as f64 / covered as f64
         }
     }
 
@@ -131,22 +140,17 @@ pub fn sparse_cover(
     let n = h.n();
     let shifts = draw_shifts(n, lambda, n_tilde, rng, alive_vertices);
     let labels = cover_labels(h, &shifts, alive_vertices, alive_edges);
-    // Group into clusters by source.
-    let mut cluster_id: std::collections::BTreeMap<Vertex, u32> = Default::default();
-    let mut clusters: Vec<Vec<Vertex>> = Vec::new();
-    let mut membership: Vec<Vec<u32>> = vec![Vec::new(); n];
+    // Group into clusters by source; the membership shares the labels' CSR
+    // layout, one cluster id per label.
+    let mut ids = ClusterIds::new(n);
+    let member_ids: Vec<u32> = labels.all.iter().map(|l| ids.assign(l.source)).collect();
+    let member_starts = labels.starts;
+    let mut clusters = ids.clusters();
     for v in 0..n {
-        for label in &labels[v] {
-            let id = *cluster_id.entry(label.source).or_insert_with(|| {
-                clusters.push(Vec::new());
-                (clusters.len() - 1) as u32
-            });
+        let range = member_starts[v] as usize..member_starts[v + 1] as usize;
+        for &id in &member_ids[range] {
             clusters[id as usize].push(v as Vertex);
-            membership[v].push(id);
         }
-    }
-    for c in &mut clusters {
-        c.sort_unstable();
     }
     let mut ledger = RoundLedger::new();
     ledger.begin_phase("sparse-cover broadcast");
@@ -154,7 +158,8 @@ pub fn sparse_cover(
     ledger.end_phase();
     SparseCover {
         clusters,
-        membership,
+        member_starts,
+        member_ids,
         ledger,
     }
 }
@@ -167,7 +172,7 @@ fn cover_labels(
     shifts: &[f64],
     alive_vertices: Option<&[bool]>,
     alive_edges: Option<&[bool]>,
-) -> Vec<Vec<Label>> {
+) -> Labels {
     let v_ok = move |v: Vertex| alive_vertices.is_none_or(|a| a[v as usize]);
     let e_ok = move |e: EdgeId| alive_edges.is_none_or(|a| a[e as usize]);
     propagate_by(shifts, Keep::WithinSlackOfBest(1.0), alive_vertices, |v| {
@@ -280,7 +285,7 @@ mod tests {
 
     #[test]
     fn cover_labels_match_the_heap_reference() {
-        use crate::shift::tests::{bits, heap_propagate, integer_shifts};
+        use crate::shift::tests::{bits, heap_bits, heap_propagate, integer_shifts};
         use rand::RngExt;
         let mut rng = gen::seeded_rng(43);
         for round in 0..9 {
@@ -320,7 +325,7 @@ mod tests {
                         heap_propagate(&shifts, Keep::WithinSlackOfBest(1.0), alive_v, relay);
                     assert_eq!(
                         bits(&cover_labels(&h, &shifts, alive_v, alive_e)),
-                        bits(&reference),
+                        heap_bits(&reference),
                         "n={n} {kind} shifts, vertex mask={}, edge mask={}",
                         alive_v.is_some(),
                         alive_e.is_some()

@@ -158,7 +158,7 @@ proptest! {
         // Membership lists agree with cluster lists.
         for (id, cluster) in cover.clusters.iter().enumerate() {
             for &v in cluster {
-                prop_assert!(cover.membership[v as usize].contains(&(id as u32)));
+                prop_assert!(cover.clusters_of(v).contains(&(id as u32)));
             }
         }
     }

@@ -7,8 +7,8 @@
 //! support (Definition 1.3) — it is constructed eagerly and drives all
 //! distance computations in the distributed algorithms.
 
-use dapc_graph::{Hypergraph, Vertex};
-use std::sync::OnceLock;
+use dapc_graph::{Graph, Hypergraph, Vertex};
+use std::sync::{Arc, OnceLock};
 
 /// Whether an instance packs (maximise, `Ax ≤ b`) or covers (minimise,
 /// `Ax ≥ b`).
@@ -131,6 +131,9 @@ pub struct IlpInstance {
     hypergraph: Hypergraph,
     /// [`IlpInstance::fingerprint`], filled by its first call.
     fingerprint: OnceLock<u64>,
+    /// [`IlpInstance::primal_graph`], filled by its first call and shared
+    /// by clones taken after it.
+    primal: OnceLock<Arc<Graph>>,
 }
 
 impl IlpInstance {
@@ -159,6 +162,7 @@ impl IlpInstance {
             constraints,
             hypergraph,
             fingerprint: OnceLock::new(),
+            primal: OnceLock::new(),
         }
     }
 
@@ -220,6 +224,16 @@ impl IlpInstance {
     /// hyperedge = constraint support).
     pub fn hypergraph(&self) -> &Hypergraph {
         &self.hypergraph
+    }
+
+    /// The primal graph of [`IlpInstance::hypergraph`]: `u ~ v` iff some
+    /// constraint involves both (the communication graph of Definition 1.3).
+    ///
+    /// It is built on the first call and kept, so every solve of one
+    /// instance, and clones taken after the first call, share one build.
+    pub fn primal_graph(&self) -> &Graph {
+        self.primal
+            .get_or_init(|| Arc::new(self.hypergraph.primal_graph()))
     }
 
     /// A stable structural fingerprint of the instance (FNV-1a over the
@@ -446,6 +460,30 @@ mod tests {
             vec![Constraint::new(vec![(0, 1.0), (1, 1.0), (2, 1.0)], 1.0)],
         );
         assert_ne!(a.fingerprint(), cover.fingerprint());
+    }
+
+    #[test]
+    fn primal_graph_is_built_once_and_matches_the_hypergraph() {
+        use crate::problems;
+        use dapc_graph::gen;
+        let ilp = problems::min_dominating_set_unweighted(&gen::grid(3, 4));
+        let before = ilp.clone();
+        let first: *const Graph = ilp.primal_graph();
+        assert!(
+            std::ptr::eq(first, ilp.primal_graph()),
+            "a second call rebuilt it"
+        );
+        assert_eq!(*ilp.primal_graph(), ilp.hypergraph().primal_graph());
+        assert_eq!(
+            before.primal_graph(),
+            ilp.primal_graph(),
+            "a clone taken before"
+        );
+        assert_eq!(
+            ilp.clone().primal_graph(),
+            ilp.primal_graph(),
+            "a clone taken after"
+        );
     }
 
     /// Warm-start snapshots key their families by the fingerprint, so
