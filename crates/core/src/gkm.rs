@@ -12,7 +12,7 @@
 
 use crate::prep::{SharedSubsetCache, SubsetSolver};
 use dapc_decomp::network_decomposition::network_decomposition;
-use dapc_graph::{GraphBuilder, Hypergraph, Vertex};
+use dapc_graph::{BallScratch, GraphBuilder, Hypergraph, Vertex};
 use dapc_ilp::instance::{IlpInstance, Sense};
 use dapc_local::RoundLedger;
 use rand::rngs::StdRng;
@@ -118,6 +118,11 @@ pub fn gkm_solve_cached(
     let mut alive_e = vec![true; h.m()];
     let mut fixed_one = vec![false; n];
     let mut assignment = vec![false; n];
+    let mut buffers = CarveBuffers {
+        ball: BallScratch::new(),
+        layer_of: vec![u8::MAX; n],
+        list: Vec::new(),
+    };
     let max_cluster_diameter = nd.max_weak_diameter(&power) as usize;
     for color in 0..nd.colors {
         ledger.begin_phase(format!("color {color}: gather + carve (k·D)"));
@@ -147,6 +152,7 @@ pub fn gkm_solve_cached(
                 &mut fixed_one,
                 &mut assignment,
                 &mut solver,
+                &mut buffers,
             );
         }
     }
@@ -165,6 +171,7 @@ pub fn gkm_solve_cached(
             &mut fixed_one,
             &mut assignment,
             &mut solver,
+            &mut buffers,
         );
     }
     let value = ilp.value(&assignment);
@@ -176,6 +183,17 @@ pub fn gkm_solve_cached(
         colors: nd.colors,
         all_solves_exact: solver.all_exact,
     }
+}
+
+/// Buffers that every carve of one solve reuses, so a carve allocates
+/// only in its ball's size.
+struct CarveBuffers {
+    ball: BallScratch,
+    /// Which window layer a vertex is in (`u8::MAX`: neither); each carve
+    /// resets the entries it set.
+    layer_of: Vec<u8>,
+    /// The sorted vertex list of the subset being solved.
+    list: Vec<Vertex>,
 }
 
 /// One cluster's carving step: grow a ball of radius `k` in the residual,
@@ -193,15 +211,20 @@ fn carve_cluster(
     fixed_one: &mut [bool],
     assignment: &mut [bool],
     solver: &mut SubsetSolver<'_>,
+    buffers: &mut CarveBuffers,
 ) {
-    let n = h.n();
-    let alive_snapshot: Vec<bool> = alive_v.to_vec();
-    let ball = h.ball(sources, params.k, Some(&alive_snapshot), Some(alive_e));
-    let mut ball_list: Vec<Vertex> = ball.iter().collect();
-    ball_list.sort_unstable();
+    let CarveBuffers {
+        ball: scratch,
+        layer_of,
+        list,
+    } = buffers;
+    let ball = h.ball_with_scratch(sources, params.k, Some(alive_v), Some(alive_e), scratch);
+    list.clear();
+    list.extend(ball.iter());
+    list.sort_unstable();
     match ilp.sense() {
         Sense::Packing => {
-            let (_, local, _) = solver.solve(&ball_list, None);
+            let (_, local, _) = solver.solve(list, None);
             // Windows [j, j+2] with j ≡ j0 (mod 3) inside [2, k−1].
             let lo = 2usize.min(params.k.saturating_sub(1));
             let mut j_star = lo;
@@ -234,7 +257,7 @@ fn carve_cluster(
             }
         }
         Sense::Covering => {
-            let (_, local, _) = solver.solve(&ball_list, Some(fixed_one));
+            let (_, local, _) = solver.solve(list, Some(fixed_one));
             // The window {j*, j*+1} must fit inside the ball (j*+1 ≤ k),
             // otherwise the default j* would sit on the ball boundary and
             // `within(j*)` would kill vertices whose outward constraints
@@ -261,7 +284,6 @@ fn carve_cluster(
                 j += 2;
             }
             // Fix the window, delete crossing hyperedges, solve inside.
-            let mut layer_of = vec![u8::MAX; n];
             for &v in ball.level(j_star) {
                 layer_of[v as usize] = 0;
             }
@@ -283,14 +305,18 @@ fn carve_cluster(
                     }
                 }
             }
+            for &v in ball.level(j_star).iter().chain(ball.level(j_star + 1)) {
+                layer_of[v as usize] = u8::MAX;
+            }
             // Inner region: solve with fixed variables honoured.
-            let mut inner: Vec<Vertex> = ball.within(j_star).collect();
-            inner.sort_unstable();
-            for &v in &inner {
+            list.clear();
+            list.extend(ball.within(j_star));
+            list.sort_unstable();
+            for &v in list.iter() {
                 alive_v[v as usize] = false;
             }
-            let (_, inner_sol, _) = solver.solve(&inner, Some(fixed_one));
-            for &v in &inner {
+            let (_, inner_sol, _) = solver.solve(list, Some(fixed_one));
+            for &v in list.iter() {
                 assignment[v as usize] |= inner_sol[v as usize];
             }
         }

@@ -21,7 +21,8 @@
 //! Its key folds the list, and its restriction visits only the
 //! constraints incident to it (see [`dapc_ilp::restrict`]), so one solve
 //! costs `O(|S| + Σ_{v∈S} deg v)` around the exact search (plus `m/64`
-//! bitset words), not `O(n + m)`.
+//! bitset words), not `O(n + m)`. Its memo entry keeps one bit per
+//! vertex of `S`, and the annotation reads only the entries' values.
 //! [`prepare`] labels the primal graph's connected components once per
 //! call, in `O(n + m)`, by a level-by-level BFS from each component's
 //! smallest vertex `v0`, which gives every vertex's distance `d0(v)` and
@@ -109,8 +110,17 @@ mod metrics {
     }
 }
 
-/// One memoised exact subset solve: `(value, global assignment, exact)`.
-type SubsetEntry = (u64, Vec<bool>, bool);
+/// One memoised exact subset solve, in the subset's size: the value, the
+/// exact flag, and the solution as a bitset over the positions of the
+/// subset's sorted vertex list. Bit `i` stands for the list's `i`-th
+/// vertex; a vertex fixed to one reads zero, since it is no variable of
+/// the solve.
+#[derive(Clone, Debug)]
+struct SubsetEntry {
+    value: u64,
+    exact: bool,
+    bits: Box<[u64]>,
+}
 
 /// One sharded annotation result: the entry plus whether its own worker
 /// ran the solve (drives counter parity with sequential runs).
@@ -165,7 +175,9 @@ const STRIPE_COUNT: usize = 16;
 ///
 /// Internally the map is split into [`STRIPE_COUNT`] independently locked
 /// stripes selected by key bits. Entries are never evicted: a family
-/// cache holds every distinct subset solve it has seen.
+/// cache holds every distinct subset solve it has seen. An entry is sized
+/// by its subset `S`, not by the instance: the value, the exact flag and
+/// one bit per vertex of `S` (see [`SharedSubsetCache::bytes`]).
 ///
 /// Solves are single-flight: the first thread to miss a key claims it
 /// when its solve starts, and later lookups of that key, from any job or
@@ -264,10 +276,13 @@ impl Drop for Claim<'_> {
     }
 }
 
-/// Approximate heap footprint of one memoised entry: the assignment mask
-/// plus fixed map/key overhead.
+/// Approximate footprint of one memoised entry: its bitset, `⌈|S|/64⌉`
+/// words, plus the key and the entry as the map stores them. It grows
+/// with the subset, never with the instance.
 fn entry_bytes(entry: &SubsetEntry) -> usize {
-    entry.1.len() + std::mem::size_of::<SubsetKey>() + std::mem::size_of::<SubsetEntry>()
+    std::mem::size_of_val(&*entry.bits)
+        + std::mem::size_of::<SubsetKey>()
+        + std::mem::size_of::<SubsetEntry>()
 }
 
 impl SharedSubsetCache {
@@ -297,7 +312,9 @@ impl SharedSubsetCache {
             .sum()
     }
 
-    /// Approximate bytes held across all stripes.
+    /// Approximate bytes held across all stripes: per entry, one bit per
+    /// vertex of its subset, in whole words, plus its key and fixed
+    /// fields (see `entry_bytes`).
     pub fn bytes(&self) -> usize {
         self.inner
             .stripes
@@ -395,7 +412,11 @@ pub struct Preparation {
 /// "free local computation" stays affordable in simulation.
 ///
 /// Subsets are sorted, duplicate-free vertex lists ([`SubsetSolver::solve`]);
-/// [`SubsetSolver::solve_mask`] lists a mask first.
+/// [`SubsetSolver::solve_mask`] lists a mask first. Everything a solve
+/// keeps is sized by its subset `S`: the memo entry (value, exact flag,
+/// one bit per vertex of `S`), the restriction and the search. Only the
+/// global view that [`SubsetSolver::solve`] hands out is `n` long, and it
+/// is one buffer per solver, rewritten in `O(|S|)` by each call.
 pub struct SubsetSolver<'a> {
     ilp: &'a IlpInstance,
     budget: SolverBudget,
@@ -404,8 +425,43 @@ pub struct SubsetSolver<'a> {
     shared: Option<SharedSubsetCache>,
     /// Restriction buffers shared by every solve of this solver.
     scratch: RestrictScratch,
+    /// The global view of the last solution handed out.
+    lift: Lift,
     /// Whether every solve so far was exact.
     pub all_exact: bool,
+}
+
+/// An `n`-length assignment that holds one subset solution at a time:
+/// true exactly at its vertices, every one of them recorded in `set`, so
+/// the next lift clears it in the solution's size rather than `O(n)`.
+#[derive(Default)]
+struct Lift {
+    global: Vec<bool>,
+    set: Vec<Vertex>,
+}
+
+impl Lift {
+    /// Replaces the held solution with `entry`'s, on the subset `vars`,
+    /// in `O(|S|/64)` plus the two solutions' sizes.
+    fn write(&mut self, n: usize, vars: &[Vertex], entry: &SubsetEntry) -> &[bool] {
+        if self.global.len() != n {
+            self.global = vec![false; n];
+            self.set.clear();
+        }
+        for v in self.set.drain(..) {
+            self.global[v as usize] = false;
+        }
+        for (wi, &word) in entry.bits.iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                let v = vars[wi * 64 + word.trailing_zeros() as usize];
+                word &= word - 1;
+                self.global[v as usize] = true;
+                self.set.push(v);
+            }
+        }
+        &self.global
+    }
 }
 
 impl<'a> SubsetSolver<'a> {
@@ -418,6 +474,7 @@ impl<'a> SubsetSolver<'a> {
             cache: HashMap::new(),
             shared: None,
             scratch: RestrictScratch::new(),
+            lift: Lift::default(),
             all_exact: true,
         }
     }
@@ -441,7 +498,7 @@ impl<'a> SubsetSolver<'a> {
     /// annotation pass hands worker results over with this), feeding
     /// `all_exact` exactly as a first compute would.
     fn preload(&mut self, key: SubsetKey, entry: SubsetEntry) {
-        if !entry.2 {
+        if !entry.exact {
             self.all_exact = false;
         }
         self.cache.insert(key, entry);
@@ -458,23 +515,29 @@ impl<'a> SubsetSolver<'a> {
         self.cache
             .get(&key)
             .expect("annotation looked up every cluster key before")
-            .0
+            .value
     }
 
-    /// Optimal local value and assignment on the subset `vars` (sorted,
-    /// duplicate-free). For packing this is `P^local` (all constraints,
-    /// zeros outside); for covering `Q^local` (inside constraints only),
-    /// honouring `fixed_ones` at zero cost.
-    pub fn solve(
-        &mut self,
-        vars: &[Vertex],
-        fixed_ones: Option<&[bool]>,
-    ) -> (u64, Vec<bool>, bool) {
+    /// Optimal local value, assignment and exact flag on the subset
+    /// `vars` (sorted, duplicate-free). For packing this is `P^local` (all
+    /// constraints, zeros outside); for covering `Q^local` (inside
+    /// constraints only), honouring `fixed_ones` at zero cost, so a fixed
+    /// vertex reads false.
+    ///
+    /// The assignment is global (`n` long, false outside `vars`) and
+    /// lives in the solver's one lift buffer, which the next call rewrites
+    /// in `O(|S|)`; neither a memo hit nor a miss allocates or copies
+    /// anything `n` long.
+    pub fn solve(&mut self, vars: &[Vertex], fixed_ones: Option<&[bool]>) -> (u64, &[bool], bool) {
         let key = subset_key(vars, fixed_ones);
-        self.entry(key, vars, fixed_ones).clone()
+        self.entry(key, vars, fixed_ones);
+        let entry = &self.cache[&key];
+        let global = self.lift.write(self.ilp.n(), vars, entry);
+        (entry.value, global, entry.exact)
     }
 
-    /// [`SubsetSolver::solve`] on a membership mask, listed in `O(n)`.
+    /// [`SubsetSolver::solve`] on a membership mask, listed in `O(n)`,
+    /// with an owned copy of the global assignment.
     ///
     /// # Panics
     ///
@@ -485,12 +548,14 @@ impl<'a> SubsetSolver<'a> {
         fixed_ones: Option<&[bool]>,
     ) -> (u64, Vec<bool>, bool) {
         assert_eq!(mask.len(), self.ilp.n(), "subset mask length mismatch");
-        self.solve(&restrict::list_of(mask), fixed_ones)
+        let (value, global, exact) = self.solve(&restrict::list_of(mask), fixed_ones);
+        (value, global.to_vec(), exact)
     }
 
     /// Optimal local value on `vars`, whose key the caller already holds.
+    /// Reads the memo only: nothing is lifted.
     fn value(&mut self, key: SubsetKey, vars: &[Vertex]) -> u64 {
-        self.entry(key, vars, None).0
+        self.entry(key, vars, None).value
     }
 
     /// The memoised entry of `key`: the per-run memo, else the family
@@ -509,6 +574,7 @@ impl<'a> SubsetSolver<'a> {
             shared,
             scratch,
             all_exact,
+            ..
         } = self;
         cache.entry(key).or_insert_with(|| {
             // Per-run miss: try the cross-run family cache before solving.
@@ -527,17 +593,19 @@ impl<'a> SubsetSolver<'a> {
                     out
                 }
             };
-            *all_exact &= entry.2;
+            *all_exact &= entry.exact;
             entry
         })
     }
 }
 
-/// The memo-free core of one exact subset solve: restrict, dispatch to
-/// the exact solvers, lift back to a global assignment. A pure function
-/// of its arguments (the exact solvers draw no randomness; the scratch
-/// only lends buffers) — both the memoising [`SubsetSolver`] and the
-/// sharded annotation workers bottom out here.
+/// The memo-free core of one exact subset solve: restrict into the
+/// scratch, dispatch to the exact solvers, and pack the solution into a
+/// bitset over the positions of `vars`. A pure function of its arguments
+/// (the exact solvers draw no randomness; the scratch only lends
+/// buffers), costing `O(|S|)` around the restriction and the search —
+/// both the memoising [`SubsetSolver`] and the sharded annotation
+/// workers bottom out here.
 fn solve_subset(
     ilp: &IlpInstance,
     budget: &SolverBudget,
@@ -554,10 +622,21 @@ fn solve_subset(
         Sense::Packing => restrict::packing_restriction_list(ilp, vars, scratch),
         Sense::Covering => restrict::covering_restriction_list(ilp, vars, fixed_ones, scratch),
     };
-    let sol = solvers::solve(&sub, budget);
-    let mut global = vec![false; ilp.n()];
-    sub.lift_into(&sol.assignment, &mut global);
-    (sol.value, global, sol.exact)
+    let sol = solvers::solve(sub, budget);
+    // The sub-instance's variables are `vars` without the fixed ones, in
+    // order, so one merge walk finds each one's position in `vars`.
+    let mut bits = vec![0u64; vars.len().div_ceil(64)].into_boxed_slice();
+    let mut local = sub.vars.iter().zip(&sol.assignment).peekable();
+    for (i, &v) in vars.iter().enumerate() {
+        if let Some((_, &x)) = local.next_if(|&(&u, _)| u == v) {
+            bits[i / 64] |= u64::from(x) << (i % 64);
+        }
+    }
+    SubsetEntry {
+        value: sol.value,
+        exact: sol.exact,
+        bits,
+    }
 }
 
 /// Vertices bucketed by a dense label in one `O(n + k)` pass, each bucket
@@ -1038,13 +1117,13 @@ fn shard_subset_solves(
         }
         cluster_keys.push((local_key, sc_key));
     }
-    // Tasks want 'static data; one shallow instance clone per *prepare
-    // call* (not per lookup) buys it. The fan-out runs `pumps` tasks on
-    // the ambient `dapc_exec` pool — the pool the enclosing batch job
-    // already runs on, or the process-wide one — each draining the next
-    // unclaimed work item, so concurrency is capped at `prep_workers`
-    // with dynamic load balancing and no child pool is ever spawned.
-    let owned: Arc<IlpInstance> = Arc::new(ilp.clone());
+    // Tasks want 'static data; an instance clone shares the instance's
+    // storage, so each pump takes one for a reference count. The fan-out
+    // runs `pumps` tasks on the ambient `dapc_exec` pool — the pool the
+    // enclosing batch job already runs on, or the process-wide one — each
+    // draining the next unclaimed work item, so concurrency is capped at
+    // `prep_workers` with dynamic load balancing and no child pool is
+    // ever spawned.
     let budget = solver.budget;
     let shared = solver.shared.clone();
     let worklist = Arc::new(worklist);
@@ -1054,7 +1133,7 @@ fn shard_subset_solves(
     let pumps = params.prep_workers.min(worklist.len()).max(1);
     dapc_exec::scope(|s| {
         for _ in 0..pumps {
-            let owned = Arc::clone(&owned);
+            let owned = ilp.clone();
             let shared = shared.clone();
             let worklist = Arc::clone(&worklist);
             let slots = Arc::clone(&slots);
@@ -1506,10 +1585,21 @@ mod tests {
             let Lookup::Claimed(claim) = cache.lookup(key) else {
                 panic!("nothing filled the key");
             };
-            claim.fill((3, vec![true], true));
+            claim.fill(SubsetEntry {
+                value: 3,
+                exact: true,
+                bits: Box::new([1]),
+            });
             assert!(claimant.join().is_err(), "the claimant panicked");
         });
-        assert!(matches!(cache.lookup(key), Lookup::Hit((3, _, true))));
+        assert!(matches!(
+            cache.lookup(key),
+            Lookup::Hit(SubsetEntry {
+                value: 3,
+                exact: true,
+                ..
+            })
+        ));
     }
 
     #[test]
@@ -1524,6 +1614,66 @@ mod tests {
         }
         assert_eq!(cache.len(), 9);
         assert!(cache.bytes() > 0);
+    }
+
+    /// An entry is sized by its subset, not by the instance: the same
+    /// twenty 5-vertex path subsets take the same bytes on `cycle(100)`
+    /// and on `cycle(10_000)`. Each solve's global view holds exactly its
+    /// own solution, whatever the solve before it set.
+    #[test]
+    fn entry_bytes_follow_the_subset_not_the_instance() {
+        let bytes = |n: usize| {
+            let ilp = problems::max_independent_set_unweighted(&gen::cycle(n));
+            let cache = SharedSubsetCache::new();
+            let mut solver =
+                SubsetSolver::with_shared(&ilp, SolverBudget::default(), cache.clone());
+            for start in 0..20 {
+                let path: Vec<Vertex> = (start..start + 5).collect();
+                let (value, global, exact) = solver.solve(&path, None);
+                assert_eq!((value, exact, global.len()), (3, true, n));
+                let set: Vec<Vertex> = (0..n as Vertex).filter(|&v| global[v as usize]).collect();
+                assert_eq!(set, [start, start + 2, start + 4]);
+            }
+            assert_eq!((cache.len(), cache.misses()), (20, 20));
+            cache.bytes()
+        };
+        let small = bytes(100);
+        assert_eq!(small, bytes(10_000));
+        assert_eq!(
+            small,
+            20 * entry_bytes(&SubsetEntry {
+                value: 0,
+                exact: true,
+                bits: Box::new([0]),
+            })
+        );
+    }
+
+    /// A covering solve with fixed ones: the fixed vertices of the subset
+    /// read false in both the entry and the global view, and the rest
+    /// match the sub-instance's own solution.
+    #[test]
+    fn fixed_vertices_read_false_after_a_lift() {
+        let ilp = problems::min_vertex_cover_unweighted(&gen::cycle(12));
+        let mut fixed = vec![false; 12];
+        for v in [2, 3, 7] {
+            fixed[v] = true;
+        }
+        let vars: Vec<Vertex> = (1..10).collect();
+        let mut solver = SubsetSolver::new(&ilp, SolverBudget::default());
+        let (value, global, exact) = solver.solve(&vars, Some(&fixed));
+        let global = global.to_vec();
+        let sub = restrict::covering_restriction_with_fixed(
+            &ilp,
+            &restrict::mask_of(12, &vars),
+            Some(&fixed),
+        );
+        let sol = solvers::solve(&sub, &SolverBudget::default());
+        let mut expected = vec![false; 12];
+        sub.lift_into(&sol.assignment, &mut expected);
+        assert_eq!((value, exact), (sol.value, sol.exact));
+        assert_eq!(global, expected);
+        assert!([2, 3, 7].iter().all(|&v| !global[v]));
     }
 
     /// A warm family cache changes the counters (cold misses become warm

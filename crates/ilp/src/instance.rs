@@ -60,16 +60,6 @@ impl Constraint {
         }
     }
 
-    /// Wraps coefficients that are already canonical (sorted by distinct
-    /// variable, all positive) without [`Constraint::new`]'s sort and merge.
-    /// The restrictions use it for rows filtered out of a canonical row.
-    pub(crate) fn from_canonical(coeffs: Vec<(Vertex, f64)>, bound: f64) -> Self {
-        debug_assert!(coeffs.windows(2).all(|w| w[0].0 < w[1].0));
-        debug_assert!(coeffs.iter().all(|&(_, a)| a > 0.0 && a.is_finite()));
-        debug_assert!(bound >= 0.0 && bound.is_finite());
-        Constraint { coeffs, bound }
-    }
-
     /// The sorted non-zero `(variable, coefficient)` pairs.
     pub fn coeffs(&self) -> &[(Vertex, f64)] {
         &self.coeffs
@@ -125,15 +115,22 @@ pub const FEASIBILITY_EPS: f64 = 1e-9;
 /// ```
 #[derive(Clone, Debug)]
 pub struct IlpInstance {
+    /// Everything the instance holds, shared by its clones: a clone costs
+    /// one reference count, and the memoised fingerprint and primal graph
+    /// are filled once for the instance and all its clones.
+    inner: Arc<Inner>,
+}
+
+#[derive(Debug)]
+struct Inner {
     sense: Sense,
     weights: Vec<u64>,
     constraints: Vec<Constraint>,
     hypergraph: Hypergraph,
     /// [`IlpInstance::fingerprint`], filled by its first call.
     fingerprint: OnceLock<u64>,
-    /// [`IlpInstance::primal_graph`], filled by its first call and shared
-    /// by clones taken after it.
-    primal: OnceLock<Arc<Graph>>,
+    /// [`IlpInstance::primal_graph`], filled by its first call.
+    primal: OnceLock<Graph>,
 }
 
 impl IlpInstance {
@@ -157,12 +154,14 @@ impl IlpInstance {
         }
         let hypergraph = Hypergraph::new(n, constraints.iter().map(Constraint::support).collect());
         IlpInstance {
-            sense,
-            weights,
-            constraints,
-            hypergraph,
-            fingerprint: OnceLock::new(),
-            primal: OnceLock::new(),
+            inner: Arc::new(Inner {
+                sense,
+                weights,
+                constraints,
+                hypergraph,
+                fingerprint: OnceLock::new(),
+                primal: OnceLock::new(),
+            }),
         }
     }
 
@@ -187,53 +186,54 @@ impl IlpInstance {
 
     /// Packing or covering.
     pub fn sense(&self) -> Sense {
-        self.sense
+        self.inner.sense
     }
 
     /// Number of variables.
     pub fn n(&self) -> usize {
-        self.weights.len()
+        self.inner.weights.len()
     }
 
     /// Number of constraints.
     pub fn m(&self) -> usize {
-        self.constraints.len()
+        self.inner.constraints.len()
     }
 
     /// The weight of variable `v`.
     pub fn weight(&self, v: Vertex) -> u64 {
-        self.weights[v as usize]
+        self.inner.weights[v as usize]
     }
 
     /// All weights.
     pub fn weights(&self) -> &[u64] {
-        &self.weights
+        &self.inner.weights
     }
 
     /// `‖w‖₁` — the paper assumes this is polynomial in `n`.
     pub fn total_weight(&self) -> u64 {
-        self.weights.iter().sum()
+        self.weights().iter().sum()
     }
 
     /// The constraints.
     pub fn constraints(&self) -> &[Constraint] {
-        &self.constraints
+        &self.inner.constraints
     }
 
     /// The Definition 1.3 communication hypergraph (vertex = variable,
     /// hyperedge = constraint support).
     pub fn hypergraph(&self) -> &Hypergraph {
-        &self.hypergraph
+        &self.inner.hypergraph
     }
 
     /// The primal graph of [`IlpInstance::hypergraph`]: `u ~ v` iff some
     /// constraint involves both (the communication graph of Definition 1.3).
     ///
     /// It is built on the first call and kept, so every solve of one
-    /// instance, and clones taken after the first call, share one build.
+    /// instance and of all its clones shares one build.
     pub fn primal_graph(&self) -> &Graph {
-        self.primal
-            .get_or_init(|| Arc::new(self.hypergraph.primal_graph()))
+        self.inner
+            .primal
+            .get_or_init(|| self.hypergraph().primal_graph())
     }
 
     /// A stable structural fingerprint of the instance (FNV-1a over the
@@ -243,27 +243,31 @@ impl IlpInstance {
     /// holding onto the instances themselves.
     ///
     /// It is folded on the first call and kept, so later calls, and
-    /// clones taken after it, cost nothing. The value is persisted:
-    /// `dapc-runtime`'s warm-start snapshots (`DAPCPPC`) key their
-    /// families by it, so the bytes it folds must never change.
+    /// calls on clones, cost nothing. It keys the in-memory families of
+    /// `dapc-runtime`'s `PrepCache`, and nothing persists it. A unit test
+    /// pins two values all the same, so a change to how an instance is
+    /// stored cannot move the bytes it folds unnoticed.
     pub fn fingerprint(&self) -> u64 {
-        *self.fingerprint.get_or_init(|| self.fold_fingerprint())
+        *self
+            .inner
+            .fingerprint
+            .get_or_init(|| self.fold_fingerprint())
     }
 
     /// The fold behind [`IlpInstance::fingerprint`].
     fn fold_fingerprint(&self) -> u64 {
         let mut h = crate::hash::FNV_OFFSET;
         let mut eat = |v: u64| h = crate::hash::fnv1a_u64(h, v);
-        eat(match self.sense {
+        eat(match self.sense() {
             Sense::Packing => 1,
             Sense::Covering => 2,
         });
         eat(self.n() as u64);
-        for &w in &self.weights {
+        for &w in self.weights() {
             eat(w);
         }
-        eat(self.constraints.len() as u64);
-        for c in &self.constraints {
+        eat(self.m() as u64);
+        for c in self.constraints() {
             eat(c.bound().to_bits());
             eat(c.coeffs().len() as u64);
             for &(v, a) in c.coeffs() {
@@ -277,7 +281,7 @@ impl IlpInstance {
     /// Whether a 0/1 assignment satisfies every constraint.
     pub fn is_feasible(&self, x: &[bool]) -> bool {
         assert_eq!(x.len(), self.n(), "assignment length mismatch");
-        self.constraints.iter().all(|c| match self.sense {
+        self.constraints().iter().all(|c| match self.sense() {
             Sense::Packing => c.lhs(x) <= c.bound() + FEASIBILITY_EPS,
             Sense::Covering => c.lhs(x) + FEASIBILITY_EPS >= c.bound(),
         })
@@ -285,10 +289,10 @@ impl IlpInstance {
 
     /// Ids of constraints violated by `x` (empty iff feasible).
     pub fn violated_constraints(&self, x: &[bool]) -> Vec<usize> {
-        self.constraints
+        self.constraints()
             .iter()
             .enumerate()
-            .filter(|(_, c)| match self.sense {
+            .filter(|(_, c)| match self.sense() {
                 Sense::Packing => c.lhs(x) > c.bound() + FEASIBILITY_EPS,
                 Sense::Covering => c.lhs(x) + FEASIBILITY_EPS < c.bound(),
             })
@@ -300,7 +304,7 @@ impl IlpInstance {
     pub fn value(&self, x: &[bool]) -> u64 {
         assert_eq!(x.len(), self.n(), "assignment length mismatch");
         x.iter()
-            .zip(&self.weights)
+            .zip(self.weights())
             .filter(|(&xi, _)| xi)
             .map(|(_, &w)| w)
             .sum()
@@ -317,14 +321,14 @@ impl IlpInstance {
         assert_eq!(subset.len(), self.n());
         (0..self.n())
             .filter(|&i| x[i] && subset[i])
-            .map(|i| self.weights[i])
+            .map(|i| self.inner.weights[i])
             .sum()
     }
 
     /// The trivial feasible solution: all-zeros for packing, all-ones for
     /// covering.
     pub fn trivial_solution(&self) -> Vec<bool> {
-        match self.sense {
+        match self.sense() {
             Sense::Packing => vec![false; self.n()],
             Sense::Covering => vec![true; self.n()],
         }
@@ -336,7 +340,7 @@ impl std::fmt::Display for IlpInstance {
         write!(
             f,
             "{:?} ILP(n={}, m={}, ‖w‖₁={})",
-            self.sense,
+            self.sense(),
             self.n(),
             self.m(),
             self.total_weight()
@@ -474,22 +478,33 @@ mod tests {
             "a second call rebuilt it"
         );
         assert_eq!(*ilp.primal_graph(), ilp.hypergraph().primal_graph());
-        assert_eq!(
-            before.primal_graph(),
-            ilp.primal_graph(),
+        assert!(
+            std::ptr::eq(first, before.primal_graph()),
             "a clone taken before"
         );
-        assert_eq!(
-            ilp.clone().primal_graph(),
-            ilp.primal_graph(),
+        assert!(
+            std::ptr::eq(first, ilp.clone().primal_graph()),
             "a clone taken after"
         );
     }
 
-    /// Warm-start snapshots key their families by the fingerprint, so
-    /// these values must never move: a change orphans every saved
-    /// snapshot. Clones and fresh builds share them, whether they were
-    /// taken before or after the first call.
+    #[test]
+    fn clones_share_storage() {
+        use crate::problems;
+        use dapc_graph::gen;
+        let ilp = problems::min_dominating_set_unweighted(&gen::cycle(50));
+        let copy = ilp.clone();
+        assert!(Arc::ptr_eq(&ilp.inner, &copy.inner));
+        assert!(std::ptr::eq(ilp.constraints(), copy.constraints()));
+        assert!(std::ptr::eq(ilp.hypergraph(), copy.hypergraph()));
+        assert_eq!(copy.fingerprint(), ilp.fingerprint());
+    }
+
+    /// The fingerprint keys the in-memory `PrepCache` families. Nothing
+    /// persists it, but these values are pinned so that a change to how
+    /// an instance is stored cannot move the bytes it folds unnoticed.
+    /// Clones and fresh builds share them, whether they were taken before
+    /// or after the first call.
     #[test]
     fn fingerprints_are_pinned() {
         use crate::problems;

@@ -19,17 +19,23 @@
 //! `O(|S| + Σ_{v∈S} deg v + m/64)`, the last term a bitset that puts the
 //! incident constraints in ascending order without a sort, plus one pass
 //! over each incident row, against the `O(n + nnz)` of a scan over every
-//! constraint. A [`RestrictScratch`] carries the `n`-length id map and
-//! the bitset from call to call, so a kept constraint costs one
-//! allocation and nothing else does. The mask forms
-//! ([`packing_restriction`], [`covering_restriction`],
-//! [`covering_restriction_with_fixed`]) are wrappers that list the mask
-//! first, in `O(n)`.
+//! constraint. The result is a flat [`SubInstance`] (row starts, local
+//! ids with coefficients, bounds) that lives in a [`RestrictScratch`],
+//! next to the `n`-length id map and the bitset. A scratch that has
+//! served a sub-instance at least as large allocates nothing, however
+//! many constraints are kept. The mask forms ([`packing_restriction`],
+//! [`covering_restriction`], [`covering_restriction_with_fixed`]) are
+//! wrappers that list the mask first, in `O(n)`, and return an owned
+//! sub-instance.
 
-use crate::instance::{Constraint, IlpInstance, Sense, FEASIBILITY_EPS};
+use crate::instance::{IlpInstance, Sense, FEASIBILITY_EPS};
 use dapc_graph::{EdgeId, Vertex};
 
 /// A reindexed sub-instance with its mapping back to global variables.
+///
+/// Its constraints are stored flat: each row is a slice of
+/// `(local variable, coefficient)` pairs sorted by variable, with its own
+/// bound ([`SubInstance::rows`], [`SubInstance::bound`]).
 #[derive(Clone, Debug)]
 pub struct SubInstance {
     /// Packing or covering (inherited from the parent instance).
@@ -38,11 +44,45 @@ pub struct SubInstance {
     pub vars: Vec<Vertex>,
     /// Local weights (same order as `vars`).
     pub weights: Vec<u64>,
-    /// Constraints over *local* indices.
-    pub constraints: Vec<Constraint>,
+    /// Row `j` is `entries[row_start[j]..row_start[j + 1]]`.
+    row_start: Vec<usize>,
+    /// Every row's `(local variable, coefficient)` pairs, row after row.
+    entries: Vec<(Vertex, f64)>,
+    /// Every row's bound.
+    bounds: Vec<f64>,
 }
 
 impl SubInstance {
+    /// A sub-instance with no variables and no rows.
+    fn empty(sense: Sense) -> Self {
+        SubInstance {
+            sense,
+            vars: Vec::new(),
+            weights: Vec::new(),
+            row_start: vec![0],
+            entries: Vec::new(),
+            bounds: Vec::new(),
+        }
+    }
+
+    /// Empties the sub-instance, keeping its buffers.
+    fn clear(&mut self, sense: Sense) {
+        self.sense = sense;
+        self.vars.clear();
+        self.weights.clear();
+        self.row_start.truncate(1);
+        self.entries.clear();
+        self.bounds.clear();
+    }
+
+    /// Closes the row whose pairs were pushed onto `entries` since the
+    /// last one.
+    fn end_row(&mut self, bound: f64) {
+        debug_assert!(bound >= 0.0 && bound.is_finite());
+        self.row_start.push(self.entries.len());
+        self.bounds.push(bound);
+    }
+
     /// Number of local variables.
     pub fn n(&self) -> usize {
         self.vars.len()
@@ -50,7 +90,22 @@ impl SubInstance {
 
     /// Number of local constraints.
     pub fn m(&self) -> usize {
-        self.constraints.len()
+        self.bounds.len()
+    }
+
+    /// Row `j`'s bound.
+    pub fn bound(&self, j: usize) -> f64 {
+        self.bounds[j]
+    }
+
+    /// Every row with its bound, in order: the row's `(local variable,
+    /// coefficient)` pairs, sorted by variable, every coefficient
+    /// positive.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = (&[(Vertex, f64)], f64)> + '_ {
+        self.row_start
+            .windows(2)
+            .zip(&self.bounds)
+            .map(|(w, &bound)| (&self.entries[w[0]..w[1]], bound))
     }
 
     /// Total local weight.
@@ -75,9 +130,16 @@ impl SubInstance {
     /// Whether a local assignment satisfies all local constraints.
     pub fn is_feasible(&self, x: &[bool]) -> bool {
         assert_eq!(x.len(), self.n());
-        self.constraints.iter().all(|c| match self.sense {
-            Sense::Packing => c.lhs(x) <= c.bound() + crate::instance::FEASIBILITY_EPS,
-            Sense::Covering => c.lhs(x) + crate::instance::FEASIBILITY_EPS >= c.bound(),
+        self.rows().all(|(row, bound)| {
+            let lhs: f64 = row
+                .iter()
+                .filter(|&&(v, _)| x[v as usize])
+                .map(|&(_, a)| a)
+                .sum();
+            match self.sense {
+                Sense::Packing => lhs <= bound + FEASIBILITY_EPS,
+                Sense::Covering => lhs + FEASIBILITY_EPS >= bound,
+            }
         })
     }
 
@@ -141,14 +203,27 @@ impl IdBits {
 }
 
 /// Reusable buffers of the list restrictions: a global-to-local id map,
-/// which every call restores to all-outside before it returns, and the
-/// incident constraint ids of the current call. Keep one per solver or
-/// worker; it grows to the largest instance it has served.
-#[derive(Debug, Default)]
+/// which every call restores to all-outside before it returns, the
+/// incident constraint ids of the current call, and the sub-instance the
+/// last call built. Keep one per solver or worker; it grows to the
+/// largest instance and sub-instance it has served.
+#[derive(Debug)]
 pub struct RestrictScratch {
     local_id: Vec<u32>,
     incident: Vec<EdgeId>,
     edge_bits: IdBits,
+    sub: SubInstance,
+}
+
+impl Default for RestrictScratch {
+    fn default() -> Self {
+        RestrictScratch {
+            local_id: Vec::new(),
+            incident: Vec::new(),
+            edge_bits: IdBits::default(),
+            sub: SubInstance::empty(Sense::Packing),
+        }
+    }
 }
 
 impl RestrictScratch {
@@ -157,17 +232,13 @@ impl RestrictScratch {
         Self::default()
     }
 
-    /// Numbers the free vertices of `vars` (those not fixed to one) in
+    /// Starts [`RestrictScratch::sub`] over with the free vertices of
+    /// `vars` (those not fixed to one) and their weights, numbers them in
     /// order, marks the fixed ones [`FIXED`], and gathers the ascending,
     /// distinct ids of the constraints incident to `vars` through a
-    /// bitset, in `O(Σ deg v + m/64)`. Returns the free vertices;
-    /// [`RestrictScratch::finish`] undoes the marks.
-    fn begin(
-        &mut self,
-        ilp: &IlpInstance,
-        vars: &[Vertex],
-        fixed_ones: Option<&[bool]>,
-    ) -> Vec<Vertex> {
+    /// bitset, in `O(Σ deg v + m/64)`. [`RestrictScratch::finish`] undoes
+    /// the marks.
+    fn begin(&mut self, ilp: &IlpInstance, vars: &[Vertex], fixed_ones: Option<&[bool]>) {
         debug_assert!(
             vars.windows(2).all(|w| w[0] < w[1]),
             "the vertex list must be sorted and duplicate-free"
@@ -176,7 +247,8 @@ impl RestrictScratch {
             self.local_id.resize(ilp.n(), OUTSIDE);
         }
         let h = ilp.hypergraph();
-        let mut free = Vec::with_capacity(vars.len());
+        let sub = &mut self.sub;
+        sub.clear(ilp.sense());
         for &v in vars {
             for &e in h.incident_edges(v) {
                 self.edge_bits.insert(e);
@@ -184,12 +256,12 @@ impl RestrictScratch {
             self.local_id[v as usize] = if fixed_ones.is_some_and(|f| f[v as usize]) {
                 FIXED
             } else {
-                free.push(v);
-                (free.len() - 1) as u32
+                sub.vars.push(v);
+                sub.weights.push(ilp.weight(v));
+                (sub.vars.len() - 1) as u32
             };
         }
         self.edge_bits.drain_into(&mut self.incident);
-        free
     }
 
     /// Restores the all-[`OUTSIDE`] map after a call on `vars`.
@@ -200,19 +272,16 @@ impl RestrictScratch {
         self.incident.clear();
     }
 
-    /// The entries of `row` whose local id passes `keep`, relabelled to
-    /// local ids, in one exactly sized allocation. Local ids grow with the
-    /// global ones, so the result is canonical whenever `row` is.
-    fn local_row(&self, row: &[(Vertex, f64)], keep: impl Fn(u32) -> bool) -> Vec<(Vertex, f64)> {
-        let id = |v: Vertex| self.local_id[v as usize];
-        let len = row.iter().filter(|&&(v, _)| keep(id(v))).count();
-        let mut out = Vec::with_capacity(len);
-        out.extend(
+    /// Appends the entries of `row` whose local id passes `keep`,
+    /// relabelled to local ids, to the sub-instance's open row. Local ids
+    /// grow with the global ones, so the row stays sorted.
+    fn push_local(&mut self, row: &[(Vertex, f64)], keep: impl Fn(u32) -> bool) {
+        let local_id = &self.local_id;
+        self.sub.entries.extend(
             row.iter()
-                .filter(|&&(v, _)| keep(id(v)))
-                .map(|&(v, a)| (id(v), a)),
+                .map(|&(v, a)| (local_id[v as usize], a))
+                .filter(|&(id, _)| keep(id)),
         );
-        out
     }
 }
 
@@ -222,34 +291,26 @@ impl RestrictScratch {
 /// are vacuous for variables in `S`).
 ///
 /// `vars` must be sorted and duplicate-free; see the module docs for the
-/// cost. The result is identical to [`packing_restriction`] on the mask of
-/// `vars`.
+/// cost. The result lives in `scratch` until its next call, and is
+/// identical to [`packing_restriction`] on the mask of `vars`.
 ///
 /// # Panics
 ///
 /// Panics if the instance is not packing or a vertex is out of range.
-pub fn packing_restriction_list(
+pub fn packing_restriction_list<'s>(
     ilp: &IlpInstance,
     vars: &[Vertex],
-    scratch: &mut RestrictScratch,
-) -> SubInstance {
+    scratch: &'s mut RestrictScratch,
+) -> &'s SubInstance {
     assert_eq!(ilp.sense(), Sense::Packing, "expected a packing instance");
-    let vars = scratch.begin(ilp, vars, None);
-    let constraints = scratch
-        .incident
-        .iter()
-        .map(|&j| {
-            let c = &ilp.constraints()[j as usize];
-            Constraint::from_canonical(scratch.local_row(c.coeffs(), |id| id != OUTSIDE), c.bound())
-        })
-        .collect();
-    scratch.finish(&vars);
-    SubInstance {
-        sense: Sense::Packing,
-        weights: vars.iter().map(|&v| ilp.weight(v)).collect(),
-        vars,
-        constraints,
+    scratch.begin(ilp, vars, None);
+    for j in 0..scratch.incident.len() {
+        let c = &ilp.constraints()[scratch.incident[j] as usize];
+        scratch.push_local(c.coeffs(), |id| id != OUTSIDE);
+        scratch.sub.end_row(c.bound());
     }
+    scratch.finish(vars);
+    &scratch.sub
 }
 
 /// Builds `Q^local_S` for a covering instance, honouring variables already
@@ -260,27 +321,27 @@ pub fn packing_restriction_list(
 /// Constraints the fixed variables already satisfy are dropped.
 ///
 /// `vars` must be sorted and duplicate-free; only the entries of
-/// `fixed_ones` at `vars` are read. The result is identical to
-/// [`covering_restriction_with_fixed`] on the mask of `vars`.
+/// `fixed_ones` at `vars` are read. The result lives in `scratch` until
+/// its next call, and is identical to [`covering_restriction_with_fixed`]
+/// on the mask of `vars`.
 ///
 /// # Panics
 ///
 /// Panics if the instance is not covering, the overlay's length is not
 /// `n`, or a vertex is out of range.
-pub fn covering_restriction_list(
+pub fn covering_restriction_list<'s>(
     ilp: &IlpInstance,
     vars: &[Vertex],
     fixed_ones: Option<&[bool]>,
-    scratch: &mut RestrictScratch,
-) -> SubInstance {
+    scratch: &'s mut RestrictScratch,
+) -> &'s SubInstance {
     assert_eq!(ilp.sense(), Sense::Covering, "expected a covering instance");
     if let Some(f) = fixed_ones {
         assert_eq!(f.len(), ilp.n());
     }
-    let free = scratch.begin(ilp, vars, fixed_ones);
-    let mut constraints = Vec::new();
-    for &j in &scratch.incident {
-        let c = &ilp.constraints()[j as usize];
+    scratch.begin(ilp, vars, fixed_ones);
+    for j in 0..scratch.incident.len() {
+        let c = &ilp.constraints()[scratch.incident[j] as usize];
         let id = |v: Vertex| scratch.local_id[v as usize];
         if c.coeffs().iter().any(|&(v, _)| id(v) == OUTSIDE) {
             continue; // not fully inside S
@@ -295,18 +356,11 @@ pub fn covering_restriction_list(
         if bound <= FEASIBILITY_EPS {
             continue; // already satisfied by fixed variables
         }
-        constraints.push(Constraint::from_canonical(
-            scratch.local_row(c.coeffs(), |id| id < FIXED),
-            bound,
-        ));
+        scratch.push_local(c.coeffs(), |id| id < FIXED);
+        scratch.sub.end_row(bound);
     }
     scratch.finish(vars);
-    SubInstance {
-        sense: Sense::Covering,
-        weights: free.iter().map(|&v| ilp.weight(v)).collect(),
-        vars: free,
-        constraints,
-    }
+    &scratch.sub
 }
 
 /// [`packing_restriction_list`] on a membership mask.
@@ -317,7 +371,9 @@ pub fn covering_restriction_list(
 pub fn packing_restriction(ilp: &IlpInstance, subset: &[bool]) -> SubInstance {
     assert_eq!(ilp.sense(), Sense::Packing, "expected a packing instance");
     assert_eq!(subset.len(), ilp.n());
-    packing_restriction_list(ilp, &list_of(subset), &mut RestrictScratch::new())
+    let mut scratch = RestrictScratch::new();
+    packing_restriction_list(ilp, &list_of(subset), &mut scratch);
+    scratch.sub
 }
 
 /// [`covering_restriction_list`] on a membership mask, with no fixed
@@ -342,12 +398,9 @@ pub fn covering_restriction_with_fixed(
 ) -> SubInstance {
     assert_eq!(ilp.sense(), Sense::Covering, "expected a covering instance");
     assert_eq!(subset.len(), ilp.n());
-    covering_restriction_list(
-        ilp,
-        &list_of(subset),
-        fixed_ones,
-        &mut RestrictScratch::new(),
-    )
+    let mut scratch = RestrictScratch::new();
+    covering_restriction_list(ilp, &list_of(subset), fixed_ones, &mut scratch);
+    scratch.sub
 }
 
 /// The sorted vertex list of a membership mask (the inverse of
@@ -370,6 +423,7 @@ pub fn mask_of(n: usize, vertices: &[Vertex]) -> Vec<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instance::Constraint;
     use crate::problems;
     use dapc_graph::gen;
     use proptest::prelude::*;
@@ -380,8 +434,9 @@ mod tests {
     /// must reproduce bit for bit.
     fn reference_packing(ilp: &IlpInstance, subset: &[bool]) -> SubInstance {
         let (vars, local_id) = reference_vars(subset);
-        let weights = vars.iter().map(|&v| ilp.weight(v)).collect();
-        let mut constraints = Vec::new();
+        let mut sub = SubInstance::empty(Sense::Packing);
+        sub.weights = vars.iter().map(|&v| ilp.weight(v)).collect();
+        sub.vars = vars;
         for c in ilp.constraints() {
             let coeffs: Vec<(Vertex, f64)> = c
                 .coeffs()
@@ -390,15 +445,16 @@ mod tests {
                 .map(|&(v, a)| (local_id[v as usize], a))
                 .collect();
             if !coeffs.is_empty() {
-                constraints.push(Constraint::new(coeffs, c.bound()));
+                push_row(&mut sub, Constraint::new(coeffs, c.bound()));
             }
         }
-        SubInstance {
-            sense: Sense::Packing,
-            vars,
-            weights,
-            constraints,
-        }
+        sub
+    }
+
+    /// Appends a canonical row to a reference sub-instance.
+    fn push_row(sub: &mut SubInstance, row: Constraint) {
+        sub.entries.extend_from_slice(row.coeffs());
+        sub.end_row(row.bound());
     }
 
     /// The full-scan `Q^local_S` (with fixed ones) the list form replaced.
@@ -412,8 +468,9 @@ mod tests {
             .map(|v| subset[v] && !is_fixed(v as Vertex))
             .collect();
         let (vars, local_id) = reference_vars(&free);
-        let weights = vars.iter().map(|&v| ilp.weight(v)).collect();
-        let mut constraints = Vec::new();
+        let mut sub = SubInstance::empty(Sense::Covering);
+        sub.weights = vars.iter().map(|&v| ilp.weight(v)).collect();
+        sub.vars = vars;
         for c in ilp.constraints() {
             if !c.coeffs().iter().all(|&(v, _)| subset[v as usize]) {
                 continue;
@@ -434,14 +491,9 @@ mod tests {
                 .filter(|&&(v, _)| !is_fixed(v))
                 .map(|&(v, a)| (local_id[v as usize], a))
                 .collect();
-            constraints.push(Constraint::new(coeffs, bound));
+            push_row(&mut sub, Constraint::new(coeffs, bound));
         }
-        SubInstance {
-            sense: Sense::Covering,
-            vars,
-            weights,
-            constraints,
-        }
+        sub
     }
 
     fn reference_vars(subset: &[bool]) -> (Vec<Vertex>, Vec<Vertex>) {
@@ -463,15 +515,10 @@ mod tests {
         assert_eq!(list.vars, reference.vars);
         assert_eq!(list.weights, reference.weights);
         assert_eq!(list.m(), reference.m(), "constraint count");
-        for (j, (a, b)) in list
-            .constraints
-            .iter()
-            .zip(&reference.constraints)
-            .enumerate()
-        {
-            assert_eq!(a.bound().to_bits(), b.bound().to_bits(), "bound of row {j}");
-            let bits = |c: &Constraint| -> Vec<(Vertex, u64)> {
-                c.coeffs().iter().map(|&(v, x)| (v, x.to_bits())).collect()
+        for (j, ((a, a_bound), (b, b_bound))) in list.rows().zip(reference.rows()).enumerate() {
+            assert_eq!(a_bound.to_bits(), b_bound.to_bits(), "bound of row {j}");
+            let bits = |row: &[(Vertex, f64)]| -> Vec<(Vertex, u64)> {
+                row.iter().map(|&(v, x)| (v, x.to_bits())).collect()
             };
             assert_eq!(bits(a), bits(b), "row {j}");
         }
@@ -519,13 +566,13 @@ mod tests {
                 let subset = random_mask(n, density, &mut rng);
                 let list = list_of(&subset);
                 assert_identical(
-                    &packing_restriction_list(&pack, &list, &mut scratch),
+                    packing_restriction_list(&pack, &list, &mut scratch),
                     &reference_packing(&pack, &subset),
                 );
                 let fixed = random_mask(n, 0.3, &mut rng);
                 for overlay in [None, Some(&fixed[..]), Some(&vec![true; n][..])] {
                     assert_identical(
-                        &covering_restriction_list(&cover, &list, overlay, &mut scratch),
+                        covering_restriction_list(&cover, &list, overlay, &mut scratch),
                         &reference_covering(&cover, &subset, overlay),
                     );
                 }
@@ -533,6 +580,51 @@ mod tests {
                 prop_assert!(scratch.incident.is_empty());
                 prop_assert!(scratch.edge_bits.words.iter().all(|&w| w == 0));
             }
+        }
+    }
+
+    /// Once a scratch has served the whole instance, restricting any
+    /// subset allocates nothing, however many rows it keeps: every buffer
+    /// keeps its address and capacity.
+    #[test]
+    fn a_warm_scratch_restricts_without_allocating() {
+        let g = gen::gnp(120, 0.05, &mut gen::seeded_rng(7));
+        let pack = problems::max_independent_set_unweighted(&g);
+        let cover = problems::min_dominating_set_unweighted(&g);
+        let all: Vec<Vertex> = g.vertices().collect();
+        let mut rng = gen::seeded_rng(8);
+        let fixed = random_mask(120, 0.2, &mut rng);
+        for (ilp, overlay) in [(&pack, None), (&cover, Some(&fixed[..]))] {
+            let mut scratch = RestrictScratch::new();
+            let restrict = |list: &[Vertex], scratch: &mut RestrictScratch| match ilp.sense() {
+                Sense::Packing => packing_restriction_list(ilp, list, scratch).m(),
+                Sense::Covering => covering_restriction_list(ilp, list, None, scratch).m(),
+            };
+            let whole = restrict(&all, &mut scratch);
+            assert!(whole > 100, "{whole} rows");
+            let buffers = |s: &RestrictScratch| {
+                let sub = &s.sub;
+                [
+                    (sub.vars.as_ptr() as usize, sub.vars.capacity()),
+                    (sub.weights.as_ptr() as usize, sub.weights.capacity()),
+                    (sub.row_start.as_ptr() as usize, sub.row_start.capacity()),
+                    (sub.entries.as_ptr() as usize, sub.entries.capacity()),
+                    (sub.bounds.as_ptr() as usize, sub.bounds.capacity()),
+                    (s.local_id.as_ptr() as usize, s.local_id.capacity()),
+                    (s.incident.as_ptr() as usize, s.incident.capacity()),
+                ]
+            };
+            let warm = buffers(&scratch);
+            let mut kept = 0;
+            for density in [0.2, 0.5, 0.9, 1.0] {
+                let list = list_of(&random_mask(120, density, &mut rng));
+                kept += restrict(&list, &mut scratch);
+                if let Some(f) = overlay {
+                    kept += covering_restriction_list(ilp, &list, Some(f), &mut scratch).m();
+                }
+                assert_eq!(buffers(&scratch), warm, "density {density}");
+            }
+            assert!(kept > whole, "{kept} rows kept");
         }
     }
 
@@ -556,10 +648,10 @@ mod tests {
         let list = [1, 2, 3];
         let inside = covering_restriction_list(&ilp, &list, Some(&mask_of(5, &[2])), &mut scratch);
         assert_eq!((inside.vars.as_slice(), inside.m()), (&[1, 3][..], 0));
-        let none = covering_restriction_list(&ilp, &list, None, &mut scratch);
+        let none = covering_restriction_list(&ilp, &list, None, &mut scratch).clone();
         let outside =
             covering_restriction_list(&ilp, &list, Some(&mask_of(5, &[0, 4])), &mut scratch);
-        assert_identical(&outside, &none);
+        assert_identical(outside, &none);
         assert_eq!(none.m(), 2);
     }
 
@@ -631,7 +723,7 @@ mod tests {
         let sub =
             covering_restriction_with_fixed(&ilp, &[true, true, true], Some(&[false, false, true]));
         assert_eq!(sub.m(), 1);
-        assert_eq!(sub.constraints[0].bound(), 1.0);
+        assert_eq!(sub.bound(0), 1.0);
         assert!(sub.is_feasible(&[true, false]));
         assert!(!sub.is_feasible(&[false, false]));
     }

@@ -71,8 +71,8 @@ pub fn solve_packing(sub: &SubInstance, budget: &SolverBudget) -> BnbResult {
         s
     };
     let mut membership: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
-    for (j, c) in sub.constraints.iter().enumerate() {
-        for &(v, a) in c.coeffs() {
+    for (j, (row, _)) in sub.rows().enumerate() {
+        for &(v, a) in row {
             membership[v as usize].push((j, a));
         }
     }
@@ -131,7 +131,7 @@ impl PackState<'_> {
         // Branch 1: include v if it fits.
         let fits = self.membership[v]
             .iter()
-            .all(|&(j, a)| self.lhs[j] + a <= self.sub.constraints[j].bound() + FEASIBILITY_EPS);
+            .all(|&(j, a)| self.lhs[j] + a <= self.sub.bound(j) + FEASIBILITY_EPS);
         if fits && self.sub.weights[v] > 0 {
             for &(j, a) in &self.membership[v] {
                 self.lhs[j] += a;
@@ -157,8 +157,8 @@ pub fn solve_covering(sub: &SubInstance, budget: &SolverBudget) -> BnbResult {
     assert_eq!(sub.sense, Sense::Covering);
     let n = sub.n();
     let mut membership: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
-    for (j, c) in sub.constraints.iter().enumerate() {
-        for &(v, a) in c.coeffs() {
+    for (j, (row, _)) in sub.rows().enumerate() {
+        for &(v, a) in row {
             membership[v as usize].push((j, a));
         }
     }
@@ -182,7 +182,10 @@ pub fn solve_covering(sub: &SubInstance, budget: &SolverBudget) -> BnbResult {
     let incumbent = greedy::greedy_covering(sub);
     // `possible[j]`: how much LHS constraint j can still reach given
     // already-excluded variables. Dropping below the bound prunes.
-    let possible: Vec<f64> = sub.constraints.iter().map(|c| c.coeff_sum()).collect();
+    let possible: Vec<f64> = sub
+        .rows()
+        .map(|(row, _)| row.iter().map(|&(_, a)| a).sum())
+        .collect();
     let mut state = CoverState {
         sub,
         order: &order,
@@ -191,7 +194,7 @@ pub fn solve_covering(sub: &SubInstance, budget: &SolverBudget) -> BnbResult {
         best: incumbent,
         nodes_left: budget.node_limit,
         exact: true,
-        residual: sub.constraints.iter().map(|c| c.bound()).collect(),
+        residual: sub.rows().map(|(_, bound)| bound).collect(),
         possible,
         x: vec![false; n],
         pos: &pos,
@@ -260,7 +263,7 @@ impl CoverState<'_> {
         // needs v (possible - a_vj < bound) forces inclusion.
         let forced = self.membership[v].iter().any(|&(j, a)| {
             self.residual[j] > FEASIBILITY_EPS
-                && self.possible[j] - a < self.sub.constraints[j].bound() - FEASIBILITY_EPS
+                && self.possible[j] - a < self.sub.bound(j) - FEASIBILITY_EPS
         });
         // Branch 1: include v.
         for &(j, a) in &self.membership[v] {
@@ -291,13 +294,12 @@ impl CoverState<'_> {
         self.stamp += 1;
         let stamp = self.stamp;
         let mut bound = 0;
-        for (c, &r) in self.sub.constraints.iter().zip(&self.residual) {
+        for ((row, _), &r) in self.sub.rows().zip(&self.residual) {
             if r <= FEASIBILITY_EPS {
                 continue;
             }
             let undecided = || {
-                c.coeffs()
-                    .iter()
+                row.iter()
                     .map(|&(v, _)| v as usize)
                     .filter(|&v| self.pos[v] >= idx)
             };
@@ -369,7 +371,7 @@ mod tests {
             let v = self.order[idx];
             let forced = self.membership[v].iter().any(|&(j, a)| {
                 self.residual[j] > FEASIBILITY_EPS
-                    && self.possible[j] - a < self.sub.constraints[j].bound() - FEASIBILITY_EPS
+                    && self.possible[j] - a < self.sub.bound(j) - FEASIBILITY_EPS
             });
             for &(j, a) in &self.membership[v] {
                 self.residual[j] -= a;

@@ -18,8 +18,8 @@ pub fn greedy_packing(sub: &SubInstance) -> Vec<bool> {
     assert_eq!(sub.sense, Sense::Packing);
     let n = sub.n();
     let mut degree = vec![0usize; n];
-    for c in &sub.constraints {
-        for &(v, _) in c.coeffs() {
+    for (row, _) in sub.rows() {
+        for &(v, _) in row {
             degree[v as usize] += 1;
         }
     }
@@ -28,8 +28,8 @@ pub fn greedy_packing(sub: &SubInstance) -> Vec<bool> {
     let mut lhs = vec![0.0f64; sub.m()];
     // Per-variable constraint membership for O(deg) updates.
     let mut membership: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
-    for (j, c) in sub.constraints.iter().enumerate() {
-        for &(v, a) in c.coeffs() {
+    for (j, (row, _)) in sub.rows().enumerate() {
+        for &(v, a) in row {
             membership[v as usize].push((j, a));
         }
     }
@@ -40,7 +40,7 @@ pub fn greedy_packing(sub: &SubInstance) -> Vec<bool> {
         }
         let fits = membership[v]
             .iter()
-            .all(|&(j, a)| lhs[j] + a <= sub.constraints[j].bound() + FEASIBILITY_EPS);
+            .all(|&(j, a)| lhs[j] + a <= sub.bound(j) + FEASIBILITY_EPS);
         if fits {
             x[v] = true;
             for &(j, a) in &membership[v] {
@@ -63,10 +63,10 @@ pub fn greedy_packing(sub: &SubInstance) -> Vec<bool> {
 pub fn greedy_covering(sub: &SubInstance) -> Vec<bool> {
     assert_eq!(sub.sense, Sense::Covering);
     let n = sub.n();
-    let mut residual: Vec<f64> = sub.constraints.iter().map(|c| c.bound()).collect();
+    let mut residual: Vec<f64> = sub.rows().map(|(_, bound)| bound).collect();
     let mut membership: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
-    for (j, c) in sub.constraints.iter().enumerate() {
-        for &(v, a) in c.coeffs() {
+    for (j, (row, _)) in sub.rows().enumerate() {
+        for &(v, a) in row {
             membership[v as usize].push((j, a));
         }
     }

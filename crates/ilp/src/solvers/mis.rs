@@ -301,20 +301,24 @@ impl SearchCtx<'_> {
 }
 
 /// Exact MWIS on graphs of maximum degree ≤ 2 (disjoint unions of paths
-/// and cycles) by dynamic programming, linear time.
+/// and cycles) by dynamic programming, linear time. One walk buffer and
+/// one set of DP buffers serve every component.
 fn mwis_degree_two(g: &Graph, weights: &[u64]) -> MisResult {
     let n = g.n();
     let mut in_set = vec![false; n];
     let mut total = 0u64;
     let mut visited = vec![false; n];
+    let mut order: Vec<Vertex> = Vec::new();
+    let mut dp = PathDp::default();
     for s in 0..n as Vertex {
         if visited[s as usize] {
             continue;
         }
-        // Trace the component as an ordered walk. Paths start at a
-        // degree-≤1 endpoint; cycles start anywhere.
-        let start = component_endpoint(g, s, &visited).unwrap_or(s);
-        let mut order: Vec<Vertex> = vec![start];
+        // Trace the component as an ordered walk. Paths start at an end;
+        // cycles start at `s`.
+        let start = path_end(g, s).unwrap_or(s);
+        order.clear();
+        order.push(start);
         visited[start as usize] = true;
         let mut prev = start;
         let mut cur = start;
@@ -335,33 +339,24 @@ fn mwis_degree_two(g: &Graph, weights: &[u64]) -> MisResult {
             }
         }
         let is_cycle = order.len() >= 3 && g.has_edge(*order.last().unwrap(), start);
-        let (w, chosen) = if is_cycle {
+        if is_cycle {
             // Case A: exclude the first vertex; DP on the rest as a path.
-            let (wa, mut ca) = path_dp(&order[1..], weights);
-            ca.insert(0, false);
+            let wa = dp.solve(&order[1..], weights, 0);
             // Case B: include the first vertex; its two cycle neighbours
             // (order[1] and order.last()) are forced out.
             let inner = &order[2..order.len() - 1];
-            let (wb_inner, cb_inner) = path_dp(inner, weights);
-            let wb = wb_inner + weights[start as usize];
+            let wb = dp.solve(inner, weights, 1) + weights[start as usize];
             if wb > wa {
-                let mut cb = vec![false; order.len()];
-                cb[0] = true;
-                for (i, &c) in cb_inner.iter().enumerate() {
-                    cb[i + 2] = c;
-                }
-                (wb, cb)
+                in_set[start as usize] = true;
+                dp.mark(1, inner, &mut in_set);
+                total += wb;
             } else {
-                (wa, ca)
+                dp.mark(0, &order[1..], &mut in_set);
+                total += wa;
             }
         } else {
-            path_dp(&order, weights)
-        };
-        total += w;
-        for (i, &c) in chosen.iter().enumerate() {
-            if c {
-                in_set[order[i] as usize] = true;
-            }
+            total += dp.solve(&order, weights, 0);
+            dp.mark(0, &order, &mut in_set);
         }
     }
     MisResult {
@@ -371,59 +366,79 @@ fn mwis_degree_two(g: &Graph, weights: &[u64]) -> MisResult {
     }
 }
 
-/// A degree-≤1 vertex of `s`'s unvisited component, if any (i.e. the
-/// component is a path, not a cycle).
-fn component_endpoint(g: &Graph, s: Vertex, visited: &[bool]) -> Option<Vertex> {
-    let mut stack = vec![s];
-    let mut seen = std::collections::BTreeSet::new();
-    seen.insert(s);
-    while let Some(u) = stack.pop() {
-        let live_deg = g
-            .neighbors(u)
-            .iter()
-            .filter(|&&w| !visited[w as usize])
-            .count();
-        if live_deg <= 1 {
-            return Some(u);
+/// The end of `s`'s component that a walk from `s` towards its last
+/// neighbour reaches, or `None` if the walk comes back to `s` (the
+/// component is a cycle). A vertex of degree at most one is its own end.
+/// Needs maximum degree two.
+fn path_end(g: &Graph, s: Vertex) -> Option<Vertex> {
+    let (mut prev, mut cur) = (s, s);
+    loop {
+        let nb = g.neighbors(cur);
+        if nb.len() <= 1 {
+            return Some(cur);
         }
-        for &w in g.neighbors(u) {
-            if !visited[w as usize] && seen.insert(w) {
-                stack.push(w);
+        (prev, cur) = (cur, if nb[1] != prev { nb[1] } else { nb[0] });
+        if cur == s {
+            return None;
+        }
+    }
+}
+
+/// Reusable buffers of the MWIS DP along a path: the best weights with
+/// and without each vertex, and the chosen flags of two solves.
+#[derive(Default)]
+struct PathDp {
+    take: Vec<u64>,
+    skip: Vec<u64>,
+    chosen: [Vec<bool>; 2],
+}
+
+impl PathDp {
+    /// Classic MWIS DP along an ordered path: returns the best weight and
+    /// leaves the chosen flags, one per vertex of `order`, in slot `slot`.
+    fn solve(&mut self, order: &[Vertex], weights: &[u64], slot: usize) -> u64 {
+        let chosen = &mut self.chosen[slot];
+        chosen.clear();
+        if order.is_empty() {
+            return 0;
+        }
+        let k = order.len();
+        // take[i]: best including i; skip[i]: best excluding i.
+        let (take, skip) = (&mut self.take, &mut self.skip);
+        take.clear();
+        take.resize(k, 0);
+        skip.clear();
+        skip.resize(k, 0);
+        take[0] = weights[order[0] as usize];
+        for i in 1..k {
+            take[i] = skip[i - 1] + weights[order[i] as usize];
+            skip[i] = take[i - 1].max(skip[i - 1]);
+        }
+        chosen.resize(k, false);
+        let mut i = k;
+        let mut taking = take[k - 1] > skip[k - 1];
+        while i > 0 {
+            i -= 1;
+            if taking {
+                chosen[i] = true;
+                // came from skip[i-1]
+                taking = false;
+            } else if i > 0 {
+                taking = take[i - 1] > skip[i - 1];
+            }
+        }
+        take[k - 1].max(skip[k - 1])
+    }
+
+    /// Adds the vertices slot `slot` chose, the `i`-th flag standing for
+    /// `order[i]`, to `in_set`.
+    fn mark(&self, slot: usize, order: &[Vertex], in_set: &mut [bool]) {
+        for (&v, &c) in order.iter().zip(&self.chosen[slot]) {
+            if c {
+                in_set[v as usize] = true;
             }
         }
     }
-    None
-}
-
-/// Classic MWIS DP along an ordered path; returns (weight, chosen flags).
-fn path_dp(order: &[Vertex], weights: &[u64]) -> (u64, Vec<bool>) {
-    if order.is_empty() {
-        return (0, Vec::new());
-    }
-    let k = order.len();
-    // take[i]: best including i; skip[i]: best excluding i.
-    let mut take = vec![0u64; k];
-    let mut skip = vec![0u64; k];
-    take[0] = weights[order[0] as usize];
-    for i in 1..k {
-        take[i] = skip[i - 1] + weights[order[i] as usize];
-        skip[i] = take[i - 1].max(skip[i - 1]);
-    }
-    let mut chosen = vec![false; k];
-    let mut i = k;
-    let mut taking = take[k - 1] > skip[k - 1];
-    let best = take[k - 1].max(skip[k - 1]);
-    while i > 0 {
-        i -= 1;
-        if taking {
-            chosen[i] = true;
-            // came from skip[i-1]
-            taking = false;
-        } else if i > 0 {
-            taking = take[i - 1] > skip[i - 1];
-        }
-    }
-    (best, chosen)
 }
 
 /// Exhaustive MWIS for cross-checking (exponential; keep `n ≤ 20`).
@@ -807,6 +822,156 @@ mod tests {
             }
             let claimed: u64 = (0..n).filter(|&v| r.in_set[v]).map(|v| weights[v]).sum();
             assert_eq!(claimed, r.weight);
+        }
+    }
+
+    /// The degree-two DP before its buffers were reused: a DFS with a
+    /// `BTreeSet` finds each path's end, and every DP allocates. The
+    /// reference [`mwis_degree_two`] must reproduce bit for bit.
+    fn reference_degree_two(g: &Graph, weights: &[u64]) -> MisResult {
+        let n = g.n();
+        let mut in_set = vec![false; n];
+        let mut total = 0u64;
+        let mut visited = vec![false; n];
+        for s in 0..n as Vertex {
+            if visited[s as usize] {
+                continue;
+            }
+            let start = reference_endpoint(g, s, &visited).unwrap_or(s);
+            let mut order: Vec<Vertex> = vec![start];
+            visited[start as usize] = true;
+            let mut prev = start;
+            let mut cur = start;
+            while let Some(w) = g
+                .neighbors(cur)
+                .iter()
+                .copied()
+                .find(|&w| w != prev && !visited[w as usize])
+            {
+                visited[w as usize] = true;
+                order.push(w);
+                prev = cur;
+                cur = w;
+            }
+            let is_cycle = order.len() >= 3 && g.has_edge(*order.last().unwrap(), start);
+            let (w, chosen) = if is_cycle {
+                let (wa, mut ca) = reference_path_dp(&order[1..], weights);
+                ca.insert(0, false);
+                let inner = &order[2..order.len() - 1];
+                let (wb_inner, cb_inner) = reference_path_dp(inner, weights);
+                let wb = wb_inner + weights[start as usize];
+                if wb > wa {
+                    let mut cb = vec![false; order.len()];
+                    cb[0] = true;
+                    for (i, &c) in cb_inner.iter().enumerate() {
+                        cb[i + 2] = c;
+                    }
+                    (wb, cb)
+                } else {
+                    (wa, ca)
+                }
+            } else {
+                reference_path_dp(&order, weights)
+            };
+            total += w;
+            for (i, &c) in chosen.iter().enumerate() {
+                if c {
+                    in_set[order[i] as usize] = true;
+                }
+            }
+        }
+        MisResult {
+            in_set,
+            weight: total,
+            exact: true,
+        }
+    }
+
+    fn reference_endpoint(g: &Graph, s: Vertex, visited: &[bool]) -> Option<Vertex> {
+        let mut stack = vec![s];
+        let mut seen = std::collections::BTreeSet::new();
+        seen.insert(s);
+        while let Some(u) = stack.pop() {
+            let live_deg = g
+                .neighbors(u)
+                .iter()
+                .filter(|&&w| !visited[w as usize])
+                .count();
+            if live_deg <= 1 {
+                return Some(u);
+            }
+            for &w in g.neighbors(u) {
+                if !visited[w as usize] && seen.insert(w) {
+                    stack.push(w);
+                }
+            }
+        }
+        None
+    }
+
+    fn reference_path_dp(order: &[Vertex], weights: &[u64]) -> (u64, Vec<bool>) {
+        if order.is_empty() {
+            return (0, Vec::new());
+        }
+        let k = order.len();
+        let mut take = vec![0u64; k];
+        let mut skip = vec![0u64; k];
+        take[0] = weights[order[0] as usize];
+        for i in 1..k {
+            take[i] = skip[i - 1] + weights[order[i] as usize];
+            skip[i] = take[i - 1].max(skip[i - 1]);
+        }
+        let mut chosen = vec![false; k];
+        let mut i = k;
+        let mut taking = take[k - 1] > skip[k - 1];
+        let best = take[k - 1].max(skip[k - 1]);
+        while i > 0 {
+            i -= 1;
+            if taking {
+                chosen[i] = true;
+                taking = false;
+            } else if i > 0 {
+                taking = take[i - 1] > skip[i - 1];
+            }
+        }
+        (best, chosen)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn degree_two_dp_reproduces_the_reference(seed in 0u64..1 << 32) {
+            // A random union of paths (single vertices included) and
+            // cycles, its ids shuffled so that walks start mid-path and
+            // in either direction.
+            let mut rng = gen::seeded_rng(seed);
+            let mut edges: Vec<(u32, u32)> = Vec::new();
+            let mut next = 0u32;
+            let size = rng.random_range(1..60u32);
+            while next < size {
+                let len = rng.random_range(1..12u32);
+                for i in 0..len - 1 {
+                    edges.push((next + i, next + i + 1));
+                }
+                if len >= 3 && rng.random_bool(0.5) {
+                    edges.push((next + len - 1, next));
+                }
+                next += len;
+            }
+            let n = next as usize;
+            let mut relabel: Vec<u32> = (0..next).collect();
+            for i in (1..n).rev() {
+                relabel.swap(i, rng.random_range(0..=i));
+            }
+            let edges: Vec<(u32, u32)> = edges
+                .iter()
+                .map(|&(u, v)| (relabel[u as usize], relabel[v as usize]))
+                .collect();
+            let g = Graph::from_edges(n, &edges);
+            prop_assert!(g.max_degree() <= 2);
+            let weights: Vec<u64> = (0..n).map(|_| rng.random_range(0..6u64)).collect();
+            prop_assert_eq!(mwis_degree_two(&g, &weights), reference_degree_two(&g, &weights));
         }
     }
 

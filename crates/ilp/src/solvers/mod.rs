@@ -139,26 +139,25 @@ fn try_conflict_mis(sub: &SubInstance, budget: &SolverBudget) -> Option<Solution
     let n = sub.n();
     let mut forced_zero = vec![false; n];
     let mut conflicts: Vec<(u32, u32)> = Vec::new();
-    for c in &sub.constraints {
-        let coeffs = c.coeffs();
+    for (coeffs, bound) in sub.rows() {
         match coeffs.len() {
             0 => {}
             1 => {
                 let (v, a) = coeffs[0];
-                if a > c.bound() + FEASIBILITY_EPS {
+                if a > bound + FEASIBILITY_EPS {
                     forced_zero[v as usize] = true;
                 }
             }
             2 => {
                 let (u, au) = coeffs[0];
                 let (v, av) = coeffs[1];
-                if au > c.bound() + FEASIBILITY_EPS {
+                if au > bound + FEASIBILITY_EPS {
                     forced_zero[u as usize] = true;
                 }
-                if av > c.bound() + FEASIBILITY_EPS {
+                if av > bound + FEASIBILITY_EPS {
                     forced_zero[v as usize] = true;
                 }
-                if au + av > c.bound() + FEASIBILITY_EPS {
+                if au + av > bound + FEASIBILITY_EPS {
                     conflicts.push((u, v));
                 }
             }
@@ -197,11 +196,11 @@ fn try_matching(sub: &SubInstance) -> Option<Solution> {
     if w0 == 0 || sub.weights.iter().any(|&w| w != w0) {
         return None;
     }
-    for c in &sub.constraints {
-        if (c.bound() - 1.0).abs() > FEASIBILITY_EPS {
+    for (coeffs, bound) in sub.rows() {
+        if (bound - 1.0).abs() > FEASIBILITY_EPS {
             return None;
         }
-        if c.coeffs()
+        if coeffs
             .iter()
             .any(|&(_, a)| (a - 1.0).abs() > FEASIBILITY_EPS)
         {
@@ -209,8 +208,8 @@ fn try_matching(sub: &SubInstance) -> Option<Solution> {
         }
     }
     let mut membership: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (j, c) in sub.constraints.iter().enumerate() {
-        for &(v, _) in c.coeffs() {
+    for (j, (coeffs, _)) in sub.rows().enumerate() {
+        for &(v, _) in coeffs {
             membership[v as usize].push(j as u32);
             if membership[v as usize].len() > 2 {
                 return None;
@@ -219,7 +218,7 @@ fn try_matching(sub: &SubInstance) -> Option<Solution> {
     }
     // Build the matching graph: one vertex per constraint plus a private
     // dummy endpoint for every variable with a single membership.
-    let m = sub.constraints.len();
+    let m = sub.m();
     let mut next_dummy = m as u32;
     let mut var_edge: Vec<Option<(u32, u32)>> = vec![None; n];
     let mut free_vars: Vec<usize> = Vec::new();
@@ -271,9 +270,8 @@ fn try_vertex_cover(sub: &SubInstance, budget: &SolverBudget) -> Option<Solution
     let n = sub.n();
     let mut forced_one = vec![false; n];
     let mut edges: Vec<(u32, u32)> = Vec::new();
-    for c in &sub.constraints {
-        let coeffs = c.coeffs();
-        if (c.bound() - 1.0).abs() > FEASIBILITY_EPS {
+    for (coeffs, bound) in sub.rows() {
+        if (bound - 1.0).abs() > FEASIBILITY_EPS {
             return None;
         }
         match coeffs.len() {
