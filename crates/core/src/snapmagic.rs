@@ -45,13 +45,6 @@ impl Magic {
     }
 }
 
-/// `dapc_runtime::BatchAggregator` canonical binary snapshot.
-pub const AGGREGATOR: Magic = Magic {
-    bytes: b"DAPCAGG\x01",
-    sealed: false,
-    name: "batch-aggregator snapshot",
-};
-
 /// `dapc_runtime::PartReport` checkpoint (contiguous job range).
 pub const PART: Magic = Magic {
     bytes: b"DAPCPRT\x02",
@@ -75,7 +68,7 @@ pub const MANIFEST: Magic = Magic {
 
 /// Every registered format, for the consistency test and for tooling
 /// that wants to recognise any workspace snapshot.
-pub const ALL: [&Magic; 4] = [&AGGREGATOR, &PART, &SPEC, &MANIFEST];
+pub const ALL: [&Magic; 3] = [&PART, &SPEC, &MANIFEST];
 
 #[cfg(test)]
 mod tests {
@@ -120,6 +113,6 @@ mod tests {
                 m.name
             );
         }
-        assert_eq!(ALL.len(), 4, "keep the table in sync with the formats");
+        assert_eq!(ALL.len(), 3, "keep the table in sync with the formats");
     }
 }

@@ -7,9 +7,10 @@
 //! work, behind three entry points:
 //!
 //! - [`solve_range_streaming_with_cache`] solves any contiguous range of
-//!   the canonical job order into a mergeable, snapshotable
-//!   [`PartReport`] — the unit `dapc-serve` checkpoints and merges across
-//!   worker processes, for corpora that do not fit one machine;
+//!   the canonical job order into a snapshotable [`PartReport`] — the
+//!   unit `dapc-serve` checkpoints across worker processes and appends
+//!   back together in canonical order, for corpora that do not fit one
+//!   machine;
 //! - [`solve_many_streaming_with_cache`] runs that pipeline over the
 //!   whole corpus and finishes it into a [`StreamReport`], handing each
 //!   job to an `on_result` hook, for corpora that do not fit one
@@ -70,7 +71,7 @@
 //! ```
 //!
 //! Two ranges solved apart — in real use by two processes, with the
-//! parts shipped as bytes via `save_to`/`load_from` — merge into the
+//! parts shipped as bytes via `save_to`/`load_from` — append into the
 //! aggregation of the whole:
 //!
 //! ```
@@ -95,12 +96,12 @@
 //! let part = |range| {
 //!     solve_range_streaming_with_cache(&corpus, range, &rt, &PrepCache::new(), |_r| {})
 //! };
-//! let mut merged = part(half..corpus.len());
-//! merged.merge(part(0..half));
-//! let merged = merged.finish();
+//! let mut stitched = part(0..half);
+//! stitched.append(part(half..corpus.len()));
+//! let stitched = stitched.finish();
 //! let single = solve_many(&corpus, &rt);
-//! assert_eq!(merged.jobs, single.results.len());
-//! for (a, b) in merged.groups.iter().zip(&single.groups) {
+//! assert_eq!(stitched.jobs, single.results.len());
+//! for (a, b) in stitched.groups.iter().zip(&single.groups) {
 //!     assert_eq!((a.min_value, a.mean_value, a.opt), (b.min_value, b.mean_value, b.opt));
 //! }
 //! ```
@@ -119,7 +120,6 @@ pub use cache::{CacheStats, PrepCache};
 pub use corpus::{Corpus, CorpusBuilder, Job, JobKey};
 pub use part::{solve_range_streaming_with_cache, PartReport, PART_MAGIC};
 pub use report::{
-    BackendSummary, BatchAggregator, BatchReport, GroupStats, GroupSummary, JobResult,
-    StreamReport, AGGREGATOR_MAGIC,
+    BackendSummary, BatchAggregator, BatchReport, GroupStats, GroupSummary, JobResult, StreamReport,
 };
 pub use run::{solve_many, solve_many_streaming_with_cache, RuntimeConfig};

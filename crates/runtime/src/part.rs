@@ -4,17 +4,16 @@
 //!
 //! [`solve_range_streaming_with_cache`] solves any contiguous canonical
 //! range of a corpus and returns a [`PartReport`]: a snapshotable
-//! aggregation that merges with the part of any other disjoint range of
-//! the same corpus. When a worker dies halfway through its range, the
-//! remaining jobs can go to any other worker and the completed prefix is
-//! salvaged from checkpoints. Merging is associative and commutative (the
-//! mergeable-span [`BatchAggregator`] does the heavy lifting), so *any*
-//! disjoint cover of the corpus, however crashes and retries carved it
-//! up, finishes into the identical [`StreamReport`] the whole-corpus run
-//! produces, timings aside. This is the aggregate-by-compact-summaries
-//! shape of distributed covering/packing (Koufogiannakis & Young,
-//! Distributed Computing 2011) applied to the experiment sweep itself.
-//! The whole-corpus entry points run this pipeline over `0..len`.
+//! aggregation to which the part of the next range appends. When a
+//! worker dies halfway through its range, the remaining jobs can go to
+//! any other worker and the completed prefix is salvaged from
+//! checkpoints; the parts of *any* split of the corpus into consecutive
+//! ranges, however crashes and retries carved it up, append in
+//! canonical order into the identical [`StreamReport`] the whole-corpus
+//! run produces, timings aside. This is the in-order fold of compact
+//! summaries (Koufogiannakis & Young, Distributed Computing 2011)
+//! applied to the experiment sweep itself. The whole-corpus entry
+//! points run this pipeline over `0..len`.
 
 use crate::cache::{CacheStats, PrepCache};
 use crate::corpus::Corpus;
@@ -29,103 +28,122 @@ use std::time::{Duration, Instant};
 
 /// Magic + version prefix of the part-report snapshot format: seven
 /// identifying bytes and a format version byte. The body is the fixed
-/// header (`corpus_jobs · start · jobs · workers · peak_buffered ·
-/// wall_micros`), the five cache counters, and the length-prefixed
-/// [`BatchAggregator`] snapshot — all integers little-endian, the stream
-/// self-delimiting (trailing bytes are corruption). Version 2 appends a
-/// 16-byte FNV-1a-128 seal over every preceding byte, so *any* bit flip
-/// or truncation in a checkpoint file surfaces as a load error instead
-/// of a silently wrong merge.
+/// header (`corpus_jobs · workers · peak_buffered · wall_micros`), the
+/// five cache counters, and the aggregation (`start · jobs`, the
+/// reference optima and the cells in canonical order) — all integers
+/// little-endian, the stream self-delimiting (trailing bytes are
+/// corruption). A 16-byte FNV-1a-128 seal over every preceding byte
+/// follows, so *any* bit flip or truncation in a checkpoint file
+/// surfaces as a load error instead of a silently wrong stitch.
 pub const PART_MAGIC: &[u8; 8] = dapc_core::snapmagic::PART.bytes;
 
-/// The aggregation of one contiguous job range of a corpus (or, after
-/// merging, of any disjoint union of ranges): what a checkpoint file
-/// holds and what a coordinator stitches back together. Produced by
-/// [`solve_range_streaming_with_cache`], shipped with
-/// [`PartReport::save_to`] / [`PartReport::load_from`], recombined with
-/// [`PartReport::merge`] and closed out with [`PartReport::finish`].
-///
-/// A part's identity is the canonical ranges its aggregator covers
-/// ([`PartReport::covered`]), which is what makes crash-driven
-/// repartitions mergeable at all.
+/// The aggregation of one contiguous job range of a corpus: what a
+/// checkpoint file holds and what a coordinator stitches back together.
+/// Produced by [`solve_range_streaming_with_cache`], shipped with
+/// [`PartReport::save_to`] / [`PartReport::load_from`], stitched with
+/// [`PartReport::append`] and closed out with [`PartReport::finish`].
 #[derive(Debug)]
 pub struct PartReport {
     /// Total jobs of the corpus being partially solved (validation that
-    /// parts of the *same* sweep are merged).
+    /// parts of the *same* sweep are stitched).
     pub corpus_jobs: usize,
-    /// Canonical index of the earliest job covered (the range start even
-    /// while the part is empty).
-    pub start: usize,
-    /// Jobs this part covers (after merging: the sum).
-    pub jobs: usize,
-    /// The part's online aggregation, mergeable and snapshotable.
+    /// The part's online aggregation, over the part's
+    /// [`PartReport::range`].
     pub aggregator: BatchAggregator,
-    /// Prep-cache counters of the producing process (after merging:
+    /// Prep-cache counters of the producing process (after appending:
     /// fieldwise sums over per-process caches).
     pub cache: CacheStats,
-    /// Concurrent pump tasks the part ran with (after merging: the
+    /// Concurrent pump tasks the part ran with (after appending: the
     /// maximum).
     pub workers: usize,
-    /// Reorder-buffer high-water mark (after merging: the maximum).
+    /// Reorder-buffer high-water mark (after appending: the maximum).
     pub peak_buffered: usize,
-    /// Wall-clock time spent producing the part. Merging takes the
+    /// Wall-clock time spent producing the part. Appending takes the
     /// per-part **maximum**, not the sum: cooperating processes run
-    /// concurrently, so the merged wall models the slowest part.
+    /// concurrently, so the stitched wall models the slowest part.
     pub wall: Duration,
 }
 
 impl PartReport {
-    /// The canonical job ranges this part covers, in normal form
-    /// (sorted, disjoint, adjacent runs coalesced) — one entry straight
-    /// from a range solve, possibly several after merging
-    /// non-adjacent parts.
-    pub fn covered(&self) -> Vec<Range<usize>> {
-        self.aggregator.covered()
+    /// The canonical job range this part covers.
+    pub fn range(&self) -> Range<usize> {
+        self.aggregator.range()
     }
 
-    /// Folds another part of the same sweep into this one: aggregators
-    /// merge (associative and commutative over disjoint job sets), cache
-    /// counters sum, wall time and concurrency telemetry take per-part
-    /// maxima.
+    /// Appends `next`, the part of the range that starts where this one
+    /// ends: a cell split across the boundary is absorbed, cache counters
+    /// sum, wall time and concurrency telemetry take per-part maxima.
+    ///
+    /// ```
+    /// use dapc_graph::gen;
+    /// use dapc_ilp::problems;
+    /// use dapc_runtime::{
+    ///     solve_many, solve_range_streaming_with_cache, Corpus, PrepCache, RuntimeConfig,
+    /// };
+    ///
+    /// let corpus = Corpus::builder()
+    ///     .instance(
+    ///         "MIS/cycle16",
+    ///         problems::max_independent_set_unweighted(&gen::cycle(16)),
+    ///     )
+    ///     .backend("greedy")
+    ///     .eps(0.3)
+    ///     .seeds(0..6)
+    ///     .build();
+    /// let rt = RuntimeConfig::new();
+    /// let part = |range| {
+    ///     solve_range_streaming_with_cache(&corpus, range, &rt, &PrepCache::new(), |_r| {})
+    /// };
+    /// // Two cooperating processes, one range each, split inside the
+    /// // cell's seed run.
+    /// let mut stitched = part(0..3);
+    /// stitched.append(part(3..6));
+    /// let stitched = stitched.finish();
+    /// let single = solve_many(&corpus, &rt);
+    /// assert_eq!(stitched.groups.len(), single.groups.len());
+    /// assert_eq!(stitched.groups[0].jobs, 6);
+    /// assert_eq!(stitched.groups[0].min_value, single.groups[0].min_value);
+    /// assert_eq!(stitched.groups[0].mean_value, single.groups[0].mean_value);
+    /// ```
     ///
     /// # Panics
     ///
     /// Panics when the parts come from different corpora (`corpus_jobs`
-    /// differs) or cover overlapping job ranges (the same checkpoint
-    /// merged twice).
-    pub fn merge(&mut self, other: PartReport) {
+    /// differs) or `next` does not start where this part ends (a
+    /// checkpoint appended twice, skipped or out of order).
+    pub fn append(&mut self, next: PartReport) {
         assert_eq!(
-            self.corpus_jobs, other.corpus_jobs,
+            self.corpus_jobs, next.corpus_jobs,
             "parts of different corpora ({} vs {} jobs)",
-            self.corpus_jobs, other.corpus_jobs
+            self.corpus_jobs, next.corpus_jobs
         );
-        self.start = self.start.min(other.start);
-        self.jobs += other.jobs;
-        self.aggregator.merge(other.aggregator);
-        self.cache.absorb(&other.cache);
-        self.workers = self.workers.max(other.workers);
-        self.peak_buffered = self.peak_buffered.max(other.peak_buffered);
-        self.wall = self.wall.max(other.wall);
+        self.aggregator.append(next.aggregator);
+        self.cache.absorb(&next.cache);
+        self.workers = self.workers.max(next.workers);
+        self.peak_buffered = self.peak_buffered.max(next.peak_buffered);
+        self.wall = self.wall.max(next.wall);
     }
 
-    /// Finalises a fully merged part into the [`StreamReport`] the
-    /// whole-corpus run would have returned (timings and
-    /// per-process cache counters aside — groups and backends are equal
-    /// bit for bit).
+    /// Finalises a part covering the whole corpus into the
+    /// [`StreamReport`] the whole-corpus run would have returned (timings
+    /// and per-process cache counters aside — groups and backends are
+    /// equal bit for bit).
     ///
     /// # Panics
     ///
-    /// Panics when the merged parts do not cover every job of the corpus
-    /// — a checkpoint is missing.
+    /// Panics when the part does not cover every job of the corpus — a
+    /// checkpoint is missing.
     pub fn finish(self) -> StreamReport {
         assert_eq!(
-            self.jobs, self.corpus_jobs,
-            "merged parts cover {} of {} corpus jobs — a range is missing",
-            self.jobs, self.corpus_jobs
+            self.range(),
+            0..self.corpus_jobs,
+            "appended parts cover {:?} of {} corpus jobs — a range is missing",
+            self.range(),
+            self.corpus_jobs
         );
         let (groups, backends) = self.aggregator.finish();
         StreamReport {
-            jobs: self.jobs,
+            jobs: self.corpus_jobs,
             groups,
             backends,
             cache: self.cache,
@@ -145,8 +163,6 @@ impl PartReport {
         let mut buf = Vec::new();
         buf.extend_from_slice(PART_MAGIC);
         snap::write_u64(&mut buf, self.corpus_jobs as u64)?;
-        snap::write_u64(&mut buf, self.start as u64)?;
-        snap::write_u64(&mut buf, self.jobs as u64)?;
         snap::write_u64(&mut buf, self.workers as u64)?;
         snap::write_u64(&mut buf, self.peak_buffered as u64)?;
         snap::write_u64(&mut buf, self.wall.as_micros() as u64)?;
@@ -155,9 +171,7 @@ impl PartReport {
         snap::write_u64(&mut buf, self.cache.bytes as u64)?;
         snap::write_u64(&mut buf, self.cache.hits)?;
         snap::write_u64(&mut buf, self.cache.misses)?;
-        let mut aggregator = Vec::new();
-        self.aggregator.save_to(&mut aggregator)?;
-        snap::write_bytes(&mut buf, &aggregator)?;
+        self.aggregator.write_to(&mut buf)?;
         snap::seal(&mut buf);
         w.write_all(&buf)
     }
@@ -170,24 +184,15 @@ impl PartReport {
     /// # Errors
     ///
     /// Fails with [`io::ErrorKind::InvalidData`] on a bad magic, an
-    /// unsupported version, a header disagreeing with the embedded
-    /// aggregator (job count, start index, or coverage beyond the
-    /// corpus), or trailing bytes; with
-    /// [`io::ErrorKind::UnexpectedEof`] on truncation at any byte;
-    /// besides propagating reader errors and the aggregator loader's own
-    /// failures. A failed seal check (any byte under the seal flipped or
-    /// missing) is `InvalidData` too.
+    /// unsupported version, an aggregation reaching beyond the corpus or
+    /// whose cells' job counts do not sum to its length, a failed seal
+    /// check (any byte under the seal flipped or missing), or trailing
+    /// bytes; with [`io::ErrorKind::UnexpectedEof`] on truncation at any
+    /// byte; besides propagating reader errors.
     pub fn load_from<R: io::Read>(r: R) -> io::Result<Self> {
         let mut r = snap::SealingReader::new(dapc_chaos::corrupt_reader("part.load", r));
         snap::check_magic(&mut r, PART_MAGIC, "part-report")?;
         let corpus_jobs = snap::read_u64(&mut r)? as usize;
-        let start = snap::read_u64(&mut r)? as usize;
-        let jobs = snap::read_u64(&mut r)? as usize;
-        if jobs > corpus_jobs {
-            return Err(snap::invalid(format!(
-                "part claims {jobs} of {corpus_jobs} corpus jobs"
-            )));
-        }
         let workers = snap::read_u64(&mut r)? as usize;
         let peak_buffered = snap::read_u64(&mut r)? as usize;
         let wall = Duration::from_micros(snap::read_u64(&mut r)?);
@@ -198,42 +203,16 @@ impl PartReport {
             hits: snap::read_u64(&mut r)?,
             misses: snap::read_u64(&mut r)?,
         };
-        let aggregator_bytes = snap::read_bytes(&mut r, "aggregator snapshot")?;
-        let aggregator = BatchAggregator::load_from(aggregator_bytes.as_slice())?;
-        if aggregator.jobs() != jobs {
-            return Err(snap::invalid(format!(
-                "part header claims {jobs} jobs but its aggregator folded {}",
-                aggregator.jobs()
-            )));
-        }
-        let covered = aggregator.covered();
-        if let Some(first) = covered.first() {
-            if first.start != start {
-                return Err(snap::invalid(format!(
-                    "part header starts at {start} but its aggregation at {}",
-                    first.start
-                )));
-            }
-        }
-        if let Some(last) = covered.last() {
-            if last.end > corpus_jobs {
-                return Err(snap::invalid(format!(
-                    "part covers jobs up to {} of a {corpus_jobs}-job corpus",
-                    last.end
-                )));
-            }
-        }
+        let aggregator = BatchAggregator::read_from(&mut r, corpus_jobs)?;
         r.verify_seal("part-report")?;
         // Self-delimiting like every snapshot format here: anything after
-        // the last field is corruption, not padding.
+        // the seal is corruption, not padding.
         let mut trailing = [0u8; 1];
         if r.read(&mut trailing)? != 0 {
             return Err(snap::invalid("trailing bytes after the part report"));
         }
         Ok(PartReport {
             corpus_jobs,
-            start,
-            jobs,
             aggregator,
             cache,
             workers,
@@ -244,7 +223,7 @@ impl PartReport {
 }
 
 /// Solves the contiguous canonical job range `range` of `corpus` against
-/// `cache` and returns the mergeable [`PartReport`]. Every
+/// `cache` and returns its [`PartReport`]. Every
 /// [`crate::JobResult`] of the range is handed to `on_result` by value
 /// exactly once, in canonical order, before being dropped — how the
 /// daemon streams per-job results to a client while the aggregation
@@ -255,12 +234,12 @@ impl PartReport {
 /// setting — jobs keep their global keys and key-derived RNG streams.
 /// Reference optima are solved only for the instances the range actually
 /// touches; ranges sharing an instance compute the same (deterministic)
-/// optimum, which the merge verifies.
+/// optimum, which [`PartReport::append`] verifies.
 ///
 /// # Examples
 ///
 /// A corpus carved into three uneven ranges — the shape a crashed
-/// worker's reassigned remainder produces — merges back to the
+/// worker's reassigned remainder produces — appends back into the
 /// whole-corpus aggregation:
 ///
 /// ```
@@ -286,11 +265,11 @@ impl PartReport {
 ///     solve_range_streaming_with_cache(&corpus, range, &rt, &PrepCache::new(), |_r| {})
 /// };
 ///
-/// // Ranges may merge in any order and any grouping.
-/// let mut merged = part(4..5);
-/// merged.merge(part(0..4));
-/// merged.merge(part(5..corpus.len()));
-/// let stitched = merged.finish();
+/// // Ranges append in canonical order.
+/// let mut stitched = part(0..4);
+/// stitched.append(part(4..5));
+/// stitched.append(part(5..corpus.len()));
+/// let stitched = stitched.finish();
 ///
 /// let single = solve_many_streaming_with_cache(&corpus, &rt, &PrepCache::new(), |_r| {});
 /// assert_eq!(stitched.jobs, single.jobs);
@@ -331,8 +310,6 @@ where
     let (aggregator, pumps, peak_buffered) = stream_jobs(jobs, aggregator, rt, cache, on_result);
     PartReport {
         corpus_jobs: corpus.len(),
-        start: range.start,
-        jobs: range.len(),
         aggregator,
         cache: cache.stats(),
         workers: pumps,
@@ -372,12 +349,10 @@ fn reference_optima(
 mod tests {
     use super::*;
 
-    fn bare_part(start: usize, wall: Duration, workers: usize) -> PartReport {
+    fn bare_part(wall: Duration, workers: usize) -> PartReport {
         PartReport {
             corpus_jobs: 8,
-            start,
-            jobs: 0,
-            aggregator: BatchAggregator::with_optima_at(BTreeMap::new(), start),
+            aggregator: BatchAggregator::with_optima_at(BTreeMap::new(), 2),
             cache: CacheStats {
                 families: 1,
                 entries: 2,
@@ -391,25 +366,25 @@ mod tests {
         }
     }
 
-    /// Pins the documented merge semantics: wall time and concurrency
+    /// Pins the documented append semantics: wall time and concurrency
     /// telemetry take per-part **maxima** (parts run concurrently, so
-    /// the merged wall is the critical path, never the sum), while cache
-    /// counters sum fieldwise.
+    /// the stitched wall is the critical path, never the sum), while
+    /// cache counters sum fieldwise.
     #[test]
-    fn merge_takes_per_part_wall_maximum() {
-        let mut merged = bare_part(4, Duration::from_micros(300), 2);
-        merged.merge(bare_part(2, Duration::from_micros(700), 5));
-        merged.merge(bare_part(6, Duration::from_micros(400), 3));
+    fn append_takes_per_part_wall_maximum() {
+        let mut stitched = bare_part(Duration::from_micros(300), 2);
+        stitched.append(bare_part(Duration::from_micros(700), 5));
+        stitched.append(bare_part(Duration::from_micros(400), 3));
 
         assert_eq!(
-            merged.wall,
+            stitched.wall,
             Duration::from_micros(700),
-            "merged wall is the slowest part, not the 1400µs sum"
+            "stitched wall is the slowest part, not the 1400µs sum"
         );
-        assert_eq!(merged.workers, 5, "workers take the maximum");
-        assert_eq!(merged.peak_buffered, 5, "peak_buffered takes the maximum");
-        assert_eq!(merged.start, 2, "merged start is the smallest");
-        assert_eq!(merged.cache.hits, 30, "cache counters sum");
-        assert_eq!(merged.cache.misses, 15);
+        assert_eq!(stitched.workers, 5, "workers take the maximum");
+        assert_eq!(stitched.peak_buffered, 5, "peak_buffered takes the maximum");
+        assert_eq!(stitched.range(), 2..2, "empty parts keep their offset");
+        assert_eq!(stitched.cache.hits, 30, "cache counters sum");
+        assert_eq!(stitched.cache.misses, 15);
     }
 }

@@ -9,21 +9,14 @@
 //! result vector — [`crate::solve_many`] is a thin wrapper that still
 //! collects one.
 //!
-//! The aggregator is also *mergeable*: every per-cell accumulator is kept
-//! in an exactly-mergeable form — integer `(sum, count)` pairs for the
-//! means, min/max for the extrema, maxima for the worst-seed phase
-//! counters — grouped into **spans** of consecutive canonical job
-//! indices. N cooperating processes each fold a contiguous range of the
-//! corpus (see [`crate::solve_range_streaming_with_cache`]), ship a
-//! versioned binary snapshot ([`BatchAggregator::save_to`] /
-//! [`BatchAggregator::load_from`]), and [`BatchAggregator::merge`]
-//! reassembles them into the *identical* aggregation a single process
-//! would have produced: sums and extrema are associative over the
-//! integers (no float fold depends on the range split — ratios and
-//! means are derived from the integer accumulators
-//! only at [`BatchAggregator::finish`] time), and the one order-sensitive
-//! column (`rounds_last`) follows the span with the later canonical
-//! index. Merging is associative and commutative over disjoint job sets.
+//! An aggregator covers one contiguous run of canonical job indices, and
+//! every per-cell accumulator is integer-exact — `(sum, count)` pairs
+//! for the means, min/max for the extrema, maxima for the worst-seed
+//! phase counters; ratios and means are derived only at
+//! [`BatchAggregator::finish`]. So the aggregations of consecutive
+//! ranges fold in canonical order ([`crate::PartReport::append`]) into
+//! the *identical* aggregation a single process would have produced,
+//! the one cell split across each boundary included.
 
 use crate::cache::CacheStats;
 use crate::corpus::JobKey;
@@ -32,7 +25,8 @@ use dapc_core::engine::{BackendStats, SolveReport};
 use dapc_ilp::Sense;
 use dapc_local::RoundCost;
 use std::collections::{BTreeMap, BTreeSet};
-use std::io;
+use std::io::{self, Read};
+use std::ops::Range;
 use std::time::Duration;
 
 /// One job's outcome: its key, the engine report, and how long the job
@@ -58,8 +52,8 @@ pub struct JobResult {
 /// [`BackendStats`] counter (packing and covering fill disjoint fields;
 /// the reference backends touch none).
 ///
-/// Maxima are associative and commutative, so merging ranges reproduces
-/// the single-process values exactly.
+/// Maxima are associative, so appending ranges reproduces the
+/// single-process values exactly.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GroupStats {
     /// Packing: variables deleted by carving + the Phase 3 decomposition
@@ -303,11 +297,11 @@ fn find_group<'a>(
     })
 }
 
-/// The exactly-mergeable accumulator of one `(instance, backend, ε)`
-/// cell: integer sums and extrema only, so folding is associative — any
-/// split of a cell's seed run into consecutive fragments recombines to
-/// the same accumulator. Ratios and means are *derived* from these
-/// integers at finish time; no float is folded per job.
+/// The accumulator of one `(instance, backend, ε)` cell: integer sums
+/// and extrema only, so folding is associative — any split of a cell's
+/// seed run into consecutive fragments recombines to the same
+/// accumulator. Ratios and means are *derived* from these integers at
+/// finish time; no float is folded per job.
 #[derive(Clone, Debug, PartialEq)]
 struct GroupAcc {
     instance: String,
@@ -326,8 +320,8 @@ struct GroupAcc {
     /// Σ charged LOCAL rounds.
     rounds_sum: u64,
     /// Rounds of the group's last seed *in canonical order* — the one
-    /// order-sensitive column; [`BatchAggregator::finish`] takes it from
-    /// the fragment with the later canonical index.
+    /// order-sensitive column; [`BatchAggregator::append`] takes it from
+    /// the later fragment.
     rounds_last: usize,
     micros: u64,
     stats: GroupStats,
@@ -371,7 +365,7 @@ impl GroupAcc {
         (&self.instance, &self.backend, self.eps.to_bits())
     }
 
-    /// Folds `later` — the same cell's fragment from the next span in
+    /// Folds `later` — the same cell's fragment from the next range in
     /// canonical order — into this accumulator.
     fn absorb(&mut self, later: GroupAcc) {
         debug_assert_eq!(self.cell(), later.cell());
@@ -397,12 +391,22 @@ impl GroupAcc {
     fn finish(self) -> GroupSummary {
         let jobs = self.jobs as f64;
         let (min_ratio, max_ratio, mean_ratio) = match self.opt {
+            // A zero optimum is met exactly by a zero value and missed by
+            // any positive one by an unbounded factor.
+            Some(0) => {
+                let ratio = |v: u128| if v == 0 { 1.0 } else { f64::INFINITY };
+                (
+                    Some(ratio(self.min_value.into())),
+                    Some(ratio(self.max_value.into())),
+                    Some(ratio(self.value_sum)),
+                )
+            }
             // Ratios derive from the integer accumulators only here, so
             // they are independent of how the seed run was split.
             // `min(vᵢ)/opt = min(vᵢ/opt)` exactly: correctly-rounded
             // division by a positive constant is monotone.
             Some(opt) => {
-                let opt = opt.max(1) as f64;
+                let opt = opt as f64;
                 (
                     Some(self.min_value as f64 / opt),
                     Some(self.max_value as f64 / opt),
@@ -435,66 +439,33 @@ impl GroupAcc {
     }
 }
 
-/// One run of consecutive canonical job indices and its per-cell
-/// accumulators, in delivery order.
-#[derive(Clone, Debug, PartialEq)]
-struct Span {
-    /// Canonical index of the span's first job.
-    start: usize,
-    /// Jobs folded into the span.
-    len: usize,
-    groups: Vec<GroupAcc>,
-}
-
-impl Span {
-    fn end(&self) -> usize {
-        self.start + self.len
-    }
-
-    fn overlaps(&self, other: &Span) -> bool {
-        self.len > 0 && other.len > 0 && self.start < other.end() && other.start < self.end()
-    }
-}
-
-/// Online aggregation of [`JobResult`]s in canonical corpus order: the
-/// incremental form of the summary tables [`BatchReport`] carries — and
-/// the unit that range parts snapshot, ship between processes, and merge.
+/// Online aggregation of [`JobResult`]s over one contiguous run of
+/// canonical job indices: the incremental form of the summary tables
+/// [`BatchReport`] carries, and the body of a [`crate::PartReport`].
 ///
 /// Feed every result exactly once via [`BatchAggregator::push`] —
 /// **in canonical order** (the order [`crate::Corpus::jobs`] defines;
 /// the runtime's reorder buffer guarantees it) — then call
 /// [`BatchAggregator::finish`]. A range aggregator starts at its
-/// range's first canonical index ([`BatchAggregator::with_optima_at`])
-/// and is recombined with [`BatchAggregator::merge`]; because every
-/// accumulator is integer-exact and order-insensitive (see the module
-/// docs), the merged aggregation equals the single-process one bit for
-/// bit, timings aside.
+/// range's first canonical index ([`BatchAggregator::with_optima_at`]),
+/// and the aggregation of the range after it appends at its end
+/// ([`crate::PartReport::append`]); because every accumulator is
+/// integer-exact (see the module docs), the stitched aggregation equals
+/// the single-process one bit for bit, timings aside.
 #[derive(Debug)]
 pub struct BatchAggregator {
     optima: BTreeMap<String, (u64, bool)>,
-    /// Disjoint spans of consecutive canonical indices. The span at
-    /// index 0 is the *live* span [`BatchAggregator::push`] extends;
-    /// merged-in spans follow in arrival order and are sorted at finish,
-    /// which is what makes [`BatchAggregator::merge`] commutative.
-    spans: Vec<Span>,
-    /// Cells already closed in the live span, for the out-of-order
-    /// guard — a set lookup per new cell, so huge streamed corpora stay
-    /// O(cells), not O(cells²).
+    /// Canonical index of the first job covered.
+    start: usize,
+    /// Jobs folded: the aggregation covers `start..start + jobs`.
+    jobs: usize,
+    /// One accumulator per cell, in canonical order.
+    cells: Vec<GroupAcc>,
+    /// Every cell opened so far, for the out-of-order guard — a set
+    /// lookup per new cell, so huge streamed corpora stay O(cells), not
+    /// O(cells²).
     seen_cells: BTreeSet<(String, String, u64)>,
 }
-
-/// Magic + version prefix of the aggregator snapshot format: seven
-/// identifying bytes and a format version byte. The body is the optima
-/// table (`count · (name · optimum · exact)*`, names sorted), the
-/// `start: u64` canonical index the aggregation begins at (meaningful
-/// for still-empty range aggregators, whose offset must survive a
-/// checkpoint), and the spans (`count · (start · len · group count ·
-/// groups)*`) in **normal form** — sorted by start, empty spans
-/// omitted, adjacent spans coalesced — every integer little-endian and
-/// every string length-prefixed UTF-8. The normal form is what makes
-/// the stream canonical: aggregators holding the same aggregation
-/// serialise identically, whatever their push/merge history.
-pub const AGGREGATOR_MAGIC: &[u8; 8] = dapc_core::snapmagic::AGGREGATOR.bytes;
 
 impl Default for BatchAggregator {
     fn default() -> Self {
@@ -512,35 +483,20 @@ impl BatchAggregator {
     /// An aggregator with per-instance reference optima
     /// (`name → (optimum, proven exact)`), enabling the ratio columns,
     /// whose first pushed result is declared to be the job at canonical
-    /// index `start` — the information [`BatchAggregator::merge`] needs
-    /// to stitch ranges back together in corpus order.
+    /// index `start`.
     pub fn with_optima_at(optima: BTreeMap<String, (u64, bool)>, start: usize) -> Self {
         BatchAggregator {
             optima,
-            spans: vec![Span {
-                start,
-                len: 0,
-                groups: Vec::new(),
-            }],
+            start,
+            jobs: 0,
+            cells: Vec::new(),
             seen_cells: BTreeSet::new(),
         }
     }
 
-    /// Results consumed so far (across every span).
-    pub fn jobs(&self) -> usize {
-        self.spans.iter().map(|s| s.len).sum()
-    }
-
-    /// The canonical job ranges this aggregation covers, in normal form:
-    /// sorted, disjoint, non-empty, adjacent runs coalesced. One entry
-    /// per *gap-separated* run — a coordinator resuming a sweep from
-    /// checkpoints subtracts these from the corpus range to find the
-    /// jobs still owed.
-    pub fn covered(&self) -> Vec<std::ops::Range<usize>> {
-        Self::coalesced(self.spans.clone())
-            .into_iter()
-            .map(|s| s.start..s.end())
-            .collect()
+    /// The canonical job range this aggregation covers.
+    pub(crate) fn range(&self) -> Range<usize> {
+        self.start..self.start + self.jobs
     }
 
     /// Folds one result into its `(instance, backend, ε)` group.
@@ -548,177 +504,74 @@ impl BatchAggregator {
     /// # Panics
     ///
     /// Panics if `r` re-opens a cell that was already closed — the
-    /// telltale of out-of-order delivery — or if results were merged in
-    /// since construction (a merged aggregator only finishes or merges
-    /// further; it no longer consumes).
+    /// telltale of out-of-order delivery.
     pub fn push(&mut self, r: &JobResult) {
-        assert!(
-            self.spans.len() == 1,
-            "push on a merged aggregator: merge after streaming, not during"
-        );
-        let span = &mut self.spans[0];
-        span.len += 1;
+        self.jobs += 1;
         let cell = (&r.key.instance, &r.key.backend, r.key.eps.to_bits());
         let matches = |g: &GroupAcc| (&g.instance, &g.backend, g.eps.to_bits()) == cell;
-        if !span.groups.last().is_some_and(matches) {
-            assert!(
-                self.seen_cells.insert((
-                    r.key.instance.clone(),
-                    r.key.backend.clone(),
-                    r.key.eps.to_bits()
-                )),
-                "result for {} delivered out of canonical order",
-                r.key
-            );
+        if !self.cells.last().is_some_and(matches) {
             let (opt, opt_exact) = match self.optima.get(&r.key.instance) {
                 Some(&(o, e)) => (Some(o), e),
                 None => (None, false),
             };
-            span.groups.push(GroupAcc::open(r, opt, opt_exact));
+            self.open(GroupAcc::open(r, opt, opt_exact));
         }
         // dapc-allow(panic): the accumulator was pushed by the branch directly above
-        span.groups.last_mut().expect("group just ensured").fold(r);
+        self.cells.last_mut().expect("group just ensured").fold(r);
     }
 
-    /// Merges another aggregator — typically another range's, loaded
-    /// with [`BatchAggregator::load_from`] — into this one.
-    ///
-    /// Merging is **associative and commutative over disjoint job
-    /// sets**: ranges may arrive in any order and any grouping, and the
-    /// finished aggregation equals what one process pushing the whole
-    /// corpus would produce (timing columns aside), because every
-    /// accumulator is integer-exact and spans are reassembled in
-    /// canonical order at [`BatchAggregator::finish`] time.
-    ///
-    /// ```
-    /// use dapc_graph::gen;
-    /// use dapc_ilp::problems;
-    /// use dapc_runtime::{
-    ///     solve_many, solve_range_streaming_with_cache, Corpus, PrepCache, RuntimeConfig,
-    /// };
-    ///
-    /// let corpus = Corpus::builder()
-    ///     .instance(
-    ///         "MIS/cycle16",
-    ///         problems::max_independent_set_unweighted(&gen::cycle(16)),
-    ///     )
-    ///     .backend("greedy")
-    ///     .eps(0.3)
-    ///     .seeds(0..6)
-    ///     .build();
-    /// let rt = RuntimeConfig::new();
-    /// let part = |range| {
-    ///     solve_range_streaming_with_cache(&corpus, range, &rt, &PrepCache::new(), |_r| {})
-    /// };
-    /// // Two cooperating processes, one range each, split inside the
-    /// // cell's seed run — merged in reverse order, merge is commutative.
-    /// let first = part(0..3);
-    /// let second = part(3..6);
-    /// let mut merged = second.aggregator;
-    /// merged.merge(first.aggregator);
-    /// let (groups, _) = merged.finish();
-    /// let single = solve_many(&corpus, &rt);
-    /// assert_eq!(groups.len(), single.groups.len());
-    /// assert_eq!(groups[0].jobs, 6);
-    /// assert_eq!(groups[0].min_value, single.groups[0].min_value);
-    /// assert_eq!(groups[0].mean_value, single.groups[0].mean_value);
-    /// ```
+    /// Adds the next cell in canonical order.
+    fn open(&mut self, acc: GroupAcc) {
+        let (instance, backend, eps) = acc.cell();
+        assert!(
+            self.seen_cells
+                .insert((instance.to_owned(), backend.to_owned(), eps)),
+            "cell {instance}/{backend}/eps{} delivered out of canonical order",
+            acc.eps
+        );
+        self.cells.push(acc);
+    }
+
+    /// Folds `next`, the aggregation of the range that starts where this
+    /// one ends: a cell split across the boundary is absorbed, and
+    /// `next`'s other cells follow in order.
     ///
     /// # Panics
     ///
-    /// Panics if the two aggregators cover overlapping canonical job
-    /// ranges (the same range merged twice) or disagree on an instance's
-    /// reference optimum.
-    pub fn merge(&mut self, other: BatchAggregator) {
-        use std::collections::btree_map::Entry;
-        for (name, val) in other.optima {
-            match self.optima.entry(name) {
-                Entry::Occupied(e) => assert_eq!(
-                    *e.get(),
-                    val,
-                    "parts disagree on the reference optimum of {:?}",
-                    e.key()
-                ),
-                Entry::Vacant(e) => {
-                    e.insert(val);
-                }
+    /// Panics unless `next` starts where this aggregation ends, when one
+    /// of `next`'s later cells was already opened here, or when the two
+    /// disagree on a reference optimum.
+    pub(crate) fn append(&mut self, next: BatchAggregator) {
+        assert_eq!(
+            next.start,
+            self.range().end,
+            "the appended part does not start where the receiver ends"
+        );
+        for (name, val) in next.optima {
+            let own = *self.optima.entry(name.clone()).or_insert(val);
+            assert_eq!(
+                own, val,
+                "parts disagree on the reference optimum of {name:?}"
+            );
+        }
+        self.jobs += next.jobs;
+        let mut cells = next.cells.into_iter();
+        if let Some(first) = cells.next() {
+            match self.cells.last_mut() {
+                Some(last) if last.cell() == first.cell() => last.absorb(first),
+                _ => self.open(first),
             }
         }
-        for span in other.spans {
-            if span.len == 0 {
-                continue;
-            }
-            for own in &self.spans {
-                assert!(
-                    !own.overlaps(&span),
-                    "job ranges overlap: [{}, {}) vs [{}, {}) — was a range merged twice?",
-                    own.start,
-                    own.end(),
-                    span.start,
-                    span.end(),
-                );
-            }
-            self.spans.push(span);
+        for acc in cells {
+            self.open(acc);
         }
-    }
-
-    /// Sorts spans into canonical order and folds every *adjacent* pair
-    /// into one (absorbing the boundary fragments of a cell split across
-    /// two ranges) — the normal form both [`BatchAggregator::finish`]
-    /// and [`BatchAggregator::save_to`] work on. Any set of spans
-    /// covering the same jobs coalesces to the same normal form,
-    /// whatever the push/merge history; gaps survive as separate spans.
-    fn coalesced(spans: Vec<Span>) -> Vec<Span> {
-        let mut spans: Vec<Span> = spans.into_iter().filter(|s| s.len > 0).collect();
-        spans.sort_unstable_by_key(|s| s.start);
-        let mut out: Vec<Span> = Vec::new();
-        for span in spans {
-            match out.last_mut() {
-                Some(prev) if prev.end() == span.start => {
-                    prev.len += span.len;
-                    let mut groups = span.groups.into_iter();
-                    if let Some(first) = groups.next() {
-                        match prev.groups.last_mut() {
-                            Some(last) if last.cell() == first.cell() => last.absorb(first),
-                            _ => prev.groups.push(first),
-                        }
-                        prev.groups.extend(groups);
-                    }
-                }
-                _ => out.push(span),
-            }
-        }
-        out
     }
 
     /// Finalises the accumulators into [`GroupSummary`]s (means and
     /// ratios derived from the integer sums) and rolls the groups up per
     /// backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the merged spans leave an **interior** gap of canonical
-    /// indices — a middle range of the corpus was never merged in. The
-    /// aggregator does not know the corpus size, so a missing *first or
-    /// last* range cannot be detected here; merge at the
-    /// [`crate::PartReport`] level, whose
-    /// [`crate::PartReport::finish`] checks full coverage against the
-    /// corpus job count.
     pub fn finish(self) -> (Vec<GroupSummary>, Vec<BackendSummary>) {
-        let spans = Self::coalesced(self.spans);
-        if let [first, second, ..] = &spans[..] {
-            // dapc-allow(panic): the documented merge-gap contract of finish (see # Panics)
-            panic!(
-                "merged ranges leave a gap: jobs [{}, {}) are missing",
-                first.end(),
-                second.start,
-            );
-        }
-        let groups: Vec<GroupSummary> = spans
-            .into_iter()
-            .flat_map(|s| s.groups)
-            .map(GroupAcc::finish)
-            .collect();
+        let groups: Vec<GroupSummary> = self.cells.into_iter().map(GroupAcc::finish).collect();
 
         let mut backends: Vec<BackendSummary> = Vec::new();
         for g in &groups {
@@ -763,209 +616,124 @@ impl BatchAggregator {
         (groups, backends)
     }
 
-    /// Writes this aggregator in the versioned binary snapshot format
-    /// (see [`AGGREGATOR_MAGIC`]). The byte stream is canonical: spans
-    /// are written in their coalesced normal form, so two aggregators
-    /// holding the same aggregation — one that pushed the whole run,
-    /// one merged from range fragments — serialise identically.
-    ///
-    /// # Errors
-    ///
-    /// Propagates writer errors.
-    pub fn save_to<W: io::Write>(&self, mut w: W) -> io::Result<()> {
-        w.write_all(AGGREGATOR_MAGIC)?;
-        let mut optima: Vec<_> = self.optima.iter().collect();
-        optima.sort();
-        snap::write_u64(&mut w, optima.len() as u64)?;
-        for (name, &(opt, exact)) in optima {
-            snap::write_str(&mut w, name)?;
-            snap::write_u64(&mut w, opt)?;
-            snap::write_bool(&mut w, exact)?;
+    /// Writes the aggregation as the body of a part file: `start · jobs`,
+    /// the optima table (`count · (name · optimum · exact)*`, names
+    /// sorted) and the cells (`count · cell*`) in canonical order, every
+    /// integer little-endian and every string length-prefixed UTF-8.
+    pub(crate) fn write_to(&self, w: &mut Vec<u8>) -> io::Result<()> {
+        snap::write_u64(w, self.start as u64)?;
+        snap::write_u64(w, self.jobs as u64)?;
+        snap::write_u64(w, self.optima.len() as u64)?;
+        for (name, &(opt, exact)) in &self.optima {
+            snap::write_str(w, name)?;
+            snap::write_u64(w, opt)?;
+            snap::write_bool(w, exact)?;
         }
-        let spans = Self::coalesced(self.spans.clone());
-        // The canonical index the aggregation begins at: for an empty
-        // (still unconsumed) range aggregator this is the live span's
-        // offset, which a checkpoint must preserve for the resumed
-        // pushes to land at the right indices.
-        let start = spans
-            .first()
-            .map_or(self.spans[0].start, |first| first.start);
-        snap::write_u64(&mut w, start as u64)?;
-        snap::write_u64(&mut w, spans.len() as u64)?;
-        for span in spans {
-            snap::write_u64(&mut w, span.start as u64)?;
-            snap::write_u64(&mut w, span.len as u64)?;
-            snap::write_u64(&mut w, span.groups.len() as u64)?;
-            for g in &span.groups {
-                snap::write_str(&mut w, &g.instance)?;
-                snap::write_str(&mut w, &g.backend)?;
-                snap::write_u64(&mut w, g.eps.to_bits())?;
-                w.write_all(&[match g.sense {
-                    Sense::Packing => 0,
-                    Sense::Covering => 1,
-                }])?;
-                snap::write_u64(&mut w, g.vars as u64)?;
-                snap::write_u64(&mut w, g.jobs as u64)?;
-                snap::write_bool(&mut w, g.feasible)?;
-                snap::write_bool(&mut w, g.opt.is_some())?;
-                snap::write_u64(&mut w, g.opt.unwrap_or(0))?;
-                snap::write_bool(&mut w, g.opt_exact)?;
-                snap::write_u64(&mut w, g.min_value)?;
-                snap::write_u64(&mut w, g.max_value)?;
-                snap::write_u128(&mut w, g.value_sum)?;
-                snap::write_u64(&mut w, g.rounds_sum)?;
-                snap::write_u64(&mut w, g.rounds_last as u64)?;
-                snap::write_u64(&mut w, g.micros)?;
-                snap::write_u64(&mut w, g.stats.deleted as u64)?;
-                snap::write_u64(&mut w, g.stats.components as u64)?;
-                snap::write_u64(&mut w, g.stats.fixed_weight)?;
-                snap::write_u64(&mut w, g.stats.deleted_edges as u64)?;
-            }
+        snap::write_u64(w, self.cells.len() as u64)?;
+        for g in &self.cells {
+            snap::write_str(w, &g.instance)?;
+            snap::write_str(w, &g.backend)?;
+            snap::write_u64(w, g.eps.to_bits())?;
+            snap::write_bool(w, g.sense == Sense::Covering)?;
+            snap::write_u64(w, g.vars as u64)?;
+            snap::write_u64(w, g.jobs as u64)?;
+            snap::write_bool(w, g.feasible)?;
+            snap::write_bool(w, g.opt.is_some())?;
+            snap::write_u64(w, g.opt.unwrap_or(0))?;
+            snap::write_bool(w, g.opt_exact)?;
+            snap::write_u64(w, g.min_value)?;
+            snap::write_u64(w, g.max_value)?;
+            snap::write_u128(w, g.value_sum)?;
+            snap::write_u64(w, g.rounds_sum)?;
+            snap::write_u64(w, g.rounds_last as u64)?;
+            snap::write_u64(w, g.micros)?;
+            snap::write_u64(w, g.stats.deleted as u64)?;
+            snap::write_u64(w, g.stats.components as u64)?;
+            snap::write_u64(w, g.stats.fixed_weight)?;
+            snap::write_u64(w, g.stats.deleted_edges as u64)?;
         }
         Ok(())
     }
 
-    /// Reads a snapshot written by [`BatchAggregator::save_to`] into a
-    /// fresh aggregator. Loading is all-or-nothing: the stream is fully
-    /// parsed and validated first, so an error never yields a
-    /// half-populated aggregator.
+    /// Reads the body [`BatchAggregator::write_to`] wrote for a part of a
+    /// `corpus_jobs`-job corpus, never panicking on untrusted input.
     ///
     /// # Errors
     ///
-    /// Fails with [`io::ErrorKind::InvalidData`] on a bad magic, an
-    /// unsupported version, or any inconsistent field (an unknown sense
-    /// byte, a non-boolean flag, a span whose group job counts do not sum
-    /// to its length, overlapping or duplicated spans/cells, trailing
-    /// bytes after the last span), and with
-    /// [`io::ErrorKind::UnexpectedEof`] on truncation at any field
-    /// boundary, besides propagating reader errors. It never panics on
-    /// untrusted input.
-    pub fn load_from<R: io::Read>(mut r: R) -> io::Result<Self> {
-        snap::check_magic(&mut r, AGGREGATOR_MAGIC, "batch-aggregator")?;
-        let optima_count = snap::read_u64(&mut r)?;
-        let mut optima = BTreeMap::new();
-        for _ in 0..optima_count {
-            let name = snap::read_str(&mut r, "instance name")?;
-            let opt = snap::read_u64(&mut r)?;
-            let exact = snap::read_bool(&mut r, "optimum exactness")?;
-            if optima.insert(name, (opt, exact)).is_some() {
-                return Err(snap::invalid("duplicate instance in the optima table"));
-            }
-        }
-        let start = snap::read_u64(&mut r)? as usize;
-        let span_count = snap::read_u64(&mut r)?;
-        let mut spans: Vec<Span> = Vec::new();
-        for _ in 0..span_count {
-            let start = snap::read_u64(&mut r)? as usize;
-            let len = snap::read_u64(&mut r)? as usize;
-            if len == 0 {
-                return Err(snap::invalid("empty span in snapshot"));
-            }
-            let group_count = snap::read_u64(&mut r)?;
-            let mut groups: Vec<GroupAcc> = Vec::new();
-            let mut cells = BTreeSet::new();
-            let mut jobs_total = 0usize;
-            for _ in 0..group_count {
-                let instance = snap::read_str(&mut r, "instance name")?;
-                let backend = snap::read_str(&mut r, "backend name")?;
-                let eps = f64::from_bits(snap::read_u64(&mut r)?);
-                let sense = match snap::read_u8(&mut r)? {
-                    0 => Sense::Packing,
-                    1 => Sense::Covering,
-                    b => return Err(snap::invalid(format!("bad sense byte {b}"))),
-                };
-                let vars = snap::read_u64(&mut r)? as usize;
-                let jobs = snap::read_u64(&mut r)? as usize;
-                if jobs == 0 {
-                    return Err(snap::invalid("group with zero jobs"));
-                }
-                let feasible = snap::read_bool(&mut r, "feasibility")?;
-                let has_opt = snap::read_bool(&mut r, "optimum presence")?;
-                let opt_value = snap::read_u64(&mut r)?;
-                let opt = has_opt.then_some(opt_value);
-                let opt_exact = snap::read_bool(&mut r, "optimum exactness")?;
-                let min_value = snap::read_u64(&mut r)?;
-                let max_value = snap::read_u64(&mut r)?;
-                let value_sum = snap::read_u128(&mut r)?;
-                let rounds_sum = snap::read_u64(&mut r)?;
-                let rounds_last = snap::read_u64(&mut r)? as usize;
-                let micros = snap::read_u64(&mut r)?;
-                let stats = GroupStats {
-                    deleted: snap::read_u64(&mut r)? as usize,
-                    components: snap::read_u64(&mut r)? as usize,
-                    fixed_weight: snap::read_u64(&mut r)?,
-                    deleted_edges: snap::read_u64(&mut r)? as usize,
-                };
-                if !cells.insert((instance.clone(), backend.clone(), eps.to_bits())) {
-                    return Err(snap::invalid(format!(
-                        "cell {instance}/{backend}/eps{eps} appears twice in one span"
-                    )));
-                }
-                jobs_total += jobs;
-                groups.push(GroupAcc {
-                    instance,
-                    backend,
-                    eps,
-                    sense,
-                    vars,
-                    jobs,
-                    feasible,
-                    opt,
-                    opt_exact,
-                    min_value,
-                    max_value,
-                    value_sum,
-                    rounds_sum,
-                    rounds_last,
-                    micros,
-                    stats,
-                });
-            }
-            if jobs_total != len {
-                return Err(snap::invalid(format!(
-                    "span claims {len} jobs but its groups sum to {jobs_total}"
-                )));
-            }
-            let span = Span { start, len, groups };
-            if spans.iter().any(|s| s.overlaps(&span)) {
-                return Err(snap::invalid("overlapping spans in snapshot"));
-            }
-            spans.push(span);
-        }
-        // A snapshot of a single contiguous span stays resumable: pushes
-        // continue where the aggregation stopped, guarded by its cell
-        // set. An empty snapshot resumes at the persisted start index.
-        let seen_cells = match &spans[..] {
-            [only] => only
-                .groups
-                .iter()
-                .map(|g| (g.instance.clone(), g.backend.clone(), g.eps.to_bits()))
-                .collect(),
-            _ => BTreeSet::new(),
-        };
-        if spans.is_empty() {
-            spans.push(Span {
-                start,
-                len: 0,
-                groups: Vec::new(),
-            });
-        } else if spans.iter().map(|s| s.start).min() != Some(start) {
+    /// [`io::ErrorKind::InvalidData`] when the range reaches beyond the
+    /// corpus, a flag byte is not `0`/`1`, a cell holds no job or appears
+    /// twice, or the cells' job counts do not sum to the body's length;
+    /// [`io::ErrorKind::UnexpectedEof`] on truncation.
+    pub(crate) fn read_from<R: Read>(r: &mut R, corpus_jobs: usize) -> io::Result<Self> {
+        let start = snap::read_u64(r)? as usize;
+        let len = snap::read_u64(r)? as usize;
+        if start > corpus_jobs || len > corpus_jobs - start {
             return Err(snap::invalid(format!(
-                "snapshot start {start} disagrees with its earliest span"
+                "part covers jobs {start}..{start}+{len} of a {corpus_jobs}-job corpus"
             )));
         }
-        // Self-delimiting like every snapshot format here: anything after
-        // the last span is corruption, not padding.
-        let mut trailing = [0u8; 1];
-        if r.read(&mut trailing)? != 0 {
-            return Err(snap::invalid(
-                "trailing bytes after the aggregator snapshot",
-            ));
+        let mut optima = BTreeMap::new();
+        for _ in 0..snap::read_u64(r)? {
+            let name = snap::read_str(r, "instance name")?;
+            let opt = snap::read_u64(r)?;
+            optima.insert(name, (opt, snap::read_bool(r, "optimum exactness")?));
         }
-        Ok(BatchAggregator {
-            optima,
-            spans,
-            seen_cells,
-        })
+        let mut agg = BatchAggregator::with_optima_at(optima, start);
+        for _ in 0..snap::read_u64(r)? {
+            let instance = snap::read_str(r, "instance name")?;
+            let backend = snap::read_str(r, "backend name")?;
+            let eps = f64::from_bits(snap::read_u64(r)?);
+            let sense = match snap::read_bool(r, "sense")? {
+                false => Sense::Packing,
+                true => Sense::Covering,
+            };
+            let vars = snap::read_u64(r)? as usize;
+            let jobs = snap::read_u64(r)? as usize;
+            let feasible = snap::read_bool(r, "feasibility")?;
+            let has_opt = snap::read_bool(r, "optimum presence")?;
+            let opt_value = snap::read_u64(r)?;
+            let acc = GroupAcc {
+                opt: has_opt.then_some(opt_value),
+                opt_exact: snap::read_bool(r, "optimum exactness")?,
+                min_value: snap::read_u64(r)?,
+                max_value: snap::read_u64(r)?,
+                value_sum: snap::read_u128(r)?,
+                rounds_sum: snap::read_u64(r)?,
+                rounds_last: snap::read_u64(r)? as usize,
+                micros: snap::read_u64(r)?,
+                stats: GroupStats {
+                    deleted: snap::read_u64(r)? as usize,
+                    components: snap::read_u64(r)? as usize,
+                    fixed_weight: snap::read_u64(r)?,
+                    deleted_edges: snap::read_u64(r)? as usize,
+                },
+                instance,
+                backend,
+                eps,
+                sense,
+                vars,
+                jobs,
+                feasible,
+            };
+            let (instance, backend, bits) = acc.cell();
+            if jobs == 0
+                || !agg
+                    .seen_cells
+                    .insert((instance.to_owned(), backend.to_owned(), bits))
+            {
+                return Err(snap::invalid(format!(
+                    "cell {instance}/{backend}/eps{eps} is empty or appears twice"
+                )));
+            }
+            agg.jobs = agg.jobs.saturating_add(jobs);
+            agg.cells.push(acc);
+        }
+        if agg.jobs != len {
+            return Err(snap::invalid(format!(
+                "part claims {len} jobs but its cells sum to {}",
+                agg.jobs
+            )));
+        }
+        Ok(agg)
     }
 }

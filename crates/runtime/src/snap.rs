@@ -1,6 +1,6 @@
 //! Primitive readers/writers shared by the workspace's versioned binary
-//! snapshot formats ([`crate::BatchAggregator`], [`crate::PartReport`],
-//! and `dapc-serve`'s spec and manifest): little-endian integers,
+//! snapshot formats ([`crate::PartReport`] and `dapc-serve`'s spec and
+//! manifest): little-endian integers,
 //! length-prefixed UTF-8 strings, and the magic/version check split so
 //! corrupt and future-versioned streams fail with distinct errors.
 //!

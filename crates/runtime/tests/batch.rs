@@ -5,9 +5,10 @@ use dapc_core::engine::SolveConfig;
 use dapc_graph::gen;
 use dapc_ilp::{problems, IlpInstance};
 use dapc_runtime::{
-    solve_many, solve_many_streaming_with_cache, BatchReport, Corpus, JobResult, PrepCache,
-    RuntimeConfig,
+    solve_many, solve_many_streaming_with_cache, BatchAggregator, BatchReport, Corpus, JobResult,
+    PrepCache, RuntimeConfig,
 };
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 /// A mixed packing/covering corpus of `n` small instances.
@@ -267,4 +268,47 @@ fn optima_are_optional() {
     assert!(without.groups[0].opt.is_none());
     assert!(without.groups[0].min_ratio.is_none());
     assert!(!without.groups[0].meets_guarantee());
+}
+
+/// A zero reference optimum reads ratio 1 when the value is 0 as well —
+/// so an exactly solved cell meets its guarantee — and +∞ when it is
+/// not: a vertex cover of an edgeless graph and an independent set of
+/// zero-weight vertices, both with optimum 0.
+#[test]
+fn a_zero_optimum_reads_ratio_one_when_met_and_infinity_when_missed() {
+    let corpus = Corpus::builder()
+        .instance(
+            "VC/path1",
+            problems::min_vertex_cover_unweighted(&gen::path(1)),
+        )
+        .instance(
+            "MIS/path4-zero",
+            problems::max_independent_set(&gen::path(4), vec![0; 4]),
+        )
+        .backend("greedy")
+        .backend("bnb")
+        .eps(0.3)
+        .seeds(0..2)
+        .build();
+    let report = solve_many(&corpus, &RuntimeConfig::new());
+    for g in &report.groups {
+        let ratios = (g.min_ratio, g.max_ratio, g.mean_ratio);
+        assert_eq!(g.opt, Some(0), "{}", g.instance);
+        assert_eq!(ratios, (Some(1.0), Some(1.0), Some(1.0)), "{}", g.instance);
+        assert!(g.meets_guarantee(), "{}/{}", g.instance, g.backend);
+    }
+    assert!(report.backends.iter().all(|b| b.mean_ratio == Some(1.0)));
+
+    // A cover of positive value against the zero optimum is missed by an
+    // unbounded factor, and fails the covering guarantee.
+    let mut missed = report.results[0].clone();
+    assert_eq!(missed.key.instance, "VC/path1");
+    missed.report.value = 1;
+    let optima = BTreeMap::from([("VC/path1".to_string(), (0, true))]);
+    let mut aggregator = BatchAggregator::with_optima_at(optima, 0);
+    aggregator.push(&missed);
+    let (groups, _) = aggregator.finish();
+    assert_eq!(groups[0].max_ratio, Some(f64::INFINITY));
+    assert_eq!(groups[0].mean_ratio, Some(f64::INFINITY));
+    assert!(!groups[0].meets_guarantee());
 }

@@ -120,7 +120,11 @@ fn parse_range(v: &str) -> Result<Range<usize>, CliError> {
     let (a, b) = v
         .split_once("..")
         .ok_or_else(|| usage(format!("expected A..B, got {v:?}")))?;
-    Ok(parse_num::<usize>("--range", a)?..parse_num::<usize>("--range", b)?)
+    let range = parse_num::<usize>("--range", a)?..parse_num::<usize>("--range", b)?;
+    if range.end < range.start {
+        return Err(usage(format!("--range {v} ends before it starts")));
+    }
+    Ok(range)
 }
 
 fn parse_spec(tokens: &[String]) -> Result<CorpusSpec, CliError> {

@@ -1,10 +1,10 @@
 //! The on-disk layout of a checkpointed sweep.
 //!
-//! A sweep directory holds one [`SweepManifest`] (`manifest.bin`) that
-//! pins the directory to a [`CorpusSpec`] and records which job ranges
-//! are known done, plus one part file per completed checkpoint unit —
-//! `part-{start:08}-{end:08}.bin`, a [`PartReport`] snapshot covering
-//! exactly the named canonical job range.
+//! A sweep directory holds one [`SweepManifest`] (`manifest.bin`),
+//! written once when the sweep starts, that pins the directory to a
+//! [`CorpusSpec`] and a checkpoint unit, plus one part file per completed
+//! checkpoint unit — `part-{start:08}-{end:08}.bin`, a [`PartReport`]
+//! snapshot covering exactly the named canonical job range.
 //!
 //! Three rules make crashes harmless:
 //!
@@ -16,10 +16,11 @@
 //!    to a different corpus size, covers a range other than its name
 //!    claims, or overlaps an already-accepted part is *skipped* (and
 //!    counted), exactly as if the worker had never finished it — the
-//!    all-or-nothing loader discipline turned into scheduling.
-//! 3. **Parts are the ground truth.** The manifest's `done` ranges are
-//!    a cross-checked cache for reporting; coverage is always recomputed
-//!    from the part files a resume can actually load.
+//!    all-or-nothing loader discipline turned into scheduling. What it
+//!    accepts is sorted and disjoint, so it appends in canonical order.
+//! 3. **Parts are the ground truth.** Coverage is always recomputed from
+//!    the part files a resume can actually load; nothing else records
+//!    progress.
 
 use crate::spec::CorpusSpec;
 use dapc_runtime::{snap, PartReport};
@@ -36,7 +37,7 @@ pub const MANIFEST_MAGIC: &[u8; 8] = dapc_core::snapmagic::MANIFEST.bytes;
 /// File name of the sweep manifest inside a sweep directory.
 pub const MANIFEST_FILE: &str = "manifest.bin";
 
-/// What a sweep directory is sweeping, and how far it has come.
+/// What a sweep directory is sweeping.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SweepManifest {
     /// The sweep being checkpointed; resuming against a directory whose
@@ -48,20 +49,16 @@ pub struct SweepManifest {
     /// Checkpoint unit: workers cut their assigned ranges at multiples
     /// of this many jobs and emit one part file per piece.
     pub unit: usize,
-    /// Job ranges known complete, in normal form (sorted, disjoint,
-    /// coalesced). Advisory — [`scan_parts`] is authoritative.
-    pub done: Vec<Range<usize>>,
 }
 
 impl SweepManifest {
-    /// Creates the manifest of a fresh sweep (nothing done yet).
+    /// Creates the manifest of a fresh sweep.
     pub fn new(spec: CorpusSpec, unit: usize) -> Self {
         let corpus_jobs = spec.grid_len();
         SweepManifest {
             spec,
             corpus_jobs,
             unit: unit.max(1),
-            done: Vec::new(),
         }
     }
 
@@ -76,18 +73,13 @@ impl SweepManifest {
         snap::write_bytes(&mut buf, &self.spec.to_bytes())?;
         snap::write_u64(&mut buf, self.corpus_jobs as u64)?;
         snap::write_u64(&mut buf, self.unit as u64)?;
-        snap::write_u64(&mut buf, self.done.len() as u64)?;
-        for r in &self.done {
-            snap::write_u64(&mut buf, r.start as u64)?;
-            snap::write_u64(&mut buf, r.end as u64)?;
-        }
         snap::seal(&mut buf);
         w.write_all(&buf)
     }
 
     /// Reads and validates a manifest: the embedded spec must itself
     /// load (and validate), `corpus_jobs` must equal the spec's grid,
-    /// and the `done` ranges must be in normal form inside the corpus.
+    /// and the unit must be positive.
     ///
     /// # Errors
     ///
@@ -114,30 +106,6 @@ impl SweepManifest {
         if unit == 0 {
             return Err(snap::invalid("zero checkpoint unit"));
         }
-        let count = snap::read_u64(&mut r)?;
-        if count > corpus_jobs as u64 {
-            return Err(snap::invalid(format!(
-                "{count} done ranges exceed the {corpus_jobs}-job corpus"
-            )));
-        }
-        let mut done = Vec::with_capacity(count as usize);
-        let mut watermark = 0usize;
-        for _ in 0..count {
-            let start = snap::read_u64(&mut r)? as usize;
-            let end = snap::read_u64(&mut r)? as usize;
-            if start >= end || end > corpus_jobs {
-                return Err(snap::invalid(format!(
-                    "done range {start}..{end} is not in normal form"
-                )));
-            }
-            if !done.is_empty() && start <= watermark {
-                return Err(snap::invalid(format!(
-                    "done range {start}..{end} is unsorted or uncoalesced at {watermark}"
-                )));
-            }
-            watermark = end;
-            done.push(start..end);
-        }
         r.verify_seal("sweep-manifest")?;
         // Self-delimiting: anything further is corruption.
         let mut trailing = [0u8; 1];
@@ -148,7 +116,6 @@ impl SweepManifest {
             spec,
             corpus_jobs,
             unit,
-            done,
         })
     }
 
@@ -196,25 +163,14 @@ fn parse_part_file_name(name: &str) -> Option<Range<usize>> {
     Some(start.parse().ok()?..end.parse().ok()?)
 }
 
-/// Atomically persists one completed checkpoint unit into `dir` and
-/// returns its final path. The part must cover exactly one contiguous
-/// range (what [`dapc_runtime::solve_range_streaming_with_cache`]
-/// returns).
+/// Atomically persists one completed checkpoint unit into `dir`, under
+/// the name of the range it covers, and returns its final path.
 ///
 /// # Errors
 ///
-/// Fails with [`io::ErrorKind::InvalidData`] when the part covers zero
-/// or several ranges; propagates filesystem errors.
+/// Propagates filesystem errors.
 pub fn write_part(dir: &Path, part: &PartReport) -> io::Result<PathBuf> {
-    let covered = part.covered();
-    let range = match covered.as_slice() {
-        [one] => one.clone(),
-        _ => {
-            return Err(snap::invalid(format!(
-                "a part file holds one contiguous range, got {covered:?}"
-            )))
-        }
-    };
+    let range = part.range();
     // Timed as one unit: serialisation plus the atomic publish — the
     // span a crashing worker would forfeit.
     // dapc-allow(wall-clock): checkpoint-publish telemetry only, gated on dapc_obs::enabled
@@ -289,7 +245,8 @@ fn write_micros() -> &'static dapc_obs::Histogram {
 /// What [`scan_parts`] salvaged from a sweep directory.
 #[derive(Debug, Default)]
 pub struct Scan {
-    /// Every loadable, mutually disjoint part, sorted by start index.
+    /// Every loadable, mutually disjoint part, sorted by start index:
+    /// where the coverage is contiguous, each appends to the one before.
     pub parts: Vec<PartReport>,
     /// Their coverage in normal form.
     pub covered: Vec<Range<usize>>,
@@ -346,7 +303,7 @@ pub fn scan_parts(dir: &Path, corpus_jobs: usize) -> io::Result<Scan> {
                 continue;
             }
         };
-        if part.corpus_jobs != corpus_jobs || part.covered() != vec![claim.clone()] {
+        if part.corpus_jobs != corpus_jobs || part.range() != claim {
             skipped += 1;
             continue;
         }
@@ -365,10 +322,13 @@ pub fn scan_parts(dir: &Path, corpus_jobs: usize) -> io::Result<Scan> {
             continue;
         }
         watermark = claim.end;
-        scan.jobs_done += part.jobs;
+        scan.jobs_done += claim.len();
+        match scan.covered.last_mut() {
+            Some(last) if last.end == claim.start => last.end = claim.end,
+            _ => scan.covered.push(claim),
+        }
         scan.parts.push(part);
     }
-    scan.covered = coalesce(scan.parts.iter().flat_map(|p| p.covered()).collect());
     Ok(scan)
 }
 
@@ -395,20 +355,6 @@ fn quarantine(dir: &Path, path: &Path) -> bool {
         }
     }
     fs::rename(path, &target).is_ok()
-}
-
-/// Normalises ranges: sorted, disjoint input ranges with adjacent runs
-/// coalesced.
-fn coalesce(mut ranges: Vec<Range<usize>>) -> Vec<Range<usize>> {
-    ranges.sort_by_key(|r| r.start);
-    let mut out: Vec<Range<usize>> = Vec::new();
-    for r in ranges {
-        match out.last_mut() {
-            Some(last) if last.end == r.start => last.end = r.end,
-            _ => out.push(r),
-        }
-    }
-    out
 }
 
 /// The complement of `covered` (normal form, within `0..corpus_jobs`):
@@ -455,8 +401,7 @@ mod tests {
 
     #[test]
     fn manifest_round_trips_and_rejects_corruption() {
-        let mut m = SweepManifest::new(demo_spec(), 2);
-        m.done = vec![0..2, 4..6];
+        let m = SweepManifest::new(demo_spec(), 2);
         let mut bytes = Vec::new();
         m.save_to(&mut bytes).unwrap();
         assert_eq!(SweepManifest::load_from(bytes.as_slice()).unwrap(), m);
@@ -469,28 +414,6 @@ mod tests {
         let mut padded = bytes.clone();
         padded.push(0);
         assert!(SweepManifest::load_from(padded.as_slice()).is_err());
-    }
-
-    #[test]
-    #[allow(clippy::single_range_in_vec_init)] // single-range vecs are the fixtures here
-    fn manifest_rejects_non_normal_done_ranges() {
-        let spec = demo_spec();
-        for done in [
-            vec![2..2],       // empty
-            vec![0..99],      // beyond the corpus
-            vec![2..4, 0..2], // unsorted (also touching)
-            vec![0..2, 2..4], // touching, not coalesced
-            vec![0..3, 2..5], // overlapping
-        ] {
-            let mut m = SweepManifest::new(spec.clone(), 2);
-            m.done = done.clone();
-            let mut bytes = Vec::new();
-            m.save_to(&mut bytes).unwrap();
-            assert!(
-                SweepManifest::load_from(bytes.as_slice()).is_err(),
-                "{done:?} must be rejected"
-            );
-        }
     }
 
     #[test]

@@ -13,13 +13,13 @@
 //! crashed or killed worker forfeits only its unfinished remainder,
 //! which is requeued for whichever worker slot frees first. Because
 //! every job's result is a pure function of its [`dapc_runtime::JobKey`],
-//! the merged result is byte-identical to the single-process sweep no
+//! the stitched result is byte-identical to the single-process sweep no
 //! matter how many workers died on the way.
 
 use crate::checkpoint::{gc_stale_tmp, scan_parts, uncovered, SweepManifest};
 use crate::exit;
 use crate::spec::CorpusSpec;
-use dapc_runtime::{snap, PartReport, StreamReport};
+use dapc_runtime::{snap, StreamReport};
 use std::collections::VecDeque;
 use std::io;
 use std::ops::Range;
@@ -253,7 +253,7 @@ impl Default for SweepConfig {
 /// What an orchestrated sweep produced, beyond the report itself.
 #[derive(Debug)]
 pub struct SweepOutcome {
-    /// The merged aggregation — byte-identical in groups and backends to
+    /// The stitched aggregation — byte-identical in groups and backends to
     /// the single-process sweep of the same spec.
     pub report: StreamReport,
     /// Total jobs of the corpus.
@@ -305,7 +305,7 @@ where
 {
     spec.validate()?;
     std::fs::create_dir_all(dir)?;
-    let mut manifest = match SweepManifest::load(dir)? {
+    let manifest = match SweepManifest::load(dir)? {
         Some(m) => {
             if m.spec != *spec {
                 return Err(snap::invalid(format!(
@@ -362,8 +362,6 @@ where
             let scan = scan_parts(dir, corpus_jobs)?;
             skipped_parts = scan.skipped.max(skipped_parts);
             quarantined_parts += scan.quarantined;
-            manifest.done = scan.covered.clone();
-            manifest.store(dir)?;
             let owed: Vec<Range<usize>> = uncovered(corpus_jobs, &scan.covered)
                 .into_iter()
                 .filter_map(|r| {
@@ -395,27 +393,26 @@ where
         },
     )?;
 
-    // Stitch the full corpus back together from the checkpoint files.
+    // Stitch the full corpus back together from the checkpoint files:
+    // one contiguous coverage means the sorted parts append in order.
     let scan = scan_parts(dir, corpus_jobs)?;
     skipped_parts = skipped_parts.max(scan.skipped);
     quarantined_parts += scan.quarantined;
-    if scan.covered.len() != 1 || scan.covered[0] != (0..corpus_jobs) {
-        return Err(io::Error::other(format!(
-            "sweep ended but checkpoints cover {:?} of 0..{corpus_jobs}",
-            scan.covered
-        )));
-    }
-    manifest.done = scan.covered.clone();
-    manifest.store(dir)?;
     let mut parts = scan.parts.into_iter();
-    let mut merged: PartReport = parts.next().ok_or_else(|| {
-        io::Error::other("checkpoint scan reported full coverage but produced no parts")
-    })?;
-    for p in parts {
-        merged.merge(p);
-    }
+    let stitched = match (scan.covered.as_slice(), parts.next()) {
+        ([all], Some(mut stitched)) if *all == (0..corpus_jobs) => {
+            parts.for_each(|p| stitched.append(p));
+            stitched
+        }
+        _ => {
+            return Err(io::Error::other(format!(
+                "sweep ended but checkpoints cover {:?} of 0..{corpus_jobs}",
+                scan.covered
+            )))
+        }
+    };
     Ok(SweepOutcome {
-        report: merged.finish(),
+        report: stitched.finish(),
         corpus_jobs,
         resumed_jobs,
         solved_jobs: corpus_jobs - resumed_jobs,

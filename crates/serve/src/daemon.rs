@@ -569,17 +569,17 @@ fn stream_solve(
             }
         },
     );
+    let jobs = part.range().len() as u64;
     shared
         .jobs_solved
         // ordering: SeqCst — daemon control plane; total order over throughput off the hot path
-        .fetch_add(part.jobs as u64, Ordering::SeqCst);
+        .fetch_add(jobs, Ordering::SeqCst);
     // dapc-allow(panic): poisoned only if a sibling worker already panicked; propagate that crash
     if let Some(e) = failed.lock().expect("daemon sink failure flag").take() {
         return Err(e);
     }
-    // A request range is one contiguous span, so the aggregator can
-    // finalise it without full-corpus coverage (no interior gap).
-    let jobs = part.jobs as u64;
+    // A request range need not cover the corpus, so its aggregation is
+    // finished directly rather than through `PartReport::finish`.
     let wall = part.wall;
     let (groups, backends) = part.aggregator.finish();
     let cache = shared.cache.stats();

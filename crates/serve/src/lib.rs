@@ -1,7 +1,7 @@
 //! # dapc-serve
 //!
 //! Sweep orchestration and the persistent solve service on top of
-//! `dapc-runtime`'s mergeable partial results — the layer that takes the
+//! `dapc-runtime`'s range parts — the layer that takes the
 //! batch runtime from "a library call" to "a production sweep that
 //! survives crashed workers and a server you can keep warm".
 //!
@@ -19,7 +19,7 @@
 //!    death — crash, kill, straggler
 //!    timeout — forfeits only the unfinished remainder of its range,
 //!    which is requeued to the next free slot. Because job results are
-//!    pure functions of their [`dapc_runtime::JobKey`], the merged sweep
+//!    pure functions of their [`dapc_runtime::JobKey`], the stitched sweep
 //!    is byte-identical to the single-process run no matter how many
 //!    workers died; a restarted sweep resumes from the checkpoints
 //!    without recomputing a single finished unit.

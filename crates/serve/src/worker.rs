@@ -113,6 +113,6 @@ fn unit_is_checkpointed(dir: &Path, unit: &Range<usize>, corpus_jobs: usize) -> 
     fs::File::open(path)
         .map(io::BufReader::new)
         .and_then(dapc_runtime::PartReport::load_from)
-        .map(|p| p.corpus_jobs == corpus_jobs && p.covered() == vec![unit.clone()])
+        .map(|p| p.corpus_jobs == corpus_jobs && p.range() == *unit)
         .unwrap_or(false)
 }

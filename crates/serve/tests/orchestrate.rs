@@ -1,16 +1,21 @@
-//! End-to-end guarantees of the orchestrated sweep: the merged result is
-//! byte-identical to the single-process run at any worker count, under
-//! injected worker kills, and across checkpoint/resume boundaries; a
-//! worker without a manifest exits with [`exit::EXIT_BAD_SNAPSHOT`]; and
-//! a sweep directory refuses a different sweep.
+//! End-to-end guarantees of the orchestrated sweep: the stitched result
+//! is byte-identical to the single-process run at any worker count,
+//! under injected worker kills, and across checkpoint/resume boundaries;
+//! the checkpoint scan skips misnamed, foreign and overlapping parts
+//! without quarantining them; a worker without a manifest exits with
+//! [`exit::EXIT_BAD_SNAPSHOT`]; and a sweep directory refuses a
+//! different sweep.
 //!
 //! Workers here are the real `dapc-serve worker` subcommand, spawned as
 //! separate processes via `CARGO_BIN_EXE_dapc-serve`.
 
-use dapc_runtime::{solve_many, BackendSummary, GroupSummary, RuntimeConfig, StreamReport};
+use dapc_runtime::{
+    solve_many, solve_range_streaming_with_cache, BackendSummary, GroupSummary, PrepCache,
+    RuntimeConfig, StreamReport,
+};
 use dapc_serve::{
-    exit, orchestrate_sweep, run_worker, scan_parts, uncovered, CorpusSpec, SweepConfig,
-    SweepManifest, WorkerOptions,
+    exit, orchestrate_sweep, part_file_name, run_worker, scan_parts, uncovered, write_part,
+    CorpusSpec, SweepConfig, SweepManifest, WorkerOptions, QUARANTINE_DIR,
 };
 use proptest::prelude::*;
 use std::io;
@@ -214,6 +219,67 @@ fn a_sweep_resumes_from_checkpoints_without_recomputing_them() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The scan's skip rules, on which the in-order stitch relies: a valid
+/// part under another unit's file name, a part of a different-size
+/// corpus and the later of two overlapping parts are each skipped and
+/// counted, not quarantined, and the sweep resumed around them still
+/// equals the single-process run.
+#[test]
+fn misnamed_foreign_and_overlapping_parts_are_skipped_not_quarantined() {
+    let dir = scratch("skips");
+    let spec = CorpusSpec::parse_args([
+        "ring=mis:cycle:12",
+        "@backends=greedy",
+        "@eps=0.3",
+        "@seeds=0..8",
+    ])
+    .expect("spec parses");
+    let jobs = spec.grid_len();
+    SweepManifest::new(spec.clone(), 2).store(&dir).unwrap();
+    run_worker(&dir, 0..6, &WorkerOptions::default()).expect("prefix worker");
+    let solve = |spec: &CorpusSpec, range| {
+        let rt = RuntimeConfig::new();
+        solve_range_streaming_with_cache(&spec.build(), range, &rt, &PrepCache::new(), |_r| {})
+    };
+    // Misnamed: the valid part of 0..2 under the name of unit 6..8.
+    let misnamed = dir.join(part_file_name(&(6..8)));
+    std::fs::copy(dir.join(part_file_name(&(0..2))), &misnamed).unwrap();
+    // Foreign: a correctly named part of a 10-job corpus.
+    let wider = CorpusSpec::parse_args([
+        "ring=mis:cycle:12",
+        "@backends=greedy",
+        "@eps=0.3",
+        "@seeds=0..10",
+    ])
+    .expect("spec parses");
+    let foreign = write_part(&dir, &solve(&wider, 8..10)).unwrap();
+    // Overlapping: a valid part of 3..5, later than the accepted 2..4.
+    let overlapping = write_part(&dir, &solve(&spec, 3..5)).unwrap();
+
+    let scan = scan_parts(&dir, jobs).expect("scan");
+    assert_eq!((scan.skipped, scan.quarantined), (3, 0));
+    assert_eq!(scan.covered, vec![0..6]);
+    assert_eq!(scan.jobs_done, 6);
+    for path in [&misnamed, &foreign, &overlapping] {
+        assert!(path.exists(), "{} must stay in place", path.display());
+    }
+    assert!(!dir.join(QUARANTINE_DIR).exists());
+
+    let cfg = SweepConfig {
+        workers: 2,
+        unit: 2,
+        ..SweepConfig::default()
+    };
+    let outcome = orchestrate_sweep(&dir, &spec, &cfg, |range, _attempt| {
+        spawn_real_worker(&dir, range, None)
+    })
+    .expect("the sweep resumes around the skipped parts");
+    assert_eq!(outcome.resumed_jobs, 6);
+    assert_eq!(outcome.quarantined_parts, 0);
+    assert_matches_reference(&spec, &outcome.report);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn a_directory_of_a_different_sweep_is_refused() {
     let dir = scratch("foreign");
@@ -283,6 +349,15 @@ fn worker_usage_errors_exit_with_the_usage_code() {
     assert_eq!(status.code(), Some(exit::EXIT_USAGE), "{status:?}");
 
     let status = Command::new(EXE)
+        .arg("worker")
+        .args(["--dir", "unused", "--range", "9..2"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .status()
+        .expect("run worker with a reversed range");
+    assert_eq!(status.code(), Some(exit::EXIT_USAGE), "{status:?}");
+
+    let status = Command::new(EXE)
         .arg("no-such-subcommand")
         .stdout(Stdio::null())
         .stderr(Stdio::null())
@@ -346,11 +421,9 @@ proptest! {
         prop_assert_eq!(scan.skipped, 0);
         prop_assert_eq!(scan.covered.clone(), vec![0..jobs]);
         let mut parts = scan.parts.into_iter();
-        let mut merged = parts.next().expect("full coverage has parts");
-        for p in parts {
-            merged.merge(p);
-        }
-        let stitched = merged.finish();
+        let mut stitched = parts.next().expect("full coverage has parts");
+        parts.for_each(|p| stitched.append(p));
+        let stitched = stitched.finish();
         let reference = solve_many(&spec.build(), &RuntimeConfig::new());
         prop_assert_eq!(
             sans_micros_groups(&reference.groups),

@@ -69,12 +69,12 @@ fn main() {
     // Stitch the sweep back together from the part files alone.
     let scan = scan_parts(&dir, jobs).expect("final scan");
     assert_eq!(scan.covered, vec![0..jobs], "checkpoints cover the corpus");
+    // The scan returns the parts sorted and disjoint, so they append in
+    // canonical order.
     let mut parts = scan.parts.into_iter();
-    let mut merged = parts.next().expect("full coverage has parts");
-    for p in parts {
-        merged.merge(p);
-    }
-    let stitched = merged.finish();
+    let mut stitched = parts.next().expect("full coverage has parts");
+    parts.for_each(|p| stitched.append(p));
+    let stitched = stitched.finish();
     for (m, s) in stitched.groups.iter().zip(&reference.groups) {
         assert_eq!(
             (m.jobs, m.min_value, m.max_value, m.mean_value),

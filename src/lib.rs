@@ -107,9 +107,9 @@ pub use dapc_serve as serve;
 /// [`prelude::solve_many`] — or stream arbitrarily large corpora through
 /// [`prelude::solve_many_streaming_with_cache`]'s `on_result` hook
 /// without holding the result vector, or split them into contiguous job
-/// ranges with [`prelude::solve_range_streaming_with_cache`] and merge
-/// the compact [`prelude::PartReport`]s back into the identical
-/// aggregation. Across-job and intra-prep parallelism share one
+/// ranges with [`prelude::solve_range_streaming_with_cache`] and append
+/// the compact [`prelude::PartReport`]s back, in canonical order, into
+/// the identical aggregation. Across-job and intra-prep parallelism share one
 /// process-wide executor ([`exec`]); results are byte-identical to
 /// sequential execution at any worker count — and to any range split —
 /// and seeds of one instance family share their preparation work through
@@ -135,16 +135,16 @@ pub use dapc_serve as serve;
 /// let worst = report.group("MIS/cycle20", "three-phase", 0.3).unwrap();
 /// assert!(worst.meets_guarantee()); // min ratio ≥ 1 − ε
 ///
-/// // Two halves solved apart (in real use, by two processes) merge back.
+/// // Two halves solved apart (in real use, by two processes) append back.
 /// let rt = RuntimeConfig::new();
 /// let part = |range| {
 ///     solve_range_streaming_with_cache(&corpus, range, &rt, &PrepCache::new(), |_r| {})
 /// };
-/// let mut merged = part(4..8);
-/// merged.merge(part(0..4));
-/// let merged = merged.finish();
-/// let merged_worst = merged.group("MIS/cycle20", "three-phase", 0.3).unwrap();
-/// assert_eq!(merged_worst.min_value, worst.min_value);
+/// let mut stitched = part(0..4);
+/// stitched.append(part(4..8));
+/// let stitched = stitched.finish();
+/// let stitched_worst = stitched.group("MIS/cycle20", "three-phase", 0.3).unwrap();
+/// assert_eq!(stitched_worst.min_value, worst.min_value);
 /// ```
 pub mod prelude {
     pub use dapc_core::adapters::{GraphProblem, GraphSolveResult};
