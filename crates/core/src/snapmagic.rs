@@ -1,11 +1,14 @@
 //! Central registry of every persisted snapshot format's magic bytes.
 //!
-//! Every binary format the workspace writes to disk or the wire opens
-//! with the same shape of prefix: seven identifying bytes
-//! (`DAPC` + a three-letter format tag) and a format version byte.
-//! Version `\x01` formats end with their last field; version `\x02`+
-//! formats append a 16-byte FNV-1a-128 seal over every preceding byte
+//! Every snapshot format the workspace writes to disk opens with the
+//! same shape of prefix: seven identifying bytes (`DAPC` + a
+//! three-letter format tag) and a format version byte. Version `\x01`
+//! formats end with their last field; version `\x02`+ formats append a
+//! 16-byte FNV-1a-128 seal over every preceding byte
 //! (`dapc_runtime::snap`), so bit flips and truncation fail loudly.
+//! Both registered formats are sealed. A `dapc_serve::CorpusSpec` is
+//! not a format: the manifest and the daemon's frames carry it as its
+//! CLI tokens.
 //!
 //! This module is the *only* place a `b"DAPC…"` literal may appear in
 //! library code — the `magic-registry` rule of `dapc-analyze` enforces
@@ -52,13 +55,6 @@ pub const PART: Magic = Magic {
     name: "part-report checkpoint",
 };
 
-/// `dapc_serve::CorpusSpec` declarative sweep description.
-pub const SPEC: Magic = Magic {
-    bytes: b"DAPCSPC\x01",
-    sealed: false,
-    name: "corpus-spec bytes",
-};
-
 /// `dapc_serve` sweep-directory `manifest.bin`.
 pub const MANIFEST: Magic = Magic {
     bytes: b"DAPCMAN\x02",
@@ -68,7 +64,7 @@ pub const MANIFEST: Magic = Magic {
 
 /// Every registered format, for the consistency test and for tooling
 /// that wants to recognise any workspace snapshot.
-pub const ALL: [&Magic; 3] = [&PART, &SPEC, &MANIFEST];
+pub const ALL: [&Magic; 2] = [&PART, &MANIFEST];
 
 #[cfg(test)]
 mod tests {
@@ -113,6 +109,6 @@ mod tests {
                 m.name
             );
         }
-        assert_eq!(ALL.len(), 3, "keep the table in sync with the formats");
+        assert_eq!(ALL.len(), 2, "keep the table in sync with the formats");
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! A sweep directory holds one [`SweepManifest`] (`manifest.bin`),
 //! written once when the sweep starts, that pins the directory to a
-//! [`CorpusSpec`] and a checkpoint unit, plus one part file per completed
-//! checkpoint unit — `part-{start:08}-{end:08}.bin`, a [`PartReport`]
-//! snapshot covering exactly the named canonical job range.
+//! [`CorpusSpec`] (its CLI tokens) and a checkpoint unit, plus one part
+//! file per completed checkpoint unit — `part-{start:08}-{end:08}.bin`,
+//! a [`PartReport`] snapshot covering exactly the named canonical job
+//! range.
 //!
 //! Three rules make crashes harmless:
 //!
@@ -41,11 +42,9 @@ pub const MANIFEST_FILE: &str = "manifest.bin";
 #[derive(Clone, Debug, PartialEq)]
 pub struct SweepManifest {
     /// The sweep being checkpointed; resuming against a directory whose
-    /// manifest holds a different spec is refused.
+    /// manifest holds a different spec is refused. Its corpus has
+    /// `spec.grid_len()` jobs.
     pub spec: CorpusSpec,
-    /// Total jobs of the corpus (`spec.grid_len()`, denormalised so a
-    /// reader needs no corpus to interpret the ranges).
-    pub corpus_jobs: usize,
     /// Checkpoint unit: workers cut their assigned ranges at multiples
     /// of this many jobs and emit one part file per piece.
     pub unit: usize,
@@ -54,15 +53,14 @@ pub struct SweepManifest {
 impl SweepManifest {
     /// Creates the manifest of a fresh sweep.
     pub fn new(spec: CorpusSpec, unit: usize) -> Self {
-        let corpus_jobs = spec.grid_len();
         SweepManifest {
             spec,
-            corpus_jobs,
             unit: unit.max(1),
         }
     }
 
-    /// Writes the manifest in its versioned binary form.
+    /// Writes the manifest in its versioned binary form: the magic, the
+    /// spec's token count and tokens, the unit, then the seal.
     ///
     /// # Errors
     ///
@@ -70,16 +68,15 @@ impl SweepManifest {
     pub fn save_to<W: io::Write>(&self, mut w: W) -> io::Result<()> {
         let mut buf = Vec::new();
         buf.extend_from_slice(MANIFEST_MAGIC);
-        snap::write_bytes(&mut buf, &self.spec.to_bytes())?;
-        snap::write_u64(&mut buf, self.corpus_jobs as u64)?;
+        self.spec.write_to(&mut buf)?;
         snap::write_u64(&mut buf, self.unit as u64)?;
         snap::seal(&mut buf);
         w.write_all(&buf)
     }
 
-    /// Reads and validates a manifest: the embedded spec must itself
-    /// load (and validate), `corpus_jobs` must equal the spec's grid,
-    /// and the unit must be positive.
+    /// Reads and validates a manifest: the spec's token count must be
+    /// within its cap, the tokens must parse into a valid spec, and the
+    /// unit must be positive.
     ///
     /// # Errors
     ///
@@ -89,19 +86,7 @@ impl SweepManifest {
     pub fn load_from<R: io::Read>(r: R) -> io::Result<Self> {
         let mut r = snap::SealingReader::new(dapc_chaos::corrupt_reader("manifest.load", r));
         snap::check_magic(&mut r, MANIFEST_MAGIC, "sweep-manifest")?;
-        let spec_bytes = snap::read_bytes(&mut r, "embedded spec")?;
-        let mut spec_slice = spec_bytes.as_slice();
-        let spec = CorpusSpec::load_from(&mut spec_slice)?;
-        if !spec_slice.is_empty() {
-            return Err(snap::invalid("trailing bytes after the embedded spec"));
-        }
-        let corpus_jobs = snap::read_u64(&mut r)? as usize;
-        if corpus_jobs != spec.grid_len() {
-            return Err(snap::invalid(format!(
-                "manifest claims {corpus_jobs} jobs but its spec spans {}",
-                spec.grid_len()
-            )));
-        }
+        let spec = CorpusSpec::read_from(&mut r)?;
         let unit = snap::read_u64(&mut r)? as usize;
         if unit == 0 {
             return Err(snap::invalid("zero checkpoint unit"));
@@ -112,11 +97,7 @@ impl SweepManifest {
         if r.read(&mut trailing)? != 0 {
             return Err(snap::invalid("trailing bytes after the manifest"));
         }
-        Ok(SweepManifest {
-            spec,
-            corpus_jobs,
-            unit,
-        })
+        Ok(SweepManifest { spec, unit })
     }
 
     /// Atomically writes the manifest into `dir` (temporary + rename).
@@ -399,12 +380,29 @@ mod tests {
         CorpusSpec::parse_args(["ring=mis:cycle:12", "@backends=greedy", "@seeds=0..6"]).unwrap()
     }
 
+    /// A sealed manifest of raw spec tokens and a unit, as
+    /// [`SweepManifest::save_to`] lays it out, with `count` in place of
+    /// the token count.
+    fn manifest_bytes(count: u64, tokens: &[&str], unit: u64) -> Vec<u8> {
+        let mut buf = MANIFEST_MAGIC.to_vec();
+        snap::write_u64(&mut buf, count).unwrap();
+        for t in tokens {
+            snap::write_str(&mut buf, t).unwrap();
+        }
+        snap::write_u64(&mut buf, unit).unwrap();
+        snap::seal(&mut buf);
+        buf
+    }
+
     #[test]
     fn manifest_round_trips_and_rejects_corruption() {
         let m = SweepManifest::new(demo_spec(), 2);
         let mut bytes = Vec::new();
         m.save_to(&mut bytes).unwrap();
         assert_eq!(SweepManifest::load_from(bytes.as_slice()).unwrap(), m);
+        let tokens = m.spec.to_args();
+        let tokens: Vec<&str> = tokens.iter().map(String::as_str).collect();
+        assert_eq!(manifest_bytes(tokens.len() as u64, &tokens, 2), bytes);
         for cut in 0..bytes.len() {
             assert!(
                 SweepManifest::load_from(&bytes[..cut]).is_err(),
@@ -414,6 +412,15 @@ mod tests {
         let mut padded = bytes.clone();
         padded.push(0);
         assert!(SweepManifest::load_from(padded.as_slice()).is_err());
+        // A count over the cap is refused before any token is read.
+        let err = SweepManifest::load_from(manifest_bytes(u64::MAX, &[], 2).as_slice())
+            .expect_err("over-cap token count");
+        assert!(err.to_string().contains("exceed the cap"), "{err}");
+        // Tokens that `validate` rejects fail the load.
+        let bad = ["ring=mis:cycle:12", "@backends=no-such"];
+        let err = SweepManifest::load_from(manifest_bytes(2, &bad, 2).as_slice())
+            .expect_err("invalid spec");
+        assert!(err.to_string().contains("unknown backend"), "{err}");
     }
 
     #[test]

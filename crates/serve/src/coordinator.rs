@@ -232,6 +232,7 @@ pub struct SweepConfig {
     pub workers: usize,
     /// Checkpoint unit in jobs (ignored when resuming a directory whose
     /// manifest pins a different unit — alignment beats preference).
+    /// Tasks end on the manifest's unit grid.
     pub unit: usize,
     /// Attempt budget per task without progress.
     pub max_attempts: u32,
@@ -321,7 +322,7 @@ where
             m
         }
     };
-    let corpus_jobs = manifest.corpus_jobs;
+    let corpus_jobs = manifest.spec.grid_len();
 
     // No worker is running yet, so any dotted temporary is a leak from
     // a crashed predecessor — collect them before the first scan.
@@ -334,14 +335,16 @@ where
     let remaining = uncovered(corpus_jobs, &scan.covered);
     let remaining_jobs: usize = remaining.iter().map(Range::len).sum();
 
-    // Carve the remainder into one contiguous chunk per worker slot (the
-    // final partial chunks just leave slots idle sooner).
+    // Carve the remainder into about one contiguous chunk per worker
+    // slot (the final partial chunks just leave slots idle sooner). Each
+    // chunk ends on the manifest's unit grid, so no unit is split
+    // between two workers' part files.
     let target = remaining_jobs.div_ceil(cfg.workers.max(1)).max(1);
     let mut tasks: Vec<Range<usize>> = Vec::new();
     for r in remaining {
         let mut cursor = r.start;
         while cursor < r.end {
-            let end = (cursor + target).min(r.end);
+            let end = (cursor + target).next_multiple_of(manifest.unit).min(r.end);
             tasks.push(cursor..end);
             cursor = end;
         }

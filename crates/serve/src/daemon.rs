@@ -36,7 +36,7 @@
 use crate::proto::{read_frame, write_frame, Request, Response, PROTOCOL_VERSION};
 use crate::spec::CorpusSpec;
 use dapc_local::RoundCost;
-use dapc_runtime::{solve_range_streaming_with_cache, JobResult, PrepCache, RuntimeConfig};
+use dapc_runtime::{solve_many_streaming_with_cache, JobResult, PrepCache, RuntimeConfig};
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -81,12 +81,10 @@ mod metrics {
     pub fn latency(kind: &Kind) -> &'static Histogram {
         static PING: OnceLock<Histogram> = OnceLock::new();
         static STATS: OnceLock<Histogram> = OnceLock::new();
-        static SOLVE: OnceLock<Histogram> = OnceLock::new();
         static SWEEP: OnceLock<Histogram> = OnceLock::new();
         match kind {
             Kind::Ping => PING.get_or_init(|| histogram("serve.daemon.ping_micros")),
             Kind::Stats => STATS.get_or_init(|| histogram("serve.daemon.stats_micros")),
-            Kind::Solve => SOLVE.get_or_init(|| histogram("serve.daemon.solve_micros")),
             Kind::Sweep => SWEEP.get_or_init(|| histogram("serve.daemon.sweep_micros")),
         }
     }
@@ -97,8 +95,6 @@ mod metrics {
         Ping,
         /// `Request::Stats`.
         Stats,
-        /// `Request::Solve`.
-        Solve,
         /// `Request::Sweep`.
         Sweep,
     }
@@ -112,7 +108,7 @@ pub struct DaemonConfig {
     /// Bound on connections waiting for a handler; one more earns
     /// [`Response::Busy`].
     pub queue: usize,
-    /// Per-request wall budget for solve/sweep requests; exceeding it
+    /// Per-request wall budget for sweep requests; exceeding it
     /// gets the *connection* killed (the daemon survives, and the
     /// computation finishes into the resident cache). `None` disables
     /// the watchdog.
@@ -490,25 +486,10 @@ fn serve_connection(shared: &Shared, mut stream: UnixStream) -> io::Result<()> {
                 shared.wake.notify_all();
                 return Ok(());
             }
-            Request::Solve { spec, index } => {
-                let len = spec.grid_len() as u64;
-                if index >= len {
-                    let resp = Response::Error {
-                        message: format!("job index {index} out of range for {len} jobs"),
-                    };
-                    write_frame(&mut stream, &resp.to_bytes())?;
-                } else {
-                    let range = index as usize..index as usize + 1;
-                    let _deadline = DeadlineGuard::register(shared, &stream);
-                    stream_solve(shared, &mut stream, &spec, range, 1)?;
-                }
-                metrics::Kind::Solve
-            }
             Request::Sweep { spec, jobs } => {
                 let jobs = jobs.clamp(1, MAX_REQUEST_JOBS) as usize;
-                let range = 0..spec.grid_len();
                 let _deadline = DeadlineGuard::register(shared, &stream);
-                stream_solve(shared, &mut stream, &spec, range, jobs)?;
+                stream_solve(shared, &mut stream, &spec, jobs)?;
                 metrics::Kind::Sweep
             }
         };
@@ -518,37 +499,29 @@ fn serve_connection(shared: &Shared, mut stream: UnixStream) -> io::Result<()> {
     }
 }
 
-/// Solves `range` of `spec`'s corpus against the resident cache,
-/// streaming one [`Response::Job`] per result and a closing
-/// [`Response::Summary`].
+/// Solves `spec`'s whole corpus against the resident cache, streaming
+/// one [`Response::Job`] per result and a closing [`Response::Summary`].
 fn stream_solve(
     shared: &Shared,
     stream: &mut UnixStream,
     spec: &CorpusSpec,
-    range: std::ops::Range<usize>,
     jobs: usize,
 ) -> io::Result<()> {
     let corpus = spec.build(); // specs from the wire are pre-validated
     let rt = RuntimeConfig::new().jobs(jobs);
-    // The hook runs on solver threads; the sink shares the socket
-    // with this frame writer and remembers the first write failure
-    // (solving finishes regardless — the work warms the cache even
-    // when the requester is gone).
-    let sink = Arc::new(Mutex::new(stream.try_clone()?));
+    // The hook runs on solver threads, one call at a time, and writes
+    // to its own handle on the socket. It remembers the first write
+    // failure (solving finishes regardless — the work warms the cache
+    // even when the requester is gone). Results arrive in canonical
+    // order, so a running count is each job's index.
+    let mut sink = stream.try_clone()?;
     let failed = Arc::new(Mutex::new(None::<io::Error>));
-    let next_index = Arc::new(AtomicU64::new(range.start as u64));
-    let hook_sink = Arc::clone(&sink);
     let hook_failed = Arc::clone(&failed);
-    let part = solve_range_streaming_with_cache(
-        &corpus,
-        range,
-        &rt,
-        &shared.cache,
-        move |r: JobResult| {
-            // Results arrive in canonical order, so a counter
-            // recovers each job's global index.
-            // ordering: SeqCst — daemon control plane; total order over throughput off the hot path
-            let index = next_index.fetch_add(1, Ordering::SeqCst);
+    let mut index = 0u64;
+    let hook = move |r: JobResult| {
+        // dapc-allow(panic): poisoned only if a sibling worker already panicked; propagate that crash
+        let mut failed = hook_failed.lock().expect("daemon sink failure flag");
+        if failed.is_none() {
             let frame = Response::Job {
                 index,
                 key: r.key.to_string(),
@@ -556,20 +529,15 @@ fn stream_solve(
                 feasible: r.report.feasible(),
                 rounds: r.report.rounds() as u64,
                 micros: r.micros,
+            };
+            if let Err(e) = write_frame(&mut sink, &frame.to_bytes()) {
+                *failed = Some(e);
             }
-            .to_bytes();
-            // dapc-allow(panic): poisoned only if a sibling worker already panicked; propagate that crash
-            let mut failed = hook_failed.lock().expect("daemon sink failure flag");
-            if failed.is_none() {
-                // dapc-allow(panic): poisoned only if a sibling worker already panicked; propagate that crash
-                let mut sink = hook_sink.lock().expect("daemon sink");
-                if let Err(e) = write_frame(&mut *sink, &frame) {
-                    *failed = Some(e);
-                }
-            }
-        },
-    );
-    let jobs = part.range().len() as u64;
+        }
+        index += 1;
+    };
+    let report = solve_many_streaming_with_cache(&corpus, &rt, &shared.cache, hook);
+    let jobs = report.jobs as u64;
     shared
         .jobs_solved
         // ordering: SeqCst — daemon control plane; total order over throughput off the hot path
@@ -578,18 +546,14 @@ fn stream_solve(
     if let Some(e) = failed.lock().expect("daemon sink failure flag").take() {
         return Err(e);
     }
-    // A request range need not cover the corpus, so its aggregation is
-    // finished directly rather than through `PartReport::finish`.
-    let wall = part.wall;
-    let (groups, backends) = part.aggregator.finish();
     let cache = shared.cache.stats();
     let resp = Response::Summary {
         jobs,
-        groups: groups.len() as u64,
-        backends: backends.len() as u64,
+        groups: report.groups.len() as u64,
+        backends: report.backends.len() as u64,
         cache_hits: cache.hits,
         cache_misses: cache.misses,
-        wall_micros: wall.as_micros() as u64,
+        wall_micros: report.wall.as_micros() as u64,
     };
     write_frame(stream, &resp.to_bytes())
 }
@@ -616,7 +580,7 @@ pub mod client {
         pub micros: u64,
     }
 
-    /// The closing summary of a solve/sweep stream.
+    /// The closing summary of a sweep stream.
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     pub struct SweepSummary {
         /// Jobs streamed.
@@ -765,21 +729,26 @@ pub mod client {
         }
     }
 
-    /// Runs a sweep (or, with `Request::Solve`, a single job) and
-    /// drains its stream: `on_job` sees every [`JobUpdate`] in canonical
-    /// order, the closing summary is returned.
+    /// Sweeps `spec` with `jobs`-way parallelism and drains the stream:
+    /// `on_job` sees every [`JobUpdate`] in canonical order, and the
+    /// closing summary is returned.
     ///
     /// # Errors
     ///
     /// Propagates connection and protocol errors; an in-band
     /// [`Response::Error`] becomes an error too, and [`Response::Busy`]
     /// surfaces as [`io::ErrorKind::WouldBlock`].
-    pub fn run_streaming(
+    pub fn sweep(
         socket: &Path,
-        request: &Request,
+        spec: &CorpusSpec,
+        jobs: u64,
         mut on_job: impl FnMut(JobUpdate),
     ) -> io::Result<SweepSummary> {
         let mut stream = UnixStream::connect(socket)?;
+        let request = Request::Sweep {
+            spec: spec.clone(),
+            jobs,
+        };
         write_frame(&mut stream, &request.to_bytes())?;
         loop {
             let body = read_frame(&mut stream)?.ok_or_else(|| {
@@ -823,7 +792,7 @@ pub mod client {
         }
     }
 
-    /// [`run_streaming`] behind a [`RetryPolicy`]: reconnects on
+    /// [`sweep`] behind a [`RetryPolicy`]: reconnects on
     /// connection-level failures (including [`Response::Busy`]) with
     /// capped exponential backoff. Job updates are buffered per attempt
     /// and delivered to `on_job` only from the attempt that completes,
@@ -835,9 +804,10 @@ pub mod client {
     ///
     /// The last connection-level error once attempts are exhausted, or
     /// the first non-retryable error immediately.
-    pub fn run_streaming_with_retry(
+    pub fn sweep_with_retry(
         socket: &Path,
-        request: &Request,
+        spec: &CorpusSpec,
+        jobs: u64,
         policy: &RetryPolicy,
         mut on_job: impl FnMut(JobUpdate),
     ) -> io::Result<SweepSummary> {
@@ -848,7 +818,7 @@ pub mod client {
                 std::thread::sleep(policy.delay(attempt - 1));
             }
             let mut buffered: Vec<JobUpdate> = Vec::new();
-            match run_streaming(socket, request, |j| buffered.push(j)) {
+            match sweep(socket, spec, jobs, |j| buffered.push(j)) {
                 Ok(summary) => {
                     for j in buffered {
                         on_job(j);
@@ -860,49 +830,5 @@ pub mod client {
             }
         }
         Err(last.unwrap_or_else(|| io::Error::other("retry budget exhausted")))
-    }
-
-    /// Convenience wrapper: sweep `spec` with `jobs`-way parallelism.
-    ///
-    /// # Errors
-    ///
-    /// As [`run_streaming`].
-    pub fn sweep(
-        socket: &Path,
-        spec: &CorpusSpec,
-        jobs: u64,
-        on_job: impl FnMut(JobUpdate),
-    ) -> io::Result<SweepSummary> {
-        run_streaming(
-            socket,
-            &Request::Sweep {
-                spec: spec.clone(),
-                jobs,
-            },
-            on_job,
-        )
-    }
-
-    /// Convenience wrapper: [`sweep`] behind a [`RetryPolicy`].
-    ///
-    /// # Errors
-    ///
-    /// As [`run_streaming_with_retry`].
-    pub fn sweep_with_retry(
-        socket: &Path,
-        spec: &CorpusSpec,
-        jobs: u64,
-        policy: &RetryPolicy,
-        on_job: impl FnMut(JobUpdate),
-    ) -> io::Result<SweepSummary> {
-        run_streaming_with_retry(
-            socket,
-            &Request::Sweep {
-                spec: spec.clone(),
-                jobs,
-            },
-            policy,
-            on_job,
-        )
     }
 }

@@ -8,10 +8,10 @@
 //! Three layers, composable and separately testable:
 //!
 //! 1. **Specs** ([`CorpusSpec`]): declarative sweep descriptions that
-//!    parse from CLI tokens, serialise to hardened versioned bytes, and
-//!    rebuild bit-identical corpora in any process — the unit of
-//!    agreement between coordinator, workers, checkpoint directories and
-//!    daemon clients.
+//!    parse from CLI tokens, travel as those same tokens (in the
+//!    manifest and the daemon's `Sweep` frame), and rebuild bit-identical
+//!    corpora in any process — the unit of agreement between
+//!    coordinator, workers, checkpoint directories and daemon clients.
 //! 2. **Fault-tolerant orchestration** ([`orchestrate_sweep`]): a
 //!    coordinator partitions the corpus across supervised worker
 //!    processes, workers checkpoint unit-aligned
@@ -39,10 +39,11 @@
 //! mid-write — and a sweep either fails loudly with the right exit code
 //! or completes byte-identical to the fault-free single-process run.
 //!
-//! Everything that crosses a process boundary — specs, manifests, part
-//! files, wire frames — obeys the same hardening contract as the
-//! runtime's snapshots: all-or-nothing loads, truncation at any byte is
-//! an `Err`, and no length field ever drives an allocation.
+//! Everything that crosses a process boundary — manifests, part files,
+//! wire frames, and the spec tokens inside manifests and frames — obeys
+//! the same hardening contract as the runtime's snapshots: all-or-nothing
+//! loads, truncation at any byte is an `Err`, and no length field ever
+//! drives an allocation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -61,5 +62,5 @@ pub use checkpoint::{
 };
 pub use coordinator::{orchestrate_sweep, SuperviseStats, SweepConfig, SweepOutcome};
 pub use daemon::{client, Daemon, DaemonConfig, MAX_REQUEST_JOBS};
-pub use spec::{CorpusSpec, GraphSpec, InstanceSpec, Problem, SpecLimits, SPEC_LIMITS, SPEC_MAGIC};
+pub use spec::{CorpusSpec, GraphSpec, InstanceSpec, Problem, SpecLimits, SPEC_LIMITS};
 pub use worker::{run_worker, WorkerOptions, WorkerSummary};

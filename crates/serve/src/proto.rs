@@ -9,6 +9,10 @@
 //! - **No length drives an allocation.** Frame bodies are capped at
 //!   [`MAX_FRAME`] *before* any buffer is sized, and every nested
 //!   length field reads through `Read::take`.
+//! - **A spec travels as its CLI tokens** ([`CorpusSpec::to_args`]): a
+//!   count, refused above the cap before any token is read, then one
+//!   length-prefixed string per token, parsed and validated by
+//!   [`CorpusSpec::parse_args`] — there is no separate spec format.
 //! - **Truncation at any byte is an `Err`**, and so are trailing bytes
 //!   after a decoded message — a frame means exactly one message.
 //! - **Unknown tags are errors**, not skipped extensions; version skew
@@ -25,8 +29,11 @@ use std::io::{self, Read, Write};
 ///
 /// Version history: 1 — initial protocol; 2 — [`Response::Stats`] gained
 /// the embedded [`MetricsSnapshot`]; 3 — [`Response::Busy`] (in-band
-/// backpressure when the daemon's bounded request queue is full).
-pub const PROTOCOL_VERSION: u64 = 3;
+/// backpressure when the daemon's bounded request queue is full); 4 — the
+/// single-job `Solve` request (tag 2) is gone, and a
+/// [`Request::Sweep`] carries its spec as CLI tokens instead of
+/// `DAPCSPC` bytes.
+pub const PROTOCOL_VERSION: u64 = 4;
 
 /// Hard cap on a frame body, checked before any allocation. Large
 /// enough for any spec the [`crate::spec::SPEC_LIMITS`] caps admit,
@@ -38,13 +45,6 @@ pub const MAX_FRAME: u32 = 1 << 20;
 pub enum Request {
     /// Liveness + version check.
     Ping,
-    /// Solve the single canonical job `index` of `spec`'s corpus.
-    Solve {
-        /// The sweep description.
-        spec: CorpusSpec,
-        /// Canonical job index.
-        index: u64,
-    },
     /// Solve the whole corpus, streaming one [`Response::Job`] per job
     /// (canonical order) before the closing [`Response::Summary`].
     Sweep {
@@ -67,7 +67,7 @@ pub enum Response {
         /// The daemon's [`PROTOCOL_VERSION`].
         protocol: u64,
     },
-    /// One solved job of a solve/sweep request.
+    /// One solved job of a sweep request.
     Job {
         /// Canonical job index.
         index: u64,
@@ -82,7 +82,7 @@ pub enum Response {
         /// Wall-clock microseconds of the solve.
         micros: u64,
     },
-    /// Closes a solve/sweep stream.
+    /// Closes a sweep stream.
     Summary {
         /// Jobs streamed.
         jobs: u64,
@@ -214,14 +214,9 @@ impl Request {
         let r: io::Result<()> = (|| {
             match self {
                 Request::Ping => w.write_all(&[1])?,
-                Request::Solve { spec, index } => {
-                    w.write_all(&[2])?;
-                    snap::write_bytes(&mut w, &spec.to_bytes())?;
-                    snap::write_u64(&mut w, *index)?;
-                }
                 Request::Sweep { spec, jobs } => {
                     w.write_all(&[3])?;
-                    snap::write_bytes(&mut w, &spec.to_bytes())?;
+                    spec.write_to(&mut w)?;
                     snap::write_u64(&mut w, *jobs)?;
                 }
                 Request::Stats => w.write_all(&[4])?,
@@ -234,9 +229,9 @@ impl Request {
         w
     }
 
-    /// Decodes one frame body. All-or-nothing: unknown tags, embedded
-    /// specs that fail validation, truncation, and trailing bytes are
-    /// all errors.
+    /// Decodes one frame body. All-or-nothing: unknown tags, spec token
+    /// counts over the cap, specs that fail validation, truncation, and
+    /// trailing bytes are all errors.
     ///
     /// # Errors
     ///
@@ -246,12 +241,8 @@ impl Request {
         let mut r = body;
         let req = match snap::read_u8(&mut r)? {
             1 => Request::Ping,
-            2 => Request::Solve {
-                spec: read_spec(&mut r)?,
-                index: snap::read_u64(&mut r)?,
-            },
             3 => Request::Sweep {
-                spec: read_spec(&mut r)?,
+                spec: CorpusSpec::read_from(&mut r)?,
                 jobs: snap::read_u64(&mut r)?,
             },
             4 => Request::Stats,
@@ -398,20 +389,10 @@ impl Response {
     }
 }
 
-/// Decodes an embedded metrics snapshot with the same all-or-nothing
-/// discipline as [`read_spec`]: the length-prefixed bytes must parse as
-/// a complete canonical snapshot with nothing left over.
+/// Decodes an embedded metrics snapshot all-or-nothing: the
+/// length-prefixed bytes must parse as a complete canonical snapshot
+/// with nothing left over.
 fn read_metrics(r: &mut impl Read) -> io::Result<MetricsSnapshot> {
     let bytes = snap::read_bytes(r, "embedded metrics snapshot")?;
     MetricsSnapshot::from_bytes(&bytes)
-}
-
-fn read_spec(r: &mut impl Read) -> io::Result<CorpusSpec> {
-    let bytes = snap::read_bytes(r, "embedded spec")?;
-    let mut slice = bytes.as_slice();
-    let spec = CorpusSpec::load_from(&mut slice)?;
-    if !slice.is_empty() {
-        return Err(snap::invalid("trailing bytes after the embedded spec"));
-    }
-    Ok(spec)
 }

@@ -5,9 +5,10 @@
 //! checkpoint manifest that pins a directory to one sweep, and the
 //! daemon that receives work over a socket. It names what a
 //! [`dapc_runtime::Corpus`] holds by value — generated instances,
-//! backends, the ε grid, seeds — in a form that can be parsed from
-//! command-line tokens, shipped as versioned bytes, and rebuilt into the
-//! identical corpus in any process.
+//! backends, the ε grid, seeds — as command-line tokens, which are also
+//! its only serialised form ([`CorpusSpec::to_args`]): the manifest and
+//! the daemon's `Sweep` frame carry those tokens, and any process
+//! parses them back into the identical corpus.
 //!
 //! Unlike [`dapc_runtime::CorpusBuilder`], whose `build` asserts,
 //! [`CorpusSpec::validate`] returns errors: specs arrive from sockets
@@ -20,10 +21,6 @@ use dapc_ilp::{problems, IlpInstance};
 use dapc_runtime::{snap, Corpus};
 use std::io;
 use std::ops::Range;
-
-/// Magic + version prefix of the spec's binary form (see
-/// [`CorpusSpec::save_to`]).
-pub const SPEC_MAGIC: &[u8; 8] = dapc_core::snapmagic::SPEC.bytes;
 
 /// Caps applied by [`CorpusSpec::validate`] so a hostile spec cannot
 /// talk a server into unbounded work: instances per corpus, vertices per
@@ -195,10 +192,8 @@ pub struct InstanceSpec {
 /// .unwrap();
 /// assert_eq!(spec.build().len(), 2 * 2 * 1 * 2);
 ///
-/// // The binary form round-trips and is canonical.
-/// let mut bytes = Vec::new();
-/// spec.save_to(&mut bytes).unwrap();
-/// assert_eq!(CorpusSpec::load_from(bytes.as_slice()).unwrap(), spec);
+/// // The canonical tokens parse back into the same spec.
+/// assert_eq!(CorpusSpec::parse_args(spec.to_args()).unwrap(), spec);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct CorpusSpec {
@@ -295,25 +290,28 @@ impl CorpusSpec {
     /// # Errors
     ///
     /// Fails with [`io::ErrorKind::InvalidData`] naming the offending
-    /// field: empty or duplicate instances/backends/ε values, unknown
-    /// backend keys, ε outside `(0, 1)`, an empty seed range, zero-vertex
-    /// graphs, or any cap exceeded.
+    /// field: empty or duplicate instances/backends/ε values, instance
+    /// names the token form cannot carry (containing `=` or starting
+    /// with `@`), unknown backend keys, ε outside `(0, 1)`, an empty seed
+    /// range, zero-vertex graphs, cycles under 3 vertices, or any cap
+    /// exceeded.
     pub fn validate(&self) -> io::Result<()> {
         let l = SPEC_LIMITS;
-        if self.instances.is_empty() {
-            return Err(snap::invalid("spec has no instances"));
-        }
-        if self.instances.len() > l.instances {
+        if self.instances.is_empty() || self.instances.len() > l.instances {
             return Err(snap::invalid(format!(
-                "{} instances exceed the cap of {}",
+                "{} instances (need 1..={})",
                 self.instances.len(),
                 l.instances
             )));
         }
         for (i, inst) in self.instances.iter().enumerate() {
-            if inst.name.is_empty() || inst.name.len() > 128 {
+            if inst.name.is_empty()
+                || inst.name.len() > 128
+                || inst.name.contains('=')
+                || inst.name.starts_with('@')
+            {
                 return Err(snap::invalid(format!(
-                    "instance name {:?} is empty or too long",
+                    "instance name {:?} is empty, too long, contains '=' or starts with '@'",
                     inst.name
                 )));
             }
@@ -324,25 +322,26 @@ impl CorpusSpec {
                 )));
             }
             let n = inst.graph.vertices();
-            if n == 0 {
+            if n == 0 || n > l.vertices {
                 return Err(snap::invalid(format!(
-                    "instance {:?} has no vertices",
-                    inst.name
-                )));
-            }
-            if n > l.vertices {
-                return Err(snap::invalid(format!(
-                    "instance {:?} has {n} vertices, cap is {}",
+                    "instance {:?} has {n} vertices (need 1..={})",
                     inst.name, l.vertices
                 )));
             }
-            if let GraphSpec::Gnp { p, .. } = inst.graph {
-                if !(0.0..=1.0).contains(&p) {
+            match inst.graph {
+                GraphSpec::Cycle(n) if n < 3 => {
+                    return Err(snap::invalid(format!(
+                        "instance {:?} is a cycle on {n} vertices, needs at least 3",
+                        inst.name
+                    )));
+                }
+                GraphSpec::Gnp { p, .. } if !(0.0..=1.0).contains(&p) => {
                     return Err(snap::invalid(format!(
                         "instance {:?} has edge probability {p} outside [0, 1]",
                         inst.name
                     )));
                 }
+                _ => {}
             }
         }
         if self.backends.is_empty() || self.backends.len() > l.backends {
@@ -378,13 +377,10 @@ impl CorpusSpec {
                 return Err(snap::invalid(format!("duplicate eps {e}")));
             }
         }
-        if self.seeds.is_empty() {
-            return Err(snap::invalid("empty seed range"));
-        }
-        let span = self.seeds.end - self.seeds.start;
-        if span > l.seeds as u64 {
+        let span = self.seeds.end.saturating_sub(self.seeds.start);
+        if span == 0 || span > l.seeds as u64 {
             return Err(snap::invalid(format!(
-                "{span} seeds exceed the cap of {}",
+                "{span} seeds (need 1..={})",
                 l.seeds
             )));
         }
@@ -417,138 +413,9 @@ impl CorpusSpec {
         b.build()
     }
 
-    /// Writes the spec's canonical binary form (magic [`SPEC_MAGIC`],
-    /// then instances, backends, ε bits, seeds and ensemble count, all
-    /// length-prefixed little-endian).
-    ///
-    /// # Errors
-    ///
-    /// Propagates writer errors.
-    pub fn save_to<W: io::Write>(&self, mut w: W) -> io::Result<()> {
-        w.write_all(SPEC_MAGIC)?;
-        snap::write_u64(&mut w, self.instances.len() as u64)?;
-        for inst in &self.instances {
-            snap::write_str(&mut w, &inst.name)?;
-            let problem = match inst.problem {
-                Problem::Mis => 0u8,
-                Problem::Vc => 1,
-                Problem::Ds => 2,
-            };
-            w.write_all(&[problem])?;
-            match inst.graph {
-                GraphSpec::Path(n) => {
-                    w.write_all(&[0])?;
-                    snap::write_u64(&mut w, n as u64)?;
-                }
-                GraphSpec::Cycle(n) => {
-                    w.write_all(&[1])?;
-                    snap::write_u64(&mut w, n as u64)?;
-                }
-                GraphSpec::Complete(n) => {
-                    w.write_all(&[2])?;
-                    snap::write_u64(&mut w, n as u64)?;
-                }
-                GraphSpec::Star(n) => {
-                    w.write_all(&[3])?;
-                    snap::write_u64(&mut w, n as u64)?;
-                }
-                GraphSpec::Grid(r, c) => {
-                    w.write_all(&[4])?;
-                    snap::write_u64(&mut w, r as u64)?;
-                    snap::write_u64(&mut w, c as u64)?;
-                }
-                GraphSpec::Gnp { n, p, seed } => {
-                    w.write_all(&[5])?;
-                    snap::write_u64(&mut w, n as u64)?;
-                    snap::write_u64(&mut w, p.to_bits())?;
-                    snap::write_u64(&mut w, seed)?;
-                }
-            }
-        }
-        snap::write_u64(&mut w, self.backends.len() as u64)?;
-        for b in &self.backends {
-            snap::write_str(&mut w, b)?;
-        }
-        snap::write_u64(&mut w, self.eps_grid.len() as u64)?;
-        for &e in &self.eps_grid {
-            snap::write_u64(&mut w, e.to_bits())?;
-        }
-        snap::write_u64(&mut w, self.seeds.start)?;
-        snap::write_u64(&mut w, self.seeds.end)?;
-        snap::write_u64(&mut w, self.ensemble_runs as u64)?;
-        Ok(())
-    }
-
-    /// Reads a spec written by [`CorpusSpec::save_to`] and validates it.
-    /// All-or-nothing: no count field drives an allocation beyond the
-    /// [`SPEC_LIMITS`] caps, truncation at any byte is an `Err`, and the
-    /// loaded spec passes [`CorpusSpec::validate`] before being returned.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`io::ErrorKind::InvalidData`] on a bad magic or
-    /// version, an out-of-range tag or count, or a spec `validate`
-    /// rejects; with [`io::ErrorKind::UnexpectedEof`] on truncation.
-    pub fn load_from<R: io::Read>(mut r: R) -> io::Result<Self> {
-        snap::check_magic(&mut r, SPEC_MAGIC, "corpus-spec")?;
-        let l = SPEC_LIMITS;
-        let instances = read_count(&mut r, l.instances, "instances")?;
-        let instances = (0..instances)
-            .map(|_| {
-                let name = snap::read_str(&mut r, "instance name")?;
-                let problem = match snap::read_u8(&mut r)? {
-                    0 => Problem::Mis,
-                    1 => Problem::Vc,
-                    2 => Problem::Ds,
-                    t => return Err(snap::invalid(format!("unknown problem tag {t}"))),
-                };
-                let graph = match snap::read_u8(&mut r)? {
-                    0 => GraphSpec::Path(snap::read_u64(&mut r)? as usize),
-                    1 => GraphSpec::Cycle(snap::read_u64(&mut r)? as usize),
-                    2 => GraphSpec::Complete(snap::read_u64(&mut r)? as usize),
-                    3 => GraphSpec::Star(snap::read_u64(&mut r)? as usize),
-                    4 => GraphSpec::Grid(
-                        snap::read_u64(&mut r)? as usize,
-                        snap::read_u64(&mut r)? as usize,
-                    ),
-                    5 => GraphSpec::Gnp {
-                        n: snap::read_u64(&mut r)? as usize,
-                        p: f64::from_bits(snap::read_u64(&mut r)?),
-                        seed: snap::read_u64(&mut r)?,
-                    },
-                    t => return Err(snap::invalid(format!("unknown graph tag {t}"))),
-                };
-                Ok(InstanceSpec {
-                    name,
-                    problem,
-                    graph,
-                })
-            })
-            .collect::<io::Result<Vec<_>>>()?;
-        let backends = read_count(&mut r, l.backends, "backends")?;
-        let backends = (0..backends)
-            .map(|_| snap::read_str(&mut r, "backend name"))
-            .collect::<io::Result<Vec<_>>>()?;
-        let eps = read_count(&mut r, l.eps, "eps values")?;
-        let eps_grid = (0..eps)
-            .map(|_| Ok(f64::from_bits(snap::read_u64(&mut r)?)))
-            .collect::<io::Result<Vec<_>>>()?;
-        let seeds = snap::read_u64(&mut r)?..snap::read_u64(&mut r)?;
-        let ensemble_runs = snap::read_u64(&mut r)? as usize;
-        let spec = CorpusSpec {
-            instances,
-            backends,
-            eps_grid,
-            seeds,
-            ensemble_runs,
-        };
-        spec.validate()?;
-        Ok(spec)
-    }
-
     /// Jobs in the corpus this spec describes (`instances × backends ×
-    /// ε values × seeds`) — without generating any graph, so manifests
-    /// can be cross-checked cheaply.
+    /// ε values × seeds`) — without generating any graph, so a reader of
+    /// a manifest knows the corpus size cheaply.
     pub fn grid_len(&self) -> usize {
         self.instances.len()
             * self.backends.len()
@@ -556,24 +423,47 @@ impl CorpusSpec {
             * (self.seeds.end - self.seeds.start) as usize
     }
 
-    /// The spec's canonical bytes (a `Vec`-backed [`CorpusSpec::save_to`]).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut bytes = Vec::new();
-        self.save_to(&mut bytes)
-            // dapc-allow(panic): writing to a Vec cannot fail
-            .expect("writing a spec to a Vec cannot fail");
-        bytes
+    /// The spec's canonical CLI tokens: the instances in order, then
+    /// `@backends`, `@eps`, `@seeds` and `@ensemble`. They are the spec's
+    /// only serialised form: [`CorpusSpec::parse_args`] returns `self`
+    /// for every spec that [`CorpusSpec::validate`] accepts (ε and edge
+    /// probabilities print in Rust's shortest round-trip form).
+    pub fn to_args(&self) -> Vec<String> {
+        let eps: Vec<String> = self.eps_grid.iter().map(f64::to_string).collect();
+        let mut args: Vec<String> = self.instances.iter().map(ToString::to_string).collect();
+        args.push(format!("@backends={}", self.backends.join(",")));
+        args.push(format!("@eps={}", eps.join(",")));
+        args.push(format!("@seeds={}..{}", self.seeds.start, self.seeds.end));
+        args.push(format!("@ensemble={}", self.ensemble_runs));
+        args
     }
-}
 
-/// Reads a count field and refuses anything beyond `cap` *before* any
-/// element is parsed — count fields never drive allocations.
-fn read_count<R: io::Read>(r: &mut R, cap: usize, what: &str) -> io::Result<usize> {
-    let n = snap::read_u64(r)?;
-    if n > cap as u64 {
-        return Err(snap::invalid(format!("{n} {what} exceed the cap of {cap}")));
+    /// Writes the spec as the manifest and the daemon's `Sweep` frame
+    /// carry it: the token count, then each [`CorpusSpec::to_args`]
+    /// token as a length-prefixed string.
+    pub(crate) fn write_to<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
+        let args = self.to_args();
+        snap::write_u64(w, args.len() as u64)?;
+        args.iter().try_for_each(|t| snap::write_str(w, t))
     }
-    Ok(n as usize)
+
+    /// Reads a spec written by [`CorpusSpec::write_to`]. A count above
+    /// `SPEC_LIMITS.instances + 4` is refused before any token is read,
+    /// and the tokens go through [`CorpusSpec::parse_args`], which
+    /// validates them.
+    pub(crate) fn read_from<R: io::Read>(r: &mut R) -> io::Result<Self> {
+        let cap = SPEC_LIMITS.instances as u64 + 4;
+        let count = snap::read_u64(r)?;
+        if count > cap {
+            return Err(snap::invalid(format!(
+                "{count} spec tokens exceed the cap of {cap}"
+            )));
+        }
+        let tokens = (0..count)
+            .map(|_| snap::read_str(r, "spec token"))
+            .collect::<io::Result<Vec<_>>>()?;
+        Self::parse_args(tokens)
+    }
 }
 
 fn parse_instance(token: &str) -> io::Result<InstanceSpec> {
@@ -585,42 +475,23 @@ fn parse_instance(token: &str) -> io::Result<InstanceSpec> {
         .next()
         .and_then(Problem::from_token)
         .ok_or_else(|| snap::invalid(format!("unknown problem in {token:?} (mis/vc/ds)")))?;
-    let family = parts
-        .next()
-        .ok_or_else(|| snap::invalid(format!("missing graph family in {token:?}")))?;
-    let mut num = |what: &str| -> io::Result<usize> {
-        parts
-            .next()
-            .and_then(|s| s.parse::<usize>().ok())
-            .ok_or_else(|| snap::invalid(format!("bad or missing {what} in {token:?}")))
-    };
-    let graph = match family {
-        "path" => GraphSpec::Path(num("size")?),
-        "cycle" => GraphSpec::Cycle(num("size")?),
-        "complete" => GraphSpec::Complete(num("size")?),
-        "star" => GraphSpec::Star(num("size")?),
+    let graph = match parts.next().unwrap_or_default() {
+        "path" => GraphSpec::Path(field(parts.next(), "size", token)?),
+        "cycle" => GraphSpec::Cycle(field(parts.next(), "size", token)?),
+        "complete" => GraphSpec::Complete(field(parts.next(), "size", token)?),
+        "star" => GraphSpec::Star(field(parts.next(), "size", token)?),
         "grid" => {
-            let dims = parts
-                .next()
-                .ok_or_else(|| snap::invalid(format!("missing RxC dims in {token:?}")))?;
-            let (r, c) = dims
-                .split_once('x')
-                .and_then(|(r, c)| Some((r.parse::<usize>().ok()?, c.parse::<usize>().ok()?)))
-                .ok_or_else(|| snap::invalid(format!("bad grid dims in {token:?}")))?;
-            GraphSpec::Grid(r, c)
+            let (r, c) = parts.next().and_then(|dims| dims.split_once('x')).unzip();
+            GraphSpec::Grid(
+                field(r, "grid rows", token)?,
+                field(c, "grid columns", token)?,
+            )
         }
-        "gnp" => {
-            let n = num("size")?;
-            let p = parts
-                .next()
-                .and_then(|s| s.parse::<f64>().ok())
-                .ok_or_else(|| snap::invalid(format!("bad edge probability in {token:?}")))?;
-            let seed = parts
-                .next()
-                .and_then(|s| s.parse::<u64>().ok())
-                .ok_or_else(|| snap::invalid(format!("bad generator seed in {token:?}")))?;
-            GraphSpec::Gnp { n, p, seed }
-        }
+        "gnp" => GraphSpec::Gnp {
+            n: field(parts.next(), "size", token)?,
+            p: field(parts.next(), "edge probability", token)?,
+            seed: field(parts.next(), "generator seed", token)?,
+        },
         other => {
             return Err(snap::invalid(format!(
                 "unknown graph family {other:?} in {token:?}"
@@ -637,9 +508,17 @@ fn parse_instance(token: &str) -> io::Result<InstanceSpec> {
     })
 }
 
+/// Parses one `:`-separated field of `token`, or fails naming `what`.
+fn field<T: std::str::FromStr>(field: Option<&str>, what: &str, token: &str) -> io::Result<T> {
+    field
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| snap::invalid(format!("bad or missing {what} in {token:?}")))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn demo() -> CorpusSpec {
         CorpusSpec::parse_args([
@@ -678,6 +557,9 @@ mod tests {
             "a=mis:blob:6",
             "a=mis:cycle:notanum",
             "a=mis:grid:3y4",
+            "a=mis:grid:3x",
+            "a=mis",
+            "a=mis:gnp:10:0.5",
             "a=mis:cycle:6:extra",
             "@seeds=5",
             "@seeds=a..b",
@@ -692,51 +574,36 @@ mod tests {
 
     #[test]
     fn validate_rejects_what_build_would_panic_on() {
-        for (tweak, needle) in [
+        type Tweak = fn(&mut CorpusSpec);
+        let cases: [(Tweak, &str); 14] = [
+            (|s| s.instances.clear(), "0 instances"),
             (
-                Box::new(|s: &mut CorpusSpec| s.instances.clear()) as Box<dyn Fn(&mut CorpusSpec)>,
-                "no instances",
-            ),
-            (
-                Box::new(|s: &mut CorpusSpec| {
-                    let dup = s.instances[0].clone();
-                    s.instances.push(dup);
-                }),
+                |s| s.instances.push(s.instances[0].clone()),
                 "duplicate instance",
             ),
+            (|s| s.backends.push("greedy".into()), "duplicate backend"),
+            (|s| s.backends.push("no-such".into()), "unknown backend"),
+            (|s| s.eps_grid.push(0.2), "duplicate eps"),
+            (|s| s.eps_grid.push(1.5), "outside (0, 1)"),
+            (|s| s.seeds = 3..3, "0 seeds"),
+            (|s| s.seeds = 0..u64::MAX, "seeds (need 1..=4096)"),
             (
-                Box::new(|s: &mut CorpusSpec| s.backends.push("greedy".into())),
-                "duplicate backend",
+                |s| s.instances[0].graph = GraphSpec::Path(1 << 20),
+                "1..=4096",
             ),
             (
-                Box::new(|s: &mut CorpusSpec| s.backends.push("no-such".into())),
-                "unknown backend",
+                |s| s.instances[0].graph = GraphSpec::Grid(3, 0),
+                "0 vertices",
             ),
+            (|s| s.ensemble_runs = 1000, "ensemble runs"),
+            (|s| s.instances[0].name = "a=b".into(), "contains '='"),
+            (|s| s.instances[0].name = "@a".into(), "starts with '@'"),
             (
-                Box::new(|s: &mut CorpusSpec| s.eps_grid.push(0.2)),
-                "duplicate eps",
+                |s| s.instances[0].graph = GraphSpec::Cycle(2),
+                "needs at least 3",
             ),
-            (
-                Box::new(|s: &mut CorpusSpec| s.eps_grid.push(1.5)),
-                "outside (0, 1)",
-            ),
-            (
-                Box::new(|s: &mut CorpusSpec| s.seeds = 3..3),
-                "empty seed range",
-            ),
-            (
-                Box::new(|s: &mut CorpusSpec| s.seeds = 0..u64::MAX),
-                "exceed the cap",
-            ),
-            (
-                Box::new(|s: &mut CorpusSpec| s.instances[0].graph = GraphSpec::Cycle(1 << 20)),
-                "cap is",
-            ),
-            (
-                Box::new(|s: &mut CorpusSpec| s.ensemble_runs = 1000),
-                "ensemble runs",
-            ),
-        ] {
+        ];
+        for (tweak, needle) in cases {
             let mut spec = demo();
             tweak(&mut spec);
             let err = spec.validate().expect_err(needle);
@@ -744,43 +611,130 @@ mod tests {
         }
     }
 
+    /// Every graph family at sizes 0–3 (grids up to 2×2, gnp at p 0 and
+    /// 1), posed as each problem, either fails `validate` or builds and
+    /// solves on every backend without panicking. Only the empty graphs
+    /// and the cycles under 3 vertices fail.
     #[test]
-    fn binary_form_round_trips_and_is_canonical() {
-        let spec = demo();
-        let bytes = spec.to_bytes();
-        let loaded = CorpusSpec::load_from(bytes.as_slice()).expect("round trip");
-        assert_eq!(loaded, spec);
-        assert_eq!(loaded.to_bytes(), bytes, "spec bytes are not canonical");
-    }
-
-    #[test]
-    fn truncated_spec_bytes_error_at_every_cut() {
-        let bytes = demo().to_bytes();
-        for cut in 0..bytes.len() {
-            assert!(
-                CorpusSpec::load_from(&bytes[..cut]).is_err(),
-                "spec prefix of {cut} bytes must not load"
-            );
+    fn tiny_graphs_fail_validation_or_build() {
+        let mut graphs: Vec<String> = (0..9)
+            .map(|i| format!("grid:{}x{}", i / 3, i % 3))
+            .collect();
+        for n in 0..=3 {
+            graphs.extend(["path", "cycle", "complete", "star"].map(|f| format!("{f}:{n}")));
+            graphs.extend([0, 1].map(|p| format!("gnp:{n}:{p}:1")));
+        }
+        for token in graphs
+            .iter()
+            .flat_map(|g| ["mis", "vc", "ds"].map(|p| format!("g={p}:{g}")))
+        {
+            let graph = parse_instance(&token).expect("the token parses").graph;
+            let invalid = graph.vertices() == 0 || matches!(graph, GraphSpec::Cycle(1 | 2));
+            match CorpusSpec::parse_args([&token]) {
+                Err(e) => assert!(invalid, "{token}: {e}"),
+                Ok(spec) => {
+                    assert!(!invalid, "{token} must fail validation");
+                    let rt = dapc_runtime::RuntimeConfig::new();
+                    let batch = dapc_runtime::solve_many(&spec.build(), &rt);
+                    assert_eq!(batch.results.len(), engine::BACKENDS.len());
+                }
+            }
         }
     }
 
-    #[test]
-    fn hostile_counts_do_not_allocate() {
-        let mut bytes = demo().to_bytes();
-        // Instance count is the first u64 after the magic.
-        bytes[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
-        let err = CorpusSpec::load_from(bytes.as_slice()).expect_err("must reject");
-        assert!(err.to_string().contains("exceed the cap"), "{err}");
+    /// Characters of the random instance names: spaces, colons, commas,
+    /// `@` past the first character, and non-ASCII.
+    const NAME_CHARS: [char; 12] = ['a', 'Z', '7', ' ', ':', ',', '@', '.', 'é', 'λ', '→', '🦀'];
+
+    /// A float drawn as a bit pattern in `lo..=hi`, a quarter of the
+    /// draws among the subnormals at or above `lo`.
+    fn float_bits(lo: u64, hi: u64) -> impl Strategy<Value = f64> {
+        (0u8..4, lo..=hi, lo..(1u64 << 52))
+            .prop_map(|(pick, any, sub)| f64::from_bits(if pick == 0 { sub } else { any }))
     }
 
-    #[test]
-    fn loaded_specs_are_validated() {
-        let mut spec = demo();
-        spec.backends = vec!["no-such".into()];
-        let mut bytes = Vec::new();
-        spec.save_to(&mut bytes).unwrap();
-        let err = CorpusSpec::load_from(bytes.as_slice()).expect_err("must reject");
-        assert!(err.to_string().contains("unknown backend"), "{err}");
+    /// Random valid instances: names from [`NAME_CHARS`] (made unique
+    /// later by an index prefix), every problem and graph family.
+    fn instance() -> impl Strategy<Value = (String, Problem, GraphSpec)> {
+        let name = collection::vec(0..NAME_CHARS.len(), 0..16)
+            .prop_map(|ix| ix.into_iter().map(|c| NAME_CHARS[c]).collect());
+        let graph = (
+            0u8..6,
+            1usize..=4096,
+            (1usize..=64, 1usize..=64),
+            (float_bits(0, 1f64.to_bits()), 0u64..=u64::MAX),
+        );
+        (name, 0usize..3, graph).prop_map(|(name, problem, (family, n, (r, c), (p, seed)))| {
+            let graph = match family {
+                0 => GraphSpec::Path(n),
+                1 => GraphSpec::Cycle(n.max(3)),
+                2 => GraphSpec::Complete(n),
+                3 => GraphSpec::Star(n),
+                4 => GraphSpec::Grid(r, c),
+                _ => GraphSpec::Gnp { n, p, seed },
+            };
+            (
+                name,
+                [Problem::Mis, Problem::Vc, Problem::Ds][problem],
+                graph,
+            )
+        })
+    }
+
+    /// Random valid specs: up to 64 instances, a rotated subset of the
+    /// backends, ε bit patterns in `(0, 1)`, seed ranges reaching
+    /// `u64::MAX`, and 0–64 ensemble runs.
+    fn random_spec() -> impl Strategy<Value = CorpusSpec> {
+        let n = engine::BACKENDS.len();
+        let eps = collection::vec(float_bits(1, 1f64.to_bits() - 1), 1..17);
+        let grid = ((0u64..=u64::MAX, 1u64..=4096, 0u8..4), 0usize..=64);
+        (collection::vec(instance(), 1..65), (0..n, 1..=n), eps, grid).prop_map(
+            move |(instances, (first, k), mut eps_grid, ((at, span, pick), ensemble_runs))| {
+                eps_grid.sort_by_key(|e| e.to_bits());
+                eps_grid.dedup_by_key(|e| e.to_bits());
+                let end = if pick == 0 { u64::MAX } else { at.max(span) };
+                CorpusSpec {
+                    instances: (instances.into_iter().enumerate())
+                        .map(|(i, (name, problem, graph))| InstanceSpec {
+                            name: format!("{i}:{name}"),
+                            problem,
+                            graph,
+                        })
+                        .collect(),
+                    backends: (0..k)
+                        .map(|j| engine::BACKENDS[(first + j) % n].to_string())
+                        .collect(),
+                    eps_grid,
+                    seeds: end - span..end,
+                    ensemble_runs,
+                }
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The tokens are the only serialised form, so every valid spec
+        /// must survive them, and the manifest and the `Sweep` frame that
+        /// carry them.
+        #[test]
+        fn random_valid_specs_round_trip_through_tokens_manifest_and_frame(
+            spec in random_spec()
+        ) {
+            prop_assert_eq!(spec.validate().map_err(|e| e.to_string()), Ok(()));
+            let tokens = spec.to_args();
+            let parsed = CorpusSpec::parse_args(&tokens).expect("tokens parse");
+            prop_assert_eq!(&parsed, &spec);
+            prop_assert_eq!(parsed.to_args(), tokens);
+
+            let manifest = crate::SweepManifest::new(spec.clone(), 4);
+            let mut bytes = Vec::new();
+            manifest.save_to(&mut bytes).expect("write to a Vec");
+            prop_assert_eq!(crate::SweepManifest::load_from(bytes.as_slice()).ok(), Some(manifest));
+            let frame = crate::proto::Request::Sweep { spec, jobs: 2 };
+            prop_assert_eq!(crate::proto::Request::from_bytes(&frame.to_bytes()).ok(), Some(frame));
+        }
     }
 
     #[test]

@@ -63,10 +63,10 @@ pub fn run_worker(
 ) -> io::Result<WorkerSummary> {
     let manifest = SweepManifest::load(dir)?
         .ok_or_else(|| snap::invalid(format!("{} has no sweep manifest", dir.display())))?;
-    if range.end > manifest.corpus_jobs {
+    let corpus_jobs = manifest.spec.grid_len();
+    if range.end > corpus_jobs {
         return Err(snap::invalid(format!(
-            "assigned range {range:?} reaches beyond the {}-job corpus",
-            manifest.corpus_jobs
+            "assigned range {range:?} reaches beyond the {corpus_jobs}-job corpus"
         )));
     }
     let corpus = manifest.spec.build();
@@ -75,7 +75,7 @@ pub fn run_worker(
     let rt = RuntimeConfig::new().jobs(opts.jobs.max(1));
     let solved = Arc::new(AtomicUsize::new(0));
     for unit in checkpoint::unit_grid(range, manifest.unit) {
-        if unit_is_checkpointed(dir, &unit, manifest.corpus_jobs) {
+        if unit_is_checkpointed(dir, &unit, corpus_jobs) {
             summary.skipped_units += 1;
             summary.resumed_jobs += unit.len();
             continue;

@@ -1,8 +1,8 @@
 //! End-to-end exercise of the persistent solve daemon over a real Unix
 //! socket: streamed sweeps match the single-process solver job by job,
 //! the resident prep cache pays off across requests, malformed requests
-//! are answered in-band without killing the connection, and shutdown
-//! removes the socket.
+//! and invalid specs are answered in-band without killing the
+//! connection, and shutdown removes the socket.
 
 use dapc_obs::{MetricsSnapshot, SnapshotEntry};
 use dapc_runtime::{solve_many, RuntimeConfig};
@@ -148,33 +148,12 @@ fn daemon_round_trip() {
         summary.cache_hits
     );
 
-    // A single-job solve streams exactly that job.
-    let mut single = Vec::new();
-    let summary = client::run_streaming(
-        &socket,
-        &Request::Solve {
-            spec: spec.clone(),
-            index: 3,
-        },
-        |job| single.push(job),
-    )
-    .expect("single solve");
-    assert_eq!(summary.jobs, 1);
-    assert_eq!(single.len(), 1);
-    assert_eq!(single[0].index, 3);
-    assert_eq!(single[0].value, reference.results[3].report.value);
-
-    // An out-of-range index is an in-band error, not a dead connection.
-    let err = client::run_streaming(
-        &socket,
-        &Request::Solve {
-            spec: spec.clone(),
-            index: 10_000,
-        },
-        |_| {},
-    )
-    .expect_err("out-of-range index must fail");
-    assert!(err.to_string().contains("out of range"), "{err}");
+    // A spec that fails validation is an in-band error, not a dead
+    // connection.
+    let mut invalid = spec.clone();
+    invalid.backends = vec!["no-such-backend".into()];
+    let err = client::sweep(&socket, &invalid, 1, |_| {}).expect_err("invalid spec must fail");
+    assert!(err.to_string().contains("unknown backend"), "{err}");
 
     // A garbage request body earns a Response::Error on the same
     // connection, which then keeps serving.
@@ -211,7 +190,7 @@ fn daemon_round_trip() {
             ..
         } => {
             assert!(requests >= 6, "requests {requests}");
-            assert_eq!(jobs_solved, (2 * jobs + 1) as u64);
+            assert_eq!(jobs_solved, (2 * jobs) as u64);
             assert!(cache_entries > 0);
             assert!(cache_hits > 0);
         }

@@ -2,9 +2,10 @@
 //! is byte-identical to the single-process run at any worker count,
 //! under injected worker kills, and across checkpoint/resume boundaries;
 //! the checkpoint scan skips misnamed, foreign and overlapping parts
-//! without quarantining them; a worker without a manifest exits with
-//! [`exit::EXIT_BAD_SNAPSHOT`]; and a sweep directory refuses a
-//! different sweep.
+//! without quarantining them; tasks end on the unit grid, so each unit is
+//! one part file; workers exit once their coordinator is killed; a worker
+//! without a manifest exits with [`exit::EXIT_BAD_SNAPSHOT`]; and a sweep
+//! directory refuses a different sweep.
 //!
 //! Workers here are the real `dapc-serve worker` subcommand, spawned as
 //! separate processes via `CARGO_BIN_EXE_dapc-serve`.
@@ -14,14 +15,15 @@ use dapc_runtime::{
     RuntimeConfig, StreamReport,
 };
 use dapc_serve::{
-    exit, orchestrate_sweep, part_file_name, run_worker, scan_parts, uncovered, write_part,
-    CorpusSpec, SweepConfig, SweepManifest, WorkerOptions, QUARANTINE_DIR,
+    exit, orchestrate_sweep, part_file_name, run_worker, scan_parts, uncovered, unit_grid,
+    write_part, CorpusSpec, SweepConfig, SweepManifest, WorkerOptions, QUARANTINE_DIR,
 };
 use proptest::prelude::*;
 use std::io;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
 
 const EXE: &str = env!("CARGO_BIN_EXE_dapc-serve");
 
@@ -43,15 +45,7 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 fn demo_spec() -> CorpusSpec {
-    CorpusSpec::parse_args([
-        "ring=mis:cycle:12",
-        "cover=vc:grid:3x3",
-        "@backends=greedy,three-phase",
-        "@eps=0.3",
-        "@seeds=0..3",
-        "@ensemble=2",
-    ])
-    .expect("demo spec parses")
+    CorpusSpec::parse_args(spec_tokens()).expect("demo spec parses")
 }
 
 fn spec_tokens() -> Vec<&'static str> {
@@ -278,6 +272,96 @@ fn misnamed_foreign_and_overlapping_parts_are_skipped_not_quarantined() {
     assert_eq!(outcome.quarantined_parts, 0);
     assert_matches_reference(&spec, &outcome.report);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The part files in `dir`, sorted by name.
+fn part_files(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("list the sweep directory")
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|n| n.starts_with("part-"))
+        .collect();
+    names.sort();
+    names
+}
+
+/// Tasks end on the manifest's unit grid: at 3 workers and unit 4 an
+/// 18-job corpus (⌈18/3⌉ = 6 is not a multiple of 4) leaves exactly one
+/// part per grid unit, none split between two workers.
+#[test]
+fn tasks_end_on_the_unit_grid_so_each_unit_is_one_part() {
+    let dir = scratch("aligned");
+    let spec = CorpusSpec::parse_args(["ring=mis:cycle:12", "@backends=greedy", "@seeds=0..18"])
+        .expect("spec parses");
+    let cfg = SweepConfig {
+        workers: 3,
+        unit: 4,
+        ..SweepConfig::default()
+    };
+    let outcome = orchestrate_sweep(&dir, &spec, &cfg, |range, _attempt| {
+        spawn_real_worker(&dir, range, None)
+    })
+    .expect("orchestrated sweep succeeds");
+    assert_matches_reference(&spec, &outcome.report);
+    let want: Vec<String> = unit_grid(0..18, 4).iter().map(part_file_name).collect();
+    assert_eq!(part_files(&dir), want, "five units, five parts");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// State letter and parent PID of `pid` from `/proc/PID/stat`, or `None`
+/// once the process is gone.
+fn proc_stat(pid: u32) -> Option<(char, u32)> {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).ok()?;
+    // The command name sits in parentheses and may hold spaces.
+    let mut fields = stat[stat.rfind(')')? + 1..].split_whitespace();
+    Some((fields.next()?.chars().next()?, fields.next()?.parse().ok()?))
+}
+
+/// A coordinator killed on its own takes its workers with it: each one
+/// sees that it was re-parented and exits, instead of solving on and
+/// publishing parts for nobody.
+#[test]
+fn workers_exit_when_their_coordinator_is_killed() {
+    let dir = scratch("orphans");
+    // 16,384 jobs of about a millisecond each (release build): seconds
+    // of work for two workers, while the first 4-job unit lands quickly.
+    let mut coordinator = Command::new(EXE)
+        .args(["sweep", "--workers", "2", "--unit", "4", "--dir"])
+        .arg(&dir)
+        .args("a=mis:cycle:2000 b=mis:cycle:2001 @eps=0.2,0.3 @seeds=0..4096".split(' '))
+        .arg("@backends=three-phase")
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("start the sweep");
+    let started = Instant::now();
+    while part_files(&dir).is_empty() && started.elapsed() < Duration::from_secs(120) {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let parent = coordinator.id();
+    let workers: Vec<u32> = std::fs::read_dir("/proc")
+        .expect("list /proc")
+        .filter_map(|e| e.ok()?.file_name().to_str()?.parse().ok())
+        .filter(|&pid| proc_stat(pid).is_some_and(|(_, ppid)| ppid == parent))
+        .collect();
+    coordinator.kill().expect("SIGKILL the coordinator alone");
+    coordinator.wait().expect("reap the coordinator");
+    assert_eq!(workers.len(), 2, "both workers must be running");
+    let killed = Instant::now();
+    let mut alive = workers;
+    while !alive.is_empty() && killed.elapsed() < Duration::from_secs(2) {
+        alive.retain(|&pid| proc_stat(pid).is_some_and(|(state, _)| state != 'Z'));
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    if !alive.is_empty() {
+        let survivors = alive.iter().map(u32::to_string);
+        let _ = Command::new("kill").arg("-KILL").args(survivors).status();
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        alive.is_empty(),
+        "workers {alive:?} outlived the coordinator"
+    );
 }
 
 #[test]

@@ -1,9 +1,11 @@
 //! Hardening of the daemon wire protocol: every message round-trips,
 //! truncation at any byte is an `Err` (at the frame layer *and* the
-//! message layer), hostile length fields are rejected before any
-//! allocation, and unknown tags are errors rather than skipped.
+//! message layer), hostile length and token-count fields are rejected
+//! before any allocation, unknown tags are errors rather than skipped,
+//! and a `Sweep` frame's spec tokens are validated at decode.
 
 use dapc_obs::{MetricsSnapshot, SnapshotEntry};
+use dapc_runtime::snap;
 use dapc_serve::proto::{read_frame, write_frame, Request, Response, MAX_FRAME, PROTOCOL_VERSION};
 use dapc_serve::CorpusSpec;
 use std::io::{self, Write};
@@ -48,10 +50,6 @@ fn every_request() -> Vec<Request> {
     let spec = demo_spec();
     vec![
         Request::Ping,
-        Request::Solve {
-            spec: spec.clone(),
-            index: 3,
-        },
         Request::Sweep { spec, jobs: 4 },
         Request::Stats,
         Request::Shutdown,
@@ -244,7 +242,8 @@ fn a_frame_at_the_cap_still_passes() {
 
 #[test]
 fn unknown_tags_are_errors_not_extensions() {
-    for tag in [0u8, 6, 0x42, 0xff] {
+    // Tag 2 was the single-job `Solve` of protocol versions 1–3.
+    for tag in [0u8, 2, 6, 0x42, 0xff] {
         let err = Request::from_bytes(&[tag]).expect_err("unknown request tag must fail");
         assert!(
             err.to_string().contains("unknown request tag"),
@@ -260,32 +259,42 @@ fn unknown_tags_are_errors_not_extensions() {
     }
 }
 
+/// A `Sweep` body as the protocol lays it out: tag 3, the token count
+/// (`count`, which need not match `tokens`), the tokens, then `jobs`.
+fn sweep_body(count: u64, tokens: &[&str], jobs: u64) -> Vec<u8> {
+    let mut body = vec![3u8];
+    snap::write_u64(&mut body, count).expect("write to a Vec");
+    for t in tokens {
+        snap::write_str(&mut body, t).expect("write to a Vec");
+    }
+    snap::write_u64(&mut body, jobs).expect("write to a Vec");
+    body
+}
+
 #[test]
-fn an_embedded_spec_with_trailing_junk_is_rejected() {
-    // Hand-build a Solve whose length-prefixed spec field carries extra
-    // bytes after the spec: the envelope length is consistent, so only
-    // the nested trailing check can catch it.
-    let mut spec_field = demo_spec().to_bytes();
-    spec_field.push(0xAA);
-    let mut body = Vec::new();
-    body.write_all(&[2]).unwrap();
-    body.write_all(&(spec_field.len() as u64).to_le_bytes())
-        .unwrap();
-    body.write_all(&spec_field).unwrap();
-    body.write_all(&0u64.to_le_bytes()).unwrap();
-    let err = Request::from_bytes(&body).expect_err("padded embedded spec must fail");
-    assert!(
-        err.to_string()
-            .contains("trailing bytes after the embedded spec"),
-        "{err}"
-    );
+fn a_sweep_frame_carries_its_spec_as_cli_tokens() {
+    let spec = demo_spec();
+    let tokens = spec.to_args();
+    let tokens: Vec<&str> = tokens.iter().map(String::as_str).collect();
+    let body = Request::Sweep { spec, jobs: 4 }.to_bytes();
+    assert_eq!(body, sweep_body(tokens.len() as u64, &tokens, 4));
+}
+
+#[test]
+fn a_sweep_frame_with_an_over_cap_token_count_is_rejected() {
+    // The count is refused on its own: no token follows it.
+    for count in [69u64, u64::MAX] {
+        let err = Request::from_bytes(&sweep_body(count, &[], 1))
+            .expect_err("over-cap token count must fail");
+        assert!(err.to_string().contains("exceed the cap"), "{count}: {err}");
+    }
 }
 
 #[test]
 fn an_embedded_metrics_snapshot_with_junk_is_rejected() {
-    // Same attack as the spec variant: the envelope length is
-    // consistent, so only the snapshot parser's own strictness can
-    // reject bytes after (or instead of) the canonical lines.
+    // The envelope length is consistent, so only the snapshot parser's
+    // own strictness can reject bytes after (or instead of) the
+    // canonical lines.
     for tail in [&b"\n"[..], b"{}", b"x"] {
         let mut metrics_field = demo_metrics().to_bytes();
         metrics_field.extend_from_slice(tail);
@@ -306,18 +315,10 @@ fn an_embedded_metrics_snapshot_with_junk_is_rejected() {
 
 #[test]
 fn an_embedded_spec_that_fails_validation_is_rejected_at_decode() {
-    // A syntactically intact request whose spec names an unknown backend
-    // must die in `from_bytes`, before any handler sees it.
-    let mut spec = demo_spec();
-    spec.backends = vec!["no-such-backend".into()];
-    let mut spec_field = Vec::new();
-    spec.save_to(&mut spec_field).unwrap();
-    let mut body = Vec::new();
-    body.write_all(&[3]).unwrap();
-    body.write_all(&(spec_field.len() as u64).to_le_bytes())
-        .unwrap();
-    body.write_all(&spec_field).unwrap();
-    body.write_all(&1u64.to_le_bytes()).unwrap();
-    let err = Request::from_bytes(&body).expect_err("invalid embedded spec must fail");
+    // A syntactically intact request whose tokens name an unknown
+    // backend must die in `from_bytes`, before any handler sees it.
+    let tokens = ["ring=mis:cycle:12", "@backends=no-such-backend"];
+    let err = Request::from_bytes(&sweep_body(2, &tokens, 1))
+        .expect_err("invalid embedded spec must fail");
     assert!(err.to_string().contains("unknown backend"), "{err}");
 }
