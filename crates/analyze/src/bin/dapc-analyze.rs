@@ -4,7 +4,7 @@
 //! ```text
 //! dapc-analyze --workspace [--root PATH]   # lint the whole workspace
 //! dapc-analyze --list-rules                # print the rule names
-//! dapc-analyze FILE.rs [FILE.rs …]         # lint individual files
+//! dapc-analyze FILE.rs [FILE.rs …]         # lint individual files (no dead-pub)
 //! ```
 //!
 //! Exit codes: 0 clean, 1 violations found, 2 usage / I/O trouble.

@@ -1,35 +1,39 @@
 //! `dapc-analyze` — the workspace invariant linter.
 //!
 //! Every guarantee this workspace sells — byte-identical reports at any
-//! worker count, exactly-mergeable shards, chaos runs that fail loudly
-//! or match the fault-free baseline — rests on *source-level*
-//! invariants: key-derived RNGs, no hash-order leaks into report bytes,
-//! no stray threads outside the executor, sealed versioned snapshot
-//! magics, justified atomic orderings, no panics in library paths. The
-//! runtime identity tests exercise those invariants on the corpora they
-//! happen to run; this crate checks them on every line, statically, in
-//! CI.
+//! worker count, sweep parts that append in order to the single-process
+//! result, chaos runs that fail loudly or match the fault-free baseline
+//! — rests on *source-level* invariants: key-derived RNGs, no hash-order
+//! leaks into report bytes, no stray threads outside the executor,
+//! sealed versioned snapshot magics, justified atomic orderings, no
+//! panics in library paths. The runtime identity tests exercise those
+//! invariants on the corpora they happen to run; this crate checks them
+//! on every line, statically, in CI. One more rule keeps the code lean:
+//! no `pub` item without a caller.
 //!
 //! The design is deliberately lexical: a small
 //! comment/string/raw-string-aware lexer ([`lexer`]) blanks everything
 //! a rule must not look inside, and the rule engine ([`rules`]) does
-//! identifier-level searches over the blanked view. That makes the
-//! analyzer fast (one pass per file, zero dependencies), trivially
-//! predictable, and impossible to crash on malformed input — at the
-//! cost of being conservative: it flags *potential* violations and
-//! relies on visible `// dapc-allow(rule): reason` annotations for the
-//! sites a human has argued safe. Every exception is therefore in the
-//! diff, with its justification next to it.
+//! identifier-level searches over the blanked view; the cross-file
+//! `dead-pub` rule reads an identifier index of the whole workspace
+//! ([`CallerIndex`]). That makes the analyzer fast (one pass per file,
+//! zero dependencies), trivially predictable, and impossible to crash
+//! on malformed input — at the cost of being conservative: it flags
+//! *potential* violations and relies on visible
+//! `// dapc-allow(rule): reason` annotations for the sites a human has
+//! argued safe. Every exception is therefore in the diff, with its
+//! justification next to it.
 //!
 //! Run it as `dapc-analyze --workspace` (the CI gate), or point it at
-//! individual files. See `crates/analyze/README.md` for the rule table.
+//! individual files (without `dead-pub`, which needs the index). See
+//! `crates/analyze/README.md` for the rule table.
 
 #![forbid(unsafe_code)]
 
 pub mod lexer;
 pub mod rules;
 
-pub use rules::{check_file, Config, FileCtx, FileRole, Finding, RULE_NAMES};
+pub use rules::{check_file, CallerIndex, Config, FileCtx, FileRole, Finding, RULE_NAMES};
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -37,7 +41,8 @@ use std::path::{Path, PathBuf};
 /// Analyze one in-memory source file under the given config.
 /// `rel_path` must be workspace-relative with `/` separators (it drives
 /// the allowlists); `crate_name` is the short crate directory name
-/// (`"runtime"` for `crates/runtime`).
+/// (`"runtime"` for `crates/runtime`). One file has no caller index, so
+/// the cross-file `dead-pub` rule is skipped.
 pub fn analyze_source(
     rel_path: &str,
     crate_name: &str,
@@ -52,69 +57,94 @@ pub fn analyze_source(
         role,
         scan: &scan,
         config,
+        callers: None,
     };
     let mut out = Vec::new();
     check_file(&ctx, &mut out);
     out
 }
 
+/// Analyze a set of in-memory files, each a workspace-relative path
+/// (`/` separators) and its source. The per-file rules cover
+/// `crates/*/src`, the facade `src/` and vendored crate roots
+/// (`vendor/*/src/lib.rs`, `forbid-unsafe` only). Every file outside
+/// `vendor/` also counts as a caller for `dead-pub`: tests, benches,
+/// examples and `perfbench/src` are indexed but not linted.
+///
+/// Returns findings sorted by (file, line).
+pub fn analyze_files<P: AsRef<str>, S: AsRef<[u8]>>(
+    files: &[(P, S)],
+    config: &Config,
+) -> Vec<Finding> {
+    let scans: Vec<_> = files
+        .iter()
+        .map(|(_, src)| lexer::scan(src.as_ref()))
+        .collect();
+    let mut callers = CallerIndex::default();
+    for ((path, _), scan) in files.iter().zip(&scans) {
+        if !path.as_ref().starts_with("vendor/") {
+            callers.add(&scan.code);
+        }
+    }
+    let mut findings = Vec::new();
+    for ((path, _), scan) in files.iter().zip(&scans) {
+        let path = path.as_ref();
+        if let Some((crate_name, role)) = lint_scope(path) {
+            let ctx = FileCtx {
+                path,
+                crate_name,
+                role,
+                scan,
+                config,
+                callers: Some(&callers),
+            };
+            check_file(&ctx, &mut findings);
+        }
+    }
+    findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
+    findings
+}
+
 /// Analyze the whole workspace rooted at `root`: every `.rs` file under
-/// `crates/*/src` and the facade `src/`, plus the vendored stand-ins'
-/// crate roots (which only the `forbid-unsafe` rule covers). `tests/`,
-/// `benches/` and `examples/` trees are out of scope by design — the
-/// contracts govern library and binary code paths.
+/// `crates/*/{src,tests,benches}`, the facade's `src/`, `tests/` and
+/// `examples/`, and `perfbench/src`, plus the vendored stand-ins' crate
+/// roots; see [`analyze_files`] for what each is checked for.
 ///
 /// Returns findings sorted by (file, line). I/O errors surface as
 /// findings too, so a broken tree fails the gate instead of passing
 /// silently.
 pub fn analyze_workspace(root: &Path, config: &Config) -> Vec<Finding> {
     let mut findings = Vec::new();
-    let mut saw_registry = false;
-
-    let crates_dir = root.join("crates");
-    for crate_dir in sorted_dirs(&crates_dir, &mut findings) {
-        let crate_name = file_name(&crate_dir);
-        let src = crate_dir.join("src");
-        for file in rs_files(&src, &mut findings) {
-            let rel = rel_path(root, &file);
-            let role = role_of(&rel);
-            if rel == config.registry_path {
-                saw_registry = true;
-            }
-            analyze_path(&file, &rel, &crate_name, role, config, &mut findings);
+    let mut paths = Vec::new();
+    for crate_dir in sorted_dirs(&root.join("crates"), &mut findings) {
+        for tree in ["src", "tests", "benches"] {
+            paths.extend(rs_files(&crate_dir.join(tree), &mut findings));
         }
     }
-
-    // The facade crate at the workspace root.
-    let facade_src = root.join("src");
-    for file in rs_files(&facade_src, &mut findings) {
-        let rel = rel_path(root, &file);
-        let role = if rel == "src/lib.rs" {
-            FileRole::CrateRoot
-        } else {
-            role_of(&rel)
-        };
-        analyze_path(&file, &rel, "dapc", role, config, &mut findings);
+    for tree in ["src", "tests", "examples", "perfbench/src"] {
+        paths.extend(rs_files(&root.join(tree), &mut findings));
     }
-
-    // Vendored stand-ins: crate roots only, forbid-unsafe only.
-    let vendor_dir = root.join("vendor");
-    for vendor_crate in sorted_dirs(&vendor_dir, &mut findings) {
+    for vendor_crate in sorted_dirs(&root.join("vendor"), &mut findings) {
         let lib = vendor_crate.join("src").join("lib.rs");
         if lib.is_file() {
-            let rel = rel_path(root, &lib);
-            analyze_path(
-                &lib,
-                &rel,
-                &file_name(&vendor_crate),
-                FileRole::VendorRoot,
-                config,
-                &mut findings,
-            );
+            paths.push(lib);
         }
     }
 
-    if !saw_registry {
+    let mut files = Vec::new();
+    for path in paths {
+        let rel = rel_path(root, &path);
+        match fs::read(&path) {
+            Ok(source) => files.push((rel, source)),
+            Err(err) => findings.push(Finding {
+                file: rel,
+                line: 0,
+                rule: "io",
+                message: format!("failed to read: {err}"),
+            }),
+        }
+    }
+    if !files.iter().any(|(rel, _)| *rel == config.registry_path) {
         findings.push(Finding {
             file: config.registry_path.clone(),
             line: 1,
@@ -122,30 +152,23 @@ pub fn analyze_workspace(root: &Path, config: &Config) -> Vec<Finding> {
             message: "central snapshot-magic registry module not found".into(),
         });
     }
-
+    findings.extend(analyze_files(&files, config));
     findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     findings
 }
 
-fn analyze_path(
-    file: &Path,
-    rel: &str,
-    crate_name: &str,
-    role: FileRole,
-    config: &Config,
-    findings: &mut Vec<Finding>,
-) {
-    match fs::read(file) {
-        Ok(source) => {
-            findings.extend(analyze_source(rel, crate_name, role, &source, config));
-        }
-        Err(err) => findings.push(Finding {
-            file: rel.to_string(),
-            line: 0,
-            rule: "io",
-            message: format!("failed to read: {err}"),
-        }),
+/// The crate and role of a file the per-file rules cover, or `None` for
+/// a file that is only a caller.
+fn lint_scope(rel: &str) -> Option<(&str, FileRole)> {
+    if let Some(rest) = rel.strip_prefix("crates/") {
+        let (krate, in_crate) = rest.split_once('/')?;
+        return in_crate.starts_with("src/").then(|| (krate, role_of(rel)));
     }
+    if let Some(rest) = rel.strip_prefix("vendor/") {
+        let (krate, in_crate) = rest.split_once('/')?;
+        return (in_crate == "src/lib.rs").then_some((krate, FileRole::VendorRoot));
+    }
+    rel.starts_with("src/").then(|| ("dapc", role_of(rel)))
 }
 
 /// Role of a workspace-relative path.
@@ -167,12 +190,6 @@ fn rel_path(root: &Path, file: &Path) -> String {
         .map(|c| c.as_os_str().to_string_lossy())
         .collect::<Vec<_>>()
         .join("/")
-}
-
-fn file_name(p: &Path) -> String {
-    p.file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_default()
 }
 
 /// Immediate subdirectories of `dir`, name-sorted for deterministic

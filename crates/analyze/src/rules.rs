@@ -13,6 +13,8 @@
 //! and explained in the diff that introduces it.
 
 use crate::lexer::{find_sub, Scan};
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
 /// One violation: file-relative path, 1-indexed line, rule name and a
 /// human-oriented message.
@@ -108,6 +110,40 @@ impl Config {
     }
 }
 
+/// How many files name each identifier, over every file that can call
+/// library code. A workspace run builds one for the cross-file
+/// `dead-pub` rule; a single-file run has none and skips that rule.
+#[derive(Debug, Default)]
+pub struct CallerIndex {
+    files: BTreeMap<Vec<u8>, usize>,
+}
+
+impl CallerIndex {
+    /// Count each identifier of one file's blanked code once.
+    pub(crate) fn add(&mut self, code: &[u8]) {
+        let mut seen = BTreeSet::new();
+        let mut i = 0;
+        while i < code.len() {
+            let start = i;
+            while i < code.len() && is_ident_byte(code[i]) {
+                i += 1;
+            }
+            if i == start {
+                i += 1;
+            } else if !code[start].is_ascii_digit() {
+                seen.insert(&code[start..i]);
+            }
+        }
+        for ident in seen {
+            *self.files.entry(ident.to_vec()).or_default() += 1;
+        }
+    }
+
+    fn files_naming(&self, ident: &[u8]) -> usize {
+        self.files.get(ident).copied().unwrap_or(0)
+    }
+}
+
 /// Context handed to every rule.
 pub struct FileCtx<'a> {
     pub path: &'a str,
@@ -115,6 +151,9 @@ pub struct FileCtx<'a> {
     pub role: FileRole,
     pub scan: &'a Scan,
     pub config: &'a Config,
+    /// The workspace's identifier index, which this file is part of;
+    /// `None` skips `dead-pub`.
+    pub callers: Option<&'a CallerIndex>,
 }
 
 impl<'a> FileCtx<'a> {
@@ -216,6 +255,7 @@ pub const RULE_NAMES: &[&str] = &[
     "forbid-unsafe",
     "panic",
     "magic-registry",
+    "dead-pub",
 ];
 
 /// Run every applicable rule over one file.
@@ -231,6 +271,11 @@ pub fn check_file(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     rule_ordering(ctx, out);
     rule_panic(ctx, out);
     rule_magic_registry(ctx, out);
+    if let Some(callers) = ctx.callers {
+        if ctx.role != FileRole::BinRoot {
+            rule_dead_pub(ctx, callers, out);
+        }
+    }
 }
 
 /// `hash-iter`: `HashMap`/`HashSet` may not appear in the non-test
@@ -477,6 +522,85 @@ fn rule_magic_registry(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
             );
         }
     }
+}
+
+/// `dead-pub`: a `pub` item in a library crate's `src/` needs a
+/// caller: another workspace file (library, binary, test, bench,
+/// example or perfbench source) names its identifier, or its own file
+/// does outside `#[cfg(test)]` and away from the declaration. The
+/// search is by identifier, so an item that shares its name with
+/// another counts as called.
+fn rule_dead_pub(ctx: &FileCtx<'_>, callers: &CallerIndex, out: &mut Vec<Finding>) {
+    let code = &ctx.scan.code;
+    for pos in ident_sites(code, "pub") {
+        let Some((kind, name)) = pub_item(code, pos + "pub".len()) else {
+            continue;
+        };
+        // This file names the item at its declaration, so it is one of
+        // the files counted.
+        if callers.files_naming(&code[name.clone()]) > 1 {
+            continue;
+        }
+        let ident = String::from_utf8_lossy(&code[name.clone()]).into_owned();
+        let named_here = ident_sites(code, &ident)
+            .into_iter()
+            .any(|p| p != name.start && !ctx.scan.in_test(p));
+        if !named_here {
+            ctx.push(
+                out,
+                "dead-pub",
+                pos,
+                format!(
+                    "`pub {kind} {ident}` has no caller: no other workspace file \
+                     names it, and its own file only at the declaration or in \
+                     tests; delete it, move it under `#[cfg(test)]`, or \
+                     `// dapc-allow(dead-pub): reason` naming the item that will \
+                     call it"
+                ),
+            );
+        }
+    }
+}
+
+/// The item keyword and name span of a bare `pub` declaration that
+/// `dead-pub` covers, given the offset just past `pub`. Restricted
+/// visibility (`pub(crate)`), `pub use`, fields and macro-generated
+/// names yield `None`.
+fn pub_item(code: &[u8], after: usize) -> Option<(&'static str, Range<usize>)> {
+    const KINDS: [&str; 8] = [
+        "fn", "struct", "enum", "trait", "type", "const", "static", "mod",
+    ];
+    let mut word = next_word(code, after)?;
+    loop {
+        let next = next_word(code, word.end);
+        let next_is = |w: &[&[u8]]| next.as_ref().is_some_and(|n| w.contains(&&code[n.clone()]));
+        match &code[word.clone()] {
+            b"unsafe" | b"async" | b"extern" => {}
+            b"const" if next_is(&[b"fn", b"unsafe", b"async", b"extern"]) => {}
+            b"static" if next_is(&[b"mut"]) => {
+                return Some(("static", next_word(code, next?.end)?));
+            }
+            w => {
+                let kind = KINDS.into_iter().find(|k| k.as_bytes() == w)?;
+                return Some((kind, next?));
+            }
+        }
+        word = next?;
+    }
+}
+
+/// The identifier starting at the first non-whitespace byte from `i`.
+fn next_word(code: &[u8], i: usize) -> Option<Range<usize>> {
+    let start = skip_ws(code, i);
+    let first = *code.get(start)?;
+    if !(first.is_ascii_alphabetic() || first == b'_') {
+        return None;
+    }
+    let mut end = start;
+    while end < code.len() && is_ident_byte(code[end]) {
+        end += 1;
+    }
+    Some(start..end)
 }
 
 /// Registry-module consistency: every magic is 8 bytes, `DAPC`-prefixed

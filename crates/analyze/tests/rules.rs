@@ -1,8 +1,9 @@
 //! Per-rule fixtures: one positive (the rule fires) and one negative
 //! (allowlist, annotation, or out-of-scope crate) for every rule the
-//! engine ships, plus the suppression-grammar corner cases.
+//! engine ships, plus the suppression-grammar corner cases; `dead-pub`
+//! runs over in-memory workspaces.
 
-use dapc_analyze::{analyze_source, Config, FileRole, Finding};
+use dapc_analyze::{analyze_files, analyze_source, Config, FileRole, Finding};
 
 fn run(path: &str, krate: &str, role: FileRole, src: &str) -> Vec<Finding> {
     analyze_source(path, krate, role, src.as_bytes(), &Config::workspace())
@@ -333,4 +334,125 @@ fn registry_rejects_bad_entries() {
     // An empty registry module is itself a violation.
     let f = run_registry("pub struct Magic;\n");
     assert_eq!(rules_of(&f), ["magic-registry"]);
+}
+
+// ---------------------------------------------------------------- dead-pub
+
+/// `path:line` of every `dead-pub` finding over an in-memory workspace.
+fn dead_pub(files: &[(&str, &str)]) -> Vec<String> {
+    analyze_files(files, &Config::workspace())
+        .into_iter()
+        .filter(|f| f.rule == "dead-pub")
+        .map(|f| format!("{}:{}", f.file, f.line))
+        .collect()
+}
+
+const LIB: &str = "crates/graph/src/a.rs";
+
+#[test]
+fn dead_pub_fires_on_an_item_named_nowhere_else() {
+    let f = analyze_files(
+        &[
+            (LIB, "pub fn lonely() {}\n"),
+            ("crates/core/src/b.rs", "fn g() {}\n"),
+        ],
+        &Config::workspace(),
+    );
+    assert_eq!(rules_of(&f), ["dead-pub"]);
+    assert_eq!(f[0].line, 1);
+    assert!(f[0].message.contains("`pub fn lonely`"), "{}", f[0].message);
+}
+
+#[test]
+fn dead_pub_covers_every_item_kind() {
+    let src = "pub fn a() {}\n\
+               pub const fn b() {}\n\
+               pub unsafe extern \"C\" fn c() {}\n\
+               pub struct D;\n\
+               pub enum E {}\n\
+               pub trait F {}\n\
+               pub type G = u8;\n\
+               pub const H: u8 = 0;\n\
+               pub static I: u8 = 0;\n\
+               pub static mut J: u8 = 0;\n\
+               pub mod k {}\n";
+    let lines: Vec<String> = (1..=11).map(|l| format!("{LIB}:{l}")).collect();
+    assert_eq!(dead_pub(&[(LIB, src)]), lines);
+}
+
+#[test]
+fn dead_pub_fires_when_only_its_own_tests_name_it() {
+    let src = "pub fn helper() -> u8 { 1 }\n\
+               #[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { assert_eq!(super::helper(), 1); }\n}\n";
+    assert_eq!(dead_pub(&[(LIB, src)]), [format!("{LIB}:1")]);
+}
+
+#[test]
+fn dead_pub_ignores_names_in_comments_and_strings() {
+    let other = "// helper() is called here\nfn g() -> &'static str { \"helper\" }\n";
+    assert_eq!(
+        dead_pub(&[
+            (LIB, "pub fn helper() {}\n"),
+            ("crates/core/src/b.rs", other)
+        ]),
+        [format!("{LIB}:1")]
+    );
+}
+
+#[test]
+fn dead_pub_allow_needs_a_reason() {
+    let bare = "// dapc-allow(dead-pub):\npub fn kept() {}\n";
+    assert_eq!(dead_pub(&[(LIB, bare)]), [format!("{LIB}:2")]);
+    let reasoned = "// dapc-allow(dead-pub): ROADMAP item 17 wires it\npub fn kept() {}\n";
+    assert!(dead_pub(&[(LIB, reasoned)]).is_empty());
+}
+
+#[test]
+fn dead_pub_counts_every_caller_tree() {
+    let item = (LIB, "pub fn used() {}\n");
+    for caller in [
+        "crates/core/src/b.rs",
+        "crates/core/src/bin/tool.rs",
+        "crates/core/tests/t.rs",
+        "crates/bench/benches/b.rs",
+        "src/lib.rs",
+        "tests/t.rs",
+        "examples/demo.rs",
+        "perfbench/src/main.rs",
+    ] {
+        let found = dead_pub(&[item, (caller, "fn main() { used(); }\n")]);
+        assert!(
+            found.is_empty(),
+            "{caller} must count as a caller: {found:?}"
+        );
+    }
+    // A vendored stand-in is not a caller.
+    let vendor = ("vendor/rand/src/lib.rs", "pub fn f() { used(); }\n");
+    assert_eq!(dead_pub(&[item, vendor]), [format!("{LIB}:1")]);
+}
+
+#[test]
+fn dead_pub_accepts_a_use_in_its_own_non_test_code() {
+    let src = "pub fn step() {}\npub fn run() { step(); step(); }\n";
+    let caller = ("crates/core/src/b.rs", "fn g() { run(); }\n");
+    assert!(dead_pub(&[(LIB, src), caller]).is_empty());
+}
+
+#[test]
+fn dead_pub_skips_binaries_restricted_visibility_and_tests() {
+    let bin = (
+        "crates/graph/src/bin/tool.rs",
+        "pub fn lonely() {}\nfn main() {}\n",
+    );
+    assert!(dead_pub(&[bin]).is_empty());
+    let restricted = "pub(crate) fn a() {}\npub(super) fn b() {}\npub(in crate::x) fn c() {}\n";
+    assert!(dead_pub(&[(LIB, restricted)]).is_empty());
+    let gated = "#[cfg(test)]\npub fn reference() {}\n";
+    assert!(dead_pub(&[(LIB, gated)]).is_empty());
+}
+
+#[test]
+fn a_single_file_run_skips_dead_pub() {
+    let f = run(LIB, "graph", FileRole::Module, "pub fn lonely() {}\n");
+    assert!(f.is_empty());
 }

@@ -46,4 +46,18 @@ fn a_seeded_violation_fails_the_gate() {
     for rule in ["hash-iter", "wall-clock", "thread-spawn", "rng", "panic"] {
         assert!(rules.contains(rule), "seeded {rule} violation did not fire");
     }
+    // And a public item nothing calls, seeded into a library crate.
+    let findings = dapc_analyze::analyze_files(
+        &[(
+            "crates/graph/src/seeded_dead.rs",
+            "pub fn seeded_dead_item() {}\n",
+        )],
+        &Config::workspace(),
+    );
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.rule == "dead-pub" && f.message.contains("seeded_dead_item")),
+        "seeded dead-pub violation did not fire: {findings:?}"
+    );
 }

@@ -60,60 +60,6 @@ pub fn chernoff_bounded_dependence(mu: f64, delta: f64, d: f64) -> f64 {
     (classes * (-delta * delta * mu / ((2.0 + delta) * classes)).exp()).min(1.0)
 }
 
-/// Lemma A.5 (geometric sum with bounded dependence):
-/// `Pr[X ≥ μ + δn] ≤ O(d)·exp(−p²δn/(12d))`.
-///
-/// # Panics
-///
-/// Panics unless `0 < p <= 1`, `d >= 1` and `δ > 1/p − 1`.
-pub fn geometric_sum_bounded_dependence(n: u64, p: f64, delta: f64, d: f64) -> f64 {
-    assert!(p > 0.0 && p <= 1.0);
-    assert!(d >= 1.0, "dependency degree must be ≥ 1");
-    assert!(delta > 1.0 / p - 1.0, "delta must exceed 1/p − 1");
-    ((d + 1.0) * (-p * p * delta * n as f64 / (12.0 * d)).exp()).min(1.0)
-}
-
-/// The "with high probability" failure budget `1/ñ^c` the paper's lemmas
-/// aim for; handy for labelling experiment tables.
-pub fn whp_budget(n_tilde: f64, c: f64) -> f64 {
-    n_tilde.powf(-c)
-}
-
-/// The paper's `t := ⌈log₂(20/ε)⌉` (§3.1).
-///
-/// # Panics
-///
-/// Panics unless `0 < eps < 1`.
-pub fn paper_t(eps: f64) -> usize {
-    assert!(eps > 0.0 && eps < 1.0, "eps must be in (0, 1)");
-    (20.0 / eps).log2().ceil() as usize
-}
-
-/// The paper's `R := ⌈200·t·ln ñ / ε⌉` (§3.1), with an optional constant
-/// scale `c` replacing the 200 (used by the `scaled` parametrisations;
-/// `c = 200` reproduces the paper).
-///
-/// # Panics
-///
-/// Panics unless `eps > 0` and `n_tilde > 1`.
-pub fn paper_r(t: usize, n_tilde: f64, eps: f64, c: f64) -> usize {
-    assert!(eps > 0.0, "eps must be positive");
-    assert!(n_tilde > 1.0, "n_tilde must exceed 1");
-    ((c * t as f64 * n_tilde.ln()) / eps).ceil() as usize
-}
-
-/// The covering-problem iteration count
-/// `t := ⌈log₂ ln n + log₂(1/ε) + 8⌉` (§5.1).
-///
-/// # Panics
-///
-/// Panics unless `0 < eps < 1` and `n >= 3`.
-pub fn paper_t_covering(n: f64, eps: f64) -> usize {
-    assert!(eps > 0.0 && eps < 1.0, "eps must be in (0, 1)");
-    assert!(n >= 3.0, "n too small");
-    (n.ln().log2() + (1.0 / eps).log2() + 8.0).ceil() as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,22 +103,6 @@ mod tests {
     fn geometric_sum_rejects_small_delta() {
         // delta must exceed 1/p − 1 = 1.
         let _ = geometric_sum_upper(100, 0.5, 0.5);
-    }
-
-    #[test]
-    fn paper_parameters() {
-        // ε = 0.2: t = ⌈log₂ 100⌉ = 7.
-        assert_eq!(paper_t(0.2), 7);
-        // ε = 0.5: t = ⌈log₂ 40⌉ = 6.
-        assert_eq!(paper_t(0.5), 6);
-        let r = paper_r(7, 1000.0, 0.2, 200.0);
-        assert_eq!(r, ((200.0 * 7.0 * 1000f64.ln()) / 0.2).ceil() as usize);
-        assert!(paper_t_covering(1000.0, 0.2) >= paper_t(0.2) - 4);
-    }
-
-    #[test]
-    fn whp_budget_shrinks_polynomially() {
-        assert!((whp_budget(100.0, 2.0) - 1e-4).abs() < 1e-12);
     }
 
     #[test]

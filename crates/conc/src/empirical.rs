@@ -17,7 +17,6 @@
 /// }
 /// assert_eq!(t.len(), 4);
 /// assert_eq!(t.mean(), 2.5);
-/// assert_eq!(t.tail_frequency(2.5), 0.5);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct TailEstimator {
@@ -87,15 +86,8 @@ impl TailEstimator {
         self.samples[idx]
     }
 
-    /// Empirical `Pr[X >= threshold]`.
-    pub fn tail_frequency(&self, threshold: f64) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples.iter().filter(|&&x| x >= threshold).count() as f64 / self.samples.len() as f64
-    }
-
     /// Wilson 95% confidence interval for `Pr[X >= threshold]`.
+    // dapc-allow(dead-pub): ROADMAP item 10, step 1 reads the tail verdicts' intervals from it
     pub fn tail_confidence(&self, threshold: f64) -> (f64, f64) {
         wilson_interval(
             self.samples.iter().filter(|&&x| x >= threshold).count(),
@@ -188,16 +180,6 @@ mod tests {
     }
 
     #[test]
-    fn tail_frequency_counts_inclusive() {
-        let mut t = TailEstimator::new();
-        for x in [1.0, 2.0, 2.0, 3.0] {
-            t.push(x);
-        }
-        assert_eq!(t.tail_frequency(2.0), 0.75);
-        assert_eq!(t.tail_frequency(3.5), 0.0);
-    }
-
-    #[test]
     fn wilson_interval_brackets_estimate() {
         let (lo, hi) = wilson_interval(10, 100);
         assert!(lo < 0.1 && 0.1 < hi);
@@ -225,6 +207,5 @@ mod tests {
         let t = TailEstimator::new();
         assert!(t.is_empty());
         assert_eq!(t.mean(), 0.0);
-        assert_eq!(t.tail_frequency(1.0), 0.0);
     }
 }

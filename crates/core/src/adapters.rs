@@ -152,11 +152,6 @@ impl<'g> GraphProblem<'g> {
         self
     }
 
-    /// The configuration this problem will solve under.
-    pub fn solve_config(&self) -> &SolveConfig {
-        &self.cfg
-    }
-
     fn unit_weights(&self) -> Vec<u64> {
         self.weights
             .clone()

@@ -90,11 +90,11 @@ impl ScaleKnobs {
 
 /// Parameters of the Theorem 1.2 / 1.3 algorithms.
 ///
-/// The `*_paper` constructors reproduce the constants printed in the paper;
-/// the `*_scaled` constructors shrink the two leading constants (the `200`
-/// in `R` and the `16` in the preparation count) while keeping the
+/// The `*_scaled` constructors take the two leading constants (the `200`
+/// in `R` and the `16` in the preparation count) as arguments and keep the
 /// *structure* — iteration counts, interval layout, sampling-probability
-/// ratios — untouched (see [`ScaleKnobs`]).
+/// ratios — as printed; [`ScaleKnobs::paper`] passes the paper's values
+/// (see [`ScaleKnobs`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PcParams {
     /// Approximation parameter `ε`.
@@ -140,14 +140,9 @@ impl PcParams {
         (r, prep_count, 8 * t * r)
     }
 
-    /// Packing parameters with the paper's constants
-    /// (`t = ⌈log₂(20/ε)⌉`, `R = ⌈200·t·ln ñ/ε⌉`, 16 ln ñ preparations at
-    /// `λ = 1/2`, Phase 3 at `ε/10`).
-    pub fn packing_paper(eps: f64, n_tilde: f64) -> Self {
-        Self::packing_scaled(eps, n_tilde, 200.0, 16.0)
-    }
-
-    /// Packing parameters with scaled leading constants.
+    /// Packing parameters (§4.1): `t = ⌈log₂(20/ε)⌉`,
+    /// `R = ⌈r_scale·t·ln ñ/ε⌉`, `⌈prep_scale·ln ñ⌉` preparations at
+    /// `λ = 1/2`, Phase 3 at `ε/10`.
     pub fn packing_scaled(eps: f64, n_tilde: f64, r_scale: f64, prep_scale: f64) -> Self {
         let t = (20.0 / eps).log2().ceil() as usize;
         let (r, prep_count, sc_radius) = Self::common(eps, n_tilde, t, r_scale, prep_scale);
@@ -165,16 +160,10 @@ impl PcParams {
         }
     }
 
-    /// Covering parameters with the paper's constants
-    /// (`t = ⌈log₂ ln n + log₂(1/ε) + 8⌉`, preparations at `λ = ln(21/20)`,
-    /// final sparse cover at `λ = ln((5+ε)/5)`).
-    pub fn covering_paper(eps: f64, n_tilde: f64) -> Self {
-        Self::covering_scaled(eps, n_tilde, 200.0, 16.0, 8.0)
-    }
-
-    /// Covering parameters with scaled leading constants; `t_slack`
-    /// replaces the `+8` in the iteration count (§1.4.3 — covering skips
-    /// Phase 2 by lengthening Phase 1 to `O(log(1/ε) + log log n)`).
+    /// Covering parameters (§5.1): `t = ⌈log₂ ln ñ + log₂(1/ε) + t_slack⌉`,
+    /// where the paper's `t_slack` is 8 (§1.4.3 — covering skips Phase 2
+    /// by lengthening Phase 1 to `O(log(1/ε) + log log n)`), preparations
+    /// at `λ = ln(21/20)` and the final sparse cover at `λ = ln((5+ε)/5)`.
     pub fn covering_scaled(
         eps: f64,
         n_tilde: f64,
@@ -247,7 +236,7 @@ mod tests {
 
     #[test]
     fn packing_paper_constants() {
-        let p = PcParams::packing_paper(0.2, 1000.0);
+        let p = ScaleKnobs::paper().packing_params_for(0.2, 1000.0);
         assert_eq!(p.t, 7);
         assert_eq!(p.r, ((200.0 * 7.0 * 1000f64.ln()) / 0.2).ceil() as usize);
         assert_eq!(p.prep_count, (16.0 * 1000f64.ln()).ceil() as usize);
@@ -257,7 +246,7 @@ mod tests {
 
     #[test]
     fn covering_paper_constants() {
-        let p = PcParams::covering_paper(0.2, 1000.0);
+        let p = ScaleKnobs::paper().covering_params_for(0.2, 1000.0);
         let expected_t = (1000f64.ln().log2() + 5f64.log2() + 8.0).ceil() as usize;
         assert_eq!(p.t, expected_t);
         assert!((p.prep_lambda - (21.0f64 / 20.0).ln()).abs() < 1e-12);
@@ -304,8 +293,8 @@ mod tests {
     #[test]
     fn covering_t_exceeds_packing_t() {
         // §1.4.3: covering lengthens Phase 1 by the log log n term.
-        let pack = PcParams::packing_paper(0.2, 100_000.0);
-        let cover = PcParams::covering_paper(0.2, 100_000.0);
+        let pack = ScaleKnobs::paper().packing_params_for(0.2, 100_000.0);
+        let cover = ScaleKnobs::paper().covering_params_for(0.2, 100_000.0);
         assert!(cover.t > pack.t);
     }
 }

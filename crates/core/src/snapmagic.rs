@@ -62,8 +62,8 @@ pub const MANIFEST: Magic = Magic {
     name: "sweep manifest",
 };
 
-/// Every registered format, for the consistency test and for tooling
-/// that wants to recognise any workspace snapshot.
+/// Every registered format, for the consistency test.
+#[cfg(test)]
 pub const ALL: [&Magic; 2] = [&PART, &MANIFEST];
 
 #[cfg(test)]

@@ -48,6 +48,7 @@ impl EnParams {
     }
 
     /// The per-vertex deletion probability bound `1 − e^{−λ} + ñ^{−3}`.
+    // dapc-allow(dead-pub): ROADMAP item 10, step 1 judges Lemma C.1's deletion rate against it
     pub fn deletion_probability_bound(&self) -> f64 {
         1.0 - (-self.lambda).exp() + self.n_tilde.powf(-3.0)
     }

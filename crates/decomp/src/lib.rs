@@ -35,6 +35,7 @@
 
 pub mod blackbox;
 pub mod elkin_neiman;
+// dapc-allow(dead-pub): ROADMAP item 5 extends this faithfulness check to the three-phase LDD
 pub mod message_passing;
 pub mod mpx;
 pub mod network_decomposition;

@@ -118,6 +118,7 @@ impl NodeProgram for EnProgram {
 /// # Panics
 ///
 /// Panics if `shifts.len() != g.n()`.
+// dapc-allow(dead-pub): ROADMAP item 5 extends this faithfulness check to the three-phase LDD
 pub fn elkin_neiman_distributed(
     g: &Graph,
     shifts: &[f64],

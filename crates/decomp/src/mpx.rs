@@ -23,17 +23,6 @@ pub struct MpxClustering {
     pub ledger: RoundLedger,
 }
 
-impl MpxClustering {
-    /// Fraction of edges cut.
-    pub fn cut_fraction(&self, g: &Graph) -> f64 {
-        if g.m() == 0 {
-            0.0
-        } else {
-            self.cut_edges.len() as f64 / g.m() as f64
-        }
-    }
-}
-
 /// Runs MPX with rate `lambda` and size hint `n_tilde`.
 ///
 /// ```
@@ -107,9 +96,10 @@ mod tests {
         let mut frac_small = 0.0;
         let mut frac_large = 0.0;
         let trials = 8;
+        let m = g.m() as f64;
         for _ in 0..trials {
-            frac_small += mpx(&g, 0.05, 1600.0, &mut rng).cut_fraction(&g);
-            frac_large += mpx(&g, 0.5, 1600.0, &mut rng).cut_fraction(&g);
+            frac_small += mpx(&g, 0.05, 1600.0, &mut rng).cut_edges.len() as f64 / m;
+            frac_large += mpx(&g, 0.5, 1600.0, &mut rng).cut_edges.len() as f64 / m;
         }
         frac_small /= trials as f64;
         frac_large /= trials as f64;

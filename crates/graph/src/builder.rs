@@ -65,14 +65,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Adds every edge from an iterator.
-    pub fn extend_edges<I: IntoIterator<Item = (Vertex, Vertex)>>(&mut self, it: I) -> &mut Self {
-        for (u, v) in it {
-            self.add_edge(u, v);
-        }
-        self
-    }
-
     /// Grows the vertex count to at least `n` (never shrinks).
     pub fn ensure_vertices(&mut self, n: usize) -> &mut Self {
         if n > self.n {
@@ -126,7 +118,9 @@ mod tests {
     #[test]
     fn builder_roundtrip() {
         let mut b = GraphBuilder::with_capacity(4, 4);
-        b.extend_edges([(0, 1), (1, 2), (2, 3), (3, 0)]);
+        for (u, v) in [(0, 1), (1, 2), (2, 3), (3, 0)] {
+            b.add_edge(u, v);
+        }
         let g = b.build();
         assert_eq!(g.n(), 4);
         assert_eq!(g.m(), 4);

@@ -270,57 +270,6 @@ pub struct MpxGadget {
     pub r: Vec<Vertex>,
 }
 
-/// Greedy random graph of girth `> girth_floor`: repeatedly propose random
-/// non-edges and keep those that do not close a cycle of length
-/// `<= girth_floor`. Stops after `attempts` proposals.
-///
-/// Useful as a scalable stand-in for high-girth regular-ish graphs when an
-/// exact Ramanujan construction (see [`crate::lps`]) is too rigid.
-pub fn high_girth(n: usize, girth_floor: usize, attempts: usize, rng: &mut StdRng) -> Graph {
-    let mut adj: Vec<Vec<Vertex>> = vec![Vec::new(); n];
-    let mut edges: Vec<(Vertex, Vertex)> = Vec::new();
-    for _ in 0..attempts {
-        let a = rng.random_range(0..n) as Vertex;
-        let b = rng.random_range(0..n) as Vertex;
-        if a == b || adj[a as usize].contains(&b) {
-            continue;
-        }
-        // BFS from a, bounded depth: adding {a,b} creates a cycle of length
-        // dist(a,b) + 1; require dist(a,b) + 1 > girth_floor.
-        if bounded_dist(&adj, a, b, girth_floor.saturating_sub(1)) {
-            continue;
-        }
-        adj[a as usize].push(b);
-        adj[b as usize].push(a);
-        edges.push((a, b));
-    }
-    Graph::from_edges(n, &edges)
-}
-
-/// Whether `dist(a, b) <= cap` in the adjacency-list graph.
-fn bounded_dist(adj: &[Vec<Vertex>], a: Vertex, b: Vertex, cap: usize) -> bool {
-    let mut dist = std::collections::BTreeMap::new();
-    dist.insert(a, 0usize);
-    let mut queue = std::collections::VecDeque::new();
-    queue.push_back(a);
-    while let Some(x) = queue.pop_front() {
-        let dx = dist[&x];
-        if x == b {
-            return true;
-        }
-        if dx >= cap {
-            continue;
-        }
-        for &y in &adj[x as usize] {
-            if let std::collections::btree_map::Entry::Vacant(e) = dist.entry(y) {
-                e.insert(dx + 1);
-                queue.push_back(y);
-            }
-        }
-    }
-    false
-}
-
 /// Deterministically seeded RNG helper so examples and experiments are
 /// reproducible.
 ///
@@ -505,14 +454,5 @@ mod tests {
                 assert!(g.has_edge(a, b));
             }
         }
-    }
-
-    #[test]
-    fn high_girth_respects_floor() {
-        let mut rng = seeded_rng(11);
-        let g = high_girth(200, 6, 5000, &mut rng);
-        assert!(g.m() > 50, "generator should place a fair number of edges");
-        let girth = crate::girth::girth(&g);
-        assert!(girth.is_none_or(|x| x > 6), "girth {girth:?} too small");
     }
 }

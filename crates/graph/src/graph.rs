@@ -129,11 +129,6 @@ impl Graph {
         self.vertices().map(|v| self.degree(v)).max().unwrap_or(0)
     }
 
-    /// Minimum degree, or 0 for the empty graph.
-    pub fn min_degree(&self) -> usize {
-        self.vertices().map(|v| self.degree(v)).min().unwrap_or(0)
-    }
-
     /// Whether every vertex has degree exactly `d`.
     pub fn is_regular(&self, d: usize) -> bool {
         self.vertices().all(|v| self.degree(v) == d)
@@ -238,11 +233,6 @@ impl Graph {
         (b.build(), keep.to_vec())
     }
 
-    /// Complement mask: vertices of degree zero.
-    pub fn isolated_vertices(&self) -> Vec<Vertex> {
-        self.vertices().filter(|&v| self.degree(v) == 0).collect()
-    }
-
     /// Returns `true` if the graph is bipartite (2-colourable).
     pub fn is_bipartite(&self) -> bool {
         self.bipartition().is_some()
@@ -296,7 +286,7 @@ mod tests {
         assert_eq!(g.n(), 5);
         assert_eq!(g.m(), 0);
         assert_eq!(g.max_degree(), 0);
-        assert_eq!(g.isolated_vertices().len(), 5);
+        assert!(g.is_regular(0));
     }
 
     #[test]

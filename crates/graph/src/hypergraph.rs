@@ -321,30 +321,6 @@ impl Hypergraph {
         }
         (comp, next as usize)
     }
-
-    /// Ids of hyperedges entirely contained in `subset` (given as a
-    /// membership mask). These are the constraints a covering cluster is
-    /// responsible for (Observation 2.2).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `subset.len() != self.n()`.
-    pub fn edges_inside(&self, subset: &[bool]) -> Vec<EdgeId> {
-        assert_eq!(subset.len(), self.n, "subset mask length mismatch");
-        self.hyperedges()
-            .filter(|(_, e)| e.iter().all(|&v| subset[v as usize]))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Ids of hyperedges that intersect `subset` at all.
-    pub fn edges_touching(&self, subset: &[bool]) -> Vec<EdgeId> {
-        assert_eq!(subset.len(), self.n, "subset mask length mismatch");
-        self.hyperedges()
-            .filter(|(_, e)| e.iter().any(|&v| subset[v as usize]))
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
 impl std::fmt::Display for Hypergraph {
@@ -444,17 +420,6 @@ mod tests {
                 h.ball(&[0, 6], r, Some(&v_alive), Some(&edge_alive))
             );
         }
-    }
-
-    #[test]
-    fn edges_inside_and_touching() {
-        let h = triangle_chain();
-        let mut mask = vec![false; 7];
-        for v in [0, 1, 2, 3, 4] {
-            mask[v] = true;
-        }
-        assert_eq!(h.edges_inside(&mask), vec![0, 1]);
-        assert_eq!(h.edges_touching(&mask), vec![0, 1, 2]);
     }
 
     #[test]

@@ -323,30 +323,6 @@ pub fn lps_graph(p: u64, q: u64) -> LpsGraph {
     }
 }
 
-/// Finds the smallest primes `q ≡ 1 (mod 4)`, `q ≠ p`, of each Theorem B.1
-/// case with `q(q²−1) ≤ max_n` (bipartite size measure); returns
-/// `(bipartite_q, non_bipartite_q)` where either can be `None` if no such
-/// prime exists under the size cap.
-pub fn smallest_lps_pair(p: u64, max_n: u64) -> (Option<u64>, Option<u64>) {
-    let mut bip = None;
-    let mut nonbip = None;
-    let mut q = 5u64;
-    while q * (q * q - 1) / 2 <= max_n {
-        if q != p && is_prime(q) && q % 4 == 1 {
-            match legendre(p, q) {
-                -1 if bip.is_none() && q * (q * q - 1) <= max_n => bip = Some(q),
-                1 if nonbip.is_none() => nonbip = Some(q),
-                _ => {}
-            }
-            if bip.is_some() && nonbip.is_some() {
-                break;
-            }
-        }
-        q += 4;
-    }
-    (bip, nonbip)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -434,12 +410,5 @@ mod tests {
         assert_eq!(x.graph.n(), 120);
         assert!(x.graph.is_regular(18));
         assert!(x.graph.is_bipartite());
-    }
-
-    #[test]
-    fn smallest_pair_for_p17() {
-        let (bip, nonbip) = smallest_lps_pair(17, 3_000);
-        assert_eq!(bip, Some(5));
-        assert_eq!(nonbip, Some(13));
     }
 }

@@ -23,22 +23,6 @@ pub struct Subdivision {
 }
 
 impl Subdivision {
-    /// Whether `w` is an original vertex (as opposed to a path interior).
-    pub fn is_original(&self, w: Vertex) -> bool {
-        (w as usize) < self.original_n
-    }
-
-    /// For a path-interior vertex, the original edge id it lies on and its
-    /// position `1..=2x` along the path from the smaller endpoint; `None`
-    /// for original vertices.
-    pub fn path_position(&self, w: Vertex) -> Option<(usize, usize)> {
-        if self.is_original(w) || self.x == 0 {
-            return None;
-        }
-        let off = w as usize - self.original_n;
-        Some((off / (2 * self.x), off % (2 * self.x) + 1))
-    }
-
     /// The interior vertices of the path replacing edge `e`, ordered from
     /// the smaller endpoint.
     pub fn interior_of_edge(&self, e: usize) -> Vec<Vertex> {
@@ -166,19 +150,21 @@ mod tests {
     }
 
     #[test]
-    fn path_position_roundtrip() {
+    fn interior_of_edge_runs_from_the_smaller_endpoint() {
         let g = gen::cycle(3);
         let s = subdivide(&g, 2);
         for e in 0..3 {
             let interior = s.interior_of_edge(e);
             assert_eq!(interior.len(), 4);
+            let from_smaller = traversal::bfs_distances(&s.graph, s.original_edges[e].0);
             for (i, &w) in interior.iter().enumerate() {
-                assert_eq!(s.path_position(w), Some((e, i + 1)));
-                assert!(!s.is_original(w));
+                assert_eq!(from_smaller[w as usize], i as u32 + 1);
+                assert!(
+                    w as usize >= s.original_n,
+                    "interior vertex {w} is original"
+                );
             }
         }
-        assert!(s.is_original(0));
-        assert_eq!(s.path_position(0), None);
     }
 
     #[test]

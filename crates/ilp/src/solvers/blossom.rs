@@ -38,6 +38,7 @@ impl Matching {
     }
 
     /// Checks the matching is valid in `g` (symmetric, over real edges).
+    #[cfg(test)]
     pub fn is_valid(&self, g: &Graph) -> bool {
         self.mate.iter().enumerate().all(|(v, &m)| match m {
             None => true,
@@ -181,6 +182,7 @@ fn lca(mate: &[u32], parent: &[u32], base: &[u32], a: Vertex, b: Vertex) -> Vert
 
 /// Exhaustive maximum matching by edge-subset search — for cross-checking
 /// the blossom implementation on small graphs.
+#[cfg(test)]
 pub fn brute_force_matching_size(g: &Graph) -> usize {
     let edges: Vec<(Vertex, Vertex)> = g.edges().collect();
     fn rec(edges: &[(Vertex, Vertex)], used: &mut [bool], idx: usize, size: usize) -> usize {

@@ -442,6 +442,7 @@ impl PathDp {
 }
 
 /// Exhaustive MWIS for cross-checking (exponential; keep `n ≤ 20`).
+#[cfg(test)]
 pub fn brute_force_mis(g: &Graph, weights: &[u64]) -> u64 {
     let n = g.n();
     assert!(n <= 20, "brute force limited to 20 vertices");

@@ -146,19 +146,6 @@ impl RoundLedger {
         self.phases.extend(other.phases);
     }
 
-    /// Merges another ledger *in parallel*: the combined cost is the
-    /// maximum of the two totals, recorded as a single phase.
-    pub fn absorb_parallel(&mut self, name: impl Into<String>, others: Vec<RoundLedger>) {
-        let max = others
-            .into_iter()
-            .map(|o| o.total_rounds())
-            .max()
-            .unwrap_or(0);
-        self.begin_phase(name);
-        self.charge_gather(max);
-        self.end_phase();
-    }
-
     /// Multiplies every phase cost by `factor` — the cost of simulating
     /// each hypergraph round by `factor` rounds of the underlying graph
     /// (e.g. `k`-distance dominating set, where one hyperedge round is `k`
@@ -235,20 +222,6 @@ mod tests {
         total.absorb(a);
         total.absorb(b);
         assert_eq!(total.total_rounds(), 10);
-    }
-
-    #[test]
-    fn absorb_parallel_takes_max() {
-        let mk = |r| {
-            let mut l = RoundLedger::new();
-            l.begin_phase("p");
-            l.charge_gather(r);
-            l.end_phase();
-            l
-        };
-        let mut total = RoundLedger::new();
-        total.absorb_parallel("independent runs", vec![mk(3), mk(11), mk(7)]);
-        assert_eq!(total.total_rounds(), 11);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 pub type TopologyRecords = Vec<(Vertex, Vec<Vertex>)>;
 
 /// A node program that floods adjacency records for `radius` rounds, after
-/// which [`GatherProgram::view`] is the vertex's `radius`-ball topology.
+/// which [`GatherProgram::known_vertices`] is the vertex's `radius`-ball.
 #[derive(Clone, Debug)]
 pub struct GatherProgram {
     radius: usize,
@@ -43,6 +43,7 @@ impl GatherProgram {
     /// `N^{radius}(v)` (records of boundary vertices mention neighbours
     /// outside the ball; that matches the LOCAL model, where a gathered
     /// vertex reports all its incident edges).
+    #[cfg(test)]
     pub fn view(&self) -> &BTreeMap<Vertex, Vec<Vertex>> {
         &self.known
     }

@@ -158,11 +158,6 @@ impl<'g, P: NodeProgram> Network<'g, P> {
         self.programs
     }
 
-    /// Rounds executed so far.
-    pub fn rounds_executed(&self) -> usize {
-        self.round
-    }
-
     fn dispatch(
         &mut self,
         v: Vertex,

@@ -60,65 +60,6 @@ pub fn greedy_mis_rounds(g: &Graph, t: usize, rng: &mut StdRng) -> Vec<bool> {
     in_set
 }
 
-/// Runs `t` rounds of random-priority greedy maximal matching (edges draw
-/// priorities; local minima join). Returns the matched-edge list.
-pub fn greedy_matching_rounds(g: &Graph, t: usize, rng: &mut StdRng) -> Vec<(Vertex, Vertex)> {
-    let edges: Vec<(Vertex, Vertex)> = g.edges().collect();
-    let mut edge_alive: Vec<bool> = vec![true; edges.len()];
-    let mut vertex_free = vec![true; g.n()];
-    let mut matched = Vec::new();
-    // Edge adjacency via endpoints.
-    let mut incident: Vec<Vec<usize>> = vec![Vec::new(); g.n()];
-    for (i, &(u, v)) in edges.iter().enumerate() {
-        incident[u as usize].push(i);
-        incident[v as usize].push(i);
-    }
-    for _ in 0..t {
-        if edge_alive.iter().all(|&a| !a) {
-            break;
-        }
-        let priority: Vec<f64> = (0..edges.len()).map(|_| rng.random::<f64>()).collect();
-        let mut winners = Vec::new();
-        'edge: for (i, &(u, v)) in edges.iter().enumerate() {
-            if !edge_alive[i] {
-                continue;
-            }
-            for &w in [u, v].iter() {
-                for &j in &incident[w as usize] {
-                    if j != i && edge_alive[j] && priority[j] > priority[i] {
-                        continue 'edge;
-                    }
-                }
-            }
-            winners.push(i);
-        }
-        for i in winners {
-            let (u, v) = edges[i];
-            if vertex_free[u as usize] && vertex_free[v as usize] {
-                matched.push((u, v));
-                vertex_free[u as usize] = false;
-                vertex_free[v as usize] = false;
-            }
-        }
-        for (i, &(u, v)) in edges.iter().enumerate() {
-            if !vertex_free[u as usize] || !vertex_free[v as usize] {
-                edge_alive[i] = false;
-            }
-        }
-    }
-    matched
-}
-
-/// The complement view: a `t`-round vertex cover produced as "everything
-/// except the `t`-round independent set" — used for the Theorem B.4
-/// transfer experiments.
-pub fn greedy_vc_rounds(g: &Graph, t: usize, rng: &mut StdRng) -> Vec<bool> {
-    greedy_mis_rounds(g, t, rng)
-        .into_iter()
-        .map(|in_is| !in_is)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,32 +104,6 @@ mod tests {
                 is[v as usize] || g.neighbors(v).iter().any(|&u| is[u as usize]),
                 "not maximal at {v}"
             );
-        }
-    }
-
-    #[test]
-    fn matching_is_valid_and_grows() {
-        let g = gen::gnp(100, 0.05, &mut gen::seeded_rng(5));
-        let mut rng = gen::seeded_rng(6);
-        let m1 = greedy_matching_rounds(&g, 1, &mut rng);
-        let m8 = greedy_matching_rounds(&g, 8, &mut rng);
-        let mut used = [false; 100];
-        for &(u, v) in &m8 {
-            assert!(g.has_edge(u, v));
-            assert!(!used[u as usize] && !used[v as usize]);
-            used[u as usize] = true;
-            used[v as usize] = true;
-        }
-        assert!(m8.len() >= m1.len());
-    }
-
-    #[test]
-    fn vc_complement_covers_when_is_maximal() {
-        let g = gen::grid(6, 6);
-        let mut rng = gen::seeded_rng(7);
-        let vc = greedy_vc_rounds(&g, 100, &mut rng);
-        for (u, v) in g.edges() {
-            assert!(vc[u as usize] || vc[v as usize]);
         }
     }
 

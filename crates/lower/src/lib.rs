@@ -6,15 +6,15 @@
 //! dominating set, made *measurable*:
 //!
 //! * [`capped`] — round-capped randomised LOCAL algorithms (Luby-style
-//!   greedy MIS / matching) whose quality–rounds trade-off the bounds
+//!   greedy MIS) whose quality–rounds trade-off the bounds
 //!   constrain;
 //! * [`harness`] — the indistinguishability experiment of Theorems
 //!   B.2/B.6: identical per-vertex output distributions on locally
 //!   isomorphic graphs (LPS bipartite vs non-bipartite, odd vs even
 //!   cycles);
 //! * [`reductions`] — the solution pull-backs through the subdivision
-//!   `G_x` (Theorems B.3/B.7) and the dominating-set gadget `G*`
-//!   (Theorem B.5), with their counting identities tested.
+//!   `G_x` (Theorems B.3/B.7), with their counting identities and the
+//!   dominating-set gadget's (Theorem B.5) tested.
 //!
 //! ```
 //! use dapc_graph::gen;
@@ -33,5 +33,7 @@
 
 pub mod capped;
 pub mod harness;
+// dapc-allow(dead-pub): ROADMAP item 17, step 1 adds the E7a max-cut rows that run it
 pub mod maxcut;
+// dapc-allow(dead-pub): ROADMAP item 17, step 2 pulls E7b's independent sets back through it
 pub mod reductions;

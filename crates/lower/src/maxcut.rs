@@ -33,6 +33,7 @@ use rand::RngExt;
 /// // Local dynamics reach a locally-optimal cut: ≥ m/2 on any graph.
 /// assert!(cut_size(&g, &side) >= g.m() / 2);
 /// ```
+// dapc-allow(dead-pub): ROADMAP item 17, step 1: E7a's max-cut rows run it
 pub fn local_maxcut_rounds(g: &Graph, t: usize, rng: &mut StdRng) -> Vec<bool> {
     let n = g.n();
     let mut side: Vec<bool> = (0..n).map(|_| rng.random::<bool>()).collect();
@@ -72,6 +73,7 @@ pub fn local_maxcut_rounds(g: &Graph, t: usize, rng: &mut StdRng) -> Vec<bool> {
 }
 
 /// Number of edges crossing the bipartition.
+// dapc-allow(dead-pub): ROADMAP item 17, step 1: E7a's max-cut rows score with it
 pub fn cut_size(g: &Graph, side: &[bool]) -> usize {
     g.edges()
         .filter(|&(u, v)| side[u as usize] != side[v as usize])
@@ -81,6 +83,7 @@ pub fn cut_size(g: &Graph, side: &[bool]) -> usize {
 /// Lemma B.1's conversion, constructive direction: a cut missing `x` edges
 /// yields an independent set of size `≥ (n − x)/2` (delete one endpoint of
 /// every uncut edge, take the larger side of the remainder).
+// dapc-allow(dead-pub): ROADMAP item 17 wires Lemma B.1 into E7, or step 3 deletes it
 pub fn independent_set_from_cut(g: &Graph, side: &[bool]) -> Vec<bool> {
     let n = g.n();
     let mut removed = vec![false; n];

@@ -1,28 +1,18 @@
 //! The reduction maps of Appendix B: pulling solutions back through the
-//! subdivision `G_x` (Theorems B.3 and B.7) and the dominating-set gadget
-//! `G*` (Theorem B.5).
+//! subdivision `G_x` (Theorems B.3 and B.7). The tests also check the
+//! identity `γ(G*) = τ(G)` of Theorem B.5's dominating-set gadget `G*`.
 
 use dapc_graph::subdivide::Subdivision;
-use dapc_graph::{Graph, Vertex};
+use dapc_graph::Vertex;
 use rand::rngs::StdRng;
 use rand::RngExt;
 
 /// Theorem B.3's choice of subdivision parameter:
 /// `x = ⌊(0.08·ε⁻¹ − 1)/18⌋` (zero for large ε, `Θ(1/ε)` for small ε).
+// dapc-allow(dead-pub): ROADMAP item 17, step 2 sizes E7b's subdivisions with it
 pub fn theorem_b3_x(eps: f64) -> usize {
     assert!(eps > 0.0, "eps must be positive");
     let x = (0.08 / eps - 1.0) / 18.0;
-    if x <= 0.0 {
-        0
-    } else {
-        x.floor() as usize
-    }
-}
-
-/// Theorem B.7's choice: `x = ⌊(0.001·ε⁻¹ − 1)/2⌋`.
-pub fn theorem_b7_x(eps: f64) -> usize {
-    assert!(eps > 0.0, "eps must be positive");
-    let x = (0.001 / eps - 1.0) / 2.0;
     if x <= 0.0 {
         0
     } else {
@@ -42,6 +32,7 @@ pub fn theorem_b7_x(eps: f64) -> usize {
 /// # Panics
 ///
 /// Panics if `is_gx` is not the size of the subdivided vertex set.
+// dapc-allow(dead-pub): ROADMAP item 17, step 2: E7b checks B.3's inequality through it
 pub fn extract_is_from_subdivision(
     sub: &Subdivision,
     is_gx: &[bool],
@@ -86,6 +77,7 @@ pub fn extract_is_from_subdivision(
 /// subdivision's cut.
 ///
 /// `cut_gx` is a predicate over subdivided edges in canonical order.
+// dapc-allow(dead-pub): ROADMAP item 17 wires B.7's cut pullback into E7, or step 3 deletes it
 pub fn extract_cut_from_subdivision(
     sub: &Subdivision,
     cut_gx: &dyn Fn(Vertex, Vertex) -> bool,
@@ -102,28 +94,6 @@ pub fn extract_cut_from_subdivision(
     out
 }
 
-/// Converts a dominating set of the gadget graph `G*` into a vertex cover
-/// of `G` of no larger size (proof of Theorem B.5): any selected gadget
-/// vertex `w_e` is replaced by one endpoint of its edge.
-///
-/// # Panics
-///
-/// Panics if `ds` is not sized for `G*` (`g.n() + edges.len()`).
-pub fn vc_from_gadget_dominating_set(
-    g: &Graph,
-    gadget_edges: &[(Vertex, Vertex)],
-    ds: &[bool],
-) -> Vec<bool> {
-    assert_eq!(ds.len(), g.n() + gadget_edges.len(), "gadget size mismatch");
-    let mut cover: Vec<bool> = ds[..g.n()].to_vec();
-    for (e, &(u, _v)) in gadget_edges.iter().enumerate() {
-        if ds[g.n() + e] {
-            cover[u as usize] = true;
-        }
-    }
-    cover
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,11 +104,9 @@ mod tests {
     use dapc_ilp::solvers::{self, SolverBudget};
 
     #[test]
-    fn b3_and_b7_parameters() {
+    fn b3_parameter() {
         assert_eq!(theorem_b3_x(0.04), 0); // 0.08/0.04 = 2 -> (2−1)/18 < 1
         assert!(theorem_b3_x(0.001) >= 4);
-        assert_eq!(theorem_b7_x(0.001), 0); // boundary: (1−1)/2
-        assert!(theorem_b7_x(0.0001) >= 4);
         // Theorem B.3's constraint ε·(18x+1) ≤ 0.08 holds.
         for eps in [0.04, 0.01, 0.001, 0.0003] {
             let x = theorem_b3_x(eps);
@@ -209,28 +177,6 @@ mod tests {
         let sub = subdivide(&g, 2);
         let cut = extract_cut_from_subdivision(&sub, &|_, _| false);
         assert!(cut.iter().all(|&c| !c));
-    }
-
-    #[test]
-    fn gadget_ds_converts_to_vc() {
-        let g = gen::cycle(6);
-        let (gstar, edges) = dominating_set_gadget(&g);
-        // Exact minimum dominating set of G*.
-        let ilp = problems::min_dominating_set_unweighted(&gstar);
-        let budget = SolverBudget::default();
-        let sub = dapc_ilp::restrict::covering_restriction(&ilp, &vec![true; gstar.n()]);
-        let sol = solvers::solve(&sub, &budget);
-        let cover = vc_from_gadget_dominating_set(&g, &edges, &sol.assignment);
-        // It must be a vertex cover of G of size <= |DS|.
-        for (u, v) in g.edges() {
-            assert!(cover[u as usize] || cover[v as usize]);
-        }
-        let cover_size = cover.iter().filter(|&&b| b).count() as u64;
-        assert!(cover_size <= sol.value);
-        // And Theorem B.5's identity γ(G*) = τ(G): check against exact VC.
-        let vc = problems::min_vertex_cover_unweighted(&g);
-        let tau = dapc_ilp::verify::optimum(&vc, &budget).0;
-        assert_eq!(sol.value, tau);
     }
 
     #[test]

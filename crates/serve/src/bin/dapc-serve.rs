@@ -18,7 +18,8 @@
 //! [`CorpusSpec::parse_args`]. Exit codes follow [`dapc_serve::exit`]:
 //! 0 ok, 2 usage, 3 transient I/O, 4 corrupt snapshot/spec bytes,
 //! 5 solve panic. A worker whose coordinator is gone (it was
-//! re-parented) exits 3 within about 100 ms.
+//! re-parented) exits 3 after the job it is on, before it solves or
+//! publishes another unit.
 
 #![forbid(unsafe_code)]
 
@@ -233,18 +234,6 @@ fn cmd_worker(args: &[String]) -> Result<(), CliError> {
     }
     let dir = dir.ok_or_else(|| usage("worker needs --dir"))?;
     let range = range.ok_or_else(|| usage("worker needs --range A..B"))?;
-    // A coordinator killed on its own leaves its workers re-parented;
-    // they exit instead of solving and publishing parts for nobody (a
-    // rerun would race them on the same units).
-    let coordinator = std::os::unix::process::parent_id();
-    // dapc-allow(thread-spawn): the orphan watch is supervisor infrastructure, not solve work; detached, it ends with the process
-    std::thread::spawn(move || loop {
-        std::thread::sleep(Duration::from_millis(100));
-        if std::os::unix::process::parent_id() != coordinator {
-            eprintln!("dapc-serve: worker exits, its coordinator {coordinator} is gone");
-            std::process::exit(exit::EXIT_IO);
-        }
-    });
     // A panicking solve must exit with its own distinct code, not the
     // runtime's default panic status.
     let outcome = std::panic::catch_unwind(move || dapc_serve::run_worker(&dir, range, &opts));

@@ -8,7 +8,11 @@
 //! checkpoint grid — skipping units that already have a valid part file
 //! (a resume or a predecessor's salvage), solving the rest, and
 //! publishing each finished unit atomically. A crash at any instant
-//! therefore forfeits at most one unit of work.
+//! therefore forfeits at most one unit of work. A worker whose
+//! coordinator is gone (it was re-parented) exits 3 before it starts or
+//! publishes another unit, and after the job it is on: it publishes
+//! nothing more for nobody, so a rerun does not race it on the same
+//! units.
 
 use crate::checkpoint::{self, SweepManifest};
 use dapc_runtime::{snap, solve_range_streaming_with_cache, PrepCache, RuntimeConfig};
@@ -50,7 +54,11 @@ pub struct WorkerSummary {
 ///
 /// Fails with [`io::ErrorKind::InvalidData`] when `dir` has no (or a
 /// corrupt) manifest or when `range` reaches beyond the manifest's
-/// corpus; propagates filesystem errors from checkpointing.
+/// corpus, and with a transient error once the process was re-parented
+/// (checked before solving each unit and again before publishing it);
+/// propagates filesystem errors from checkpointing. Re-parented
+/// mid-unit, the process exits with [`crate::exit::EXIT_IO`] after its
+/// current job.
 ///
 /// # Panics
 ///
@@ -74,12 +82,14 @@ pub fn run_worker(
     let mut summary = WorkerSummary::default();
     let rt = RuntimeConfig::new().jobs(opts.jobs.max(1));
     let solved = Arc::new(AtomicUsize::new(0));
+    let coordinator = std::os::unix::process::parent_id();
     for unit in checkpoint::unit_grid(range, manifest.unit) {
         if unit_is_checkpointed(dir, &unit, corpus_jobs) {
             summary.skipped_units += 1;
             summary.resumed_jobs += unit.len();
             continue;
         }
+        ensure_parent(coordinator)?;
         // Chaos: a straggling worker (exercises the supervisor timeout)
         // and signal death between units (already-published parts
         // survive and are salvaged — the crash forfeits nothing done).
@@ -99,12 +109,31 @@ pub fn run_worker(
                     // like a SIGKILL mid-solve.
                     std::process::abort();
                 }
+                // A unit can take seconds: an orphan stops after the job
+                // it is on instead of finishing the unit for nobody.
+                if let Err(gone) = ensure_parent(coordinator) {
+                    eprintln!("dapc-serve: {gone}");
+                    std::process::exit(crate::exit::EXIT_IO);
+                }
             });
+        ensure_parent(coordinator)?;
         checkpoint::write_part(dir, &part)?;
         summary.solved_units += 1;
         summary.solved_jobs += unit.len();
     }
     Ok(summary)
+}
+
+/// Fails once this process's parent is no longer `coordinator`: a
+/// coordinator killed on its own leaves its workers re-parented.
+fn ensure_parent(coordinator: u32) -> io::Result<()> {
+    if std::os::unix::process::parent_id() == coordinator {
+        Ok(())
+    } else {
+        Err(io::Error::other(format!(
+            "worker exits, its coordinator {coordinator} is gone"
+        )))
+    }
 }
 
 /// Whether `unit` already has a loadable part file covering exactly it.

@@ -3,9 +3,10 @@
 //! under injected worker kills, and across checkpoint/resume boundaries;
 //! the checkpoint scan skips misnamed, foreign and overlapping parts
 //! without quarantining them; tasks end on the unit grid, so each unit is
-//! one part file; workers exit once their coordinator is killed; a worker
-//! without a manifest exits with [`exit::EXIT_BAD_SNAPSHOT`]; and a sweep
-//! directory refuses a different sweep.
+//! one part file; workers exit once their coordinator is killed, and
+//! publish at most one more part each; a worker without a manifest exits
+//! with [`exit::EXIT_BAD_SNAPSHOT`]; and a sweep directory refuses a
+//! different sweep.
 //!
 //! Workers here are the real `dapc-serve worker` subcommand, spawned as
 //! separate processes via `CARGO_BIN_EXE_dapc-serve`.
@@ -318,25 +319,28 @@ fn proc_stat(pid: u32) -> Option<(char, u32)> {
 }
 
 /// A coordinator killed on its own takes its workers with it: each one
-/// sees that it was re-parented and exits, instead of solving on and
-/// publishing parts for nobody.
+/// sees that it was re-parented and exits after the job it is on,
+/// instead of solving on and publishing parts for nobody. So at most the
+/// part each worker was publishing lands after the kill.
 #[test]
 fn workers_exit_when_their_coordinator_is_killed() {
     let dir = scratch("orphans");
-    // 16,384 jobs of about a millisecond each (release build): seconds
-    // of work for two workers, while the first 4-job unit lands quickly.
+    // 32,768 one-job units of under a millisecond each (debug build):
+    // seconds of work for two workers, and a worker that noticed the
+    // kill only 100 ms late would publish dozens more parts.
     let mut coordinator = Command::new(EXE)
-        .args(["sweep", "--workers", "2", "--unit", "4", "--dir"])
+        .args(["sweep", "--workers", "2", "--unit", "1", "--dir"])
         .arg(&dir)
-        .args("a=mis:cycle:2000 b=mis:cycle:2001 @eps=0.2,0.3 @seeds=0..4096".split(' '))
-        .arg("@backends=three-phase")
+        .args("a=mis:cycle:20 b=mis:cycle:21 c=mis:cycle:22 d=mis:cycle:23".split(' '))
+        .args(["@eps=0.2,0.3", "@seeds=0..4096"])
+        .arg("@backends=greedy")
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
         .expect("start the sweep");
     let started = Instant::now();
     while part_files(&dir).is_empty() && started.elapsed() < Duration::from_secs(120) {
-        std::thread::sleep(Duration::from_millis(10));
+        std::thread::sleep(Duration::from_millis(1));
     }
     let parent = coordinator.id();
     let workers: Vec<u32> = std::fs::read_dir("/proc")
@@ -346,6 +350,7 @@ fn workers_exit_when_their_coordinator_is_killed() {
         .collect();
     coordinator.kill().expect("SIGKILL the coordinator alone");
     coordinator.wait().expect("reap the coordinator");
+    let parts_at_kill = part_files(&dir).len();
     assert_eq!(workers.len(), 2, "both workers must be running");
     let killed = Instant::now();
     let mut alive = workers;
@@ -357,10 +362,15 @@ fn workers_exit_when_their_coordinator_is_killed() {
         let survivors = alive.iter().map(u32::to_string);
         let _ = Command::new("kill").arg("-KILL").args(survivors).status();
     }
+    let landed = part_files(&dir).len() - parts_at_kill;
     std::fs::remove_dir_all(&dir).ok();
     assert!(
         alive.is_empty(),
         "workers {alive:?} outlived the coordinator"
+    );
+    assert!(
+        landed <= 2,
+        "{landed} parts landed after the coordinator's kill; each of the two workers may publish at most one"
     );
 }
 
