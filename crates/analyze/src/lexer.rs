@@ -521,33 +521,27 @@ fn find_test_spans(code: &[u8]) -> Vec<(usize, usize)> {
     merged
 }
 
-/// End of the item that starts after an attribute: skip to the first
-/// top-level `{` and match braces, or stop at a `;` that appears first
-/// (attribute on a `use`/`const`/macro-call item).
+/// End of the item that starts after an attribute: the `}` that closes
+/// its first top-level brace, or a `;` outside every bracket that comes
+/// first (attribute on a `use`/`const`/macro-call item). A `;` inside
+/// `(…)` or `[…]`, as in `[u8; 2]`, does not end it.
 fn item_end(code: &[u8], mut i: usize) -> usize {
     let n = code.len();
+    let mut depth = 0usize;
     while i < n {
         match code[i] {
-            b'{' => {
-                let mut depth = 0usize;
-                while i < n {
-                    match code[i] {
-                        b'{' => depth += 1,
-                        b'}' => {
-                            depth -= 1;
-                            if depth == 0 {
-                                return i + 1;
-                            }
-                        }
-                        _ => {}
-                    }
-                    i += 1;
+            b'(' | b'[' | b'{' => depth += 1,
+            b')' | b']' => depth = depth.saturating_sub(1),
+            b'}' => {
+                depth = depth.saturating_sub(1);
+                if depth == 0 {
+                    return i + 1;
                 }
-                return n;
             }
-            b';' => return i + 1,
-            _ => i += 1,
+            b';' if depth == 0 => return i + 1,
+            _ => {}
         }
+        i += 1;
     }
     n
 }

@@ -25,8 +25,8 @@
 //! justification next to it.
 //!
 //! Run it as `dapc-analyze --workspace` (the CI gate), or point it at
-//! individual files (without `dead-pub`, which needs the index). See
-//! `crates/analyze/README.md` for the rule table.
+//! individual files of the lint scope (without `dead-pub`, which needs
+//! the index). See `crates/analyze/README.md` for the rule table.
 
 #![forbid(unsafe_code)]
 
@@ -105,6 +105,26 @@ pub fn analyze_files<P: AsRef<str>, S: AsRef<[u8]>>(
     findings
 }
 
+/// Analyze one file of the workspace rooted at `root` on its own, with
+/// the crate and role [`analyze_workspace`] gives it: every per-file
+/// rule, but no `dead-pub` (one file has no caller index). A path
+/// outside the lint scope (a test, bench or example, or a file outside
+/// the workspace's sources) is an error that names it; an unreadable
+/// file is an `io` finding.
+pub fn analyze_file(root: &Path, file: &Path, config: &Config) -> Result<Vec<Finding>, String> {
+    let canonical = |p: &Path| p.canonicalize().unwrap_or_else(|_| p.to_path_buf());
+    let rel = rel_path(&canonical(root), &canonical(file));
+    let Some((crate_name, role)) = lint_scope(&rel) else {
+        return Err(format!(
+            "{rel}: not in the lint scope (crates/*/src, src/, vendor/*/src/lib.rs)"
+        ));
+    };
+    Ok(match fs::read(file) {
+        Ok(source) => analyze_source(&rel, crate_name, role, &source, config),
+        Err(err) => vec![read_failure(&rel, &err)],
+    })
+}
+
 /// Analyze the whole workspace rooted at `root`: every `.rs` file under
 /// `crates/*/{src,tests,benches}`, the facade's `src/`, `tests/` and
 /// `examples/`, and `perfbench/src`, plus the vendored stand-ins' crate
@@ -136,12 +156,7 @@ pub fn analyze_workspace(root: &Path, config: &Config) -> Vec<Finding> {
         let rel = rel_path(root, &path);
         match fs::read(&path) {
             Ok(source) => files.push((rel, source)),
-            Err(err) => findings.push(Finding {
-                file: rel,
-                line: 0,
-                rule: "io",
-                message: format!("failed to read: {err}"),
-            }),
+            Err(err) => findings.push(read_failure(&rel, &err)),
         }
     }
     if !files.iter().any(|(rel, _)| *rel == config.registry_path) {
@@ -179,6 +194,16 @@ fn role_of(rel: &str) -> FileRole {
         FileRole::BinRoot
     } else {
         FileRole::Module
+    }
+}
+
+/// The `io` finding of a file that could not be read.
+fn read_failure(rel: &str, err: &std::io::Error) -> Finding {
+    Finding {
+        file: rel.to_string(),
+        line: 0,
+        rule: "io",
+        message: format!("failed to read: {err}"),
     }
 }
 

@@ -56,6 +56,30 @@ fn hash_iter_ignores_strings_comments_and_tests() {
     assert!(f.is_empty());
 }
 
+#[test]
+fn a_semicolon_inside_brackets_does_not_end_a_test_item() {
+    // The `;` of `[u8; 2]` comes before each item's body.
+    let item = "#[cfg(test)] const X: [u8; 2] = \
+                { let _m = std::collections::HashMap::<u8, u8>::new(); [0, 0] };\n";
+    let func = "#[cfg(test)]\nfn f(_: [u8; 2]) {\n    \
+                let _m = std::collections::HashMap::<u8, u8>::new();\n}\n";
+    for src in [item, func] {
+        let f = run("crates/runtime/src/x.rs", "runtime", FileRole::Module, src);
+        assert!(f.is_empty(), "{src}: {f:?}");
+    }
+    // The item still ends: library code after it is linted.
+    let after =
+        format!("{item}fn g() {{ let _m = std::collections::HashMap::<u8, u8>::new(); }}\n");
+    let f = run(
+        "crates/runtime/src/x.rs",
+        "runtime",
+        FileRole::Module,
+        &after,
+    );
+    assert_eq!(rules_of(&f), ["hash-iter"]);
+    assert_eq!(f[0].line, 2);
+}
+
 // ---------------------------------------------------------------- wall-clock
 
 #[test]

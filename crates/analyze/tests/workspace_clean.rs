@@ -1,7 +1,8 @@
 //! The gate, as a test: the shipped workspace must be clean under the
 //! shipped config, and the central magic registry must be present and
 //! consistent. A regression here is exactly what the CI job would
-//! catch — this test catches it at `cargo test` time too.
+//! catch — this test catches it at `cargo test` time too. A single-file
+//! run of the binary lints a file as `--workspace` does, or refuses it.
 
 use dapc_analyze::{analyze_workspace, find_workspace_root, Config};
 
@@ -60,4 +61,46 @@ fn a_seeded_violation_fails_the_gate() {
             .any(|f| f.rule == "dead-pub" && f.message.contains("seeded_dead_item")),
         "seeded dead-pub violation did not fire: {findings:?}"
     );
+}
+
+#[test]
+fn a_single_file_run_lints_what_the_workspace_run_lints() {
+    // A scratch workspace with one `.unwrap()` in three places. The
+    // `panic` rule covers `runtime` and `serve` only, so a finding on the
+    // library file shows it was linted as crate `runtime`.
+    let root = std::env::temp_dir().join(format!("dapc-analyze-scope-{}", std::process::id()));
+    let body = "fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n";
+    for rel in [
+        "crates/runtime/src/seeded.rs",
+        "crates/runtime/tests/seeded.rs",
+        "examples/seeded.rs",
+    ] {
+        let path = root.join(rel);
+        std::fs::create_dir_all(path.parent().expect("parent")).expect("mkdir");
+        std::fs::write(&path, body).expect("write");
+    }
+    let run = |rel: &str| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_dapc-analyze"))
+            .arg("--root")
+            .arg(&root)
+            .arg(root.join(rel))
+            .output()
+            .expect("run dapc-analyze")
+    };
+    let lib = run("crates/runtime/src/seeded.rs");
+    assert_eq!(lib.status.code(), Some(1), "{lib:?}");
+    assert!(
+        String::from_utf8_lossy(&lib.stdout).contains("crates/runtime/src/seeded.rs:2: [panic]"),
+        "{lib:?}"
+    );
+    for rel in ["crates/runtime/tests/seeded.rs", "examples/seeded.rs"] {
+        let out = run(rel);
+        assert_eq!(out.status.code(), Some(2), "{rel} was linted: {out:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains(rel),
+            "the refusal must name {rel}: {out:?}"
+        );
+        assert!(out.stdout.is_empty(), "{rel}: {out:?}");
+    }
+    std::fs::remove_dir_all(&root).ok();
 }

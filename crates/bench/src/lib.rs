@@ -20,8 +20,9 @@
 //! `--jobs N` runs up to `N` of their jobs concurrently (shared prep
 //! caching included) and `--prep-workers M` additionally shards each
 //! job's preparation step — both on the one process-wide executor, in
-//! `--quick` mode and `--full` mode alike. Criterion wall-clock benches
-//! for the substrate live in `benches/`.
+//! `--quick` mode and `--full` mode alike. This crate times nothing but
+//! its own experiments: the workspace's one timing harness is
+//! `perfbench/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

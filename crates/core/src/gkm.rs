@@ -12,7 +12,8 @@
 
 use crate::prep::{SharedSubsetCache, SubsetSolver};
 use dapc_decomp::network_decomposition::network_decomposition;
-use dapc_graph::{BallScratch, GraphBuilder, Hypergraph, Vertex};
+use dapc_graph::power::power_graph;
+use dapc_graph::{BallScratch, Hypergraph, Vertex};
 use dapc_ilp::instance::{IlpInstance, Sense};
 use dapc_local::RoundLedger;
 use rand::rngs::StdRng;
@@ -107,7 +108,7 @@ pub fn gkm_solve_cached(
 
     // Network decomposition of H^{2k} (computed centrally; every round on
     // the power graph costs 2k rounds of H).
-    let power = hypergraph_power(h, 2 * params.k);
+    let power = power_graph(ilp.primal_graph(), 2 * params.k, None);
     let nd = network_decomposition(&power, params.n_tilde, rng);
     ledger.begin_phase("network decomposition of H^{2k} (×2k rounds)");
     ledger.charge_gather(nd.ledger.total_rounds() * 2 * params.k);
@@ -321,21 +322,6 @@ fn carve_cluster(
             }
         }
     }
-}
-
-/// The `k`-th power of the primal graph of `h`.
-fn hypergraph_power(h: &Hypergraph, k: usize) -> dapc_graph::Graph {
-    let n = h.n();
-    let mut b = GraphBuilder::new(n);
-    for v in 0..n as Vertex {
-        let ball = h.ball(&[v], k, None, None);
-        for u in ball.iter() {
-            if u > v {
-                b.add_edge(v, u);
-            }
-        }
-    }
-    b.build()
 }
 
 #[cfg(test)]

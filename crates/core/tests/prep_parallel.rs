@@ -2,11 +2,13 @@
 //! covering instances alike, the full `SolveReport` must be byte-identical
 //! at 1, 2 and 4 preparation workers — sharding changes wall-clock time,
 //! never outcomes — and attaching a family cache must not move a single
-//! byte either.
+//! byte either. Two timing checks on one large instance bound what
+//! sharding costs and, on a host with 4 or more cores, what it gains.
 
-use dapc_core::engine::{self, SharedSubsetCache, SolveConfig};
-use dapc_graph::gen;
+use dapc_core::engine::{self, SharedSubsetCache, SolveConfig, SolveReport};
+use dapc_graph::{gen, GraphBuilder};
 use dapc_ilp::{problems, IlpInstance};
+use std::time::Instant;
 
 fn corpus() -> Vec<(&'static str, IlpInstance)> {
     vec![
@@ -82,4 +84,83 @@ fn sharding_composes_with_a_shared_family_cache() {
         }
         assert!(cache.hits() > 0, "{name}: warm cache must serve hits");
     }
+}
+
+/// One large instance shaped for intra-solve sharding: a disjoint union
+/// of `blobs` G(`blob_n`, `p`) graphs. Every preparation cluster's `S_C`
+/// ball saturates at its own blob, so the preparation step is many
+/// distinct, millisecond-scale exact subset solves: the work the sharded
+/// annotation pass spreads across workers.
+fn blob_instance(blobs: usize, blob_n: usize, p: f64) -> IlpInstance {
+    let mut rng = gen::seeded_rng(42);
+    let mut b = GraphBuilder::new(blobs * blob_n);
+    for blob in 0..blobs {
+        let off = (blob * blob_n) as u32;
+        for (u, v) in gen::gnp(blob_n, p, &mut rng).edges() {
+            b.add_edge(u + off, v + off);
+        }
+    }
+    problems::max_independent_set_unweighted(&b.build())
+}
+
+/// How many times faster 4 preparation workers solve `ilp` than 1, each
+/// wall the best of `samples` solves, after checking that the reports at
+/// 1, 2 and 4 workers are equal.
+fn speedup_at_four_prep_workers(ilp: &IlpInstance, samples: usize) -> f64 {
+    let mut baseline: Option<SolveReport> = None;
+    let mut best = [f64::INFINITY; 3];
+    for (slot, workers) in [1usize, 2, 4].into_iter().enumerate() {
+        let cfg = SolveConfig::new().eps(0.3).seed(7).prep_workers(workers);
+        for _ in 0..samples {
+            let start = Instant::now();
+            let report = engine::solve("three-phase", ilp, &cfg).unwrap();
+            best[slot] = best[slot].min(start.elapsed().as_secs_f64());
+            match &baseline {
+                None => baseline = Some(report),
+                Some(b) => assert_eq!(b, &report, "the report moved at {workers} prep workers"),
+            }
+        }
+    }
+    eprintln!(
+        "prep walls on {} cores: {:.4} s / {:.4} s / {:.4} s at 1 / 2 / 4 workers",
+        cores(),
+        best[0],
+        best[1],
+        best[2]
+    );
+    best[0] / best[2]
+}
+
+fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |c| c.get())
+}
+
+/// Sharding has no gross tax: on 8 blobs of 40 vertices, 4 preparation
+/// workers are at most 2.5× slower than 1 on any host. One sample per
+/// count, so the bound is loose; a debug build's walls say nothing, and
+/// CI runs this with `--release`.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "a timing check: run with --release")]
+fn prep_sharding_has_no_gross_tax() {
+    let speedup = speedup_at_four_prep_workers(&blob_instance(8, 40, 0.12), 1);
+    assert!(
+        speedup >= 0.4,
+        "4 prep workers on {} cores ran at {speedup:.2}× of 1: a tax above 2.5×",
+        cores()
+    );
+}
+
+/// The full-size target: on 12 blobs of 48 vertices, 4 preparation
+/// workers give at least 2× on a host with 4 or more cores, and stay
+/// within the 2.5× tax on a smaller one. Best of 2 samples per count.
+#[test]
+#[ignore = "full-size timing run: cargo test --release -p dapc-core --test prep_parallel -- --ignored"]
+fn four_prep_workers_halve_the_wall_on_four_cores() {
+    let speedup = speedup_at_four_prep_workers(&blob_instance(12, 48, 0.10), 2);
+    let floor = if cores() >= 4 { 2.0 } else { 0.4 };
+    assert!(
+        speedup >= floor,
+        "4 prep workers on {} cores ran at {speedup:.2}× of 1, below {floor}×",
+        cores()
+    );
 }

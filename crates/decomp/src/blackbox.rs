@@ -79,7 +79,7 @@ pub fn blackbox_ldd(g: &Graph, params: &BlackboxParams, rng: &mut StdRng) -> Dec
         // 1. Half-decomposition on the power graph of the residual.
         //    Building G^k[alive] centrally; one round of G^k costs k rounds
         //    of G, and the ledger charges accordingly.
-        let gk = power_of_residual(g, params.k, &alive);
+        let gk = power::power_graph(g, params.k, Some(&alive));
         let half = three_phase_ldd(&gk, &inner, rng, Some(&alive));
         ledger.begin_phase(format!("rep{rep}: half-LDD on G^k (×k rounds)"));
         ledger.charge_gather(half.decomposition.rounds() * params.k);
@@ -130,27 +130,6 @@ pub fn blackbox_ldd(g: &Graph, params: &BlackboxParams, rng: &mut StdRng) -> Dec
     }
     // Whatever is still alive is deleted (O(εn) whp).
     Decomposition::from_labels(n, &labels, None, ledger)
-}
-
-/// The `k`-th power of the alive subgraph (edges between alive vertices at
-/// residual distance `≤ k`).
-fn power_of_residual(g: &Graph, k: usize, alive: &[bool]) -> Graph {
-    if alive.iter().all(|&a| a) {
-        return power::power_graph(g, k);
-    }
-    let mut b = dapc_graph::GraphBuilder::new(g.n());
-    for v in g.vertices() {
-        if !alive[v as usize] {
-            continue;
-        }
-        let ball = traversal::ball(g, &[v], k, Some(alive));
-        for u in ball.iter() {
-            if u > v {
-                b.add_edge(v, u);
-            }
-        }
-    }
-    b.build()
 }
 
 #[cfg(test)]

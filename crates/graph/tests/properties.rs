@@ -479,15 +479,26 @@ proptest! {
     }
 
     #[test]
-    fn power_graph_edges_iff_distance_at_most_k(g in arb_graph(25), k in 0usize..4) {
-        let gk = power::power_graph(&g, k);
-        for u in g.vertices() {
-            let d = traversal::bfs_distances(&g, u);
-            for v in g.vertices() {
-                if v <= u { continue; }
-                let close = d[v as usize] != traversal::UNREACHABLE && (d[v as usize] as usize) <= k && d[v as usize] >= 1;
-                prop_assert_eq!(gk.has_edge(u, v), close, "u={} v={} k={}", u, v, k);
+    fn power_graph_edges_iff_distance_at_most_k(case in arb_masked_graph(25), k in 0usize..4) {
+        let (g, mask) = case;
+        // A masked power is the power of the subgraph its alive vertices
+        // induce (vertex `i` of `sub` is `keep[i]`); a dead vertex has no
+        // edge, which the edge count checks.
+        let keep: Vec<Vertex> = g.vertices().filter(|&v| mask[v as usize]).collect();
+        let (sub, _) = g.induced_subgraph(&keep);
+        let every: Vec<Vertex> = g.vertices().collect();
+        for (alive, base, ids) in [(None, &g, &every), (Some(&mask[..]), &sub, &keep)] {
+            let gk = power::power_graph(&g, k, alive);
+            let mut edges = 0;
+            for (i, &u) in ids.iter().enumerate() {
+                let d = traversal::bfs_distances(base, i as Vertex);
+                for (j, &v) in ids.iter().enumerate().skip(i + 1) {
+                    let close = d[j] != traversal::UNREACHABLE && d[j] >= 1 && (d[j] as usize) <= k;
+                    prop_assert_eq!(gk.has_edge(u, v), close, "u={} v={} k={} masked={}", u, v, k, alive.is_some());
+                    edges += usize::from(close);
+                }
             }
+            prop_assert_eq!(gk.m(), edges);
         }
     }
 

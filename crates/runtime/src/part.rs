@@ -302,7 +302,7 @@ where
     // front.
     let optima = if rt.reference_optima {
         let touched: BTreeSet<&str> = jobs.iter().map(|j| j.key.instance.as_str()).collect();
-        reference_optima(corpus, &touched, rt.prep_cache, cache)
+        reference_optima(corpus, &touched, cache)
     } else {
         BTreeMap::new()
     };
@@ -324,7 +324,6 @@ where
 fn reference_optima(
     corpus: &Corpus,
     touched: &BTreeSet<&str>,
-    use_cache: bool,
     cache: &PrepCache,
 ) -> BTreeMap<String, (u64, bool)> {
     let mut optima = BTreeMap::new();
@@ -334,11 +333,8 @@ fn reference_optima(
         }
         let full = vec![true; inst.ilp.n()];
         let budget = corpus.base.budget;
-        let mut solver = if use_cache {
-            SubsetSolver::with_shared(&inst.ilp, budget, cache.family(&inst.ilp, &budget))
-        } else {
-            SubsetSolver::new(&inst.ilp, budget)
-        };
+        let mut solver =
+            SubsetSolver::with_shared(&inst.ilp, budget, cache.family(&inst.ilp, &budget));
         let (opt, _, exact) = solver.solve_mask(&full, None);
         optima.insert(inst.name.clone(), (opt, exact));
     }

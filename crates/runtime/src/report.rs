@@ -199,54 +199,6 @@ impl BatchReport {
     pub fn group(&self, instance: &str, backend: &str, eps: f64) -> Option<&GroupSummary> {
         find_group(&self.groups, instance, backend, eps)
     }
-
-    /// A compact text rendering (one line per group plus cache totals).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<24} {:>12} {:>5} {:>6} {:>7} {:>7} {:>7} {:>8} {:>9}\n",
-            "instance", "backend", "eps", "OPT", "worst r", "mean r", "ok", "rounds", "ms"
-        ));
-        for g in &self.groups {
-            let worst = match g.sense {
-                Sense::Packing => g.min_ratio,
-                Sense::Covering => g.max_ratio,
-            };
-            out.push_str(&format!(
-                "{:<24} {:>12} {:>5} {:>6} {:>7} {:>7} {:>7} {:>8} {:>9.1}\n",
-                g.instance,
-                g.backend,
-                g.eps,
-                g.opt
-                    .map(|o| if g.opt_exact {
-                        o.to_string()
-                    } else {
-                        format!("{o}*")
-                    })
-                    .unwrap_or_else(|| "-".into()),
-                worst
-                    .map(|r| format!("{r:.3}"))
-                    .unwrap_or_else(|| "-".into()),
-                g.mean_ratio
-                    .map(|r| format!("{r:.3}"))
-                    .unwrap_or_else(|| "-".into()),
-                g.meets_guarantee(),
-                g.rounds_last,
-                g.micros as f64 / 1000.0,
-            ));
-        }
-        out.push_str(&format!(
-            "workers {} | wall {:.1?} | prep cache: {} families, {} entries, {} hits / {} misses (rate {:.2})\n",
-            self.workers,
-            self.wall,
-            self.cache.families,
-            self.cache.entries,
-            self.cache.hits,
-            self.cache.misses,
-            self.cache.hit_rate(),
-        ));
-        out
-    }
 }
 
 /// Everything [`crate::solve_many_streaming_with_cache`] returns: the aggregation of

@@ -76,9 +76,6 @@ pub struct RuntimeConfig {
     /// the caller). Above 1, that many pump tasks share the process-wide
     /// `dapc_exec` pool — no private pool is spawned.
     pub jobs: usize,
-    /// Whether to share prep caches across jobs of one instance family
-    /// (default `true`).
-    pub prep_cache: bool,
     /// Whether to compute a reference optimum per instance so the report
     /// can aggregate approximation ratios (default `true`).
     pub reference_optima: bool,
@@ -97,7 +94,6 @@ impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
             jobs: 1,
-            prep_cache: true,
             reference_optima: true,
             prep_workers: 1,
         }
@@ -105,8 +101,7 @@ impl Default for RuntimeConfig {
 }
 
 impl RuntimeConfig {
-    /// Starts from the defaults (sequential, caching, with reference
-    /// optima).
+    /// Starts from the defaults (sequential, with reference optima).
     pub fn new() -> Self {
         Self::default()
     }
@@ -114,12 +109,6 @@ impl RuntimeConfig {
     /// Sets the concurrent-job cap (clamped to at least 1 at execution).
     pub fn jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs;
-        self
-    }
-
-    /// Enables or disables the shared prep cache.
-    pub fn prep_cache(mut self, on: bool) -> Self {
-        self.prep_cache = on;
         self
     }
 
@@ -251,7 +240,6 @@ where
     F: FnMut(JobResult) + Send + 'static,
 {
     let n = jobs.len();
-    let use_cache = rt.prep_cache;
     let prep_workers = rt.prep_workers.max(1);
     let pumps = rt.jobs.max(1).min(n).max(1);
     // dapc-allow(wall-clock): stream-stage telemetry only, gated on dapc_obs::enabled
@@ -267,7 +255,7 @@ where
         let mut aggregator = aggregator;
         let mut on_result = on_result;
         for job in jobs {
-            let result = run_job(job, use_cache, cache, prep_workers);
+            let result = run_job(job, cache, prep_workers);
             aggregator.push(&result);
             on_result(result);
         }
@@ -299,9 +287,7 @@ where
                         break;
                     };
                     let job = job.clone();
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        run_job(job, use_cache, &cache, prep_workers)
-                    })) {
+                    match catch_unwind(AssertUnwindSafe(|| run_job(job, &cache, prep_workers))) {
                         Ok(result) => delivery.submit(index, result),
                         Err(payload) => {
                             // A job died: its index will never be
@@ -483,14 +469,12 @@ impl<F: FnMut(JobResult)> DeliveryState<F> {
     }
 }
 
-fn run_job(job: Job, use_cache: bool, cache: &PrepCache, prep_workers: usize) -> JobResult {
+fn run_job(job: Job, cache: &PrepCache, prep_workers: usize) -> JobResult {
     let Job {
         key, ilp, mut cfg, ..
     } = job;
-    if use_cache {
-        cfg.prep_cache = Some(cache.family(&ilp, &cfg.budget));
-    }
-    // Like `prep_cache`, the runtime knob only adds to the corpus's own
+    cfg.prep_cache = Some(cache.family(&ilp, &cfg.budget));
+    // The runtime's `prep_workers` only adds to the corpus's own
     // configuration: a `RuntimeConfig` left at the default (1) must not
     // silently reset a `prep_workers` the corpus set via `base_config`.
     if prep_workers > 1 {

@@ -57,6 +57,7 @@ fn stale_tmp_files_are_collected() {
 
     // Idempotent: a second pass finds nothing.
     assert_eq!(gc_stale_tmp(&dir).expect("gc reruns"), 0);
+    fs::remove_dir_all(&dir).ok();
 }
 
 /// A corrupt part file is moved to `quarantine/` by the scan instead of
@@ -86,6 +87,7 @@ fn corrupt_part_files_are_quarantined_not_fatal() {
     let scan = scan_parts(&dir, 8).expect("second scan");
     assert_eq!(scan.quarantined, 1);
     assert!(dir.join(QUARANTINE_DIR).join(format!("{name}.1")).exists());
+    fs::remove_dir_all(&dir).ok();
 }
 
 /// The headline theorem: for a spread of fault-plan seeds, an
@@ -154,6 +156,7 @@ fn seeded_chaos_sweeps_fail_loudly_or_render_identically() {
         "at least one seeded sweep should retry through its faults \
          (all six dying means the fault budget is mistuned)"
     );
+    fs::remove_dir_all(&base).ok();
 }
 
 /// A seeded single-worker sweep is a pure function of its seed: worker
@@ -186,4 +189,5 @@ fn a_chaos_seed_replays_deterministically() {
     if code_a == Some(0) {
         assert_eq!(out_a, out_b, "surviving replays must render identically");
     }
+    fs::remove_dir_all(&base).ok();
 }
