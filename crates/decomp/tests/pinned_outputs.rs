@@ -1,16 +1,21 @@
 //! Pins the exact outputs of the exponential-shift decompositions —
 //! Elkin–Neiman (unmasked and masked), Miller–Peng–Xu, the sparse cover
-//! and the labels of the shared propagation — on fixed graphs and seeds.
+//! and the labels of the shared propagation — and of the three-phase LDD
+//! of Theorem 1.1 (unweighted and weighted) on fixed graphs and seeds.
 //!
 //! Each digest folds every cluster, every label (source and value bits)
-//! and every membership list, so a change to the propagation or to the
-//! grouping that moves any output bit fails here. A deliberate change of
+//! and every membership list, and for the three-phase LDD its stats and
+//! round bill, so a change to the propagation, to the grouping or to where
+//! a carve lands that moves any output bit fails here. A deliberate change of
 //! output must update the pin and say why.
 
 use dapc_decomp::elkin_neiman::{elkin_neiman, EnParams};
 use dapc_decomp::mpx::mpx;
 use dapc_decomp::shift::{draw_shifts, propagate, Keep};
 use dapc_decomp::sparse_cover::sparse_cover;
+use dapc_decomp::three_phase::{
+    three_phase_ldd, three_phase_ldd_weighted, LddParams, ThreePhaseOutcome,
+};
 use dapc_decomp::{Decomposition, SparseCover};
 use dapc_graph::{gen, Graph, Hypergraph, Vertex};
 use rand::RngExt;
@@ -188,4 +193,88 @@ fn labels_are_pinned() {
         }
     }
     assert_eq!(h.0, 0x9267_bdb6_2ab9_add6, "propagation labels moved");
+}
+
+/// The three-phase LDD's decomposition, stats and round bill.
+fn three_phase(h: &mut Digest, out: &ThreePhaseOutcome) {
+    decomposition(h, &out.decomposition);
+    let s = &out.stats;
+    h.list(s.centers_per_iteration.iter().map(|&c| c as u64));
+    h.eat(s.centers_phase2 as u64);
+    h.eat(s.deleted_phase1 as u64);
+    h.eat(s.deleted_phase2 as u64);
+    h.eat(s.deleted_phase3 as u64);
+    h.eat(s.removed_carving as u64);
+    h.eat(s.deleted_mass);
+    let ledger = &out.decomposition.ledger;
+    h.eat(ledger.phases().len() as u64);
+    for phase in ledger.phases() {
+        h.list(phase.name.bytes().map(u64::from));
+        h.eat(phase.rounds as u64);
+    }
+}
+
+/// The 30×30 grid at ε 0.4: the carving radii sit far below its diameter
+/// of 58, so every seed's Phase 1 deletes, and where its window search
+/// lands decides which vertices.
+fn three_phase_case() -> (Graph, LddParams) {
+    (gen::grid(30, 30), LddParams::scaled(0.4, 900.0, 0.05))
+}
+
+#[test]
+fn three_phase_is_pinned() {
+    let (g, params) = three_phase_case();
+    let got: Vec<u64> = (0..5)
+        .map(|seed| {
+            let out = three_phase_ldd(&g, &params, &mut gen::seeded_rng(seed), None);
+            assert!(
+                out.stats.deleted_phase1 > 0,
+                "seed {seed}: Phase 1 deleted nothing"
+            );
+            let mut h = Digest::new();
+            three_phase(&mut h, &out);
+            h.0
+        })
+        .collect();
+    assert_eq!(
+        got,
+        [
+            0xe402_0057_078a_29a8,
+            0x632e_5269_2411_4112,
+            0xb91f_6cc2_2a57_68b0,
+            0x35ce_8c23_b0b8_31f0,
+            0x21d9_06dd_cb6b_c8b5,
+        ],
+        "three-phase LDD outputs moved"
+    );
+}
+
+#[test]
+fn weighted_three_phase_is_pinned() {
+    let (g, params) = three_phase_case();
+    let weights: Vec<u64> = (0..g.n() as u64).map(|v| 1 + v * 7 % 5).collect();
+    let got: Vec<u64> = (0..5)
+        .map(|seed| {
+            let mut rng = gen::seeded_rng(seed);
+            let out = three_phase_ldd_weighted(&g, &params, &weights, &mut rng, None);
+            assert!(
+                out.stats.deleted_phase1 > 0,
+                "seed {seed}: Phase 1 deleted nothing"
+            );
+            let mut h = Digest::new();
+            three_phase(&mut h, &out);
+            h.0
+        })
+        .collect();
+    assert_eq!(
+        got,
+        [
+            0xd166_04af_7c8f_45b3,
+            0x544b_fb57_28b9_1e72,
+            0xc35b_025d_ad71_3282,
+            0x41ca_3007_72af_089f,
+            0xde4a_fbf0_8b8e_e9c8,
+        ],
+        "weighted three-phase LDD outputs moved"
+    );
 }
