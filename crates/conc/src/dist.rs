@@ -91,11 +91,6 @@ impl Geometric {
         Geometric { p }
     }
 
-    /// The success probability `p`.
-    pub fn p(&self) -> f64 {
-        self.p
-    }
-
     /// Mean `1/p`.
     pub fn mean(&self) -> f64 {
         1.0 / self.p

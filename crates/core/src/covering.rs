@@ -13,10 +13,18 @@
 //! inner region. The final solution is the OR of: all fixed variables, the
 //! exact local solutions of the isolated regions, and the exact local
 //! solutions of the Lemma C.2 cover of the residual (Lemma C.3).
+//!
+//! The step shares its pieces with packing's and GKM's carves: the centre
+//! draw (`Preparation::draw_centers`), the window search
+//! ([`dapc_graph::Ball::lightest_window`]), the cut of the crossing
+//! hyperedges (`carve::cut_crossing_edges`, which GKM's covering carve
+//! runs too), the partition solve (`SubsetSolver::solve_into`) and the
+//! [`Outcome`].
 
+use crate::carve::{cut_crossing_edges, solution_mass};
+use crate::engine::Outcome;
 use crate::params::PcParams;
 use crate::prep::{prepare, Buckets, Preparation, SharedSubsetCache, SubsetSolver};
-use dapc_conc::dist::bernoulli;
 use dapc_graph::{BallScratch, Vertex};
 use dapc_ilp::instance::{IlpInstance, Sense};
 use dapc_ilp::restrict::IdBits;
@@ -40,25 +48,6 @@ pub struct CoveringStats {
     pub cover_clusters: usize,
     /// Whether every local solve proved optimality.
     pub all_solves_exact: bool,
-}
-
-/// Result of the Theorem 1.3 algorithm.
-#[derive(Clone, Debug)]
-pub struct CoveringOutcome {
-    /// Feasible global 0/1 assignment.
-    pub assignment: Vec<bool>,
-    /// Its objective value `wᵀx`.
-    pub value: u64,
-    /// LOCAL round cost.
-    pub ledger: RoundLedger,
-    /// Phase accounting.
-    pub stats: CoveringStats,
-}
-
-impl dapc_local::RoundCost for CoveringOutcome {
-    fn ledger(&self) -> &RoundLedger {
-        &self.ledger
-    }
 }
 
 /// Runs the (1 + ε)-approximate covering algorithm on `ilp`.
@@ -86,7 +75,7 @@ pub fn approximate_covering(
     ilp: &IlpInstance,
     params: &PcParams,
     rng: &mut StdRng,
-) -> CoveringOutcome {
+) -> Outcome<CoveringStats> {
     approximate_covering_cached(ilp, params, rng, None)
 }
 
@@ -99,17 +88,14 @@ pub fn approximate_covering_cached(
     params: &PcParams,
     rng: &mut StdRng,
     cache: Option<&SharedSubsetCache>,
-) -> CoveringOutcome {
+) -> Outcome<CoveringStats> {
     assert_eq!(ilp.sense(), Sense::Covering, "expected a covering instance");
     let h = ilp.hypergraph();
     let n = h.n();
     let m = h.m();
     let mut ledger = RoundLedger::new();
     let mut stats = CoveringStats::default();
-    let mut solver = match cache {
-        Some(c) => SubsetSolver::with_shared(ilp, params.budget, c.clone()),
-        None => SubsetSolver::new(ilp, params.budget),
-    };
+    let mut solver = SubsetSolver::with_shared(ilp, params.budget, cache);
 
     // Preparation: sparse covers + sampling weights.
     let primal = ilp.primal_graph();
@@ -137,16 +123,7 @@ pub fn approximate_covering_cached(
         let (a_i, b_i) = params.covering_interval(i);
         ledger.begin_phase(format!("phase1/iter{i} carve"));
         ledger.charge_gather(b_i);
-        let mut centers: Vec<&crate::prep::PrepCluster> = Vec::new();
-        for c in &prep.clusters {
-            if !c.members.iter().any(|&v| alive_v[v as usize]) {
-                continue;
-            }
-            let p = params.sampling_probability(i, c.w_local, c.w_neighborhood);
-            if bernoulli(rng, p) {
-                centers.push(c);
-            }
-        }
+        let centers = prep.draw_centers(params, i, &alive_v, rng);
         stats.centers_per_iteration.push(centers.len());
         // Covering carves are applied sequentially within an iteration to
         // keep the fixed-variable bookkeeping exact; in the LOCAL model
@@ -165,29 +142,11 @@ pub fn approximate_covering_cached(
                 h.ball_with_scratch(&sources, b_i, Some(&alive_v), Some(&alive_e), &mut scratch);
             bits.sort_into(ball.iter(), &mut ball_list);
             let (_, local_sol, _) = solver.solve(&ball_list, Some(&fixed_one));
-            // Pick the odd j* in [a_i, b_i] minimising the solution weight
-            // on layers j*, j*+1.
-            let layer_weight = |j: usize| -> u64 {
-                (j..=j + 1)
-                    .flat_map(|l| ball.level(l).iter())
-                    .filter(|&&v| local_sol[v as usize])
-                    .map(|&v| ilp.weight(v))
-                    .sum()
-            };
-            let mut j_star = a_i;
-            let mut best = u64::MAX;
-            let mut j = a_i;
-            while j < b_i {
-                let w = layer_weight(j);
-                if w < best {
-                    best = w;
-                    j_star = j;
-                    if w == 0 {
-                        break;
-                    }
-                }
-                j += 2;
-            }
+            // The layers S_j ∪ S_{j+1}, j ≡ a_i (mod 2) in [a_i, b_i), of
+            // least local-solution weight.
+            let j_star = ball
+                .lightest_window((a_i..b_i).step_by(2), 2, solution_mass(ilp, local_sol))
+                .unwrap_or(a_i);
             // Fix the local assignment on the two layers.
             for l in [j_star, j_star + 1] {
                 for &v in ball.level(l) {
@@ -198,35 +157,8 @@ pub fn approximate_covering_cached(
                 }
             }
             // Delete the now-satisfied hyperedges crossing the two layers.
-            for &v in ball.level(j_star) {
-                layer_of[v as usize] = 0;
-            }
-            for &v in ball.level(j_star + 1) {
-                layer_of[v as usize] = 1;
-            }
-            for &v in ball.level(j_star) {
-                for &e in h.incident_edges(v) {
-                    if !alive_e[e as usize] {
-                        continue;
-                    }
-                    let members = h.edge(e);
-                    let touches_next = members.iter().any(|&u| layer_of[u as usize] == 1);
-                    if touches_next {
-                        debug_assert!(
-                            members
-                                .iter()
-                                .all(|&u| !alive_v[u as usize] || layer_of[u as usize] != u8::MAX),
-                            "crossing hyperedge must lie inside the two layers"
-                        );
-                        alive_e[e as usize] = false;
-                        stats.deleted_edges += 1;
-                    }
-                }
-            }
-            for &v in ball.level(j_star).iter().chain(ball.level(j_star + 1)) {
-                layer_of[v as usize] = u8::MAX;
-            }
-            debug_assert!(layer_of.iter().all(|&l| l == u8::MAX));
+            stats.deleted_edges +=
+                cut_crossing_edges(h, &ball, j_star, &alive_v, &mut alive_e, &mut layer_of);
             // Remove the inner region.
             for v in ball.within(j_star) {
                 if alive_v[v as usize] {
@@ -247,12 +179,8 @@ pub fn approximate_covering_cached(
     ledger.begin_phase("removed-region local solves");
     ledger.charge_gather(2 * (params.t + 1) * 2 * params.r);
     ledger.end_phase();
-    for region in Buckets::by_label(&comp, k).iter() {
-        let (_, local, _) = solver.solve(region, Some(&fixed_one));
-        for &v in region {
-            assignment[v as usize] |= local[v as usize];
-        }
-    }
+    let regions = Buckets::by_label(&comp, k);
+    solver.solve_into(regions.iter(), Some(&fixed_one), &mut assignment);
 
     // Phase 2: sparse cover of the residual + OR-combined local solves
     // (Lemmas C.2 and C.3).
@@ -269,16 +197,12 @@ pub fn approximate_covering_cached(
     ledger.begin_phase("final cover local solves");
     ledger.charge_gather(2 * (params.t + 1) * 2 * params.r);
     ledger.end_phase();
-    for cluster in &cover.clusters {
-        // Only constraints fully inside the cluster AND still alive matter.
-        // Deleted hyperedges are satisfied by `fixed_one` (checked at
-        // deletion time), so the fixed-aware restriction drops them
-        // automatically and the cluster solves only live constraints.
-        let (_, local, _) = solver.solve(cluster, Some(&fixed_one));
-        for &v in cluster {
-            assignment[v as usize] |= local[v as usize];
-        }
-    }
+    // Only constraints fully inside a cluster AND still alive matter.
+    // Deleted hyperedges are satisfied by `fixed_one` (checked at deletion
+    // time), so the fixed-aware restriction drops them automatically and
+    // each cluster solves only live constraints.
+    let clusters = cover.clusters.iter().map(Vec::as_slice);
+    solver.solve_into(clusters, Some(&fixed_one), &mut assignment);
 
     stats.all_solves_exact = solver.all_exact;
     let value = ilp.value(&assignment);
@@ -286,7 +210,7 @@ pub fn approximate_covering_cached(
         ilp.is_feasible(&assignment),
         "covering output must be feasible"
     );
-    CoveringOutcome {
+    Outcome {
         assignment,
         value,
         ledger,

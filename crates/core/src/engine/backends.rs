@@ -1,7 +1,7 @@
 //! The five engine backends.
 
 use super::config::SolveConfig;
-use super::report::{BackendStats, SolveReport};
+use super::report::{BackendStats, Outcome, SolveReport};
 use super::Solver;
 use crate::covering::approximate_covering_cached;
 use crate::ensemble::packing_ensemble_cached;
@@ -29,12 +29,12 @@ impl Solver for ThreePhase {
         match ilp.sense() {
             Sense::Packing => {
                 let out = approximate_packing_cached(ilp, &cfg.packing_params(ilp.n()), rng, cache);
-                SolveReport::from_packing(ilp, self.name(), out)
+                SolveReport::from_outcome(ilp, self.name(), out, BackendStats::Packing)
             }
             Sense::Covering => {
                 let out =
                     approximate_covering_cached(ilp, &cfg.covering_params(ilp.n()), rng, cache);
-                SolveReport::from_covering(ilp, self.name(), out)
+                SolveReport::from_outcome(ilp, self.name(), out, BackendStats::Covering)
             }
         }
     }
@@ -52,7 +52,7 @@ impl Solver for Gkm {
 
     fn solve(&self, ilp: &IlpInstance, cfg: &SolveConfig, rng: &mut StdRng) -> SolveReport {
         let out = gkm_solve_cached(ilp, &cfg.gkm_params(ilp.n()), rng, cfg.prep_cache.as_ref());
-        SolveReport::from_gkm(ilp, self.name(), out)
+        SolveReport::from_outcome(ilp, self.name(), out, BackendStats::Gkm)
     }
 }
 
@@ -79,26 +79,40 @@ impl Solver for Ensemble {
                     rng,
                     cache,
                 );
-                SolveReport::from_ensemble(ilp, self.name(), out)
+                SolveReport::from_outcome(ilp, self.name(), out, BackendStats::Ensemble)
             }
             Sense::Covering => {
                 let out =
                     approximate_covering_cached(ilp, &cfg.covering_params(ilp.n()), rng, cache);
-                SolveReport::from_covering(ilp, self.name(), out)
+                SolveReport::from_outcome(ilp, self.name(), out, BackendStats::Covering)
             }
         }
     }
 }
 
-/// Ledger for the centralised reference backends: one gather of the whole
-/// instance (`n` rounds bounds any diameter) plus the answer broadcast.
-fn centralised_ledger(label: &str, n: usize) -> RoundLedger {
+/// The report of a centralised reference backend on `assignment`: one
+/// gather of the whole instance (`n` rounds bounds any diameter) plus the
+/// answer broadcast, and whether the solve proved optimality.
+fn centralised(
+    ilp: &IlpInstance,
+    backend: &'static str,
+    assignment: Vec<bool>,
+    exact: bool,
+) -> SolveReport {
     let mut ledger = RoundLedger::new();
-    ledger.begin_phase(format!("{label}: gather instance (diameter ≤ n)"));
-    ledger.charge_gather(n);
-    ledger.charge_additive(n); // broadcast the decision back
+    ledger.begin_phase(format!("{backend}: gather instance (diameter ≤ n)"));
+    ledger.charge_gather(ilp.n());
+    ledger.charge_additive(ilp.n()); // broadcast the decision back
     ledger.end_phase();
-    ledger
+    let out = Outcome {
+        value: ilp.value(&assignment),
+        assignment,
+        ledger,
+        stats: exact,
+    };
+    SolveReport::from_outcome(ilp, backend, out, |exact| BackendStats::Centralised {
+        exact,
+    })
 }
 
 /// Centralised greedy heuristic — the quality floor every distributed
@@ -117,16 +131,7 @@ impl Solver for Greedy {
             Sense::Packing => greedy::greedy_packing(&packing_restriction(ilp, &full)),
             Sense::Covering => greedy::greedy_covering(&covering_restriction(ilp, &full)),
         };
-        let verdict = dapc_ilp::verify::check(ilp, &assignment);
-        SolveReport {
-            backend: self.name(),
-            sense: ilp.sense(),
-            value: verdict.value,
-            ledger: centralised_ledger("greedy", ilp.n()),
-            stats: BackendStats::Centralised { exact: false },
-            assignment,
-            verdict,
-        }
+        centralised(ilp, self.name(), assignment, false)
     }
 }
 
@@ -146,20 +151,8 @@ impl Solver for BranchAndBound {
         // batch runtime's shared cache also covers this backend; with no
         // cache attached the result is identical to a direct solve.
         let full = vec![true; ilp.n()];
-        let mut solver = match &cfg.prep_cache {
-            Some(c) => SubsetSolver::with_shared(ilp, cfg.budget, c.clone()),
-            None => SubsetSolver::new(ilp, cfg.budget),
-        };
+        let mut solver = SubsetSolver::with_shared(ilp, cfg.budget, cfg.prep_cache.as_ref());
         let (_, assignment, exact) = solver.solve_mask(&full, None);
-        let verdict = dapc_ilp::verify::check(ilp, &assignment);
-        SolveReport {
-            backend: self.name(),
-            sense: ilp.sense(),
-            value: verdict.value,
-            ledger: centralised_ledger("bnb", ilp.n()),
-            stats: BackendStats::Centralised { exact },
-            assignment,
-            verdict,
-        }
+        centralised(ilp, self.name(), assignment, exact)
     }
 }

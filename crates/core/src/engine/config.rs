@@ -128,12 +128,6 @@ impl SolveConfig {
         self.knobs(ScaleKnobs::paper())
     }
 
-    /// Replaces the exact-solver budget.
-    pub fn budget(mut self, budget: SolverBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-
     /// Caps every exact local solve at `node_limit` branch & bound nodes.
     pub fn node_limit(mut self, node_limit: u64) -> Self {
         self.budget.node_limit = node_limit;

@@ -46,7 +46,7 @@ mod report;
 
 pub use backends::{BranchAndBound, Ensemble, Gkm, Greedy, ThreePhase};
 pub use config::SolveConfig;
-pub use report::{BackendStats, SolveReport};
+pub use report::{BackendStats, Outcome, SolveReport};
 
 pub use crate::prep::SharedSubsetCache;
 

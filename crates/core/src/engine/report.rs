@@ -1,12 +1,34 @@
-//! The one result type every backend returns.
+//! The one outcome every solver computes and the one report every
+//! backend returns.
 
-use crate::covering::{CoveringOutcome, CoveringStats};
-use crate::ensemble::EnsembleOutcome;
-use crate::gkm::GkmOutcome;
-use crate::packing::{PackingOutcome, PackingStats};
+use crate::covering::CoveringStats;
+use crate::ensemble::EnsembleStats;
+use crate::gkm::GkmStats;
+use crate::packing::PackingStats;
 use dapc_ilp::instance::{IlpInstance, Sense};
 use dapc_ilp::verify::FeasibilityReport;
 use dapc_local::{RoundCost, RoundLedger};
+
+/// What a solver computes: a feasible assignment, its value, the LOCAL
+/// round bill and the solver's own stats `S` (`PackingStats`,
+/// `CoveringStats`, `GkmStats` or `EnsembleStats`).
+#[derive(Clone, Debug)]
+pub struct Outcome<S> {
+    /// Feasible global 0/1 assignment.
+    pub assignment: Vec<bool>,
+    /// Its objective value `wᵀx`.
+    pub value: u64,
+    /// LOCAL round cost, phase by phase.
+    pub ledger: RoundLedger,
+    /// The solver's phase accounting.
+    pub stats: S,
+}
+
+impl<S> RoundCost for Outcome<S> {
+    fn ledger(&self) -> &RoundLedger {
+        &self.ledger
+    }
+}
 
 /// Per-backend phase accounting, unified across the engine.
 ///
@@ -21,21 +43,9 @@ pub enum BackendStats {
     Covering(CoveringStats),
     /// GKM17: colours used by the network decomposition and solve
     /// exactness.
-    Gkm {
-        /// Colours of the `H^{2k}` network decomposition.
-        colors: u32,
-        /// Whether every local solve proved optimality.
-        all_solves_exact: bool,
-    },
+    Gkm(GkmStats),
     /// §4.2 ensemble: candidate values and the re-weighted pass value.
-    Ensemble {
-        /// Objective value of every candidate run.
-        candidate_values: Vec<u64>,
-        /// Value achieved by the re-weighted final decomposition.
-        reweighted_value: u64,
-        /// Whether every local solve proved optimality.
-        all_solves_exact: bool,
-    },
+    Ensemble(EnsembleStats),
     /// Centralised reference backends (greedy / branch & bound).
     Centralised {
         /// Whether the solve proved optimality.
@@ -43,9 +53,9 @@ pub enum BackendStats {
     },
 }
 
-/// Unified result of any [`crate::engine::Solver`] backend, replacing the
-/// four incompatible outcome structs (`PackingOutcome`, `CoveringOutcome`,
-/// `GkmOutcome`, `EnsembleOutcome`) at the engine boundary.
+/// Unified result of any [`crate::engine::Solver`] backend: its
+/// [`Outcome`], the backend's name and stats, and the verdict of
+/// [`dapc_ilp::verify::check`].
 ///
 /// Derives `PartialEq`, so determinism can be asserted as
 /// `report_a == report_b`.
@@ -85,57 +95,20 @@ impl SolveReport {
         match &self.stats {
             BackendStats::Packing(s) => s.all_solves_exact,
             BackendStats::Covering(s) => s.all_solves_exact,
-            BackendStats::Gkm {
-                all_solves_exact, ..
-            } => *all_solves_exact,
-            BackendStats::Ensemble {
-                all_solves_exact, ..
-            } => *all_solves_exact,
+            BackendStats::Gkm(s) => s.all_solves_exact,
+            BackendStats::Ensemble(s) => s.all_solves_exact,
             BackendStats::Centralised { exact } => *exact,
         }
     }
 
-    pub(crate) fn from_packing(
+    /// Verifies `out` and labels it with its backend, whose stats `wrap`
+    /// turns into their [`BackendStats`] variant.
+    pub(crate) fn from_outcome<S>(
         ilp: &IlpInstance,
         backend: &'static str,
-        out: PackingOutcome,
+        out: Outcome<S>,
+        wrap: impl FnOnce(S) -> BackendStats,
     ) -> Self {
-        let verdict = {
-            let _span = dapc_obs::span("verify");
-            dapc_ilp::verify::check(ilp, &out.assignment)
-        };
-        SolveReport {
-            backend,
-            sense: Sense::Packing,
-            assignment: out.assignment,
-            value: out.value,
-            ledger: out.ledger,
-            stats: BackendStats::Packing(out.stats),
-            verdict,
-        }
-    }
-
-    pub(crate) fn from_covering(
-        ilp: &IlpInstance,
-        backend: &'static str,
-        out: CoveringOutcome,
-    ) -> Self {
-        let verdict = {
-            let _span = dapc_obs::span("verify");
-            dapc_ilp::verify::check(ilp, &out.assignment)
-        };
-        SolveReport {
-            backend,
-            sense: Sense::Covering,
-            assignment: out.assignment,
-            value: out.value,
-            ledger: out.ledger,
-            stats: BackendStats::Covering(out.stats),
-            verdict,
-        }
-    }
-
-    pub(crate) fn from_gkm(ilp: &IlpInstance, backend: &'static str, out: GkmOutcome) -> Self {
         let verdict = {
             let _span = dapc_obs::span("verify");
             dapc_ilp::verify::check(ilp, &out.assignment)
@@ -146,34 +119,7 @@ impl SolveReport {
             assignment: out.assignment,
             value: out.value,
             ledger: out.ledger,
-            stats: BackendStats::Gkm {
-                colors: out.colors,
-                all_solves_exact: out.all_solves_exact,
-            },
-            verdict,
-        }
-    }
-
-    pub(crate) fn from_ensemble(
-        ilp: &IlpInstance,
-        backend: &'static str,
-        out: EnsembleOutcome,
-    ) -> Self {
-        let verdict = {
-            let _span = dapc_obs::span("verify");
-            dapc_ilp::verify::check(ilp, &out.assignment)
-        };
-        SolveReport {
-            backend,
-            sense: Sense::Packing,
-            assignment: out.assignment,
-            value: out.value,
-            ledger: out.ledger,
-            stats: BackendStats::Ensemble {
-                candidate_values: out.candidate_values,
-                reweighted_value: out.reweighted_value,
-                all_solves_exact: out.all_solves_exact,
-            },
+            stats: wrap(out.stats),
             verdict,
         }
     }

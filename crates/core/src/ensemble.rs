@@ -16,6 +16,7 @@
 //! additionally return the best candidate, so the output value is a
 //! maximum of both mechanisms — never worse than either.
 
+use crate::engine::Outcome;
 use crate::params::PcParams;
 use crate::prep::{SharedSubsetCache, SubsetSolver};
 use dapc_decomp::elkin_neiman::{elkin_neiman, EnParams};
@@ -23,30 +24,16 @@ use dapc_ilp::instance::{IlpInstance, Sense};
 use dapc_local::RoundLedger;
 use rand::rngs::StdRng;
 
-/// Result of the ensemble algorithm.
-#[derive(Clone, Debug)]
-pub struct EnsembleOutcome {
-    /// Feasible global assignment (the better of best-candidate and the
-    /// re-weighted final solution).
-    pub assignment: Vec<bool>,
-    /// Its objective value.
-    pub value: u64,
+/// The ensemble's own stats.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct EnsembleStats {
     /// Values of all `T` candidates (diagnostics for the averaging
     /// argument).
     pub candidate_values: Vec<u64>,
     /// Value achieved by the re-weighted final decomposition.
     pub reweighted_value: u64,
-    /// LOCAL round cost (the `T` runs are parallel; the re-weighted run is
-    /// sequential after them).
-    pub ledger: RoundLedger,
     /// Whether every local solve proved optimality.
     pub all_solves_exact: bool,
-}
-
-impl dapc_local::RoundCost for EnsembleOutcome {
-    fn ledger(&self) -> &RoundLedger {
-        &self.ledger
-    }
 }
 
 /// Runs the §4.2 ensemble algorithm with `t_runs` parallel decompositions
@@ -75,7 +62,7 @@ pub fn packing_ensemble(
     params: &PcParams,
     t_runs: Option<usize>,
     rng: &mut StdRng,
-) -> EnsembleOutcome {
+) -> Outcome<EnsembleStats> {
     packing_ensemble_cached(ilp, params, t_runs, rng, None)
 }
 
@@ -89,7 +76,7 @@ pub fn packing_ensemble_cached(
     t_runs: Option<usize>,
     rng: &mut StdRng,
     cache: Option<&SharedSubsetCache>,
-) -> EnsembleOutcome {
+) -> Outcome<EnsembleStats> {
     assert_eq!(ilp.sense(), Sense::Packing, "expected a packing instance");
     let n = ilp.n();
     let primal = ilp.primal_graph();
@@ -97,10 +84,7 @@ pub fn packing_ensemble_cached(
         ((params.n_tilde.ln() / (params.eps * params.eps)).ceil() as usize).clamp(4, 48)
     });
     let en = EnParams::new(params.eps / 2.0, params.n_tilde);
-    let mut solver = match cache {
-        Some(c) => SubsetSolver::with_shared(ilp, params.budget, c.clone()),
-        None => SubsetSolver::new(ilp, params.budget),
-    };
+    let mut solver = SubsetSolver::with_shared(ilp, params.budget, cache);
     let mut ledger = RoundLedger::new();
     ledger.begin_phase(format!("{t_runs} parallel decompositions"));
     ledger.charge_gather(en.rounds());
@@ -117,12 +101,7 @@ pub fn packing_ensemble_cached(
     for _ in 0..t_runs {
         let d = elkin_neiman(primal, &en, rng, None);
         let mut assignment = vec![false; n];
-        for cluster in &d.clusters {
-            let (_, local, _) = solver.solve(cluster, None);
-            for &v in cluster {
-                assignment[v as usize] |= local[v as usize];
-            }
-        }
+        solver.solve_into(d.clusters.iter().map(Vec::as_slice), None, &mut assignment);
         debug_assert!(ilp.is_feasible(&assignment));
         let value = ilp.value(&assignment);
         candidate_values.push(value);
@@ -149,12 +128,7 @@ pub fn packing_ensemble_cached(
     ledger.charge_gather((en.diameter_bound()).ceil() as usize);
     ledger.end_phase();
     let mut reweighted = vec![false; n];
-    for cluster in &d.clusters {
-        let (_, local, _) = solver.solve(cluster, None);
-        for &v in cluster {
-            reweighted[v as usize] |= local[v as usize];
-        }
-    }
+    solver.solve_into(d.clusters.iter().map(Vec::as_slice), None, &mut reweighted);
     debug_assert!(ilp.is_feasible(&reweighted));
     let reweighted_value = ilp.value(&reweighted);
 
@@ -163,13 +137,15 @@ pub fn packing_ensemble_cached(
     } else {
         (best_value, best_assignment)
     };
-    EnsembleOutcome {
+    Outcome {
         assignment,
         value,
-        candidate_values,
-        reweighted_value,
         ledger,
-        all_solves_exact: solver.all_exact,
+        stats: EnsembleStats {
+            candidate_values,
+            reweighted_value,
+            all_solves_exact: solver.all_exact,
+        },
     }
 }
 
@@ -200,7 +176,7 @@ mod tests {
         let out = packing_ensemble(&ilp, &params, Some(10), &mut gen::seeded_rng(3));
         let v = verify::verdict(&ilp, &out.assignment, &SolverBudget::default());
         assert!(v.feasible && v.within_packing(0.3), "ratio {}", v.ratio);
-        assert_eq!(out.candidate_values.len(), 10);
+        assert_eq!(out.stats.candidate_values.len(), 10);
     }
 
     #[test]
@@ -209,9 +185,9 @@ mod tests {
         let ilp = problems::max_independent_set_unweighted(&g);
         let params = PcParams::packing_scaled(0.2, 25.0, 0.02, 0.3);
         let out = packing_ensemble(&ilp, &params, Some(6), &mut gen::seeded_rng(4));
-        let best_candidate = *out.candidate_values.iter().max().unwrap();
+        let best_candidate = *out.stats.candidate_values.iter().max().unwrap();
         assert!(out.value >= best_candidate);
-        assert!(out.value >= out.reweighted_value);
+        assert!(out.value >= out.stats.reweighted_value);
     }
 
     #[test]
@@ -220,8 +196,8 @@ mod tests {
         let ilp = problems::max_independent_set_unweighted(&g);
         let params = PcParams::packing_scaled(0.3, 16.0, 0.02, 0.3);
         let out = packing_ensemble(&ilp, &params, None, &mut gen::seeded_rng(5));
-        assert!(out.candidate_values.len() >= 4);
-        assert!(out.candidate_values.len() <= 48);
+        assert!(out.stats.candidate_values.len() >= 4);
+        assert!(out.stats.candidate_values.len() <= 48);
         assert!(ilp.is_feasible(&out.assignment));
     }
 }

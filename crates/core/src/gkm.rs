@@ -9,7 +9,15 @@
 //! colours and cluster diameter `D = O(log n)` (in `H^{2k}`, i.e.
 //! `O(k log n)` in `H`), the round complexity is `O(k·C·D) = O(log³ n/ε)`
 //! versus the paper's `Õ(log n/ε)` — the gap experiment E6 measures.
+//!
+//! Each carve is the Grow-and-Carve step of packing and covering at a
+//! fixed radius `k`: [`dapc_graph::Ball::lightest_window`] picks the
+//! window, a covering carve cuts the crossing hyperedges with
+//! `carve::cut_crossing_edges` as covering's carves do, and
+//! `SubsetSolver::solve_into` solves its inner region.
 
+use crate::carve::{cut_crossing_edges, solution_mass};
+use crate::engine::Outcome;
 use crate::prep::{SharedSubsetCache, SubsetSolver};
 use dapc_decomp::network_decomposition::network_decomposition;
 use dapc_graph::power::power_graph;
@@ -49,25 +57,13 @@ impl GkmParams {
     }
 }
 
-/// Result of the GKM17 baseline.
-#[derive(Clone, Debug)]
-pub struct GkmOutcome {
-    /// Feasible global 0/1 assignment.
-    pub assignment: Vec<bool>,
-    /// Its objective value.
-    pub value: u64,
-    /// LOCAL round cost (the `O(k·C·D)` accounting).
-    pub ledger: RoundLedger,
-    /// Colours used by the network decomposition.
+/// GKM17's own stats.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct GkmStats {
+    /// Colours of the `H^{2k}` network decomposition.
     pub colors: u32,
     /// Whether every local solve proved optimality.
     pub all_solves_exact: bool,
-}
-
-impl dapc_local::RoundCost for GkmOutcome {
-    fn ledger(&self) -> &RoundLedger {
-        &self.ledger
-    }
 }
 
 /// Runs the GKM17 baseline on a packing or covering instance.
@@ -84,7 +80,7 @@ impl dapc_local::RoundCost for GkmOutcome {
 /// assert!(ilp.is_feasible(&out.assignment));
 /// assert!(out.value >= 6); // (1 − ε)·α(C18) = 0.7 · 9
 /// ```
-pub fn gkm_solve(ilp: &IlpInstance, params: &GkmParams, rng: &mut StdRng) -> GkmOutcome {
+pub fn gkm_solve(ilp: &IlpInstance, params: &GkmParams, rng: &mut StdRng) -> Outcome<GkmStats> {
     gkm_solve_cached(ilp, params, rng, None)
 }
 
@@ -97,14 +93,11 @@ pub fn gkm_solve_cached(
     params: &GkmParams,
     rng: &mut StdRng,
     cache: Option<&SharedSubsetCache>,
-) -> GkmOutcome {
+) -> Outcome<GkmStats> {
     let h = ilp.hypergraph();
     let n = h.n();
     let mut ledger = RoundLedger::new();
-    let mut solver = match cache {
-        Some(c) => SubsetSolver::with_shared(ilp, params.budget, c.clone()),
-        None => SubsetSolver::new(ilp, params.budget),
-    };
+    let mut solver = SubsetSolver::with_shared(ilp, params.budget, cache);
 
     // Network decomposition of H^{2k} (computed centrally; every round on
     // the power graph costs 2k rounds of H).
@@ -177,12 +170,14 @@ pub fn gkm_solve_cached(
     }
     let value = ilp.value(&assignment);
     debug_assert!(ilp.is_feasible(&assignment), "GKM output must be feasible");
-    GkmOutcome {
+    Outcome {
         assignment,
         value,
         ledger,
-        colors: nd.colors,
-        all_solves_exact: solver.all_exact,
+        stats: GkmStats {
+            colors: nd.colors,
+            all_solves_exact: solver.all_exact,
+        },
     }
 }
 
@@ -223,29 +218,16 @@ fn carve_cluster(
     list.clear();
     list.extend(ball.iter());
     list.sort_unstable();
+    let k = params.k;
     match ilp.sense() {
         Sense::Packing => {
             let (_, local, _) = solver.solve(list, None);
             // Windows [j, j+2] with j ≡ j0 (mod 3) inside [2, k−1].
-            let lo = 2usize.min(params.k.saturating_sub(1));
-            let mut j_star = lo;
-            let mut best = u64::MAX;
-            let mut j = lo;
-            while j + 2 <= params.k {
-                let w: u64 = (j..j + 3)
-                    .flat_map(|l| ball.level(l).iter())
-                    .filter(|&&v| local[v as usize])
-                    .map(|&v| ilp.weight(v))
-                    .sum();
-                if w < best {
-                    best = w;
-                    j_star = j;
-                    if w == 0 {
-                        break;
-                    }
-                }
-                j += 3;
-            }
+            let lo = 2usize.min(k.saturating_sub(1));
+            let starts = (lo..).step_by(3).take_while(|j| j + 2 <= k);
+            let j_star = ball
+                .lightest_window(starts, 3, solution_mass(ilp, local))
+                .unwrap_or(lo);
             // Commit the solution inside N^{j*}(S); zero the middle layer.
             for v in ball.within(j_star) {
                 if local[v as usize] {
@@ -265,32 +247,11 @@ fn carve_cluster(
             // were never satisfied. Hyperedge members span at most two
             // adjacent layers, so any window with j* ≥ 1 carves soundly;
             // prefer j* ≥ 3 (a non-trivial inner core) when k allows it.
-            let lo = if params.k >= 4 { 3 } else { 1 };
-            let mut j_star = lo;
-            let mut best = u64::MAX;
-            let mut j = lo;
-            while j < params.k {
-                let w: u64 = (j..=j + 1)
-                    .flat_map(|l| ball.level(l).iter())
-                    .filter(|&&v| local[v as usize])
-                    .map(|&v| ilp.weight(v))
-                    .sum();
-                if w < best {
-                    best = w;
-                    j_star = j;
-                    if w == 0 {
-                        break;
-                    }
-                }
-                j += 2;
-            }
+            let lo = if k >= 4 { 3 } else { 1 };
+            let j_star = ball
+                .lightest_window((lo..k).step_by(2), 2, solution_mass(ilp, local))
+                .unwrap_or(lo);
             // Fix the window, delete crossing hyperedges, solve inside.
-            for &v in ball.level(j_star) {
-                layer_of[v as usize] = 0;
-            }
-            for &v in ball.level(j_star + 1) {
-                layer_of[v as usize] = 1;
-            }
             for l in [j_star, j_star + 1] {
                 for &v in ball.level(l) {
                     if local[v as usize] {
@@ -299,16 +260,7 @@ fn carve_cluster(
                     }
                 }
             }
-            for &v in ball.level(j_star) {
-                for &e in h.incident_edges(v) {
-                    if alive_e[e as usize] && h.edge(e).iter().any(|&u| layer_of[u as usize] == 1) {
-                        alive_e[e as usize] = false;
-                    }
-                }
-            }
-            for &v in ball.level(j_star).iter().chain(ball.level(j_star + 1)) {
-                layer_of[v as usize] = u8::MAX;
-            }
+            cut_crossing_edges(h, &ball, j_star, alive_v, alive_e, layer_of);
             // Inner region: solve with fixed variables honoured.
             list.clear();
             list.extend(ball.within(j_star));
@@ -316,10 +268,7 @@ fn carve_cluster(
             for &v in list.iter() {
                 alive_v[v as usize] = false;
             }
-            let (_, inner_sol, _) = solver.solve(list, Some(fixed_one));
-            for &v in list.iter() {
-                assignment[v as usize] |= inner_sol[v as usize];
-            }
+            solver.solve_into([&list[..]], Some(fixed_one), assignment);
         }
     }
 }
@@ -374,7 +323,7 @@ mod tests {
         let params = GkmParams::new(0.3, 32.0, 0.2);
         let out = gkm_solve(&ilp, &params, &mut gen::seeded_rng(7));
         // Every colour phase costs at least k rounds.
-        assert!(out.rounds() >= params.k * out.colors as usize);
+        assert!(out.rounds() >= params.k * out.stats.colors as usize);
     }
 
     #[test]

@@ -34,6 +34,7 @@
 #![warn(missing_docs)]
 
 pub mod adapters;
+mod carve;
 pub mod covering;
 pub mod engine;
 pub mod ensemble;
@@ -44,7 +45,7 @@ pub mod prep;
 pub mod snapmagic;
 
 pub use adapters::{GraphProblem, GraphSolveResult};
-pub use covering::{approximate_covering, CoveringOutcome};
+pub use covering::approximate_covering;
 pub use engine::{SolveConfig, SolveReport, Solver};
-pub use packing::{approximate_packing, PackingOutcome};
+pub use packing::approximate_packing;
 pub use params::{PcParams, ScaleKnobs};

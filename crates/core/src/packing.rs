@@ -17,10 +17,17 @@
 //! Every deletion charges weight against the fixed unknown optimum `P*`,
 //! so `W(P*, D) ≤ ε·W*` whp (Lemmas 4.3–4.6) and the union of component
 //! optima is a (1 − ε)-approximation.
+//!
+//! The Grow-and-Carve step is the one every carving solver shares:
+//! `Preparation::draw_centers` samples the centres,
+//! [`dapc_graph::Ball::lightest_window`] picks the window,
+//! `SubsetSolver::solve_into` solves the final components, and the result
+//! is an [`Outcome`].
 
+use crate::carve::solution_mass;
+use crate::engine::Outcome;
 use crate::params::PcParams;
 use crate::prep::{prepare, Buckets, Preparation, SharedSubsetCache, SubsetSolver};
-use dapc_conc::dist::bernoulli;
 use dapc_graph::{BallScratch, Vertex};
 use dapc_ilp::instance::{IlpInstance, Sense};
 use dapc_ilp::restrict::IdBits;
@@ -42,25 +49,6 @@ pub struct PackingStats {
     pub components: usize,
     /// Whether every local solve proved optimality.
     pub all_solves_exact: bool,
-}
-
-/// Result of the Theorem 1.2 algorithm.
-#[derive(Clone, Debug)]
-pub struct PackingOutcome {
-    /// Feasible global 0/1 assignment.
-    pub assignment: Vec<bool>,
-    /// Its objective value `wᵀx`.
-    pub value: u64,
-    /// LOCAL round cost.
-    pub ledger: RoundLedger,
-    /// Phase accounting.
-    pub stats: PackingStats,
-}
-
-impl dapc_local::RoundCost for PackingOutcome {
-    fn ledger(&self) -> &RoundLedger {
-        &self.ledger
-    }
 }
 
 /// Runs the (1 − ε)-approximate packing algorithm on `ilp`.
@@ -88,7 +76,7 @@ pub fn approximate_packing(
     ilp: &IlpInstance,
     params: &PcParams,
     rng: &mut StdRng,
-) -> PackingOutcome {
+) -> Outcome<PackingStats> {
     approximate_packing_cached(ilp, params, rng, None)
 }
 
@@ -101,16 +89,13 @@ pub fn approximate_packing_cached(
     params: &PcParams,
     rng: &mut StdRng,
     cache: Option<&SharedSubsetCache>,
-) -> PackingOutcome {
+) -> Outcome<PackingStats> {
     assert_eq!(ilp.sense(), Sense::Packing, "expected a packing instance");
     let h = ilp.hypergraph();
     let n = h.n();
     let mut ledger = RoundLedger::new();
     let mut stats = PackingStats::default();
-    let mut solver = match cache {
-        Some(c) => SubsetSolver::with_shared(ilp, params.budget, c.clone()),
-        None => SubsetSolver::new(ilp, params.budget),
-    };
+    let mut solver = SubsetSolver::with_shared(ilp, params.budget, cache);
 
     // Preparation: independent decompositions + sampling weights.
     let primal = ilp.primal_graph();
@@ -141,16 +126,7 @@ pub fn approximate_packing_cached(
             format!("phase1/iter{i} carve")
         });
         ledger.charge_gather(b_i - 1);
-        let mut centers: Vec<&crate::prep::PrepCluster> = Vec::new();
-        for c in &prep.clusters {
-            if !c.members.iter().any(|&v| alive[v as usize]) {
-                continue; // cluster fully removed/deleted
-            }
-            let p = params.sampling_probability(i, c.w_local, c.w_neighborhood);
-            if bernoulli(rng, p) {
-                centers.push(c);
-            }
-        }
+        let centers = prep.draw_centers(params, i, &alive, rng);
         if is_phase2 {
             stats.centers_phase2 = centers.len();
         } else {
@@ -168,29 +144,11 @@ pub fn approximate_packing_cached(
             let ball = h.ball_with_scratch(&sources, b_i - 1, Some(&alive), None, &mut scratch);
             bits.sort_into(ball.iter(), &mut ball_list);
             let (_, local_solution, _) = solver.solve(&ball_list, None);
-            // Window weights: W(P^local, S_j ∪ S_{j+1} ∪ S_{j+2}) for
-            // j ≡ a_i (mod 3).
-            let window_weight = |j: usize| -> u64 {
-                (j..j + 3)
-                    .flat_map(|l| ball.level(l).iter())
-                    .filter(|&&v| local_solution[v as usize])
-                    .map(|&v| ilp.weight(v))
-                    .sum()
-            };
-            let mut j_star = a_i;
-            let mut best = u64::MAX;
-            let mut j = a_i;
-            while j < b_i {
-                let w = window_weight(j);
-                if w < best {
-                    best = w;
-                    j_star = j;
-                    if w == 0 {
-                        break;
-                    }
-                }
-                j += 3;
-            }
+            // The window S_j ∪ S_{j+1} ∪ S_{j+2}, j ≡ a_i (mod 3), of least
+            // local-solution weight W(P^local, ·).
+            let j_star = ball
+                .lightest_window((a_i..b_i).step_by(3), 3, solution_mass(ilp, local_solution))
+                .unwrap_or(a_i);
             for &v in ball.level(j_star + 1) {
                 to_delete[v as usize] = true;
             }
@@ -236,19 +194,14 @@ pub fn approximate_packing_cached(
     ledger.charge_gather(2 * (params.t + 2) * 3 * (params.r + 1));
     ledger.end_phase();
     let mut assignment = vec![false; n];
-    for component in Buckets::by_label(&comp, k).iter() {
-        let (_, local, _) = solver.solve(component, None);
-        for &v in component {
-            assignment[v as usize] |= local[v as usize];
-        }
-    }
+    solver.solve_into(Buckets::by_label(&comp, k).iter(), None, &mut assignment);
     stats.all_solves_exact = solver.all_exact;
     let value = ilp.value(&assignment);
     debug_assert!(
         ilp.is_feasible(&assignment),
         "packing output must be feasible"
     );
-    PackingOutcome {
+    Outcome {
         assignment,
         value,
         ledger,

@@ -56,6 +56,7 @@
 //! `K` takes `K`'s list and key too, so it folds no key of its own.
 
 use crate::params::PcParams;
+use dapc_conc::dist::bernoulli;
 use dapc_graph::{Graph, Hypergraph, Vertex};
 use dapc_ilp::hash::{fnv1a_128_u32, FNV128_OFFSET};
 use dapc_ilp::instance::{IlpInstance, Sense};
@@ -407,6 +408,31 @@ pub struct Preparation {
     pub all_exact: bool,
 }
 
+impl Preparation {
+    /// The centres of carving iteration `i`: every cluster that keeps an
+    /// alive member joins with [`PcParams::sampling_probability`], one
+    /// Bernoulli draw per such cluster, in cluster order.
+    pub(crate) fn draw_centers(
+        &self,
+        params: &PcParams,
+        i: usize,
+        alive: &[bool],
+        rng: &mut StdRng,
+    ) -> Vec<&PrepCluster> {
+        let mut centers = Vec::new();
+        for c in &self.clusters {
+            if !c.members.iter().any(|&v| alive[v as usize]) {
+                continue; // cluster fully removed/deleted
+            }
+            let p = params.sampling_probability(i, c.w_local, c.w_neighborhood);
+            if bernoulli(rng, p) {
+                centers.push(c);
+            }
+        }
+        centers
+    }
+}
+
 /// A memoising exact solver over vertex subsets of one instance — many
 /// clusters share their `S_C` (often the whole component), so the paper's
 /// "free local computation" stays affordable in simulation.
@@ -479,17 +505,17 @@ impl<'a> SubsetSolver<'a> {
         }
     }
 
-    /// Like [`SubsetSolver::new`], but consulting `shared` behind the
-    /// per-run memo. The shared cache must belong to the same
+    /// Like [`SubsetSolver::new`], but consulting `shared`, when given,
+    /// behind the per-run memo. The shared cache must belong to the same
     /// `(instance, budget)` family; results are identical with or without
     /// it (subset solves are deterministic), only the work is shared.
     pub fn with_shared(
         ilp: &'a IlpInstance,
         budget: SolverBudget,
-        shared: SharedSubsetCache,
+        shared: Option<&SharedSubsetCache>,
     ) -> Self {
         SubsetSolver {
-            shared: Some(shared),
+            shared: shared.cloned(),
             ..Self::new(ilp, budget)
         }
     }
@@ -534,6 +560,23 @@ impl<'a> SubsetSolver<'a> {
         let entry = &self.cache[&key];
         let global = self.lift.write(self.ilp.n(), vars, entry);
         (entry.value, global, entry.exact)
+    }
+
+    /// Solves every part exactly and ORs each optimum into `assignment`:
+    /// the last step of every carving solver, whose parts are regions the
+    /// carves detached from one another.
+    pub(crate) fn solve_into<'p>(
+        &mut self,
+        parts: impl IntoIterator<Item = &'p [Vertex]>,
+        fixed_ones: Option<&[bool]>,
+        assignment: &mut [bool],
+    ) {
+        for part in parts {
+            let (_, local, _) = self.solve(part, fixed_ones);
+            for &v in part {
+                assignment[v as usize] |= local[v as usize];
+            }
+        }
     }
 
     /// [`SubsetSolver::solve`] on a membership mask, listed in `O(n)`,
@@ -1511,10 +1554,10 @@ mod tests {
         let ilp = problems::max_independent_set_unweighted(&g);
         let shared = SharedSubsetCache::new();
         let mask = vec![true; 10];
-        let mut a = SubsetSolver::with_shared(&ilp, SolverBudget::default(), shared.clone());
+        let mut a = SubsetSolver::with_shared(&ilp, SolverBudget::default(), Some(&shared));
         let (v1, _, _) = a.solve_mask(&mask, None);
         assert_eq!((shared.hits(), shared.misses()), (0, 1));
-        let mut b = SubsetSolver::with_shared(&ilp, SolverBudget::default(), shared.clone());
+        let mut b = SubsetSolver::with_shared(&ilp, SolverBudget::default(), Some(&shared));
         let (v2, _, _) = b.solve_mask(&mask, None);
         assert_eq!(v1, v2);
         assert_eq!((shared.hits(), shared.misses()), (1, 1));
@@ -1540,11 +1583,8 @@ mod tests {
             let solvers: Vec<_> = (0..2)
                 .map(|_| {
                     s.spawn(|| {
-                        let mut solver = SubsetSolver::with_shared(
-                            &ilp,
-                            SolverBudget::default(),
-                            shared.clone(),
-                        );
+                        let mut solver =
+                            SubsetSolver::with_shared(&ilp, SolverBudget::default(), Some(&shared));
                         start.wait();
                         solver.solve(&all, None).0
                     })
@@ -1609,7 +1649,7 @@ mod tests {
         let cache = SharedSubsetCache::new();
         for k in 1..=9usize {
             let mask: Vec<bool> = (0..9).map(|v| v < k).collect();
-            let mut s = SubsetSolver::with_shared(&ilp, SolverBudget::default(), cache.clone());
+            let mut s = SubsetSolver::with_shared(&ilp, SolverBudget::default(), Some(&cache));
             s.solve_mask(&mask, None);
         }
         assert_eq!(cache.len(), 9);
@@ -1625,8 +1665,7 @@ mod tests {
         let bytes = |n: usize| {
             let ilp = problems::max_independent_set_unweighted(&gen::cycle(n));
             let cache = SharedSubsetCache::new();
-            let mut solver =
-                SubsetSolver::with_shared(&ilp, SolverBudget::default(), cache.clone());
+            let mut solver = SubsetSolver::with_shared(&ilp, SolverBudget::default(), Some(&cache));
             for start in 0..20 {
                 let path: Vec<Vertex> = (start..start + 5).collect();
                 let (value, global, exact) = solver.solve(&path, None);
@@ -1688,7 +1727,7 @@ mod tests {
         let params = PcParams::packing_scaled(0.3, 26.0, 0.05, 0.5);
         let run = |cache: &SharedSubsetCache| {
             let mut rng = gen::seeded_rng(4);
-            let mut solver = SubsetSolver::with_shared(&ilp, params.budget, cache.clone());
+            let mut solver = SubsetSolver::with_shared(&ilp, params.budget, Some(cache));
             let prep = prepare(&ilp, &h, &primal, &params, &mut rng, &mut solver);
             prep.clusters
                 .iter()
@@ -1793,12 +1832,12 @@ mod tests {
             params.prep_workers = workers;
             let cold = SharedSubsetCache::new();
             let mut rng = gen::seeded_rng(6);
-            let mut solver = SubsetSolver::with_shared(&ilp, params.budget, cold.clone());
+            let mut solver = SubsetSolver::with_shared(&ilp, params.budget, Some(&cold));
             let _ = prepare(&ilp, &h, &primal, &params, &mut rng, &mut solver);
             let after_cold = (cold.hits(), cold.misses());
             // Warm replay against the same family cache.
             let mut rng = gen::seeded_rng(6);
-            let mut solver = SubsetSolver::with_shared(&ilp, params.budget, cold.clone());
+            let mut solver = SubsetSolver::with_shared(&ilp, params.budget, Some(&cold));
             let _ = prepare(&ilp, &h, &primal, &params, &mut rng, &mut solver);
             counters.push((after_cold, (cold.hits(), cold.misses())));
         }

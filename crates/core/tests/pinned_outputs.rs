@@ -170,8 +170,8 @@ fn gkm_is_pinned() {
                 let out = gkm_solve(&ilp, &params, &mut gen::seeded_rng(seed));
                 let mut h = Digest::new();
                 h.solution(&out.assignment, out.value, &out.ledger);
-                h.eat(u64::from(out.colors));
-                h.eat(u64::from(out.all_solves_exact));
+                h.eat(u64::from(out.stats.colors));
+                h.eat(u64::from(out.stats.all_solves_exact));
                 got.push(h.0);
             }
         }
@@ -188,9 +188,9 @@ fn ensemble_is_pinned() {
             let out = packing_ensemble(&ilp, &params, Some(8), &mut gen::seeded_rng(seed));
             let mut h = Digest::new();
             h.solution(&out.assignment, out.value, &out.ledger);
-            h.list(out.candidate_values.iter().copied());
-            h.eat(out.reweighted_value);
-            h.eat(u64::from(out.all_solves_exact));
+            h.list(out.stats.candidate_values.iter().copied());
+            h.eat(out.stats.reweighted_value);
+            h.eat(u64::from(out.stats.all_solves_exact));
             h.0
         })
         .collect();

@@ -210,6 +210,11 @@ fn run_three_phase(
 ) -> ThreePhaseOutcome {
     let n = g.n();
     let mass = |v: usize| weights.map_or(1u64, |w| w[v]);
+    // A level's mass: its size, or its vertices' total weight.
+    let level_mass = |level: &[Vertex]| match weights {
+        None => level.len() as u64,
+        Some(w) => level.iter().map(|&v| w[v as usize]).sum(),
+    };
     let mut ledger = RoundLedger::new();
     let mut stats = ThreePhaseStats::default();
 
@@ -276,10 +281,13 @@ fn run_three_phase(
         let mut to_remove = vec![false; n];
         for &c in &centers {
             let ball = traversal::ball_with_scratch(g, &[c], b_i, Some(&active), &mut scratch);
-            let j_star = match weights {
-                None => sparsest_level(&ball, a_i, b_i),
-                Some(w) => lightest_level(&ball, a_i, b_i, w),
-            };
+            // The lightest level of [a_i, b_i]. Levels past the reached
+            // radius are empty, so a ball that dies before `a_i` yields
+            // `j* = a_i` with nothing deleted: the centre swallows its
+            // whole residual component.
+            let j_star = ball
+                .lightest_window(a_i..=b_i, 1, level_mass)
+                .unwrap_or(a_i);
             for &v in ball.level(j_star) {
                 to_delete[v as usize] = true;
             }
@@ -348,45 +356,6 @@ fn run_three_phase(
 /// stable label, so just use it (offset encoding keeps `Vertex` type).
 fn component_representative(comp: &[u32], v: usize) -> Vertex {
     comp[v]
-}
-
-/// Index `j* ∈ [a, b]` of the smallest level set (ties: smallest `j`).
-/// Levels past the reached radius are empty, so a ball that dies before
-/// `a` yields `j* = a` with nothing deleted — the centre swallows its
-/// whole residual component.
-fn sparsest_level(ball: &traversal::Ball, a: usize, b: usize) -> usize {
-    let mut best = a;
-    let mut best_size = ball.level(a).len();
-    for j in a + 1..=b {
-        let s = ball.level(j).len();
-        if s < best_size {
-            best = j;
-            best_size = s;
-            if s == 0 {
-                break;
-            }
-        }
-    }
-    best
-}
-
-/// Index `j* ∈ [a, b]` of the lightest level set by vertex mass
-/// (ties: smallest `j`).
-fn lightest_level(ball: &traversal::Ball, a: usize, b: usize, weights: &[u64]) -> usize {
-    let level_mass = |j: usize| -> u64 { ball.level(j).iter().map(|&v| weights[v as usize]).sum() };
-    let mut best = a;
-    let mut best_mass = level_mass(a);
-    for j in a + 1..=b {
-        let m = level_mass(j);
-        if m < best_mass {
-            best = j;
-            best_mass = m;
-            if m == 0 {
-                break;
-            }
-        }
-    }
-    best
 }
 
 /// Mass of `N^r(v)` for every alive vertex (vertex count when `weights`
@@ -717,15 +686,6 @@ mod tests {
     }
 
     #[test]
-    fn sparsest_level_picks_zero_when_ball_exhausted() {
-        let g = gen::path(5);
-        let ball = traversal::ball(&g, &[0], 10, None);
-        // Levels 5.. are empty.
-        assert_eq!(sparsest_level(&ball, 5, 8), 5);
-        assert_eq!(sparsest_level(&ball, 2, 3), 2);
-    }
-
-    #[test]
     fn weighted_unit_weights_match_unweighted_exactly() {
         // Same RNG stream → identical decomposition.
         let g = gen::gnp(150, 0.03, &mut gen::seeded_rng(90));
@@ -762,18 +722,5 @@ mod tests {
                 eps * total as f64
             );
         }
-    }
-
-    #[test]
-    fn weighted_carve_avoids_heavy_levels() {
-        // A path where one interval level is heavy: the lightest-level rule
-        // must never delete the heavy vertex when a lighter level is in
-        // range.
-        let g = gen::path(40);
-        let mut weights = vec![1u64; 40];
-        weights[20] = 1_000;
-        let ball = traversal::ball(&g, &[0], 30, None);
-        let j = lightest_level(&ball, 18, 24, &weights);
-        assert_ne!(j, 20, "heavy level must not be the lightest");
     }
 }

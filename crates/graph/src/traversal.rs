@@ -196,6 +196,31 @@ impl Ball {
     pub fn levels(&self) -> impl Iterator<Item = &[Vertex]> + '_ {
         (0..self.ends.len()).map(|j| self.level(j))
     }
+
+    /// The first of `starts` whose window of `width` levels
+    /// `S_j, …, S_{j+width−1}` has the least total `mass(level)`: the
+    /// window search of every Grow-and-Carve step, which carves where the
+    /// ball is lightest. Levels past the reached radius are empty, and a
+    /// zero-mass window stops the search, since nothing later can be
+    /// lighter. `None` when `starts` is empty.
+    pub fn lightest_window(
+        &self,
+        starts: impl IntoIterator<Item = usize>,
+        width: usize,
+        mut mass: impl FnMut(&[Vertex]) -> u64,
+    ) -> Option<usize> {
+        let mut best: Option<(usize, u64)> = None;
+        for j in starts {
+            let m: u64 = (j..j + width).map(|l| mass(self.level(l))).sum();
+            if best.is_none_or(|(_, b)| m < b) {
+                best = Some((j, m));
+                if m == 0 {
+                    break;
+                }
+            }
+        }
+        best.map(|(j, _)| j)
+    }
 }
 
 /// BFS distances from a single source. Unreachable vertices get
@@ -1038,6 +1063,63 @@ mod tests {
         let b = ball(&g, &[3], 3, None);
         let within1: Vec<_> = b.within(1).collect();
         assert_eq!(within1.len(), 3);
+    }
+
+    fn size(level: &[Vertex]) -> u64 {
+        level.len() as u64
+    }
+
+    #[test]
+    fn lightest_window_ties_go_to_the_earliest_start() {
+        // Level sizes 1, 2, 2, 2.
+        let b = ball(&gen::cycle(8), &[0], 3, None);
+        assert_eq!(b.lightest_window(1..=3, 1, size), Some(1));
+        assert_eq!(b.lightest_window([2, 1], 1, size), Some(2));
+        // Width-2 windows from 0, 1, 2 weigh 3, 4, 4.
+        assert_eq!(b.lightest_window(0..=2, 2, size), Some(0));
+    }
+
+    #[test]
+    fn lightest_window_stops_at_a_zero_mass_window() {
+        // One vertex per level; the level holding vertex 2 weighs nothing.
+        let b = ball(&gen::path(10), &[0], 9, None);
+        let mut seen = Vec::new();
+        let j = b.lightest_window(0..10, 1, |level| {
+            seen.push(level[0]);
+            u64::from(level[0] != 2 && level[0] != 5)
+        });
+        assert_eq!(j, Some(2));
+        assert_eq!(seen, [0, 1, 2], "no window after the zero one is weighed");
+    }
+
+    #[test]
+    fn lightest_window_reads_levels_past_the_radius_as_empty() {
+        let b = ball(&gen::path(5), &[0], 10, None);
+        assert_eq!(b.radius(), 4);
+        assert_eq!(b.lightest_window(5..=8, 1, size), Some(5));
+        assert_eq!(b.lightest_window(2..=3, 1, size), Some(2));
+        // The window from 3 holds levels 3, 4 and the empty level 5.
+        assert_eq!(b.lightest_window([0, 3], 3, size), Some(3));
+    }
+
+    #[test]
+    fn lightest_window_of_no_start_is_none() {
+        let b = ball(&gen::path(5), &[0], 4, None);
+        assert_eq!(b.lightest_window(3..3, 2, size), None);
+        assert_eq!(b.lightest_window((2..).step_by(3).take(0), 3, size), None);
+    }
+
+    #[test]
+    fn lightest_window_avoids_heavy_levels() {
+        // A path where one level of the interval is heavy: a lighter level
+        // in range is always preferred.
+        let mut weights = vec![1u64; 40];
+        weights[20] = 1_000;
+        let b = ball(&gen::path(40), &[0], 30, None);
+        let j = b.lightest_window(18..=24, 1, |level| {
+            level.iter().map(|&v| weights[v as usize]).sum()
+        });
+        assert_ne!(j, Some(20), "heavy level must not be the lightest");
     }
 
     #[test]

@@ -333,8 +333,8 @@ fn reference_optima(
         }
         let full = vec![true; inst.ilp.n()];
         let budget = corpus.base.budget;
-        let mut solver =
-            SubsetSolver::with_shared(&inst.ilp, budget, cache.family(&inst.ilp, &budget));
+        let family = cache.family(&inst.ilp, &budget);
+        let mut solver = SubsetSolver::with_shared(&inst.ilp, budget, Some(&family));
         let (opt, _, exact) = solver.solve_mask(&full, None);
         optima.insert(inst.name.clone(), (opt, exact));
     }

@@ -78,9 +78,8 @@ impl GroupStats {
                 self.fixed_weight = self.fixed_weight.max(s.fixed_weight);
                 self.deleted_edges = self.deleted_edges.max(s.deleted_edges);
             }
-            BackendStats::Gkm { .. }
-            | BackendStats::Ensemble { .. }
-            | BackendStats::Centralised { .. } => {}
+            BackendStats::Gkm(_) | BackendStats::Ensemble(_) | BackendStats::Centralised { .. } => {
+            }
         }
     }
 

@@ -198,11 +198,6 @@ impl Daemon {
         })
     }
 
-    /// The socket path this daemon serves on.
-    pub fn socket(&self) -> &Path {
-        &self.socket
-    }
-
     /// Serves connections until a [`Request::Shutdown`] arrives, then
     /// drains every queued and in-flight connection, removes the socket
     /// file and returns.

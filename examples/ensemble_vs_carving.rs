@@ -52,15 +52,10 @@ fn main() {
     let ilp = problems::max_independent_set_unweighted(&g);
     let cfg = SolveConfig::new().eps(eps).seed(99).ensemble_runs(10);
     let ens = ensemble.solve(&ilp, &cfg, &mut cfg.rng());
-    if let BackendStats::Ensemble {
-        candidate_values,
-        reweighted_value,
-        ..
-    } = &ens.stats
-    {
+    if let BackendStats::Ensemble(s) = &ens.stats {
         println!(
-            "candidates: {candidate_values:?} → best {} (re-weighted pass: {reweighted_value})",
-            ens.value
+            "candidates: {:?} → best {} (re-weighted pass: {})",
+            s.candidate_values, ens.value, s.reweighted_value
         );
     }
 }
