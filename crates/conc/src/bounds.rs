@@ -43,7 +43,7 @@ pub fn geometric_sum_upper(n: u64, p: f64, delta: f64) -> f64 {
     (-p * p * delta * n as f64 / 6.0).exp().min(1.0)
 }
 
-/// Lemma A.3 (Chernoff with bounded dependence, [Pem01]): for 0–1 summands
+/// Lemma A.3 (Chernoff with bounded dependence, \[Pem01\]): for 0–1 summands
 /// whose dependency graph has maximum degree `d` and `μ ≥ E[X]`,
 /// `Pr[X ≥ (1+δ)μ] ≤ O(d)·exp(−Ω(δ²μ/d))`.
 ///

@@ -1,7 +1,7 @@
 //! Empirical tail estimation for "with high probability" experiments.
 //!
 //! The headline difference between the paper's decomposition (Theorem 1.1)
-//! and the classical ones (Lemma C.1, [MPX13]) is not the expectation but
+//! and the classical ones (Lemma C.1, \[MPX13\]) is not the expectation but
 //! the *tail*: on the Appendix C families the classical algorithms exceed
 //! the `ε|V|` deletion budget with probability `Ω(ε)`. The experiments
 //! estimate such failure probabilities over many seeded trials; this module

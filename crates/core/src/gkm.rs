@@ -1,4 +1,4 @@
-//! The Ghaffari–Kuhn–Maus baseline (§1.2 of the paper, [GKM17]).
+//! The Ghaffari–Kuhn–Maus baseline (§1.2 of the paper, \[GKM17\]).
 //!
 //! The pre-existing state of the art that Theorems 1.2/1.3 improve upon:
 //! compute an `(O(log n), O(log n))` network decomposition of the power

@@ -174,8 +174,8 @@ const STRIPE_COUNT: usize = 16;
 /// and the hook [`prepare`] uses to shard one large instance's subset
 /// solves across workers.
 ///
-/// Internally the map is split into [`STRIPE_COUNT`] independently locked
-/// stripes selected by key bits. Entries are never evicted: a family
+/// Internally the map is split into `STRIPE_COUNT` (16) independently
+/// locked stripes selected by key bits. Entries are never evicted: a family
 /// cache holds every distinct subset solve it has seen. An entry is sized
 /// by its subset `S`, not by the instance: the value, the exact flag and
 /// one bit per vertex of `S` (see [`SharedSubsetCache::bytes`]).

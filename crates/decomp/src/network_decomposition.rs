@@ -6,7 +6,7 @@
 //! clusters share a colour. Repeating Lemma C.1 at `λ = 1/2` on the
 //! residual vertex set clusters a constant fraction per round; `O(log n)`
 //! rounds give `C = O(log n)` colours of diameter `O(log n)` clusters with
-//! probability `1 − 1/poly(n)` — the classical [LS93] bounds.
+//! probability `1 − 1/poly(n)` — the classical \[LS93\] bounds.
 
 use crate::elkin_neiman::{elkin_neiman, EnParams};
 use dapc_graph::{traversal, Graph, Vertex};

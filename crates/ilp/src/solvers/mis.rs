@@ -7,103 +7,63 @@
 //!
 //! # The search and its bounds
 //!
-//! Each search node holds the candidates `cand` still free to join the
-//! set and branches on the *last* heaviest candidate (the tie rule of
-//! `max_by_key`): first include it, then exclude it. The incumbent is
-//! replaced only on strict improvement, so the answer is the first node
-//! in DFS preorder that reaches the optimum. The branching rule is
-//! therefore part of the output contract: on ties, another rule returns
-//! another optimal set.
+//! The search starts from a greedy incumbent: the vertices in
+//! weight-descending order (the order `sort_unstable_by_key` leaves ties
+//! in), each taken when it is positive and not adjacent to one taken
+//! before. It then relabels the vertices heaviest first, ties to the
+//! higher index, and keeps every closed neighbourhood as `words`
+//! consecutive words of one flat array. Each search node holds the
+//! candidates `cand` still free to join the set and branches on the
+//! lowest candidate label, which is the *last* heaviest candidate in
+//! index order (the tie rule of `max_by_key`): first include it, then
+//! exclude it. The incumbent is replaced only on strict improvement, so
+//! the answer is the first node in DFS preorder that reaches the optimum.
+//! The greedy order and the branching rule are therefore part of the
+//! output contract: on ties, another rule returns another optimal set.
+//!
+//! Nothing is allocated per node. The candidates live in a depth-indexed
+//! stack: the include child writes `cand \ N[v]` into the next frame,
+//! and the exclude child clears `v` in its parent's frame and reuses it.
+//! The chosen labels are a stack too, and a new best set is copied into
+//! a buffer sized up front.
 //!
 //! Two bounds on what a node's subtree can still add prune it when they
 //! do not exceed `best − current`:
-//! - the remaining weight `Σ_{v ∈ cand} w(v)`;
-//! - a greedy clique cover of `cand`: each clique is seeded at the lowest
-//!   remaining candidate and grown by intersecting closed neighbourhoods.
-//!   An independent set holds at most one vertex per clique, so the sum
-//!   of the cliques' heaviest weights bounds the gain. The cover stops as
-//!   soon as the sum exceeds `best − current`, runs on two scratch bitsets
-//!   of the search, and is only evaluated when `current ≤ best` (a node
-//!   with `current > best` must update the incumbent).
+//! - the potential `Σ_{v ∈ cand} w(v)`. It is carried down, not summed:
+//!   the include child subtracts the weight of `cand ∩ N[v]`, the
+//!   exclude child `w(v)`;
+//! - a greedy clique cover of `cand`. Each clique is seeded at the
+//!   remaining candidate with the fewest neighbours among the remaining
+//!   candidates, ties to the lowest label, and grows by the lowest
+//!   remaining label adjacent to all its members. An independent set
+//!   holds at most one vertex per clique, so the sum of the cliques'
+//!   heaviest weights bounds the gain. A vertex with few neighbours left
+//!   can only join a small clique, so covering it first leaves the
+//!   well-connected candidates to larger ones, and the cover needs fewer
+//!   cliques than one seeded at the lowest label. The seed is one
+//!   trailing-zeros: the remaining candidates sit in per-degree bitsets,
+//!   and a vertex moves down one when a neighbour joins a clique. The
+//!   cover stops as soon as the sum exceeds `best − current`, runs on
+//!   scratch buffers of the search, and is only evaluated when
+//!   `current ≤ best` (a node with `current > best` must update the
+//!   incumbent).
 //!
 //! Why no output moves: a valid bound prunes a subtree only when no node
 //! in it can strictly beat the incumbent held at its root, so removing
 //! the subtree changes no later incumbent. The bounded search visits the
 //! unbounded tree minus those subtrees, with the same updates, and
-//! returns the same `(weight, set)` in at most as many nodes. The caveat
-//! is `node_limit`: a solve that exhausts it without the clique bound may
-//! finish with it, or stop at a different (never worse) incumbent.
+//! returns the same `(weight, set)` in at most as many nodes, whatever
+//! clique cover it draws. The relabelling moves no branch vertex, and the
+//! carried potential equals the summed one. The caveat is `node_limit`:
+//! a solve that exhausts it under one bound may finish under a tighter
+//! one, or stop at a different (never worse) incumbent. The
+//! fewest-neighbours seed may thus finish a solve that exhausted a limit
+//! under the lowest-label seed; no solve of the tables or the benchmark
+//! comes near the default limit of 5,000,000 nodes under either.
 
 use crate::solvers::SolverBudget;
 use dapc_graph::{Graph, Vertex};
-
-/// A dynamic bitset sized for `n` bits.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct Bits {
-    words: Vec<u64>,
-}
-
-impl Bits {
-    pub(crate) fn empty(n: usize) -> Self {
-        Bits {
-            words: vec![0; n.div_ceil(64)],
-        }
-    }
-
-    pub(crate) fn full(n: usize) -> Self {
-        let mut b = Bits::empty(n);
-        for i in 0..n {
-            b.set(i);
-        }
-        b
-    }
-
-    #[inline]
-    pub(crate) fn set(&mut self, i: usize) {
-        self.words[i / 64] |= 1 << (i % 64);
-    }
-
-    #[inline]
-    pub(crate) fn clear(&mut self, i: usize) {
-        self.words[i / 64] &= !(1 << (i % 64));
-    }
-
-    #[inline]
-    pub(crate) fn get(&self, i: usize) -> bool {
-        self.words[i / 64] >> (i % 64) & 1 == 1
-    }
-
-    pub(crate) fn and_not(&self, other: &Bits) -> Bits {
-        Bits {
-            words: self
-                .words
-                .iter()
-                .zip(&other.words)
-                .map(|(a, b)| a & !b)
-                .collect(),
-        }
-    }
-
-    #[allow(dead_code)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    pub(crate) fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut w = w;
-            std::iter::from_fn(move || {
-                if w == 0 {
-                    None
-                } else {
-                    let b = w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    Some(wi * 64 + b)
-                }
-            })
-        })
-    }
-}
+use std::cmp::Reverse;
 
 /// Result of an independent-set search.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -146,150 +106,265 @@ pub fn max_weight_independent_set(g: &Graph, weights: &[u64], budget: &SolverBud
         // benchmarks and keeps large-n experiments exact.
         return mwis_degree_two(g, weights);
     }
+    search(g, weights, greedy_incumbent(g, weights), budget.node_limit)
+}
+
+/// Runs the bounded search from `incumbent`. (Test builds swap in
+/// `tests::search`, which can run the reference search instead, and
+/// count the nodes.)
+#[cfg(not(test))]
+fn search(g: &Graph, weights: &[u64], incumbent: MisResult, node_limit: u64) -> MisResult {
+    Search::new(g, weights, node_limit).run(incumbent)
+}
+
+#[cfg(test)]
+use tests::search;
+
+/// The greedy incumbent: the vertices in weight-descending order, each
+/// taken when it is positive and not adjacent to one taken before.
+fn greedy_incumbent(g: &Graph, weights: &[u64]) -> MisResult {
     let n = g.n();
-    let closed: Vec<Bits> = (0..n)
-        .map(|v| {
-            let mut b = Bits::empty(n);
-            b.set(v);
-            for &u in g.neighbors(v as Vertex) {
-                b.set(u as usize);
-            }
-            b
-        })
-        .collect();
-    let mut ctx = SearchCtx {
-        weights,
-        closed: &closed,
-        best_weight: 0,
-        best_set: Bits::empty(n),
-        nodes_left: budget.node_limit,
-        exact: true,
-        rest: Bits::empty(n),
-        grow: Bits::empty(n),
-    };
-    // Greedy incumbent (weight-descending) to tighten pruning early.
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_unstable_by_key(|&v| std::cmp::Reverse(weights[v]));
-    let mut greedy = Bits::empty(n);
-    let mut greedy_w = 0u64;
-    let mut blocked = Bits::empty(n);
+    order.sort_unstable_by_key(|&v| Reverse(weights[v]));
+    let mut in_set = vec![false; n];
+    let mut blocked = vec![false; n];
+    let mut weight = 0u64;
     for v in order {
-        if !blocked.get(v) && weights[v] > 0 {
-            greedy.set(v);
-            greedy_w += weights[v];
-            for i in closed[v].iter_ones() {
-                blocked.set(i);
+        if !blocked[v] && weights[v] > 0 {
+            in_set[v] = true;
+            weight += weights[v];
+            for &u in g.neighbors(v as Vertex) {
+                blocked[u as usize] = true;
             }
         }
     }
-    ctx.best_weight = greedy_w;
-    ctx.best_set = greedy;
-    let mut chosen = Bits::empty(n);
-    let cand = Bits::full(n);
-    ctx.root(&cand, &mut chosen);
     MisResult {
-        in_set: (0..n).map(|v| ctx.best_set.get(v)).collect(),
-        weight: ctx.best_weight,
-        exact: ctx.exact,
+        in_set,
+        weight,
+        exact: true,
     }
 }
 
-struct SearchCtx<'a> {
-    weights: &'a [u64],
-    closed: &'a [Bits],
+/// The bounded search on labels. Label `l` is vertex `vertex[l]`, and
+/// the labels run heaviest first, ties to the higher index. A set of
+/// labels is `words` words, label `l` at bit `l % 64` of word `l / 64`.
+struct Search {
+    words: usize,
+    vertex: Vec<Vertex>,
+    /// Weight of each label.
+    weight: Vec<u64>,
+    /// Closed neighbourhood of each label, `words` words each.
+    closed: Vec<u64>,
+    /// The candidate stack: frame `d`, the `words` words from `d·words`,
+    /// holds the candidates of the node `d` inclusions deep.
+    cand: Vec<u64>,
+    /// The labels included on the path to the current node.
+    chosen: Vec<u32>,
+    /// The labels of the best set found, once it beats the incumbent.
+    best: Vec<u32>,
     best_weight: u64,
-    best_set: Bits,
     nodes_left: u64,
     exact: bool,
-    /// Scratch of the clique cover: candidates not yet in a clique.
-    rest: Bits,
-    /// Scratch of the clique cover: candidates adjacent to the whole
-    /// clique being grown.
-    grow: Bits,
+    cover: Cover,
 }
 
-impl SearchCtx<'_> {
-    /// Runs the search from the root. (Tests swap in the reference search
-    /// here and count its nodes.)
-    #[cfg(not(test))]
-    fn root(&mut self, cand: &Bits, chosen: &mut Bits) {
-        self.search(cand, chosen, 0);
+/// The label of the lowest set bit of the nonzero word `word` at index
+/// `wi`.
+#[inline]
+fn lowest(wi: usize, word: u64) -> usize {
+    wi * 64 + word.trailing_zeros() as usize
+}
+
+impl Search {
+    fn new(g: &Graph, weights: &[u64], node_limit: u64) -> Self {
+        let n = g.n();
+        let words = n.div_ceil(64);
+        let mut vertex: Vec<Vertex> = (0..n as Vertex).collect();
+        vertex.sort_unstable_by_key(|&v| Reverse((weights[v as usize], v)));
+        let mut label = vec![0; n];
+        for (l, &v) in vertex.iter().enumerate() {
+            label[v as usize] = l;
+        }
+        let mut closed = vec![0u64; n * words];
+        for (row, &v) in closed.chunks_exact_mut(words).zip(&vertex) {
+            for &u in std::iter::once(&v).chain(g.neighbors(v)) {
+                let l = label[u as usize];
+                row[l / 64] |= 1 << (l % 64);
+            }
+        }
+        // Each inclusion takes at least one candidate, so `n + 1` frames
+        // hold the deepest path. The root frame holds every label.
+        let mut cand = vec![0u64; (n + 1) * words];
+        for l in 0..n {
+            cand[l / 64] |= 1 << (l % 64);
+        }
+        Search {
+            words,
+            weight: vertex.iter().map(|&v| weights[v as usize]).collect(),
+            vertex,
+            closed,
+            cand,
+            chosen: Vec::with_capacity(n),
+            best: Vec::with_capacity(n),
+            best_weight: 0,
+            nodes_left: node_limit,
+            exact: true,
+            cover: Cover::new(n, words, g.max_degree()),
+        }
     }
 
-    fn search(&mut self, cand: &Bits, chosen: &mut Bits, current: u64) {
-        if self.nodes_left == 0 {
-            self.exact = false;
-            return;
+    /// Searches from the root and returns `incumbent`, replaced by the
+    /// best set found if that beats it.
+    fn run(&mut self, mut incumbent: MisResult) -> MisResult {
+        self.best_weight = incumbent.weight;
+        let potential = self.weight.iter().sum();
+        self.search(0, 0, potential);
+        if self.best_weight > incumbent.weight {
+            incumbent.in_set.fill(false);
+            for &l in &self.best {
+                incumbent.in_set[self.vertex[l as usize] as usize] = true;
+            }
+            incumbent.weight = self.best_weight;
         }
-        self.nodes_left -= 1;
-        // Bound: everything still in `cand` could join.
-        let potential: u64 = cand.iter_ones().map(|v| self.weights[v]).sum();
-        if current + potential <= self.best_weight {
-            return;
+        incumbent.exact = self.exact;
+        incumbent
+    }
+
+    /// Visits the node `depth` inclusions deep, worth `current`, whose
+    /// candidates (frame `depth`) weigh `potential`. Each turn of the
+    /// loop is one node: it includes the branch vertex in a recursive
+    /// child, then excludes it in place and turns to that child.
+    fn search(&mut self, depth: usize, current: u64, mut potential: u64) {
+        let w = self.words;
+        let frame = depth * w;
+        loop {
+            if self.nodes_left == 0 {
+                self.exact = false;
+                return;
+            }
+            self.nodes_left -= 1;
+            if current + potential <= self.best_weight {
+                return;
+            }
+            if current > self.best_weight {
+                self.best_weight = current;
+                self.best.clear();
+                self.best.extend_from_slice(&self.chosen);
+            } else if self.cover.fits(
+                &self.cand[frame..frame + w],
+                &self.closed,
+                &self.weight,
+                self.best_weight - current,
+            ) {
+                return;
+            }
+            // Branch vertex: the lowest label, the last heaviest candidate.
+            let here = &self.cand[frame..frame + w];
+            let Some(wi) = here.iter().position(|&c| c != 0) else {
+                return;
+            };
+            let v = lowest(wi, here[wi]);
+            let wv = self.weight[v];
+            if wv > 0 {
+                let (here, next) = self.cand[frame..].split_at_mut(w);
+                let closed = &self.closed[v * w..(v + 1) * w];
+                let mut taken = 0;
+                for (i, ((n, &c), &nb)) in next.iter_mut().zip(&*here).zip(closed).enumerate() {
+                    *n = c & !nb;
+                    let mut gone = c & nb;
+                    while gone != 0 {
+                        taken += self.weight[lowest(i, gone)];
+                        gone &= gone - 1;
+                    }
+                }
+                self.chosen.push(v as u32);
+                self.search(depth + 1, current + wv, potential - taken);
+                self.chosen.pop();
+            }
+            self.cand[frame + wi] &= !(1 << (v % 64));
+            potential -= wv;
         }
-        if current > self.best_weight {
-            self.best_weight = current;
-            self.best_set = chosen.clone();
-        } else if self.clique_cover_fits(cand, self.best_weight - current) {
-            return;
+    }
+}
+
+/// The clique cover's scratch: the candidates not yet in a clique, those
+/// adjacent to every member of the clique being grown, each remaining
+/// candidate's degree among the remaining ones, and the remaining
+/// candidates of each degree (`words` words per degree).
+struct Cover {
+    rest: Vec<u64>,
+    grow: Vec<u64>,
+    degree: Vec<u32>,
+    by_degree: Vec<u64>,
+    /// No remaining candidate has a lower degree.
+    low: u32,
+}
+
+impl Cover {
+    fn new(n: usize, words: usize, max_degree: usize) -> Self {
+        Cover {
+            rest: vec![0; words],
+            grow: vec![0; words],
+            degree: vec![0; n],
+            by_degree: vec![0; (max_degree + 1) * words],
+            low: 0,
         }
-        // Branch vertex: the last heaviest candidate.
-        let Some(v) = cand.iter_ones().max_by_key(|&v| self.weights[v]) else {
-            return;
-        };
-        // Include v.
-        if self.weights[v] > 0 {
-            let next = cand.and_not(&self.closed[v]);
-            chosen.set(v);
-            self.search(&next, chosen, current + self.weights[v]);
-            chosen.clear(v);
-        }
-        // Exclude v.
-        let mut without = cand.clone();
-        without.clear(v);
-        self.search(&without, chosen, current);
     }
 
     /// Whether a greedy clique cover of `cand` bounds the weight of its
     /// independent sets by at most `limit`. Each clique starts at the
-    /// lowest candidate left and takes the lowest candidate adjacent to
-    /// all its members until none is; the cliques' heaviest weights are
-    /// summed until the sum exceeds `limit`.
-    fn clique_cover_fits(&mut self, cand: &Bits, limit: u64) -> bool {
-        let (rest, grow) = (&mut self.rest.words, &mut self.grow.words);
-        rest.copy_from_slice(&cand.words);
-        let mut total = 0u64;
-        // Every clique member is at or above its seed, so the words below
-        // the seed's are already empty in `rest` and never read in `grow`.
-        let mut wi = 0;
-        while wi < rest.len() {
-            if rest[wi] == 0 {
-                wi += 1;
-                continue;
+    /// remaining candidate with the fewest remaining neighbours (ties to
+    /// the lowest label) and takes the lowest remaining candidate
+    /// adjacent to all its members until none is; the cliques' heaviest
+    /// weights are summed until the sum exceeds `limit`.
+    fn fits(&mut self, cand: &[u64], closed: &[u64], weight: &[u64], limit: u64) -> bool {
+        let w = cand.len();
+        self.rest.copy_from_slice(cand);
+        self.by_degree.fill(0);
+        self.low = u32::MAX;
+        let mut remaining = 0;
+        for (wi, &word) in cand.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let u = lowest(wi, bits);
+                bits &= bits - 1;
+                let row = &closed[u * w..(u + 1) * w];
+                let common = row.iter().zip(cand).map(|(c, r)| c & r);
+                // Less `u` itself, which its closed neighbourhood holds.
+                let d = common.map(u64::count_ones).sum::<u32>() - 1;
+                self.degree[u] = d;
+                self.by_degree[d as usize * w + wi] |= 1 << (u % 64);
+                self.low = self.low.min(d);
+                remaining += 1;
             }
-            let seed = wi * 64 + rest[wi].trailing_zeros() as usize;
-            rest[wi] &= rest[wi] - 1;
-            let mut heaviest = self.weights[seed];
-            for (g, (r, c)) in grow[wi..]
-                .iter_mut()
-                .zip(rest[wi..].iter().zip(&self.closed[seed].words[wi..]))
-            {
+        }
+        let mut total = 0u64;
+        while remaining > 0 {
+            let seed = loop {
+                let at = self.low as usize * w;
+                let set = &self.by_degree[at..at + w];
+                if let Some(wi) = set.iter().position(|&b| b != 0) {
+                    break lowest(wi, set[wi]);
+                }
+                self.low += 1;
+            };
+            self.leave(seed, closed);
+            remaining -= 1;
+            let mut heaviest = weight[seed];
+            let row = &closed[seed * w..(seed + 1) * w];
+            for ((g, &r), &c) in self.grow.iter_mut().zip(&self.rest).zip(row) {
                 *g = r & c;
             }
-            let mut gi = wi;
-            while gi < grow.len() {
-                if grow[gi] == 0 {
-                    gi += 1;
-                    continue;
-                }
-                let low = grow[gi] & grow[gi].wrapping_neg();
-                let u = gi * 64 + low.trailing_zeros() as usize;
-                rest[gi] &= !low;
-                heaviest = heaviest.max(self.weights[u]);
-                for (g, c) in grow[gi..].iter_mut().zip(&self.closed[u].words[gi..]) {
+            while let Some(gi) = self.grow.iter().position(|&g| g != 0) {
+                let u = lowest(gi, self.grow[gi]);
+                self.leave(u, closed);
+                remaining -= 1;
+                heaviest = heaviest.max(weight[u]);
+                let row = &closed[u * w..(u + 1) * w];
+                for (g, &c) in self.grow.iter_mut().zip(row) {
                     *g &= c;
                 }
-                grow[gi] &= !low;
+                self.grow[gi] &= !(1 << (u % 64));
             }
             total += heaviest;
             if total > limit {
@@ -297,6 +372,27 @@ impl SearchCtx<'_> {
             }
         }
         true
+    }
+
+    /// Takes `u` out of the remaining candidates: off its degree's set,
+    /// and each remaining neighbour one degree down.
+    fn leave(&mut self, u: usize, closed: &[u64]) {
+        let w = self.rest.len();
+        self.rest[u / 64] &= !(1 << (u % 64));
+        self.by_degree[self.degree[u] as usize * w + u / 64] &= !(1 << (u % 64));
+        let row = &closed[u * w..(u + 1) * w];
+        for (wi, (&c, &r)) in row.iter().zip(&self.rest).enumerate() {
+            let mut bits = c & r;
+            while bits != 0 {
+                let x = lowest(wi, bits);
+                bits &= bits - 1;
+                let d = self.degree[x] as usize;
+                self.by_degree[d * w + wi] &= !(1 << (x % 64));
+                self.by_degree[(d - 1) * w + wi] |= 1 << (x % 64);
+                self.degree[x] -= 1;
+                self.low = self.low.min(self.degree[x]);
+            }
+        }
     }
 }
 
@@ -530,45 +626,74 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::RngExt;
 
-    impl SearchCtx<'_> {
-        pub(super) fn root(&mut self, cand: &Bits, chosen: &mut Bits) {
-            let before = self.nodes_left;
-            if probe::reference() {
-                self.reference_search(cand, chosen, 0);
-            } else {
-                self.search(cand, chosen, 0);
-            }
-            probe::record(before - self.nodes_left);
-        }
+    /// The search of test builds: the bounded search, or the reference
+    /// when [`probe::reference`] is on, with the nodes it visited
+    /// recorded.
+    pub(super) fn search(
+        g: &Graph,
+        weights: &[u64],
+        incumbent: MisResult,
+        node_limit: u64,
+    ) -> MisResult {
+        let (result, nodes_left) = if probe::reference() {
+            let mut r = Reference {
+                g,
+                weights,
+                best: incumbent,
+                nodes_left: node_limit,
+            };
+            r.search(&vec![true; g.n()], &mut vec![false; g.n()], 0);
+            (r.best, r.nodes_left)
+        } else {
+            let mut s = Search::new(g, weights, node_limit);
+            (s.run(incumbent), s.nodes_left)
+        };
+        probe::record(node_limit - nodes_left);
+        result
+    }
 
-        /// The search without the clique-cover bound: the reference the
-        /// bounded search must reproduce.
-        fn reference_search(&mut self, cand: &Bits, chosen: &mut Bits, current: u64) {
+    /// The search without the clique-cover bound, on the original
+    /// indices, with fresh candidate sets at every node and the potential
+    /// summed there: the reference the bounded search must reproduce.
+    struct Reference<'a> {
+        g: &'a Graph,
+        weights: &'a [u64],
+        best: MisResult,
+        nodes_left: u64,
+    }
+
+    impl Reference<'_> {
+        fn search(&mut self, cand: &[bool], chosen: &mut [bool], current: u64) {
             if self.nodes_left == 0 {
-                self.exact = false;
+                self.best.exact = false;
                 return;
             }
             self.nodes_left -= 1;
-            let potential: u64 = cand.iter_ones().map(|v| self.weights[v]).sum();
-            if current + potential <= self.best_weight {
+            let ones = || (0..cand.len()).filter(|&v| cand[v]);
+            let potential: u64 = ones().map(|v| self.weights[v]).sum();
+            if current + potential <= self.best.weight {
                 return;
             }
-            if current > self.best_weight {
-                self.best_weight = current;
-                self.best_set = chosen.clone();
+            if current > self.best.weight {
+                self.best.weight = current;
+                self.best.in_set = chosen.to_vec();
             }
-            let Some(v) = cand.iter_ones().max_by_key(|&v| self.weights[v]) else {
+            let Some(v) = ones().max_by_key(|&v| self.weights[v]) else {
                 return;
             };
             if self.weights[v] > 0 {
-                let next = cand.and_not(&self.closed[v]);
-                chosen.set(v);
-                self.reference_search(&next, chosen, current + self.weights[v]);
-                chosen.clear(v);
+                let mut next = cand.to_vec();
+                next[v] = false;
+                for &u in self.g.neighbors(v as Vertex) {
+                    next[u as usize] = false;
+                }
+                chosen[v] = true;
+                self.search(&next, chosen, current + self.weights[v]);
+                chosen[v] = false;
             }
-            let mut without = cand.clone();
-            without.clear(v);
-            self.reference_search(&without, chosen, current);
+            let mut without = cand.to_vec();
+            without[v] = false;
+            self.search(&without, chosen, current);
         }
     }
 
@@ -662,29 +787,87 @@ mod tests {
     #[test]
     fn benchmark_mis_solves_visit_pinned_node_counts() {
         // The dominant whole-instance MWIS solves of the `ilp_cold`
-        // benchmark. A change to the search or its bounds that moves a
-        // count updates the pin and says why.
-        let gnp = gen::gnp(44, 0.07, &mut gen::seeded_rng(0x9e37_79ba));
-        for (g, pinned) in [(gnp, 3347), (gen::grid(6, 7), 1)] {
-            let sub = whole(&problems::max_independent_set_unweighted(&g));
+        // benchmark, whose gnp and 4-regular graphs draw from seed
+        // 0x9e37_79b9 plus one to three. A change to the search or its
+        // bounds that moves a count updates the pin and says why.
+        // - gnp44: 3,347 nodes when each clique was seeded at the lowest
+        //   label; seeded at the fewest neighbours, the cover proves the
+        //   optimum 21 far sooner.
+        // - reg4: 471 under the lowest-label seed, for the same reason.
+        // - VC/gnp32 (a vertex cover solve, which runs the MWIS search on
+        //   the same graph): 37 under either seed; other seed rules read
+        //   more (one read 153).
+        // - grid 6×7: the greedy incumbent is optimal and the root's cover
+        //   proves it.
+        let rng = |k: u64| gen::seeded_rng(0x9e37_79b9 + k);
+        let gnp = gen::gnp(44, 0.07, &mut rng(1));
+        let reg4 = gen::random_regular(40, 4, &mut rng(2));
+        let vc_gnp = gen::gnp(32, 0.1, &mut rng(3));
+        let (mis, vc) = (
+            problems::max_independent_set_unweighted,
+            problems::min_vertex_cover_unweighted,
+        );
+        let solves = [
+            ("gnp44", mis(&gnp), 121),
+            ("reg4", mis(&reg4), 153),
+            ("VC/gnp32", vc(&vc_gnp), 37),
+            ("grid", mis(&gen::grid(6, 7)), 1),
+        ];
+        for (name, ilp, pinned) in solves {
+            let sub = whole(&ilp);
             let (sol, nodes) = probe::run(false, || solvers::solve(&sub, &SolverBudget::default()));
             assert!(sol.exact);
-            assert_eq!(nodes, pinned, "{g}");
+            assert_eq!(nodes, pinned, "{name}");
         }
     }
 
+    /// The graphs of `the_seeded_corpus_reproduces_the_reference`: the
+    /// whole-instance graphs of the benchmark's `ilp_cold` and of the
+    /// tables' E3 and E5 that reach the search, then seeded gnp,
+    /// random-regular and grid graphs.
+    fn corpus() -> Vec<Graph> {
+        let rng = gen::seeded_rng;
+        let bench = 0x9e37_79b9;
+        let mut graphs = vec![
+            gen::grid(6, 7),
+            gen::gnp(44, 0.07, &mut rng(bench + 1)),
+            gen::random_regular(40, 4, &mut rng(bench + 2)),
+            gen::gnp(32, 0.1, &mut rng(bench + 3)),
+            gen::gnp(44, 0.07, &mut rng(1)),
+            gen::random_tree(42, &mut rng(2)),
+            gen::random_regular(40, 4, &mut rng(3)),
+            gen::gnp(36, 0.08, &mut rng(4)),
+            gen::gnp(32, 0.1, &mut rng(8)),
+            gen::gnp(28, 0.11, &mut rng(9)),
+        ];
+        let mut rng = rng(29);
+        for i in 0..4 {
+            let n = 24 + 4 * i;
+            graphs.push(gen::gnp(n, 3.0 / n as f64, &mut rng));
+            graphs.push(gen::random_regular(n, 3 + i % 2, &mut rng));
+            graphs.push(gen::grid(3 + i, 5 + i));
+        }
+        graphs
+    }
+
     #[test]
-    fn bits_basics() {
-        let mut b = Bits::empty(130);
-        b.set(0);
-        b.set(64);
-        b.set(129);
-        assert!(b.get(64));
-        assert!(!b.get(65));
-        assert_eq!(b.iter_ones().collect::<Vec<_>>(), vec![0, 64, 129]);
-        b.clear(64);
-        assert_eq!(b.iter_ones().count(), 2);
-        assert!(!Bits::full(3).is_empty());
+    fn the_seeded_corpus_reproduces_the_reference() {
+        // Each corpus graph with unit and with random weights: every
+        // bounded solve returns the reference's weight and set. The
+        // summed node count is pinned; it was 14,162 when each clique
+        // was seeded at the lowest label.
+        let mut rng = gen::seeded_rng(31);
+        let mut total = 0;
+        for g in corpus() {
+            let random = (0..g.n()).map(|_| rng.random_range(1..21)).collect();
+            for w in [vec![1; g.n()], random] {
+                let mis = whole(&problems::max_independent_set(&g, w));
+                let (sol, nodes, _) = probe::check(&mis, &SolverBudget::unlimited());
+                assert!(sol.exact, "{g}");
+                total += nodes;
+            }
+        }
+        assert_eq!(total, 3608);
     }
 
     #[test]
