@@ -61,7 +61,7 @@ use dapc_graph::{Graph, Hypergraph, Vertex};
 use dapc_ilp::hash::{fnv1a_128_u32, FNV128_OFFSET};
 use dapc_ilp::instance::{IlpInstance, Sense};
 use dapc_ilp::restrict::{self, IdBits, RestrictScratch};
-use dapc_ilp::solvers::{self, SolverBudget};
+use dapc_ilp::solvers::{self, SolveScratch, SolverBudget};
 use rand::rngs::StdRng;
 // dapc-allow(hash-iter): digest-keyed lookup caches and dedup sets only; no
 // dapc-allow(hash-iter): map is iterated into an output or a persisted byte
@@ -451,6 +451,8 @@ pub struct SubsetSolver<'a> {
     shared: Option<SharedSubsetCache>,
     /// Restriction buffers shared by every solve of this solver.
     scratch: RestrictScratch,
+    /// Exact-solve buffers shared by every solve of this solver.
+    solve_scratch: SolveScratch,
     /// The global view of the last solution handed out.
     lift: Lift,
     /// Whether every solve so far was exact.
@@ -500,6 +502,7 @@ impl<'a> SubsetSolver<'a> {
             cache: HashMap::new(),
             shared: None,
             scratch: RestrictScratch::new(),
+            solve_scratch: SolveScratch::new(),
             lift: Lift::default(),
             all_exact: true,
         }
@@ -616,6 +619,7 @@ impl<'a> SubsetSolver<'a> {
             cache,
             shared,
             scratch,
+            solve_scratch,
             all_exact,
             ..
         } = self;
@@ -624,14 +628,14 @@ impl<'a> SubsetSolver<'a> {
             // Shared hits must still feed `all_exact` — the inexact miss
             // that populated the entry may have happened in a different run.
             let entry = match shared.as_ref().map(|s| (s, s.lookup(key))) {
-                None => solve_subset(ilp, budget, vars, fixed_ones, scratch),
+                None => solve_subset(ilp, budget, vars, fixed_ones, scratch, solve_scratch),
                 Some((shared, Lookup::Hit(hit))) => {
                     shared.record_hit();
                     hit
                 }
                 Some((shared, Lookup::Claimed(claim))) => {
                     shared.record_miss();
-                    let out = solve_subset(ilp, budget, vars, fixed_ones, scratch);
+                    let out = solve_subset(ilp, budget, vars, fixed_ones, scratch, solve_scratch);
                     claim.fill(out.clone());
                     out
                 }
@@ -643,18 +647,20 @@ impl<'a> SubsetSolver<'a> {
 }
 
 /// The memo-free core of one exact subset solve: restrict into the
-/// scratch, dispatch to the exact solvers, and pack the solution into a
-/// bitset over the positions of `vars`. A pure function of its arguments
-/// (the exact solvers draw no randomness; the scratch only lends
-/// buffers), costing `O(|S|)` around the restriction and the search —
-/// both the memoising [`SubsetSolver`] and the sharded annotation
-/// workers bottom out here.
+/// restriction scratch, solve into the solve scratch, and pack the
+/// solution into a bitset over the positions of `vars`. A pure function
+/// of its arguments (the exact solvers draw no randomness; the scratches
+/// only lend buffers), costing `O(|S|)` around the restriction and the
+/// search. With both scratches warm, a path or cycle solve allocates
+/// only the entry's bitset. Both the memoising [`SubsetSolver`] and the
+/// sharded annotation workers bottom out here.
 fn solve_subset(
     ilp: &IlpInstance,
     budget: &SolverBudget,
     vars: &[Vertex],
     fixed_ones: Option<&[bool]>,
     scratch: &mut RestrictScratch,
+    solve_scratch: &mut SolveScratch,
 ) -> SubsetEntry {
     // Every memoising caller bottoms out here, so this one span covers
     // exact subset solves wherever they run. On a sharded annotation
@@ -665,7 +671,7 @@ fn solve_subset(
         Sense::Packing => restrict::packing_restriction_list(ilp, vars, scratch),
         Sense::Covering => restrict::covering_restriction_list(ilp, vars, fixed_ones, scratch),
     };
-    let sol = solvers::solve(sub, budget);
+    let sol = solvers::solve_with(sub, budget, solve_scratch);
     // The sub-instance's variables are `vars` without the fixed ones, in
     // order, so one merge walk finds each one's position in `vars`.
     let mut bits = vec![0u64; vars.len().div_ceil(64)].into_boxed_slice();
@@ -1126,8 +1132,9 @@ pub fn prepare(
 /// would — parallelism changes wall-clock time, never the work done. The
 /// worklist stores vertex lists (ball-sized), not `n`-length masks, so
 /// fan-out memory is proportional to the balls themselves. Each pump
-/// keeps one restriction scratch for all its solves, which run under the
-/// solver's own budget — the one every sequential lookup would use.
+/// keeps one restriction scratch and one solve scratch for all its
+/// solves, which run under the solver's own budget — the one every
+/// sequential lookup would use.
 ///
 /// If a family cache is attached, workers look keys up *uncounted*,
 /// claiming and filling the ones no thread has solved (single-flight, as
@@ -1183,13 +1190,23 @@ fn shard_subset_solves(
             let next = Arc::clone(&next);
             s.spawn(move || {
                 let mut scratch = RestrictScratch::new();
+                let mut solve_scratch = SolveScratch::new();
                 loop {
                     // ordering: Relaxed — fetch_add only claims unique worklist indices; no data rides on it
                     let index = next.fetch_add(1, Ordering::Relaxed);
                     let Some((key, vertices)) = worklist.get(index) else {
                         break;
                     };
-                    let mut solve = || solve_subset(&owned, &budget, vertices, None, &mut scratch);
+                    let mut solve = || {
+                        solve_subset(
+                            &owned,
+                            &budget,
+                            vertices,
+                            None,
+                            &mut scratch,
+                            &mut solve_scratch,
+                        )
+                    };
                     let result = match shared.as_ref().map(|c| c.lookup(*key)) {
                         None => (solve(), true),
                         Some(Lookup::Hit(entry)) => (entry, false),

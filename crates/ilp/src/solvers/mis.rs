@@ -1,9 +1,33 @@
-//! Exact maximum-weight independent set via bitset branch & bound.
+//! Exact maximum-weight independent set: a linear-time DP on paths and
+//! cycles, and a bitset branch & bound on everything else.
 //!
 //! Independent set is the canonical packing problem of the paper (§1.4.2
 //! presents the whole packing machinery through MIS), and every carve /
 //! cluster step needs optimal local independent sets. This solver handles
 //! the conflict-graph form: pairwise constraints only.
+//!
+//! # Paths and cycles
+//!
+//! Almost every exact solve of the benchmarks and tables is on a graph of
+//! maximum degree two. `PathsAndCycles` holds one as per-vertex,
+//! two-slot neighbour lists, ascending, with every buffer of its DP; the
+//! pairwise routes of [`super`] fill it straight from the rows, and
+//! [`max_weight_independent_set`] from a CSR graph's lists. The DP visits
+//! the vertices in index order and walks each new component into an
+//! ordered list:
+//! - a path from the end that a walk from its lowest vertex towards that
+//!   vertex's last neighbour reaches, then on to the first unvisited
+//!   neighbour at each step;
+//! - a cycle from its lowest vertex, the same way round.
+//!
+//! Along a path it keeps, per vertex, the best weight with and without
+//! it, and takes a vertex on the way back only when taking it is strictly
+//! better. A cycle is two path DPs: without its first vertex, and with it
+//! (its two neighbours out); the second wins only when strictly heavier.
+//! The walk's start and direction and these strict comparisons decide
+//! which of several optimal sets comes back, so they are part of the
+//! output contract, as the search's branching rule is below. Nothing is
+//! allocated once the buffers have served a graph as large.
 //!
 //! # The search and its bounds
 //!
@@ -79,10 +103,11 @@ pub struct MisResult {
 
 /// Maximum-weight independent set of `g` with the given weights.
 ///
-/// Branch & bound over candidate bitsets: branch on the last heaviest
-/// candidate vertex, prune with the remaining-weight and clique-cover
-/// bounds (see the [module docs](self)). `budget.node_limit` caps the
-/// search tree (`u64::MAX` means "run to optimality").
+/// At maximum degree two, the linear-time DP on paths and cycles.
+/// Otherwise branch & bound over candidate bitsets: branch on the last
+/// heaviest candidate vertex, prune with the remaining-weight and
+/// clique-cover bounds (see the [module docs](self)). `budget.node_limit`
+/// caps the search tree (`u64::MAX` means "run to optimality").
 ///
 /// # Panics
 ///
@@ -101,9 +126,6 @@ pub struct MisResult {
 pub fn max_weight_independent_set(g: &Graph, weights: &[u64], budget: &SolverBudget) -> MisResult {
     assert_eq!(weights.len(), g.n());
     if g.max_degree() <= 2 {
-        // Disjoint paths and cycles: exact linear-time DP. This is the
-        // common case for carved cluster sub-instances of cycle/path
-        // benchmarks and keeps large-n experiments exact.
         return mwis_degree_two(g, weights);
     }
     search(g, weights, greedy_incumbent(g, weights), budget.node_limit)
@@ -396,84 +418,156 @@ impl Cover {
     }
 }
 
-/// Exact MWIS on graphs of maximum degree ≤ 2 (disjoint unions of paths
-/// and cycles) by dynamic programming, linear time. One walk buffer and
-/// one set of DP buffers serve every component.
+/// Exact MWIS on a graph of maximum degree ≤ 2: its CSR lists copied
+/// into [`PathsAndCycles`]' slots, then the one DP.
 fn mwis_degree_two(g: &Graph, weights: &[u64]) -> MisResult {
-    let n = g.n();
-    let mut in_set = vec![false; n];
-    let mut total = 0u64;
-    let mut visited = vec![false; n];
-    let mut order: Vec<Vertex> = Vec::new();
-    let mut dp = PathDp::default();
-    for s in 0..n as Vertex {
-        if visited[s as usize] {
-            continue;
-        }
-        // Trace the component as an ordered walk. Paths start at an end;
-        // cycles start at `s`.
-        let start = path_end(g, s).unwrap_or(s);
-        order.clear();
-        order.push(start);
-        visited[start as usize] = true;
-        let mut prev = start;
-        let mut cur = start;
-        loop {
-            let next = g
-                .neighbors(cur)
-                .iter()
-                .copied()
-                .find(|&w| w != prev && !visited[w as usize]);
-            match next {
-                Some(w) => {
-                    visited[w as usize] = true;
-                    order.push(w);
-                    prev = cur;
-                    cur = w;
-                }
-                None => break,
-            }
-        }
-        let is_cycle = order.len() >= 3 && g.has_edge(*order.last().unwrap(), start);
-        if is_cycle {
-            // Case A: exclude the first vertex; DP on the rest as a path.
-            let wa = dp.solve(&order[1..], weights, 0);
-            // Case B: include the first vertex; its two cycle neighbours
-            // (order[1] and order.last()) are forced out.
-            let inner = &order[2..order.len() - 1];
-            let wb = dp.solve(inner, weights, 1) + weights[start as usize];
-            if wb > wa {
-                in_set[start as usize] = true;
-                dp.mark(1, inner, &mut in_set);
-                total += wb;
-            } else {
-                dp.mark(0, &order[1..], &mut in_set);
-                total += wa;
-            }
-        } else {
-            total += dp.solve(&order, weights, 0);
-            dp.mark(0, &order, &mut in_set);
+    let mut paths = PathsAndCycles::default();
+    paths.reset(weights.iter().copied());
+    for (v, slot) in paths.slots.iter_mut().enumerate() {
+        for (s, &u) in slot.iter_mut().zip(g.neighbors(v as Vertex)) {
+            *s = u;
         }
     }
+    let weight = paths.solve();
     MisResult {
-        in_set,
-        weight: total,
+        in_set: paths.in_set,
+        weight,
         exact: true,
     }
+}
+
+/// An empty neighbour slot.
+const NONE: Vertex = Vertex::MAX;
+
+/// A graph of maximum degree two (disjoint paths and cycles) as
+/// per-vertex, two-slot neighbour lists, ascending, with the buffers of
+/// its MWIS DP (see the module docs). Every buffer keeps its capacity
+/// from graph to graph, so a warm one allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct PathsAndCycles {
+    /// Each vertex's neighbours, ascending, padded with [`NONE`].
+    slots: Vec<[Vertex; 2]>,
+    /// Each vertex's weight.
+    pub(crate) weights: Vec<u64>,
+    visited: Vec<bool>,
+    /// The walk of the component being solved.
+    order: Vec<Vertex>,
+    dp: PathDp,
+    /// The set the last [`PathsAndCycles::solve`] chose.
+    pub(crate) in_set: Vec<bool>,
+}
+
+impl PathsAndCycles {
+    /// Starts over on one isolated vertex per weight.
+    pub(crate) fn reset(&mut self, weights: impl IntoIterator<Item = u64>) {
+        self.weights.clear();
+        self.weights.extend(weights);
+        self.slots.clear();
+        self.slots.resize(self.weights.len(), [NONE; 2]);
+    }
+
+    /// Adds the edge `{u, v}`, `u ≠ v`, keeping both lists ascending; an
+    /// edge already present changes nothing. Returns `false`, and adds
+    /// nothing, when the edge would give an endpoint a third neighbour.
+    pub(crate) fn add_edge(&mut self, u: Vertex, v: Vertex) -> bool {
+        debug_assert_ne!(u, v);
+        let [a, b] = self.slots[u as usize];
+        if a == v || b == v {
+            return true;
+        }
+        if b != NONE || self.slots[v as usize][1] != NONE {
+            return false;
+        }
+        for (x, y) in [(u, v), (v, u)] {
+            let slot = &mut self.slots[x as usize];
+            *slot = if slot[0] == NONE {
+                [y, NONE]
+            } else {
+                [slot[0].min(y), slot[0].max(y)]
+            };
+        }
+        true
+    }
+
+    /// Exact MWIS by dynamic programming, linear time: leaves the set in
+    /// [`PathsAndCycles::in_set`] and returns its weight.
+    pub(crate) fn solve(&mut self) -> u64 {
+        let PathsAndCycles {
+            slots,
+            weights,
+            visited,
+            order,
+            dp,
+            in_set,
+        } = self;
+        let n = slots.len();
+        in_set.clear();
+        in_set.resize(n, false);
+        visited.clear();
+        visited.resize(n, false);
+        let mut total = 0u64;
+        for s in 0..n as Vertex {
+            if visited[s as usize] {
+                continue;
+            }
+            // Trace the component as an ordered walk. Paths start at an
+            // end; cycles start at `s`.
+            let start = path_end(slots, s).unwrap_or(s);
+            order.clear();
+            order.push(start);
+            visited[start as usize] = true;
+            let (mut prev, mut cur) = (start, start);
+            while let Some(&w) = neighbours(slots, cur)
+                .iter()
+                .find(|&&w| w != prev && !visited[w as usize])
+            {
+                visited[w as usize] = true;
+                order.push(w);
+                (prev, cur) = (cur, w);
+            }
+            let last = order[order.len() - 1];
+            if order.len() >= 3 && neighbours(slots, last).contains(&start) {
+                // Case A: exclude the first vertex; DP on the rest as a
+                // path.
+                let wa = dp.solve(&order[1..], weights, 0);
+                // Case B: include the first vertex; its two cycle
+                // neighbours (order[1] and the last) are forced out.
+                let inner = &order[2..order.len() - 1];
+                let wb = dp.solve(inner, weights, 1) + weights[start as usize];
+                if wb > wa {
+                    in_set[start as usize] = true;
+                    dp.mark(1, inner, in_set);
+                    total += wb;
+                } else {
+                    dp.mark(0, &order[1..], in_set);
+                    total += wa;
+                }
+            } else {
+                total += dp.solve(order, weights, 0);
+                dp.mark(0, order, in_set);
+            }
+        }
+        total
+    }
+}
+
+/// `v`'s neighbours, ascending.
+fn neighbours(slots: &[[Vertex; 2]], v: Vertex) -> &[Vertex] {
+    let slot = &slots[v as usize];
+    &slot[..slot.iter().filter(|&&u| u != NONE).count()]
 }
 
 /// The end of `s`'s component that a walk from `s` towards its last
 /// neighbour reaches, or `None` if the walk comes back to `s` (the
 /// component is a cycle). A vertex of degree at most one is its own end.
-/// Needs maximum degree two.
-fn path_end(g: &Graph, s: Vertex) -> Option<Vertex> {
+fn path_end(slots: &[[Vertex; 2]], s: Vertex) -> Option<Vertex> {
     let (mut prev, mut cur) = (s, s);
     loop {
-        let nb = g.neighbors(cur);
-        if nb.len() <= 1 {
+        let [a, b] = slots[cur as usize];
+        if b == NONE {
             return Some(cur);
         }
-        (prev, cur) = (cur, if nb[1] != prev { nb[1] } else { nb[0] });
+        (prev, cur) = (cur, if b != prev { b } else { a });
         if cur == s {
             return None;
         }
@@ -482,7 +576,7 @@ fn path_end(g: &Graph, s: Vertex) -> Option<Vertex> {
 
 /// Reusable buffers of the MWIS DP along a path: the best weights with
 /// and without each vertex, and the chosen flags of two solves.
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct PathDp {
     take: Vec<u64>,
     skip: Vec<u64>,
@@ -618,10 +712,14 @@ pub(crate) mod probe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instance::{Constraint, IlpInstance, Sense, FEASIBILITY_EPS};
     use crate::problems;
-    use crate::restrict::{covering_restriction, packing_restriction, SubInstance};
-    use crate::solvers::{self, Method};
-    use dapc_graph::gen;
+    use crate::restrict::{
+        covering_restriction, covering_restriction_list, list_of, packing_restriction,
+        packing_restriction_list, RestrictScratch, SubInstance,
+    };
+    use crate::solvers::{self, solve_with, Method, Solution, SolveScratch};
+    use dapc_graph::{gen, GraphBuilder};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::RngExt;
@@ -697,10 +795,14 @@ mod tests {
         }
     }
 
-    fn whole(ilp: &crate::instance::IlpInstance) -> SubInstance {
+    fn whole(ilp: &IlpInstance) -> SubInstance {
+        restricted(ilp, &vec![true; ilp.n()])
+    }
+
+    fn restricted(ilp: &IlpInstance, subset: &[bool]) -> SubInstance {
         match ilp.sense() {
-            crate::instance::Sense::Packing => packing_restriction(ilp, &vec![true; ilp.n()]),
-            crate::instance::Sense::Covering => covering_restriction(ilp, &vec![true; ilp.n()]),
+            Sense::Packing => packing_restriction(ilp, subset),
+            Sense::Covering => covering_restriction(ilp, subset),
         }
     }
 
@@ -1121,6 +1223,87 @@ mod tests {
         (best, chosen)
     }
 
+    /// The degree-two DP as it walked the CSR graph, before it read two-slot
+    /// lists: the reference [`PathsAndCycles`] must reproduce bit for bit,
+    /// behind [`reference_pairwise`]'s `GraphBuilder` graph.
+    fn csr_degree_two(g: &Graph, weights: &[u64]) -> MisResult {
+        let n = g.n();
+        let mut in_set = vec![false; n];
+        let mut total = 0u64;
+        let mut visited = vec![false; n];
+        let mut order: Vec<Vertex> = Vec::new();
+        let mut dp = PathDp::default();
+        for s in 0..n as Vertex {
+            if visited[s as usize] {
+                continue;
+            }
+            // Trace the component as an ordered walk. Paths start at an end;
+            // cycles start at `s`.
+            let start = csr_path_end(g, s).unwrap_or(s);
+            order.clear();
+            order.push(start);
+            visited[start as usize] = true;
+            let mut prev = start;
+            let mut cur = start;
+            loop {
+                let next = g
+                    .neighbors(cur)
+                    .iter()
+                    .copied()
+                    .find(|&w| w != prev && !visited[w as usize]);
+                match next {
+                    Some(w) => {
+                        visited[w as usize] = true;
+                        order.push(w);
+                        prev = cur;
+                        cur = w;
+                    }
+                    None => break,
+                }
+            }
+            let is_cycle = order.len() >= 3 && g.has_edge(*order.last().unwrap(), start);
+            if is_cycle {
+                // Case A: exclude the first vertex; DP on the rest as a path.
+                let wa = dp.solve(&order[1..], weights, 0);
+                // Case B: include the first vertex; its two cycle neighbours
+                // (order[1] and order.last()) are forced out.
+                let inner = &order[2..order.len() - 1];
+                let wb = dp.solve(inner, weights, 1) + weights[start as usize];
+                if wb > wa {
+                    in_set[start as usize] = true;
+                    dp.mark(1, inner, &mut in_set);
+                    total += wb;
+                } else {
+                    dp.mark(0, &order[1..], &mut in_set);
+                    total += wa;
+                }
+            } else {
+                total += dp.solve(&order, weights, 0);
+                dp.mark(0, &order, &mut in_set);
+            }
+        }
+        MisResult {
+            in_set,
+            weight: total,
+            exact: true,
+        }
+    }
+
+    /// [`path_end`] on the CSR graph.
+    fn csr_path_end(g: &Graph, s: Vertex) -> Option<Vertex> {
+        let (mut prev, mut cur) = (s, s);
+        loop {
+            let nb = g.neighbors(cur);
+            if nb.len() <= 1 {
+                return Some(cur);
+            }
+            (prev, cur) = (cur, if nb[1] != prev { nb[1] } else { nb[0] });
+            if cur == s {
+                return None;
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -1156,6 +1339,285 @@ mod tests {
             prop_assert!(g.max_degree() <= 2);
             let weights: Vec<u64> = (0..n).map(|_| rng.random_range(0..6u64)).collect();
             prop_assert_eq!(mwis_degree_two(&g, &weights), reference_degree_two(&g, &weights));
+        }
+    }
+
+    /// The pairwise routes as they were before they read the rows into
+    /// two-slot lists: the conflict graph built by `GraphBuilder`, then
+    /// [`csr_degree_two`] at maximum degree two and the branch & bound
+    /// above; and the trivial route of a sub-instance without rows. The
+    /// reference the row-driven routes must reproduce bit for bit; `None`
+    /// where none of them applies.
+    fn reference_pairwise(sub: &SubInstance, budget: &SolverBudget) -> Option<Solution> {
+        let n = sub.n();
+        if sub.m() == 0 {
+            let assignment: Vec<bool> = match sub.sense {
+                Sense::Packing => sub.weights.iter().map(|&w| w > 0).collect(),
+                Sense::Covering => vec![false; n],
+            };
+            let value = sub.value(&assignment);
+            return Some(Solution {
+                assignment,
+                value,
+                exact: true,
+                method: Method::Trivial,
+            });
+        }
+        let mut forced = vec![false; n];
+        let mut edges: Vec<(u32, u32)> = Vec::new();
+        for (coeffs, bound) in sub.rows() {
+            let off = |a: f64| (a - 1.0).abs() > FEASIBILITY_EPS;
+            match (sub.sense, coeffs) {
+                (Sense::Packing, []) => {}
+                (Sense::Packing, &[(v, a)]) => {
+                    if a > bound + FEASIBILITY_EPS {
+                        forced[v as usize] = true;
+                    }
+                }
+                (Sense::Packing, &[(u, au), (v, av)]) => {
+                    if au > bound + FEASIBILITY_EPS {
+                        forced[u as usize] = true;
+                    }
+                    if av > bound + FEASIBILITY_EPS {
+                        forced[v as usize] = true;
+                    }
+                    if au + av > bound + FEASIBILITY_EPS {
+                        edges.push((u, v));
+                    }
+                }
+                (Sense::Covering, _) if off(bound) => return None,
+                (Sense::Covering, &[(v, a)]) if !off(a) => forced[v as usize] = true,
+                (Sense::Covering, &[(u, au), (v, av)]) if !off(au) && !off(av) => {
+                    edges.push((u, v));
+                }
+                _ => return None,
+            }
+        }
+        let mut b = GraphBuilder::new(n);
+        for (u, v) in edges {
+            if !forced[u as usize] && !forced[v as usize] {
+                b.add_edge(u, v);
+            }
+        }
+        let g = b.build();
+        let weights: Vec<u64> = (0..n)
+            .map(|v| if forced[v] { 0 } else { sub.weights[v] })
+            .collect();
+        let r = if g.max_degree() <= 2 {
+            csr_degree_two(&g, &weights)
+        } else {
+            max_weight_independent_set(&g, &weights, budget)
+        };
+        let (assignment, method): (Vec<bool>, _) = match sub.sense {
+            Sense::Packing => (
+                (0..n).map(|v| r.in_set[v] && !forced[v]).collect(),
+                Method::ConflictMis,
+            ),
+            Sense::Covering => {
+                let mut assignment: Vec<bool> = (0..n).map(|v| !r.in_set[v]).collect();
+                for v in 0..n {
+                    if forced[v] {
+                        assignment[v] = true;
+                    } else if g.degree(v as u32) == 0 {
+                        assignment[v] = false;
+                    }
+                }
+                (assignment, Method::VertexCover)
+            }
+        };
+        let value = sub.value(&assignment);
+        Some(Solution {
+            assignment,
+            value,
+            exact: r.exact,
+            method,
+        })
+    }
+
+    /// A random union of paths (single vertices and 2-vertex paths
+    /// included) and cycles (3-cycles included) on shuffled ids, and
+    /// `extra` random edges on top, which may give a vertex a third
+    /// neighbour. Returns the vertex count and the edges.
+    fn shuffled_paths_and_cycles(rng: &mut StdRng, extra: usize) -> (u32, Vec<(u32, u32)>) {
+        let mut edges: Vec<(u32, u32)> = Vec::new();
+        let mut n = 0u32;
+        let size = rng.random_range(1..40u32);
+        while n < size {
+            let len = rng.random_range(1..9u32);
+            edges.extend((n..n + len - 1).map(|i| (i, i + 1)));
+            if len >= 3 && rng.random_bool(0.5) {
+                edges.push((n + len - 1, n));
+            }
+            n += len;
+        }
+        for _ in 0..extra {
+            let (u, v) = (rng.random_range(0..n), rng.random_range(0..n));
+            if u != v {
+                edges.push((u, v));
+            }
+        }
+        let mut relabel: Vec<u32> = (0..n).collect();
+        shuffle(&mut relabel, rng);
+        for e in &mut edges {
+            *e = (relabel[e.0 as usize], relabel[e.1 as usize]);
+        }
+        (n, edges)
+    }
+
+    fn shuffle<T>(xs: &mut [T], rng: &mut StdRng) {
+        for i in (1..xs.len()).rev() {
+            xs.swap(i, rng.random_range(0..=i));
+        }
+    }
+
+    /// Pairwise packing and unit covering rows on `edges`, in shuffled
+    /// order: some rows twice, and singleton rows, some of which force
+    /// their vertex. The packing coefficients and bounds put pair sums
+    /// above, at and below the bound, and some coefficients above it.
+    fn pairwise_instances(n: u32, edges: &[(u32, u32)], rng: &mut StdRng) -> [IlpInstance; 2] {
+        let pick = |xs: &[f64], rng: &mut StdRng| xs[rng.random_range(0..xs.len())];
+        let mut packing = Vec::new();
+        let mut covering = Vec::new();
+        for &(u, v) in edges {
+            let (au, av) = (pick(&[0.5, 1.0, 1.5], rng), pick(&[0.5, 1.0, 1.5], rng));
+            let bound = pick(&[1.0, 1.5, 2.0, 3.0], rng);
+            packing.push(Constraint::new(vec![(u, au), (v, av)], bound));
+            covering.push(Constraint::new(vec![(u, 1.0), (v, 1.0)], 1.0));
+        }
+        for v in 0..n {
+            if rng.random_bool(0.15) {
+                let a = pick(&[0.5, 1.0, 2.0], rng);
+                packing.push(Constraint::new(vec![(v, a)], 1.0));
+            }
+            if rng.random_bool(0.1) {
+                covering.push(Constraint::new(vec![(v, 1.0)], 1.0));
+            }
+        }
+        let mut weights = || (0..n).map(|_| rng.random_range(0..5u64)).collect();
+        let mut instances = [(packing, weights()), (covering, weights())];
+        for (rows, _) in &mut instances {
+            for i in 0..rows.len() {
+                if rng.random_bool(0.2) {
+                    rows.push(rows[i].clone());
+                }
+            }
+            shuffle(rows, rng);
+        }
+        let [(packing, wp), (covering, wc)] = instances;
+        [
+            IlpInstance::packing(n as usize, wp, packing),
+            IlpInstance::covering(n as usize, wc, covering),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn pairwise_routes_reproduce_the_graph_builder_route(seed in 0u64..1 << 32) {
+            // Packing and covering, on the whole instance and on a random
+            // subset (whose cut pairs become singletons in packing and drop
+            // out in covering), one scratch for every solve. A quarter of
+            // the cases carry extra edges, so some solves fall back to the
+            // branch & bound.
+            let mut rng = gen::seeded_rng(seed);
+            let extra = if seed % 4 == 0 { 3 } else { 0 };
+            let (n, edges) = shuffled_paths_and_cycles(&mut rng, extra);
+            let budget = SolverBudget::unlimited();
+            let mut scratch = SolveScratch::new();
+            let subset: Vec<bool> = (0..n).map(|_| rng.random_bool(0.7)).collect();
+            for ilp in pairwise_instances(n, &edges, &mut rng) {
+                for sub in [whole(&ilp), restricted(&ilp, &subset)] {
+                    let reference = reference_pairwise(&sub, &budget).expect("pairwise rows");
+                    prop_assert_eq!(&solvers::solve(&sub, &budget), &reference);
+                    prop_assert_eq!(solve_with(&sub, &budget, &mut scratch), &reference);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_third_neighbour_in_the_last_row_falls_back_to_the_search() {
+        // A 6-cycle whose last row is nothing more, a repeat of its first
+        // pair, or the chord {0, 3}: the chord gives 0 and 3 a third
+        // neighbour after every other pair sits in the slots, so only it
+        // runs the branch & bound (a search visits at least one node; the
+        // DP none), with the reference's solution.
+        let weights = vec![3, 1, 4, 1, 5, 9];
+        let budget = SolverBudget::default();
+        for last in [None, Some((0, 1)), Some((0, 3))] {
+            let pairs = (0..6).map(|i| (i, (i + 1) % 6)).chain(last);
+            let rows: Vec<Constraint> = pairs
+                .map(|(u, v)| Constraint::new(vec![(u, 1.0), (v, 1.0)], 1.0))
+                .collect();
+            for ilp in [
+                IlpInstance::packing(6, weights.clone(), rows.clone()),
+                IlpInstance::covering(6, weights.clone(), rows),
+            ] {
+                let sub = whole(&ilp);
+                let (sol, nodes) = probe::run(false, || solvers::solve(&sub, &budget));
+                assert_eq!(Some(sol), reference_pairwise(&sub, &budget), "{last:?}");
+                assert_eq!(nodes > 0, last == Some((0, 3)), "{last:?}: {nodes} nodes");
+            }
+        }
+    }
+
+    /// Once a scratch has solved the whole instance, solving its subsets
+    /// allocates nothing, packing and covering alike: every buffer keeps
+    /// its address and capacity.
+    #[test]
+    fn a_warm_scratch_solves_without_allocating() {
+        let g = gen::cycle(120);
+        let mut rng = gen::seeded_rng(9);
+        let weights: Vec<u64> = (0..120).map(|_| rng.random_range(0..6)).collect();
+        let pack = problems::max_independent_set(&g, weights.clone());
+        let cover = problems::min_vertex_cover(&g, weights);
+        let budget = SolverBudget::default();
+        let mut scratch = SolveScratch::new();
+        for ilp in [&pack, &cover] {
+            solve_with(&whole(ilp), &budget, &mut scratch);
+        }
+        let buffers = |s: &SolveScratch| {
+            fn at<T>(v: &Vec<T>) -> (usize, usize) {
+                (v.as_ptr() as usize, v.capacity())
+            }
+            let (p, dp) = (&s.paths, &s.paths.dp);
+            [
+                at(&s.forced),
+                at(&s.pairs),
+                at(&s.linked),
+                at(&p.slots),
+                at(&p.weights),
+                at(&p.visited),
+                at(&p.order),
+                at(&dp.take),
+                at(&dp.skip),
+                at(&dp.chosen[0]),
+                at(&dp.chosen[1]),
+                at(&p.in_set),
+                at(&s.solution.assignment),
+            ]
+        };
+        let warm = buffers(&scratch);
+        let mut restrict_scratch = RestrictScratch::new();
+        for density in [0.3, 0.6, 0.9, 1.0] {
+            let mask: Vec<bool> = (0..120).map(|_| rng.random_bool(density)).collect();
+            let list = list_of(&mask);
+            for ilp in [&pack, &cover] {
+                let sub = match ilp.sense() {
+                    Sense::Packing => packing_restriction_list(ilp, &list, &mut restrict_scratch),
+                    Sense::Covering => {
+                        covering_restriction_list(ilp, &list, None, &mut restrict_scratch)
+                    }
+                };
+                let sol = solve_with(sub, &budget, &mut scratch);
+                assert_eq!(sol, &solvers::solve(sub, &budget));
+                assert!(matches!(
+                    sol.method,
+                    Method::ConflictMis | Method::VertexCover
+                ));
+                assert_eq!(buffers(&scratch), warm, "density {density}");
+            }
         }
     }
 

@@ -7,6 +7,32 @@
 //! complement — and everything else to the general branch & bound. All
 //! paths report whether optimality was proven, so experiments can assert
 //! that every local solve at experiment scale was exact.
+//!
+//! # The pairwise routes
+//!
+//! Packing rows of at most two variables, and unit covering rows of one
+//! or two, are a conflict graph: MIS (packing), or vertex cover as the
+//! complement of an MIS (covering). Almost every cluster of the
+//! benchmarks and tables is a path or a cycle, so these routes solve
+//! straight off the rows:
+//! - one pass over the rows marks the forced vertices (packing: a
+//!   coefficient above its row's bound forces zero; covering: a singleton
+//!   row forces one) and lists the endpoints of each pair row that is a
+//!   conflict;
+//! - the pairs between unforced endpoints fill per-vertex, two-slot
+//!   neighbour lists, ascending, a repeated pair once;
+//! - the linear-time path/cycle DP of [`mis`] solves them.
+//!
+//! Only when a vertex gains a third distinct neighbour does the solve
+//! build the CSR conflict graph ([`dapc_graph::GraphBuilder`]) and run
+//! [`mis::max_weight_independent_set`]'s branch & bound. Ascending lists
+//! are the CSR graph's neighbour order, so the DP's walk, and every tie,
+//! come out as on the CSR graph.
+//!
+//! [`solve_with`] writes into a [`SolveScratch`], whose buffers live
+//! across solves: a warm scratch allocates nothing on the pairwise routes.
+//! [`solve`] is the same solve into a fresh scratch, returning an owned
+//! [`Solution`].
 
 pub mod blossom;
 pub mod bnb;
@@ -15,7 +41,7 @@ pub mod mis;
 
 use crate::instance::{Sense, FEASIBILITY_EPS};
 use crate::restrict::SubInstance;
-use dapc_graph::GraphBuilder;
+use dapc_graph::{GraphBuilder, Vertex};
 
 /// Resource limits for a local solve.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -69,6 +95,102 @@ pub struct Solution {
     pub method: Method,
 }
 
+/// Reusable buffers of [`solve_with`]: the forced flags and pair rows of
+/// the pairwise routes, the two-slot lists and DP buffers of [`mis`], and
+/// the last solution. Keep one per solver or worker, beside its
+/// [`crate::restrict::RestrictScratch`]; it grows to the largest
+/// sub-instance it has served, and a warm one allocates nothing on the
+/// pairwise routes.
+#[derive(Debug)]
+pub struct SolveScratch {
+    /// Per local variable: forced to zero (packing) or to one (covering).
+    forced: Vec<bool>,
+    /// The endpoints of every pair row, forced ones included.
+    pairs: Vec<(Vertex, Vertex)>,
+    /// Per local variable: whether a pair between unforced endpoints
+    /// holds it.
+    linked: Vec<bool>,
+    /// The conflict graph as two-slot lists, with its DP's buffers.
+    paths: mis::PathsAndCycles,
+    /// The last solve's solution.
+    solution: Solution,
+}
+
+impl Default for SolveScratch {
+    fn default() -> Self {
+        SolveScratch {
+            forced: Vec::new(),
+            pairs: Vec::new(),
+            linked: Vec::new(),
+            paths: mis::PathsAndCycles::default(),
+            solution: Solution {
+                assignment: Vec::new(),
+                value: 0,
+                exact: true,
+                method: Method::Trivial,
+            },
+        }
+    }
+}
+
+impl SolveScratch {
+    /// Creates an empty scratch; its buffers grow on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Starts a pairwise route on `n` variables: none forced, no pairs.
+    fn begin(&mut self, n: usize) {
+        self.forced.clear();
+        self.forced.resize(n, false);
+        self.pairs.clear();
+    }
+
+    /// MWIS of the conflict graph: the pairs between unforced endpoints,
+    /// each forced vertex at weight zero. Leaves the set in
+    /// `paths.in_set` and returns whether it is proven optimal.
+    fn conflict_mwis(&mut self, sub: &SubInstance, budget: &SolverBudget) -> bool {
+        let SolveScratch {
+            forced,
+            pairs,
+            linked,
+            paths,
+            ..
+        } = self;
+        let free = |&&(u, v): &&(Vertex, Vertex)| !forced[u as usize] && !forced[v as usize];
+        let weights = sub.weights.iter().zip(&*forced);
+        paths.reset(weights.map(|(&w, &f)| if f { 0 } else { w }));
+        linked.clear();
+        linked.resize(sub.n(), false);
+        let mut fits = true;
+        for &(u, v) in pairs.iter().filter(free) {
+            linked[u as usize] = true;
+            linked[v as usize] = true;
+            fits = fits && paths.add_edge(u, v);
+        }
+        if fits {
+            paths.solve();
+            return true;
+        }
+        // A vertex of degree three: the CSR graph and the branch & bound.
+        let mut b = GraphBuilder::new(sub.n());
+        for &(u, v) in pairs.iter().filter(free) {
+            b.add_edge(u, v);
+        }
+        let r = mis::max_weight_independent_set(&b.build(), &paths.weights, budget);
+        paths.in_set.clone_from(&r.in_set);
+        r.exact
+    }
+
+    /// Sets the solution's value from its assignment, and its flags.
+    fn finish(&mut self, sub: &SubInstance, exact: bool, method: Method) {
+        let solution = &mut self.solution;
+        solution.value = sub.value(&solution.assignment);
+        solution.exact = exact;
+        solution.method = method;
+    }
+}
+
 /// Solves a local sub-instance exactly (modulo `budget`).
 ///
 /// # Examples
@@ -86,106 +208,90 @@ pub struct Solution {
 /// assert_eq!(sol.method, solvers::Method::ConflictMis);
 /// ```
 pub fn solve(sub: &SubInstance, budget: &SolverBudget) -> Solution {
-    if sub.m() == 0 {
-        return trivial(sub);
-    }
+    let mut scratch = SolveScratch::new();
+    solve_with(sub, budget, &mut scratch);
+    scratch.solution
+}
+
+/// [`solve`] into `scratch`: the solution lives there until its next
+/// call, and a warm scratch allocates nothing on the pairwise routes (see
+/// the module docs).
+pub fn solve_with<'s>(
+    sub: &SubInstance,
+    budget: &SolverBudget,
+    scratch: &'s mut SolveScratch,
+) -> &'s Solution {
     match sub.sense {
+        _ if sub.m() == 0 => trivial(sub, scratch),
         Sense::Packing => {
-            if let Some(sol) = try_conflict_mis(sub, budget) {
-                return sol;
-            }
-            if let Some(sol) = try_matching(sub) {
-                return sol;
-            }
-            let r = bnb::solve_packing(sub, budget);
-            Solution {
-                assignment: r.assignment,
-                value: r.value,
-                exact: r.exact,
-                method: Method::BranchBound,
+            if !try_conflict_mis(sub, budget, scratch) {
+                scratch.solution = try_matching(sub)
+                    .unwrap_or_else(|| branch_bound(bnb::solve_packing(sub, budget)));
             }
         }
         Sense::Covering => {
-            if let Some(sol) = try_vertex_cover(sub, budget) {
-                return sol;
-            }
-            let r = bnb::solve_covering(sub, budget);
-            Solution {
-                assignment: r.assignment,
-                value: r.value,
-                exact: r.exact,
-                method: Method::BranchBound,
+            if !try_vertex_cover(sub, budget, scratch) {
+                scratch.solution = branch_bound(bnb::solve_covering(sub, budget));
             }
         }
     }
+    &scratch.solution
 }
 
-fn trivial(sub: &SubInstance) -> Solution {
-    let assignment: Vec<bool> = match sub.sense {
-        Sense::Packing => sub.weights.iter().map(|&w| w > 0).collect(),
-        Sense::Covering => vec![false; sub.n()],
-    };
-    let value = sub.value(&assignment);
+fn branch_bound(r: bnb::BnbResult) -> Solution {
     Solution {
-        assignment,
-        value,
-        exact: true,
-        method: Method::Trivial,
+        assignment: r.assignment,
+        value: r.value,
+        exact: r.exact,
+        method: Method::BranchBound,
     }
 }
 
-/// Pairwise packing constraints → MWIS on the conflict graph.
-fn try_conflict_mis(sub: &SubInstance, budget: &SolverBudget) -> Option<Solution> {
-    let n = sub.n();
-    let mut forced_zero = vec![false; n];
-    let mut conflicts: Vec<(u32, u32)> = Vec::new();
+fn trivial(sub: &SubInstance, scratch: &mut SolveScratch) {
+    let assignment = &mut scratch.solution.assignment;
+    assignment.clear();
+    match sub.sense {
+        Sense::Packing => assignment.extend(sub.weights.iter().map(|&w| w > 0)),
+        Sense::Covering => assignment.resize(sub.n(), false),
+    }
+    scratch.finish(sub, true, Method::Trivial);
+}
+
+/// Pairwise packing constraints → MWIS on the conflict graph, into
+/// `scratch`'s solution. `false`, with the solution untouched, on a row
+/// of three or more variables.
+fn try_conflict_mis(sub: &SubInstance, budget: &SolverBudget, scratch: &mut SolveScratch) -> bool {
+    scratch.begin(sub.n());
     for (coeffs, bound) in sub.rows() {
-        match coeffs.len() {
-            0 => {}
-            1 => {
-                let (v, a) = coeffs[0];
-                if a > bound + FEASIBILITY_EPS {
-                    forced_zero[v as usize] = true;
+        let exceeds = |a: f64| a > bound + FEASIBILITY_EPS;
+        match *coeffs {
+            [] => {}
+            [(v, a)] => scratch.forced[v as usize] |= exceeds(a),
+            [(u, au), (v, av)] => {
+                scratch.forced[u as usize] |= exceeds(au);
+                scratch.forced[v as usize] |= exceeds(av);
+                if exceeds(au + av) {
+                    scratch.pairs.push((u, v));
                 }
             }
-            2 => {
-                let (u, au) = coeffs[0];
-                let (v, av) = coeffs[1];
-                if au > bound + FEASIBILITY_EPS {
-                    forced_zero[u as usize] = true;
-                }
-                if av > bound + FEASIBILITY_EPS {
-                    forced_zero[v as usize] = true;
-                }
-                if au + av > bound + FEASIBILITY_EPS {
-                    conflicts.push((u, v));
-                }
-            }
-            _ => return None,
+            _ => return false,
         }
     }
-    let mut b = GraphBuilder::new(n);
-    for (u, v) in conflicts {
-        if !forced_zero[u as usize] && !forced_zero[v as usize] {
-            b.add_edge(u, v);
-        }
-    }
-    let conflict_graph = b.build();
-    let weights: Vec<u64> = (0..n)
-        .map(|v| if forced_zero[v] { 0 } else { sub.weights[v] })
-        .collect();
-    let r = mis::max_weight_independent_set(&conflict_graph, &weights, budget);
+    let exact = scratch.conflict_mwis(sub, budget);
+    let SolveScratch {
+        forced,
+        paths,
+        solution,
+        ..
+    } = scratch;
     // Forced-zero vertices may appear in the IS with weight 0; strip them.
-    let assignment: Vec<bool> = (0..n).map(|v| r.in_set[v] && !forced_zero[v]).collect();
-    // Keep zero-weight unconstrained-but-unforced vertices out; they do not
-    // change the value and MIS may or may not include them — that is fine.
-    let value = sub.value(&assignment);
-    Some(Solution {
-        assignment,
-        value,
-        exact: r.exact,
-        method: Method::ConflictMis,
-    })
+    // Zero-weight unforced vertices may or may not be in it: the value is
+    // the same either way.
+    solution.assignment.clear();
+    let kept = paths.in_set.iter().zip(&*forced);
+    solution.assignment.extend(kept.map(|(&x, &f)| x && !f));
+    scratch.finish(sub, exact, Method::ConflictMis);
+    true
 }
 
 /// Unit, bound-1 packing constraints with every variable in ≤ 2 of them →
@@ -265,64 +371,37 @@ fn try_matching(sub: &SubInstance) -> Option<Solution> {
     })
 }
 
-/// Pairwise unit covering constraints → vertex cover = complement of MWIS.
-fn try_vertex_cover(sub: &SubInstance, budget: &SolverBudget) -> Option<Solution> {
-    let n = sub.n();
-    let mut forced_one = vec![false; n];
-    let mut edges: Vec<(u32, u32)> = Vec::new();
+/// Pairwise unit covering constraints → vertex cover = complement of
+/// MWIS, into `scratch`'s solution. `false`, with the solution
+/// untouched, on any other row.
+fn try_vertex_cover(sub: &SubInstance, budget: &SolverBudget, scratch: &mut SolveScratch) -> bool {
+    scratch.begin(sub.n());
+    let unit = |a: f64| (a - 1.0).abs() <= FEASIBILITY_EPS;
     for (coeffs, bound) in sub.rows() {
-        if (bound - 1.0).abs() > FEASIBILITY_EPS {
-            return None;
-        }
-        match coeffs.len() {
-            1 => {
-                let (v, a) = coeffs[0];
-                if (a - 1.0).abs() > FEASIBILITY_EPS {
-                    return None;
-                }
-                forced_one[v as usize] = true;
-            }
-            2 => {
-                let (u, au) = coeffs[0];
-                let (v, av) = coeffs[1];
-                if (au - 1.0).abs() > FEASIBILITY_EPS || (av - 1.0).abs() > FEASIBILITY_EPS {
-                    return None;
-                }
-                edges.push((u, v));
-            }
-            _ => return None,
+        match *coeffs {
+            _ if !unit(bound) => return false,
+            [(v, a)] if unit(a) => scratch.forced[v as usize] = true,
+            [(u, au), (v, av)] if unit(au) && unit(av) => scratch.pairs.push((u, v)),
+            _ => return false,
         }
     }
-    let mut b = GraphBuilder::new(n);
-    for (u, v) in edges {
-        if !forced_one[u as usize] && !forced_one[v as usize] {
-            b.add_edge(u, v);
-        }
-    }
-    let g = b.build();
     // Min-weight VC over the residual edges = Σw − MWIS, but only vertices
     // incident to residual edges should ever pay; isolated vertices join
     // the IS for free.
-    let weights: Vec<u64> = (0..n)
-        .map(|v| if forced_one[v] { 0 } else { sub.weights[v] })
-        .collect();
-    let r = mis::max_weight_independent_set(&g, &weights, budget);
-    let mut assignment: Vec<bool> = (0..n).map(|v| !r.in_set[v]).collect();
-    for v in 0..n {
-        if forced_one[v] {
-            assignment[v] = true;
-        } else if g.degree(v as u32) == 0 && !forced_one[v] {
-            // Unconstrained vertex: never pay for it.
-            assignment[v] = false;
-        }
-    }
-    let value = sub.value(&assignment);
-    Some(Solution {
-        assignment,
-        value,
-        exact: r.exact,
-        method: Method::VertexCover,
-    })
+    let exact = scratch.conflict_mwis(sub, budget);
+    let SolveScratch {
+        forced,
+        linked,
+        paths,
+        solution,
+        ..
+    } = scratch;
+    solution.assignment.clear();
+    solution
+        .assignment
+        .extend((0..sub.n()).map(|v| forced[v] || (linked[v] && !paths.in_set[v])));
+    scratch.finish(sub, exact, Method::VertexCover);
+    true
 }
 
 #[cfg(test)]
@@ -472,26 +551,36 @@ mod tests {
     fn solver_agreement_mis_vs_bnb() {
         // The structured MIS path and the general B&B must agree.
         let mut rng = gen::seeded_rng(77);
+        let mut scratch = SolveScratch::new();
         for _ in 0..20 {
             let g = gen::gnp(14, 0.3, &mut rng);
             let ilp = problems::max_independent_set_unweighted(&g);
             let sub = packing_restriction(&ilp, &full(14));
-            let structured = try_conflict_mis(&sub, &SolverBudget::unlimited()).unwrap();
+            assert!(try_conflict_mis(
+                &sub,
+                &SolverBudget::unlimited(),
+                &mut scratch
+            ));
             let general = bnb::solve_packing(&sub, &SolverBudget::unlimited());
-            assert_eq!(structured.value, general.value);
+            assert_eq!(scratch.solution.value, general.value);
         }
     }
 
     #[test]
     fn solver_agreement_vc_vs_bnb() {
         let mut rng = gen::seeded_rng(78);
+        let mut scratch = SolveScratch::new();
         for _ in 0..20 {
             let g = gen::gnp(12, 0.3, &mut rng);
             let ilp = problems::min_vertex_cover_unweighted(&g);
             let sub = covering_restriction(&ilp, &full(12));
-            let structured = try_vertex_cover(&sub, &SolverBudget::unlimited()).unwrap();
+            assert!(try_vertex_cover(
+                &sub,
+                &SolverBudget::unlimited(),
+                &mut scratch
+            ));
             let general = bnb::solve_covering(&sub, &SolverBudget::unlimited());
-            assert_eq!(structured.value, general.value);
+            assert_eq!(scratch.solution.value, general.value);
         }
     }
 }

@@ -932,18 +932,32 @@ impl Drop for PeriodicFlush {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{MutexGuard, PoisonError};
+
+    /// Held by every test that sets the gate. The gate is process-wide
+    /// and the harness runs tests on parallel threads, so without it a
+    /// test could turn the gate on while another holds it off.
+    static GATE_LOCK: Mutex<()> = Mutex::new(());
+
+    /// Sets the gate to `on`; it stays so, as far as these tests go, until
+    /// the guard drops.
+    fn gate(on: bool) -> MutexGuard<'static, ()> {
+        let guard = GATE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        set_enabled(on);
+        guard
+    }
 
     /// Every test works through uniquely-named metrics because the
     /// registry is process-global and the harness runs tests in
     /// parallel.
     fn hist(name: &str) -> Histogram {
-        set_enabled(true);
+        let _gate = gate(true);
         histogram(name)
     }
 
     #[test]
     fn counters_and_gauges_register_and_accumulate() {
-        set_enabled(true);
+        let _gate = gate(true);
         let c = counter("test.lib.counter");
         c.inc();
         c.add(4);
@@ -1180,7 +1194,7 @@ mod tests {
 
     #[test]
     fn spans_nest_into_dotted_histogram_names() {
-        set_enabled(true);
+        let _gate = gate(true);
         {
             let _outer = span("testsolve");
             {
@@ -1207,11 +1221,12 @@ mod tests {
 
     #[test]
     fn disabled_spans_record_nothing() {
-        set_enabled(false);
+        let gate_off = gate(false);
         {
             let _s = span("test-disabled-span-never-registered");
         }
         set_enabled(true);
+        drop(gate_off);
         assert!(
             MetricsSnapshot::capture()
                 .get("span.test-disabled-span-never-registered")
@@ -1252,7 +1267,7 @@ mod tests {
 
     #[test]
     fn periodic_flush_writes_on_drop() {
-        set_enabled(true);
+        let _gate = gate(true);
         counter("test.lib.flush_marker").inc();
         let dir = std::env::temp_dir().join("dapc-obs-flush-test");
         std::fs::create_dir_all(&dir).unwrap();

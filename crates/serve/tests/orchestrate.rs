@@ -339,15 +339,27 @@ fn workers_exit_when_their_coordinator_is_killed() {
         .spawn()
         .expect("start the sweep");
     let started = Instant::now();
-    while part_files(&dir).is_empty() && started.elapsed() < Duration::from_secs(120) {
+    let waiting = || started.elapsed() < Duration::from_secs(120);
+    while part_files(&dir).is_empty() && waiting() {
         std::thread::sleep(Duration::from_millis(1));
     }
     let parent = coordinator.id();
-    let workers: Vec<u32> = std::fs::read_dir("/proc")
-        .expect("list /proc")
-        .filter_map(|e| e.ok()?.file_name().to_str()?.parse().ok())
-        .filter(|&pid| proc_stat(pid).is_some_and(|(_, ppid)| ppid == parent))
-        .collect();
+    let children = || -> Vec<u32> {
+        std::fs::read_dir("/proc")
+            .expect("list /proc")
+            .filter_map(|e| e.ok()?.file_name().to_str()?.parse().ok())
+            .filter(|&pid| proc_stat(pid).is_some_and(|(_, ppid)| ppid == parent))
+            .collect()
+    };
+    // The coordinator spawns its workers one after the other, so the
+    // first can publish before the second exists: wait for both. Not for
+    // the second to publish, too: a worker that records its parent's PID
+    // only after the kill (ROADMAP item 7) must still fail this test.
+    let mut workers = children();
+    while workers.len() < 2 && waiting() {
+        std::thread::sleep(Duration::from_millis(1));
+        workers = children();
+    }
     coordinator.kill().expect("SIGKILL the coordinator alone");
     coordinator.wait().expect("reap the coordinator");
     let parts_at_kill = part_files(&dir).len();
